@@ -27,7 +27,6 @@ from .util import fmt_float
 WREATH_MAX_N = 40
 DEFAULT_THRESHOLD = 1.0 / 3.0
 DEFAULT_K_MAX = 8
-PSL_SIZES = (4, 5, 7, 8, 9, 11, 13)
 
 
 class CorollaryInapplicable(ValueError):
@@ -129,9 +128,13 @@ def hypothesis_ok(params, k):
 
 def delta2(params, k):
     """Distance bound for k entangled registers (needs 2k eps < 1)."""
-    e, d1 = params.epsilon, params.delta1
-    return (2.0 ** k * (1 + 2 * k * e) * math.sqrt(d1) + 3 * k * e
-            + 3 * k * params.d_epsilon / params.group_order)
+    return _delta2(k, params.epsilon, params.delta1, params.d_epsilon,
+                   params.group_order)
+
+
+def _delta2(k, eps, delta1, d_eps, order):
+    return (2.0 ** k * (1 + 2 * k * eps) * math.sqrt(delta1) + 3 * k * eps
+            + 3 * k * d_eps / order)
 
 
 def delta2_table(params, k_max=DEFAULT_K_MAX):
@@ -397,8 +400,8 @@ def involution_count_note(q):
         literal = q * (q + 1) // 2
     note = None
     actual = None
-    if q in PSL_SIZES:
-        from .groups import make_psl2
+    from .groups import PSL2_SIZES, make_psl2
+    if q in PSL2_SIZES:
         actual = len(make_psl2(q).involutions())
         if actual != formula:
             return actual, formula, (
@@ -560,8 +563,7 @@ def direct_power_bound(group, h, n, c=None, t_states=1,
         delta1 = eps + d_eps_bound * pow_sum_d / big_order
 
         def d2(k):
-            return (2.0 ** k * (1 + 2 * k * eps) * math.sqrt(delta1)
-                    + 3 * k * eps + 3 * k * d_eps_bound / big_order)
+            return _delta2(k, eps, delta1, d_eps_bound, big_order)
 
         k = entanglement_lower_bound(
             d2, t=t_states, threshold=threshold, k_max=64,

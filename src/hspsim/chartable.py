@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 
-from .irreps import canonical_sort
+from .irreps import canonical_sort, explicit_irreps
 from .util import fmt_complex
 
 
@@ -137,21 +137,13 @@ def character_table_numeric(group, seed=0):
 def best_character_table(group, seed=0):
     """Character table with the most informative labels available.
 
-    Families with explicit irrep constructions (symmetric n <= 5, cyclic,
-    dihedral-by-generic, wreath 2..4) get labeled rows; anything else falls
-    back to the purely numeric class-sum table with rho<i> labels.
+    Groups with explicit irreps (see irreps.explicit_irreps) get their
+    labelled rows; the rest get the purely numeric class-sum table with
+    rho<i> labels.
     """
-    from . import irreps as irr
-    kind, params = group.kind, group.params
-    try:
-        if kind == "symmetric" and params[0] <= 5:
-            return CharacterTable.from_irreps(group, irr.irreps_symmetric(params[0]))
-        if kind == "cyclic":
-            return CharacterTable.from_irreps(group, irr.irreps_cyclic(params[0]))
-        if kind == "wreath" and 2 <= params[0] <= 4:
-            return CharacterTable.from_irreps(group, irr.irreps_wreath(params[0]))
-    except Exception:
-        pass
+    explicit = explicit_irreps(group)
+    if explicit is not None:
+        return CharacterTable.from_irreps(group, explicit)
     return character_table_numeric(group, seed=seed)
 
 

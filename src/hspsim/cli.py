@@ -7,13 +7,12 @@ HSPSIM_TIMESTAMP / SOURCE_DATE_EPOCH, so identical commands give identical
 bytes at any thread count.
 
 Exit codes: 0 success; 1 a verify check failed; 2 a family corollary does
-not apply to the given parameters; 64 usage or parse error; 69 resource
-cap exceeded.
+not apply to the given parameters; 64 usage or parse error (any other
+ValueError); 69 a ResourceCap, raised before the work is allocated.
 """
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import io
 import os
@@ -24,9 +23,9 @@ import numpy as np
 from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table
-from .groups import make_group, order_two_subgroup, parse_cycles, spec_of
-from .util import (THREADS_ENV, dumps_report, fmt_float, pairwise_sum,
-                   timestamp)
+from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
+from .util import (THREADS_ENV, ResourceCap, dumps_report, fmt_float,
+                   pairwise_sum, timestamp)
 
 EX_OK = 0
 EX_VERIFY_FAIL = 1
@@ -34,11 +33,8 @@ EX_INAPPLICABLE = 2
 EX_USAGE = 64
 EX_RESOURCE = 69
 
-_FakeIrrep = collections.namedtuple("_FakeIrrep", ["label", "degree"])
-
-
 class UsageError(ValueError):
-    """Bad group spec, element spec, or flag combination."""
+    """Missing, invalid or contradictory command-line arguments."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,46 +116,12 @@ def build_parser():
 
 
 # ---------------------------------------------------------------------------
-# element parsing
-
-def parse_element(group, text):
-    text = text.strip()
-    if text.startswith("id:"):
-        try:
-            x = int(text[3:])
-        except ValueError:
-            raise UsageError(f"bad element id in {text!r}") from None
-        if not 0 <= x < group.order:
-            raise UsageError(f"element id {x} outside 0..{group.order - 1}")
-        return x
-    if group.kind == "symmetric":
-        try:
-            return group.from_perm(parse_cycles(text, group.params[0]))
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    if group.kind == "wreath" and text == "swap":
-        return group.swap_element()
-    raise UsageError(
-        f"element {text!r} not understood for {spec_of(group)}; use 'id:<n>'"
-        + (" or cycle notation" if group.kind == "symmetric" else ""))
-
-
-def default_involution(group):
-    if group.kind == "wreath":
-        return group.swap_element()
-    if group.kind == "dihedral":
-        return group.params[0]  # the reflection s
-    invs = group.involutions()
-    if not invs:
-        raise UsageError(
-            f"{spec_of(group)} has no involution; pass --h explicitly")
-    return min(invs)
-
+# arguments
 
 def resolve_h(group, text):
     if text is None:
-        return default_involution(group)
-    x = parse_element(group, text)
+        return group.default_involution()
+    x = group.parse_element(text)
     if x == group.identity or group.compose(x, x) != group.identity:
         raise UsageError(f"element {text!r} is not an involution")
     return x
@@ -284,9 +246,7 @@ def cmd_simulate(args):
     h = resolve_h(G, args.h)
     threads = resolve_threads(args.threads)
     table = best_character_table(G, seed=args.seed)
-    # budget gate from degrees alone, before any irrep matrices are built
-    fake = [_FakeIrrep(lab, d) for lab, d in zip(table.labels, table.degrees)]
-    simulate.register_budget(G, fake, args.k)
+    simulate.register_budget(table.labels, table.degrees, args.k)
     irr = irrmod.irreps_for(G, seed=args.seed)
     if args.frames < 1:
         raise UsageError("--frames must be at least 1")
@@ -359,7 +319,10 @@ def _suite_facts(G, args):
     from . import fourier
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
-    err = max(irrmod.hom_unitarity_error(r) for r in irr)
+    # largest degree first, so an over-budget check is refused before the
+    # multiplication table is built
+    err = max(irrmod.hom_unitarity_error(r)
+              for r in sorted(irr, key=lambda r: -r.degree))
     checks.append(_check("unitary homomorphism", err < 1e-8, lhs=err, rhs=1e-8))
     err = irrmod.schur_orthogonality_error(G, irr)
     checks.append(_check("matrix-entry orthogonality", err < 1e-8,
@@ -429,8 +392,8 @@ def _suite_tables(G, args):
     checks.append(_check("row orthogonality", err < 1e-8, lhs=err, rhs=1e-8))
     err = table.column_orthogonality_error()
     checks.append(_check("column orthogonality", err < 1e-8, lhs=err, rhs=1e-8))
-    if G.kind == "psl2":
-        q = G.params[0]
+    if isinstance(G, PSL2Group):
+        q = G.q
         want = sorted(d for _, d, count, _ in bounds.psl_rows(q)
                       for _ in range(count))
         got = sorted(table.degrees)
@@ -502,21 +465,14 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except UsageError as e:
-        sys.stderr.write(f"hspsim {args.command}: error: {e}\n")
-        return EX_USAGE
     except bounds.CorollaryInapplicable as e:
-        sys.stderr.write(f"hspsim {args.command}: corollary inapplicable: {e}\n")
-        return EX_INAPPLICABLE
-    except ValueError as e:
-        msg = str(e)
-        code = EX_RESOURCE if ("cap" in msg or "limit" in msg
-                               or "exceeds" in msg) else EX_USAGE
-        kind = "resource cap" if code == EX_RESOURCE else "error"
-        if msg.startswith(kind + ": "):
-            msg = msg[len(kind) + 2:]
-        sys.stderr.write(f"hspsim {args.command}: {kind}: {msg}\n")
-        return code
+        label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e
+    except ResourceCap as e:
+        label, code, err = "resource cap", EX_RESOURCE, e
+    except ValueError as e:  # UsageError and every other rejected input
+        label, code, err = "error", EX_USAGE, e
+    sys.stderr.write(f"hspsim {args.command}: {label}: {err}\n")
+    return code
 
 
 if __name__ == "__main__":

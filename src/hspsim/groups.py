@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from .fields import GF
+from .util import ResourceCap
 
 TABLE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000
@@ -126,6 +127,22 @@ class FiniteGroup:
     def pretty(self, x):
         return str(x)
 
+    def parse_element(self, text):
+        """Element from the text 'id:<n>'; subclasses add their notation."""
+        head, _, num = text.strip().partition(":")
+        if head != "id" or not num.isdigit() or int(num) >= self.order:
+            raise ValueError(f"element {text.strip()!r} not understood for "
+                             f"{spec_of(self)}; use 'id:<n>' with n < "
+                             f"{self.order}")
+        return int(num)
+
+    def default_involution(self):
+        """The hidden involution when none is named: the smallest one."""
+        invs = self.involutions()
+        if not invs:
+            raise ValueError(f"{spec_of(self)} has no involution")
+        return min(invs)
+
     # -- generic machinery --------------------------------------------------
     def __repr__(self):
         return f"<{self.kind}{self.params} order={self.order}>"
@@ -153,7 +170,7 @@ class FiniteGroup:
         """Full multiplication table (built lazily; capped at TABLE_LIMIT)."""
         if self._table is None:
             if self.order > TABLE_LIMIT:
-                raise ValueError(
+                raise ResourceCap(
                     f"order {self.order} exceeds table limit {TABLE_LIMIT}")
             t = np.empty((self.order, self.order), dtype=np.int32)
             for x in range(self.order):
@@ -312,6 +329,12 @@ class SymmetricGroup(FiniteGroup):
     def pretty(self, x):
         return cycle_notation(self._perms[x])
 
+    def parse_element(self, text):
+        """'id:<n>', or 1-based cycle notation such as '(1 2)(3 4)'."""
+        if text.strip().startswith("id:"):
+            return super().parse_element(text)
+        return self.from_perm(parse_cycles(text, self.n))
+
 
 class CyclicGroup(FiniteGroup):
     def __init__(self, n):
@@ -359,6 +382,10 @@ class DihedralGroup(FiniteGroup):
             return rot
         return "s" if a == 0 else f"{rot} s"
 
+    def default_involution(self):
+        """The reflection s."""
+        return self.n
+
 
 class WreathS2Group(FiniteGroup):
     """Two copies of S_n swapped by an involution t.
@@ -404,6 +431,15 @@ class WreathS2Group(FiniteGroup):
     def swap_element(self):
         """The distinguished involution t = (e, e, 1)."""
         return self.pack(0, 0, 1)
+
+    def default_involution(self):
+        return self.swap_element()
+
+    def parse_element(self, text):
+        """'id:<n>', or 'swap' for the coordinate swap."""
+        if text.strip() == "swap":
+            return self.swap_element()
+        return super().parse_element(text)
 
     def pretty(self, x):
         p, s, b = self.unpack(x)
@@ -537,7 +573,7 @@ class DirectPowerGroup(FiniteGroup):
             raise ValueError("power must be >= 1")
         order = base.order ** n
         if order > ORDER_LIMIT:
-            raise ValueError(f"order {order} exceeds {ORDER_LIMIT}")
+            raise ResourceCap(f"order {order} exceeds {ORDER_LIMIT}")
         self.base = base
         self.n = n
         ident = 0
@@ -575,32 +611,13 @@ class DirectPowerGroup(FiniteGroup):
 # ---------------------------------------------------------------------------
 # constructors
 
-def make_symmetric(n):
-    return SymmetricGroup(n)
-
-
-def make_cyclic(n):
-    return CyclicGroup(n)
-
-
-def make_dihedral(n):
-    return DihedralGroup(n)
-
-
-def make_wreath_s2(n):
-    return WreathS2Group(n)
-
-
-def make_psl2(q):
-    return PSL2Group(q)
-
-
-def make_sl2(q):
-    return SL2Group(q)
-
-
-def make_direct_power(group, n):
-    return DirectPowerGroup(group, n)
+make_symmetric = SymmetricGroup
+make_cyclic = CyclicGroup
+make_dihedral = DihedralGroup
+make_wreath_s2 = WreathS2Group
+make_psl2 = PSL2Group
+make_sl2 = SL2Group
+make_direct_power = DirectPowerGroup
 
 
 def make_group(spec):
@@ -620,28 +637,26 @@ def make_group(spec):
             n = int(exp)
         except ValueError:
             raise ValueError(f"bad power exponent in {spec!r}") from None
-        return make_direct_power(make_group(base_spec), n)
+        return DirectPowerGroup(make_group(base_spec), n)
     name, sep, param = spec.partition(":")
     name = name.lower()
     if not sep:
-        if len(name) >= 2 and name[0] == "s" and name[1:].isdigit():
-            return make_symmetric(int(name[1:]))
-        if len(name) >= 2 and name[0] == "z" and name[1:].isdigit():
-            return make_cyclic(int(name[1:]))
-        raise ValueError(f"unknown group spec {spec!r}")
+        if name[:1] not in ("s", "z") or not name[1:].isdigit():
+            raise ValueError(f"unknown group spec {spec!r}")
+        name, param = name[0], name[1:]
     try:
         p = int(param)
     except ValueError:
         raise ValueError(f"bad parameter in group spec {spec!r}") from None
     makers = {
-        "symmetric": make_symmetric,
-        "s": make_symmetric,
-        "cyclic": make_cyclic,
-        "z": make_cyclic,
-        "dihedral": make_dihedral,
-        "wreath": make_wreath_s2,
-        "psl2": make_psl2,
-        "sl2": make_sl2,
+        "symmetric": SymmetricGroup,
+        "s": SymmetricGroup,
+        "cyclic": CyclicGroup,
+        "z": CyclicGroup,
+        "dihedral": DihedralGroup,
+        "wreath": WreathS2Group,
+        "psl2": PSL2Group,
+        "sl2": SL2Group,
     }
     if name not in makers:
         raise ValueError(f"unknown group family {name!r} in spec {spec!r}")

@@ -9,9 +9,19 @@ import math
 
 import numpy as np
 
-from .groups import SymmetricGroup
+from .groups import CyclicGroup, SymmetricGroup, WreathS2Group
+from .util import ResourceCap
 
-GENERIC_ORDER_LIMIT = 2000
+# Largest n with an explicit construction: Young's orthogonal form for S_n,
+# and the wreath construction built on it for S_n wr S_2.
+YOUNG_MAX_N = 5
+WREATH_IRREPS_MAX_N = 4
+# The numeric decomposition holds dense |G| x |G| complex matrices.
+GENERIC_ORDER_LIMIT = 700
+# The all-pairs homomorphism check holds two |G|^2 d^2 complex tensors.
+# The suites' largest legitimate check, psl2:7 at d = 8, needs 58 MB;
+# wreath:4 at d = 9 would need 3.4 GB.
+HOM_CHECK_BYTES = 256 << 20
 
 
 class Irrep:
@@ -148,8 +158,9 @@ def _extend_over_group(group, gen_ids, gen_mats, d):
 
 def irreps_symmetric(n):
     """Young's orthogonal form; one irrep per partition, descending lex."""
-    if not 1 <= n <= 5:
-        raise ValueError("symmetric-group irreps supported for 1 <= n <= 5")
+    if not 1 <= n <= YOUNG_MAX_N:
+        raise ValueError("symmetric-group irreps supported for "
+                         f"1 <= n <= {YOUNG_MAX_N}")
     G = SymmetricGroup(n)
     gen_ids = [G.from_perm(tuple(range(k - 1)) + (k, k - 1) + tuple(range(k + 1, n)))
                for k in range(1, n)]
@@ -163,7 +174,6 @@ def irreps_symmetric(n):
 
 
 def irreps_cyclic(n):
-    from .groups import CyclicGroup
     G = CyclicGroup(n)
     out = []
     for j in range(n):
@@ -190,9 +200,9 @@ def irreps_wreath(n):
     swap); for each unordered pair of distinct partitions one induced irrep
     of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).
     """
-    from .groups import WreathS2Group
-    if not 2 <= n <= 4:
-        raise ValueError("wreath irreps supported for 2 <= n <= 4")
+    if not 2 <= n <= WREATH_IRREPS_MAX_N:
+        raise ValueError("wreath irreps supported for "
+                         f"2 <= n <= {WREATH_IRREPS_MAX_N}")
     W = WreathS2Group(n)
     base = irreps_symmetric(n)
     lams = partitions(n)
@@ -282,7 +292,11 @@ def irreps_generic(group, tol=1e-6, seed=0):
     """
     N = group.order
     if N > GENERIC_ORDER_LIMIT:
-        raise ValueError(f"generic decomposition capped at order {GENERIC_ORDER_LIMIT}")
+        raise ResourceCap(
+            f"explicit irreps stop at S_n for n <= {YOUNG_MAX_N} (Young's "
+            f"form) and S_n wr S_2 for n <= {WREATH_IRREPS_MAX_N}, "
+            f"and numeric irrep construction supports order up to "
+            f"{GENERIC_ORDER_LIMIT}, got {N}")
     table = group.table()
     invs = np.array([group.inverse(g) for g in range(N)])
     last_err = None
@@ -366,27 +380,28 @@ def canonical_sort(group, irreps):
     return sorted(irreps, key=key)
 
 
-GENERIC_ORDER_LIMIT = 700
+def explicit_irreps(group):
+    """The labelled explicit irreps of a group, or None when it has none.
+
+    Young's orthogonal form covers S_n up to YOUNG_MAX_N, roots of unity
+    every cyclic group, and the wreath construction S_n wr S_2 up to
+    WREATH_IRREPS_MAX_N.
+    """
+    if isinstance(group, CyclicGroup):
+        return irreps_cyclic(group.n)
+    if isinstance(group, SymmetricGroup) and group.n <= YOUNG_MAX_N:
+        return irreps_symmetric(group.n)
+    if isinstance(group, WreathS2Group) and group.n <= WREATH_IRREPS_MAX_N:
+        return irreps_wreath(group.n)
+    return None
 
 
 def irreps_for(group, seed=0):
-    """Complete unitary irreps for a group, preferring explicit constructions.
-
-    Symmetric groups up to n = 5, cyclic groups, and wreath products with
-    2 <= n <= 4 get their labeled explicit irreps; anything else falls back
-    to the numeric regular-representation decomposition, capped by order.
-    """
-    kind, params = group.kind, group.params
-    if kind == "symmetric" and params[0] <= 5:
-        return irreps_symmetric(params[0])
-    if kind == "cyclic":
-        return irreps_cyclic(params[0])
-    if kind == "wreath" and 2 <= params[0] <= 4:
-        return irreps_wreath(params[0])
-    if group.order > GENERIC_ORDER_LIMIT:
-        raise ValueError(
-            f"resource cap: numeric irrep construction supports order up to "
-            f"{GENERIC_ORDER_LIMIT}, got {group.order}")
+    """Complete unitary irreps: the explicit construction when there is one,
+    else the numeric regular-representation decomposition (order-capped)."""
+    explicit = explicit_irreps(group)
+    if explicit is not None:
+        return explicit
     return irreps_generic(group, seed=seed)
 
 
@@ -396,11 +411,16 @@ def irreps_for(group, seed=0):
 def hom_unitarity_error(rho, pairs=None):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity.
 
-    pairs=None checks all |G|^2 pairs (vectorized); otherwise an iterable of
-    (x, y) id pairs.
+    pairs=None checks all |G|^2 pairs (vectorized, refused with ResourceCap
+    past HOM_CHECK_BYTES); otherwise an iterable of (x, y) id pairs.
     """
     G, mats = rho.group, rho.mats
     d = rho.degree
+    need = 2 * G.order ** 2 * d * d * 16
+    if pairs is None and need > HOM_CHECK_BYTES:
+        raise ResourceCap(
+            f"all-pairs homomorphism check of {rho.label} needs {need >> 20} "
+            f"MiB (budget {HOM_CHECK_BYTES >> 20} MiB)")
     eye = np.eye(d)
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
     if pairs is None:

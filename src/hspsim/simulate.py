@@ -20,7 +20,7 @@ import numpy as np
 from .fourier import factor_stack, qft, rank_r
 from .frames import random_frame
 from .groups import Subgroup, order_two_subgroup
-from .util import pairwise_sum, parallel_map
+from .util import ResourceCap, pairwise_sum, parallel_map
 
 COSET_ORDER_LIMIT = 2000
 ROUNDTRIP_ORDER_LIMIT = 100
@@ -35,9 +35,8 @@ def coset_state(group, H):
     """Density matrix (1/|G|) [y, z in the same left coset of H]."""
     N = group.order
     if N > COSET_ORDER_LIMIT:
-        raise ValueError(
-            f"resource cap: coset state needs order <= {COSET_ORDER_LIMIT}, "
-            f"got {N}")
+        raise ResourceCap(
+            f"coset state needs order <= {COSET_ORDER_LIMIT}, got {N}")
     hs = list(H.elements)
     sigma = np.zeros((N, N))
     seen = np.zeros(N, dtype=bool)
@@ -75,9 +74,9 @@ def fourier_roundtrip_error(group, H, irreps):
     """Max deviation between F sigma F^dag and the block expansion."""
     N = group.order
     if N > ROUNDTRIP_ORDER_LIMIT:
-        raise ValueError(
-            f"resource cap: round-trip check needs order <= "
-            f"{ROUNDTRIP_ORDER_LIMIT}, got {N}")
+        raise ResourceCap(
+            f"round-trip check needs order <= {ROUNDTRIP_ORDER_LIMIT}, "
+            f"got {N}")
     F = qft(group, irreps)
     sigma = coset_state(group, H)
     lhs = F @ sigma @ F.conj().T
@@ -95,16 +94,20 @@ def fourier_roundtrip_error(group, H, irreps):
 # ---------------------------------------------------------------------------
 # register tuples and frames
 
-def register_budget(group, irreps, k):
-    """Work estimate (sum over tuples of squared dimension) with a cap."""
-    total = float(sum(r.degree ** 2 for r in irreps)) ** k
+def register_budget(labels, degrees, k):
+    """Work estimate (sum over tuples of squared dimension) with a cap.
+
+    Needs only the irrep labels and degrees, so callers can check it
+    before any irrep matrix is built.
+    """
+    total = float(sum(d ** 2 for d in degrees)) ** k
     if total > REGISTER_BUDGET:
-        big = max(irreps, key=lambda r: r.degree)
-        worst = "|".join([big.label] * k)
-        raise ValueError(
-            f"resource cap: k={k} needs {total:.3g} work units "
+        big = max(range(len(degrees)), key=degrees.__getitem__)
+        worst = "|".join([labels[big]] * k)
+        raise ResourceCap(
+            f"k={k} needs {total:.3g} work units "
             f"(limit {REGISTER_BUDGET:.0e}); largest tuple {worst} "
-            f"alone has dimension {big.degree ** k}")
+            f"alone has dimension {degrees[big] ** k}")
     return total
 
 
@@ -114,14 +117,14 @@ class RegisterSpace:
     def __init__(self, group, irreps, k, seed=0, kind="basis"):
         if k < 1:
             raise ValueError("k must be at least 1")
-        register_budget(group, irreps, k)
-        self.group = group
         self.irreps = list(irreps)
+        self.degrees = [r.degree for r in self.irreps]
+        register_budget([r.label for r in self.irreps], self.degrees, k)
+        self.group = group
         self.k = k
         self.kind = kind
         self.seed = seed
         self.tuples = list(itertools.product(range(len(irreps)), repeat=k))
-        self.degrees = [r.degree for r in self.irreps]
         self.dims = [int(np.prod([self.degrees[i] for i in t]))
                      for t in self.tuples]
         self.labels = ["|".join(self.irreps[i].label for i in t)
@@ -542,9 +545,8 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
     if not any(t <= mt and N <= mo for mt, mo in MIXED_TRACE_CAPS):
         caps = " or ".join(f"t<={mt} for order<={mo}"
                            for mt, mo in MIXED_TRACE_CAPS)
-        raise ValueError(
-            f"resource cap: mixed-state distance supports {caps}; "
-            f"got t={t}, order {N}")
+        raise ResourceCap(
+            f"mixed-state distance supports {caps}; got t={t}, order {N}")
     cls = list(group.class_of(h))
     stacks = []
     for r in irreps:

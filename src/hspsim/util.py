@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic reductions, number formatting, threading."""
+"""Shared helpers: deterministic reductions, number formatting, threading,
+and the resource-refusal type."""
 from __future__ import annotations
 
 import concurrent.futures
@@ -10,6 +11,14 @@ import numpy as np
 
 THREADS_ENV = "HSPSIM_THREADS"
 TIMESTAMP_ENV = "HSPSIM_TIMESTAMP"
+
+
+class ResourceCap(ValueError):
+    """A computation refused because its size passes a named limit.
+
+    Raised before the memory or work is spent, so callers can report it
+    and go on.
+    """
 
 
 def pairwise_sum(values):
@@ -94,14 +103,6 @@ def _emit(obj, out, indent, level):
     else:
         text = str(obj).replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'"{text}"')
-
-
-def thread_count(flag=None):
-    """Resolve the worker count: explicit flag wins, then HSPSIM_THREADS, then 1."""
-    if flag:
-        return max(1, int(flag))
-    env = os.environ.get(THREADS_ENV, "")
-    return max(1, int(env)) if env.strip() else 1
 
 
 def parallel_map(fn, items, threads=1):

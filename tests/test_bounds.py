@@ -245,7 +245,7 @@ def test_psl13_frozen_delta1():
 
 
 def test_psl_params_all_supported_sizes():
-    for q in bounds.PSL_SIZES:
+    for q in groups.PSL2_SIZES:
         bp = bounds.psl_params(q)
         order = q * (q * q - 1) if q % 2 == 0 else q * (q * q - 1) // 2
         assert bp.group_order == order

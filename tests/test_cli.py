@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -30,10 +32,45 @@ def test_exit_usage_on_missing_family_param(capsys):
     assert "--n" in err
 
 
-def test_exit_usage_on_bad_group_spec(capsys):
-    rc, _, err = run_cli(capsys, ["simulate", "--group", "nosuch:3"])
-    assert rc == 64
-    assert "nosuch" in err
+@pytest.mark.parametrize("argv, code, text", [
+    (["--group", "s6"], 69,
+     "explicit irreps stop at S_n for n <= 5 (Young's form) and S_n wr S_2 "
+     "for n <= 4, and numeric irrep construction supports order up to 700, "
+     "got 720"),
+    (["--group", "power:z101^3"], 69, "order 1030301 exceeds 1000000"),
+    (["--group", "dihedral:4", "--t", "4"], 69, "got t=4, order 8"),
+    (["--group", "psl2:13", "--k", "3"], 69, "rho7|rho7|rho7"),
+    (["--group", "s9"], 64, "1 <= n <= 8"),
+    (["--group", "wreath:6"], 64, "2 <= n <= 5"),
+    (["--group", "psl2:17"], 64, "psl2 supported for q in"),
+    (["--group", "nosuch:3"], 64, "nosuch"),
+], ids=["s6", "power-z101^3", "dihedral4-t4",
+        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch"])
+def test_exit_codes(capsys, argv, code, text):
+    rc, out, err = run_cli(capsys, ["simulate"] + argv)
+    assert rc == code
+    label = "resource cap" if code == 69 else "error"
+    assert err.startswith(f"hspsim simulate: {label}: ")
+    assert text in err
+    assert out == ""
+
+
+def test_wreath4_facts_refused_before_allocating():
+    # the all-pairs homomorphism check would need 3.4 GB at d = 9 and 13 GB
+    # at d = 18; at 1 GiB of address space an unguarded check dies of OOM
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hspsim.cli", "verify", "--suite", "facts",
+         "--group", "wreath:4"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory,
+        timeout=120)
+    assert proc.returncode == 69, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("hspsim verify: resource cap: ")
+    assert "homomorphism check" in proc.stderr
 
 
 def test_exit_usage_on_argparse_error():
@@ -41,13 +78,6 @@ def test_exit_usage_on_argparse_error():
         [sys.executable, "-m", "hspsim.cli", "bound"],
         capture_output=True, text=True).returncode
     assert rc == 64
-
-
-def test_exit_resource_cap_names_largest_tuple(capsys):
-    rc, _, err = run_cli(capsys, ["simulate", "--group", "psl2:13", "--k", "3"])
-    assert rc == 69
-    assert "resource cap" in err
-    assert "rho7|rho7|rho7" in err
 
 
 def test_exit_inapplicable_corollary(capsys):

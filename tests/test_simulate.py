@@ -36,6 +36,7 @@ from hspsim.simulate import (
     transfer_subgroup_report,
     x_function,
 )
+from hspsim.util import ResourceCap
 
 
 def wreath3():
@@ -58,7 +59,7 @@ def test_coset_state_shape_and_spectrum():
 
 def test_coset_state_order_cap():
     G = make_group("cyclic:5000")
-    with pytest.raises(ValueError, match="resource cap"):
+    with pytest.raises(ResourceCap):
         coset_state(G, order_two_subgroup(G, 2500))
 
 
@@ -91,23 +92,17 @@ def test_fourier_roundtrip(spec):
 
 def test_roundtrip_order_cap():
     G = make_group("cyclic:128")
-    with pytest.raises(ValueError, match="resource cap"):
+    with pytest.raises(ResourceCap):
         fourier_roundtrip_error(G, order_two_subgroup(G, 64), [])
 
 
 def test_register_budget_cap():
-    G = make_group("psl2:13")
-    irr_fake = irreps_generic  # not needed; budget uses degrees only
-    from hspsim.chartable import character_table_numeric
-    # budget is (sum d^2)^k = |G|^k; 1092^3 > 1e8 must be rejected
-    class Stub:
-        def __init__(self, d, label):
-            self.degree, self.label = d, label
+    # psl2:13: budget is (sum d^2)^k = |G|^k; 1092^3 > 1e8 must be rejected
     degs = [1, 7, 7, 12, 12, 12, 13, 14, 14]
-    stubs = [Stub(d, f"rho{i}") for i, d in enumerate(degs)]
-    assert register_budget(G, stubs, 2) == pytest.approx(1092.0 ** 2)
-    with pytest.raises(ValueError, match="resource cap"):
-        register_budget(G, stubs, 3)
+    labels = [f"rho{i}" for i in range(len(degs))]
+    assert register_budget(labels, degs, 2) == pytest.approx(1092.0 ** 2)
+    with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7"):
+        register_budget(labels, degs, 3)
 
 
 def test_wreath3_tuple_probabilities_frozen():
@@ -281,10 +276,10 @@ def test_mixed_distance_matches_dense(spec, t):
 
 def test_mixed_distance_caps():
     G, irr, h = wreath3()
-    with pytest.raises(ValueError, match="resource cap"):
+    with pytest.raises(ResourceCap):
         mixed_conjugate_trace_distance(G, irr, h, 4)
     Gbig = make_group("psl2:13")
-    with pytest.raises(ValueError, match="resource cap"):
+    with pytest.raises(ResourceCap):
         mixed_conjugate_trace_distance(Gbig, irr, h, 2)
 
 
