@@ -611,13 +611,32 @@ class DirectPowerGroup(FiniteGroup):
 # ---------------------------------------------------------------------------
 # constructors
 
-make_symmetric = SymmetricGroup
-make_cyclic = CyclicGroup
-make_dihedral = DihedralGroup
-make_wreath_s2 = WreathS2Group
-make_psl2 = PSL2Group
-make_sl2 = SL2Group
-make_direct_power = DirectPowerGroup
+def make_symmetric(n):
+    return SymmetricGroup(n)
+
+
+def make_cyclic(n):
+    return CyclicGroup(n)
+
+
+def make_dihedral(n):
+    return DihedralGroup(n)
+
+
+def make_wreath_s2(n):
+    return WreathS2Group(n)
+
+
+def make_psl2(q):
+    return PSL2Group(q)
+
+
+def make_sl2(q):
+    return SL2Group(q)
+
+
+def make_direct_power(group, n):
+    return DirectPowerGroup(group, n)
 
 
 def make_group(spec):
