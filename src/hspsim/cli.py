@@ -365,16 +365,11 @@ def _suite_lemmas(G, args):
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind,
                                  threads=threads)
-    for entry in suite:
-        if entry["pass"] is None:
-            checks.append(_check(entry["check"], True, lhs=entry["lhs"],
-                                 rhs=entry["rhs"], detail=entry["detail"],
-                                 warn=False))
-            checks[-1]["status"] = "WARN"
-        else:
-            checks.append(_check(entry["check"], entry["pass"],
-                                 lhs=entry["lhs"], rhs=entry["rhs"],
-                                 detail=entry.get("detail")))
+    for entry in suite:  # pass None marks an informational WARN
+        checks.append(_check(entry["check"], bool(entry["pass"]),
+                             lhs=entry["lhs"], rhs=entry["rhs"],
+                             detail=entry.get("detail"),
+                             warn=entry["pass"] is None))
     return checks
 
 
@@ -400,15 +395,8 @@ def _suite_tables(G, args):
         checks.append(_check("degree pattern matches the closed form",
                              got == want, lhs=str(got), rhs=str(want)))
         actual, formula, note = bounds.involution_count_note(q)
-        if actual is not None and actual != formula:
-            checks.append(_check("involution count", False, lhs=actual,
-                                 rhs=formula, detail=note, warn=True))
-        else:
-            entry = _check("involution count", True, lhs=actual, rhs=formula)
-            if note:
-                entry["status"] = "WARN"
-                entry["detail"] = note
-            checks.append(entry)
+        checks.append(_check("involution count", not note,
+                             lhs=actual, rhs=formula, detail=note, warn=True))
     else:
         n_inv = len(G.involutions())
         checks.append(_check("involution count recorded", True, lhs=n_inv))
@@ -417,12 +405,9 @@ def _suite_tables(G, args):
 
 def cmd_verify(args):
     G = make_group(args.group)
-    if args.suite == "facts":
-        checks = _suite_facts(G, args)
-    elif args.suite == "lemmas":
-        checks = _suite_lemmas(G, args)
-    else:
-        checks = _suite_tables(G, args)
+    suites = {"facts": _suite_facts, "lemmas": _suite_lemmas,
+              "tables": _suite_tables}
+    checks = suites[args.suite](G, args)
     n_fail = sum(1 for c in checks if c["status"] == "FAIL")
     report = {
         "header": make_header(args.seed, spec_of(G)),

@@ -656,26 +656,28 @@ def make_group(spec):
             n = int(exp)
         except ValueError:
             raise ValueError(f"bad power exponent in {spec!r}") from None
-        return DirectPowerGroup(make_group(base_spec), n)
+        return make_direct_power(make_group(base_spec), n)
     name, sep, param = spec.partition(":")
     name = name.lower()
     if not sep:
-        if name[:1] not in ("s", "z") or not name[1:].isdigit():
-            raise ValueError(f"unknown group spec {spec!r}")
-        name, param = name[0], name[1:]
+        if len(name) >= 2 and name[0] == "s" and name[1:].isdigit():
+            return make_symmetric(int(name[1:]))
+        if len(name) >= 2 and name[0] == "z" and name[1:].isdigit():
+            return make_cyclic(int(name[1:]))
+        raise ValueError(f"unknown group spec {spec!r}")
     try:
         p = int(param)
     except ValueError:
         raise ValueError(f"bad parameter in group spec {spec!r}") from None
     makers = {
-        "symmetric": SymmetricGroup,
-        "s": SymmetricGroup,
-        "cyclic": CyclicGroup,
-        "z": CyclicGroup,
-        "dihedral": DihedralGroup,
-        "wreath": WreathS2Group,
-        "psl2": PSL2Group,
-        "sl2": SL2Group,
+        "symmetric": make_symmetric,
+        "s": make_symmetric,
+        "cyclic": make_cyclic,
+        "z": make_cyclic,
+        "dihedral": make_dihedral,
+        "wreath": make_wreath_s2,
+        "psl2": make_psl2,
+        "sl2": make_sl2,
     }
     if name not in makers:
         raise ValueError(f"unknown group family {name!r} in spec {spec!r}")

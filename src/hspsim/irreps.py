@@ -18,10 +18,12 @@ YOUNG_MAX_N = 5
 WREATH_IRREPS_MAX_N = 4
 # The numeric decomposition holds dense |G| x |G| complex matrices.
 GENERIC_ORDER_LIMIT = 700
-# The all-pairs homomorphism check holds two |G|^2 d^2 complex tensors.
-# The suites' largest legitimate check, psl2:7 at d = 8, needs 58 MB;
-# wreath:4 at d = 9 would need 3.4 GB.
-HOM_CHECK_BYTES = 256 << 20
+# The all-pairs homomorphism check does |G|^2 d^3 multiply-adds in blocks
+# of rows whose two complex tensors fit HOM_CHECK_BYTES (psl2:7 in one).
+# psl2:11 at d = 12 (7.5e8) takes seconds; wreath:4 at d = 18 (7.7e9) would
+# take a minute, so the facts suite refuses it.
+HOM_CHECK_BYTES = 64 << 20
+HOM_CHECK_WORK = 2e9
 
 
 class Irrep:
@@ -48,8 +50,7 @@ class Irrep:
         return self._char
 
     def conjugate(self):
-        other = Irrep(self.group, _conj_label(self.label), self.mats.conj())
-        return other
+        return Irrep(self.group, _conj_label(self.label), self.mats.conj())
 
     def __repr__(self):
         return f"<irrep {self.label} degree={self.degree}>"
@@ -57,10 +58,6 @@ class Irrep:
 
 def _conj_label(label):
     return label[:-1] if label.endswith("*") else label + "*"
-
-
-def conjugate_irrep(rho):
-    return rho.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +289,15 @@ def irreps_generic(group, tol=1e-6, seed=0):
     """
     N = group.order
     if N > GENERIC_ORDER_LIMIT:
-        raise ResourceCap(
-            f"explicit irreps stop at S_n for n <= {YOUNG_MAX_N} (Young's "
-            f"form) and S_n wr S_2 for n <= {WREATH_IRREPS_MAX_N}, "
-            f"and numeric irrep construction supports order up to "
-            f"{GENERIC_ORDER_LIMIT}, got {N}")
+        why = f"numeric irrep construction supports order up to " \
+              f"{GENERIC_ORDER_LIMIT}, got {N}"
+        if isinstance(group, SymmetricGroup):
+            why = f"explicit irreps (Young's form) stop at n <= " \
+                  f"{YOUNG_MAX_N}, and {why}"
+        elif isinstance(group, WreathS2Group):
+            why = f"explicit wreath irreps stop at n <= " \
+                  f"{WREATH_IRREPS_MAX_N}, and {why}"
+        raise ResourceCap(why)
     table = group.table()
     invs = np.array([group.inverse(g) for g in range(N)])
     last_err = None
@@ -411,24 +412,28 @@ def irreps_for(group, seed=0):
 def hom_unitarity_error(rho, pairs=None):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity.
 
-    pairs=None checks all |G|^2 pairs (vectorized, refused with ResourceCap
-    past HOM_CHECK_BYTES); otherwise an iterable of (x, y) id pairs.
+    pairs=None checks all |G|^2 pairs (vectorized in blocks of x, refused
+    with ResourceCap past HOM_CHECK_WORK); otherwise an iterable of (x, y)
+    id pairs.
     """
     G, mats = rho.group, rho.mats
-    d = rho.degree
-    need = 2 * G.order ** 2 * d * d * 16
-    if pairs is None and need > HOM_CHECK_BYTES:
+    N, d = G.order, rho.degree
+    work = N * N * d ** 3
+    if pairs is None and work > HOM_CHECK_WORK:
         raise ResourceCap(
-            f"all-pairs homomorphism check of {rho.label} needs {need >> 20} "
-            f"MiB (budget {HOM_CHECK_BYTES >> 20} MiB)")
+            f"all-pairs homomorphism check of {rho.label} needs {work:.3g} "
+            f"multiply-adds (limit {HOM_CHECK_WORK:.0e})")
     eye = np.eye(d)
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
+    herr = 0.0
     if pairs is None:
         table = G.table()
-        prod = np.einsum("aij,bjk->abik", mats, mats)
-        herr = float(np.abs(prod - mats[table]).max())
+        step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * 16))
+        for a in range(0, N, step):
+            prod = np.einsum("aij,bjk->abik", mats[a:a + step], mats)
+            prod -= mats[table[a:a + step]]
+            herr = max(herr, float(np.abs(prod).max()))
     else:
-        herr = 0.0
         for x, y in pairs:
             diff = np.abs(mats[G.compose(x, y)] - mats[x] @ mats[y]).max()
             herr = max(herr, float(diff))

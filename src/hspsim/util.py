@@ -31,9 +31,7 @@ def pairwise_sum(values):
     if not vals:
         return 0.0
     while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:
             nxt.append(vals[-1])
         vals = nxt

@@ -34,9 +34,8 @@ def test_exit_usage_on_missing_family_param(capsys):
 
 @pytest.mark.parametrize("argv, code, text", [
     (["--group", "s6"], 69,
-     "explicit irreps stop at S_n for n <= 5 (Young's form) and S_n wr S_2 "
-     "for n <= 4, and numeric irrep construction supports order up to 700, "
-     "got 720"),
+     "explicit irreps (Young's form) stop at n <= 5, and numeric irrep "
+     "construction supports order up to 700, got 720"),
     (["--group", "power:z101^3"], 69, "order 1030301 exceeds 1000000"),
     (["--group", "dihedral:4", "--t", "4"], 69, "got t=4, order 8"),
     (["--group", "psl2:13", "--k", "3"], 69, "rho7|rho7|rho7"),
@@ -55,22 +54,34 @@ def test_exit_codes(capsys, argv, code, text):
     assert out == ""
 
 
-def test_wreath4_facts_refused_before_allocating():
-    # the all-pairs homomorphism check would need 3.4 GB at d = 9 and 13 GB
-    # at d = 18; at 1 GiB of address space an unguarded check dies of OOM
+def _facts_under_1gib(group):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hspsim.cli", "verify", "--suite", "facts",
-         "--group", "wreath:4"],
+         "--group", group],
         capture_output=True, text=True, env=env, preexec_fn=limit_memory,
         timeout=120)
+
+
+def test_wreath4_facts_refused_before_allocating():
+    # the degree-18 irrep's all-pairs homomorphism check is 7.7e9
+    # multiply-adds, past HOM_CHECK_WORK, and as one tensor it needed 13 GB
+    proc = _facts_under_1gib("wreath:4")
     assert proc.returncode == 69, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("hspsim verify: resource cap: ")
-    assert "homomorphism check" in proc.stderr
+    assert "homomorphism check of kappa" in proc.stderr
+
+
+def test_psl2_8_facts_pass_in_1gib():
+    # d = 9 over 504 elements: 1.85e8 multiply-adds, checked in row blocks
+    # (as one tensor the check peaked near 1.2 GB)
+    proc = _facts_under_1gib("psl2:8")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_fail"] == 0
 
 
 def test_exit_usage_on_argparse_error():

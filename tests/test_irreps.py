@@ -5,7 +5,7 @@ from hspsim.groups import (
     make_cyclic, make_dihedral, make_psl2, make_symmetric, make_wreath_s2,
 )
 from hspsim.irreps import (
-    Irrep, canonical_sort, conjugate_irrep, hook_length_degree, irreps_cyclic,
+    Irrep, canonical_sort, hook_length_degree, irreps_cyclic,
     irreps_generic, irreps_symmetric, irreps_wreath, partition_label,
     partitions, schur_orthogonality_error, standard_tableaux,
     hom_unitarity_error,
@@ -137,11 +137,32 @@ def test_canonical_sort_trivial_first():
 
 def test_conjugate_irrep():
     reps = irreps_cyclic(4)
-    c = conjugate_irrep(reps[1])
+    c = reps[1].conjugate()
     assert np.abs(c.mats - reps[1].mats.conj()).max() == 0
     assert c.label.endswith("*")
-    assert conjugate_irrep(c).label == reps[1].label
+    assert c.conjugate().label == reps[1].label
     assert hom_unitarity_error(c) < 1e-12
+
+
+def test_hom_check_in_row_blocks_matches_one_block(monkeypatch):
+    import hspsim.irreps as irrmod
+    rho = irreps_symmetric(4)[1]
+    whole = hom_unitarity_error(rho)
+    monkeypatch.setattr(irrmod, "HOM_CHECK_BYTES", 1)  # one row per block
+    assert hom_unitarity_error(rho) == whole
+    last = rho.group.order - 1
+    bad = Irrep(rho.group, "bad", rho.mats.copy())
+    bad.mats[last] = bad.mats[last] @ np.diag([1, 1, -1])
+    assert hom_unitarity_error(bad) > 0.5
+
+
+def test_hom_check_refused_past_work_limit():
+    from hspsim.irreps import HOM_CHECK_WORK
+    from hspsim.util import ResourceCap
+    kappa = max(irreps_wreath(4), key=lambda r: r.degree)
+    assert kappa.group.order ** 2 * kappa.degree ** 3 > HOM_CHECK_WORK
+    with pytest.raises(ResourceCap, match="multiply-adds"):
+        hom_unitarity_error(kappa)
 
 
 def test_irrep_shape_validation():
