@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .irreps import Irrep
+from .util import kron_stack
 
 
 def qft(group, irreps):
@@ -73,8 +74,7 @@ def factor_stack(group, factors):
         else:
             m = np.broadcast_to(np.eye(int(f), dtype=np.complex128),
                                 (N, int(f), int(f)))
-        a, b = cur.shape[1], m.shape[1]
-        cur = np.einsum("gij,gkl->gikjl", cur, m).reshape(N, a * b, a * b)
+        cur = kron_stack(cur, m)
     return cur
 
 

@@ -29,8 +29,7 @@ class Frame:
             raise ValueError("frame vectors must be unit norm")
         if (self.weights <= 0).any():
             raise ValueError("frame weights must be positive")
-        S = np.einsum("im,m,jm->ij", self.vectors, self.weights,
-                      self.vectors.conj())
+        S = (self.vectors * self.weights) @ self.vectors.conj().T
         if np.abs(S - np.eye(self.dim)).max() > 1e-9:
             raise ValueError("frame does not resolve the identity")
 

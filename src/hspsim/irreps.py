@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .groups import CyclicGroup, SymmetricGroup, WreathS2Group
-from .util import ResourceCap
+from .util import ResourceCap, kron_stack
 
 # Largest n with an explicit construction: Young's orthogonal form for S_n,
 # and the wreath construction built on it for S_n wr S_2.
@@ -24,6 +24,9 @@ GENERIC_ORDER_LIMIT = 700
 # take a minute, so the facts suite refuses it.
 HOM_CHECK_BYTES = 64 << 20
 HOM_CHECK_WORK = 2e9
+# irreps_cyclic(n) holds 16 n^2 bytes.  The budget admits n <= 5792 (n = 5480
+# ran in 1 GiB of address space before the cap, 5500 did not); z20000 is not.
+CYCLIC_IRREP_BYTES = 512 << 20
 
 
 class Irrep:
@@ -171,6 +174,10 @@ def irreps_symmetric(n):
 
 
 def irreps_cyclic(n):
+    if 16 * n * n > CYCLIC_IRREP_BYTES:
+        raise ResourceCap(
+            f"irreps of the cyclic group of order {n} need "
+            f"{16 * n * n:.3g} bytes (limit {CYCLIC_IRREP_BYTES:.3g})")
     G = CyclicGroup(n)
     out = []
     for j in range(n):
@@ -181,14 +188,6 @@ def irreps_cyclic(n):
 
 # ---------------------------------------------------------------------------
 # wreath-product irreps
-
-def _tensor_swap(d):
-    S = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            S[j * d + i, i * d + j] = 1.0
-    return S
-
 
 def irreps_wreath(n):
     """All irreps of S_n wr S_2.
@@ -203,34 +202,28 @@ def irreps_wreath(n):
     W = WreathS2Group(n)
     base = irreps_symmetric(n)
     lams = partitions(n)
-    packed = [W.unpack(x) for x in range(W.order)]
+    P, S, swapped = np.array([W.unpack(x) for x in range(W.order)]).T
+    swapped = swapped == 1
 
     out = []
     for sign, tag in ((1.0, "theta"), (-1.0, "theta'")):
         for lam, rho in zip(lams, base):
-            d = rho.degree
-            S = sign * _tensor_swap(d)
-            mats = np.empty((W.order, d * d, d * d), dtype=np.complex128)
-            for x, (p, s, b) in enumerate(packed):
-                M = np.kron(rho.mats[p], rho.mats[s])
-                mats[x] = M @ S if b else M
+            d = rho.degree  # the swap sends basis vector (i, j) to (j, i)
+            swap = np.eye(d * d)[:, np.arange(d * d).reshape(d, d).T.ravel()]
+            mats = kron_stack(rho.mats[P], rho.mats[S])
+            mats[swapped] = mats[swapped] @ (sign * swap)
             out.append(Irrep(W, tag + partition_label(lam), mats))
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
             ri, rj = base[i], base[j]
-            di, dj = ri.degree, rj.degree
-            d = 2 * di * dj
-            mats = np.zeros((W.order, d, d), dtype=np.complex128)
-            half = di * dj
-            for x, (p, s, b) in enumerate(packed):
-                A = np.kron(ri.mats[p], rj.mats[s])
-                B = np.kron(ri.mats[s], rj.mats[p])
-                if b:
-                    mats[x, :half, half:] = A
-                    mats[x, half:, :half] = B
-                else:
-                    mats[x, :half, :half] = A
-                    mats[x, half:, half:] = B
+            half = ri.degree * rj.degree
+            A = kron_stack(ri.mats[P], rj.mats[S])
+            B = kron_stack(ri.mats[S], rj.mats[P])
+            mats = np.zeros((W.order, 2 * half, 2 * half), np.complex128)
+            mats[~swapped, :half, :half] = A[~swapped]
+            mats[~swapped, half:, half:] = B[~swapped]
+            mats[swapped, :half, half:] = A[swapped]
+            mats[swapped, half:, :half] = B[swapped]
             lab = "kappa" + partition_label(lams[i]) + "x" + partition_label(lams[j])
             out.append(Irrep(W, lab, mats))
     return out
@@ -430,7 +423,7 @@ def hom_unitarity_error(rho, pairs=None):
         table = G.table()
         step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * 16))
         for a in range(0, N, step):
-            prod = np.einsum("aij,bjk->abik", mats[a:a + step], mats)
+            prod = np.matmul(mats[a:a + step, None], mats[None])
             prod -= mats[table[a:a + step]]
             herr = max(herr, float(np.abs(prod).max()))
     else:

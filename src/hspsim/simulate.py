@@ -13,6 +13,7 @@ Conventions
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from .fourier import factor_stack, qft, rank_r
 from .frames import random_frame
 from .groups import Subgroup, order_two_subgroup
-from .util import ResourceCap, pairwise_sum, parallel_map
+from .util import (ResourceCap, kron_apply, kron_stack, pairwise_sum,
+                   parallel_map)
 
 COSET_ORDER_LIMIT = 2000
 ROUNDTRIP_ORDER_LIMIT = 100
@@ -111,6 +113,11 @@ def register_budget(labels, degrees, k):
     return total
 
 
+def _half_projectors(irreps, tup, c):
+    """The register factors (I + rho_i(c))/2 of a tuple at class element c."""
+    return [(np.eye(irreps[i].degree) + irreps[i].mats[c]) / 2 for i in tup]
+
+
 class RegisterSpace:
     """All k-tuples of irreps with a deterministic frame per tuple."""
 
@@ -154,13 +161,9 @@ class RegisterSpace:
 
     def projected_forms(self, ti, c):
         """<b| prod_i (I + rho_i(c))/2 |b> for every frame vector b."""
-        K = None
-        for i in self.tuples[ti]:
-            m = self.irreps[i].mats[c]
-            blk = (np.eye(m.shape[0]) + m) / 2
-            K = blk if K is None else np.kron(K, blk)
         V = self.frames[ti].vectors
-        vals = np.einsum("im,ij,jm->m", V.conj(), K, V)
+        KV = kron_apply(_half_projectors(self.irreps, self.tuples[ti], c), V)
+        vals = np.einsum("im,im->m", V.conj(), KV)
         if np.max(np.abs(vals.imag)) > 1e-8:
             raise ValueError("projected quadratic form has imaginary part "
                              f"{np.max(np.abs(vals.imag)):.3g}")
@@ -293,16 +296,11 @@ def q_total_values(irreps, tup, b):
 
 def x_function(irreps, tup, b, c):
     """X = <b| (x)_i (I + rho_i(c))/2 |b> - 2^{-k} at the class element c."""
-    k = len(tup)
-    K = None
-    for i in tup:
-        m = irreps[i].mats[c]
-        blk = (np.eye(m.shape[0]) + m) / 2
-        K = blk if K is None else np.kron(K, blk)
-    val = complex(np.asarray(b).conj() @ (K @ np.asarray(b)))
+    b = np.asarray(b)
+    val = complex(b.conj() @ kron_apply(_half_projectors(irreps, tup, c), b))
     if abs(val.imag) > 1e-8:
         raise ValueError(f"X has imaginary part {val.imag:.3g}")
-    return val.real - 0.5 ** k
+    return val.real - 0.5 ** len(tup)
 
 
 def second_moment_check(group, irreps, tup, b, h):
@@ -548,18 +546,10 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
         raise ResourceCap(
             f"mixed-state distance supports {caps}; got t={t}, order {N}")
     cls = list(group.class_of(h))
-    stacks = []
-    for r in irreps:
-        m = r.mats[cls]
-        stacks.append(m + np.eye(r.degree))
+    stacks = [r.mats[cls] + np.eye(r.degree) for r in irreps]
     contrib = []
     for tup in itertools.product(range(len(irreps)), repeat=t):
-        acc = stacks[tup[0]]
-        for i in tup[1:]:
-            s = stacks[i]
-            a, b = acc.shape[1], s.shape[1]
-            acc = np.einsum("cij,ckl->cikjl", acc, s).reshape(
-                len(cls), a * b, a * b)
+        acc = functools.reduce(kron_stack, [stacks[i] for i in tup])
         M = acc.mean(axis=0) - np.eye(acc.shape[1])
         tn = float(np.sum(np.abs(np.linalg.eigvalsh(M))))
         d = int(np.prod([irreps[i].degree for i in tup]))

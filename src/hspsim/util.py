@@ -1,5 +1,5 @@
-"""Shared helpers: deterministic reductions, number formatting, threading,
-and the resource-refusal type."""
+"""Shared helpers: deterministic reductions, Kronecker products, number
+formatting, threading, and the resource-refusal type."""
 from __future__ import annotations
 
 import concurrent.futures
@@ -36,6 +36,24 @@ def pairwise_sum(values):
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+def kron_stack(A, B):
+    """Per-element Kronecker products of two stacks (g, a, a), (g, b, b)."""
+    n, d = A.shape[0], A.shape[1] * B.shape[1]
+    return np.einsum("gij,gkl->gikjl", A, B).reshape(n, d, d)
+
+
+def kron_apply(blocks, V):
+    """(A_1 (x) ... (x) A_k) @ V, one register at a time, for V of shape
+    (D, m) or (D,) with rows in np.kron order; no D x D matrix is built."""
+    cur = np.asarray(V)
+    pre = 1
+    for A in blocks:
+        d = A.shape[0]
+        cur = A @ cur.reshape(pre, d, -1)
+        pre *= d
+    return cur.reshape(np.shape(V))
 
 
 def fmt_float(x):

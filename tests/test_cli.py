@@ -54,14 +54,13 @@ def test_exit_codes(capsys, argv, code, text):
     assert out == ""
 
 
-def _facts_under_1gib(group):
+def _cli_under_1gib(*argv):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "hspsim.cli", "verify", "--suite", "facts",
-         "--group", group],
+        [sys.executable, "-m", "hspsim.cli", *argv],
         capture_output=True, text=True, env=env, preexec_fn=limit_memory,
         timeout=120)
 
@@ -69,7 +68,7 @@ def _facts_under_1gib(group):
 def test_wreath4_facts_refused_before_allocating():
     # the degree-18 irrep's all-pairs homomorphism check is 7.7e9
     # multiply-adds, past HOM_CHECK_WORK, and as one tensor it needed 13 GB
-    proc = _facts_under_1gib("wreath:4")
+    proc = _cli_under_1gib("verify", "--suite", "facts", "--group", "wreath:4")
     assert proc.returncode == 69, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("hspsim verify: resource cap: ")
@@ -79,9 +78,26 @@ def test_wreath4_facts_refused_before_allocating():
 def test_psl2_8_facts_pass_in_1gib():
     # d = 9 over 504 elements: 1.85e8 multiply-adds, checked in row blocks
     # (as one tensor the check peaked near 1.2 GB)
-    proc = _facts_under_1gib("psl2:8")
+    proc = _cli_under_1gib("verify", "--suite", "facts", "--group", "psl2:8")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_fail"] == 0
+
+
+def test_z20000_chartable_refused_before_allocating():
+    # 20000 cyclic irreps of 20000 entries are 6.4 GB
+    proc = _cli_under_1gib("chartable", "--group", "z20000")
+    assert proc.returncode == 69, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("hspsim chartable: resource cap: ")
+    assert "cyclic group of order 20000" in proc.stderr
+
+
+def test_cyclic_5000_bound_passes_in_1gib():
+    # admitted by the cyclic byte cap (cyclic:5480 was the largest that ran
+    # in 1 GiB before it; 5000 keeps a margin below the limit)
+    proc = _cli_under_1gib("bound", "--family", "group", "--group",
+                           "cyclic:5000")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_exit_usage_on_argparse_error():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,54 @@ def test_wreath_irrep_count_n4():
     assert sum(r.degree ** 2 for r in reps) == make_wreath_s2(4).order
 
 
+def _wreath_irreps_per_element(n):
+    """Matrix stacks of irreps_wreath(n), one np.kron per group element."""
+    W = make_wreath_s2(n)
+    base = irreps_symmetric(n)
+    packed = [W.unpack(x) for x in range(W.order)]
+    out = []
+    for sign in (1.0, -1.0):
+        for rho in base:
+            d = rho.degree
+            swap = np.zeros((d * d, d * d))
+            for i in range(d):
+                for j in range(d):
+                    swap[j * d + i, i * d + j] = 1.0
+            S = sign * swap
+            mats = np.empty((W.order, d * d, d * d), dtype=np.complex128)
+            for x, (p, s, b) in enumerate(packed):
+                M = np.kron(rho.mats[p], rho.mats[s])
+                mats[x] = M @ S if b else M
+            out.append(mats)
+    for i in range(len(base)):
+        for j in range(i + 1, len(base)):
+            ri, rj = base[i], base[j]
+            half = ri.degree * rj.degree
+            mats = np.zeros((W.order, 2 * half, 2 * half), dtype=np.complex128)
+            for x, (p, s, b) in enumerate(packed):
+                A = np.kron(ri.mats[p], rj.mats[s])
+                B = np.kron(ri.mats[s], rj.mats[p])
+                if b:
+                    mats[x, :half, half:] = A
+                    mats[x, half:, :half] = B
+                else:
+                    mats[x, :half, :half] = A
+                    mats[x, half:, half:] = B
+            out.append(mats)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wreath_irreps_bit_identical_to_per_element_kron(n):
+    # the lemma suite's tightest-case text breaks exact ties, so the batched
+    # construction must reproduce the per-element matrices exactly
+    got = irreps_wreath(n)
+    want = _wreath_irreps_per_element(n)
+    assert len(got) == len(want)
+    for r, mats in zip(got, want):
+        assert np.array_equal(r.mats, mats), r.label
+
+
 def test_wreath_kappa_restriction():
     # restricted to b=0 elements, kappa splits as the two conjugate
     # tensor-product characters: chi(p,s,0) = xi(p)xj(s) + xi(s)xj(p)
@@ -95,6 +145,15 @@ def test_cyclic_irreps():
     assert [r.degree for r in reps] == [1] * 6
     for r in reps:
         assert hom_unitarity_error(r) < 1e-9
+
+
+def test_cyclic_irreps_refused_past_byte_budget():
+    from hspsim.irreps import CYCLIC_IRREP_BYTES
+    from hspsim.util import ResourceCap
+    n = math.isqrt(CYCLIC_IRREP_BYTES // 16)
+    assert n >= 5480  # ran in 1 GiB before the cap
+    with pytest.raises(ResourceCap, match="bytes"):
+        irreps_cyclic(n + 1)
 
 
 @pytest.mark.parametrize("make,arg,degrees", [

@@ -12,7 +12,9 @@ from hspsim.groups import (
     sl2_to_psl2_map,
     wreath_embedding,
 )
-from hspsim.irreps import irreps_generic, irreps_symmetric, irreps_wreath
+from hspsim.irreps import (
+    irreps_for, irreps_generic, irreps_symmetric, irreps_wreath,
+)
 from hspsim.simulate import (
     RegisterSpace,
     avg_tv_over_conjugates,
@@ -36,7 +38,7 @@ from hspsim.simulate import (
     transfer_subgroup_report,
     x_function,
 )
-from hspsim.util import ResourceCap
+from hspsim.util import ResourceCap, kron_apply
 
 
 def wreath3():
@@ -152,6 +154,47 @@ def test_x_function_matches_forms():
     for bi in (0, 3):
         x = x_function(irr, sp.tuples[ti], f.vectors[:, bi], h)
         assert abs(x - (vals[bi] - 0.25)) < 1e-12
+
+
+def _dense_kron(blocks):
+    K = np.ones((1, 1))
+    for A in blocks:
+        K = np.kron(K, A)
+    return K
+
+
+@pytest.mark.parametrize("degrees", [(1,), (4,), (2, 3), (3, 1), (1, 2, 3),
+                                     (3, 2, 2)])
+def test_kron_apply_matches_dense_kron(degrees):
+    rng = np.random.default_rng(list(degrees))
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for d in degrees]
+    D = int(np.prod(degrees))
+    V = rng.standard_normal((D, 5)) + 1j * rng.standard_normal((D, 5))
+    K = _dense_kron(blocks)
+    assert np.max(np.abs(kron_apply(blocks, V) - K @ V)) < 1e-12
+    assert np.max(np.abs(kron_apply(blocks, V[:, 2]) - K @ V[:, 2])) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["s3", "dihedral:4", "psl2:5", "wreath:2"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_projected_forms_match_dense_kron(spec, k):
+    # the dense D x D product of the register factors, as an oracle
+    G = make_group(spec)
+    irr = irreps_for(G)
+    sp = RegisterSpace(G, irr, k, seed=11)
+    for c in G.class_of(G.default_involution()):
+        for ti, tup in enumerate(sp.tuples):
+            K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
+                             for i in tup])
+            V = sp.frames[ti].vectors
+            want = np.einsum("im,ij,jm->m", V.conj(), K, V)
+            assert np.max(np.abs(want.imag)) < 1e-12
+            got = sp.projected_forms(ti, c)
+            assert np.max(np.abs(got - want.real)) < 1e-12
+            for bi in range(V.shape[1]):
+                x = x_function(irr, tup, V[:, bi], c)
+                assert abs(x - (want[bi].real - 0.5 ** k)) < 1e-12
 
 
 def test_q_decomposition():
