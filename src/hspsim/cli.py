@@ -245,8 +245,11 @@ def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
     threads = resolve_threads(args.threads)
-    table = best_character_table(G, seed=args.seed)
-    simulate.register_budget(table.labels, table.degrees, args.k)
+    # sum of d^2 is |G|, so the budget is known without the irreps; the
+    # character table is built only to name the largest tuple in a refusal
+    if float(G.order) ** args.k > simulate.REGISTER_BUDGET:
+        table = best_character_table(G, seed=args.seed)
+        simulate.register_budget(table.labels, table.degrees, args.k)
     irr = irrmod.irreps_for(G, seed=args.seed)
     if args.frames < 1:
         raise UsageError("--frames must be at least 1")

@@ -28,6 +28,8 @@ COSET_ORDER_LIMIT = 2000
 ROUNDTRIP_ORDER_LIMIT = 100
 REGISTER_BUDGET = 1e8
 MIXED_TRACE_CAPS = ((3, 100), (2, 600))  # allowed (t, |G|) ceilings
+# the rank-one screen differs from the exact einsum by ~1e-15; far below this
+SCREEN_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +376,13 @@ def _spectral_sets(irreps, h, eps):
     return s_labels, d_eps, sum_dchi, sum_d
 
 
+def _isotypic_screen(weights, a1, a2):
+    """sum_ij |y_tau|^2 for every tau, y_tau = sum_g weights[tau, g]
+    a1[g] a2[g]^T (the rank-one form of the isotypic projection)."""
+    y = np.einsum("tg,gi,gj->tij", weights, a1, a2, optimize=True)
+    return np.sum(np.abs(y) ** 2, axis=(1, 2))
+
+
 def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
                 n_sample_tuples=3, n_sample_vectors=3):
     """Numerical check of the bound chain behind the distance theorem.
@@ -381,6 +390,15 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     Exact expectations over tuples, frame outcomes, and group elements;
     a small deterministic sample for the per-vector projector inequality
     and the second-moment identity. Returns one entry per check.
+
+    The isotypic check screens every case with the rank-one form
+    y_tau = (d_tau/N) sum_g conj(chi_tau(g)) (A_g b)(B_g b)^T, batched over
+    tau, then re-evaluates the exact 4-operand einsum, in enumeration order
+    with a strict '<', for each case whose screened slack is within
+    2 SCREEN_TOL (1 + s) of the running screened minimum, s the largest
+    |rhs| or screened lhs so far. Many cases tie exactly, and float noise
+    in the screen would pick which one is named; the re-check makes the
+    reported case and numbers the exact argmin's.
     """
     N = group.order
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
@@ -393,7 +411,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     rng = np.random.default_rng(seed + 987654321)
 
     # --- second-moment identity on sampled (tuple, vector) pairs
-    worst = (0.0, None)
+    worst = (-1.0, None)  # below any error, so the first case is named
     picks = rng.choice(len(space.tuples),
                        size=min(n_sample_tuples, len(space.tuples)),
                        replace=False)
@@ -418,6 +436,9 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     worst = (np.inf, None)
     subsets = [s for r in range(1, k + 1)
                for s in itertools.combinations(range(k), r)]
+    weights = np.array([(tau.degree / N) * tau.character().conj()
+                        for tau in irreps])
+    screen_min, screen_size = np.inf, 0.0
     for ti in picks:
         tup = space.tuples[ti]
         f = space.frames[ti]
@@ -428,24 +449,33 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
             stacks[s] = factor_stack(group, factors)
         cols = rng.choice(f.size, size=min(n_sample_vectors, f.size),
                           replace=False)
+        cases = []  # (screened slack, rhs, b, s1, s2, tau), enumeration order
         for bi in cols:
             b = f.vectors[:, bi]
-            W = np.outer(b, b)
             qmean = {s: float(np.mean(np.abs(
                 np.einsum("i,gij,j->g", b.conj(), stacks[s], b)) ** 2))
                 for s in subsets}
+            Ab = {s: stacks[s] @ b for s in subsets}
             for s1 in subsets:
                 for s2 in subsets:
-                    for tau in irreps:
-                        chi = tau.character().conj()
-                        y = (tau.degree / N) * np.einsum(
-                            "g,gik,kl,gjl->ij", chi, stacks[s1], W, stacks[s2])
-                        lhs = float(np.sum(np.abs(y) ** 2))
+                    lhs = _isotypic_screen(weights, Ab[s1], Ab[s2])
+                    for t, tau in enumerate(irreps):
                         rhs = (tau.degree ** 2 / 2) * (qmean[s1] + qmean[s2])
-                        if rhs - lhs < worst[0]:
-                            worst = (rhs - lhs,
-                                     (space.labels[ti], s1, s2, tau.label),
-                                     lhs, rhs)
+                        cases.append((rhs - lhs[t], rhs, b, s1, s2, tau))
+                        screen_size = max(screen_size, abs(rhs), lhs[t])
+        screen_min = min(screen_min, min(c[0] for c in cases))
+        window = 2 * SCREEN_TOL * (1 + screen_size)
+        for slack, rhs, b, s1, s2, tau in cases:
+            if slack > screen_min + window:
+                continue
+            W = np.outer(b, b)
+            y = (tau.degree / N) * np.einsum(
+                "g,gik,kl,gjl->ij", tau.character().conj(), stacks[s1], W,
+                stacks[s2])
+            lhs = float(np.sum(np.abs(y) ** 2))
+            if rhs - lhs < worst[0]:
+                worst = (rhs - lhs, (space.labels[ti], s1, s2, tau.label),
+                         lhs, rhs)
     entries.append({
         "check": "isotypic projection bound",
         "lhs": worst[2], "rhs": worst[3], "slack": worst[0],

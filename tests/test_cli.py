@@ -54,6 +54,22 @@ def test_exit_codes(capsys, argv, code, text):
     assert out == ""
 
 
+def test_simulate_budget_needs_no_character_table(capsys, monkeypatch):
+    # |G|^k is within the register budget, so the class-sum table is not
+    # built and the numeric-irrep order cap refuses at once
+    def no_table(*args, **kwargs):
+        raise AssertionError("character table built")
+
+    monkeypatch.setattr(cli, "best_character_table", no_table)
+    rc, out, err = run_cli(capsys, ["simulate", "--group", "wreath:5",
+                                    "--k", "1"])
+    assert rc == 69
+    assert out == ""
+    assert err == ("hspsim simulate: resource cap: explicit wreath irreps "
+                   "stop at n <= 4, and numeric irrep construction supports "
+                   "order up to 700, got 28800\n")
+
+
 def _cli_under_1gib(*argv):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

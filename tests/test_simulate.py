@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hspsim.fourier import factor_stack
 from hspsim.groups import (
     make_group,
     make_psl2,
@@ -17,6 +18,7 @@ from hspsim.irreps import (
 )
 from hspsim.simulate import (
     RegisterSpace,
+    _isotypic_screen,
     avg_tv_over_conjugates,
     conditional_distribution,
     coset_distribution,
@@ -289,6 +291,112 @@ def test_lemma_suite_hypothesis_not_met():
     assert "hypothesis" in tail["detail"]
     for e in out[:-1]:
         assert e["pass"] is True
+
+
+def _subsets(k):
+    return [s for r in range(1, k + 1)
+            for s in itertools.combinations(range(k), r)]
+
+
+def _subset_stacks(G, irr, tup, subsets):
+    return {s: factor_stack(G, [irr[i] if pos in s else irr[i].degree
+                                for pos, i in enumerate(tup)])
+            for s in subsets}
+
+
+@pytest.mark.parametrize("spec, k", [
+    *[(spec, k) for spec in ("s3", "dihedral:4", "psl2:5", "wreath:2")
+      for k in (1, 2)],
+    ("dihedral:4", 3)])
+def test_isotypic_screen_matches_reference_einsum(spec, k):
+    # every tuple, subset pair and tau, on each tuple's first frame vector;
+    # the reference is the 4-operand einsum with tau as an output axis
+    G = make_group(spec)
+    irr = irreps_for(G)
+    N = G.order
+    sp = RegisterSpace(G, irr, k, seed=5)
+    subsets = _subsets(k)
+    chis = np.array([tau.character().conj() for tau in irr])
+    scales = np.array([tau.degree / N for tau in irr])[:, None, None]
+    weights = scales[:, :, 0] * chis
+    for ti, tup in enumerate(sp.tuples):
+        stacks = _subset_stacks(G, irr, tup, subsets)
+        b = sp.frames[ti].vectors[:, 0]
+        W = np.outer(b, b)
+        Ab = {s: stacks[s] @ b for s in subsets}
+        for s1 in subsets:
+            for s2 in subsets:
+                got = _isotypic_screen(weights, Ab[s1], Ab[s2])
+                y = scales * np.einsum("tg,gik,kl,gjl->tij", chis, stacks[s1],
+                                       W, stacks[s2], optimize=True)
+                want = np.sum(np.abs(y) ** 2, axis=(1, 2))
+                assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _isotypic_entry_reference(G, irr, h, k, seed, n_tuples=3, n_vectors=3):
+    """The isotypic check as one exact 4-operand einsum per case, with the
+    sampling draws of lemma_suite (the second-moment check draws first)."""
+    N = G.order
+    sp = RegisterSpace(G, irr, k, seed=seed)
+    rng = np.random.default_rng(seed + 987654321)
+    picks = rng.choice(len(sp.tuples), size=min(n_tuples, len(sp.tuples)),
+                       replace=False)
+    for ti in picks:
+        f = sp.frames[ti]
+        rng.choice(f.size, size=min(n_vectors, f.size), replace=False)
+    worst = (np.inf, None)
+    subsets = _subsets(k)
+    for ti in picks:
+        f = sp.frames[ti]
+        stacks = _subset_stacks(G, irr, sp.tuples[ti], subsets)
+        cols = rng.choice(f.size, size=min(n_vectors, f.size), replace=False)
+        for bi in cols:
+            b = f.vectors[:, bi]
+            W = np.outer(b, b)
+            qmean = {s: float(np.mean(np.abs(
+                np.einsum("i,gij,j->g", b.conj(), stacks[s], b)) ** 2))
+                for s in subsets}
+            for s1 in subsets:
+                for s2 in subsets:
+                    for tau in irr:
+                        chi = tau.character().conj()
+                        y = (tau.degree / N) * np.einsum(
+                            "g,gik,kl,gjl->ij", chi, stacks[s1], W, stacks[s2])
+                        lhs = float(np.sum(np.abs(y) ** 2))
+                        rhs = (tau.degree ** 2 / 2) * (qmean[s1] + qmean[s2])
+                        if rhs - lhs < worst[0]:
+                            worst = (rhs - lhs,
+                                     (sp.labels[ti], s1, s2, tau.label),
+                                     lhs, rhs)
+    return {
+        "check": "isotypic projection bound",
+        "lhs": worst[2], "rhs": worst[3], "slack": worst[0],
+        "detail": f"tightest case {worst[1]}",
+        "pass": bool(worst[0] >= -1e-9),
+    }
+
+
+@pytest.mark.parametrize("spec, k, seed", [("dihedral:4", 3, 0),
+                                           ("wreath:3", 2, 3)])
+def test_isotypic_check_equals_exact_loop(spec, k, seed):
+    # the two cases with the most exact ties among the screened cases
+    G = make_group(spec)
+    irr = irreps_for(G)
+    h = G.default_involution()
+    out = lemma_suite(G, irr, h, k, 0.2, seed=seed)
+    got = next(e for e in out if e["check"] == "isotypic projection bound")
+    assert got == _isotypic_entry_reference(G, irr, h, k, seed)
+
+
+def test_second_moment_names_a_tuple_when_every_error_is_zero():
+    G = make_group("cyclic:2")
+    irr = irreps_for(G)
+    out = lemma_suite(G, irr, G.default_involution(), k=1, eps=0.2)
+    e = out[0]
+    assert e["check"] == "second-moment identity"
+    assert e["lhs"] == 0.0
+    assert e["detail"] in {f"worst |class-avg - fourier| at tuple {r.label}"
+                           for r in irr}
 
 
 def _dense_mixture_distance(G, h, t):
