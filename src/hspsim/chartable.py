@@ -6,8 +6,15 @@ import io
 
 import numpy as np
 
-from .irreps import canonical_sort, explicit_irreps
-from .util import fmt_complex
+from .irreps import canonical_sort, explicit_construction
+from .util import ResourceCap, fmt_complex
+
+# A table from explicit irreps peaks near 170 bytes per |G|^2 entry: the
+# irreps, their characters, canonical_sort's keys and the CSV text.
+# chartable --group cyclic:2000 peaked at 676 MB; cyclic:2200 ran in 1 GiB
+# of address space and cyclic:2400 did not.  The limit admits n <= 2193.
+EXPLICIT_TABLE_ENTRY_BYTES = 170
+EXPLICIT_TABLE_BYTES = 780 << 20
 
 
 class CharacterTable:
@@ -83,18 +90,17 @@ def character_table_numeric(group, seed=0):
     r = len(classes)
     cls_index = np.empty(G.order, dtype=np.int64)
     for i, c in enumerate(classes):
-        for x in c:
-            cls_index[x] = i
+        cls_index[list(c)] = i
     reps = [c[0] for c in classes]
     sizes = np.array([len(c) for c in classes], dtype=float)
     ident_cls = int(cls_index[G.identity])
 
+    # a[i, j, k] counts the x in K_i with x^{-1} z_k in K_j
     a = np.zeros((r, r, r))
-    for i, c in enumerate(classes):
-        for x in c:
-            xi = G.inverse(x)
-            for k, z in enumerate(reps):
-                a[i, cls_index[G.compose(xi, z)], k] += 1.0
+    invs = G.inverse(np.arange(G.order))
+    for k, z in enumerate(reps):
+        pair = cls_index * r + cls_index[G.compose(invs, z)]
+        a[:, :, k] = np.bincount(pair, minlength=r * r).reshape(r, r)
 
     last = None
     for attempt in range(5):
@@ -137,14 +143,21 @@ def character_table_numeric(group, seed=0):
 def best_character_table(group, seed=0):
     """Character table with the most informative labels available.
 
-    Groups with explicit irreps (see irreps.explicit_irreps) get their
-    labelled rows; the rest get the purely numeric class-sum table with
-    rho<i> labels.
+    Groups with explicit irreps (see irreps.explicit_construction) get
+    their labelled rows, refused before they are built past
+    EXPLICIT_TABLE_BYTES; the rest get the purely numeric class-sum table
+    with rho<i> labels.
     """
-    explicit = explicit_irreps(group)
-    if explicit is not None:
-        return CharacterTable.from_irreps(group, explicit)
-    return character_table_numeric(group, seed=seed)
+    build = explicit_construction(group)
+    if build is None:
+        return character_table_numeric(group, seed=seed)
+    need = EXPLICIT_TABLE_ENTRY_BYTES * group.order ** 2
+    if need > EXPLICIT_TABLE_BYTES:
+        raise ResourceCap(
+            f"character table of the {group.kind} group of order "
+            f"{group.order} needs about {need:.3g} bytes "
+            f"(limit {EXPLICIT_TABLE_BYTES:.3g})")
+    return CharacterTable.from_irreps(group, build())
 
 
 def tables_match_up_to_rows(t1, t2, tol=1e-8):

@@ -32,6 +32,9 @@ EX_VERIFY_FAIL = 1
 EX_INAPPLICABLE = 2
 EX_USAGE = 64
 EX_RESOURCE = 69
+# The facts suite makes |Ghat|^2 Python-level calls (Schur pairs and n = 1
+# multiplicities) at about 60 us each: cyclic:300 (9e4 pairs) takes 5 s.
+FACTS_PAIR_LIMIT = 100_000
 
 class UsageError(ValueError):
     """Missing, invalid or contradictory command-line arguments."""
@@ -194,6 +197,8 @@ def write_output(text, out):
 
 def cmd_bound(args):
     t = args.t
+    if t < 1:
+        raise UsageError("--t must be at least 1")
     if args.family == "wreath":
         if args.n is None:
             raise UsageError("--family wreath requires --n")
@@ -242,6 +247,8 @@ def cmd_bound(args):
 # simulate
 
 def cmd_simulate(args):
+    if args.t is not None and args.t < 1:
+        raise UsageError("--t must be at least 1")
     G = make_group(args.group)
     h = resolve_h(G, args.h)
     threads = resolve_threads(args.threads)
@@ -321,6 +328,9 @@ def _check(name, ok, lhs=None, rhs=None, detail=None, warn=False):
 def _suite_facts(G, args):
     from . import fourier
     irr = irrmod.irreps_for(G, seed=args.seed)
+    if len(irr) ** 2 > FACTS_PAIR_LIMIT:
+        raise ResourceCap(f"facts suite checks {len(irr) ** 2} pairs of "
+                          f"irreps (limit {FACTS_PAIR_LIMIT})")
     checks = []
     # largest degree first, so an over-budget check is refused before the
     # multiplication table is built

@@ -1,6 +1,8 @@
 """Small finite fields GF(q) with fixed irreducible polynomials."""
 from __future__ import annotations
 
+import numpy as np
+
 # Reduction rules for the prime-power sizes we support: value x^deg expressed
 # as a polynomial, coefficients little-endian in the base prime.
 _IRREDUCIBLE = {
@@ -13,84 +15,38 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class GF:
-    """Arithmetic in GF(q); elements are integers 0..q-1.
+    """GF(q) as operation tables; elements are integers 0..q-1.
 
     For prime q this is plain modular arithmetic.  For q in {4, 8, 9} an
     element encodes polynomial coefficients base-p (little-endian), and
     multiplication reduces by the fixed irreducible polynomial above.
+    ``add`` and ``mul`` are q x q arrays and ``neg`` and ``inv`` length-q
+    arrays (``inv[0]`` is 0), so field arithmetic on arrays of elements is
+    fancy indexing.
     """
 
     def __init__(self, q):
         if q in _PRIMES:
-            self.q, self.p, self.deg = q, q, 1
-            self._mul = None
+            p, tail = q, []
         elif q in _IRREDUCIBLE:
-            self.q = q
-            self.p, tail = _IRREDUCIBLE[q]
-            self.deg = len(tail)
-            self._mul = self._build_mul_table(tail)
+            p, tail = _IRREDUCIBLE[q]
         else:
             raise ValueError(f"unsupported field size {q}")
-        self._inv = [0] * self.q
-        for a in range(1, self.q):
-            for b in range(1, self.q):
-                if self.mul(a, b) == 1:
-                    self._inv[a] = b
-                    break
-
-    def _coeffs(self, a):
-        out = []
-        for _ in range(self.deg):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, cs):
-        v = 0
-        for c in reversed(cs):
-            v = v * self.p + (c % self.p)
-        return v
-
-    def _build_mul_table(self, tail):
-        p, deg = self.p, self.deg
-        table = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            ca = self._coeffs(a)
-            for b in range(self.q):
-                cb = self._coeffs(b)
-                prod = [0] * (2 * deg - 1)
-                for i, x in enumerate(ca):
-                    for j, y in enumerate(cb):
-                        prod[i + j] += x * y
-                # reduce x^k for k >= deg using x^deg = tail
-                for k in range(2 * deg - 2, deg - 1, -1):
-                    c = prod[k] % p
-                    prod[k] = 0
-                    for i, t in enumerate(tail):
-                        prod[k - deg + i] += c * t
-                table[a][b] = self._encode(prod[:deg])
-        return table
-
-    def add(self, a, b):
-        if self.deg == 1:
-            return (a + b) % self.p
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a):
-        if self.deg == 1:
-            return (-a) % self.p
-        return self._encode([(-c) % self.p for c in self._coeffs(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self._mul is None:
-            return (a * b) % self.p
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
+        self.q, self.p, self.deg = q, p, max(1, len(tail))
+        deg = self.deg
+        weights = p ** np.arange(deg)
+        cs = np.arange(q)[:, None] // weights % p      # (q, deg) coefficients
+        self.add = (cs[:, None] + cs[None]) % p @ weights
+        self.neg = -cs % p @ weights
+        prod = np.zeros((q, q, 2 * deg - 1), dtype=np.int64)
+        for i in range(deg):
+            for j in range(deg):
+                prod[:, :, i + j] += cs[:, None, i] * cs[None, :, j]
+        # reduce x^k for k >= deg using x^deg = tail
+        for k in range(2 * deg - 2, deg - 1, -1):
+            c = prod[:, :, k] % p
+            prod[:, :, k] = 0
+            for i, t in enumerate(tail):
+                prod[:, :, k - deg + i] += c * t
+        self.mul = prod[:, :, :deg] % p @ weights
+        self.inv = np.argmax(self.mul == 1, axis=1)

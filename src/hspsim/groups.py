@@ -1,6 +1,12 @@
-"""Finite groups with integer element ids and lazy multiplication tables.
+"""Finite groups with integer element ids and array-valued composition rules.
 
-Permutations are 0-based image tuples and compose left-to-right:
+Each family gives one composition rule and one inverse rule acting on
+integer arrays of ids with numpy broadcasting (a Python int is a 0-d
+array).  Multiplication tables, inverses, conjugacy classes, involutions,
+centralizers and the center all derive from those two rules with array
+operations.
+
+Permutations are 0-based image arrays and compose left-to-right:
 (x then y)(i) = y(x(i)).  That is the unique order under which the
 two-block wreath multiplication rule and the embedding into S_{2n}
 agree.  Matrix groups (SL2/PSL2) multiply in matrix order instead; the
@@ -9,8 +15,7 @@ never mix inside one group.
 """
 from __future__ import annotations
 
-import math
-from itertools import product
+from itertools import permutations
 
 import numpy as np
 
@@ -19,43 +24,14 @@ from .util import ResourceCap
 
 TABLE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000
+# table() composes this many pairs per row block: a 14-point permutation
+# product holds about 230 bytes of int64 temporaries per pair (psl2:13
+# peaks near 60 MB)
+TABLE_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
 # permutation helpers
-
-def perm_compose(p, q):
-    """Apply p, then q."""
-    return tuple(q[i] for i in p)
-
-
-def perm_inverse(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def perm_rank(p):
-    """Lexicographic rank of a permutation (identity -> 0)."""
-    n = len(p)
-    rest = list(range(n))
-    r = 0
-    for i, x in enumerate(p):
-        r += rest.index(x) * math.factorial(n - 1 - i)
-        rest.remove(x)
-    return r
-
-
-def perm_unrank(n, r):
-    rest = list(range(n))
-    out = []
-    for i in range(n):
-        f = math.factorial(n - 1 - i)
-        out.append(rest.pop(r // f))
-        r %= f
-    return tuple(out)
-
 
 def cycle_notation(p, shift=1):
     """1-based disjoint-cycle string; 'e' for the identity."""
@@ -101,8 +77,14 @@ def parse_cycles(text, n):
 # ---------------------------------------------------------------------------
 # base class
 
+def _result(ids):
+    """A 0-d id result as a Python int; id arrays pass through."""
+    return int(ids) if np.ndim(ids) == 0 else ids
+
+
 class FiniteGroup:
-    """Elements are 0..order-1; subclasses supply composition and display."""
+    """Elements are 0..order-1; subclasses supply the composition and
+    inverse rules on id arrays, and the display."""
 
     def __init__(self, kind, params, order, identity=0):
         self.kind = kind
@@ -110,19 +92,16 @@ class FiniteGroup:
         self.order = order
         self.identity = identity
         self._table = None
-        self._inverses = None
         self._classes = None
 
     # -- subclass hooks -----------------------------------------------------
     def _compose(self, x, y):
+        """x times y, elementwise over broadcastable int arrays of ids."""
         raise NotImplementedError
 
     def _inverse(self, x):
-        # generic fallback: walk powers of x until x^k = e, return x^(k-1)
-        prev, acc = x, x
-        while acc != self.identity:
-            prev, acc = acc, self._compose(acc, x)
-        return prev
+        """Inverses of an int array of ids."""
+        raise NotImplementedError
 
     def pretty(self, x):
         return str(x)
@@ -151,20 +130,14 @@ class FiniteGroup:
         return range(self.order)
 
     def compose(self, x, y):
+        """x times y for ids or broadcastable id arrays (int in, int out);
+        read from the table once it is built, else from the rule."""
         if self._table is not None:
-            return int(self._table[x, y])
-        return self._compose(x, y)
+            return _result(self._table[x, y])
+        return _result(self._compose(np.asarray(x), np.asarray(y)))
 
     def inverse(self, x):
-        if self._inverses is None:
-            self._inverses = np.full(self.order, -1, dtype=np.int64)
-        cached = int(self._inverses[x])
-        if cached >= 0:
-            return cached
-        inv = self._inverse(x)
-        self._inverses[x] = inv
-        self._inverses[inv] = x
-        return inv
+        return _result(self._inverse(np.asarray(x)))
 
     def table(self):
         """Full multiplication table (built lazily; capped at TABLE_LIMIT)."""
@@ -172,29 +145,26 @@ class FiniteGroup:
             if self.order > TABLE_LIMIT:
                 raise ResourceCap(
                     f"order {self.order} exceeds table limit {TABLE_LIMIT}")
+            ids = np.arange(self.order)
             t = np.empty((self.order, self.order), dtype=np.int32)
-            for x in range(self.order):
-                for y in range(self.order):
-                    t[x, y] = self._compose(x, y)
+            step = max(1, TABLE_BLOCK // self.order)
+            for a in range(0, self.order, step):
+                t[a:a + step] = self._compose(ids[a:a + step, None], ids)
             self._table = t
         return self._table
 
     def conjugacy_classes(self):
         """Classes as sorted id tuples, ordered by (size, smallest member)."""
         if self._classes is None:
-            seen = [False] * self.order
+            ids = np.arange(self.order)
+            invs = self.inverse(ids)
+            seen = np.zeros(self.order, dtype=bool)
             classes = []
-            invs = [self.inverse(g) for g in range(self.order)]
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                orbit = set()
-                for g in range(self.order):
-                    y = self.compose(self.compose(g, x), invs[g])
-                    orbit.add(y)
-                for y in orbit:
-                    seen[y] = True
-                classes.append(tuple(sorted(orbit)))
+            while not seen.all():
+                x = int(np.argmin(seen))  # smallest id in no class yet
+                orbit = np.unique(self.compose(self.compose(ids, x), invs))
+                seen[orbit] = True
+                classes.append(tuple(orbit.tolist()))
             classes.sort(key=lambda c: (len(c), c[0]))
             self._classes = classes
         return self._classes
@@ -206,20 +176,19 @@ class FiniteGroup:
         raise ValueError(f"element {x} out of range")
 
     def centralizer(self, x):
-        els = [g for g in range(self.order)
-               if self.compose(g, x) == self.compose(x, g)]
-        return Subgroup(self, els)
+        ids = np.arange(self.order)
+        return Subgroup(self, ids[self.compose(ids, x)
+                                  == self.compose(x, ids)].tolist())
 
     def center(self):
-        els = [g for g in range(self.order)
-               if all(self.compose(g, x) == self.compose(x, g)
-                      for x in range(self.order))]
-        return Subgroup(self, els)
+        """The elements whose conjugacy class is a single element."""
+        return Subgroup(self, [c[0] for c in self.conjugacy_classes()
+                               if len(c) == 1])
 
     def involutions(self):
-        e = self.identity
-        return [x for x in range(self.order)
-                if x != e and self.compose(x, x) == e]
+        ids = np.arange(self.order)
+        return np.flatnonzero((self.compose(ids, ids) == self.identity)
+                              & (ids != self.identity)).tolist()
 
     def element_order(self, x):
         k, acc = 1, x
@@ -240,16 +209,13 @@ class Subgroup:
             self._validate()
 
     def _validate(self):
-        G = self.group
-        els = set(self.elements)
-        if G.identity not in els:
+        G, els = self.group, np.array(self.elements, dtype=np.int64)
+        if G.identity not in self.elements:
             raise ValueError("subgroup must contain the identity")
-        for x in self.elements:
-            if G.inverse(x) not in els:
-                raise ValueError("subgroup not closed under inverse")
-            for y in self.elements:
-                if G.compose(x, y) not in els:
-                    raise ValueError("subgroup not closed under product")
+        if not np.isin(G.inverse(els), els).all():
+            raise ValueError("subgroup not closed under inverse")
+        if not np.isin(G.compose(els[:, None], els), els).all():
+            raise ValueError("subgroup not closed under product")
         if G.order % self.order:
             raise ValueError("subgroup order must divide the group order")
 
@@ -258,21 +224,14 @@ class Subgroup:
 
     @classmethod
     def generated(cls, group, gens):
-        els = {group.identity}
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in list(els):
-                    for z in (group.compose(g, h), group.compose(h, g)):
-                        if z not in els:
-                            els.add(z)
-                            nxt.append(z)
-                if g not in els:
-                    els.add(g)
-                    nxt.append(g)
-            frontier = nxt
-        return cls(group, els)
+        """Close {e} under right multiplication by the generators."""
+        gens = np.asarray(gens, dtype=np.int64)
+        els = np.array([group.identity])
+        while True:
+            grown = np.union1d(els, group.compose(els[:, None], gens))
+            if len(grown) == len(els):
+                return cls(group, els.tolist())
+            els = grown
 
 
 def order_two_subgroup(group, h):
@@ -283,51 +242,77 @@ def order_two_subgroup(group, h):
 
 def conjugate_subgroup(group, sub, g):
     """g H g^{-1} as a Subgroup."""
-    gi = group.inverse(g)
-    return Subgroup(group, [group.compose(group.compose(g, x), gi)
-                            for x in sub.elements], check=False)
+    conj = group.compose(group.compose(g, np.array(sub.elements)),
+                         group.inverse(g))
+    return Subgroup(group, conj.tolist(), check=False)
 
 
 def check_associativity(group, samples=1000, seed=0):
-    """Exhaustive for order <= 200, else random sampled triples."""
-    n = group.order
-    if n <= 200:
-        triples = product(range(n), repeat=3)
-    else:
-        rng = np.random.default_rng(seed)
-        triples = (tuple(rng.integers(0, n, 3)) for _ in range(samples))
-    for x, y, z in triples:
-        if group.compose(group.compose(x, y), z) != group.compose(x, group.compose(y, z)):
-            return False
-    return True
+    """Exhaustive on the table for order <= 200, else random sampled triples."""
+    if group.order <= 200:
+        t = group.table()
+        return bool(np.array_equal(t[t], t[:, t]))  # (xy)z and x(yz)
+    rng = np.random.default_rng(seed)
+    x, y, z = rng.integers(0, group.order, (3, samples))
+    c = group.compose
+    return bool(np.array_equal(c(c(x, y), z), c(x, c(y, z))))
 
 
 # ---------------------------------------------------------------------------
 # concrete families
 
-class SymmetricGroup(FiniteGroup):
+class _RowGroup(FiniteGroup):
+    """Elements are the rows of a lexicographically sorted int array.
+
+    A row's id is found by np.searchsorted on mixed-radix int64 codes
+    (big-endian in the given base, so code order is row order); rows that
+    are not elements raise ValueError.
+    """
+
+    def __init__(self, kind, params, rows, base):
+        self._rows = rows
+        self._radix = base ** np.arange(rows.shape[1] - 1, -1, -1)
+        self._codes = rows @ self._radix
+        super().__init__(kind, params, len(rows))
+
+    def _id(self, rows):
+        codes = np.asarray(rows) @ self._radix
+        ids = np.minimum(np.searchsorted(self._codes, codes), self.order - 1)
+        if np.any(self._codes[ids] != codes):
+            raise ValueError(f"not an element of {spec_of(self)}")
+        return ids
+
+
+class _PermutationGroup(_RowGroup):
+    """Rows are 0-based image arrays; x times y applies x, then y."""
+
+    def __init__(self, kind, params, perms):
+        super().__init__(kind, params, perms, perms.shape[1])
+
+    def perm(self, x):
+        return tuple(self._rows[x].tolist())
+
+    def from_perm(self, p):
+        return _result(self._id(p))
+
+    def _compose(self, x, y):
+        m = self._rows.shape[1]
+        return self._id(self._rows.ravel()[y[..., None] * m + self._rows[x]])
+
+    def _inverse(self, x):
+        return self._id(np.argsort(self._rows[x], axis=-1))
+
+
+class SymmetricGroup(_PermutationGroup):
     def __init__(self, n):
         if not 1 <= n <= 8:
             raise ValueError("symmetric group supported for 1 <= n <= 8")
         self.n = n
-        super().__init__("symmetric", (n,), math.factorial(n))
-        self._perms = [perm_unrank(n, r) for r in range(self.order)]
-        self._rank = {p: r for r, p in enumerate(self._perms)}
-
-    def perm(self, x):
-        return self._perms[x]
-
-    def from_perm(self, p):
-        return self._rank[tuple(p)]
-
-    def _compose(self, x, y):
-        return self._rank[perm_compose(self._perms[x], self._perms[y])]
-
-    def _inverse(self, x):
-        return self._rank[perm_inverse(self._perms[x])]
+        super().__init__("symmetric", (n,),
+                         np.array(list(permutations(range(n)))))
 
     def pretty(self, x):
-        return cycle_notation(self._perms[x])
+        return cycle_notation(self.perm(x))
 
     def parse_element(self, text):
         """'id:<n>', or 1-based cycle notation such as '(1 2)(3 4)'."""
@@ -347,7 +332,7 @@ class CyclicGroup(FiniteGroup):
         return (x + y) % self.n
 
     def _inverse(self, x):
-        return (-x) % self.n
+        return -x % self.n
 
     def pretty(self, x):
         return f"g^{x}" if x else "e"
@@ -368,12 +353,11 @@ class DihedralGroup(FiniteGroup):
     def _compose(self, x, y):
         a, b = self._split(x)
         c, d = self._split(y)
-        rot = (a + (c if b == 0 else -c)) % self.n
-        return (b ^ d) * self.n + rot
+        return (b ^ d) * self.n + (a + np.where(b, -c, c)) % self.n
 
     def _inverse(self, x):
         a, b = self._split(x)
-        return x if b else (-a) % self.n
+        return np.where(b, x, -a % self.n)
 
     def pretty(self, x):
         a, b = self._split(x)
@@ -417,16 +401,13 @@ class WreathS2Group(FiniteGroup):
         p1, s1, b1 = self.unpack(x)
         p2, s2, b2 = self.unpack(y)
         c = self.base.compose
-        if b1 == 0:
-            return self.pack(c(p1, p2), c(s1, s2), b2)
-        return self.pack(c(p1, s2), c(s1, p2), 1 ^ b2)
+        return self.pack(c(p1, np.where(b1, s2, p2)),
+                         c(s1, np.where(b1, p2, s2)), b1 ^ b2)
 
     def _inverse(self, x):
         p, s, b = self.unpack(x)
         i = self.base.inverse
-        if b == 0:
-            return self.pack(i(p), i(s), 0)
-        return self.pack(i(s), i(p), 1)
+        return self.pack(i(np.where(b, s, p)), i(np.where(b, p, s)), b)
 
     def swap_element(self):
         """The distinguished involution t = (e, e, 1)."""
@@ -449,35 +430,29 @@ class WreathS2Group(FiniteGroup):
 PSL2_SIZES = (4, 5, 7, 8, 9, 11, 13)
 
 
-def _projective_points(field):
-    """Index i < q is [x_i : 1]; index q is [1 : 0]."""
-    return [(x, 1) for x in range(field.q)] + [(1, 0)]
-
-
-def _matrix_to_point_perm(m, field, points):
-    a, b, c, d = m
-    img = []
-    for x, y in points:
-        u = field.add(field.mul(a, x), field.mul(b, y))
-        v = field.add(field.mul(c, x), field.mul(d, y))
-        if v == 0:
-            img.append(field.q)
-        else:
-            img.append(field.mul(u, field.inv(v)))
-    return tuple(img)
-
-
 def _sl2_matrices(field):
+    """Rows (a, b, c, d) with ad - bc = 1, in lexicographic order."""
     q = field.q
-    out = []
-    for a, b, c, d in product(range(q), repeat=4):
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == 1:
-            out.append((a, b, c, d))
-    return out
+    mats = np.indices((q,) * 4).reshape(4, -1).T
+    a, b, c, d = mats.T
+    return mats[field.add[field.mul[a, d], field.neg[field.mul[b, c]]] == 1]
 
 
-class PSL2Group(FiniteGroup):
+def _point_images(field, mats):
+    """Images of the q+1 projective points under matrix rows (a, b, c, d).
+
+    Index i < q is [x_i : 1]; index q is [1 : 0].
+    """
+    q = field.q
+    x = np.append(np.arange(q), 1)
+    y = np.append(np.ones(q, dtype=np.int64), 0)
+    a, b, c, d = (mats[..., i, None] for i in range(4))
+    u = field.add[field.mul[a, x], field.mul[b, y]]
+    v = field.add[field.mul[c, x], field.mul[d, y]]
+    return np.where(v == 0, q, field.mul[u, field.inv[v]])
+
+
+class PSL2Group(_PermutationGroup):
     """PSL(2, F_q) as permutations of the projective line (q+1 points)."""
 
     def __init__(self, q):
@@ -485,50 +460,32 @@ class PSL2Group(FiniteGroup):
             raise ValueError(f"psl2 supported for q in {PSL2_SIZES}")
         self.q = q
         self.field = GF(q)
-        points = _projective_points(self.field)
-        rep = {}
-        for m in _sl2_matrices(self.field):
-            p = _matrix_to_point_perm(m, self.field, points)
-            cur = rep.get(p)
-            if cur is None or self._matrix_key(m) < self._matrix_key(cur):
-                rep[p] = m
-        self._perms = sorted(rep)
-        self._rank = {p: i for i, p in enumerate(self._perms)}
-        self._mats = [rep[p] for p in self._perms]
-        super().__init__("psl2", (q,), len(self._perms))
-        assert self._perms[0] == tuple(range(q + 1))
-
-    def _matrix_key(self, m):
-        # canonical class representative: make the first nonzero entry small
-        for v in m:
-            if v:
-                return (0 if v <= (self.q - 1) // 2 or self.q % 2 == 0 else 1, m)
-        return (2, m)
-
-    def perm(self, x):
-        return self._perms[x]
+        mats = _sl2_matrices(self.field)
+        # canonical class representative: prefer a small first nonzero
+        # entry (odd q), then the lexicographically first matrix
+        first = mats[np.arange(len(mats)), np.argmax(mats != 0, axis=1)]
+        pick = np.argsort((q % 2 == 1) & (first > (q - 1) // 2), kind="stable")
+        perms, keep = np.unique(_point_images(self.field, mats[pick]),
+                                axis=0, return_index=True)
+        self._mats = mats[pick[keep]]
+        super().__init__("psl2", (q,), perms)
 
     def matrix(self, x):
-        return self._mats[x]
+        return tuple(self._mats[x].tolist())
 
     def from_matrix(self, m):
-        points = _projective_points(self.field)
-        return self._rank[_matrix_to_point_perm(tuple(m), self.field, points)]
+        return self.from_perm(_point_images(self.field, np.asarray(m)))
 
     def _compose(self, x, y):
         # matrix order: (XY) acts by Y's permutation first
-        px, py = self._perms[x], self._perms[y]
-        return self._rank[tuple(px[py[i]] for i in range(len(px)))]
-
-    def _inverse(self, x):
-        return self._rank[perm_inverse(self._perms[x])]
+        return super()._compose(y, x)
 
     def pretty(self, x):
-        a, b, c, d = self._mats[x]
+        a, b, c, d = self.matrix(x)
         return f"[[{a},{b}],[{c},{d}]]"
 
 
-class SL2Group(FiniteGroup):
+class SL2Group(_RowGroup):
     """SL(2, F_q) with matrix entries; used for quotient transfer checks."""
 
     def __init__(self, q):
@@ -536,32 +493,30 @@ class SL2Group(FiniteGroup):
             raise ValueError(f"sl2 supported for q in {PSL2_SIZES}")
         self.q = q
         self.field = GF(q)
-        self._mats = sorted(_sl2_matrices(self.field))
-        self._rank = {m: i for i, m in enumerate(self._mats)}
-        ident = self._rank[(1, 0, 0, 1)]
-        super().__init__("sl2", (q,), len(self._mats), identity=ident)
+        super().__init__("sl2", (q,), _sl2_matrices(self.field), q)
+        self.identity = self.from_matrix((1, 0, 0, 1))
 
     def matrix(self, x):
-        return self._mats[x]
+        return tuple(self._rows[x].tolist())
 
     def from_matrix(self, m):
-        return self._rank[tuple(m)]
+        return _result(self._id(m))
 
     def _compose(self, x, y):
-        a, b, c, d = self._mats[x]
-        e, f, g, h = self._mats[y]
         F = self.field
-        m = (F.add(F.mul(a, e), F.mul(b, g)), F.add(F.mul(a, f), F.mul(b, h)),
-             F.add(F.mul(c, e), F.mul(d, g)), F.add(F.mul(c, f), F.mul(d, h)))
-        return self._rank[m]
+        X = self._rows[x].reshape(x.shape + (2, 2, 1))
+        Y = self._rows[y].reshape(y.shape + (1, 2, 2))
+        P = F.mul[X, Y]  # P[..., i, k, j] = X_ik Y_kj
+        prod = F.add[P[..., 0, :], P[..., 1, :]]
+        return self._id(prod.reshape(prod.shape[:-2] + (4,)))
 
     def _inverse(self, x):
-        a, b, c, d = self._mats[x]
-        F = self.field
-        return self._rank[(d, F.neg(b), F.neg(c), a)]
+        a, b, c, d = np.moveaxis(self._rows[x], -1, 0)
+        neg = self.field.neg
+        return self._id(np.stack([d, neg[b], neg[c], a], axis=-1))
 
     def pretty(self, x):
-        a, b, c, d = self._mats[x]
+        a, b, c, d = self.matrix(x)
         return f"[[{a},{b}],[{c},{d}]]"
 
 
@@ -576,10 +531,8 @@ class DirectPowerGroup(FiniteGroup):
             raise ResourceCap(f"order {order} exceeds {ORDER_LIMIT}")
         self.base = base
         self.n = n
-        ident = 0
-        for i in range(n):
-            ident += base.identity * base.order ** i
-        super().__init__("power", (base.kind, base.params, n), order, ident)
+        super().__init__("power", (base.kind, base.params, n), order,
+                         self.diagonal(base.identity))
 
     def unpack(self, x):
         out = []
@@ -705,29 +658,14 @@ def wreath_embedding(n):
     if n > 4:
         raise ValueError("embedding target S_{2n} needs 2n <= 8")
     S = SymmetricGroup(2 * n)
-    mapping = np.empty(W.order, dtype=np.int64)
-    for x in range(W.order):
-        p, s, b = W.unpack(x)
-        pp, ps = W.base.perm(p), W.base.perm(s)
-        img = [0] * (2 * n)
-        for i in range(n):
-            if b == 0:
-                img[i] = pp[i]
-                img[n + i] = n + ps[i]
-            else:
-                img[i] = n + pp[i]
-                img[n + i] = ps[i]
-        mapping[x] = S.from_perm(tuple(img))
-    return W, S, mapping
+    p, s, b = W.unpack(np.arange(W.order))
+    img = np.hstack([W.base._rows[p], n + W.base._rows[s]])
+    img[b == 1] = (img[b == 1] + n) % (2 * n)
+    return W, S, S.from_perm(img)
 
 
 def sl2_to_psl2_map(sl2, psl2):
     """The natural quotient map SL(2,q) -> PSL(2,q) as an id array."""
     if sl2.q != psl2.q:
         raise ValueError("field sizes differ")
-    points = _projective_points(sl2.field)
-    out = np.empty(sl2.order, dtype=np.int64)
-    for x in range(sl2.order):
-        p = _matrix_to_point_perm(sl2.matrix(x), sl2.field, points)
-        out[x] = psl2._rank[p]
-    return out
+    return psl2.from_perm(_point_images(sl2.field, sl2._rows))

@@ -143,9 +143,10 @@ def _extend_over_group(group, gen_ids, gen_mats, d):
     frontier = [group.identity]
     while frontier:
         nxt = []
-        for x in frontier:
-            for gid, gm in zip(gen_ids, gen_mats):
-                y = group.compose(x, gid)
+        prods = group.compose(np.array(frontier)[:, None],
+                              np.array(gen_ids, dtype=np.int64))
+        for x, row in zip(frontier, prods.tolist()):
+            for y, gm in zip(row, gen_mats):
                 if not known[y]:
                     mats[y] = mats[x] @ gm
                     known[y] = True
@@ -202,7 +203,7 @@ def irreps_wreath(n):
     W = WreathS2Group(n)
     base = irreps_symmetric(n)
     lams = partitions(n)
-    P, S, swapped = np.array([W.unpack(x) for x in range(W.order)]).T
+    P, S, swapped = W.unpack(np.arange(W.order))
     swapped = swapped == 1
 
     out = []
@@ -292,7 +293,7 @@ def irreps_generic(group, tol=1e-6, seed=0):
                   f"{WREATH_IRREPS_MAX_N}, and {why}"
         raise ResourceCap(why)
     table = group.table()
-    invs = np.array([group.inverse(g) for g in range(N)])
+    invs = group.inverse(np.arange(N))
     last_err = None
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
@@ -331,10 +332,11 @@ def _decompose_regular(group, table, invs, tol, rng):
     out = []
     for a, b in segs:
         U = V[:, a:b]
+        Uh = U.conj().T
         # rho(g) = U^dag R(g) U and (R(g) U)[a] = U[g^{-1} a]
         sub = np.empty((N, b - a, b - a), dtype=np.complex128)
         for g in range(N):
-            sub[g] = U.conj().T @ U[table[invs[g], :], :]
+            sub[g] = Uh @ U[table[invs[g], :], :]
         out.extend(_split_unitary_rep(sub, tol, rng))
     return out
 
@@ -374,28 +376,29 @@ def canonical_sort(group, irreps):
     return sorted(irreps, key=key)
 
 
-def explicit_irreps(group):
-    """The labelled explicit irreps of a group, or None when it has none.
+def explicit_construction(group):
+    """The builder of a group's labelled explicit irreps, or None when it
+    has none.
 
     Young's orthogonal form covers S_n up to YOUNG_MAX_N, roots of unity
     every cyclic group, and the wreath construction S_n wr S_2 up to
     WREATH_IRREPS_MAX_N.
     """
     if isinstance(group, CyclicGroup):
-        return irreps_cyclic(group.n)
+        return lambda: irreps_cyclic(group.n)
     if isinstance(group, SymmetricGroup) and group.n <= YOUNG_MAX_N:
-        return irreps_symmetric(group.n)
+        return lambda: irreps_symmetric(group.n)
     if isinstance(group, WreathS2Group) and group.n <= WREATH_IRREPS_MAX_N:
-        return irreps_wreath(group.n)
+        return lambda: irreps_wreath(group.n)
     return None
 
 
 def irreps_for(group, seed=0):
     """Complete unitary irreps: the explicit construction when there is one,
     else the numeric regular-representation decomposition (order-capped)."""
-    explicit = explicit_irreps(group)
-    if explicit is not None:
-        return explicit
+    build = explicit_construction(group)
+    if build is not None:
+        return build()
     return irreps_generic(group, seed=seed)
 
 

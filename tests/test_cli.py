@@ -32,6 +32,14 @@ def test_exit_usage_on_missing_family_param(capsys):
     assert "--n" in err
 
 
+def test_exit_usage_on_bound_t_below_one(capsys):
+    rc, out, err = run_cli(capsys, ["bound", "--family", "wreath", "--n", "5",
+                                    "--t", "0"])
+    assert rc == 64
+    assert out == ""
+    assert err == "hspsim bound: error: --t must be at least 1\n"
+
+
 @pytest.mark.parametrize("argv, code, text", [
     (["--group", "s6"], 69,
      "explicit irreps (Young's form) stop at n <= 5, and numeric irrep "
@@ -43,8 +51,10 @@ def test_exit_usage_on_missing_family_param(capsys):
     (["--group", "wreath:6"], 64, "2 <= n <= 5"),
     (["--group", "psl2:17"], 64, "psl2 supported for q in"),
     (["--group", "nosuch:3"], 64, "nosuch"),
+    (["--group", "s3", "--t", "0"], 64, "--t must be at least 1"),
+    (["--group", "s3", "--t", "-1"], 64, "--t must be at least 1"),
 ], ids=["s6", "power-z101^3", "dihedral4-t4",
-        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch"])
+        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch", "t0", "t-1"])
 def test_exit_codes(capsys, argv, code, text):
     rc, out, err = run_cli(capsys, ["simulate"] + argv)
     assert rc == code
@@ -106,6 +116,38 @@ def test_z20000_chartable_refused_before_allocating():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("hspsim chartable: resource cap: ")
     assert "cyclic group of order 20000" in proc.stderr
+
+
+def test_cyclic_5000_chartable_refused_in_1gib():
+    # about 170 bytes per |G|^2 entry is 4.25 GB; before the cap it died with
+    # a traceback after about 60 s
+    proc = _cli_under_1gib("chartable", "--group", "cyclic:5000")
+    assert proc.returncode == 69, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "hspsim chartable: resource cap: character table of the cyclic "
+        "group of order 5000 needs about 4.25e+09 bytes")
+
+
+def test_explicit_table_cap_admits_cyclic_2000():
+    from hspsim.chartable import (EXPLICIT_TABLE_BYTES,
+                                  EXPLICIT_TABLE_ENTRY_BYTES)
+    # cyclic:2200 ran in 1 GiB of address space and cyclic:2400 did not
+    assert EXPLICIT_TABLE_ENTRY_BYTES * 2000 ** 2 <= EXPLICIT_TABLE_BYTES
+    assert EXPLICIT_TABLE_ENTRY_BYTES * 2400 ** 2 > EXPLICIT_TABLE_BYTES
+
+
+def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.irrmod, "hom_unitarity_error", no_check)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "facts", "--group",
+                                    "cyclic:400"])
+    assert rc == 69
+    assert out == ""
+    assert err == ("hspsim verify: resource cap: facts suite checks 160000 "
+                   "pairs of irreps (limit 100000)\n")
 
 
 def test_cyclic_5000_bound_passes_in_1gib():

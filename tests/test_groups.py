@@ -1,13 +1,15 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hspsim.groups import (
-    CyclicGroup, Subgroup, check_associativity, conjugate_subgroup,
-    cycle_notation, make_cyclic, make_dihedral, make_direct_power, make_psl2,
-    make_sl2, make_symmetric, make_wreath_s2, order_two_subgroup, parse_cycles,
-    perm_compose, perm_inverse, perm_rank, perm_unrank, sl2_to_psl2_map,
+    PSL2Group, Subgroup, SymmetricGroup, check_associativity,
+    conjugate_subgroup, cycle_notation, make_cyclic, make_dihedral,
+    make_direct_power, make_group, make_psl2, make_sl2, make_symmetric,
+    make_wreath_s2, order_two_subgroup, parse_cycles, sl2_to_psl2_map,
     wreath_embedding,
 )
 
@@ -15,19 +17,24 @@ from hspsim.groups import (
 PSL_ORDERS = {4: 60, 5: 60, 7: 168, 8: 504, 9: 360, 11: 660, 13: 1092}
 
 
-def test_perm_rank_roundtrip():
+def test_symmetric_ids_follow_itertools_permutations():
     for n in (1, 2, 3, 4, 5):
-        for r in range(math.factorial(n)):
-            assert perm_rank(perm_unrank(n, r)) == r
-    assert perm_unrank(4, 0) == (0, 1, 2, 3)
+        S = SymmetricGroup(n)
+        for x, p in enumerate(itertools.permutations(range(n))):
+            assert S.perm(x) == p
+            assert S.from_perm(p) == x
+    assert SymmetricGroup(4).perm(0) == (0, 1, 2, 3)
 
 
-def test_perm_compose_left_to_right():
+def test_symmetric_compose_left_to_right():
     # apply (0 1) then (1 2): 0 -> 1 -> 2
-    a = (1, 0, 2)
-    b = (0, 2, 1)
-    assert perm_compose(a, b) == (2, 0, 1)
-    assert perm_compose(a, perm_inverse(a)) == (0, 1, 2)
+    S = SymmetricGroup(3)
+    a = S.from_perm((1, 0, 2))
+    b = S.from_perm((0, 2, 1))
+    ab = S.compose(a, b)
+    assert type(ab) is int
+    assert S.perm(ab) == (2, 0, 1)
+    assert S.compose(a, S.inverse(a)) == S.identity
 
 
 def test_cycle_notation_parse_roundtrip():
@@ -237,3 +244,153 @@ def test_center():
     assert make_symmetric(4).center().order == 1
     assert make_dihedral(4).center().order == 2
     assert make_sl2(5).center().order == 2
+
+
+# ---------------------------------------------------------------------------
+# tables against references written from each family's definition
+
+def _gf_ops(q):
+    """Addition, negation and multiplication tables of GF(q), written out.
+
+    GF(8) is bit polynomials reduced by x^3 + x + 1; GF(9) is a0 + a1 x
+    (id a0 + 3 a1) with x^2 = 2 over GF(3); prime q is arithmetic mod q.
+    """
+    def add(a, b):
+        if q == 8:
+            return a ^ b
+        if q == 9:
+            return (a + b) % 3 + 3 * ((a // 3 + b // 3) % 3)
+        return (a + b) % q
+
+    def mul(a, b):
+        if q == 8:
+            r = 0
+            for i in range(3):
+                if b >> i & 1:
+                    r ^= a << i
+            for k in (4, 3):
+                if r >> k & 1:
+                    r ^= 0b1011 << (k - 3)
+            return r
+        if q == 9:
+            a0, a1, b0, b1 = a % 3, a // 3, b % 3, b // 3
+            return (a0 * b0 + 2 * a1 * b1) % 3 + 3 * ((a0 * b1 + a1 * b0) % 3)
+        return a * b % q
+
+    def neg(a):
+        if q == 8:
+            return a
+        if q == 9:
+            return -a % 3 + 3 * (-(a // 3) % 3)
+        return -a % q
+
+    return ([[add(a, b) for b in range(q)] for a in range(q)], neg,
+            [[mul(a, b) for b in range(q)] for a in range(q)])
+
+
+def _matrix_reference(G):
+    """Matrix products over GF(q); PSL2 ids match a product up to sign."""
+    add, neg, mul = _gf_ops(G.q)
+    mats = [G.matrix(x) for x in range(G.order)]
+    ids = {m: x for x, m in enumerate(mats)}
+    if isinstance(G, PSL2Group):
+        ids.update({tuple(neg(v) for v in m): x for x, m in enumerate(mats)})
+
+    def product(m, n):
+        a, b, c, d = m
+        e, f, g, h = n
+        return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
+
+    return [[ids[product(m, n)] for n in mats] for m in mats]
+
+
+def _tuple_product(p, q):
+    """Apply p, then q."""
+    return tuple(q[i] for i in p)
+
+
+def _symmetric_reference(G):
+    perms = [G.perm(x) for x in range(G.order)]
+    ids = {p: x for x, p in enumerate(perms)}
+    return [[ids[_tuple_product(p, q)] for q in perms] for p in perms]
+
+
+def _wreath_reference(W):
+    """(p1,s1,0)(p2,s2,b) = (p1p2, s1s2, b); (p1,s1,1)(p2,s2,b) =
+    (p1s2, s1p2, 1+b), with ids b f^2 + p f + s over f = |S_n|."""
+    base = [W.base.perm(x) for x in range(W.base.order)]
+    ids = {p: x for x, p in enumerate(base)}
+    f = len(base)
+
+    def mul(x, y):
+        b1, p1, s1 = x // (f * f), x // f % f, x % f
+        b2, p2, s2 = y // (f * f), y // f % f, y % f
+        if b1:
+            p2, s2 = s2, p2
+        p = ids[_tuple_product(base[p1], base[p2])]
+        s = ids[_tuple_product(base[s1], base[s2])]
+        return (b1 ^ b2) * f * f + p * f + s
+
+    return [[mul(x, y) for y in range(W.order)] for x in range(W.order)]
+
+
+def _dihedral_reference(D):
+    """r^a s^b r^c s^d = r^(a + (-1)^b c) s^(b + d); id = b n + a."""
+    n = D.n
+    return [[(b ^ d) * n + (a + (-c if b else c)) % n
+             for d in range(2) for c in range(n)]
+            for b in range(2) for a in range(n)]
+
+
+def _power_reference(P):
+    """Componentwise tuple products; ids little-endian in base |S_3|."""
+    base = [P.base.perm(x) for x in range(P.base.order)]
+    ids = {p: x for x, p in enumerate(base)}
+    f = len(base)
+
+    def mul(x, y):
+        return sum(ids[_tuple_product(base[x // f ** i % f],
+                                      base[y // f ** i % f])] * f ** i
+                   for i in range(P.n))
+
+    return [[mul(x, y) for y in range(P.order)] for x in range(P.order)]
+
+
+REFERENCES = {
+    "s4": _symmetric_reference,
+    "psl2:5": _matrix_reference,
+    "psl2:8": _matrix_reference,
+    "sl2:5": _matrix_reference,
+    "sl2:9": _matrix_reference,
+    "wreath:3": _wreath_reference,
+    "dihedral:6": _dihedral_reference,
+    "power:s3^2": _power_reference,
+}
+
+
+@pytest.mark.parametrize("spec", REFERENCES)
+def test_table_and_classes_match_definition(spec):
+    G = make_group(spec)
+    ref = np.array(REFERENCES[spec](G))
+    assert np.array_equal(G.table(), ref)
+    # classes: conjugation orbits in the reference, by (size, smallest id)
+    e = G.identity
+    inv = np.argmax(ref == e, axis=1)
+    orbits = {tuple(np.unique(ref[ref[:, x], inv]).tolist())
+              for x in range(G.order)}
+    assert G.conjugacy_classes() == sorted(orbits, key=lambda c: (len(c), c[0]))
+    # the rule without the table gives the same entries
+    H = make_group(spec)
+    ids = np.arange(G.order)
+    assert np.array_equal(H.compose(ids[:, None], ids), ref)
+    assert np.array_equal(H.inverse(ids), inv)
+
+
+def test_psl2_from_perm_refuses_non_members():
+    P = make_psl2(5)
+    assert P.from_perm(P.perm(7)) == 7
+    with pytest.raises(ValueError, match="not an element of psl2:5"):
+        P.from_perm((1, 0, 2, 3, 4, 5))   # odd, so outside PSL(2,5) < A_6
+    with pytest.raises(ValueError, match="not an element"):
+        P.from_perm((5, 4, 3, 2, 1, 0))   # past the largest code
