@@ -264,8 +264,9 @@ def group_report(group, irreps, h, eps, t=1, threshold=DEFAULT_THRESHOLD,
 # wreath-product family S_n wr S_2 with the coordinate-swap involution
 
 def _symmetric_degrees(n):
-    from .irreps import hook_length_degree, partition_label, partitions
-    return [(partition_label(p), hook_length_degree(p)) for p in partitions(n)]
+    """(partition, exact hook-length degree) for every S_n irrep."""
+    from .irreps import hook_length_degree, partitions
+    return [(lam, hook_length_degree(lam)) for lam in partitions(n)]
 
 
 def wreath_params(n, eps=None):
@@ -282,6 +283,7 @@ def wreath_params(n, eps=None):
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
+    from .irreps import partition_label
     degs = _symmetric_degrees(n)
     order = 2 * math.factorial(n) ** 2
     sum_d_small = sum(d for _, d in degs)
@@ -293,10 +295,11 @@ def wreath_params(n, eps=None):
     nn = n ** n
     if eps is None:
         eps = float(n) ** (-n / 4)
-        in_s = [(lab, d) for lab, d in degs if d ** 4 <= nn]
+        in_s = [(partition_label(lam), d) for lam, d in degs if d ** 4 <= nn]
     else:
         eps = float(eps)
-        in_s = [(lab, d) for lab, d in degs if 1.0 / d >= eps]
+        in_s = [(partition_label(lam), d) for lam, d in degs
+                if 1.0 / d >= eps]
     s_labels = ([f"theta{lab}" for lab, _ in in_s]
                 + [f"theta'{lab}" for lab, _ in in_s])
     d_eps = 2 * sum(d ** 4 for _, d in in_s)

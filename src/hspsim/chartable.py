@@ -15,6 +15,10 @@ from .util import ResourceCap, fmt_complex
 # of address space and cyclic:2400 did not.  The limit admits n <= 2193.
 EXPLICIT_TABLE_ENTRY_BYTES = 170
 EXPLICIT_TABLE_BYTES = 780 << 20
+# The numeric table holds its class constants as an r x r x r float64 array
+# (r classes).  dihedral:952 (r = 479) ran in 1 GiB of address space and
+# dihedral:954 (r = 480) did not; the limit admits r <= 479.
+CLASS_CONSTANT_BYTES = 840 << 20
 
 
 class CharacterTable:
@@ -88,6 +92,12 @@ def character_table_numeric(group, seed=0):
     G = group
     classes = G.conjugacy_classes()
     r = len(classes)
+    need = 8 * r ** 3
+    if need > CLASS_CONSTANT_BYTES:
+        raise ResourceCap(
+            f"class constants of the {G.kind} group of order {G.order} "
+            f"({r} classes) need {need:.3g} bytes "
+            f"(limit {CLASS_CONSTANT_BYTES:.3g})")
     cls_index = np.empty(G.order, dtype=np.int64)
     for i, c in enumerate(classes):
         cls_index[list(c)] = i

@@ -27,6 +27,10 @@ HOM_CHECK_WORK = 2e9
 # irreps_cyclic(n) holds 16 n^2 bytes.  The budget admits n <= 5792 (n = 5480
 # ran in 1 GiB of address space before the cap, 5500 did not); z20000 is not.
 CYCLIC_IRREP_BYTES = 512 << 20
+# A segment of the numeric decomposition is skipped as a repeated copy only
+# when its norm and its overlap with a built piece are this close to 1, a
+# hundred times inside the 1e-6 tests that the built pieces go through.
+REPEAT_TOL = 1e-8
 
 
 class Irrep:
@@ -68,16 +72,18 @@ def _conj_label(label):
 
 def partitions(n):
     """All partitions of n in descending lexicographic order."""
-    out = []
+    out, prefix = [], []
 
-    def rec(rem, mx, prefix):
+    def rec(rem, mx):
         if rem == 0:
             out.append(tuple(prefix))
             return
         for k in range(min(rem, mx), 0, -1):
-            rec(rem - k, k, prefix + [k])
+            prefix.append(k)
+            rec(rem - k, k)
+            prefix.pop()
 
-    rec(n, n, [])
+    rec(n, n)
     return out
 
 
@@ -86,14 +92,18 @@ def partition_label(lam):
 
 
 def hook_length_degree(lam):
-    n = sum(lam)
-    prod = 1
-    for i, row in enumerate(lam):
+    """Degree of the S_n irrep lam by the hook length formula.
+
+    With conj the conjugate partition, the hook of cell (i, j) is
+    (lam[i] - j - 1) + (conj[j] - i - 1) + 1.
+    """
+    conj = [0] * (lam[0] if lam else 0)
+    for row in lam:
         for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for r in lam[i + 1:] if r > j)
-            prod *= arm + leg + 1
-    return math.factorial(n) // prod
+            conj[j] += 1
+    hooks = math.prod(row - j + conj[j] - i - 1
+                      for i, row in enumerate(lam) for j in range(row))
+    return math.factorial(sum(lam)) // hooks
 
 
 def standard_tableaux(lam):
@@ -248,11 +258,34 @@ def _char_norm(mats):
     return float(np.vdot(chi, chi).real) / mats.shape[0]
 
 
-def _split_unitary_rep(mats, tol, rng, depth=0):
-    """Recursively split a unitary rep (stacked matrices) into irreducibles."""
+class _Pieces(list):
+    """Irreducible pieces found so far, plus the conjugacy classes on which
+    a new segment's character is compared with theirs."""
+
+    def __init__(self, group):
+        super().__init__()
+        classes = group.conjugacy_classes()
+        self.reps = np.array([c[0] for c in classes])
+        self.weights = np.array([len(c) for c in classes]) / group.order
+
+    def is_repeat(self, chi):
+        """True when chi (at the class representatives) is clearly
+        irreducible and already the character of a piece; an ambiguous
+        case says False and gets built."""
+        wchi = self.weights * chi
+        if abs(np.vdot(chi, wchi).real - 1.0) >= REPEAT_TOL:
+            return False
+        return any(abs(np.vdot(np.einsum("gii->g", p[self.reps]), wchi).real
+                       - 1.0) < REPEAT_TOL for p in self)
+
+
+def _split_unitary_rep(mats, tol, rng, out, depth=0):
+    """Recursively split a unitary rep (stacked matrices) into irreducibles,
+    appending them to out (a _Pieces)."""
     m = mats.shape[1]
     if m == 1 or abs(_char_norm(mats) - 1.0) < 1e-6:
-        return [mats]
+        out.append(mats)
+        return
     if depth > 12:
         raise RuntimeError("representation failed to split")
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -263,13 +296,28 @@ def _split_unitary_rep(mats, tol, rng, depth=0):
     segs = _cluster(w, tol)
     if len(segs) == 1:
         # non-generic draw; try again
-        return _split_unitary_rep(mats, tol, rng, depth + 1)
-    out = []
+        _split_unitary_rep(mats, tol, rng, out, depth + 1)
+        return
+    at_reps = mats[out.reps]
+    _split_segments(
+        V, segs, lambda U: np.einsum("ji,gjk,ki->g", U.conj(), at_reps, U),
+        lambda U: np.einsum("ji,gjk,kl->gil", U.conj(), mats, U),
+        tol, rng, out, depth + 1)
+
+
+def _split_segments(V, segs, char_of, build, tol, rng, out, depth):
+    """Split each eigenspace V[:, a:b] of a commutant element into out.
+
+    char_of(U) is the character of a segment at the class representatives
+    and build(U) its matrix stack.  A segment that is another copy of a
+    piece already in out is skipped unbuilt.  It would not have drawn from
+    rng, so the pieces that are built come out the same as when every
+    segment is built.
+    """
     for a, b in segs:
         U = V[:, a:b]
-        sub = np.einsum("ji,gjk,kl->gil", U.conj(), mats, U)
-        out.extend(_split_unitary_rep(sub, tol, rng, depth + 1))
-    return out
+        if not out.is_repeat(char_of(U)):
+            _split_unitary_rep(build(U), tol, rng, out, depth)
 
 
 def irreps_generic(group, tol=1e-6, seed=0):
@@ -323,21 +371,28 @@ def _decompose_regular(group, table, invs, tol, rng):
     rows = np.arange(N)
     for z in range(N):
         m[z] = M[rows, table[:, z]].mean()
-    C = m[table[invs, :]]
+    left = table[invs, :]  # left[g, a] = g^{-1} a
+    C = m[left]
     C = (C + C.conj().T) / 2
     w, V = np.linalg.eigh(C)
     segs = _cluster(w, tol)
     if len(segs) < 2 and N > 1:
         raise RuntimeError("commutant average did not split")
-    out = []
-    for a, b in segs:
-        U = V[:, a:b]
-        Uh = U.conj().T
+
+    def build(U):
         # rho(g) = U^dag R(g) U and (R(g) U)[a] = U[g^{-1} a]
-        sub = np.empty((N, b - a, b - a), dtype=np.complex128)
+        Uh = U.conj().T
+        sub = np.empty((N, U.shape[1], U.shape[1]), dtype=np.complex128)
         for g in range(N):
-            sub[g] = Uh @ U[table[invs[g], :], :]
-        out.extend(_split_unitary_rep(sub, tol, rng))
+            sub[g] = Uh @ U[left[g], :]
+        return sub
+
+    out = _Pieces(group)
+    # the trace of U^dag R(g) U is sum_a U[a]^dag U[g^{-1} a]
+    at_reps = left[out.reps]
+    _split_segments(
+        V, segs, lambda U: np.einsum("kai,ai->k", U[at_reps], U.conj()),
+        build, tol, rng, out, 0)
     return out
 
 

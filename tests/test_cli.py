@@ -137,6 +137,25 @@ def test_explicit_table_cap_admits_cyclic_2000():
     assert EXPLICIT_TABLE_ENTRY_BYTES * 2400 ** 2 > EXPLICIT_TABLE_BYTES
 
 
+def test_dihedral_1000_chartable_refused_in_1gib():
+    # 503 classes: the r x r x r class constants are 1.02e9 bytes; before the
+    # cap it died with a MemoryError traceback
+    proc = _cli_under_1gib("chartable", "--group", "dihedral:1000")
+    assert proc.returncode == 69, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "hspsim chartable: resource cap: class constants of the dihedral "
+        "group of order 2000 (503 classes) need 1.02e+09 bytes "
+        "(limit 8.81e+08)\n")
+
+
+def test_class_constant_cap_admits_479_classes():
+    from hspsim.chartable import CLASS_CONSTANT_BYTES
+    # dihedral:952 (479 classes) ran in 1 GiB of address space and
+    # dihedral:954 (480 classes) did not
+    assert 8 * 479 ** 3 <= CLASS_CONSTANT_BYTES < 8 * 480 ** 3
+
+
 def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
     def no_check(*args, **kwargs):
         raise AssertionError("a check ran")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import hspsim.irreps as irrmod
 from hspsim.groups import (
-    make_cyclic, make_dihedral, make_psl2, make_symmetric, make_wreath_s2,
+    make_cyclic, make_dihedral, make_group, make_psl2, make_symmetric,
+    make_wreath_s2,
 )
 from hspsim.irreps import (
     Irrep, canonical_sort, hook_length_degree, irreps_cyclic,
@@ -28,6 +31,60 @@ def test_hook_degrees_and_tableaux():
         assert [hook_length_degree(lam) for lam in partitions(n)] == degs
         for lam, d in zip(partitions(n), degs):
             assert len(standard_tableaux(lam)) == d
+
+
+def _hook_degree_per_cell(lam):
+    """The hook length formula with each leg counted over the lower rows."""
+    prod = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            leg = sum(1 for r in lam[i + 1:] if r > j)
+            prod *= (row - j - 1) + leg + 1
+    return math.factorial(sum(lam)) // prod
+
+
+def test_hook_degree_matches_per_cell_formula():
+    for n in range(19):
+        for lam in partitions(n):
+            assert hook_length_degree(lam) == _hook_degree_per_cell(lam), lam
+
+
+def test_hook_degree_of_empty_partition():
+    assert partitions(0) == [()]
+    assert hook_length_degree(()) == 1
+
+
+def test_hook_degree_sums_count_involutions():
+    # sum_lam d_lam is the number of involutions (with the identity) of S_n,
+    # I(n) = I(n-1) + (n-1) I(n-2), and sum_lam d_lam^2 = n!
+    inv = [1, 1]
+    for n in range(2, 26):
+        inv.append(inv[n - 1] + (n - 1) * inv[n - 2])
+    for n in range(26):
+        degs = [hook_length_degree(lam) for lam in partitions(n)]
+        assert all(isinstance(d, int) for d in degs)
+        assert sum(degs) == inv[n]
+        assert sum(d * d for d in degs) == math.factorial(n)
+
+
+@st.composite
+def _partitions_up_to_30(draw):
+    rem, parts = draw(st.integers(1, 30)), []
+    while rem:
+        parts.append(draw(st.integers(1, rem)))
+        rem -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@given(_partitions_up_to_30())
+def test_hook_degree_branching_rule(lam):
+    # d_lam is the sum of d_mu over the mu obtained by removing one corner
+    below = 0
+    for i, row in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < row:
+            mu = lam[:i] + ((row - 1,) if row > 1 else ()) + lam[i + 1:]
+            below += hook_length_degree(mu)
+    assert hook_length_degree(lam) == below
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -171,6 +228,87 @@ def test_generic_decomposition(make, arg, degrees):
         assert hom_unitarity_error(r) < 1e-9
     # labels follow the canonical order
     assert [r.label for r in reps] == [f"rho{i}" for i in range(len(reps))]
+
+
+def _split_old(mats, tol, rng, depth=0):
+    """_split_unitary_rep before repeated copies were skipped."""
+    m = mats.shape[1]
+    if m == 1 or abs(irrmod._char_norm(mats) - 1.0) < 1e-6:
+        return [mats]
+    if depth > 12:
+        raise RuntimeError("representation failed to split")
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    M = (A + A.conj().T) / 2
+    C = np.einsum("gij,jk,glk->il", mats, M, mats.conj()) / mats.shape[0]
+    C = (C + C.conj().T) / 2
+    w, V = np.linalg.eigh(C)
+    segs = irrmod._cluster(w, tol)
+    if len(segs) == 1:
+        return _split_old(mats, tol, rng, depth + 1)
+    out = []
+    for a, b in segs:
+        U = V[:, a:b]
+        sub = np.einsum("ji,gjk,kl->gil", U.conj(), mats, U)
+        out.extend(_split_old(sub, tol, rng, depth + 1))
+    return out
+
+
+def _decompose_old(group, table, invs, tol, rng):
+    """_decompose_regular building every eigenspace segment."""
+    N = group.order
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    M = (A + A.conj().T) / 2
+    m = np.empty(N, dtype=np.complex128)
+    rows = np.arange(N)
+    for z in range(N):
+        m[z] = M[rows, table[:, z]].mean()
+    C = m[table[invs, :]]
+    C = (C + C.conj().T) / 2
+    w, V = np.linalg.eigh(C)
+    segs = irrmod._cluster(w, tol)
+    if len(segs) < 2 and N > 1:
+        raise RuntimeError("commutant average did not split")
+    out = []
+    for a, b in segs:
+        U = V[:, a:b]
+        Uh = U.conj().T
+        sub = np.empty((N, b - a, b - a), dtype=np.complex128)
+        for g in range(N):
+            sub[g] = Uh @ U[table[invs[g], :], :]
+        out.extend(_split_old(sub, tol, rng))
+    return out
+
+
+@pytest.mark.parametrize("spec, tol", [
+    ("psl2:5", 1e-6), ("psl2:7", 1e-6), ("sl2:5", 1e-6), ("dihedral:6", 1e-6),
+    ("power:s3^2", 1e-6),
+    # a coarse tolerance merges eigenspaces of different irreps, so some
+    # segments are reducible and split again, drawing from the generator
+    ("psl2:5", 0.1), ("sl2:5", 0.1),
+])
+def test_generic_same_as_building_every_segment(monkeypatch, spec, tol):
+    G = make_group(spec)
+    got = irreps_generic(G, tol=tol)
+    monkeypatch.setattr(irrmod, "_decompose_regular", _decompose_old)
+    want = irreps_generic(G, tol=tol)
+    assert [r.label for r in got] == [r.label for r in want]
+    for r, w in zip(got, want):
+        assert np.array_equal(r.mats, w.mats), r.label
+
+
+def test_generic_builds_each_irrep_once(monkeypatch):
+    # psl2:7 has irreps of degrees 1, 3, 3, 6, 7, 8: 28 eigenspace segments,
+    # of which only the first copy of each irrep is built
+    calls = []
+    split = irrmod._split_unitary_rep
+
+    def counting(mats, *args, **kwargs):
+        calls.append(mats.shape[1])
+        return split(mats, *args, **kwargs)
+
+    monkeypatch.setattr(irrmod, "_split_unitary_rep", counting)
+    reps = irreps_generic(make_psl2(7))
+    assert sorted(calls) == sorted(r.degree for r in reps) == [1, 3, 3, 6, 7, 8]
 
 
 def test_generic_deterministic():
