@@ -6,19 +6,8 @@ import io
 
 import numpy as np
 
-from .irreps import canonical_sort, explicit_construction
-from .util import ResourceCap, fmt_complex
-
-# A table from explicit irreps peaks near 170 bytes per |G|^2 entry: the
-# irreps, their characters, canonical_sort's keys and the CSV text.
-# chartable --group cyclic:2000 peaked at 676 MB; cyclic:2200 ran in 1 GiB
-# of address space and cyclic:2400 did not.  The limit admits n <= 2193.
-EXPLICIT_TABLE_ENTRY_BYTES = 170
-EXPLICIT_TABLE_BYTES = 780 << 20
-# The numeric table holds its class constants as an r x r x r float64 array
-# (r classes).  dihedral:952 (r = 479) ran in 1 GiB of address space and
-# dihedral:954 (r = 480) did not; the limit admits r <= 479.
-CLASS_CONSTANT_BYTES = 840 << 20
+from .irreps import canonical_sort, character_key, explicit_construction
+from .util import fmt_complex, require
 
 
 class CharacterTable:
@@ -92,12 +81,9 @@ def character_table_numeric(group, seed=0):
     G = group
     classes = G.conjugacy_classes()
     r = len(classes)
-    need = 8 * r ** 3
-    if need > CLASS_CONSTANT_BYTES:
-        raise ResourceCap(
-            f"class constants of the {G.kind} group of order {G.order} "
-            f"({r} classes) need {need:.3g} bytes "
-            f"(limit {CLASS_CONSTANT_BYTES:.3g})")
+    # the class constants are one r x r x r float64 array
+    require(f"class-constant array of the {G.kind} group of order "
+            f"{G.order} ({r} classes)", bytes=8 * r ** 3)
     cls_index = np.empty(G.order, dtype=np.int64)
     for i, c in enumerate(classes):
         cls_index[list(c)] = i
@@ -139,8 +125,7 @@ def character_table_numeric(group, seed=0):
         if not ok:
             last = "eigenvector did not normalize to a character"
             continue
-        rows.sort(key=lambda t: (t[0], tuple((-round(z.real, 8), -round(z.imag, 8))
-                                             for z in t[1])))
+        rows.sort(key=lambda t: character_key(*t))
         values = np.array([chi for _, chi in rows])
         tab = CharacterTable(G, [f"rho{i}" for i in range(r)],
                              [d for d, _ in rows], values)
@@ -154,19 +139,16 @@ def best_character_table(group, seed=0):
     """Character table with the most informative labels available.
 
     Groups with explicit irreps (see irreps.explicit_construction) get
-    their labelled rows, refused before they are built past
-    EXPLICIT_TABLE_BYTES; the rest get the purely numeric class-sum table
+    their labelled rows; the rest get the purely numeric class-sum table
     with rho<i> labels.
     """
     build = explicit_construction(group)
     if build is None:
         return character_table_numeric(group, seed=seed)
-    need = EXPLICIT_TABLE_ENTRY_BYTES * group.order ** 2
-    if need > EXPLICIT_TABLE_BYTES:
-        raise ResourceCap(
-            f"character table of the {group.kind} group of order "
-            f"{group.order} needs about {need:.3g} bytes "
-            f"(limit {EXPLICIT_TABLE_BYTES:.3g})")
+    # about 170 bytes per |G|^2 entry at the peak: the irreps, characters,
+    # sort keys and CSV text (chartable --group cyclic:2193 peaked at 806 MB)
+    require(f"character table of the {group.kind} group of order "
+            f"{group.order}", bytes=170 * group.order ** 2)
     return CharacterTable.from_irreps(group, build())
 
 

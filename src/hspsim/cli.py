@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 
@@ -24,17 +25,14 @@ from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table
 from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
-from .util import (THREADS_ENV, ResourceCap, dumps_report, fmt_float,
-                   pairwise_sum, timestamp)
+from .util import (STEP_WORK, THREADS_ENV, ResourceCap, dumps_report,
+                   fmt_float, pairwise_sum, require, timestamp)
 
 EX_OK = 0
 EX_VERIFY_FAIL = 1
 EX_INAPPLICABLE = 2
 EX_USAGE = 64
 EX_RESOURCE = 69
-# The facts suite makes |Ghat|^2 Python-level calls (Schur pairs and n = 1
-# multiplicities) at about 60 us each: cyclic:300 (9e4 pairs) takes 5 s.
-FACTS_PAIR_LIMIT = 100_000
 
 class UsageError(ValueError):
     """Missing, invalid or contradictory command-line arguments."""
@@ -195,42 +193,51 @@ def write_output(text, out):
 # ---------------------------------------------------------------------------
 # bound
 
+FAMILY_FLAGS = {"wreath": ("n",), "psl2": ("q",), "power": ("group", "n"),
+                "gl": ("n", "p"), "group": ("group",)}
+
+
 def cmd_bound(args):
     t = args.t
     if t < 1:
         raise UsageError("--t must be at least 1")
+    if args.m < 1:
+        raise UsageError(f"argument --m: must be at least 1, got {args.m}")
+    if args.k_max > 1023:  # 2^k passes the float range
+        raise UsageError(f"argument --k-max: must be at most 1023, got "
+                         f"{args.k_max}")
+    need = FAMILY_FLAGS[args.family]
+    if any(getattr(args, name) is None for name in need):
+        raise UsageError(f"--family {args.family} requires "
+                         + " and ".join(f"--{name}" for name in need))
     if args.family == "wreath":
-        if args.n is None:
-            raise UsageError("--family wreath requires --n")
         rep = bounds.wreath_bound(args.n, eps=args.epsilon, t=t,
                                   threshold=args.threshold, k_max=args.k_max)
         spec = f"wreath:{args.n}"
     elif args.family == "psl2":
-        if args.q is None:
-            raise UsageError("--family psl2 requires --q")
         rep = bounds.psl_bound(args.q, eps=args.epsilon, t=t,
                                threshold=args.threshold, k_max=args.k_max)
         spec = f"psl2:{args.q}"
     elif args.family == "power":
-        if args.group is None or args.n is None:
-            raise UsageError("--family power requires --group and --n")
         base = make_group(args.group)
         h = resolve_h(base, args.h)
+        # the report holds |G|^n as a float; log rounds up at |G| = 2
+        n_max = int(math.log(sys.float_info.max, base.order))
+        n_max -= base.order ** n_max > sys.float_info.max
+        if args.n > n_max:
+            raise UsageError(f"argument --n: must be at most {n_max} for "
+                             f"{spec_of(base)}, got {args.n}")
         rep = bounds.direct_power_bound(base, h, args.n, c=args.c, t_states=t,
                                         threshold=args.threshold,
                                         k_max=args.k_max)
         spec = f"power:{spec_of(base)}^{args.n}"
     elif args.family == "gl":
-        if args.n is None or args.p is None:
-            raise UsageError("--family gl requires --n and --p")
         obj = bounds.gl_bound(args.n, args.p, args.m)
         spec = f"gl({args.n},{args.p}^{args.m})"
         report = {"header": make_header(args.seed, spec), **obj}
         write_output(render_report(report, args.format), args.out)
         return EX_OK
     else:  # generic group family
-        if args.group is None:
-            raise UsageError("--family group requires --group")
         G = make_group(args.group)
         h = resolve_h(G, args.h)
         irr = irrmod.irreps_for(G, seed=args.seed)
@@ -252,14 +259,11 @@ def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
     threads = resolve_threads(args.threads)
-    # sum of d^2 is |G|, so the budget is known without the irreps; the
-    # character table is built only to name the largest tuple in a refusal
-    if float(G.order) ** args.k > simulate.REGISTER_BUDGET:
-        table = best_character_table(G, seed=args.seed)
-        simulate.register_budget(table.labels, table.degrees, args.k)
     irr = irrmod.irreps_for(G, seed=args.seed)
     if args.frames < 1:
         raise UsageError("--frames must be at least 1")
+    simulate.require_sampling(irr, args.k, args.frame_kind,
+                              len(G.class_of(h)), args.frames)
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
     per_seed = []
@@ -327,10 +331,13 @@ def _check(name, ok, lhs=None, rhs=None, detail=None, warn=False):
 
 def _suite_facts(G, args):
     from . import fourier
+    ns = (1, 2) if G.order <= 40 else (1,)
+    # a loop step per Schur pair and multiplicity tuple of the r irreps (one
+    # per class); the Schur sums are |G|^3
+    r = len(G.conjugacy_classes())
+    require(f"facts suite over {r} irreps", work=G.order ** 3 + STEP_WORK * (
+        r * r + sum(r ** (n + 1) for n in ns)))
     irr = irrmod.irreps_for(G, seed=args.seed)
-    if len(irr) ** 2 > FACTS_PAIR_LIMIT:
-        raise ResourceCap(f"facts suite checks {len(irr) ** 2} pairs of "
-                          f"irreps (limit {FACTS_PAIR_LIMIT})")
     checks = []
     # largest degree first, so an over-budget check is refused before the
     # multiplication table is built
@@ -357,7 +364,6 @@ def _suite_facts(G, args):
                 for d, s in ((4, 1), (6, 3), (9, 5)))
     checks.append(_check("projected length averages to rank/dim",
                          worst < 1e-8, lhs=worst, rhs=1e-8))
-    ns = (1, 2) if G.order <= 40 else (1,)
     worst = max(fourier.check_expected_multiplicity(G, irr, n, tau)
                 for n in ns for tau in irr)
     checks.append(_check("expected tuple multiplicity", worst < 1e-8,
@@ -370,14 +376,16 @@ def _suite_lemmas(G, args):
     threads = resolve_threads(args.threads)
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
-    if G.order <= simulate.ROUNDTRIP_ORDER_LIMIT:
-        H = order_two_subgroup(G, h)
-        err = simulate.fourier_roundtrip_error(G, H, irr)
-        checks.append(_check("transform diagonalizes the hidden-subgroup state",
-                             err < 1e-9, lhs=err, rhs=1e-9))
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind,
                                  threads=threads)
+    try:  # reported first, run once the suite has passed its estimates
+        err = simulate.fourier_roundtrip_error(G, order_two_subgroup(G, h),
+                                               irr)
+        checks.append(_check("transform diagonalizes the hidden-subgroup state",
+                             err < 1e-9, lhs=err, rhs=1e-9))
+    except ResourceCap:  # too large to run; the suite stands without it
+        pass
     for entry in suite:  # pass None marks an informational WARN
         checks.append(_check(entry["check"], bool(entry["pass"]),
                              lhs=entry["lhs"], rhs=entry["rhs"],
@@ -454,7 +462,10 @@ def cmd_chartable(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has written its message or help
+        return e.code
     handlers = {
         "bound": cmd_bound,
         "simulate": cmd_simulate,
@@ -462,6 +473,11 @@ def main(argv=None):
         "chartable": cmd_chartable,
     }
     try:
+        for name in ("epsilon", "threshold"):  # NaN fails both comparisons
+            value = getattr(args, name, None)
+            if value is not None and not 0 <= value < math.inf:
+                raise UsageError(f"argument --{name}: must be a finite "
+                                 f"number >= 0, got {value}")
         return handlers[args.command](args)
     except bounds.CorollaryInapplicable as e:
         label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e

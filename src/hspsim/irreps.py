@@ -10,23 +10,15 @@ import math
 import numpy as np
 
 from .groups import CyclicGroup, SymmetricGroup, WreathS2Group
-from .util import ResourceCap, kron_stack
+from .util import STEP_WORK, kron_stack, require
 
 # Largest n with an explicit construction: Young's orthogonal form for S_n,
 # and the wreath construction built on it for S_n wr S_2.
 YOUNG_MAX_N = 5
 WREATH_IRREPS_MAX_N = 4
-# The numeric decomposition holds dense |G| x |G| complex matrices.
-GENERIC_ORDER_LIMIT = 700
-# The all-pairs homomorphism check does |G|^2 d^3 multiply-adds in blocks
-# of rows whose two complex tensors fit HOM_CHECK_BYTES (psl2:7 in one).
-# psl2:11 at d = 12 (7.5e8) takes seconds; wreath:4 at d = 18 (7.7e9) would
-# take a minute, so the facts suite refuses it.
+# The all-pairs homomorphism check runs in blocks of rows whose two complex
+# tensors fit HOM_CHECK_BYTES (psl2:7 in one).
 HOM_CHECK_BYTES = 64 << 20
-HOM_CHECK_WORK = 2e9
-# irreps_cyclic(n) holds 16 n^2 bytes.  The budget admits n <= 5792 (n = 5480
-# ran in 1 GiB of address space before the cap, 5500 did not); z20000 is not.
-CYCLIC_IRREP_BYTES = 512 << 20
 # A segment of the numeric decomposition is skipped as a repeated copy only
 # when its norm and its overlap with a built piece are this close to 1, a
 # hundred times inside the 1e-6 tests that the built pieces go through.
@@ -185,10 +177,10 @@ def irreps_symmetric(n):
 
 
 def irreps_cyclic(n):
-    if 16 * n * n > CYCLIC_IRREP_BYTES:
-        raise ResourceCap(
-            f"irreps of the cyclic group of order {n} need "
-            f"{16 * n * n:.3g} bytes (limit {CYCLIC_IRREP_BYTES:.3g})")
+    # n irreps of n complex entries, and as many again for their characters
+    # (bound --family group --group cyclic:5480 peaked at 951 MB)
+    require(f"irrep construction for the cyclic group of order {n}",
+            bytes=32 * n * n)
     G = CyclicGroup(n)
     out = []
     for j in range(n):
@@ -330,16 +322,19 @@ def irreps_generic(group, tol=1e-6, seed=0):
     sorted and labeled rho0, rho1, ...
     """
     N = group.order
-    if N > GENERIC_ORDER_LIMIT:
-        why = f"numeric irrep construction supports order up to " \
-              f"{GENERIC_ORDER_LIMIT}, got {N}"
-        if isinstance(group, SymmetricGroup):
-            why = f"explicit irreps (Young's form) stop at n <= " \
-                  f"{YOUNG_MAX_N}, and {why}"
-        elif isinstance(group, WreathS2Group):
-            why = f"explicit wreath irreps stop at n <= " \
-                  f"{WREATH_IRREPS_MAX_N}, and {why}"
-        raise ResourceCap(why)
+    stop = {SymmetricGroup: f"explicit irreps (Young's form) stop at n <= "
+                            f"{YOUNG_MAX_N}, and ",
+            WreathS2Group: f"explicit wreath irreps stop at n <= "
+                           f"{WREATH_IRREPS_MAX_N}, and "}.get(type(group), "")
+    what = f"{stop}numeric irrep construction for the {group.kind} group of " \
+           f"order {N}"
+    # eight dense |G| x |G| complex matrices (s6 to sl2:13 peaked 100-125
+    # bytes per entry); eigh and the pieces' matrices, N^3 multiply-adds each,
+    # the segments' character screens at the r classes, r N^2, and a loop
+    # step per element for m and for each of the r pieces
+    require(what, bytes=128 * N * N)
+    r = len(group.conjugacy_classes())
+    require(what, work=2 * N ** 3 + r * N * N + STEP_WORK * N * (r + 1))
     table = group.table()
     invs = group.inverse(np.arange(N))
     last_err = None
@@ -400,12 +395,8 @@ def _dedupe(pieces):
     kept, chars = [], []
     for p in pieces:
         chi = np.einsum("gii->g", p)
-        dup = False
-        for c in chars:
-            if abs(np.vdot(c, chi).real / p.shape[0] - 1.0) < 1e-6:
-                dup = True
-                break
-        if not dup:
+        if not any(abs(np.vdot(c, chi).real / p.shape[0] - 1.0) < 1e-6
+                   for c in chars):
             kept.append(p)
             chars.append(chi)
     return kept
@@ -422,13 +413,15 @@ def canonical_sort(group, irreps):
     the order.  Descending lex puts the trivial character first.
     """
     reps = [c[0] for c in group.conjugacy_classes()]
+    return sorted(irreps,
+                  key=lambda rho: character_key(rho.degree,
+                                                rho.character()[reps]))
 
-    def key(rho):
-        chi = rho.character()[reps]
-        return (rho.degree,
-                tuple((-round(z.real, 8), -round(z.imag, 8)) for z in chi))
 
-    return sorted(irreps, key=key)
+def character_key(degree, chi):
+    """Sort key of a character table row: the degree, then the values at the
+    class representatives, descending lex and rounded to 8 places."""
+    return (degree, tuple((-round(z.real, 8), -round(z.imag, 8)) for z in chi))
 
 
 def explicit_construction(group):
@@ -450,7 +443,7 @@ def explicit_construction(group):
 
 def irreps_for(group, seed=0):
     """Complete unitary irreps: the explicit construction when there is one,
-    else the numeric regular-representation decomposition (order-capped)."""
+    else the numeric regular-representation decomposition."""
     build = explicit_construction(group)
     if build is not None:
         return build()
@@ -463,17 +456,14 @@ def irreps_for(group, seed=0):
 def hom_unitarity_error(rho, pairs=None):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity.
 
-    pairs=None checks all |G|^2 pairs (vectorized in blocks of x, refused
-    with ResourceCap past HOM_CHECK_WORK); otherwise an iterable of (x, y)
-    id pairs.
+    pairs=None checks all |G|^2 pairs (vectorized in blocks of x), |G|^2 d^3
+    multiply-adds; otherwise an iterable of (x, y) id pairs.
     """
     G, mats = rho.group, rho.mats
     N, d = G.order, rho.degree
-    work = N * N * d ** 3
-    if pairs is None and work > HOM_CHECK_WORK:
-        raise ResourceCap(
-            f"all-pairs homomorphism check of {rho.label} needs {work:.3g} "
-            f"multiply-adds (limit {HOM_CHECK_WORK:.0e})")
+    if pairs is None:
+        require(f"all-pairs homomorphism check of {rho.label}",
+                work=N * N * d ** 3)
     eye = np.eye(d)
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
     herr = 0.0

@@ -21,13 +21,9 @@ import numpy as np
 from .fourier import factor_stack, qft, rank_r
 from .frames import random_frame
 from .groups import Subgroup, order_two_subgroup
-from .util import (ResourceCap, kron_apply, kron_stack, pairwise_sum,
-                   parallel_map)
+from .util import (STEP_WORK, kron_apply, kron_stack, pairwise_sum,
+                   parallel_map, require)
 
-COSET_ORDER_LIMIT = 2000
-ROUNDTRIP_ORDER_LIMIT = 100
-REGISTER_BUDGET = 1e8
-MIXED_TRACE_CAPS = ((3, 100), (2, 600))  # allowed (t, |G|) ceilings
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
 SCREEN_TOL = 1e-9
 
@@ -38,21 +34,11 @@ SCREEN_TOL = 1e-9
 def coset_state(group, H):
     """Density matrix (1/|G|) [y, z in the same left coset of H]."""
     N = group.order
-    if N > COSET_ORDER_LIMIT:
-        raise ResourceCap(
-            f"coset state needs order <= {COSET_ORDER_LIMIT}, got {N}")
-    hs = list(H.elements)
-    sigma = np.zeros((N, N))
-    seen = np.zeros(N, dtype=bool)
-    for x in range(N):
-        if seen[x]:
-            continue
-        coset = [group.compose(x, h) for h in hs]
-        for y in coset:
-            seen[y] = True
-            for z in coset:
-                sigma[y, z] = 1.0
-    return sigma / N
+    require(f"coset state of the {group.kind} group of order {N}",
+            bytes=9 * N * N)  # a boolean and a float64 N x N matrix
+    ids = np.arange(N)  # y is labelled by min(yH), the same on its coset
+    coset = np.min([group.compose(ids, h) for h in H.elements], axis=0)
+    return np.equal.outer(coset, coset) / N
 
 
 def fourier_blocks(group, H, irreps):
@@ -77,10 +63,10 @@ def fourier_blocks(group, H, irreps):
 def fourier_roundtrip_error(group, H, irreps):
     """Max deviation between F sigma F^dag and the block expansion."""
     N = group.order
-    if N > ROUNDTRIP_ORDER_LIMIT:
-        raise ResourceCap(
-            f"round-trip check needs order <= {ROUNDTRIP_ORDER_LIMIT}, "
-            f"got {N}")
+    # F, sigma, F sigma, both sides and their difference: six N x N
+    # matrices; two N x N x N products
+    require(f"round-trip check on the {group.kind} group of order {N}",
+            bytes=96 * N * N, work=2 * N ** 3)
     F = qft(group, irreps)
     sigma = coset_state(group, H)
     lhs = F @ sigma @ F.conj().T
@@ -88,9 +74,8 @@ def fourier_roundtrip_error(group, H, irreps):
     pos = 0
     for entry in fourier_blocks(group, H, irreps):
         d = entry["multiplicity"]
-        sub = entry["block"] / d
         for i in range(d):
-            rhs[pos:pos + d, pos:pos + d] = sub
+            rhs[pos:pos + d, pos:pos + d] = entry["block"] / d
             pos += d
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -98,21 +83,26 @@ def fourier_roundtrip_error(group, H, irreps):
 # ---------------------------------------------------------------------------
 # register tuples and frames
 
-def register_budget(labels, degrees, k):
-    """Work estimate (sum over tuples of squared dimension) with a cap.
+def require_sampling(irreps, k, kind="basis", conjugates=0, frames=1):
+    """Refuse `frames` register spaces of k registers over irreps, each
+    evaluated at `conjugates` class elements, before a frame is drawn.
 
-    Needs only the irrep labels and degrees, so callers can check it
-    before any irrep matrix is built.
+    A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
+    81 MB above cyclic:100) and D x m complex frame vectors (m = D, or 2D
+    fused; sum D^2 = |G|^k).  Drawing a frame and each evaluation are steps.
     """
-    total = float(sum(d ** 2 for d in degrees)) ** k
-    if total > REGISTER_BUDGET:
-        big = max(range(len(degrees)), key=degrees.__getitem__)
-        worst = "|".join([labels[big]] * k)
-        raise ResourceCap(
-            f"k={k} needs {total:.3g} work units "
-            f"(limit {REGISTER_BUDGET:.0e}); largest tuple {worst} "
-            f"alone has dimension {degrees[big] ** k}")
-    return total
+    degrees = np.array([r.degree for r in irreps], dtype=float)
+    big = int(np.argmax(degrees))
+    lab = irreps[big].label
+    largest = "|".join([lab] * k) if k <= 4 else f"{lab}|...|{lab}"
+    with np.errstate(over="ignore"):  # past the float range an estimate is inf
+        n = np.float64(len(degrees)) ** k
+        vec = (2 if kind == "fused" else 1) * np.sum(degrees ** 2) ** k
+        require(f"sampling k={k} registers over {len(degrees)} irreps "
+                f"({n:.4g} tuples; largest tuple {largest} has dimension "
+                f"{degrees[big] ** k:.4g})", bytes=1024 * n + 16 * vec,
+                work=frames * (STEP_WORK * n * (1 + conjugates)
+                               + conjugates * vec * k * degrees[big]))
 
 
 def _half_projectors(irreps, tup, c):
@@ -128,7 +118,7 @@ class RegisterSpace:
             raise ValueError("k must be at least 1")
         self.irreps = list(irreps)
         self.degrees = [r.degree for r in self.irreps]
-        register_budget([r.label for r in self.irreps], self.degrees, k)
+        require_sampling(self.irreps, k, kind)
         self.group = group
         self.k = k
         self.kind = kind
@@ -401,10 +391,11 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     reported case and numbers the exact argmin's.
     """
     N = group.order
+    cls = list(group.class_of(h))
+    require_sampling(irreps, k, kind, conjugates=len(cls))
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
     H = order_two_subgroup(group, h)
     ranks = space.tuple_ranks(H)
-    cls = list(group.class_of(h))
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
     delta1 = eps + sum_d * sum_dchi / N
     entries = []
@@ -570,12 +561,16 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
     of E_{x in class}[(x)_i (I + rho_i(x))] - I.
     """
     N = group.order
-    if not any(t <= mt and N <= mo for mt, mo in MIXED_TRACE_CAPS):
-        caps = " or ".join(f"t<={mt} for order<={mo}"
-                           for mt, mo in MIXED_TRACE_CAPS)
-        raise ResourceCap(
-            f"mixed-state distance supports {caps}; got t={t}, order {N}")
     cls = list(group.class_of(h))
+    # per tuple: a loop step, |cls| D^2 for the Kronecker stack (sum D^2 =
+    # |G|^t) and D^3 for eigvalsh; the largest stack and its last product
+    degrees = np.array([r.degree for r in irreps], dtype=float)
+    with np.errstate(over="ignore"):  # past the float range an estimate is inf
+        dmax = degrees.max() ** t
+        require(f"t={t} mixed-state distance over {len(irreps)} irreps",
+                bytes=32 * len(cls) * dmax * dmax,
+                work=STEP_WORK * np.float64(len(irreps)) ** t
+                + len(cls) * np.float64(N) ** t + np.sum(degrees ** 3) ** t)
     stacks = [r.mats[cls] + np.eye(r.degree) for r in irreps]
     contrib = []
     for tup in itertools.product(range(len(irreps)), repeat=t):

@@ -1,5 +1,5 @@
 """Shared helpers: deterministic reductions, Kronecker products, number
-formatting, threading, and the resource-refusal type."""
+formatting, threading, and the resource policy."""
 from __future__ import annotations
 
 import concurrent.futures
@@ -13,12 +13,32 @@ THREADS_ENV = "HSPSIM_THREADS"
 TIMESTAMP_ENV = "HSPSIM_TIMESTAMP"
 
 
-class ResourceCap(ValueError):
-    """A computation refused because its size passes a named limit.
+# Each site that allocates or loops estimates, in place and before it
+# starts, what it will hold and do, and asks require().  Bytes beyond the
+# interpreter, numpy and OpenBLAS: under a 1 GiB RLIMIT_AS the class
+# constants of dihedral:952 (8 r^3 = 879 MB) fit, dihedral:954's do not.
+MEMORY_LIMIT = 840 << 20
+# Multiply-adds: psl2:13's numeric irreps (2.8e9) take 3.3 s in BLAS, and
+# wreath:4's all-pairs homomorphism check (7.7e9, a minute) is refused.
+WORK_LIMIT = 5e9
+# A Python-level loop step with its small numpy calls takes 25-90 us (the
+# facts suite on cyclic:316, 2e5 steps, 4.9 s): a minute of steps at most
+STEP_WORK = 3_000
 
-    Raised before the memory or work is spent, so callers can report it
-    and go on.
-    """
+
+class ResourceCap(ValueError):
+    """A computation refused by require() before its memory or work is
+    spent, so callers can report it and go on."""
+
+
+def require(what, bytes=0, work=0):
+    """Refuse `what` with ResourceCap unless its estimated bytes and
+    multiply-adds fit MEMORY_LIMIT and WORK_LIMIT."""
+    for need, limit, unit in ((bytes, MEMORY_LIMIT, "bytes"),
+                              (work, WORK_LIMIT, "multiply-adds")):
+        if need > limit:
+            raise ResourceCap(f"{what} needs {need:.3g} {unit} "
+                              f"(limit {limit:.3g})")
 
 
 def pairwise_sum(values):

@@ -3,11 +3,15 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 from hspsim import cli
-from hspsim.chartable import CharacterTable
+from hspsim import irreps as irrmod
+from hspsim.chartable import CharacterTable, best_character_table
+from hspsim.groups import FiniteGroup, make_group
+from hspsim.util import MEMORY_LIMIT, ResourceCap
 
 TS = "1755820800"
 
@@ -41,11 +45,14 @@ def test_exit_usage_on_bound_t_below_one(capsys):
 
 
 @pytest.mark.parametrize("argv, code, text", [
-    (["--group", "s6"], 69,
+    (["--group", "s7"], 69,
      "explicit irreps (Young's form) stop at n <= 5, and numeric irrep "
-     "construction supports order up to 700, got 720"),
+     "construction for the symmetric group of order 5040 needs 3.25e+09 "
+     "bytes (limit 8.81e+08)"),
     (["--group", "power:z101^3"], 69, "order 1030301 exceeds 1000000"),
-    (["--group", "dihedral:4", "--t", "4"], 69, "got t=4, order 8"),
+    (["--group", "dihedral:4", "--t", "9"], 69,
+     "t=9 mixed-state distance over 5 irreps needs 1.13e+10 multiply-adds "
+     "(limit 5e+09)"),
     (["--group", "psl2:13", "--k", "3"], 69, "rho7|rho7|rho7"),
     (["--group", "s9"], 64, "1 <= n <= 8"),
     (["--group", "wreath:6"], 64, "2 <= n <= 5"),
@@ -53,7 +60,7 @@ def test_exit_usage_on_bound_t_below_one(capsys):
     (["--group", "nosuch:3"], 64, "nosuch"),
     (["--group", "s3", "--t", "0"], 64, "--t must be at least 1"),
     (["--group", "s3", "--t", "-1"], 64, "--t must be at least 1"),
-], ids=["s6", "power-z101^3", "dihedral4-t4",
+], ids=["s7", "power-z101^3", "dihedral4-t9",
         "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch", "t0", "t-1"])
 def test_exit_codes(capsys, argv, code, text):
     rc, out, err = run_cli(capsys, ["simulate"] + argv)
@@ -65,35 +72,41 @@ def test_exit_codes(capsys, argv, code, text):
 
 
 def test_simulate_budget_needs_no_character_table(capsys, monkeypatch):
-    # |G|^k is within the register budget, so the class-sum table is not
-    # built and the numeric-irrep order cap refuses at once
-    def no_table(*args, **kwargs):
-        raise AssertionError("character table built")
+    # the numeric irreps' byte estimate needs only |G|, so neither the
+    # classes, the multiplication table nor a character table is built
+    def built(*args, **kwargs):
+        raise AssertionError("classes or a table built")
 
-    monkeypatch.setattr(cli, "best_character_table", no_table)
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", built)
+    monkeypatch.setattr(FiniteGroup, "table", built)
+    monkeypatch.setattr(cli, "best_character_table", built)
     rc, out, err = run_cli(capsys, ["simulate", "--group", "wreath:5",
                                     "--k", "1"])
     assert rc == 69
     assert out == ""
     assert err == ("hspsim simulate: resource cap: explicit wreath irreps "
-                   "stop at n <= 4, and numeric irrep construction supports "
-                   "order up to 700, got 28800\n")
+                   "stop at n <= 4, and numeric irrep construction for the "
+                   "wreath group of order 28800 needs 1.06e+11 bytes "
+                   "(limit 8.81e+08)\n")
 
 
-def _cli_under_1gib(*argv):
+def _under_1gib(*argv):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "hspsim.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory,
-        timeout=120)
+        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        preexec_fn=limit_memory, timeout=120)
+
+
+def _cli_under_1gib(*argv):
+    return _under_1gib("-m", "hspsim.cli", *argv)
 
 
 def test_wreath4_facts_refused_before_allocating():
     # the degree-18 irrep's all-pairs homomorphism check is 7.7e9
-    # multiply-adds, past HOM_CHECK_WORK, and as one tensor it needed 13 GB
+    # multiply-adds, past WORK_LIMIT, and as one tensor it needed 13 GB
     proc = _cli_under_1gib("verify", "--suite", "facts", "--group", "wreath:4")
     assert proc.returncode == 69, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -107,6 +120,24 @@ def test_psl2_8_facts_pass_in_1gib():
     proc = _cli_under_1gib("verify", "--suite", "facts", "--group", "psl2:8")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_fail"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --group cyclic:1000 --k 2",
+    "simulate --group cyclic:400 --k 3",
+    "bound --family group --group cyclic:5700",
+    "chartable --group power:z2^17",
+])
+def test_refused_at_once_in_1gib(argv):
+    # each died with MemoryError or ran past 90 s before its estimate
+    t0 = time.perf_counter()
+    proc = _cli_under_1gib(*argv.split())
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 69, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"hspsim {argv.split()[0]}: resource cap: ")
 
 
 def test_z20000_chartable_refused_before_allocating():
@@ -124,17 +155,22 @@ def test_cyclic_5000_chartable_refused_in_1gib():
     proc = _cli_under_1gib("chartable", "--group", "cyclic:5000")
     assert proc.returncode == 69, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith(
+    assert proc.stderr == (
         "hspsim chartable: resource cap: character table of the cyclic "
-        "group of order 5000 needs about 4.25e+09 bytes")
+        "group of order 5000 needs 4.25e+09 bytes (limit 8.81e+08)\n")
 
 
-def test_explicit_table_cap_admits_cyclic_2000():
-    from hspsim.chartable import (EXPLICIT_TABLE_BYTES,
-                                  EXPLICIT_TABLE_ENTRY_BYTES)
-    # cyclic:2200 ran in 1 GiB of address space and cyclic:2400 did not
-    assert EXPLICIT_TABLE_ENTRY_BYTES * 2000 ** 2 <= EXPLICIT_TABLE_BYTES
-    assert EXPLICIT_TABLE_ENTRY_BYTES * 2400 ** 2 > EXPLICIT_TABLE_BYTES
+def test_explicit_table_cap_admits_cyclic_2000(monkeypatch):
+    # 170 bytes per entry (cyclic:2193 peaked at 806 MB); the cyclic:2276
+    # table takes about 90 s, so only the refused side runs here
+    assert 170 * 2276 ** 2 <= MEMORY_LIMIT < 170 * 2277 ** 2
+
+    def built(n):
+        raise AssertionError("irreps built")
+
+    monkeypatch.setattr(irrmod, "irreps_cyclic", built)
+    with pytest.raises(ResourceCap, match="order 2277 needs 8.81e"):
+        best_character_table(make_group("cyclic:2277"))
 
 
 def test_dihedral_1000_chartable_refused_in_1gib():
@@ -144,37 +180,90 @@ def test_dihedral_1000_chartable_refused_in_1gib():
     assert proc.returncode == 69, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "hspsim chartable: resource cap: class constants of the dihedral "
-        "group of order 2000 (503 classes) need 1.02e+09 bytes "
+        "hspsim chartable: resource cap: class-constant array of the "
+        "dihedral group of order 2000 (503 classes) needs 1.02e+09 bytes "
         "(limit 8.81e+08)\n")
 
 
 def test_class_constant_cap_admits_479_classes():
-    from hspsim.chartable import CLASS_CONSTANT_BYTES
     # dihedral:952 (479 classes) ran in 1 GiB of address space and
     # dihedral:954 (480 classes) did not
-    assert 8 * 479 ** 3 <= CLASS_CONSTANT_BYTES < 8 * 480 ** 3
+    assert 8 * 479 ** 3 <= MEMORY_LIMIT < 8 * 480 ** 3
 
 
 def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
     def no_check(*args, **kwargs):
-        raise AssertionError("a check ran")
+        raise AssertionError("irreps built or a check ran")
 
     monkeypatch.setattr(cli.irrmod, "hom_unitarity_error", no_check)
+    monkeypatch.setattr(cli.irrmod, "irreps_for", no_check)
     rc, out, err = run_cli(capsys, ["verify", "--suite", "facts", "--group",
-                                    "cyclic:400"])
+                                    "cyclic:855"])
     assert rc == 69
     assert out == ""
-    assert err == ("hspsim verify: resource cap: facts suite checks 160000 "
-                   "pairs of irreps (limit 100000)\n")
+    assert err == ("hspsim verify: resource cap: facts suite over 855 irreps "
+                   "needs 5.01e+09 multiply-adds (limit 5e+09)\n")
+
+
+def test_cyclic_facts_estimate_admits_854(monkeypatch):
+    # cyclic:854 takes about 40 s, so the run stops where the irreps start
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cli.irrmod, "irreps_for", admitted)
+    with pytest.raises(Admitted):
+        cli.main(["verify", "--suite", "facts", "--group", "cyclic:854"])
 
 
 def test_cyclic_5000_bound_passes_in_1gib():
-    # admitted by the cyclic byte cap (cyclic:5480 was the largest that ran
-    # in 1 GiB before it; 5000 keeps a margin below the limit)
+    # admitted by the cyclic byte estimate (cyclic:5480 was the largest that
+    # ran in 1 GiB before it; 5000 keeps a margin below the limit)
     proc = _cli_under_1gib("bound", "--family", "group", "--group",
                            "cyclic:5000")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("admitted, refused", [
+    # numeric irreps: s6 (7.7e8 multiply-adds) is built, s7 (3.3e9 bytes)
+    # is not
+    ("simulate --group s6", "simulate --group s7"),
+    # the t-copy mixed-state distance: (sum d^3)^t = 1126^t for psl2:7
+    ("simulate --group psl2:7 --t 3", "simulate --group psl2:7 --t 4"),
+], ids=["s6-s7", "psl2:7-t3-t4"])
+def test_estimate_boundary_in_1gib(capsys, admitted, refused):
+    proc = _cli_under_1gib(*admitted.split())
+    assert proc.returncode == 0, proc.stderr
+    rc, out, err = run_cli(capsys, refused.split())
+    assert rc == 69
+    assert out == ""
+    assert " needs " in err
+
+
+@pytest.mark.parametrize("code, n", [
+    # 4 n^2 bytes of int32 ids plus one row block of temporaries
+    ("make_group('cyclic:{n}').table()", 14322),
+    # 32 n^2 bytes of cyclic irreps and their characters
+    ("[r.character() for r in irreps_for(make_group('cyclic:{n}'))]", 5246),
+    # the n x n coset state and its boolean mask
+    ("G = make_group('cyclic:{n}'); "
+     "coset_state(G, order_two_subgroup(G, {n} // 2))", 9892),
+    # 2 n^3 multiply-adds of the Fourier round trip
+    ("G = make_group('cyclic:{n}'); fourier_roundtrip_error("
+     "G, order_two_subgroup(G, {n} // 2), irreps_for(G))", 1356),
+], ids=["table", "cyclic_irreps", "coset_state", "roundtrip"])
+def test_library_estimate_boundary_in_1gib(code, n):
+    head = ("from hspsim.groups import make_group, order_two_subgroup\n"
+            "from hspsim.irreps import irreps_for\n"
+            "from hspsim.simulate import coset_state, "
+            "fourier_roundtrip_error\n")
+    proc = _under_1gib("-c", head + code.format(n=n))
+    assert proc.returncode == 0, proc.stderr
+    step = 2 if "order_two" in code else 1  # the next order with an involution
+    with pytest.raises(ResourceCap):  # in process: nothing is allocated
+        exec(head + code.format(n=n + step), {})
 
 
 def test_exit_usage_on_argparse_error():
@@ -251,6 +340,48 @@ def test_bound_power_report(capsys):
     assert rep["k_lower_bound"] == 0
     gates = [n for n in rep["interpretation_notes"] if "sqrt|G|" in n]
     assert len(gates) == 1 and "fails" not in gates[0]
+
+
+@pytest.mark.parametrize("argv, largest", [
+    (["--family", "wreath", "--n", "5", "--k-max"], 1023),
+    (["--family", "psl2", "--q", "13", "--k-max"], 1023),
+    (["--family", "power", "--group", "s4", "--h", "(1 2)", "--n"], 223),
+    (["--family", "power", "--group", "psl2:5", "--n"], 173),
+], ids=["wreath-k-max", "psl2-k-max", "power-s4-n", "power-psl2:5-n"])
+def test_bound_float_range_boundaries(capsys, argv, largest):
+    # 2^k (k-max) or |G|^n (power) is the first value past the float range
+    rc, out, _ = run_cli(capsys, ["bound"] + argv + [str(largest)])
+    assert rc == 0
+    assert "nan" not in out
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["bound"] + argv + [str(largest + 1)])
+    assert time.perf_counter() - t0 < 1  # before the exact Fraction tail
+    assert rc == 64
+    assert out == ""
+    assert err.startswith(f"hspsim bound: error: argument {argv[-1]}: must "
+                          f"be at most {largest}")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bound", "--family", "psl2", "--q", "13", "--epsilon", "-1"],
+     "argument --epsilon: must be a finite number >= 0, got -1.0"),
+    (["simulate", "--group", "s3", "--epsilon", "nan"],
+     "argument --epsilon: must be a finite number >= 0, got nan"),
+    (["verify", "--suite", "lemmas", "--group", "s3", "--epsilon", "inf"],
+     "argument --epsilon: must be a finite number >= 0, got inf"),
+    (["simulate", "--group", "s3", "--threshold", "-0.5"],
+     "argument --threshold: must be a finite number >= 0, got -0.5"),
+    (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "0"],
+     "argument --m: must be at least 1, got 0"),
+    (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "-3"],
+     "argument --m: must be at least 1, got -3"),
+], ids=["epsilon-1", "epsilon-nan", "epsilon-inf", "threshold-neg", "m0",
+        "m-3"])
+def test_out_of_domain_flags_are_usage_errors(capsys, argv, text):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 64
+    assert out == ""
+    assert err == f"hspsim {argv[0]}: error: {text}\n"
 
 
 def test_bound_gl_report(capsys):

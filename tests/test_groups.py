@@ -394,3 +394,19 @@ def test_psl2_from_perm_refuses_non_members():
         P.from_perm((1, 0, 2, 3, 4, 5))   # odd, so outside PSL(2,5) < A_6
     with pytest.raises(ValueError, match="not an element"):
         P.from_perm((5, 4, 3, 2, 1, 0))   # past the largest code
+
+
+def test_class_search_estimate_boundary(monkeypatch):
+    from hspsim.groups import DihedralGroup
+    from hspsim.util import WORK_LIMIT, ResourceCap
+    # 4 |G|^2 multiply-adds: dihedral:17677 (order 35354, about 30 s) is the
+    # largest dihedral group admitted; dihedral:17678 is refused before any
+    # composition
+    assert 4 * 35354 ** 2 <= WORK_LIMIT < 4 * 35356 ** 2
+
+    def composed(*args):
+        raise AssertionError("composition ran")
+
+    monkeypatch.setattr(DihedralGroup, "_compose", composed)
+    with pytest.raises(ResourceCap, match="search of dihedral:17678 needs"):
+        make_group("dihedral:17678").conjugacy_classes()

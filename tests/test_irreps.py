@@ -205,10 +205,10 @@ def test_cyclic_irreps():
 
 
 def test_cyclic_irreps_refused_past_byte_budget():
-    from hspsim.irreps import CYCLIC_IRREP_BYTES
-    from hspsim.util import ResourceCap
-    n = math.isqrt(CYCLIC_IRREP_BYTES // 16)
-    assert n >= 5480  # ran in 1 GiB before the cap
+    from hspsim.util import MEMORY_LIMIT, ResourceCap
+    # the irreps and their characters, 32 n^2 bytes
+    n = math.isqrt(MEMORY_LIMIT // 32)
+    assert n == 5246  # bound --family group --group cyclic:5000 passes
     with pytest.raises(ResourceCap, match="bytes"):
         irreps_cyclic(n + 1)
 
@@ -354,10 +354,9 @@ def test_hom_check_in_row_blocks_matches_one_block(monkeypatch):
 
 
 def test_hom_check_refused_past_work_limit():
-    from hspsim.irreps import HOM_CHECK_WORK
-    from hspsim.util import ResourceCap
+    from hspsim.util import WORK_LIMIT, ResourceCap
     kappa = max(irreps_wreath(4), key=lambda r: r.degree)
-    assert kappa.group.order ** 2 * kappa.degree ** 3 > HOM_CHECK_WORK
+    assert kappa.group.order ** 2 * kappa.degree ** 3 > WORK_LIMIT
     with pytest.raises(ResourceCap, match="multiply-adds"):
         hom_unitarity_error(kappa)
 

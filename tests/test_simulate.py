@@ -1,5 +1,6 @@
 """Coset-state sampling: distributions, moment identities, distances."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hspsim.simulate import (
     q_subset_values,
     q_total_values,
     reference_distribution,
-    register_budget,
+    require_sampling,
     second_moment_check,
     second_moment_terms,
     distribution_rows,
@@ -62,9 +63,10 @@ def test_coset_state_shape_and_spectrum():
 
 
 def test_coset_state_order_cap():
-    G = make_group("cyclic:5000")
-    with pytest.raises(ResourceCap):
-        coset_state(G, order_two_subgroup(G, 2500))
+    # 9 |G|^2 bytes: cyclic:9892 is the largest even order admitted
+    G = make_group("cyclic:9894")
+    with pytest.raises(ResourceCap, match="needs 8.81e"):
+        coset_state(G, order_two_subgroup(G, 4947))
 
 
 def test_fourier_blocks_trace_is_tuple_probability():
@@ -95,18 +97,22 @@ def test_fourier_roundtrip(spec):
 
 
 def test_roundtrip_order_cap():
-    G = make_group("cyclic:128")
-    with pytest.raises(ResourceCap):
-        fourier_roundtrip_error(G, order_two_subgroup(G, 64), [])
+    # 2 |G|^3 multiply-adds, refused before the (here empty) irreps are read
+    G = make_group("cyclic:1358")
+    with pytest.raises(ResourceCap, match="multiply-adds"):
+        fourier_roundtrip_error(G, order_two_subgroup(G, 679), [])
 
 
 def test_register_budget_cap():
-    # psl2:13: budget is (sum d^2)^k = |G|^k; 1092^3 > 1e8 must be rejected
+    # psl2:13's degrees: the frame vectors hold 16 |G|^k bytes, 1.9e7 at
+    # k = 2 and 2.1e10 at k = 3, past MEMORY_LIMIT
     degs = [1, 7, 7, 12, 12, 12, 13, 14, 14]
-    labels = [f"rho{i}" for i in range(len(degs))]
-    assert register_budget(labels, degs, 2) == pytest.approx(1092.0 ** 2)
-    with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7"):
-        register_budget(labels, degs, 3)
+    irr = [SimpleNamespace(label=f"rho{i}", degree=d)
+           for i, d in enumerate(degs)]
+    require_sampling(irr, 2)
+    with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7 has "
+                       r"dimension 2744\) needs 2.08e\+10 bytes"):
+        require_sampling(irr, 3)
 
 
 def test_wreath3_tuple_probabilities_frozen():
@@ -425,13 +431,19 @@ def test_mixed_distance_matches_dense(spec, t):
     assert abs(block - dense) < 1e-9
 
 
-def test_mixed_distance_caps():
+def test_mixed_distance_caps(monkeypatch):
+    import hspsim.simulate as simmod
+
+    def no_stack(*args):
+        raise AssertionError("Kronecker stack built")
+
+    monkeypatch.setattr(simmod, "kron_stack", no_stack)
     G, irr, h = wreath3()
     with pytest.raises(ResourceCap):
         mixed_conjugate_trace_distance(G, irr, h, 4)
-    Gbig = make_group("psl2:13")
-    with pytest.raises(ResourceCap):
-        mixed_conjugate_trace_distance(Gbig, irr, h, 2)
+    G4 = make_group("dihedral:4")  # 5^9 tuples
+    with pytest.raises(ResourceCap, match="t=9"):
+        mixed_conjugate_trace_distance(G4, irreps_for(G4), 4, 9)
 
 
 def test_transfer_subgroup_wreath_into_s6():
