@@ -263,12 +263,6 @@ def group_report(group, irreps, h, eps, t=1, threshold=DEFAULT_THRESHOLD,
 # ---------------------------------------------------------------------------
 # wreath-product family S_n wr S_2 with the coordinate-swap involution
 
-def _symmetric_degrees(n):
-    """(partition, exact hook-length degree) for every S_n irrep."""
-    from .irreps import hook_length_degree, partitions
-    return [(lam, hook_length_degree(lam)) for lam in partitions(n)]
-
-
 def wreath_params(n, eps=None):
     """BoundParams for S_n wr S_2 at the swap involution.
 
@@ -283,8 +277,8 @@ def wreath_params(n, eps=None):
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    from .irreps import partition_label
-    degs = _symmetric_degrees(n)
+    from .irreps import partition_degrees, partition_label
+    degs = partition_degrees(n)
     order = 2 * math.factorial(n) ** 2
     sum_d_small = sum(d for _, d in degs)
     sum_d2 = sum(d * d for _, d in degs)

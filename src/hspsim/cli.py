@@ -129,8 +129,8 @@ def resolve_h(group, text):
 
 
 def resolve_threads(flag):
-    if flag:
-        return max(1, int(flag))
+    if flag is not None:  # main() has refused values below 1
+        return flag
     env = os.environ.get(THREADS_ENV, "").strip()
     if env:
         return max(1, int(env))
@@ -256,14 +256,32 @@ def cmd_bound(args):
 def cmd_simulate(args):
     if args.t is not None and args.t < 1:
         raise UsageError("--t must be at least 1")
+    if args.frames < 1:
+        raise UsageError("--frames must be at least 1")
     G = make_group(args.group)
     h = resolve_h(G, args.h)
     threads = resolve_threads(args.threads)
+    # The frame vectors alone take 16 |G|^k bytes.  Past the limit, a group
+    # without explicit irreps is refused as the numeric irreps would be, or
+    # else names the refused tuple from its class-sum table (same labels and
+    # degrees) without building them; explicit irreps are cheap, and
+    # require_sampling refuses after them.
+    try:
+        require(f"frame vectors of k={args.k} registers", bytes=16 *
+                simulate.frame_entries(G.order, args.k, args.frame_kind))
+    except ResourceCap:
+        if irrmod.explicit_construction(G) is None:
+            irrmod.require_numeric_irreps(G)
+            table = best_character_table(G, seed=args.seed)
+            simulate.require_sampling(table.labels, table.degrees, args.k,
+                                      args.frame_kind, len(G.class_of(h)),
+                                      args.frames)
+            raise
     irr = irrmod.irreps_for(G, seed=args.seed)
-    if args.frames < 1:
-        raise UsageError("--frames must be at least 1")
-    simulate.require_sampling(irr, args.k, args.frame_kind,
-                              len(G.class_of(h)), args.frames)
+    conjugates = len(G.class_of(h))
+    simulate.require_sampling([r.label for r in irr],
+                              [r.degree for r in irr], args.k,
+                              args.frame_kind, conjugates, args.frames)
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
     per_seed = []
@@ -289,7 +307,7 @@ def cmd_simulate(args):
         "k": args.k,
         "frame_kind": args.frame_kind,
         "frames": args.frames,
-        "conjugates": len(G.class_of(h)),
+        "conjugates": conjugates,
         "per_seed": per_seed,
         "mean_avg_l1": mean_avg_l1,
         "mean_avg_tv": mean_avg_tv,
@@ -478,6 +496,9 @@ def main(argv=None):
             if value is not None and not 0 <= value < math.inf:
                 raise UsageError(f"argument --{name}: must be a finite "
                                  f"number >= 0, got {value}")
+        if args.threads is not None and args.threads < 1:
+            raise UsageError(f"argument --threads: must be at least 1, got "
+                             f"{args.threads}")
         return handlers[args.command](args)
     except bounds.CorollaryInapplicable as e:
         label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e

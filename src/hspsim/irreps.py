@@ -6,6 +6,7 @@ element id, so group averages become single einsum reductions.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -62,21 +63,38 @@ def _conj_label(label):
 # ---------------------------------------------------------------------------
 # partitions and standard tableaux
 
+def partition_degrees(n):
+    """(partition, exact S_n irrep degree) for every partition of n.
+
+    Depth first, each diagram is built bottom-up, each new row on top of
+    rows no longer than it.  A row on top changes no existing cell's arm
+    (the cells to its right) or leg (the cells below it), so a row of k
+    cells multiplies the hook product by its own k hooks k - j + height[j],
+    height[j] being the number of rows already in column j.
+    """
+    fact = math.factorial(n)
+    if n == 0:
+        return [((), 1)]
+    out, height = [], [0] * n
+
+    def rec(rem, lo, hooks, rows):
+        # a top row of all rem cells closes a diagram (map stops at rem)
+        top = math.prod(map(operator.add, range(rem, 0, -1), height))
+        out.append(((rem,) + rows, fact // (hooks * top)))
+        for k in range(lo, rem // 2 + 1):  # leaves a top row of >= k cells
+            below = height[:k]
+            row = math.prod(map(operator.add, range(k, 0, -1), below))
+            height[:k] = map((1).__add__, below)
+            rec(rem - k, k, hooks * row, (k,) + rows)
+            height[:k] = below
+
+    rec(n, 1, 1, ())
+    return out
+
+
 def partitions(n):
     """All partitions of n in descending lexicographic order."""
-    out, prefix = [], []
-
-    def rec(rem, mx):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(min(rem, mx), 0, -1):
-            prefix.append(k)
-            rec(rem - k, k)
-            prefix.pop()
-
-    rec(n, n)
-    return out
+    return sorted((lam for lam, _ in partition_degrees(n)), reverse=True)
 
 
 def partition_label(lam):
@@ -312,15 +330,8 @@ def _split_segments(V, segs, char_of, build, tol, rng, out, depth):
             _split_unitary_rep(build(U), tol, rng, out, depth)
 
 
-def irreps_generic(group, tol=1e-6, seed=0):
-    """All irreps via numerical decomposition of the regular representation.
-
-    A random Hermitian matrix is averaged into the commutant (an O(|G|^2)
-    index trick), its eigenspaces are split off, and each block is reduced
-    recursively until the character norm certifies irreducibility.  Retries
-    with fresh randomness on a degenerate draw.  Result is canonically
-    sorted and labeled rho0, rho1, ...
-    """
+def require_numeric_irreps(group):
+    """Refuse irreps_generic(group) before any of it is built."""
     N = group.order
     stop = {SymmetricGroup: f"explicit irreps (Young's form) stop at n <= "
                             f"{YOUNG_MAX_N}, and ",
@@ -335,6 +346,19 @@ def irreps_generic(group, tol=1e-6, seed=0):
     require(what, bytes=128 * N * N)
     r = len(group.conjugacy_classes())
     require(what, work=2 * N ** 3 + r * N * N + STEP_WORK * N * (r + 1))
+
+
+def irreps_generic(group, tol=1e-6, seed=0):
+    """All irreps via numerical decomposition of the regular representation.
+
+    A random Hermitian matrix is averaged into the commutant (an O(|G|^2)
+    index trick), its eigenspaces are split off, and each block is reduced
+    recursively until the character norm certifies irreducibility.  Retries
+    with fresh randomness on a degenerate draw.  Result is canonically
+    sorted and labeled rho0, rho1, ...
+    """
+    require_numeric_irreps(group)
+    N = group.order
     table = group.table()
     invs = group.inverse(np.arange(N))
     last_err = None

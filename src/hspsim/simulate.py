@@ -83,21 +83,31 @@ def fourier_roundtrip_error(group, H, irreps):
 # ---------------------------------------------------------------------------
 # register tuples and frames
 
-def require_sampling(irreps, k, kind="basis", conjugates=0, frames=1):
-    """Refuse `frames` register spaces of k registers over irreps, each
-    evaluated at `conjugates` class elements, before a frame is drawn.
+def frame_entries(order, k, kind="basis"):
+    """Complex entries of the D x m frame vectors of all k-register tuples
+    of a group of this order (m = D, or 2D fused; sum D^2 = |G|^k), known
+    before any irrep is built; inf past the float range."""
+    with np.errstate(over="ignore"):
+        return (2 if kind == "fused" else 1) * np.float64(order) ** k
+
+
+def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
+                     frames=1):
+    """Refuse `frames` register spaces of k registers over the irreps with
+    these labels and degrees, each evaluated at `conjugates` class
+    elements, before a frame is drawn.
 
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
-    81 MB above cyclic:100) and D x m complex frame vectors (m = D, or 2D
-    fused; sum D^2 = |G|^k).  Drawing a frame and each evaluation are steps.
+    81 MB above cyclic:100) and its frame vectors.  Drawing a frame and
+    each evaluation are steps.
     """
-    degrees = np.array([r.degree for r in irreps], dtype=float)
+    degrees = np.array(degrees, dtype=float)
     big = int(np.argmax(degrees))
-    lab = irreps[big].label
+    lab = labels[big]
     largest = "|".join([lab] * k) if k <= 4 else f"{lab}|...|{lab}"
+    vec = frame_entries(np.sum(degrees ** 2), k, kind)
     with np.errstate(over="ignore"):  # past the float range an estimate is inf
         n = np.float64(len(degrees)) ** k
-        vec = (2 if kind == "fused" else 1) * np.sum(degrees ** 2) ** k
         require(f"sampling k={k} registers over {len(degrees)} irreps "
                 f"({n:.4g} tuples; largest tuple {largest} has dimension "
                 f"{degrees[big] ** k:.4g})", bytes=1024 * n + 16 * vec,
@@ -118,7 +128,8 @@ class RegisterSpace:
             raise ValueError("k must be at least 1")
         self.irreps = list(irreps)
         self.degrees = [r.degree for r in self.irreps]
-        require_sampling(self.irreps, k, kind)
+        require_sampling([r.label for r in self.irreps], self.degrees, k,
+                         kind)
         self.group = group
         self.k = k
         self.kind = kind
@@ -392,7 +403,15 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     """
     N = group.order
     cls = list(group.class_of(h))
-    require_sampling(irreps, k, kind, conjugates=len(cls))
+    degrees = [r.degree for r in irreps]
+    require_sampling([r.label for r in irreps], degrees, k, kind,
+                     conjugates=len(cls))
+    # the diagonal-overlap loop: per nonempty register subset and frame
+    # vector of a D-dimensional tuple, one q_subset_values pass over the
+    # group of at most D k d_max multiply-adds per element
+    require(f"diagonal-overlap loop over k={k} registers of the "
+            f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
+            * frame_entries(N, k, kind) * k * max(degrees))
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
     H = order_two_subgroup(group, h)
     ranks = space.tuple_ranks(H)

@@ -145,12 +145,14 @@ def parallel_map(fn, items, threads=1):
     """Map fn over items, optionally with a thread pool.
 
     Results always come back in item order, so downstream pairwise
-    reductions are independent of the worker count.
+    reductions are independent of the worker count.  The pool holds at
+    most one worker per item and per CPU.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -59,9 +59,32 @@ def test_wreath_params_matches_enumerated_path_exactly():
             bounds.wreath_params(n, float(n) ** (-n / 4))
 
 
+def _partitions_descending(n, mx=None):
+    """The partitions of n, largest first, with no part above mx."""
+    if n == 0:
+        return [()]
+    mx = n if mx is None else mx
+    return [(k,) + rest for k in range(min(n, mx), 0, -1)
+            for rest in _partitions_descending(n - k, k)]
+
+
+def test_wreath_params_independent_of_the_degree_enumeration(monkeypatch):
+    # the same reports from each partition's own hook-length degree, in
+    # descending lexicographic order, as from the row-on-top enumeration
+    ns = [*range(2, 33), 40]
+    got = {n: [bounds.wreath_params(n, eps) for eps in (None, 0.2, 1e-3)]
+           for n in ns}
+    ref = {n: [(lam, irreps.hook_length_degree(lam))
+               for lam in _partitions_descending(n)] for n in ns}
+    monkeypatch.setattr(irreps, "partition_degrees", ref.__getitem__)
+    for n in ns:
+        assert got[n] == [bounds.wreath_params(n, eps)
+                          for eps in (None, 0.2, 1e-3)], n
+
+
 def test_wreath_params_large_n_closed_form():
     # the closed-form path never enumerates the ~7e8 irreps at n = 40: it
-    # sums over the 37338 partitions of 40 (about 0.5 s of hook lengths)
+    # sums over the 37338 partitions of 40
     bp = bounds.wreath_params(40)
     p40 = bounds.partition_number(40)
     assert p40 == 37338

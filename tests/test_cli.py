@@ -73,21 +73,65 @@ def test_exit_codes(capsys, argv, code, text):
 
 def test_simulate_budget_needs_no_character_table(capsys, monkeypatch):
     # the numeric irreps' byte estimate needs only |G|, so neither the
-    # classes, the multiplication table nor a character table is built
+    # classes, the multiplication table nor a character table is built,
+    # also when the frame vectors (k = 2) are refused first
     def built(*args, **kwargs):
         raise AssertionError("classes or a table built")
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", built)
     monkeypatch.setattr(FiniteGroup, "table", built)
     monkeypatch.setattr(cli, "best_character_table", built)
-    rc, out, err = run_cli(capsys, ["simulate", "--group", "wreath:5",
-                                    "--k", "1"])
+    for k in ("1", "2"):
+        rc, out, err = run_cli(capsys, ["simulate", "--group", "wreath:5",
+                                        "--k", k])
+        assert rc == 69
+        assert out == ""
+        assert err == ("hspsim simulate: resource cap: explicit wreath "
+                       "irreps stop at n <= 4, and numeric irrep "
+                       "construction for the wreath group of order 28800 "
+                       "needs 1.06e+11 bytes (limit 8.81e+08)\n")
+
+
+def test_simulate_frame_vectors_refused_before_irreps(capsys, monkeypatch):
+    # psl2:13 at k = 3: the frame vectors alone, 16 |G|^3 bytes, pass the
+    # limit, so only the character table is built, to name the tuple
+    def built(*args, **kwargs):
+        raise AssertionError("irreps built")
+
+    monkeypatch.setattr(cli.irrmod, "irreps_for", built)
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["simulate", "--group", "psl2:13",
+                                    "--k", "3"])
+    assert time.perf_counter() - t0 < 1
     assert rc == 69
     assert out == ""
-    assert err == ("hspsim simulate: resource cap: explicit wreath irreps "
-                   "stop at n <= 4, and numeric irrep construction for the "
-                   "wreath group of order 28800 needs 1.06e+11 bytes "
+    assert err == ("hspsim simulate: resource cap: sampling k=3 registers "
+                   "over 9 irreps (729 tuples; largest tuple rho7|rho7|rho7 "
+                   "has dimension 2744) needs 2.08e+10 bytes "
                    "(limit 8.81e+08)\n")
+
+
+def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("character table built")
+
+    monkeypatch.setattr(cli, "best_character_table", built)
+    rc, _, _ = run_cli(capsys, ["simulate", "--group", "dihedral:4",
+                                "--k", "3", "--frame-kind", "fused"])
+    assert rc == 0
+
+
+def test_lemmas_diagonal_overlap_refused_at_once(capsys):
+    # (2^3 - 1) 168^4 3 8 multiply-adds: refused before any frame is drawn
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "lemmas",
+                                    "--group", "psl2:7", "--k", "3"])
+    assert time.perf_counter() - t0 < 2
+    assert rc == 69
+    assert out == ""
+    assert err == ("hspsim verify: resource cap: diagonal-overlap loop over "
+                   "k=3 registers of the psl2 group of order 168 needs "
+                   "1.34e+11 multiply-adds (limit 5e+09)\n")
 
 
 def _under_1gib(*argv):
@@ -375,8 +419,12 @@ def test_bound_float_range_boundaries(capsys, argv, largest):
      "argument --m: must be at least 1, got 0"),
     (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "-3"],
      "argument --m: must be at least 1, got -3"),
+    (["simulate", "--group", "s3", "--threads", "0"],
+     "argument --threads: must be at least 1, got 0"),
+    (["verify", "--suite", "lemmas", "--group", "s3", "--threads", "-1"],
+     "argument --threads: must be at least 1, got -1"),
 ], ids=["epsilon-1", "epsilon-nan", "epsilon-inf", "threshold-neg", "m0",
-        "m-3"])
+        "m-3", "threads0", "threads-1"])
 def test_out_of_domain_flags_are_usage_errors(capsys, argv, text):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 64

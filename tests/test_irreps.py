@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hspsim.irreps as irrmod
+from hspsim.bounds import partition_number
 from hspsim.groups import (
     make_cyclic, make_dihedral, make_group, make_psl2, make_symmetric,
     make_wreath_s2,
 )
 from hspsim.irreps import (
     Irrep, canonical_sort, hook_length_degree, irreps_cyclic,
-    irreps_generic, irreps_symmetric, irreps_wreath, partition_label,
-    partitions, schur_orthogonality_error, standard_tableaux,
+    irreps_generic, irreps_symmetric, irreps_wreath, partition_degrees,
+    partition_label, partitions, schur_orthogonality_error, standard_tableaux,
     hom_unitarity_error,
 )
 
@@ -55,16 +56,23 @@ def test_hook_degree_of_empty_partition():
 
 
 def test_hook_degree_sums_count_involutions():
-    # sum_lam d_lam is the number of involutions (with the identity) of S_n,
-    # I(n) = I(n-1) + (n-1) I(n-2), and sum_lam d_lam^2 = n!
+    # partition_degrees gives every partition of n once, with its
+    # hook-length degree; sum_lam d_lam is the number of involutions (with
+    # the identity) of S_n, I(n) = I(n-1) + (n-1) I(n-2), and
+    # sum_lam d_lam^2 = n!
     inv = [1, 1]
     for n in range(2, 26):
         inv.append(inv[n - 1] + (n - 1) * inv[n - 2])
     for n in range(26):
-        degs = [hook_length_degree(lam) for lam in partitions(n)]
-        assert all(isinstance(d, int) for d in degs)
-        assert sum(degs) == inv[n]
-        assert sum(d * d for d in degs) == math.factorial(n)
+        pairs = partition_degrees(n)
+        degs = dict(pairs)
+        assert len(degs) == len(pairs) == partition_number(n)
+        assert all(sum(lam) == n and list(lam) == sorted(lam, reverse=True)
+                   and 0 not in lam for lam in degs)
+        assert degs == {lam: hook_length_degree(lam) for lam in partitions(n)}
+        assert all(isinstance(d, int) for d in degs.values())
+        assert sum(degs.values()) == inv[n]
+        assert sum(d * d for d in degs.values()) == math.factorial(n)
 
 
 @st.composite

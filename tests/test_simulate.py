@@ -1,6 +1,7 @@
 """Coset-state sampling: distributions, moment identities, distances."""
+import concurrent.futures
 import itertools
-from types import SimpleNamespace
+import os
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from hspsim.simulate import (
     transfer_subgroup_report,
     x_function,
 )
-from hspsim.util import ResourceCap, kron_apply
+from hspsim.util import ResourceCap, kron_apply, parallel_map
 
 
 def wreath3():
@@ -107,12 +108,11 @@ def test_register_budget_cap():
     # psl2:13's degrees: the frame vectors hold 16 |G|^k bytes, 1.9e7 at
     # k = 2 and 2.1e10 at k = 3, past MEMORY_LIMIT
     degs = [1, 7, 7, 12, 12, 12, 13, 14, 14]
-    irr = [SimpleNamespace(label=f"rho{i}", degree=d)
-           for i, d in enumerate(degs)]
-    require_sampling(irr, 2)
+    labels = [f"rho{i}" for i in range(len(degs))]
+    require_sampling(labels, degs, 2)
     with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7 has "
                        r"dimension 2744\) needs 2.08e\+10 bytes"):
-        require_sampling(irr, 3)
+        require_sampling(labels, degs, 3)
 
 
 def test_wreath3_tuple_probabilities_frozen():
@@ -258,6 +258,38 @@ def test_avg_tv_deterministic_across_threads():
         [e["tv"] for e in b["per_conjugate"]]
     assert len(a["per_conjugate"]) == 6
     assert 0 < a["avg_tv"] <= 1
+
+
+def test_parallel_map_caps_workers(monkeypatch):
+    # at most one worker per item and per CPU, whatever --threads asks for;
+    # the recording pool maps in the calling thread and starts none
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert parallel_map(abs, range(-9, 0), threads=10 ** 6) == \
+        list(range(9, 0, -1))
+    assert parallel_map(abs, [-1, -2, -3], threads=8) == [1, 2, 3]
+    assert parallel_map(abs, [-1, -2], threads=1) == [1, 2]
+    assert parallel_map(abs, [-1], threads=8) == [1]
+    assert asked == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
+    assert parallel_map(abs, [-1, -2], threads=8) == [1, 2]
+    assert asked == [4, 3]
 
 
 def test_tv_is_half_l1():
