@@ -12,17 +12,18 @@ The central quantities, for a group G with involution h and cutoff eps:
   sqrt(t delta2(k)) >= threshold; the largest k violating this is a lower
   bound on the entanglement needed.
 
-All arithmetic uses the float canonical path: integer character data is
-rounded to 9 decimals on entry and summed in sorted-label order, so equal
-inputs give bit-equal outputs regardless of construction route.
+All arithmetic uses the float canonical path: character data is rounded
+to 9 decimals on entry and summed with math.fsum, which is exactly rounded,
+so the order of the terms, and with it the construction route, cannot
+change the result.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .util import fmt_float
+from .util import STEP_WORK, fmt_float, require
 
 WREATH_MAX_N = 40
 DEFAULT_THRESHOLD = 1.0 / 3.0
@@ -66,9 +67,9 @@ class BoundParams:
     group_order: int
     n_irreps: int
     epsilon: float
-    sum_d: int
+    sum_d: int | float  # floats where only a bound is known (direct powers)
     s_epsilon_labels: tuple
-    d_epsilon: int
+    d_epsilon: int | float
     sum_dchi: float
     delta1: float
 
@@ -95,11 +96,11 @@ def bound_params(group_order, labels, degrees, chi_abs, eps):
     if sum(d * d for d in degrees) != group_order:
         raise ValueError("sum of squared degrees does not match group order")
     eps = float(eps)
-    rows = sorted(zip(labels, degrees, [round(float(c), 9) for c in chi_abs]))
     s_labels = []
     d_eps = 0
     dchi = []
-    for lab, d, c in rows:
+    chi_abs = [round(float(c), 9) for c in chi_abs]
+    for lab, d, c in zip(labels, degrees, chi_abs):
         if c < -1e-12:
             raise ValueError(f"negative |chi| for {lab}")
         if c / d >= eps:
@@ -128,41 +129,16 @@ def hypothesis_ok(params, k):
 
 def delta2(params, k):
     """Distance bound for k entangled registers (needs 2k eps < 1)."""
-    return _delta2(k, params.epsilon, params.delta1, params.d_epsilon,
-                   params.group_order)
+    return (2.0 ** k * (1 + 2 * k * params.epsilon) * math.sqrt(params.delta1)
+            + 3 * k * params.epsilon
+            + 3 * k * params.d_epsilon / params.group_order)
 
 
-def _delta2(k, eps, delta1, d_eps, order):
-    return (2.0 ** k * (1 + 2 * k * eps) * math.sqrt(delta1) + 3 * k * eps
-            + 3 * k * d_eps / order)
-
-
-def delta2_table(params, k_max=DEFAULT_K_MAX):
-    return [{"k": k, "value": delta2(params, k),
-             "hypothesis_ok": hypothesis_ok(params, k)}
-            for k in range(1, k_max + 1)]
-
-
-def entanglement_lower_bound(delta2_fn, t=1, threshold=DEFAULT_THRESHOLD,
-                             k_max=64, hypothesis_fn=None):
-    """Largest k whose distance bound still forbids distinguishing.
-
-    Scans k = 1..k_max and returns the largest k with (optional)
-    hypothesis satisfied and sqrt(t * delta2(k)) < threshold; 0 if none.
-    """
-    best = 0
-    for k in range(1, k_max + 1):
-        if hypothesis_fn is not None and not hypothesis_fn(k):
-            continue
-        if math.sqrt(t * delta2_fn(k)) < threshold:
-            best = k
-    return best
-
-
-def k_lower_bound(params, t=1, threshold=DEFAULT_THRESHOLD, k_max=64):
-    return entanglement_lower_bound(
-        lambda k: delta2(params, k), t=t, threshold=threshold, k_max=k_max,
-        hypothesis_fn=lambda k: hypothesis_ok(params, k))
+def k_lower_bound(params, t=1, threshold=DEFAULT_THRESHOLD):
+    """Largest k in 1..64 with 2k eps < 1 whose distance bound still forbids
+    distinguishing t states, sqrt(t delta2(k)) < threshold; 0 if none."""
+    return max((k for k in range(1, 65) if hypothesis_ok(params, k)
+                and math.sqrt(t * delta2(params, k)) < threshold), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +146,8 @@ def k_lower_bound(params, t=1, threshold=DEFAULT_THRESHOLD, k_max=64):
 
 def char_eta(group_order, degrees, chi_abs):
     """eta = (1/|G|) sum_rho d_rho |chi_rho(h)| over all irreps."""
-    rows = sorted(zip(degrees, [abs(float(c)) for c in chi_abs]))
-    return math.fsum(d * c for d, c in rows) / group_order
+    return math.fsum(d * abs(float(c))
+                     for d, c in zip(degrees, chi_abs)) / group_order
 
 
 def trace_norm_bound(eta, t):
@@ -196,68 +172,38 @@ def t_min(eta, threshold=DEFAULT_THRESHOLD):
 # ---------------------------------------------------------------------------
 # family report
 
-@dataclass
-class FamilyReport:
-    family: str
-    params: dict
-    group_order: int
-    epsilon: float
-    s_epsilon_labels: list
-    d_epsilon: float
-    sum_dchi: float
-    sum_d: float
-    delta1: float
-    delta2_by_k: list
-    k_lower_bound: int
-    threshold: float
-    interpretation_notes: list = field(default_factory=list)
-
-    def to_json_obj(self):
-        return {
-            "family": self.family,
-            "params": self.params,
-            "group_order": self.group_order,
-            "epsilon": self.epsilon,
-            "s_epsilon_labels": list(self.s_epsilon_labels),
-            "d_epsilon": self.d_epsilon,
-            "sum_dchi": self.sum_dchi,
-            "sum_d": self.sum_d,
-            "delta1": self.delta1,
-            "delta2_by_k": self.delta2_by_k,
-            "k_lower_bound": self.k_lower_bound,
-            "threshold": self.threshold,
-            "interpretation_notes": list(self.interpretation_notes),
-        }
-
-
-def _report_from_params(family, fam_params, bp, t, threshold, k_max, notes):
-    return FamilyReport(
-        family=family,
-        params=fam_params,
-        group_order=bp.group_order,
-        epsilon=bp.epsilon,
-        s_epsilon_labels=list(bp.s_epsilon_labels),
-        d_epsilon=bp.d_epsilon,
-        sum_dchi=bp.sum_dchi,
-        sum_d=bp.sum_d,
-        delta1=bp.delta1,
-        delta2_by_k=delta2_table(bp, k_max),
-        k_lower_bound=k_lower_bound(bp, t=t, threshold=threshold),
-        threshold=threshold,
-        interpretation_notes=notes,
-    )
+def family_report(family, fam_params, bp, notes, t=1,
+                  threshold=DEFAULT_THRESHOLD, k_max=DEFAULT_K_MAX):
+    """The report of one bound family: its BoundParams, delta2 at
+    k = 1..k_max and the certified k."""
+    return {
+        "family": family,
+        "params": fam_params,
+        "group_order": bp.group_order,
+        "epsilon": bp.epsilon,
+        "s_epsilon_labels": list(bp.s_epsilon_labels),
+        "d_epsilon": bp.d_epsilon,
+        "sum_dchi": bp.sum_dchi,
+        "sum_d": bp.sum_d,
+        "delta1": bp.delta1,
+        "delta2_by_k": [{"k": k, "value": delta2(bp, k),
+                         "hypothesis_ok": hypothesis_ok(bp, k)}
+                        for k in range(1, k_max + 1)],
+        "k_lower_bound": k_lower_bound(bp, t, threshold),
+        "threshold": threshold,
+        "interpretation_notes": notes,
+    }
 
 
 def group_report(group, irreps, h, eps, t=1, threshold=DEFAULT_THRESHOLD,
                  k_max=DEFAULT_K_MAX):
-    """FamilyReport for an explicit group, irrep list, and involution."""
+    """Report for an explicit group, irrep list, and involution."""
     from .groups import spec_of
     bp = params_from_irreps(group, irreps, h, eps)
     spec = spec_of(group)
     notes = [f"involution {group.pretty(h)} in {spec}"]
-    return _report_from_params(
-        "group", {"group": spec, "h": group.pretty(h)},
-        bp, t, threshold, k_max, notes)
+    return family_report("group", {"group": spec, "h": group.pretty(h)}, bp,
+                         notes, t, threshold, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +243,7 @@ def wreath_params(n, eps=None):
     s_labels = ([f"theta{lab}" for lab, _ in in_s]
                 + [f"theta'{lab}" for lab, _ in in_s])
     d_eps = 2 * sum(d ** 4 for _, d in in_s)
-    # chi-weighted sum over S_eps in sorted-label order, mirroring the
-    # enumerated path bit for bit
-    contr = [(f"theta{lab}", float(d ** 3)) for lab, d in in_s]
-    contr += [(f"theta'{lab}", float(d ** 3)) for lab, d in in_s]
-    contr.sort()
-    sum_dchi = math.fsum(v for _, v in contr)
+    sum_dchi = 2 * math.fsum(d ** 3 for _, d in in_s)
     return _finish(order, n_irreps, eps, sum_d, s_labels, d_eps, sum_dchi)
 
 
@@ -320,16 +261,18 @@ def wreath_bound(n, eps=None, t=1, threshold=DEFAULT_THRESHOLD,
         notes.append(
             "at this n the delta1 term exceeds 1, so no positive k is "
             "certified; the family bound takes hold only asymptotically")
-    return _report_from_params(
-        "wreath", {"n": n}, bp, t, threshold, k_max, notes)
+    return family_report("wreath", {"n": n}, bp, notes, t, threshold, k_max)
 
 
 # ---------------------------------------------------------------------------
 # projective linear family PSL(2, q)
 
 def _is_prime_power(q):
+    """The prime p with q a power of p, else None, by trial division."""
     if q < 2:
         return None
+    # a Python loop step per trial divisor, at most sqrt(q) of them
+    require(f"trial division of {q}", work=STEP_WORK * math.isqrt(q))
     for p in range(2, q + 1):
         if p * p > q:
             return q  # q itself prime
@@ -369,6 +312,11 @@ def psl_rows(q):
 
 def psl_params(q, eps=None):
     """BoundParams for PSL(2, q) at an involution, from the degree pattern."""
+    # at most 256 bytes per irrep at the peak: its label, degree and |chi|
+    # and the report's S_eps labels (psl2:6881263, 3440634 irreps, peaked at
+    # 731 MiB of address space)
+    rows = sum(count for _, _, count, _ in psl_rows(q))
+    require(f"irrep table of PSL(2, {q}) ({rows} irreps)", bytes=256 * rows)
     if _is_prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     order = q * (q * q - 1) if q % 2 == 0 else q * (q * q - 1) // 2
@@ -380,8 +328,7 @@ def psl_params(q, eps=None):
             labels.append(lab if count == 1 else f"{lab}.{i}")
             degrees.append(d)
             chi.append(c)
-    bp = bound_params(order, labels, degrees, chi, float(eps))
-    return bp
+    return bound_params(order, labels, degrees, chi, float(eps))
 
 
 def involution_count_note(q):
@@ -429,8 +376,7 @@ def psl_bound(q, eps=None, t=1, threshold=DEFAULT_THRESHOLD,
         "asymptotically delta2 = 2^k O(q^(-1/2)), forcing k to grow like "
         "log of the group order; the stated growth rate marker Omega(q) "
         "overshoots the log|G| scale")
-    return _report_from_params(
-        "psl", {"q": q}, bp, t, threshold, k_max, notes)
+    return family_report("psl", {"q": q}, bp, notes, t, threshold, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +391,7 @@ def gl_bound(n, p, m=1):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if _is_prime_power(p) is None or p != _is_prime_power(p):
+    if _is_prime_power(p) != p:
         raise ValueError("p must be prime")
     route_a = n * math.log(n)
     route_b = (n // 2) * m * math.log(p)
@@ -527,14 +473,13 @@ def gallagher_check(table, h):
     }
 
 
-def direct_power_bound(group, h, n, c=None, t_states=1,
-                       threshold=DEFAULT_THRESHOLD, k_max=DEFAULT_K_MAX,
-                       table=None):
-    """FamilyReport for G^n with hidden subgroup generated by (h, ..., h).
+def direct_power_bound(group, h, n, c=None, t=1, threshold=DEFAULT_THRESHOLD,
+                       k_max=DEFAULT_K_MAX, table=None):
+    """Report for G^n with hidden subgroup generated by (h, ..., h).
 
     Checks the two applicability gates (|G| > lambda * sum of degrees,
-    and |G| > |Ghat| * lambda^2), then optimizes the split parameter c
-    over 2..16 to maximize the certified k.
+    and |G| > |Ghat| * lambda^2), then takes the split parameter c in 2..16
+    with the largest certified k, the smallest such c on ties.
     """
     from .chartable import best_character_table
     if table is None:
@@ -553,30 +498,18 @@ def direct_power_bound(group, h, n, c=None, t_states=1,
     big_order = order ** n
     pow_sum_d = sum_d ** n
 
-    def evaluate(c_val):
+    def split(c_val):
+        # the tail bound stands in for both D_eps and the chi-weighted sum
         tail = binomial_tail(lam, order - lam, n, c_val)
         eps = float(gal["threshold"]) ** tail["t"]
-        d_eps_bound = min(float(tail["exact"]), tail["bound"])
-        delta1 = eps + d_eps_bound * pow_sum_d / big_order
+        d_eps = min(float(tail["exact"]), tail["bound"])
+        return c_val, tail, BoundParams(
+            group_order=big_order, n_irreps=n_irreps ** n, epsilon=eps,
+            sum_d=float(pow_sum_d), s_epsilon_labels=(), d_epsilon=d_eps,
+            sum_dchi=d_eps, delta1=eps + d_eps * pow_sum_d / big_order)
 
-        def d2(k):
-            return _delta2(k, eps, delta1, d_eps_bound, big_order)
-
-        k = entanglement_lower_bound(
-            d2, t=t_states, threshold=threshold, k_max=64,
-            hypothesis_fn=lambda kk: 2 * kk * eps < 1)
-        return k, tail, eps, d_eps_bound, delta1, d2
-
-    if c is None:
-        best = None
-        for c_val in range(2, 17):
-            res = evaluate(c_val)
-            if best is None or res[0] > best[1][0]:
-                best = (c_val, res)
-        c, (k, tail, eps, d_eps_bound, delta1, d2) = best
-    else:
-        k, tail, eps, d_eps_bound, delta1, d2 = evaluate(c)
-
+    c, tail, bp = max(map(split, range(2, 17) if c is None else [c]),
+                      key=lambda s: k_lower_bound(s[2], t, threshold))
     notes = [
         f"gallagher threshold {gal['threshold']} "
         f"(centralizer order {gal['centralizer_order']}), "
@@ -593,21 +526,7 @@ def direct_power_bound(group, h, n, c=None, t_states=1,
         "the certified k grows linearly in n once the gate ratio "
         "lambda*sum_d/|G| decays against the tail estimate",
     ]
-    return FamilyReport(
-        family="direct-power",
-        params={"base": f"{group.kind}{group.params}", "h": group.pretty(h),
-                "n": n, "c": c},
-        group_order=big_order,
-        epsilon=eps,
-        s_epsilon_labels=[],
-        d_epsilon=d_eps_bound,
-        sum_dchi=d_eps_bound,
-        sum_d=float(pow_sum_d),
-        delta1=delta1,
-        delta2_by_k=[{"k": kk, "value": d2(kk),
-                      "hypothesis_ok": 2 * kk * eps < 1}
-                     for kk in range(1, k_max + 1)],
-        k_lower_bound=k,
-        threshold=threshold,
-        interpretation_notes=notes,
-    )
+    return family_report(
+        "direct-power", {"base": f"{group.kind}{group.params}",
+                         "h": group.pretty(h), "n": n, "c": c},
+        bp, notes, t, threshold, k_max)

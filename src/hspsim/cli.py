@@ -129,12 +129,24 @@ def resolve_h(group, text):
 
 
 def resolve_threads(flag):
-    if flag is not None:  # main() has refused values below 1
+    """Worker count: --threads, else HSPSIM_THREADS, else one per CPU.
+    Either setting below 1, or not an integer, is a usage error."""
+    if flag is not None:
+        if flag < 1:
+            raise UsageError(f"argument --threads: must be at least 1, got "
+                             f"{flag}")
         return flag
     env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"environment variable {THREADS_ENV}: must be an "
+                         f"integer of at least 1, got {env!r}")
+    return threads
 
 
 def make_header(seed, group_spec):
@@ -227,16 +239,13 @@ def cmd_bound(args):
         if args.n > n_max:
             raise UsageError(f"argument --n: must be at most {n_max} for "
                              f"{spec_of(base)}, got {args.n}")
-        rep = bounds.direct_power_bound(base, h, args.n, c=args.c, t_states=t,
+        rep = bounds.direct_power_bound(base, h, args.n, c=args.c, t=t,
                                         threshold=args.threshold,
                                         k_max=args.k_max)
         spec = f"power:{spec_of(base)}^{args.n}"
     elif args.family == "gl":
-        obj = bounds.gl_bound(args.n, args.p, args.m)
+        rep = bounds.gl_bound(args.n, args.p, args.m)
         spec = f"gl({args.n},{args.p}^{args.m})"
-        report = {"header": make_header(args.seed, spec), **obj}
-        write_output(render_report(report, args.format), args.out)
-        return EX_OK
     else:  # generic group family
         G = make_group(args.group)
         h = resolve_h(G, args.h)
@@ -245,7 +254,7 @@ def cmd_bound(args):
         rep = bounds.group_report(G, irr, h, eps, t=t,
                                   threshold=args.threshold, k_max=args.k_max)
         spec = spec_of(G)
-    report = {"header": make_header(args.seed, spec), **rep.to_json_obj()}
+    report = {"header": make_header(args.seed, spec), **rep}
     write_output(render_report(report, args.format), args.out)
     return EX_OK
 
@@ -260,7 +269,6 @@ def cmd_simulate(args):
         raise UsageError("--frames must be at least 1")
     G = make_group(args.group)
     h = resolve_h(G, args.h)
-    threads = resolve_threads(args.threads)
     # The frame vectors alone take 16 |G|^k bytes.  Past the limit, a group
     # without explicit irreps is refused as the numeric irreps would be, or
     # else names the refused tuple from its class-sum table (same labels and
@@ -288,7 +296,7 @@ def cmd_simulate(args):
     for i in range(args.frames):
         space = simulate.RegisterSpace(G, irr, args.k, seed=int(children[i]),
                                        kind=args.frame_kind)
-        res = simulate.avg_tv_over_conjugates(space, h, threads=threads)
+        res = simulate.avg_tv_over_conjugates(space, h, threads=args.threads)
         per_seed.append({
             "frame_index": i,
             "avg_l1": res["avg_l1"],
@@ -391,12 +399,11 @@ def _suite_facts(G, args):
 
 def _suite_lemmas(G, args):
     h = resolve_h(G, args.h)
-    threads = resolve_threads(args.threads)
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind,
-                                 threads=threads)
+                                 threads=args.threads)
     try:  # reported first, run once the suite has passed its estimates
         err = simulate.fourier_roundtrip_error(G, order_two_subgroup(G, h),
                                                irr)
@@ -496,9 +503,11 @@ def main(argv=None):
             if value is not None and not 0 <= value < math.inf:
                 raise UsageError(f"argument --{name}: must be a finite "
                                  f"number >= 0, got {value}")
-        if args.threads is not None and args.threads < 1:
-            raise UsageError(f"argument --threads: must be at least 1, got "
-                             f"{args.threads}")
+        for name, value in vars(args).items():  # floats are exact to 2**53
+            if type(value) is int and abs(value) > 2 ** 53:
+                raise UsageError(f"argument --{name.replace('_', '-')}: must "
+                                 f"be at most 2**53 in magnitude, got {value}")
+        args.threads = resolve_threads(args.threads)
         return handlers[args.command](args)
     except bounds.CorollaryInapplicable as e:
         label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e

@@ -157,7 +157,7 @@ def test_criterion_07_corollary_arithmetic():
     t0 = time.time()
     # psl: delta1 = 1/6 + 92/1092 at 1e-12
     rep13 = bounds.psl_bound(13)
-    assert abs(rep13.delta1 - float(Fraction(1, 6) + Fraction(92, 1092))) \
+    assert abs(rep13["delta1"] - float(Fraction(1, 6) + Fraction(92, 1092))) \
         <= 1e-12
     # wreath: closed form equals the enumerated-irrep path exactly
     W = groups.make_wreath_s2(3)
@@ -166,15 +166,15 @@ def test_criterion_07_corollary_arithmetic():
                                      float(3) ** (-3 / 4))
     rep3 = bounds.wreath_bound(3)
     assert bounds.wreath_params(3) == enum
-    assert rep3.delta1 == enum.delta1
-    assert rep3.d_epsilon == enum.d_epsilon
-    assert sorted(rep3.s_epsilon_labels) == sorted(enum.s_epsilon_labels)
+    assert rep3["delta1"] == enum.delta1
+    assert rep3["d_epsilon"] == enum.d_epsilon
+    assert sorted(rep3["s_epsilon_labels"]) == sorted(enum.s_epsilon_labels)
     # direct power: both gates and the character dichotomy
     S4 = groups.make_symmetric(4)
     hs = S4.from_perm((1, 0, 2, 3))
     assert math.sqrt(24) > 2 * math.sqrt(5)  # the reported root gate
     power = bounds.direct_power_bound(S4, hs, 10)
-    gates = [n for n in power.interpretation_notes if "sqrt|G|" in n]
+    gates = [n for n in power["interpretation_notes"] if "sqrt|G|" in n]
     assert len(gates) == 1 and "fails" not in gates[0]
     gal = bounds.gallagher_check(
         CharacterTable.from_irreps(S4, irrmod.irreps_symmetric(4)), hs)

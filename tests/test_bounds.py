@@ -110,18 +110,22 @@ def test_delta2_monotone_in_k():
 
 
 def test_delta2_table_hypothesis_flags():
-    bp = bounds.wreath_params(3, eps=0.2)
-    table = bounds.delta2_table(bp, 4)
+    table = bounds.wreath_bound(3, eps=0.2, k_max=4)["delta2_by_k"]
     assert [row["k"] for row in table] == [1, 2, 3, 4]
     assert [row["hypothesis_ok"] for row in table] == [True, True, False, False]
 
 
+def _synthetic(delta1):
+    # eps = D_eps = 0, so delta2(k) = 2^k sqrt(delta1)
+    return bounds.BoundParams(
+        group_order=1, n_irreps=1, epsilon=0.0, sum_d=1, s_epsilon_labels=(),
+        d_epsilon=0, sum_dchi=0.0, delta1=delta1)
+
+
 def test_entanglement_lower_bound_synthetic():
     # sqrt(2^k * 1e-6) < 1/3 up to k = 16, fails at 17
-    k = bounds.entanglement_lower_bound(lambda k: 2.0 ** k * 1e-6,
-                                        threshold=1 / 3)
-    assert k == 16
-    assert bounds.entanglement_lower_bound(lambda k: 1.0) == 0
+    assert bounds.k_lower_bound(_synthetic(1e-12), threshold=1 / 3) == 16
+    assert bounds.k_lower_bound(_synthetic(1.0)) == 0
 
 
 def test_k_lower_bound_honest_at_desk_scale():
@@ -132,8 +136,8 @@ def test_k_lower_bound_honest_at_desk_scale():
         assert bp.delta1 > 1
         assert bounds.k_lower_bound(bp) == 0
     rep = bounds.wreath_bound(20)
-    assert rep.k_lower_bound == 0
-    assert any("no positive k" in note for note in rep.interpretation_notes)
+    assert rep["k_lower_bound"] == 0
+    assert any("no positive k" in note for note in rep["interpretation_notes"])
 
 
 def test_k_lower_bound_certifies_when_delta_small():
@@ -240,15 +244,15 @@ def test_direct_power_s4_gates_and_report():
     S4 = groups.make_symmetric(4)
     h = S4.from_perm((1, 0, 2, 3))
     rep = bounds.direct_power_bound(S4, h, 10)
-    assert rep.family == "direct-power"
-    assert rep.group_order == 24 ** 10
-    assert 2 <= rep.params["c"] <= 16
+    assert rep["family"] == "direct-power"
+    assert rep["group_order"] == 24 ** 10
+    assert 2 <= rep["params"]["c"] <= 16
     # sqrt(24) > 2 sqrt(5) gate is reported as satisfied
-    gate_notes = [n for n in rep.interpretation_notes if "sqrt|G|" in n]
+    gate_notes = [n for n in rep["interpretation_notes"] if "sqrt|G|" in n]
     assert len(gate_notes) == 1 and "fails" not in gate_notes[0]
     # at this small n the delta chain is vacuous: the honest answer is 0
-    assert rep.k_lower_bound == 0
-    assert all(row["value"] > 0 for row in rep.delta2_by_k)
+    assert rep["k_lower_bound"] == 0
+    assert all(row["value"] > 0 for row in rep["delta2_by_k"])
 
 
 def test_direct_power_inapplicable_gate():
@@ -312,12 +316,10 @@ def test_psl_rejects_non_prime_power():
 
 
 def test_psl_bound_report_notes():
-    rep5 = bounds.psl_bound(5)
-    assert any("opposite sign pairing" in n for n in rep5.interpretation_notes)
-    rep7 = bounds.psl_bound(7)
-    assert any("eps cutoff" in n for n in rep7.interpretation_notes)
-    rep8 = bounds.psl_bound(8)
-    assert any("eps cutoff" in n for n in rep8.interpretation_notes)
+    notes = {q: bounds.psl_bound(q)["interpretation_notes"] for q in (5, 7, 8)}
+    assert any("opposite sign pairing" in n for n in notes[5])
+    assert any("eps cutoff" in n for n in notes[7])
+    assert any("eps cutoff" in n for n in notes[8])
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +338,39 @@ def test_gl_bound_routes():
 # ---------------------------------------------------------------------------
 # report schema and the link to simulation
 
-def test_family_report_schema():
-    rep = bounds.wreath_bound(3, eps=0.2)
-    obj = rep.to_json_obj()
+def _s4_power():
+    S4 = groups.make_symmetric(4)
+    return bounds.direct_power_bound(S4, S4.from_perm((1, 0, 2, 3)), 10)
+
+
+def _dihedral4_report():
+    G = groups.make_dihedral(4)
+    return bounds.group_report(G, irreps.irreps_generic(G), G.n, eps=0.2)
+
+
+@pytest.mark.parametrize("make, family, delta1", [
+    (lambda: bounds.wreath_bound(3, eps=0.2), "wreath", 6.311111111111111),
+    (lambda: bounds.psl_bound(13), "psl", 0.2509157509157509),
+    (_dihedral4_report, "group", None),
+    (_s4_power, "direct-power", None),
+], ids=["wreath", "psl", "group", "direct-power"])
+def test_family_report_schema(make, family, delta1):
+    obj = make()
     assert list(obj.keys()) == [
         "family", "params", "group_order", "epsilon", "s_epsilon_labels",
         "d_epsilon", "sum_dchi", "sum_d", "delta1", "delta2_by_k",
         "k_lower_bound", "threshold", "interpretation_notes"]
-    assert obj["family"] == "wreath"
-    assert obj["delta1"] == 6.311111111111111
+    assert obj["family"] == family
+    if delta1 is not None:
+        assert obj["delta1"] == delta1
+    assert [row["k"] for row in obj["delta2_by_k"]] == list(range(1, 9))
     assert {"k", "value", "hypothesis_ok"} == set(obj["delta2_by_k"][0])
 
 
 def test_group_report_for_dihedral():
-    G = groups.make_dihedral(4)
-    irr = irreps.irreps_generic(G)
-    h = G.n  # the reflection s
-    rep = bounds.group_report(G, irr, h, eps=0.2)
-    assert rep.group_order == 8
-    assert rep.params["group"] == "dihedral:4"
+    rep = _dihedral4_report()  # at the reflection s
+    assert rep["group_order"] == 8
+    assert rep["params"]["group"] == "dihedral:4"
 
 
 def test_delta2_dominates_simulated_distance():

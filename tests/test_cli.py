@@ -7,11 +7,11 @@ import time
 
 import pytest
 
-from hspsim import cli
+from hspsim import bounds, cli
 from hspsim import irreps as irrmod
 from hspsim.chartable import CharacterTable, best_character_table
 from hspsim.groups import FiniteGroup, make_group
-from hspsim.util import MEMORY_LIMIT, ResourceCap
+from hspsim.util import MEMORY_LIMIT, STEP_WORK, WORK_LIMIT, ResourceCap
 
 TS = "1755820800"
 
@@ -171,6 +171,8 @@ def test_psl2_8_facts_pass_in_1gib():
     "simulate --group cyclic:400 --k 3",
     "bound --family group --group cyclic:5700",
     "chartable --group power:z2^17",
+    "bound --family psl2 --q 10000019",
+    "bound --family gl --n 6 --p 9007199254740881",
 ])
 def test_refused_at_once_in_1gib(argv):
     # each died with MemoryError or ran past 90 s before its estimate
@@ -182,6 +184,38 @@ def test_refused_at_once_in_1gib(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(
         f"hspsim {argv.split()[0]}: resource cap: ")
+
+
+def test_psl2_row_cap_admits_the_largest_q_in_1gib():
+    # 256 bytes per irrep: 6881269 is the largest prime power admitted and
+    # 6881291 the next
+    def rows(q):
+        return sum(count for _, _, count, _ in bounds.psl_rows(q))
+
+    assert 256 * rows(6881269) <= MEMORY_LIMIT < 256 * rows(6881291)
+    proc = _cli_under_1gib("bound", "--family", "psl2", "--q", "6881269")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["params"] == {"q": 6881269}
+    proc = _cli_under_1gib("bound", "--family", "psl2", "--q", "6881291")
+    assert proc.returncode == 69, proc.stderr
+    assert proc.stderr == (
+        "hspsim bound: resource cap: irrep table of PSL(2, 6881291) (3440648 "
+        "irreps) needs 8.81e+08 bytes (limit 8.81e+08)\n")
+
+
+def test_trial_division_cap_admits_the_largest_p(capsys):
+    # a loop step per trial divisor up to sqrt(p): 2777778888769 is the
+    # largest prime admitted and 2777778888923 the next
+    assert STEP_WORK * 1666666 <= WORK_LIMIT < STEP_WORK * 1666667
+    rc, out, _ = run_cli(capsys, ["bound", "--family", "gl", "--n", "6",
+                                  "--p", "2777778888769"])
+    assert rc == 0
+    assert json.loads(out)["params"]["p"] == 2777778888769
+    rc, out, err = run_cli(capsys, ["bound", "--family", "gl", "--n", "6",
+                                    "--p", "2777778888923"])
+    assert (rc, out) == (69, "")
+    assert err == ("hspsim bound: resource cap: trial division of "
+                   "2777778888923 needs 5e+09 multiply-adds (limit 5e+09)\n")
 
 
 def test_z20000_chartable_refused_before_allocating():
@@ -406,6 +440,11 @@ def test_bound_float_range_boundaries(capsys, argv, largest):
                           f"be at most {largest}")
 
 
+BIG = str(10 ** 400)
+ABOVE_2_53 = str(2 ** 53 + 1)
+PAST_2_53 = "must be at most 2**53 in magnitude, got "
+
+
 @pytest.mark.parametrize("argv, text", [
     (["bound", "--family", "psl2", "--q", "13", "--epsilon", "-1"],
      "argument --epsilon: must be a finite number >= 0, got -1.0"),
@@ -423,13 +462,43 @@ def test_bound_float_range_boundaries(capsys, argv, largest):
      "argument --threads: must be at least 1, got 0"),
     (["verify", "--suite", "lemmas", "--group", "s3", "--threads", "-1"],
      "argument --threads: must be at least 1, got -1"),
+    (["simulate", "--group", "s3", "--k", BIG],
+     f"argument --k: {PAST_2_53}{BIG}"),
+    (["simulate", "--group", "s3", "--frames", ABOVE_2_53],
+     f"argument --frames: {PAST_2_53}{ABOVE_2_53}"),
+    (["simulate", "--group", "s3", "--t", f"-{ABOVE_2_53}"],
+     f"argument --t: {PAST_2_53}-{ABOVE_2_53}"),
+    (["verify", "--suite", "lemmas", "--group", "s3", "--k", ABOVE_2_53],
+     f"argument --k: {PAST_2_53}{ABOVE_2_53}"),
+    (["bound", "--family", "wreath", "--n", "3", "--t", BIG],
+     f"argument --t: {PAST_2_53}{BIG}"),
+    (["bound", "--family", "power", "--group", "s4", "--n", "10", "--c",
+      ABOVE_2_53], f"argument --c: {PAST_2_53}{ABOVE_2_53}"),
+    (["bound", "--family", "power", "--group", "s4", "--n", f"-{BIG}"],
+     f"argument --n: {PAST_2_53}-{BIG}"),
+    (["bound", "--family", "gl", "--n", BIG, "--p", "2"],
+     f"argument --n: {PAST_2_53}{BIG}"),
+    (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", f"-{BIG}"],
+     f"argument --m: {PAST_2_53}-{BIG}"),
 ], ids=["epsilon-1", "epsilon-nan", "epsilon-inf", "threshold-neg", "m0",
-        "m-3", "threads0", "threads-1"])
+        "m-3", "threads0", "threads-1", "simulate-k-big", "frames-2**53+1",
+        "simulate-t-neg", "lemmas-k-2**53+1", "bound-t-big", "c-2**53+1",
+        "power-n-neg", "gl-n-big", "gl-m-neg"])
 def test_out_of_domain_flags_are_usage_errors(capsys, argv, text):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 64
     assert out == ""
     assert err == f"hspsim {argv[0]}: error: {text}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_threads_env_is_checked_like_the_flag(capsys, monkeypatch, value):
+    monkeypatch.setenv("HSPSIM_THREADS", value)
+    rc, out, err = run_cli(capsys, ["simulate", "--group", "s3"])
+    assert (rc, out) == (64, "")
+    assert err == ("hspsim simulate: error: environment variable "
+                   f"HSPSIM_THREADS: must be an integer of at least 1, got "
+                   f"{value!r}\n")
 
 
 def test_bound_gl_report(capsys):

@@ -21,7 +21,10 @@ GROUPS = st.sampled_from([
 MALFORMED = st.sampled_from([
     "s0", "s9", "z0", "cyclic:x", "dihedral:1", "wreath:9", "psl2:6",
     "power:z2", "power:z2^x", "power:z2^-1", "nosuch:3", ""])
-VALUES = ["-1", "0", "1", "2", "3", "1023", "1024", "1000000", "nan", "inf"]
+# past 2**53 in magnitude an integer flag is a usage error
+HUGE = ["9007199254740993", "-9007199254740993", str(10 ** 400)]
+VALUES = ["-1", "0", "1", "2", "3", "1023", "1024", "1000000", "nan", "inf",
+          *HUGE]
 ELEMENTS = ["(1 2)", "(1 2 3)", "swap", "id:1", "id:99", "bad"]
 
 # (required flags, optional flags) per subcommand; a flag maps to its pool
@@ -77,6 +80,9 @@ def _out_of_domain(argv):
             v = float(flags[name])
             if not math.isfinite(v) or v < 0:
                 return True
+    if any(v in HUGE for n, v in flags.items()
+           if n not in ("--epsilon", "--threshold")):
+        return True
     return ("--m" in flags and flags["--m"] in ("-1", "0", "nan", "inf")
             or flags.get("--k-max") in ("1024", "1000000"))
 
@@ -88,6 +94,8 @@ def _out_of_domain(argv):
           "--n", "224"])
 @example(["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "0"])
 @example(["simulate", "--group", "s3", "--epsilon", "nan"])
+@example(["bound", "--family", "psl2", "--q", "1000000000000000003"])
+@example(["bound", "--family", "gl", "--n", "6", "--p", "1000000000000000003"])
 def test_every_argv_ends_in_a_known_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
