@@ -26,6 +26,8 @@ from .util import (STEP_WORK, kron_apply, kron_stack, pairwise_sum,
 
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
 SCREEN_TOL = 1e-9
+# complex entries per batched block (1 MiB): batching moves no refusal
+BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,8 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
 
 
 def _half_projectors(irreps, tup, c):
-    """The register factors (I + rho_i(c))/2 of a tuple at class element c."""
+    """The register factors (I + rho_i(c))/2 of a tuple at class element c,
+    or their stacks over an array c of class elements."""
     return [(np.eye(irreps[i].degree) + irreps[i].mats[c]) / 2 for i in tup]
 
 
@@ -163,14 +166,27 @@ class RegisterSpace:
         return (2 ** self.k) * d * ranks[ti] / N ** self.k
 
     def projected_forms(self, ti, c):
-        """<b| prod_i (I + rho_i(c))/2 |b> for every frame vector b."""
+        """<b| prod_i (I + rho_i(c))/2 |b> for every frame vector b.
+
+        c is one class element, giving shape (m,), or a sequence of them,
+        giving one row per element, shape (len(c), m).  The elements are
+        taken in blocks of at most BLOCK_ENTRIES entries of the applied
+        frame; a block stacks its register factors and applies them with
+        one stacked Kronecker apply.  Every row equals the single-element
+        call bit for bit.
+        """
+        cs = np.atleast_1d(np.asarray(c, dtype=np.intp))
         V = self.frames[ti].vectors
-        KV = kron_apply(_half_projectors(self.irreps, self.tuples[ti], c), V)
-        vals = np.einsum("im,im->m", V.conj(), KV)
+        vals = np.empty((len(cs), V.shape[1]), dtype=np.complex128)
+        step = max(1, BLOCK_ENTRIES // V.size)
+        for lo in range(0, len(cs), step):
+            KV = kron_apply(_half_projectors(self.irreps, self.tuples[ti],
+                                             cs[lo:lo + step]), V)
+            vals[lo:lo + step] = np.einsum("im,cim->cm", V.conj(), KV)
         if np.max(np.abs(vals.imag)) > 1e-8:
             raise ValueError("projected quadratic form has imaginary part "
                              f"{np.max(np.abs(vals.imag)):.3g}")
-        return vals.real
+        return vals.real if np.ndim(c) else vals.real[0]
 
 
 def reference_distribution(space):
@@ -182,20 +198,25 @@ def reference_distribution(space):
     return out
 
 
+def tuple_distributions(space, ti, cs, ranks, forms=None):
+    """Outcome probabilities of tuple ti for the coset states of
+    H^g = {e, c}, one row per class element c of cs; forms, if given, are
+    space.projected_forms(ti, cs)."""
+    r = ranks[ti]
+    f = space.frames[ti]
+    if r == 0:
+        return np.zeros((len(cs), f.size))
+    if forms is None:
+        forms = space.projected_forms(ti, cs)
+    return space.subgroup_prob(ti, ranks) * f.weights * forms / r
+
+
 def coset_distribution(space, c, ranks=None):
     """Joint outcome probabilities for the coset state of H^g = {e, c}."""
     if ranks is None:
         ranks = space.tuple_ranks(order_two_subgroup(space.group, c))
-    out = []
-    for ti in range(len(space.tuples)):
-        r = ranks[ti]
-        f = space.frames[ti]
-        if r == 0:
-            out.append(np.zeros(f.size))
-            continue
-        vals = space.projected_forms(ti, c)
-        out.append(space.subgroup_prob(ti, ranks) * f.weights * vals / r)
-    return out
+    return [tuple_distributions(space, ti, [c], ranks)[0]
+            for ti in range(len(space.tuples))]
 
 
 def conditional_distribution(space, ti, c, ranks):
@@ -212,6 +233,12 @@ def l1_distance(dist_a, dist_b):
     per_tuple = [float(np.sum(np.abs(a - b)))
                  for a, b in zip(dist_a, dist_b)]
     return pairwise_sum(per_tuple)
+
+
+def l1_rows(rows, ref):
+    """The per-tuple term of l1_distance for each row of a tuple's
+    distributions against its reference outcomes, bit for bit."""
+    return np.sum(np.abs(rows - ref), axis=1)
 
 
 def total_variation(dist_a, dist_b):
@@ -233,7 +260,9 @@ def avg_tv_over_conjugates(space, h, threads=1):
     """Distances to the uniform-state distribution, per conjugate and mean.
 
     The average over the conjugacy class of h equals the average over a
-    uniformly random conjugating element.
+    uniformly random conjugating element.  Each tuple gives its l1 terms
+    at every conjugate at once; each conjugate's l1 sums its terms over
+    the tuples in tuple order, as l1_distance does.
     """
     group = space.group
     H = order_two_subgroup(group, h)
@@ -241,10 +270,11 @@ def avg_tv_over_conjugates(space, h, threads=1):
     ref = reference_distribution(space)
     cls = list(group.class_of(h))
 
-    def work(c):
-        return l1_distance(coset_distribution(space, c, ranks), ref)
+    def work(ti):
+        return l1_rows(tuple_distributions(space, ti, cls, ranks), ref[ti])
 
-    l1s = parallel_map(work, cls, threads)
+    rows = parallel_map(work, range(len(space.tuples)), threads)
+    l1s = pairwise_sum(rows).tolist()
     per_conj = [{"element": group.pretty(c), "l1": v, "tv": 0.5 * v}
                 for c, v in zip(cls, l1s)]
     avg_l1 = pairwise_sum(l1s) / len(cls)
@@ -260,19 +290,25 @@ def avg_tv_over_conjugates(space, h, threads=1):
 # the X deviation and its second moment
 
 def _quadforms_all(stacks, dims, b):
-    """<b| (x)_i A_i(g) |b> for all g; axis i uses stacks[i] or identity."""
+    """<b| (x)_i A_i(g) |b> for all g; axis i uses stacks[i] or identity.
+
+    b is one vector (D,), giving shape (N,), or a block (D, m) of them,
+    giving one contiguous row per column, shape (m, N).
+    """
     k = len(dims)
     N = next(s.shape[0] for s in stacks.values())
-    cur = np.broadcast_to(np.asarray(b, dtype=np.complex128).reshape(dims),
-                          (N, *dims))
+    b = np.asarray(b, dtype=np.complex128)
+    lead = b.shape[1:]
+    bt = np.ascontiguousarray(b.T).reshape(*lead, *dims)
+    blk = [k + 2] * len(lead)  # the block axis, outermost
+    cur = np.broadcast_to(np.expand_dims(bt, len(lead)), (*lead, N, *dims))
     axes = [a + 1 for a in range(k)]
     for i, S in sorted(stacks.items()):
         op_axes = [0, k + 1, i + 1]
         out_axes = [0] + [(k + 1 if a == i else a + 1) for a in range(k)]
-        cur = np.einsum(S, op_axes, cur, [0] + axes, out_axes)
-    return np.einsum(cur, [0] + axes,
-                     np.asarray(b, dtype=np.complex128).conj().reshape(dims),
-                     axes, [0])
+        cur = np.einsum(S, op_axes, cur, blk + [0] + axes, blk + out_axes)
+    return np.ascontiguousarray(
+        np.einsum(cur, blk + [0] + axes, bt.conj(), blk + axes, blk + [0]))
 
 
 def _tuple_mats(irreps, tup):
@@ -280,7 +316,11 @@ def _tuple_mats(irreps, tup):
 
 
 def q_subset_values(irreps, tup, b, subset):
-    """q_I(g) = <b| rho^I(g) |b> for all g, identity on registers outside I."""
+    """q_I(g) = <b| rho^I(g) |b> for all g, identity on registers outside I.
+
+    b is a vector (D,) or a block (D, m) of frame vectors; a block gives
+    one row per vector, each equal to its single-vector call bit for bit.
+    """
     mats = _tuple_mats(irreps, tup)
     dims = tuple(m.shape[1] for m in mats)
     stacks = {i: mats[i] for i in subset}
@@ -392,6 +432,11 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     a small deterministic sample for the per-vector projector inequality
     and the second-moment identity. Returns one entry per check.
 
+    The projected forms of each tuple are computed once per (tuple, class
+    block), and serve both the X moments and the distance check, whose l1
+    terms come from the same forms.  The diagonal-overlap loop takes each
+    tuple's frame vectors in blocks of BLOCK_ENTRIES.
+
     The isotypic check screens every case with the rank-one form
     y_tau = (d_tau/N) sum_g conj(chi_tau(g)) (A_g b)(B_g b)^T, batched over
     tau, then re-evaluates the exact 4-operand einsum, in enumeration order
@@ -407,8 +452,9 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     require_sampling([r.label for r in irreps], degrees, k, kind,
                      conjugates=len(cls))
     # the diagonal-overlap loop: per nonempty register subset and frame
-    # vector of a D-dimensional tuple, one q_subset_values pass over the
-    # group of at most D k d_max multiply-adds per element
+    # vector of a D-dimensional tuple, a q_subset_values pass over the
+    # group of at most D k d_max multiply-adds per element; the vectors go
+    # in blocks of BLOCK_ENTRIES, so the loop holds no more than that
     require(f"diagonal-overlap loop over k={k} registers of the "
             f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
             * frame_entries(N, k, kind) * k * max(degrees))
@@ -499,13 +545,14 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
     for s in subsets:
         contrib = []
         for ti in range(len(space.tuples)):
-            tup = space.tuples[ti]
             f = space.frames[ti]
+            step = max(1, BLOCK_ENTRIES // (N * space.dims[ti]))
             per_b = []
-            for bi in range(f.size):
-                q = q_subset_values(irreps, tup, f.vectors[:, bi], s)
-                per_b.append(f.weights[bi] / space.dims[ti]
-                             * float(np.mean(np.abs(q) ** 2)))
+            for lo in range(0, f.size, step):
+                q = q_subset_values(irreps, space.tuples[ti],
+                                    f.vectors[:, lo:lo + step], s)
+                per_b += (f.weights[lo:lo + step] / space.dims[ti]
+                          * np.mean(np.abs(q) ** 2, axis=1)).tolist()
             contrib.append(space.plancherel(ti) * pairwise_sum(per_b))
         lhs = pairwise_sum(contrib)
         if rhs_mub - lhs < worst[0]:
@@ -517,18 +564,19 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
         "pass": bool(worst[0] >= -1e-9),
     })
 
-    # --- X second moment against delta1, and per-conjugate distances
+    # --- X second moment against delta1, and per-conjugate distances; the
+    # forms of each tuple at every conjugate are computed once, for both
+    ref = reference_distribution(space)
+
     def tuple_work(ti):
-        f = space.frames[ti]
-        wd = f.weights / space.dims[ti]
-        xsq = np.zeros(len(cls))
-        xabs = np.zeros(len(cls))
-        for ci, c in enumerate(cls):
-            vals = space.projected_forms(ti, c)
-            X = vals - 0.5 ** k
-            xsq[ci] = float(np.dot(wd, X ** 2))
-            xabs[ci] = float(np.dot(wd, np.abs(X)))
-        return xsq, xabs
+        wd = space.frames[ti].weights / space.dims[ti]
+        forms = space.projected_forms(ti, cls)
+        X = forms - 0.5 ** k
+        xsq = np.array([float(np.dot(wd, x)) for x in X ** 2])
+        xabs = np.array([float(np.dot(wd, x)) for x in np.abs(X)])
+        l1 = l1_rows(tuple_distributions(space, ti, cls, ranks, forms),
+                     ref[ti])
+        return xsq, xabs, l1
 
     per_tuple = parallel_map(tuple_work, range(len(space.tuples)), threads)
     planch = np.array([space.plancherel(ti)
@@ -552,10 +600,10 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
         })
     else:
         mu = planch @ xabs_mat                      # per-conjugate first moment
-        ref = reference_distribution(space)
+        l1s = pairwise_sum([t[2] for t in per_tuple]).tolist()
         worst = (np.inf, None)
         for ci, c in enumerate(cls):
-            lhs = l1_distance(coset_distribution(space, c, ranks), ref)
+            lhs = l1s[ci]
             rhs = (2 ** k * (1 + 2 * k * eps) * float(mu[ci])
                    + 3 * k * eps + 3 * k * d_eps / N)
             if rhs - lhs < worst[0]:

@@ -66,14 +66,19 @@ def kron_stack(A, B):
 
 def kron_apply(blocks, V):
     """(A_1 (x) ... (x) A_k) @ V, one register at a time, for V of shape
-    (D, m) or (D,) with rows in np.kron order; no D x D matrix is built."""
-    cur = np.asarray(V)
+    (D, m) or (D,) with rows in np.kron order; no D x D matrix is built.
+
+    The blocks may instead be stacks (c, d_i, d_i) of one length c: the
+    result is then the c products, shape (c, *V.shape), each made of the
+    same gemm calls as its unstacked product."""
+    lead = np.shape(blocks[0])[:-2]
+    cur = np.broadcast_to(V, lead + np.shape(V))
     pre = 1
     for A in blocks:
-        d = A.shape[0]
-        cur = A @ cur.reshape(pre, d, -1)
+        d = A.shape[-1]
+        cur = A[..., None, :, :] @ cur.reshape(*lead, pre, d, -1)
         pre *= d
-    return cur.reshape(np.shape(V))
+    return cur.reshape(lead + np.shape(V))
 
 
 def fmt_float(x):

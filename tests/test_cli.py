@@ -555,14 +555,27 @@ def test_simulate_mixed_copy_section(capsys):
     assert sec["trace_distance"] <= sec["bound"]
 
 
-def test_simulate_byte_identical_across_threads(capsys):
+def _reports_across_threads(capsys, argv):
     outs = []
     for threads in ("1", "2", "8"):
-        rc, out, _ = run_cli(capsys, ["simulate", "--group", "wreath:3",
-                                      "--k", "1", "--seed", "7",
-                                      "--threads", threads])
+        rc, out, _ = run_cli(capsys, argv + ["--threads", threads])
         assert rc == 0
         outs.append(out)
+    return outs
+
+
+def test_simulate_byte_identical_across_threads(capsys):
+    outs = _reports_across_threads(capsys, ["simulate", "--group", "wreath:3",
+                                            "--k", "1", "--seed", "7"])
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "lemmas", "--group", "wreath:3", "--k", "2"],
+    ["simulate", "--group", "psl2:5", "--k", "2", "--frame-kind", "fused"]])
+def test_tuple_pool_byte_identical_across_threads(capsys, argv):
+    # the pool maps over register tuples in both commands
+    outs = _reports_across_threads(capsys, argv)
     assert outs[0] == outs[1] == outs[2]
 
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hspsim import simulate
 from hspsim.fourier import factor_stack
 from hspsim.groups import (
     make_group,
@@ -203,6 +204,84 @@ def test_projected_forms_match_dense_kron(spec, k):
             for bi in range(V.shape[1]):
                 x = x_function(irr, tup, V[:, bi], c)
                 assert abs(x - (want[bi].real - 0.5 ** k)) < 1e-12
+
+
+# complex irreps (psl2:5) and a wreath product among them
+BATCH_SPECS = ("s3", "dihedral:4", "cyclic:6", "psl2:5", "wreath:2")
+
+
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+def test_batched_forms_equal_per_element(spec, k, kind):
+    G = make_group(spec)
+    irr = irreps_for(G)
+    cls = list(G.class_of(G.default_involution()))
+    sp = RegisterSpace(G, irr, k, seed=13, kind=kind)
+    for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 16)):
+        rows = sp.projected_forms(ti, cls)
+        assert rows.shape == (len(cls), sp.frames[ti].size)
+        for row, c in zip(rows, cls):
+            assert np.array_equal(row, sp.projected_forms(ti, c))
+
+
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+def test_q_subset_block_equals_per_column(spec, k, kind):
+    G = make_group(spec)
+    irr = irreps_for(G)
+    sp = RegisterSpace(G, irr, k, seed=13, kind=kind)
+    for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 8)):
+        V = sp.frames[ti].vectors
+        for s in _subsets(k):
+            q = q_subset_values(irr, sp.tuples[ti], V, s)
+            assert q.shape == (V.shape[1], G.order) and q.flags.c_contiguous
+            for j in range(V.shape[1]):
+                assert np.array_equal(
+                    q[j], q_subset_values(irr, sp.tuples[ti], V[:, j], s))
+
+
+@pytest.mark.parametrize("spec, k, eps, kind", [
+    ("wreath:3", 2, 0.2, "basis"), ("psl2:5", 2, 0.2, "fused"),
+    ("dihedral:4", 3, 0.15, "basis")])
+def test_distance_l1_equals_coset_distribution_l1(spec, k, eps, kind):
+    # the lemma suite and avg_tv read l1 off the batched forms; the
+    # reference builds each conjugate's whole distribution
+    G = make_group(spec)
+    irr = irreps_for(G)
+    h = G.default_involution()
+    cls = list(G.class_of(h))
+    sp = RegisterSpace(G, irr, k, seed=0, kind=kind)
+    ranks = sp.tuple_ranks(order_two_subgroup(G, h))
+    ref = reference_distribution(sp)
+    want = [l1_distance(coset_distribution(sp, c, ranks), ref) for c in cls]
+    res = avg_tv_over_conjugates(sp, h)
+    assert [e["l1"] for e in res["per_conjugate"]] == want
+    out = lemma_suite(G, irr, h, k, eps, seed=0, kind=kind)
+    got = next(e for e in out if e["check"] == "distance against x first moment")
+    ci = [f"tightest conjugate {G.pretty(c)}" for c in cls].index(got["detail"])
+    assert got["lhs"] == want[ci]
+
+
+@pytest.mark.parametrize("entries", [1, 2048])
+def test_block_size_changes_no_bit(monkeypatch, entries):
+    # 2048 entries leave a short last block of class elements (D = 16) and
+    # of frame vectors (D = 4, 8)
+    G, irr, h = wreath3()
+    cls = list(G.class_of(h))
+
+    def results():
+        sp = RegisterSpace(G, irr, 2, seed=3, kind="fused")
+        return ([sp.projected_forms(ti, cls) for ti in range(len(sp.tuples))],
+                avg_tv_over_conjugates(sp, h),
+                lemma_suite(G, irr, h, 2, 0.2, seed=3, kind="fused"))
+
+    forms, tv, suite = results()
+    monkeypatch.setattr(simulate, "BLOCK_ENTRIES", entries)
+    got_forms, got_tv, got_suite = results()
+    assert all(np.array_equal(a, b) for a, b in zip(got_forms, forms))
+    assert got_tv == tv and got_suite == suite
 
 
 def test_q_decomposition():
