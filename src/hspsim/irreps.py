@@ -36,6 +36,7 @@ class Irrep:
         if self.mats.shape[0] != group.order or self.mats.ndim != 3:
             raise ValueError("matrix stack must have shape (|G|, d, d)")
         self._char = None
+        self.plus_bases = {}  # filled and shared by simulate.plus_bases
 
     @property
     def degree(self):

@@ -6,8 +6,9 @@ Conventions
   conjugate H^g = {e, ghg^{-1}} is parametrized by the class element
   c = ghg^{-1} (uniform g gives uniform c over the conjugacy class).
 * A measurement setting is a tuple of k irreps (one per register) plus a
-  frame on the product space; outcome probabilities are weighted quadratic
-  forms in the frame vectors.
+  frame on the product space.  On irrep rho the coset state's block is the
+  rank-(d + chi(c))/2 projector (I + rho(c))/2 = W W^dagger, so an outcome
+  probability is a weighted squared norm ||(x)_i W_i(c)^dagger b||^2.
 * Distances between outcome distributions are reported both as the full
   l1 sum and as total variation (half the l1 sum).
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import threading
 
 import numpy as np
 
@@ -28,6 +31,11 @@ from .util import (STEP_WORK, kron_apply, kron_stack, pairwise_sum,
 SCREEN_TOL = 1e-9
 # complex entries per batched block (1 MiB): batching moves no refusal
 BLOCK_ENTRIES = 1 << 16
+# rho(c) of an involution c: its eigenvalues' distance to +-1 and
+# |rho(c) W - W| (numeric psl2:11 irreps reach 4e-15)
+BASIS_TOL = 1e-9
+
+_BASES_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +125,44 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
                                + conjugates * vec * k * degrees[big]))
 
 
-def _half_projectors(irreps, tup, c):
-    """The register factors (I + rho_i(c))/2 of a tuple at class element c,
-    or their stacks over an array c of class elements."""
-    return [(np.eye(irreps[i].degree) + irreps[i].mats[c]) / 2 for i in tup]
+def plus_bases(irreps, c):
+    """({class element: row}, [W^dagger per irrep]): W (|class|, d, r) holds
+    orthonormal bases of the +1 eigenspaces of rho(x) over the class of the
+    involution c, r = (d + chi(c))/2.  Built once per irrep and class and
+    kept on the irrep (Irrep.plus_bases), so all tuples and spaces share it."""
+    with _BASES_LOCK:  # pool threads build each basis once
+        todo = [r for r in irreps if c not in r.plus_bases]
+        if todo:
+            _store_plus_bases(todo, c)
+        return (irreps[0].plus_bases[c][0],
+                [r.plus_bases[c][1] for r in irreps])
+
+
+def _store_plus_bases(irreps, c):
+    """One batched eigh per irrep over the class of c, real when rho is real
+    there; checked: rho(x) W = W, r eigenvalues at +1 and the rest at -1."""
+    group = irreps[0].group
+    if group.compose(c, c) != group.identity:
+        raise ValueError(f"class element {group.pretty(c)} is not an "
+                         "involution")
+    cls = group.class_of(c)
+    rows = {x: i for i, x in enumerate(cls)}
+    ranks = [round((r.degree + r.character()[c].real) / 2) for r in irreps]
+    real = [not np.any(r.mats[list(cls)].imag) for r in irreps]
+    require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
+            "involutions", bytes=len(cls) * sum(r.degree * n * (
+                8 if re else 16) for r, n, re in zip(irreps, ranks, real)))
+    for r, n, re in zip(irreps, ranks, real):
+        M = r.mats[list(cls)]
+        lam, vec = np.linalg.eigh(M.real if re else M)
+        W = vec[..., r.degree - n:]
+        if (np.max(np.abs(np.abs(lam) - 1)) > BASIS_TOL
+                or np.any(np.sum(lam > 0, axis=1) != n)
+                or np.max(np.abs(M @ W - W), initial=0) > BASIS_TOL):
+            raise ValueError(f"{r.label} at the class of {group.pretty(c)} "
+                             f"has no rank-{n} +1 eigenspace")
+        Wh = np.ascontiguousarray(W.swapaxes(1, 2).conj())
+        r.plus_bases.update(dict.fromkeys(cls, (rows, Wh)))
 
 
 class RegisterSpace:
@@ -166,27 +208,34 @@ class RegisterSpace:
         return (2 ** self.k) * d * ranks[ti] / N ** self.k
 
     def projected_forms(self, ti, c):
-        """<b| prod_i (I + rho_i(c))/2 |b> for every frame vector b.
+        """||(x)_i W_i(c)^dagger b||^2 = <b| (x)_i (I + rho_i(c))/2 |b> for
+        every frame vector b, W_i(c) the +1 eigenbases of plus_bases.
 
-        c is one class element, giving shape (m,), or a sequence of them,
-        giving one row per element, shape (len(c), m).  The elements are
-        taken in blocks of at most BLOCK_ENTRIES entries of the applied
-        frame; a block stacks its register factors and applies them with
-        one stacked Kronecker apply.  Every row equals the single-element
-        call bit for bit.
+        c is one involution, giving shape (m,), or a sequence of elements
+        of its class, giving one row per element, shape (len(c), m).  The
+        elements are taken in blocks of at most BLOCK_ENTRIES entries of
+        the frame; a block applies its stacked W^dagger with one Kronecker
+        apply, over the frame viewed as float64 (D, 2m) when every W of
+        the tuple is real.  Every row equals the single-element call bit
+        for bit, and is real and non-negative by construction.
         """
-        cs = np.atleast_1d(np.asarray(c, dtype=np.intp))
+        cs = np.atleast_1d(c).tolist()
+        rows, bases = plus_bases(self.irreps, cs[0])
+        if not set(cs) <= rows.keys():
+            raise ValueError("class elements must share one class")
+        pos = np.array([rows[x] for x in cs])
+        Wh = [bases[i] for i in self.tuples[ti]]
         V = self.frames[ti].vectors
-        vals = np.empty((len(cs), V.shape[1]), dtype=np.complex128)
+        vals = np.empty((len(cs), V.shape[1]))
         step = max(1, BLOCK_ENTRIES // V.size)
+        if all(w.dtype == np.float64 for w in Wh):
+            V = V.view(np.float64)
         for lo in range(0, len(cs), step):
-            KV = kron_apply(_half_projectors(self.irreps, self.tuples[ti],
-                                             cs[lo:lo + step]), V)
-            vals[lo:lo + step] = np.einsum("im,cim->cm", V.conj(), KV)
-        if np.max(np.abs(vals.imag)) > 1e-8:
-            raise ValueError("projected quadratic form has imaginary part "
-                             f"{np.max(np.abs(vals.imag)):.3g}")
-        return vals.real if np.ndim(c) else vals.real[0]
+            Y = kron_apply([w[pos[lo:lo + step]] for w in Wh], V)
+            Y = Y.view(np.float64)  # (re, im) pairs on either path
+            sq = np.einsum("cim,cim->cm", Y, Y)
+            vals[lo:lo + step] = sq[:, 0::2] + sq[:, 1::2]
+        return vals if np.ndim(c) else vals[0]
 
 
 def reference_distribution(space):
@@ -219,15 +268,6 @@ def coset_distribution(space, c, ranks=None):
             for ti in range(len(space.tuples))]
 
 
-def conditional_distribution(space, ti, c, ranks):
-    """Outcome probabilities within tuple ti, given tuple ti was observed."""
-    r = ranks[ti]
-    f = space.frames[ti]
-    if r == 0:
-        return np.zeros(f.size)
-    return f.weights * space.projected_forms(ti, c) / r
-
-
 def l1_distance(dist_a, dist_b):
     """Full l1 sum over all (tuple, outcome) pairs."""
     per_tuple = [float(np.sum(np.abs(a - b)))
@@ -239,21 +279,6 @@ def l1_rows(rows, ref):
     """The per-tuple term of l1_distance for each row of a tuple's
     distributions against its reference outcomes, bit for bit."""
     return np.sum(np.abs(rows - ref), axis=1)
-
-
-def total_variation(dist_a, dist_b):
-    """Half the l1 sum."""
-    return 0.5 * l1_distance(dist_a, dist_b)
-
-
-def distribution_rows(space, dist):
-    """(label, outcome index, probability) rows of a joint distribution."""
-    rows = []
-    for ti, vec in enumerate(dist):
-        lab = space.labels[ti]
-        for bi, p in enumerate(vec):
-            rows.append((lab, bi, float(p)))
-    return rows
 
 
 def avg_tv_over_conjugates(space, h, threads=1):
@@ -337,15 +362,6 @@ def q_total_values(irreps, tup, b):
     return _quadforms_all(stacks, dims, b) - 1.0
 
 
-def x_function(irreps, tup, b, c):
-    """X = <b| (x)_i (I + rho_i(c))/2 |b> - 2^{-k} at the class element c."""
-    b = np.asarray(b)
-    val = complex(b.conj() @ kron_apply(_half_projectors(irreps, tup, c), b))
-    if abs(val.imag) > 1e-8:
-        raise ValueError(f"X has imaginary part {val.imag:.3g}")
-    return val.real - 0.5 ** len(tup)
-
-
 def second_moment_check(group, irreps, tup, b, h):
     """Class-average of X^2 versus its character-weighted Fourier form.
 
@@ -370,29 +386,6 @@ def second_moment_check(group, irreps, tup, b, h):
     if abs(rhs.imag) > 1e-8:
         raise ValueError("Fourier side of the identity is not real")
     return lhs, float(rhs.real)
-
-
-def second_moment_terms(group, irreps, tup, b, h):
-    """Per-subset-pair breakdown of the second-moment identity.
-
-    For each pair (I1, I2) of nonempty register subsets, compares the
-    class-average of q_I1 q_I2 with sum_tau chi_tau(h) E_g[conj(chi_tau) q_I1 q_I2].
-    Summing either column over all pairs gives 4^k times the X^2 averages.
-    """
-    k = len(tup)
-    cls = list(group.class_of(h))
-    subsets = [s for r in range(1, k + 1)
-               for s in itertools.combinations(range(k), r)]
-    qs = {s: q_subset_values(irreps, tup, b, s) for s in subsets}
-    chars = [(tau.character()[h], tau.character().conj()) for tau in irreps]
-    out = {}
-    for s1 in subsets:
-        for s2 in subsets:
-            prod = qs[s1] * qs[s2]
-            lhs = complex(np.mean(prod[cls]))
-            rhs = sum(ch * np.mean(cc * prod) for ch, cc in chars)
-            out[(s1, s2)] = (lhs, complex(rhs))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +618,9 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
     and the t-fold uniform state.
 
     Block form: (1/|G|^t) sum over t-tuples of d_rho times the trace norm
-    of E_{x in class}[(x)_i (I + rho_i(x))] - I.
+    of E_{x in class}[(x)_i (I + rho_i(x))] - I.  Permuting the registers
+    conjugates that matrix by a permutation, so each multiset of irreps is
+    solved once and weighted by its count of orderings.
     """
     N = group.order
     cls = list(group.class_of(h))
@@ -640,12 +635,13 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
                 + len(cls) * np.float64(N) ** t + np.sum(degrees ** 3) ** t)
     stacks = [r.mats[cls] + np.eye(r.degree) for r in irreps]
     contrib = []
-    for tup in itertools.product(range(len(irreps)), repeat=t):
+    for tup in itertools.combinations_with_replacement(range(len(irreps)), t):
         acc = functools.reduce(kron_stack, [stacks[i] for i in tup])
         M = acc.mean(axis=0) - np.eye(acc.shape[1])
         tn = float(np.sum(np.abs(np.linalg.eigvalsh(M))))
-        d = int(np.prod([irreps[i].degree for i in tup]))
-        contrib.append(d * tn)
+        orders = math.factorial(t) // math.prod(
+            math.factorial(tup.count(i)) for i in set(tup))
+        contrib.append(orders * acc.shape[1] * tn)
     return pairwise_sum(contrib) / N ** t
 
 

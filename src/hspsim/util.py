@@ -65,20 +65,22 @@ def kron_stack(A, B):
 
 
 def kron_apply(blocks, V):
-    """(A_1 (x) ... (x) A_k) @ V, one register at a time, for V of shape
-    (D, m) or (D,) with rows in np.kron order; no D x D matrix is built.
+    """(A_1 (x) ... (x) A_k) @ V, one register at a time, for r_i x d_i
+    blocks and V of shape (D, m) or (D,), D = prod d_i, with rows in
+    np.kron order; the result has prod r_i rows and no D x D matrix is built.
 
-    The blocks may instead be stacks (c, d_i, d_i) of one length c: the
-    result is then the c products, shape (c, *V.shape), each made of the
-    same gemm calls as its unstacked product."""
+    The blocks may instead be stacks (c, r_i, d_i) of one length c: the
+    result is then the c products, shape (c, prod r_i, *V.shape[1:]), each
+    made of the same gemm calls as its unstacked product."""
     lead = np.shape(blocks[0])[:-2]
     cur = np.broadcast_to(V, lead + np.shape(V))
+    post = np.size(V)
     pre = 1
     for A in blocks:
-        d = A.shape[-1]
-        cur = A[..., None, :, :] @ cur.reshape(*lead, pre, d, -1)
-        pre *= d
-    return cur.reshape(lead + np.shape(V))
+        post //= A.shape[-1]
+        cur = A[..., None, :, :] @ cur.reshape(*lead, pre, A.shape[-1], post)
+        pre *= A.shape[-2]
+    return cur.reshape(lead + (pre,) + np.shape(V)[1:])
 
 
 def fmt_float(x):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from hspsim import bounds, cli
@@ -119,6 +120,25 @@ def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
     rc, _, _ = run_cli(capsys, ["simulate", "--group", "dihedral:4",
                                 "--k", "3", "--frame-kind", "fused"])
     assert rc == 0
+
+
+def test_plus_bases_built_once_per_command(capsys, monkeypatch):
+    # one eigh per irrep of wreath:3 at the swap class, however many frame
+    # copies the command draws
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for frames in ("1", "3"):
+        calls.clear()
+        rc, _, _ = run_cli(capsys, ["simulate", "--group", "wreath:3",
+                                    "--k", "2", "--frames", frames,
+                                    "--threads", "2"])
+        assert rc == 0 and len(calls) == 9
 
 
 def test_lemmas_diagonal_overlap_refused_at_once(capsys):

@@ -1,13 +1,16 @@
 """Coset-state sampling: distributions, moment identities, distances."""
 import concurrent.futures
+import functools
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hspsim import simulate
-from hspsim.fourier import factor_stack
+from hspsim import simulate, util
+from hspsim.fourier import factor_stack, qft
 from hspsim.groups import (
     make_group,
     make_psl2,
@@ -17,13 +20,12 @@ from hspsim.groups import (
     wreath_embedding,
 )
 from hspsim.irreps import (
-    irreps_for, irreps_generic, irreps_symmetric, irreps_wreath,
+    Irrep, irreps_for, irreps_generic, irreps_symmetric, irreps_wreath,
 )
 from hspsim.simulate import (
     RegisterSpace,
     _isotypic_screen,
     avg_tv_over_conjugates,
-    conditional_distribution,
     coset_distribution,
     coset_state,
     fourier_blocks,
@@ -31,19 +33,16 @@ from hspsim.simulate import (
     l1_distance,
     lemma_suite,
     mixed_conjugate_trace_distance,
+    plus_bases,
     q_subset_values,
     q_total_values,
     reference_distribution,
     require_sampling,
     second_moment_check,
-    second_moment_terms,
-    distribution_rows,
-    total_variation,
     transfer_quotient_report,
     transfer_subgroup_report,
-    x_function,
 )
-from hspsim.util import ResourceCap, kron_apply, parallel_map
+from hspsim.util import ResourceCap, kron_apply, kron_stack, parallel_map
 
 
 def wreath3():
@@ -125,6 +124,15 @@ def test_wreath3_tuple_probabilities_frozen():
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
 
+def conditional_distribution(space, ti, c, ranks):
+    """Outcome probabilities within tuple ti, given tuple ti was observed."""
+    r = ranks[ti]
+    f = space.frames[ti]
+    if r == 0:
+        return np.zeros(f.size)
+    return f.weights * space.projected_forms(ti, c) / r
+
+
 @pytest.mark.parametrize("k,kind", [(1, "basis"), (2, "basis"), (1, "fused")])
 def test_distributions_normalized(k, kind):
     G, irr, h = wreath3()
@@ -144,6 +152,16 @@ def test_distributions_normalized(k, kind):
             assert float(np.abs(cond).sum()) == 0.0
 
 
+def distribution_rows(space, dist):
+    """(label, outcome index, probability) rows of a joint distribution."""
+    rows = []
+    for ti, vec in enumerate(dist):
+        lab = space.labels[ti]
+        for bi, p in enumerate(vec):
+            rows.append((lab, bi, float(p)))
+    return rows
+
+
 def test_distribution_rows_structure():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 1, seed=0)
@@ -152,6 +170,21 @@ def test_distribution_rows_structure():
     labels = {r[0] for r in rows}
     assert len(labels) == 9
     assert abs(sum(r[2] for r in rows) - 1) < 1e-10
+
+
+def _half_projectors(irreps, tup, c):
+    """The dense register factors (I + rho_i(c))/2 of a tuple at class
+    element c: the reference the projector-form kernel is checked against."""
+    return [(np.eye(irreps[i].degree) + irreps[i].mats[c]) / 2 for i in tup]
+
+
+def x_function(irreps, tup, b, c):
+    """X = <b| (x)_i (I + rho_i(c))/2 |b> - 2^{-k} at the class element c."""
+    b = np.asarray(b)
+    val = complex(b.conj() @ kron_apply(_half_projectors(irreps, tup, c), b))
+    if abs(val.imag) > 1e-8:
+        raise ValueError(f"X has imaginary part {val.imag:.3g}")
+    return val.real - 0.5 ** len(tup)
 
 
 def test_x_function_matches_forms():
@@ -172,17 +205,29 @@ def _dense_kron(blocks):
     return K
 
 
-@pytest.mark.parametrize("degrees", [(1,), (4,), (2, 3), (3, 1), (1, 2, 3),
-                                     (3, 2, 2)])
+@pytest.mark.parametrize("degrees", [
+    ((1, 1),), ((4, 4),), ((2, 2), (3, 3)), ((3, 3), (1, 1)),
+    ((1, 1), (2, 2), (3, 3)), ((3, 3), (2, 2), (2, 2)),
+    ((2, 4),), ((1, 3), (2, 2)), ((3, 3), (0, 2)), ((2, 3), (1, 2), (2, 2))])
 def test_kron_apply_matches_dense_kron(degrees):
-    rng = np.random.default_rng(list(degrees))
-    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-              for d in degrees]
-    D = int(np.prod(degrees))
+    # square and rectangular r_i x d_i blocks, alone and stacked
+    rng = np.random.default_rng([r * 7 + d for r, d in degrees])
+    blocks = [rng.standard_normal((3, r, d))
+              + 1j * rng.standard_normal((3, r, d)) for r, d in degrees]
+    D = int(np.prod([d for _, d in degrees]))
     V = rng.standard_normal((D, 5)) + 1j * rng.standard_normal((D, 5))
-    K = _dense_kron(blocks)
-    assert np.max(np.abs(kron_apply(blocks, V) - K @ V)) < 1e-12
-    assert np.max(np.abs(kron_apply(blocks, V[:, 2]) - K @ V[:, 2])) < 1e-12
+    Ks = [_dense_kron([A[j] for A in blocks]) for j in range(3)]
+    for j, K in enumerate(Ks):
+        one = [A[j] for A in blocks]
+        assert np.max(np.abs(kron_apply(one, V) - K @ V), initial=0) < 1e-12
+        assert np.max(np.abs(kron_apply(one, V[:, 2]) - K @ V[:, 2]),
+                      initial=0) < 1e-12
+    got = kron_apply(blocks, V)
+    assert got.shape == (3, Ks[0].shape[0], 5)
+    for j, K in enumerate(Ks):
+        assert np.array_equal(got[j], kron_apply([A[j] for A in blocks], V))
+        assert np.max(np.abs(got[j] - K @ V), initial=0) < 1e-12
+    assert kron_apply(blocks, V[:, 0]).shape == (3, Ks[0].shape[0])
 
 
 @pytest.mark.parametrize("spec", ["s3", "dihedral:4", "psl2:5", "wreath:2"])
@@ -204,6 +249,144 @@ def test_projected_forms_match_dense_kron(spec, k):
             for bi in range(V.shape[1]):
                 x = x_function(irr, tup, V[:, bi], c)
                 assert abs(x - (want[bi].real - 0.5 ** k)) < 1e-12
+
+
+# the groups whose irreps are real, conj(rho) = rho, with the largest k at
+# which |G|^k stays small enough for dense N^k x N^k matrices
+ORACLE_CASES = {"s3": 3, "wreath:2": 3, "s4": 2, "wreath:3": 1}
+
+
+@functools.lru_cache(maxsize=None)
+def _group_irreps(spec):
+    G = make_group(spec)
+    return G, irreps_for(G)
+
+
+def _oracle_rows(G, irr, c, k, space):
+    """Outcome probabilities per (tuple, frame vector) from dense matrix
+    algebra: qft^(x)k sigma_H^(x)k qft^(x)k^dagger for H = {e, c},
+    restricted to each tuple's block, with the multiplicity (row-index)
+    registers traced out, measured on the tuple's frame."""
+    N = G.order
+    F = qft(G, irr)
+    sigma = coset_state(G, order_two_subgroup(G, c))
+    Fk, Sk = F, sigma
+    for _ in range(k - 1):
+        Fk, Sk = np.kron(Fk, F), np.kron(Sk, sigma)
+    rho = Fk @ Sk @ Fk.conj().T
+    offsets = np.cumsum([0] + [r.degree ** 2 for r in irr])
+    # row (i_m, j_m) of register m: i_m is traced out, j_m is measured
+    sub = ([a for m in range(k) for a in (m, k + m)]
+           + [a for m in range(k) for a in (m, 2 * k + m)])
+    out = []
+    for ti, tup in enumerate(space.tuples):
+        idx = np.zeros(1, dtype=np.intp)
+        for i in tup:
+            idx = (idx[:, None] * N
+                   + np.arange(offsets[i], offsets[i + 1])).ravel()
+        dims = [irr[i].degree for i in tup]
+        block = rho[np.ix_(idx, idx)].reshape([d for d in dims
+                                               for _ in (0, 1)] * 2)
+        D = space.dims[ti]
+        M = np.einsum(block, sub, list(range(k, 3 * k))).reshape(D, D)
+        f = space.frames[ti]
+        p = f.weights * np.einsum("im,ij,jm->m", f.vectors.conj(), M,
+                                  f.vectors)
+        assert np.max(np.abs(p.imag)) < 1e-12
+        out.append(p.real)
+    return out
+
+
+@pytest.mark.parametrize("spec, k", [(spec, k) for spec, kmax
+                                     in ORACLE_CASES.items()
+                                     for k in range(1, kmax + 1)])
+def test_dense_oracle_reproduces_coset_distribution(spec, k):
+    # every involution c of the group, every tuple and frame vector
+    G, irr = _group_irreps(spec)
+    spaces = [RegisterSpace(G, irr, k, seed=17, kind=kind)
+              for kind in ("basis", "fused")]
+    for c in G.involutions():
+        for sp in spaces:
+            want = _oracle_rows(G, irr, c, k, sp)
+            got = coset_distribution(sp, c)
+            for ti in range(len(sp.tuples)):
+                assert np.max(np.abs(got[ti] - want[ti])) < 1e-12
+
+
+@settings(max_examples=40)
+@given(spec=st.sampled_from(sorted(ORACLE_CASES)), k=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["basis", "fused"]), pick=st.integers(0, 99))
+def test_outcome_rows_are_distributions(spec, k, seed, kind, pick):
+    # non-negative as squared norms, and summing to one over every tuple
+    # and outcome, at every conjugate of a drawn involution
+    G, irr = _group_irreps(spec)
+    k = min(k, ORACLE_CASES[spec])
+    sp = RegisterSpace(G, irr, k, seed=seed, kind=kind)
+    invs = G.involutions()
+    h = invs[pick % len(invs)]
+    for c in G.class_of(h):
+        dist = coset_distribution(sp, c)
+        assert all(float(row.min()) >= 0.0 for row in dist)
+        assert abs(sum(float(row.sum()) for row in dist) - 1) < 1e-10
+
+
+def test_plus_bases_are_checked_involution_eigenbases():
+    # W^dagger W = I_r, rho(x) W = W and r = (d + chi(x))/2, real on real
+    # irreps; a second call returns the same stored arrays
+    for spec in ("wreath:3", "psl2:5"):
+        G, irr = _group_irreps(spec)
+        h = G.default_involution()
+        rows, bases = plus_bases(irr, h)
+        cls = G.class_of(h)
+        assert rows == {x: i for i, x in enumerate(cls)}
+        for r, Wh in zip(irr, bases):
+            n = round((r.degree + r.character()[h].real) / 2)
+            assert Wh.shape == (len(cls), n, r.degree)
+            assert np.isrealobj(Wh) == (spec == "wreath:3")
+            W = Wh.conj().swapaxes(1, 2)
+            assert np.max(np.abs(Wh @ W - np.eye(n)), initial=0) < 1e-12
+            assert np.max(np.abs(r.mats[list(cls)] @ W - W),
+                          initial=0) < 1e-12
+        again = plus_bases(irr, cls[-1])[1]
+        assert all(a is b for a, b in zip(again, bases))
+
+
+def test_plus_bases_name_a_non_involution():
+    G, irr, _ = wreath3()
+    sp = RegisterSpace(G, irr, 1)
+    c = next(x for x in range(G.order)
+             if G.compose(x, x) != G.identity and x != G.identity)
+    with pytest.raises(ValueError, match=re.escape(
+            f"class element {G.pretty(c)} is not an involution")):
+        sp.projected_forms(0, c)
+
+
+def test_plus_bases_reject_a_broken_irrep():
+    # eigenvalues 1 + 1e-6 are past BASIS_TOL: no basis is stored
+    G, irr, h = wreath3()
+    bad = [Irrep(G, r.label, r.mats * (1 + 1e-6)) for r in irr]
+    with pytest.raises(ValueError, match="has no rank-"):
+        plus_bases(bad, h)
+
+
+def test_plus_bases_memory_refusal(monkeypatch):
+    # sum_i |class| d_i r_i entries of 8 bytes (real) or 16 bytes (complex);
+    # fresh irreps, so nothing is stored yet
+    cases = [(spec, make_group(spec)) for spec in ("wreath:3", "psl2:5")]
+    for spec, G, irr in [(spec, G, irreps_for(G)) for spec, G in cases]:
+        h = G.default_involution()
+        n = len(G.class_of(h))
+        need = sum(n * r.degree * round((r.degree + r.character()[h].real)
+                                        / 2) for r in irr)
+        need *= 8 if spec == "wreath:3" else 16
+        monkeypatch.setattr(util, "MEMORY_LIMIT", need - 1)
+        with pytest.raises(ResourceCap, match=re.escape(
+                f"+1 eigenbases of {len(irr)} irreps at {n} involutions "
+                f"needs {need:.3g} bytes")):
+            plus_bases(irr, h)
+        monkeypatch.setattr(util, "MEMORY_LIMIT", need)
+        plus_bases(irr, h)
 
 
 # complex irreps (psl2:5) and a wreath product among them
@@ -312,6 +495,29 @@ def test_second_moment_identity_s3_all_tuples():
             assert abs(lhs - rhs) < 1e-10
 
 
+def second_moment_terms(group, irreps, tup, b, h):
+    """Per-subset-pair breakdown of the second-moment identity.
+
+    For each pair (I1, I2) of nonempty register subsets, compares the
+    class-average of q_I1 q_I2 with sum_tau chi_tau(h) E_g[conj(chi_tau) q_I1 q_I2].
+    Summing either column over all pairs gives 4^k times the X^2 averages.
+    """
+    k = len(tup)
+    cls = list(group.class_of(h))
+    subsets = [s for r in range(1, k + 1)
+               for s in itertools.combinations(range(k), r)]
+    qs = {s: q_subset_values(irreps, tup, b, s) for s in subsets}
+    chars = [(tau.character()[h], tau.character().conj()) for tau in irreps]
+    out = {}
+    for s1 in subsets:
+        for s2 in subsets:
+            prod = qs[s1] * qs[s2]
+            lhs = complex(np.mean(prod[cls]))
+            rhs = sum(ch * np.mean(cc * prod) for ch, cc in chars)
+            out[(s1, s2)] = (lhs, complex(rhs))
+    return out
+
+
 def test_second_moment_terms_consistent():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 2, seed=4)
@@ -369,6 +575,11 @@ def test_parallel_map_caps_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
     assert parallel_map(abs, [-1, -2], threads=8) == [1, 2]
     assert asked == [4, 3]
+
+
+def total_variation(dist_a, dist_b):
+    """Half the l1 sum."""
+    return 0.5 * l1_distance(dist_a, dist_b)
 
 
 def test_tv_is_half_l1():
@@ -540,6 +751,27 @@ def test_mixed_distance_matches_dense(spec, t):
     block = mixed_conjugate_trace_distance(G, irr, h, t)
     dense = _dense_mixture_distance(G, h, t)
     assert abs(block - dense) < 1e-9
+
+
+def _mixed_over_ordered_tuples(G, irr, h, t):
+    # one eigensolve per ordered t-tuple, summed pairwise
+    cls = list(G.class_of(h))
+    stacks = [r.mats[cls] + np.eye(r.degree) for r in irr]
+    contrib = []
+    for tup in itertools.product(range(len(irr)), repeat=t):
+        acc = functools.reduce(kron_stack, [stacks[i] for i in tup])
+        M = acc.mean(axis=0) - np.eye(acc.shape[1])
+        contrib.append(acc.shape[1] * np.sum(np.abs(np.linalg.eigvalsh(M))))
+    return util.pairwise_sum(contrib) / G.order ** t
+
+
+@pytest.mark.parametrize("spec,t", [("wreath:3", 2), ("wreath:3", 3),
+                                    ("psl2:5", 3), ("dihedral:4", 4)])
+def test_mixed_distance_multisets_equal_ordered_tuples(spec, t):
+    G, irr = _group_irreps(spec)
+    h = G.default_involution()
+    got = mixed_conjugate_trace_distance(G, irr, h, t)
+    assert abs(got - _mixed_over_ordered_tuples(G, irr, h, t)) < 1e-12
 
 
 def test_mixed_distance_caps(monkeypatch):
