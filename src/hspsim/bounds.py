@@ -155,20 +155,6 @@ def trace_norm_bound(eta, t):
     return 2.0 ** t * eta
 
 
-def t_min(eta, threshold=DEFAULT_THRESHOLD):
-    """Smallest t at which the t-copy trace-norm bound reaches threshold.
-
-    Below this t the bound certifies that t averaged copies stay
-    indistinguishable at the given advantage.
-    """
-    t = 1
-    while trace_norm_bound(eta, t) < threshold:
-        t += 1
-        if t > 10000:
-            raise ValueError("threshold unreachable")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # family report
 

@@ -4,7 +4,8 @@ verification suites, and character-table export.
 All reports are deterministic: floats print at 12 significant digits,
 reductions are pairwise-summed in fixed order, and the timestamp honors
 HSPSIM_TIMESTAMP / SOURCE_DATE_EPOCH, so identical commands give identical
-bytes at any thread count.
+bytes.  Every command runs in one thread: --threads and HSPSIM_THREADS are
+accepted and validated, and change nothing.
 
 Exit codes: 0 success; 1 a verify check failed; 2 a family corollary does
 not apply to the given parameters; 64 usage or parse error (any other
@@ -25,14 +26,16 @@ from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table
 from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
-from .util import (STEP_WORK, THREADS_ENV, ResourceCap, dumps_report,
-                   fmt_float, pairwise_sum, require, timestamp)
+from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
+                   pairwise_sum, require, timestamp)
 
 EX_OK = 0
 EX_VERIFY_FAIL = 1
 EX_INAPPLICABLE = 2
 EX_USAGE = 64
 EX_RESOURCE = 69
+
+THREADS_ENV = "HSPSIM_THREADS"
 
 class UsageError(ValueError):
     """Missing, invalid or contradictory command-line arguments."""
@@ -59,7 +62,9 @@ def build_parser():
 
     def common(p, fmt_default="json"):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted, must be at least 1; hspsim runs in "
+                       "one thread, so it changes nothing")
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default=fmt_default)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -128,17 +133,18 @@ def resolve_h(group, text):
     return x
 
 
-def resolve_threads(flag):
-    """Worker count: --threads, else HSPSIM_THREADS, else one per CPU.
-    Either setting below 1, or not an integer, is a usage error."""
+def check_threads(flag):
+    """Validate --threads, else HSPSIM_THREADS: either below 1, or not an
+    integer, is a usage error.  Neither sets anything, since every command
+    runs in one thread; the flag wins, so the variable is then not read."""
     if flag is not None:
         if flag < 1:
             raise UsageError(f"argument --threads: must be at least 1, got "
                              f"{flag}")
-        return flag
+        return
     env = os.environ.get(THREADS_ENV, "").strip()
     if not env:
-        return os.cpu_count() or 1
+        return
     try:
         threads = int(env)
     except ValueError:
@@ -146,7 +152,6 @@ def resolve_threads(flag):
     if threads < 1:
         raise UsageError(f"environment variable {THREADS_ENV}: must be an "
                          f"integer of at least 1, got {env!r}")
-    return threads
 
 
 def make_header(seed, group_spec):
@@ -296,7 +301,7 @@ def cmd_simulate(args):
     for i in range(args.frames):
         space = simulate.RegisterSpace(G, irr, args.k, seed=int(children[i]),
                                        kind=args.frame_kind)
-        res = simulate.avg_tv_over_conjugates(space, h, threads=args.threads)
+        res = simulate.avg_tv_over_conjugates(space, h)
         per_seed.append({
             "frame_index": i,
             "avg_l1": res["avg_l1"],
@@ -402,8 +407,7 @@ def _suite_lemmas(G, args):
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
-                                 seed=args.seed, kind=args.frame_kind,
-                                 threads=args.threads)
+                                 seed=args.seed, kind=args.frame_kind)
     try:  # reported first, run once the suite has passed its estimates
         err = simulate.fourier_roundtrip_error(G, order_two_subgroup(G, h),
                                                irr)
@@ -507,7 +511,7 @@ def main(argv=None):
             if type(value) is int and abs(value) > 2 ** 53:
                 raise UsageError(f"argument --{name.replace('_', '-')}: must "
                                  f"be at most 2**53 in magnitude, got {value}")
-        args.threads = resolve_threads(args.threads)
+        check_threads(args.threads)
         return handlers[args.command](args)
     except bounds.CorollaryInapplicable as e:
         label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e

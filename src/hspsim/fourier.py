@@ -23,14 +23,6 @@ def qft(group, irreps):
     return np.concatenate(blocks, axis=0)
 
 
-def qft_row_labels(irreps):
-    out = []
-    for r in irreps:
-        d = r.degree
-        out += [(r.label, i, j) for i in range(d) for j in range(d)]
-    return out
-
-
 def subgroup_projector(rho, H):
     """Average of rho over a subgroup; an orthogonal projector."""
     return np.mean(rho.mats[list(H.elements)], axis=0)
@@ -93,18 +85,6 @@ def clebsch_gordan_multiplicity(group, factors, tau):
     if abs(m.imag) > 1e-6 or abs(m.real - round(m.real)) > 1e-6:
         raise ValueError(f"multiplicity {m} is not a near-integer")
     return int(round(m.real))
-
-
-def homogeneous_projector(group, factors, tau):
-    """Projector onto the tau-isotypic component of the factor product.
-
-    Pi = d_tau E_g[conj(chi_tau(g)) theta(g)]; Hermitian, idempotent, with
-    trace d_tau times the multiplicity.
-    """
-    theta = factor_stack(group, factors)
-    w = tau.character().conj()
-    P = tau.degree * np.einsum("g,gij->ij", w, theta) / group.order
-    return P
 
 
 # ---------------------------------------------------------------------------

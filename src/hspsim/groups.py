@@ -189,13 +189,6 @@ class FiniteGroup:
         return np.flatnonzero((self.compose(ids, ids) == self.identity)
                               & (ids != self.identity)).tolist()
 
-    def element_order(self, x):
-        k, acc = 1, x
-        while acc != self.identity:
-            acc = self.compose(acc, x)
-            k += 1
-        return k
-
 
 class Subgroup:
     """A validated subgroup given by its sorted element ids."""

@@ -17,15 +17,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 
 import numpy as np
 
 from .fourier import factor_stack, qft, rank_r
 from .frames import random_frame
 from .groups import Subgroup, order_two_subgroup
-from .util import (STEP_WORK, kron_apply, kron_stack, pairwise_sum,
-                   parallel_map, require)
+from .util import STEP_WORK, kron_apply, kron_stack, pairwise_sum, require
 
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
 SCREEN_TOL = 1e-9
@@ -34,8 +32,6 @@ BLOCK_ENTRIES = 1 << 16
 # rho(c) of an involution c: its eigenvalues' distance to +-1 and
 # |rho(c) W - W| (numeric psl2:11 irreps reach 4e-15)
 BASIS_TOL = 1e-9
-
-_BASES_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +126,10 @@ def plus_bases(irreps, c):
     orthonormal bases of the +1 eigenspaces of rho(x) over the class of the
     involution c, r = (d + chi(c))/2.  Built once per irrep and class and
     kept on the irrep (Irrep.plus_bases), so all tuples and spaces share it."""
-    with _BASES_LOCK:  # pool threads build each basis once
-        todo = [r for r in irreps if c not in r.plus_bases]
-        if todo:
-            _store_plus_bases(todo, c)
-        return (irreps[0].plus_bases[c][0],
-                [r.plus_bases[c][1] for r in irreps])
+    todo = [r for r in irreps if c not in r.plus_bases]
+    if todo:
+        _store_plus_bases(todo, c)
+    return irreps[0].plus_bases[c][0], [r.plus_bases[c][1] for r in irreps]
 
 
 def _store_plus_bases(irreps, c):
@@ -281,7 +275,7 @@ def l1_rows(rows, ref):
     return np.sum(np.abs(rows - ref), axis=1)
 
 
-def avg_tv_over_conjugates(space, h, threads=1):
+def avg_tv_over_conjugates(space, h):
     """Distances to the uniform-state distribution, per conjugate and mean.
 
     The average over the conjugacy class of h equals the average over a
@@ -295,10 +289,8 @@ def avg_tv_over_conjugates(space, h, threads=1):
     ref = reference_distribution(space)
     cls = list(group.class_of(h))
 
-    def work(ti):
-        return l1_rows(tuple_distributions(space, ti, cls, ranks), ref[ti])
-
-    rows = parallel_map(work, range(len(space.tuples)), threads)
+    rows = [l1_rows(tuple_distributions(space, ti, cls, ranks), ref[ti])
+            for ti in range(len(space.tuples))]
     l1s = pairwise_sum(rows).tolist()
     per_conj = [{"element": group.pretty(c), "l1": v, "tv": 0.5 * v}
                 for c, v in zip(cls, l1s)]
@@ -417,7 +409,7 @@ def _isotypic_screen(weights, a1, a2):
     return np.sum(np.abs(y) ** 2, axis=(1, 2))
 
 
-def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
+def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis",
                 n_sample_tuples=3, n_sample_vectors=3):
     """Numerical check of the bound chain behind the distance theorem.
 
@@ -571,7 +563,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis", threads=1,
                      ref[ti])
         return xsq, xabs, l1
 
-    per_tuple = parallel_map(tuple_work, range(len(space.tuples)), threads)
+    per_tuple = [tuple_work(ti) for ti in range(len(space.tuples))]
     planch = np.array([space.plancherel(ti)
                        for ti in range(len(space.tuples))])
     xsq_mat = np.array([t[0] for t in per_tuple])   # (tuple, conjugate)

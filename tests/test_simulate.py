@@ -1,15 +1,15 @@
 """Coset-state sampling: distributions, moment identities, distances."""
-import concurrent.futures
 import functools
 import itertools
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hspsim import simulate, util
+from hspsim import cli, simulate, util
 from hspsim.fourier import factor_stack, qft
 from hspsim.groups import (
     make_group,
@@ -42,7 +42,7 @@ from hspsim.simulate import (
     transfer_quotient_report,
     transfer_subgroup_report,
 )
-from hspsim.util import ResourceCap, kron_apply, kron_stack, parallel_map
+from hspsim.util import ResourceCap, kron_apply, kron_stack
 
 
 def wreath3():
@@ -533,48 +533,43 @@ def test_second_moment_terms_consistent():
     assert abs(total - lhs) < 1e-10
 
 
-def test_avg_tv_deterministic_across_threads():
+def test_avg_tv_same_from_cold_and_warm_bases_store():
+    # the first space fills the irreps' shared plus_bases store, the second
+    # reads it back
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1, seed=11)
-    a = avg_tv_over_conjugates(sp, h, threads=1)
-    b = avg_tv_over_conjugates(sp, h, threads=4)
-    assert a["avg_tv"] == b["avg_tv"]
-    assert [e["tv"] for e in a["per_conjugate"]] == \
-        [e["tv"] for e in b["per_conjugate"]]
+    assert not any(r.plus_bases for r in irr)
+    a = avg_tv_over_conjugates(RegisterSpace(G, irr, 1, seed=11), h)
+    assert all(r.plus_bases for r in irr)
+    b = avg_tv_over_conjugates(RegisterSpace(G, irr, 1, seed=11), h)
+    assert a == b
     assert len(a["per_conjugate"]) == 6
     assert 0 < a["avg_tv"] <= 1
 
 
-def test_parallel_map_caps_workers(monkeypatch):
-    # at most one worker per item and per CPU, whatever --threads asks for;
-    # the recording pool maps in the calling thread and starts none
-    asked = []
+def test_sampling_starts_no_thread(capsys, monkeypatch):
+    # --threads and HSPSIM_THREADS are validated and run nothing in
+    # parallel, even with CPUs to spare
+    monkeypatch.setenv("HSPSIM_TIMESTAMP", "0")
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def run(argv):
+        rc = cli.main(argv)
+        assert rc == 0
+        return capsys.readouterr().out
 
-        def __enter__(self):
-            return self
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        RecordingPool)
+    sim = ["simulate", "--group", "psl2:5", "--k", "2", "--frame-kind",
+           "fused"]
+    lemmas = ["verify", "--suite", "lemmas", "--group", "wreath:3", "--k",
+              "2"]
+    serial = [run(argv + ["--threads", "1"]) for argv in (sim, lemmas)]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert parallel_map(abs, range(-9, 0), threads=10 ** 6) == \
-        list(range(9, 0, -1))
-    assert parallel_map(abs, [-1, -2, -3], threads=8) == [1, 2, 3]
-    assert parallel_map(abs, [-1, -2], threads=1) == [1, 2]
-    assert parallel_map(abs, [-1], threads=8) == [1]
-    assert asked == [4, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
-    assert parallel_map(abs, [-1, -2], threads=8) == [1, 2]
-    assert asked == [4, 3]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run(sim + ["--threads", "8"]) == serial[0]
+    assert run(lemmas + ["--threads", "8"]) == serial[1]
+    monkeypatch.setenv("HSPSIM_THREADS", "8")
+    assert run(sim) == serial[0]
 
 
 def total_variation(dist_a, dist_b):
