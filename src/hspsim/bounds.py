@@ -111,16 +111,29 @@ def bound_params(group_order, labels, degrees, chi_abs, eps):
                    s_labels, d_eps, math.fsum(dchi))
 
 
+def _abs_at_involution(labels, chi):
+    """|chi(h)| per irrep; the characters of an involution are real."""
+    chi_abs = []
+    for lab, v in zip(labels, chi):
+        if abs(v.imag) > 1e-8:
+            raise ValueError(f"character of {lab} not real at h")
+        chi_abs.append(abs(v.real))
+    return chi_abs
+
+
 def params_from_irreps(group, irreps, h, eps):
     """BoundParams from explicit irreps and an involution."""
-    chi_abs = []
-    for r in irreps:
-        v = r.character()[h]
-        if abs(v.imag) > 1e-8:
-            raise ValueError(f"character of {r.label} not real at h")
-        chi_abs.append(abs(v.real))
-    return bound_params(group.order, [r.label for r in irreps],
-                        [r.degree for r in irreps], chi_abs, eps)
+    labels = [r.label for r in irreps]
+    chi = [r.character()[h] for r in irreps]
+    return bound_params(group.order, labels, [r.degree for r in irreps],
+                        _abs_at_involution(labels, chi), eps)
+
+
+def params_from_table(table, h, eps):
+    """BoundParams from a character table's column at the class of h."""
+    chi = table.values[:, table.column_of(h)]
+    return bound_params(table.group.order, table.labels, table.degrees,
+                        _abs_at_involution(table.labels, chi), eps)
 
 
 def hypothesis_ok(params, k):
@@ -181,11 +194,11 @@ def family_report(family, fam_params, bp, notes, t=1,
     }
 
 
-def group_report(group, irreps, h, eps, t=1, threshold=DEFAULT_THRESHOLD,
+def group_report(group, h, bp, t=1, threshold=DEFAULT_THRESHOLD,
                  k_max=DEFAULT_K_MAX):
-    """Report for an explicit group, irrep list, and involution."""
+    """Report for a group at the involution h, from its filled BoundParams
+    (params_from_irreps or params_from_table)."""
     from .groups import spec_of
-    bp = params_from_irreps(group, irreps, h, eps)
     spec = spec_of(group)
     notes = [f"involution {group.pretty(h)} in {spec}"]
     return family_report("group", {"group": spec, "h": group.pretty(h)}, bp,
@@ -430,8 +443,7 @@ def gallagher_check(table, h):
     Returns the labels with |chi(h)| = d, the squared-degree mass lambda,
     the threshold, and all ratios; raises if any irrep violates both sides.
     """
-    classes = table.classes
-    ci = next(i for i, c in enumerate(classes) if h in c)
+    ci = table.column_of(h)
     order = table.group.order
     centralizer = order // table.class_sizes[ci]
     threshold = Fraction(1) - Fraction(2 * centralizer, order)

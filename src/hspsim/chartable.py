@@ -32,6 +32,10 @@ class CharacterTable:
         return cls(group, [r.label for r in irreps],
                    [r.degree for r in irreps], values)
 
+    def column_of(self, x):
+        """The column of the class holding x."""
+        return self.classes.index(self.group.class_of(x))
+
     # -- checks -------------------------------------------------------------
     def row_orthogonality_error(self):
         sizes = np.array(self.class_sizes, dtype=float)

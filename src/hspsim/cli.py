@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, bounds, simulate
 from . import irreps as irrmod
-from .chartable import best_character_table
+from .chartable import best_character_table, character_table_numeric
 from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
 from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
                    pairwise_sum, require, timestamp)
@@ -254,10 +254,24 @@ def cmd_bound(args):
     else:  # generic group family
         G = make_group(args.group)
         h = resolve_h(G, args.h)
-        irr = irrmod.irreps_for(G, seed=args.seed)
         eps = args.epsilon if args.epsilon is not None else 0.2
-        rep = bounds.group_report(G, irr, h, eps, t=t,
-                                  threshold=args.threshold, k_max=args.k_max)
+        # the bound reads only degrees and chi(h): without explicit irreps,
+        # the class-sum table holds them, and no irrep matrix is built.  Its
+        # r^3 class constants can be refused where the numeric irreps'
+        # |G|^2 fit (power:z2^9, 512 classes), so those build the irreps.
+        table = None
+        if irrmod.explicit_construction(G) is None:
+            try:
+                table = character_table_numeric(G, seed=args.seed)
+            except ResourceCap:
+                pass
+        if table is not None:
+            bp = bounds.params_from_table(table, h, eps)
+        else:
+            bp = bounds.params_from_irreps(
+                G, irrmod.irreps_for(G, seed=args.seed), h, eps)
+        rep = bounds.group_report(G, h, bp, t=t, threshold=args.threshold,
+                                  k_max=args.k_max)
         spec = spec_of(G)
     report = {"header": make_header(args.seed, spec), **rep}
     write_output(render_report(report, args.format), args.out)

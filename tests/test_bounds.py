@@ -1,11 +1,13 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hspsim import bounds, groups, irreps, simulate
-from hspsim.chartable import CharacterTable, best_character_table
+from hspsim import bounds, cli, groups, irreps, simulate
+from hspsim.chartable import (CharacterTable, best_character_table,
+                              character_table_numeric)
 
 
 def wreath_swap(n):
@@ -71,6 +73,87 @@ def test_wreath_params_matches_enumerated_path_exactly():
         # canonical-eps constructor agrees with the explicit value
         assert bounds.wreath_params(n) == \
             bounds.wreath_params(n, float(n) ** (-n / 4))
+
+
+# ---------------------------------------------------------------------------
+# the group bound's two routes: numeric irreps and the class-sum table
+
+# the test catalogue's groups without explicit irreps, up to order 720
+NUMERIC_GROUPS = ["dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9",
+                  "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11",
+                  "sl2:5", "sl2:7", "power:s3^2", "power:s3^3", "power:z2^3",
+                  "s6"]
+
+
+def _route_epsilons(spec):
+    """0.2 (the group family's default), 1/7, 0.5 and, for PSL(2, q), the
+    psl2 family's canonical cutoff."""
+    eps = [0.2, 1 / 7, 0.5]
+    if spec.startswith("psl2:"):
+        eps.append(bounds.psl_params(int(spec[5:])).epsilon)
+    return eps
+
+
+@pytest.mark.parametrize("spec", NUMERIC_GROUPS)
+def test_table_route_matches_numeric_irreps(spec):
+    # bound --family group reads a group without explicit irreps off its
+    # class-sum table; every field, labels included, must be what the
+    # numeric irreps give, at every involution class and cutoff
+    G = groups.make_group(spec)
+    assert irreps.explicit_construction(G) is None
+    irr = irreps.irreps_generic(G)
+    table = character_table_numeric(G)
+    for h in sorted({G.class_of(x)[0] for x in G.involutions()}):
+        for eps in _route_epsilons(spec):
+            assert bounds.params_from_table(table, h, eps) == \
+                bounds.params_from_irreps(G, irr, h, eps), (G.pretty(h), eps)
+
+
+@pytest.mark.parametrize("spec, eps, degree", [
+    ("psl2:5", 0.2, 5), ("psl2:8", 1 / 7, 7)])
+def test_table_route_counts_exact_ties(spec, eps, degree):
+    # irreps of this degree have |chi(h)|/d exactly at eps, so the route
+    # agreement above covers the cutoff's tie
+    G = groups.make_group(spec)
+    h = G.default_involution()
+    table = character_table_numeric(G)
+    column = table.values[:, table.column_of(h)]
+    tied = [lab for lab, d, v in zip(table.labels, table.degrees, column)
+            if d == degree and round(abs(v), 9) / d == eps]
+    assert tied
+    assert set(tied) <= set(bounds.params_from_table(table, h, eps)
+                            .s_epsilon_labels)
+
+
+def test_params_from_table_refuses_a_complex_column():
+    G = groups.make_group("psl2:7")
+    table = character_table_numeric(G)
+    h = G.default_involution()
+    table.values[1, table.column_of(h)] += 1e-6j
+    with pytest.raises(ValueError, match="character of rho1 not real at h"):
+        bounds.params_from_table(table, h, 0.2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_wreath_closed_form_matches_group_route(capsys, n):
+    # n = 3, 4 run on the explicit wreath irreps, n = 5 on the class-sum
+    # table: the first exact check of the closed form past the irreps
+    eps = float(n) ** (-n / 4)
+    rc = cli.main(["bound", "--family", "group", "--group", f"wreath:{n}",
+                   "--h", "swap", "--epsilon", repr(eps)])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    bp = bounds.wreath_params(n)
+    assert rep["epsilon"] == pytest.approx(bp.epsilon, rel=1e-11)
+    assert rep["delta1"] == pytest.approx(bp.delta1, rel=1e-11)
+    assert (rep["d_epsilon"], rep["sum_d"], len(rep["s_epsilon_labels"])) \
+        == (bp.d_epsilon, bp.sum_d, len(bp.s_epsilon_labels))
+    G = groups.make_group(f"wreath:{n}")
+    assert len(G.conjugacy_classes()) == bp.n_irreps
+    if n == 5:
+        assert irreps.explicit_construction(G) is None
+        assert (rep["delta1"], bp.d_epsilon, bp.sum_d, bp.n_irreps,
+                len(bp.s_epsilon_labels)) == (33.0793036166, 6120, 796, 35, 14)
 
 
 def _partitions_descending(n, mx=None):
@@ -359,7 +442,8 @@ def _s4_power():
 
 def _dihedral4_report():
     G = groups.make_dihedral(4)
-    return bounds.group_report(G, irreps.irreps_generic(G), G.n, eps=0.2)
+    bp = bounds.params_from_irreps(G, irreps.irreps_generic(G), G.n, 0.2)
+    return bounds.group_report(G, G.n, bp)
 
 
 @pytest.mark.parametrize("make, family, delta1", [

@@ -190,6 +190,9 @@ def test_psl2_8_facts_pass_in_1gib():
     "simulate --group cyclic:1000 --k 2",
     "simulate --group cyclic:400 --k 3",
     "bound --family group --group cyclic:5700",
+    # the class-sum table's conjugacy-class search, 6.5e9 multiply-adds,
+    # then the numeric irreps' 2.08e11 bytes
+    "bound --family group --group s8",
     "chartable --group power:z2^17",
     "bound --family psl2 --q 10000019",
     "bound --family gl --n 6 --p 9007199254740881",
@@ -322,6 +325,48 @@ def test_cyclic_5000_bound_passes_in_1gib():
     proc = _cli_under_1gib("bound", "--family", "group", "--group",
                            "cyclic:5000")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["s7", "wreath:5", "sl2:13"])
+def test_group_bound_reads_the_class_sum_table_in_1gib(spec):
+    # no explicit irreps, and the numeric irreps are refused (s7 3.3e9 bytes,
+    # wreath:5 1.06e11 bytes, sl2:13 2.1e10 multiply-adds); the bound reads
+    # the degrees and chi(h) off the class-sum table.  simulate still needs
+    # the irreps, so simulate --group s7 stays refused (test_exit_codes)
+    proc = _cli_under_1gib("bound", "--family", "group", "--group", spec)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["group_order"] == make_group(spec).order
+
+
+def test_group_bound_builds_no_irreps_without_explicit_ones(capsys,
+                                                            monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("irreps built")
+
+    monkeypatch.setattr(cli.irrmod, "irreps_for", built)
+    monkeypatch.setattr(cli.irrmod, "irreps_generic", built)
+    rc, out, _ = run_cli(capsys, ["bound", "--family", "group", "--group",
+                                  "psl2:11"])
+    assert rc == 0
+    assert json.loads(out)["group_order"] == 660
+
+
+def test_group_bound_builds_irreps_when_the_table_is_refused(capsys,
+                                                             monkeypatch):
+    # the class constants are r^3 and the numeric irreps |G|^2, so an abelian
+    # group such as power:z2^9 (512 classes, about 10 s) fits only the
+    # irreps; dihedral:6 stands in for it here
+    assert 8 * 512 ** 3 > MEMORY_LIMIT
+    argv = ["bound", "--family", "group", "--group", "dihedral:6"]
+    rc, want, _ = run_cli(capsys, argv)
+    assert rc == 0
+
+    def refused(group, seed=0):
+        raise ResourceCap("class constants refused")
+
+    monkeypatch.setattr(cli, "character_table_numeric", refused)
+    assert run_cli(capsys, argv) == (0, want, "")
 
 
 @pytest.mark.parametrize("admitted, refused", [
@@ -593,8 +638,9 @@ def test_simulate_byte_identical_across_threads(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "lemmas", "--group", "wreath:3", "--k", "2"],
     ["simulate", "--group", "psl2:5", "--k", "2", "--frame-kind", "fused"]])
-def test_tuple_pool_byte_identical_across_threads(capsys, argv):
-    # the pool maps over register tuples in both commands
+def test_tuple_map_byte_identical_across_threads(capsys, argv):
+    # both commands map over register tuples; --threads runs nothing in
+    # parallel, so the reports must not depend on it
     outs = _reports_across_threads(capsys, argv)
     assert outs[0] == outs[1] == outs[2]
 
