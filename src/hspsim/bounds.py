@@ -208,42 +208,67 @@ def group_report(group, h, bp, t=1, threshold=DEFAULT_THRESHOLD,
 # ---------------------------------------------------------------------------
 # wreath-product family S_n wr S_2 with the coordinate-swap involution
 
+def symmetric_involution_count(n):
+    """I(n), the number of elements of S_n squaring to the identity, and so
+    the sum of the S_n irrep degrees (all its irreps are real): by
+    I(m) = I(m-1) + (m-1) I(m-2), checked against the count by matchings,
+    sum_i C(n, 2i) (2i-1)!!."""
+    prev, count = 1, 1
+    for m in range(2, n + 1):
+        prev, count = count, count + (m - 1) * prev
+    if count != sum(math.comb(n, 2 * i) * math.prod(range(1, 2 * i, 2))
+                    for i in range(n // 2 + 1)):
+        raise ValueError(f"the two involution counts of S_{n} differ")
+    return count
+
+
 def wreath_params(n, eps=None):
     """BoundParams for S_n wr S_2 at the swap involution.
 
     Irreps: two of dimension d^2 with |chi| = d for each S_n irrep of
     dimension d, and one of dimension 2 d d' with chi = 0 for each
-    unordered pair d != d'. Closed-form sums avoid enumerating the
-    (quadratically many) paired irreps; membership of the d^2-dimensional
-    irreps in S_eps for the canonical eps = n^(-n/4) reduces to the exact
-    integer test d^4 <= n^n.
+    unordered pair d != d'.  With p(n) partitions of n that makes
+    2 p + p (p-1) / 2 irreps, and the sum of their degrees is
+    (sum d)^2 + sum d^2 = I(n)^2 + n!, with I(n) the involutions of S_n.
+    Only S_eps needs single degrees: the d^2-dimensional irreps with
+    1/d >= eps, which irreps.small_partition_degrees finds without visiting
+    the Young diagrams whose subtrees hold only larger degrees.  For the
+    canonical eps = n^(-n/4) membership is the exact integer test
+    d^4 <= n^n.
     """
     if not 2 <= n <= WREATH_MAX_N:
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    from .irreps import partition_degrees, partition_label
-    degs = partition_degrees(n)
-    order = 2 * math.factorial(n) ** 2
-    sum_d_small = sum(d for _, d in degs)
-    sum_d2 = sum(d * d for _, d in degs)
-    if sum_d2 != math.factorial(n):
-        raise ValueError("hook-length degrees fail the completeness check")
-    sum_d = sum_d2 + sum_d_small ** 2  # 2 sum d^2 + 2 sum_{i<j} d_i d_j
-    n_irreps = 2 * len(degs) + len(degs) * (len(degs) - 1) // 2
-    nn = n ** n
+    from .irreps import partition_label, small_partition_degrees
+    fact = math.factorial(n)
+    p = partition_number(n)
+
+    def degrees_up_to(max_degree):
+        degs, seen = small_partition_degrees(n, max_degree)
+        if seen != p:
+            raise ValueError("the Young-diagram search fails its "
+                             "completeness check")
+        return degs
+
     if eps is None:
         eps = float(n) ** (-n / 4)
-        in_s = [(partition_label(lam), d) for lam, d in degs if d ** 4 <= nn]
+        in_s = degrees_up_to(math.isqrt(math.isqrt(n ** n)))
     else:
         eps = float(eps)
-        in_s = [(partition_label(lam), d) for lam, d in degs
+        # 1.0 / d >= eps puts d within float rounding of 1 / eps; no degree
+        # exceeds n!
+        limit = 1.0 / eps * (1 + 1e-9)
+        in_s = [(lam, d) for lam, d in
+                degrees_up_to(int(limit) + 1 if limit < fact else fact)
                 if 1.0 / d >= eps]
-    s_labels = ([f"theta{lab}" for lab, _ in in_s]
-                + [f"theta'{lab}" for lab, _ in in_s])
+    s_labels = [tag + partition_label(lam)
+                for tag in ("theta", "theta'") for lam, _ in in_s]
     d_eps = 2 * sum(d ** 4 for _, d in in_s)
     sum_dchi = 2 * math.fsum(d ** 3 for _, d in in_s)
-    return _finish(order, n_irreps, eps, sum_d, s_labels, d_eps, sum_dchi)
+    return _finish(2 * fact ** 2, 2 * p + p * (p - 1) // 2, eps,
+                   symmetric_involution_count(n) ** 2 + fact, s_labels,
+                   d_eps, sum_dchi)
 
 
 def wreath_bound(n, eps=None, t=1, threshold=DEFAULT_THRESHOLD,
@@ -310,24 +335,35 @@ def psl_rows(q):
 
 
 def psl_params(q, eps=None):
-    """BoundParams for PSL(2, q) at an involution, from the degree pattern."""
-    # at most 256 bytes per irrep at the peak: its label, degree and |chi|
-    # and the report's S_eps labels (psl2:6881263, 3440634 irreps, peaked at
-    # 731 MiB of address space)
-    rows = sum(count for _, _, count, _ in psl_rows(q))
-    require(f"irrep table of PSL(2, {q}) ({rows} irreps)", bytes=256 * rows)
+    """BoundParams for PSL(2, q) at an involution, from the degree pattern:
+    each psl_rows class is summed by its count, and only the S_eps
+    members get labels."""
+    rows = psl_rows(q)
+    # at most 256 bytes per irrep at the peak, mostly the report's S_eps
+    # labels: for q = 3 mod 4 a quarter of the irreps sit at the default
+    # cutoff (psl2:6881263, 3440634 irreps, peaked at 526 MiB of address
+    # space)
+    n_irreps = sum(count for _, _, count, _ in rows)
+    require(f"irrep table of PSL(2, {q}) ({n_irreps} irreps)",
+            bytes=256 * n_irreps)
     if _is_prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     order = q * (q * q - 1) if q % 2 == 0 else q * (q * q - 1) // 2
+    if sum(count * d * d for _, d, count, _ in rows) != order:
+        raise ValueError("sum of squared degrees does not match group order")
     if eps is None:
         eps = Fraction(1, q - 1) if q % 2 == 0 else Fraction(2, q - 1)
-    labels, degrees, chi = [], [], []
-    for lab, d, count, c in psl_rows(q):
-        for i in range(count):
-            labels.append(lab if count == 1 else f"{lab}.{i}")
-            degrees.append(d)
-            chi.append(c)
-    return bound_params(order, labels, degrees, chi, float(eps))
+    eps = float(eps)
+    s_rows = [(lab, d, count, c) for lab, d, count, c in rows
+              if c / d >= eps]
+    s_labels = [lab if count == 1 else f"{lab}.{i}"
+                for lab, _, count, _ in s_rows for i in range(count)]
+    # the d |chi| are integers, so their exact sum, rounded once, is what
+    # math.fsum gives over the irreps one by one
+    return _finish(order, n_irreps, eps,
+                   sum(count * d for _, d, count, _ in rows), s_labels,
+                   sum(count * d * d for _, d, count, _ in s_rows),
+                   float(sum(count * d * c for _, d, count, c in s_rows)))
 
 
 def involution_count_note(q):

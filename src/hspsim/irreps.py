@@ -17,6 +17,9 @@ from .util import STEP_WORK, kron_stack, require
 # and the wreath construction built on it for S_n wr S_2.
 YOUNG_MAX_N = 5
 WREATH_IRREPS_MAX_N = 4
+# Largest n at which small_partition_degrees' subtree bound is checked to
+# grow with the row width at every node of the search.
+PRUNE_MAX_N = 40
 # The all-pairs homomorphism check runs in blocks of rows whose two complex
 # tensors fit HOM_CHECK_BYTES (psl2:7 in one).
 HOM_CHECK_BYTES = 64 << 20
@@ -91,6 +94,85 @@ def partition_degrees(n):
 
     rec(n, 1, 1, ())
     return out
+
+
+def small_partition_degrees(n, max_degree):
+    """The pairs of partition_degrees(n) with degree at most max_degree, in
+    the same order, and the number of partitions of n the search accounts
+    for: the leaves it visits plus those of the subtrees it skips.
+
+    The same row-on-top search skips each child mu whose subtree holds no
+    degree <= max_degree.  Say mu has width k, column heights h_c, and
+    `left` cells still to place.  Every diagram under mu stacks
+    j <= left // k rows of at least k cells each on top of mu.  Each top
+    cell in column c < k has its hook raised by h_c, and the top rows' own
+    hook product is at most left!.  So every degree under mu is at least
+
+        C(n, left) f^mu prod_{c<k} rising(k-c, j) / rising(k-c+h_c, j)
+
+    at j = left // k.  For n <= PRUNE_MAX_N this bound never falls as k
+    grows at a node (tests/test_irreps.py), so the first skipped child ends
+    the loop.  The bound is compared in logs with a 1e-9 margin, which can
+    only cost visits; the leaves keep their exact integer degrees.
+    """
+    if not 0 <= n <= PRUNE_MAX_N:
+        raise ValueError(f"n must be in 0..{PRUNE_MAX_N}")
+    if n == 0:
+        return [((), 1)] if max_degree >= 1 else [], 1
+    fact = math.factorial(n)
+    floor = _log_degree_floor(n)
+    limit = math.log(max(max_degree, 1)) + 1e-9
+    at_least = _partition_counts(n)
+    out, height, seen = [], [0] * n, 0
+
+    def rec(rem, lo, hooks, rows):
+        nonlocal seen
+        top = math.prod(map(operator.add, range(rem, 0, -1), height))
+        d = fact // (hooks * top)
+        seen += 1
+        if d <= max_degree:
+            out.append(((rem,) + rows, d))
+        for k in range(lo, rem // 2 + 1):
+            below = height[:k]
+            row = math.prod(map(operator.add, range(k, 0, -1), below))
+            height[:k] = map((1).__add__, below)
+            if floor(rem - k, hooks * row, height, k) > limit:
+                # the skipped children k.. leave partitions of rem into at
+                # least two parts of at least k cells each
+                seen += at_least[rem][k] - 1
+                height[:k] = below
+                break
+            rec(rem - k, k, hooks * row, (k,) + rows)
+            height[:k] = below
+
+    rec(n, 1, 1, ())
+    return out, seen
+
+
+def _log_degree_floor(n):
+    """The log of small_partition_degrees' lower bound on the degrees under
+    a child, as a function of the cells `left` still to place, the child's
+    hook product `hooks`, its column heights `height` and its width k."""
+    lgam = [0.0] + [math.lgamma(m) for m in range(1, 3 * n)]
+
+    def floor(left, hooks, height, k):
+        j = left // k
+        total = lgam[n + 1] - lgam[left + 1] - math.log(hooks)
+        for c in range(k):  # log rising(a, j) - log rising(b, j)
+            a, b = k - c, k - c + height[c]
+            total += lgam[a + j] - lgam[a] - lgam[b + j] + lgam[b]
+        return total
+    return floor
+
+
+def _partition_counts(n):
+    """q[m][k], the number of partitions of m into parts of at least k, for
+    m <= n and 1 <= k <= n + 1."""
+    q = [[1] * (n + 2)] + [[0] * (n + 2) for _ in range(n)]
+    for m in range(1, n + 1):
+        for k in range(m, 0, -1):
+            q[m][k] = q[m][k + 1] + q[m - k][k]
+    return q
 
 
 def partitions(n):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -165,23 +166,64 @@ def _partitions_descending(n, mx=None):
             for rest in _partitions_descending(n - k, k)]
 
 
-def test_wreath_params_independent_of_the_degree_enumeration(monkeypatch):
-    # the same reports from each partition's own hook-length degree, in
-    # descending lexicographic order, as from the row-on-top enumeration
-    ns = [*range(2, 33), 40]
-    got = {n: [bounds.wreath_params(n, eps) for eps in (None, 0.2, 1e-3)]
-           for n in ns}
-    ref = {n: [(lam, irreps.hook_length_degree(lam))
-               for lam in _partitions_descending(n)] for n in ns}
-    monkeypatch.setattr(irreps, "partition_degrees", ref.__getitem__)
-    for n in ns:
-        assert got[n] == [bounds.wreath_params(n, eps)
-                          for eps in (None, 0.2, 1e-3)], n
+@functools.cache
+def _hook_degrees(n):
+    return [(lam, irreps.hook_length_degree(lam))
+            for lam in _partitions_descending(n)]
+
+
+def _wreath_params_reference(n, eps):
+    """wreath_params from every partition's own hook-length degree: full
+    sums over all partitions of n, and S_eps filtered one by one."""
+    degs = _hook_degrees(n)
+    order = 2 * math.factorial(n) ** 2
+    sum_d = sum(d * d for _, d in degs) + sum(d for _, d in degs) ** 2
+    if eps is None:
+        eps = float(n) ** (-n / 4)
+        in_s = [(lam, d) for lam, d in degs if d ** 4 <= n ** n]
+    else:
+        in_s = [(lam, d) for lam, d in degs if 1.0 / d >= eps]
+    labels = [tag + irreps.partition_label(lam)
+              for tag in ("theta", "theta'") for lam, _ in in_s]
+    sum_dchi = math.fsum(2 * d ** 3 for _, d in in_s)
+    return bounds.BoundParams(
+        group_order=order, n_irreps=2 * len(degs) + math.comb(len(degs), 2),
+        epsilon=eps, sum_d=sum_d, s_epsilon_labels=tuple(sorted(labels)),
+        d_epsilon=sum(2 * d ** 4 for _, d in in_s), sum_dchi=sum_dchi,
+        delta1=eps + sum_d * sum_dchi / order)
+
+
+def test_wreath_params_independent_of_the_degree_enumeration():
+    # the closed forms and the pruned search give what summing and
+    # filtering every partition's hook-length degree gives
+    for n in [*range(2, 33), 40]:
+        for eps in (None, 0.2, 1e-3):
+            assert bounds.wreath_params(n, eps) == \
+                _wreath_params_reference(n, eps), (n, eps)
+
+
+def test_wreath_params_at_a_degree_tie():
+    # eps = 1/d puts the degree-d irreps exactly at the cutoff, and its
+    # float neighbours sit on either side of it; the degree at n = 40 is
+    # no float, so 1.0/d rounds twice
+    for n, d in ((9, 216), (14, 4576), (20, 1), (27, 45997693560),
+                 (40, 12336977149121625)):
+        assert d in {deg for _, deg in _hook_degrees(n)}
+        for eps in (1.0 / d, math.nextafter(1.0 / d, 0),
+                    math.nextafter(1.0 / d, 1)):
+            assert bounds.wreath_params(n, eps) == \
+                _wreath_params_reference(n, eps), (n, eps)
+
+
+def test_symmetric_involution_count():
+    # 1, 1, 2, 4, 10, 26, 76, 232 (OEIS A000085)
+    assert [bounds.symmetric_involution_count(n) for n in range(8)] == \
+        [1, 1, 2, 4, 10, 26, 76, 232]
 
 
 def test_wreath_params_large_n_closed_form():
-    # the closed-form path never enumerates the ~7e8 irreps at n = 40: it
-    # sums over the 37338 partitions of 40
+    # the closed forms never enumerate the ~7e8 irreps at n = 40, and the
+    # pruned search visits only part of the 37338 partitions of 40
     bp = bounds.wreath_params(40)
     p40 = bounds.partition_number(40)
     assert p40 == 37338
@@ -380,6 +422,24 @@ def test_psl_params_all_supported_sizes():
             assert bp.s_epsilon_labels == ("trivial",)
         else:
             assert len(bp.s_epsilon_labels) > 1  # boundary rows included
+
+
+def test_psl_params_match_one_row_per_irrep():
+    # summing each psl_rows class by its count gives the BoundParams of
+    # one labelled row per irrep, at the default cutoff and at the ties
+    # 2/(q +- 1), 1/q and 1/(q - 1)
+    for q in (*groups.PSL2_SIZES, 25, 27, 49, 121, 125, 1024, 4093):
+        rows = [(lab if count == 1 else f"{lab}.{i}", d, c)
+                for lab, d, count, c in bounds.psl_rows(q)
+                for i in range(count)]
+        labels, degrees, chi = map(list, zip(*rows))
+        order = sum(d * d for d in degrees)
+        default = 1 / (q - 1) if q % 2 == 0 else 2 / (q - 1)
+        for eps in (None, 0.5, 1e-3, 2 / (q + 1), 2 / (q - 1), 1 / q,
+                    1 / (q - 1)):
+            assert bounds.psl_params(q, eps) == bounds.bound_params(
+                order, labels, degrees, chi,
+                default if eps is None else eps), (q, eps)
 
 
 def test_psl_degree_pattern_matches_enumerated_table():

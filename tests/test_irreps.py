@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,10 +12,10 @@ from hspsim.groups import (
     make_wreath_s2,
 )
 from hspsim.irreps import (
-    Irrep, canonical_sort, hook_length_degree, irreps_cyclic,
+    PRUNE_MAX_N, Irrep, canonical_sort, hook_length_degree, irreps_cyclic,
     irreps_generic, irreps_symmetric, irreps_wreath, partition_degrees,
-    partition_label, partitions, schur_orthogonality_error, standard_tableaux,
-    hom_unitarity_error,
+    partition_label, partitions, schur_orthogonality_error,
+    small_partition_degrees, standard_tableaux, hom_unitarity_error,
 )
 
 # degrees frozen from the hook length formula, computed independently
@@ -73,6 +74,64 @@ def test_hook_degree_sums_count_involutions():
         assert all(isinstance(d, int) for d in degs.values())
         assert sum(degs.values()) == inv[n]
         assert sum(d * d for d in degs.values()) == math.factorial(n)
+
+
+@functools.cache
+def _degrees_of(n):
+    return partition_degrees(n)
+
+
+def test_degree_sums_over_the_whole_wreath_range():
+    # sum_lam d_lam = I(n) and sum_lam d_lam^2 = n! for every n <= 40: the
+    # completeness check wreath_params once made at run time, over all the
+    # n it admits
+    inv = [1, 1]
+    for n in range(2, PRUNE_MAX_N + 1):
+        inv.append(inv[n - 1] + (n - 1) * inv[n - 2])
+    for n in range(PRUNE_MAX_N + 1):
+        degs = [d for _, d in _degrees_of(n)]
+        assert sum(degs) == inv[n], n
+        assert sum(d * d for d in degs) == math.factorial(n), n
+
+
+def test_small_partition_degrees_equal_the_filtered_enumeration():
+    # every cap from the trivial irreps alone to no pruning at all, with
+    # the wreath cutoff d^4 <= n^n between; the visited leaves and the
+    # skipped subtrees account for every partition
+    for n in range(PRUNE_MAX_N + 1):
+        for cap in (1, 2, 5, 10 ** 6, math.isqrt(math.isqrt(n ** n)),
+                    10 ** 30):
+            got, seen = small_partition_degrees(n, cap)
+            assert got == [(lam, d) for lam, d in _degrees_of(n)
+                           if d <= cap], (n, cap)
+            assert seen == partition_number(n), (n, cap)
+    with pytest.raises(ValueError):
+        small_partition_degrees(PRUNE_MAX_N + 1, 1)
+
+
+def test_subtree_floor_grows_with_the_row_width():
+    # small_partition_degrees ends a node's loop at its first skipped
+    # child, which is sound only if the bound never falls as k grows, at
+    # every node for every n it admits; float rounding of equal bounds
+    # may dip far less than the search's 1e-9 margin
+    for n in range(1, PRUNE_MAX_N + 1):
+        floor = irrmod._log_degree_floor(n)
+        height = [0] * n
+
+        def walk(rem, lo, hooks):
+            last = -math.inf
+            for k in range(lo, rem // 2 + 1):
+                below = height[:k]
+                hooks_k = hooks * math.prod(k - c + below[c]
+                                            for c in range(k))
+                height[:k] = [h + 1 for h in below]
+                bound = floor(rem - k, hooks_k, height, k)
+                assert bound >= last - 1e-12, (n, rem, k)
+                last = bound
+                walk(rem - k, k, hooks_k)
+                height[:k] = below
+
+        walk(n, 1, 1)
 
 
 @st.composite
