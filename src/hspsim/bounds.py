@@ -28,6 +28,10 @@ from .util import STEP_WORK, fmt_float, require
 WREATH_MAX_N = 40
 DEFAULT_THRESHOLD = 1.0 / 3.0
 DEFAULT_K_MAX = 8
+# bytes per S_eps label at the peak of a psl2 report: 400 measured on
+# --format text, the largest format (260 on json); psl2:8469239, the largest
+# q admitted (2117312 labels), peaks at 907 MiB of address space
+PSL_LABEL_BYTES = 416
 
 
 class CorollaryInapplicable(ValueError):
@@ -339,13 +343,6 @@ def psl_params(q, eps=None):
     each psl_rows class is summed by its count, and only the S_eps
     members get labels."""
     rows = psl_rows(q)
-    # at most 256 bytes per irrep at the peak, mostly the report's S_eps
-    # labels: for q = 3 mod 4 a quarter of the irreps sit at the default
-    # cutoff (psl2:6881263, 3440634 irreps, peaked at 526 MiB of address
-    # space)
-    n_irreps = sum(count for _, _, count, _ in rows)
-    require(f"irrep table of PSL(2, {q}) ({n_irreps} irreps)",
-            bytes=256 * n_irreps)
     if _is_prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     order = q * (q * q - 1) if q % 2 == 0 else q * (q * q - 1) // 2
@@ -356,11 +353,14 @@ def psl_params(q, eps=None):
     eps = float(eps)
     s_rows = [(lab, d, count, c) for lab, d, count, c in rows
               if c / d >= eps]
+    n_labels = sum(count for _, _, count, _ in s_rows)
+    require(f"S_eps labels of PSL(2, {q}) ({n_labels} labels)",
+            bytes=PSL_LABEL_BYTES * n_labels)
     s_labels = [lab if count == 1 else f"{lab}.{i}"
                 for lab, _, count, _ in s_rows for i in range(count)]
     # the d |chi| are integers, so their exact sum, rounded once, is what
     # math.fsum gives over the irreps one by one
-    return _finish(order, n_irreps, eps,
+    return _finish(order, sum(count for _, _, count, _ in rows), eps,
                    sum(count * d for _, d, count, _ in rows), s_labels,
                    sum(count * d * d for _, d, count, _ in s_rows),
                    float(sum(count * d * c for _, d, count, c in s_rows)))
@@ -508,7 +508,7 @@ def gallagher_check(table, h):
 
 
 def direct_power_bound(group, h, n, c=None, t=1, threshold=DEFAULT_THRESHOLD,
-                       k_max=DEFAULT_K_MAX, table=None):
+                       k_max=DEFAULT_K_MAX):
     """Report for G^n with hidden subgroup generated by (h, ..., h).
 
     Checks the two applicability gates (|G| > lambda * sum of degrees,
@@ -516,8 +516,7 @@ def direct_power_bound(group, h, n, c=None, t=1, threshold=DEFAULT_THRESHOLD,
     with the largest certified k, the smallest such c on ties.
     """
     from .chartable import best_character_table
-    if table is None:
-        table = best_character_table(group)
+    table = best_character_table(group)
     gal = gallagher_check(table, h)
     lam = gal["lambda"]
     order = group.order

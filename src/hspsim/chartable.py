@@ -9,6 +9,10 @@ import numpy as np
 from .irreps import canonical_sort, character_key, explicit_construction
 from .util import fmt_complex, require
 
+# class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
+# distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
+ROW_MATCH_TOL = 1e-8
+
 
 class CharacterTable:
     """Rows are irreps (canonical order), columns conjugacy classes."""
@@ -156,7 +160,7 @@ def best_character_table(group, seed=0):
     return CharacterTable.from_irreps(group, build())
 
 
-def tables_match_up_to_rows(t1, t2, tol=1e-8):
+def tables_match_up_to_rows(t1, t2):
     """True when the two tables hold the same rows (same class order)."""
     if t1.values.shape != t2.values.shape:
         return False
@@ -164,7 +168,7 @@ def tables_match_up_to_rows(t1, t2, tol=1e-8):
     for row in t1.values:
         hit = None
         for j, other in enumerate(t2.values):
-            if j not in used and np.abs(row - other).max() < tol:
+            if j not in used and np.abs(row - other).max() < ROW_MATCH_TOL:
                 hit = j
                 break
         if hit is None:

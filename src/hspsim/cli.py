@@ -7,6 +7,10 @@ HSPSIM_TIMESTAMP / SOURCE_DATE_EPOCH, so identical commands give identical
 bytes.  Every command runs in one thread: --threads and HSPSIM_THREADS are
 accepted and validated, and change nothing.
 
+Each flag's range is declared with it (IntFlag, finite_nonneg_float), so
+argparse refuses a value out of range, naming the flag, before any command
+runs; only the power family's --n limit, set by the base group, is not.
+
 Exit codes: 0 success; 1 a verify check failed; 2 a family corollary does
 not apply to the given parameters; 64 usage or parse error (any other
 ValueError); 69 a ResourceCap, raised before the work is allocated.
@@ -46,6 +50,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class IntFlag:
+    """argparse type: an integer of magnitude at most 2**53 (past it a float
+    no longer holds it exactly), then at least lo and at most hi."""
+
+    def __init__(self, lo=None, hi=None):
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if abs(value) > 2 ** 53:
+            bound = "at most 2**53 in magnitude"
+        elif self.lo is not None and value < self.lo:
+            bound = f"at least {self.lo}"
+        elif self.hi is not None and value > self.hi:
+            bound = f"at most {self.hi}"
+        else:
+            return value
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+
+
+def finite_nonneg_float(text):
+    """argparse type: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {value}")
+    return value
+
+
 def build_parser():
     top = _Parser(
         prog="hspsim",
@@ -61,58 +100,59 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_default="json"):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--seed", type=IntFlag(lo=0), default=0)
+        p.add_argument("--threads", type=IntFlag(lo=1),
                        help="accepted, must be at least 1; hspsim runs in "
                        "one thread, so it changes nothing")
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default=fmt_default)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", help="output path (default stdout)")
 
     b = sub.add_parser("bound", parents=[], help="closed-form bound report")
     b.add_argument("--family", required=True,
                    choices=["wreath", "psl2", "power", "gl", "group"])
-    b.add_argument("--n", type=int, default=None,
-                   help="family size (wreath/power/gl)")
-    b.add_argument("--q", type=int, default=None, help="field size (psl2)")
-    b.add_argument("--p", type=int, default=None, help="characteristic (gl)")
-    b.add_argument("--m", type=int, default=1, help="field extension (gl)")
-    b.add_argument("--c", type=int, default=None,
+    b.add_argument("--n", type=IntFlag(), help="family size (wreath/power/gl)")
+    b.add_argument("--q", type=IntFlag(), help="field size (psl2)")
+    b.add_argument("--p", type=IntFlag(), help="characteristic (gl)")
+    b.add_argument("--m", type=IntFlag(lo=1), default=1,
+                   help="field extension (gl)")
+    b.add_argument("--c", type=IntFlag(),
                    help="tail split parameter (power; default: search 2..16)")
-    b.add_argument("--group", default=None,
-                   help="group spec (power base / group family)")
-    b.add_argument("--h", default=None, help="involution (cycle notation, "
-                   "'id:<n>', or family default)")
-    b.add_argument("--epsilon", type=float, default=None,
+    b.add_argument("--group", help="group spec (power base / group family)")
+    b.add_argument("--h", help="involution (cycle notation, 'id:<n>', or "
+                   "family default)")
+    b.add_argument("--epsilon", type=finite_nonneg_float,
                    help="cutoff (default: canonical per family, else 0.2)")
-    b.add_argument("--k-max", dest="k_max", type=int, default=8)
-    b.add_argument("--t", type=int, default=1, help="number of states")
-    b.add_argument("--threshold", type=float, default=1 / 3)
+    # 2^k passes the float range at k = 1024
+    b.add_argument("--k-max", dest="k_max", type=IntFlag(hi=1023), default=8)
+    b.add_argument("--t", type=IntFlag(lo=1), default=1,
+                   help="number of states")
+    b.add_argument("--threshold", type=finite_nonneg_float, default=1 / 3)
     common(b)
 
     s = sub.add_parser("simulate", help="exact sampling distributions")
     s.add_argument("--group", required=True)
-    s.add_argument("--h", default=None)
-    s.add_argument("--k", type=int, default=1, help="entangled registers")
-    s.add_argument("--frames", type=int, default=1,
+    s.add_argument("--h")
+    s.add_argument("--k", type=IntFlag(lo=1), default=1,
+                   help="entangled registers")
+    s.add_argument("--frames", type=IntFlag(lo=1), default=1,
                    help="independent random frame draws")
     s.add_argument("--frame-kind", dest="frame_kind",
                    choices=["basis", "fused"], default="basis")
-    s.add_argument("--t", type=int, default=None,
+    s.add_argument("--t", type=IntFlag(lo=1),
                    help="also report the t-copy averaged trace distance")
-    s.add_argument("--epsilon", type=float, default=0.2)
-    s.add_argument("--threshold", type=float, default=1 / 3)
+    s.add_argument("--epsilon", type=finite_nonneg_float, default=0.2)
     common(s)
 
     v = sub.add_parser("verify", help="named check suites")
     v.add_argument("--suite", required=True,
                    choices=["facts", "lemmas", "tables"])
     v.add_argument("--group", required=True)
-    v.add_argument("--h", default=None)
-    v.add_argument("--k", type=int, default=1)
+    v.add_argument("--h")
+    v.add_argument("--k", type=IntFlag(lo=1), default=1)
     v.add_argument("--frame-kind", dest="frame_kind",
                    choices=["basis", "fused"], default="basis")
-    v.add_argument("--epsilon", type=float, default=0.2)
+    v.add_argument("--epsilon", type=finite_nonneg_float, default=0.2)
     common(v)
 
     c = sub.add_parser("chartable", help="character table export")
@@ -133,15 +173,10 @@ def resolve_h(group, text):
     return x
 
 
-def check_threads(flag):
-    """Validate --threads, else HSPSIM_THREADS: either below 1, or not an
-    integer, is a usage error.  Neither sets anything, since every command
-    runs in one thread; the flag wins, so the variable is then not read."""
-    if flag is not None:
-        if flag < 1:
-            raise UsageError(f"argument --threads: must be at least 1, got "
-                             f"{flag}")
-        return
+def check_threads_env():
+    """Validate HSPSIM_THREADS, read only when --threads is absent: below 1,
+    or not an integer, is a usage error.  It sets nothing, since every
+    command runs in one thread."""
     env = os.environ.get(THREADS_ENV, "").strip()
     if not env:
         return
@@ -216,13 +251,6 @@ FAMILY_FLAGS = {"wreath": ("n",), "psl2": ("q",), "power": ("group", "n"),
 
 def cmd_bound(args):
     t = args.t
-    if t < 1:
-        raise UsageError("--t must be at least 1")
-    if args.m < 1:
-        raise UsageError(f"argument --m: must be at least 1, got {args.m}")
-    if args.k_max > 1023:  # 2^k passes the float range
-        raise UsageError(f"argument --k-max: must be at most 1023, got "
-                         f"{args.k_max}")
     need = FAMILY_FLAGS[args.family]
     if any(getattr(args, name) is None for name in need):
         raise UsageError(f"--family {args.family} requires "
@@ -282,10 +310,6 @@ def cmd_bound(args):
 # simulate
 
 def cmd_simulate(args):
-    if args.t is not None and args.t < 1:
-        raise UsageError("--t must be at least 1")
-    if args.frames < 1:
-        raise UsageError("--frames must be at least 1")
     G = make_group(args.group)
     h = resolve_h(G, args.h)
     # The frame vectors alone take 16 |G|^k bytes.  Past the limit, a group
@@ -516,16 +540,8 @@ def main(argv=None):
         "chartable": cmd_chartable,
     }
     try:
-        for name in ("epsilon", "threshold"):  # NaN fails both comparisons
-            value = getattr(args, name, None)
-            if value is not None and not 0 <= value < math.inf:
-                raise UsageError(f"argument --{name}: must be a finite "
-                                 f"number >= 0, got {value}")
-        for name, value in vars(args).items():  # floats are exact to 2**53
-            if type(value) is int and abs(value) > 2 ** 53:
-                raise UsageError(f"argument --{name.replace('_', '-')}: must "
-                                 f"be at most 2**53 in magnitude, got {value}")
-        check_threads(args.threads)
+        if args.threads is None:
+            check_threads_env()
         return handlers[args.command](args)
     except bounds.CorollaryInapplicable as e:
         label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e

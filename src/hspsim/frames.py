@@ -7,23 +7,11 @@ import numpy as np
 class Frame:
     """Unit vectors (columns) with positive weights resolving the identity."""
 
-    def __init__(self, vectors, weights, check=True):
+    def __init__(self, vectors, weights):
         self.vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
         self.weights = np.ascontiguousarray(weights, dtype=float)
         if self.vectors.ndim != 2 or self.weights.shape != (self.vectors.shape[1],):
             raise ValueError("need (d, m) vectors and (m,) weights")
-        if check:
-            self._validate()
-
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
-
-    @property
-    def size(self):
-        return self.vectors.shape[1]
-
-    def _validate(self):
         norms = np.linalg.norm(self.vectors, axis=0)
         if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("frame vectors must be unit norm")
@@ -32,6 +20,14 @@ class Frame:
         S = (self.vectors * self.weights) @ self.vectors.conj().T
         if np.abs(S - np.eye(self.dim)).max() > 1e-9:
             raise ValueError("frame does not resolve the identity")
+
+    @property
+    def dim(self):
+        return self.vectors.shape[0]
+
+    @property
+    def size(self):
+        return self.vectors.shape[1]
 
     def __repr__(self):
         return f"<frame dim={self.dim} size={self.size}>"

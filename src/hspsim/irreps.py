@@ -45,9 +45,6 @@ class Irrep:
     def degree(self):
         return self.mats.shape[1]
 
-    def matrix(self, x):
-        return self.mats[x]
-
     def character(self):
         if self._char is None:
             self._char = np.einsum("gii->g", self.mats)
@@ -560,31 +557,22 @@ def irreps_for(group, seed=0):
 # ---------------------------------------------------------------------------
 # consistency helpers used by tests and the verify command
 
-def hom_unitarity_error(rho, pairs=None):
-    """Max deviation from rho(xy) = rho(x)rho(y) and unitarity.
-
-    pairs=None checks all |G|^2 pairs (vectorized in blocks of x), |G|^2 d^3
-    multiply-adds; otherwise an iterable of (x, y) id pairs.
-    """
+def hom_unitarity_error(rho):
+    """Max deviation from rho(xy) = rho(x)rho(y) and unitarity, over all
+    |G|^2 pairs (vectorized in blocks of x), |G|^2 d^3 multiply-adds."""
     G, mats = rho.group, rho.mats
     N, d = G.order, rho.degree
-    if pairs is None:
-        require(f"all-pairs homomorphism check of {rho.label}",
-                work=N * N * d ** 3)
+    require(f"all-pairs homomorphism check of {rho.label}",
+            work=N * N * d ** 3)
     eye = np.eye(d)
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
     herr = 0.0
-    if pairs is None:
-        table = G.table()
-        step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * 16))
-        for a in range(0, N, step):
-            prod = np.matmul(mats[a:a + step, None], mats[None])
-            prod -= mats[table[a:a + step]]
-            herr = max(herr, float(np.abs(prod).max()))
-    else:
-        for x, y in pairs:
-            diff = np.abs(mats[G.compose(x, y)] - mats[x] @ mats[y]).max()
-            herr = max(herr, float(diff))
+    table = G.table()
+    step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * 16))
+    for a in range(0, N, step):
+        prod = np.matmul(mats[a:a + step, None], mats[None])
+        prod -= mats[table[a:a + step]]
+        herr = max(herr, float(np.abs(prod).max()))
     return max(uerr, herr)
 
 

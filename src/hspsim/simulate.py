@@ -32,6 +32,12 @@ BLOCK_ENTRIES = 1 << 16
 # rho(c) of an involution c: its eigenvalues' distance to +-1 and
 # |rho(c) W - W| (numeric psl2:11 irreps reach 4e-15)
 BASIS_TOL = 1e-9
+# tuples, and frame vectors per tuple, that the lemma suite's second-moment
+# and isotypic checks sample: each case is a sum over the group
+LEMMA_SAMPLES = 3
+# the transfer checks' eigvalsh spectra agree to 4e-17 (wreath:3 into s6,
+# sl2:5 onto psl2:5); a wrong multiplicity moves an eigenvalue by |H|/|G|
+TRANSFER_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +415,7 @@ def _isotypic_screen(weights, a1, a2):
     return np.sum(np.abs(y) ** 2, axis=(1, 2))
 
 
-def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis",
-                n_sample_tuples=3, n_sample_vectors=3):
+def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     """Numerical check of the bound chain behind the distance theorem.
 
     Exact expectations over tuples, frame outcomes, and group elements;
@@ -454,11 +459,11 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis",
     # --- second-moment identity on sampled (tuple, vector) pairs
     worst = (-1.0, None)  # below any error, so the first case is named
     picks = rng.choice(len(space.tuples),
-                       size=min(n_sample_tuples, len(space.tuples)),
+                       size=min(LEMMA_SAMPLES, len(space.tuples)),
                        replace=False)
     for ti in picks:
         f = space.frames[ti]
-        cols = rng.choice(f.size, size=min(n_sample_vectors, f.size),
+        cols = rng.choice(f.size, size=min(LEMMA_SAMPLES, f.size),
                           replace=False)
         for bi in cols:
             lhs, rhs = second_moment_check(group, irreps, space.tuples[ti],
@@ -488,7 +493,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis",
             factors = [irreps[i] if pos in s else irreps[i].degree
                        for pos, i in enumerate(tup)]
             stacks[s] = factor_stack(group, factors)
-        cols = rng.choice(f.size, size=min(n_sample_vectors, f.size),
+        cols = rng.choice(f.size, size=min(LEMMA_SAMPLES, f.size),
                           replace=False)
         cases = []  # (screened slack, rhs, b, s1, s2, tau), enumeration order
         for bi in cols:
@@ -640,7 +645,7 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
 # ---------------------------------------------------------------------------
 # transfer checks between related groups
 
-def transfer_subgroup_report(big, mapping, small, h_small, tol=1e-9):
+def transfer_subgroup_report(big, mapping, small, h_small):
     """Coset-state spectra under an embedding small -> big.
 
     The nonzero spectrum of the big-group coset state is the small one
@@ -663,11 +668,11 @@ def transfer_subgroup_report(big, mapping, small, h_small, tol=1e-9):
         "mode": "subgroup",
         "index": index,
         "max_spectral_diff": diff,
-        "pass": bool(diff <= tol),
+        "pass": bool(diff <= TRANSFER_TOL),
     }
 
 
-def transfer_quotient_report(big, projection, small, h_small, tol=1e-9):
+def transfer_quotient_report(big, projection, small, h_small):
     """Coset-state spectra under a quotient map big -> small.
 
     The subgroup upstairs is the full preimage of {e, h}; the nonzero
@@ -696,5 +701,5 @@ def transfer_quotient_report(big, projection, small, h_small, tol=1e-9):
         "nonzero_count": len(nz_small),
         "zero_counts": (big.order - len(nz_big), small.order - len(nz_small)),
         "max_spectral_diff": diff,
-        "pass": bool(diff <= tol),
+        "pass": bool(diff <= TRANSFER_TOL),
     }

@@ -97,20 +97,20 @@ def fmt_complex(z):
     return f"{re}{sign}{im}i"
 
 
-def dumps_report(obj, indent=2):
-    """Serialize nested dict/list/scalars to JSON text.
+def dumps_report(obj):
+    """Serialize nested dict/list/scalars to JSON text, indented by two.
 
     Floats are printed at 12 significant digits; dict insertion order is
     preserved.  Hand-rolled because json.dumps offers no float formatting.
     """
     out = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    end = " " * (indent * level)
+def _emit(obj, out, level):
+    pad = "  " * (level + 1)
+    end = "  " * level
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -118,7 +118,7 @@ def _emit(obj, out, indent, level):
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(f'{pad}"{k}": ')
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end + "}")
     elif isinstance(obj, (list, tuple)):
@@ -128,7 +128,7 @@ def _emit(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end + "]")
     elif isinstance(obj, bool):

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import resource
@@ -37,14 +40,6 @@ def test_exit_usage_on_missing_family_param(capsys):
     assert "--n" in err
 
 
-def test_exit_usage_on_bound_t_below_one(capsys):
-    rc, out, err = run_cli(capsys, ["bound", "--family", "wreath", "--n", "5",
-                                    "--t", "0"])
-    assert rc == 64
-    assert out == ""
-    assert err == "hspsim bound: error: --t must be at least 1\n"
-
-
 @pytest.mark.parametrize("argv, code, text", [
     (["--group", "s7"], 69,
      "explicit irreps (Young's form) stop at n <= 5, and numeric irrep "
@@ -59,10 +54,8 @@ def test_exit_usage_on_bound_t_below_one(capsys):
     (["--group", "wreath:6"], 64, "2 <= n <= 5"),
     (["--group", "psl2:17"], 64, "psl2 supported for q in"),
     (["--group", "nosuch:3"], 64, "nosuch"),
-    (["--group", "s3", "--t", "0"], 64, "--t must be at least 1"),
-    (["--group", "s3", "--t", "-1"], 64, "--t must be at least 1"),
 ], ids=["s7", "power-z101^3", "dihedral4-t9",
-        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch", "t0", "t-1"])
+        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch"])
 def test_exit_codes(capsys, argv, code, text):
     rc, out, err = run_cli(capsys, ["simulate"] + argv)
     assert rc == code
@@ -209,21 +202,29 @@ def test_refused_at_once_in_1gib(argv):
         f"hspsim {argv.split()[0]}: resource cap: ")
 
 
-def test_psl2_row_cap_admits_the_largest_q_in_1gib():
-    # 256 bytes per irrep: 6881269 is the largest prime power admitted and
-    # 6881291 the next
-    def rows(q):
-        return sum(count for _, _, count, _ in bounds.psl_rows(q))
+def test_psl2_row_cap_admits_the_largest_q_in_1gib(capsys):
+    # PSL_LABEL_BYTES per S_eps label, measured on --format text, the
+    # largest report.  At the default eps, q = 3 mod 4 labels (q - 3)/4 + 3
+    # rows: 8469239 is the largest such prime power admitted and 8469271
+    # the next.  q = 1 mod 4 labels only the trivial row, so the prime-power
+    # test's trial division is its only cap.
+    def labels(q):
+        return (q - 3) // 4 + 3
 
-    assert 256 * rows(6881269) <= MEMORY_LIMIT < 256 * rows(6881291)
-    proc = _cli_under_1gib("bound", "--family", "psl2", "--q", "6881269")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["params"] == {"q": 6881269}
-    proc = _cli_under_1gib("bound", "--family", "psl2", "--q", "6881291")
-    assert proc.returncode == 69, proc.stderr
-    assert proc.stderr == (
-        "hspsim bound: resource cap: irrep table of PSL(2, 6881291) (3440648 "
-        "irreps) needs 8.81e+08 bytes (limit 8.81e+08)\n")
+    assert (bounds.PSL_LABEL_BYTES * labels(8469239) <= MEMORY_LIMIT
+            < bounds.PSL_LABEL_BYTES * labels(8469271))
+    proc = _cli_under_1gib("bound", "--family", "psl2", "--q", "8469239",
+                           "--format", "text", "--out", os.devnull)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rc, out, err = run_cli(capsys, ["bound", "--family", "psl2", "--q",
+                                    "8469271"])
+    assert (rc, out) == (69, "")
+    assert err == (
+        "hspsim bound: resource cap: S_eps labels of PSL(2, 8469271) (2117320 "
+        "labels) needs 8.81e+08 bytes (limit 8.81e+08)\n")
+    rc, out, _ = run_cli(capsys, ["bound", "--family", "psl2", "--q",
+                                  "1000000009"])
+    assert rc == 0 and json.loads(out)["s_epsilon_labels"] == ["trivial"]
 
 
 def test_trial_division_cap_admits_the_largest_p(capsys):
@@ -517,7 +518,7 @@ PAST_2_53 = "must be at most 2**53 in magnitude, got "
      "argument --epsilon: must be a finite number >= 0, got nan"),
     (["verify", "--suite", "lemmas", "--group", "s3", "--epsilon", "inf"],
      "argument --epsilon: must be a finite number >= 0, got inf"),
-    (["simulate", "--group", "s3", "--threshold", "-0.5"],
+    (["bound", "--family", "wreath", "--n", "3", "--threshold", "-0.5"],
      "argument --threshold: must be a finite number >= 0, got -0.5"),
     (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "0"],
      "argument --m: must be at least 1, got 0"),
@@ -554,6 +555,128 @@ def test_out_of_domain_flags_are_usage_errors(capsys, argv, text):
     assert rc == 64
     assert out == ""
     assert err == f"hspsim {argv[0]}: error: {text}\n"
+
+
+def _subparsers():
+    """{command: its parser} from cli.build_parser()."""
+    top = cli.build_parser()
+    return next(a for a in top._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(parser):
+    """{option: action} of every flag but --help."""
+    return {a.option_strings[0]: a for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+# (lo, hi) of every integer flag, and every float flag (finite, >= 0)
+COMMON_INT_RANGES = {"--seed": (0, None), "--threads": (1, None)}
+INT_RANGES = {
+    "bound": {"--n": (None, None), "--q": (None, None), "--p": (None, None),
+              "--m": (1, None), "--c": (None, None), "--k-max": (None, 1023),
+              "--t": (1, None), **COMMON_INT_RANGES},
+    "simulate": {"--k": (1, None), "--frames": (1, None), "--t": (1, None),
+                 **COMMON_INT_RANGES},
+    "verify": {"--k": (1, None), **COMMON_INT_RANGES},
+    "chartable": COMMON_INT_RANGES,
+}
+FLOAT_FLAGS = {"bound": {"--epsilon", "--threshold"},
+               "simulate": {"--epsilon"}, "verify": {"--epsilon"},
+               "chartable": set()}
+# a value for each flag a subcommand requires
+REQUIRED_VALUES = {"--family": "wreath", "--suite": "facts", "--group": "s3"}
+
+
+def test_flag_types_match_the_declared_ranges():
+    for command, parser in _subparsers().items():
+        flags = _flags(parser)
+        ints = {name: (a.type.lo, a.type.hi) for name, a in flags.items()
+                if isinstance(a.type, cli.IntFlag)}
+        floats = {name for name, a in flags.items()
+                  if a.type is cli.finite_nonneg_float}
+        assert ints == INT_RANGES[command], command
+        assert floats == FLOAT_FLAGS[command], command
+        assert not {name for name, a in flags.items()
+                    if a.type in (int, float)}, command
+
+
+RANGE_CASES = [(command, name) for command in INT_RANGES
+               for name in [*INT_RANGES[command], *sorted(FLOAT_FLAGS[command])]]
+
+
+@pytest.mark.parametrize("command, name", RANGE_CASES,
+                         ids=[" ".join(c) for c in RANGE_CASES])
+def test_flag_ranges_are_declared_with_the_flag(capsys, command, name):
+    # past its range a flag is refused by the parser, exit 64, before any
+    # command runs; at the edge it is admitted.  Integer flags are first held
+    # to |v| <= 2**53, past which a float no longer holds them exactly.
+    # Values go as --flag=value: argparse reads "-inf" alone as an option.
+    parser = _subparsers()[command]
+    argv = [command]
+    for a in parser._actions:
+        if a.required:
+            argv += [a.option_strings[0], REQUIRED_VALUES[a.option_strings[0]]]
+    dest = _flags(parser)[name].dest
+
+    def refused(value, message):
+        rc, out, err = run_cli(capsys, argv + [f"{name}={value}"])
+        assert (rc, out) == (64, "")
+        assert err == (f"hspsim {command}: error: argument {name}: "
+                       f"{message}\n")
+
+    def admitted(value):
+        args = cli.build_parser().parse_args(argv + [f"{name}={value}"])
+        assert getattr(args, dest) == value
+
+    if name in FLOAT_FLAGS[command]:
+        for value in ("-0.5", "-1e-300", "nan", "inf", "-inf"):
+            refused(value, f"must be a finite number >= 0, got {float(value)}")
+        refused("x", "invalid float value: 'x'")
+        admitted(0.0)
+        admitted(1e300)
+        return
+    lo, hi = INT_RANGES[command][name]
+    for value in (2 ** 53 + 1, -(2 ** 53 + 1), 10 ** 400, -10 ** 400):
+        refused(str(value), f"must be at most 2**53 in magnitude, got {value}")
+    for value in ("x", "1.5", "1e3"):
+        refused(value, f"invalid int value: {value!r}")
+    admitted(2 ** 53 if hi is None else hi)
+    admitted(-2 ** 53 if lo is None else lo)
+    for value in ([] if lo is None else range(lo - 4, lo)):
+        refused(str(value), f"must be at least {lo}, got {value}")
+    for value in ([] if hi is None else range(hi + 1, hi + 5)):
+        refused(str(value), f"must be at most {hi}, got {value}")
+
+
+def _args_attrs(node):
+    """The <dest> of every args.<dest> under an AST node."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "args"}
+
+
+def test_every_declared_flag_is_read():
+    # a flag that changes nothing should not be accepted: each is read as
+    # args.<dest> by its command's handler (or a cli function it names,
+    # transitively), or by main itself
+    funcs = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def reached(name, seen):
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Name) and node.id in funcs
+                    and node.id not in seen):
+                reached(node.id, seen)
+        return seen
+
+    unread = []
+    for command, parser in _subparsers().items():
+        read = _args_attrs(funcs["main"]).union(
+            *(_args_attrs(funcs[f]) for f in reached(f"cmd_{command}", set())))
+        unread += [f"{command} {name}" for name, a in _flags(parser).items()
+                   if a.dest not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

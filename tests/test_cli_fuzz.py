@@ -1,11 +1,13 @@
 """Property over the command-line grammar: every argument vector ends in a
 known exit code, and nothing is raised.
 
-Arguments are drawn from every subcommand, small group specs (order at most
-72) and malformed ones, and flag values from a fixed set of edge cases.
+Arguments are drawn from every subcommand and the flags its parser declares,
+small group specs (order at most 72) and malformed ones, and flag values
+from a fixed set of edge cases.
 Exit codes: 0, 1 (a verify check failed), 2 (corollary inapplicable),
 64 (usage) and 69 (resource refusal).
 """
+import argparse
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -27,31 +29,35 @@ VALUES = ["-1", "0", "1", "2", "3", "1023", "1024", "1000000", "nan", "inf",
           *HUGE]
 ELEMENTS = ["(1 2)", "(1 2 3)", "swap", "id:1", "id:99", "bad"]
 
-# (required flags, optional flags) per subcommand; a flag maps to its pool
-FLAGS = {
-    "bound": (
-        {"--family": ["wreath", "psl2", "power", "gl", "group"],
-         "--n": ["2", "5", "10"] + VALUES, "--q": ["5", "13"] + VALUES,
-         "--p": ["2", "3"] + VALUES, "--group": GROUPS},
-        {"--m": VALUES, "--c": VALUES, "--k-max": VALUES, "--t": VALUES,
-         "--epsilon": VALUES, "--threshold": VALUES, "--h": ELEMENTS,
-         "--seed": VALUES, "--threads": VALUES}),
-    "simulate": (
-        {"--group": GROUPS},
-        {"--h": ELEMENTS, "--k": VALUES, "--frames": VALUES,
-         "--frame-kind": ["basis", "fused", "x"], "--t": VALUES,
-         "--epsilon": VALUES, "--threshold": VALUES, "--seed": VALUES,
-         "--threads": VALUES}),
-    "verify": (
-        {"--suite": ["facts", "lemmas", "tables"], "--group": GROUPS},
-        {"--h": ELEMENTS, "--k": VALUES, "--epsilon": VALUES,
-         "--frame-kind": ["basis", "fused"], "--seed": VALUES,
-         "--threads": VALUES}),
-    "chartable": (
-        {"--group": GROUPS},
-        {"--format": ["json", "csv", "text"], "--seed": VALUES,
-         "--threads": VALUES}),
+# the value pool of each flag; which flags a subcommand takes is read from
+# cli.build_parser(), so a flag no subcommand declares is never drawn
+POOLS = {
+    "--family": ["wreath", "psl2", "power", "gl", "group"],
+    "--suite": ["facts", "lemmas", "tables"],
+    "--group": GROUPS,
+    "--n": ["2", "5", "10"] + VALUES, "--q": ["5", "13"] + VALUES,
+    "--p": ["2", "3"] + VALUES, "--m": VALUES, "--c": VALUES,
+    "--k-max": VALUES, "--t": VALUES, "--k": VALUES, "--frames": VALUES,
+    "--epsilon": VALUES, "--threshold": VALUES, "--h": ELEMENTS,
+    "--frame-kind": ["basis", "fused", "x"],
+    "--format": ["json", "csv", "text"], "--seed": VALUES,
+    "--threads": VALUES,
 }
+# --out would write each drawn report to a file
+UNDRAWN = {"--help", "--out"}
+SUBPARSERS = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+FLAGS = {command: sorted(a.option_strings[-1] for a in parser._actions
+                         if a.option_strings[-1] not in UNDRAWN)
+         for command, parser in SUBPARSERS.items()}
+# drawn nine times in ten: the flags a subcommand or a bound family needs
+LIKELY = {f"--{name}" for need in cli.FAMILY_FLAGS.values() for name in need}
+LIKELY |= {a.option_strings[-1] for parser in SUBPARSERS.values()
+           for a in parser._actions if a.required}
+
+
+def test_every_pool_belongs_to_a_declared_flag():
+    assert set(POOLS) == {name for names in FLAGS.values() for name in names}
 
 
 def _pool(values):
@@ -62,13 +68,14 @@ def _pool(values):
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
-    required, optional = FLAGS[command]
-    names = [n for n in sorted(required) if draw(st.integers(0, 9))]
-    names += draw(st.lists(st.sampled_from(sorted(optional)), unique=True,
-                           max_size=4))
+    likely = [n for n in FLAGS[command] if n in LIKELY]
+    names = [n for n in likely if draw(st.integers(0, 9))]
+    names += draw(st.lists(st.sampled_from([n for n in FLAGS[command]
+                                            if n not in LIKELY]),
+                           unique=True, max_size=4))
     argv = [command]
     for name in names:
-        pool = {**required, **optional}[name]
+        pool = POOLS[name]
         if pool is GROUPS:
             pool = GROUPS | MALFORMED
         argv += [name, draw(_pool(pool))]
@@ -88,7 +95,9 @@ def _out_of_domain(argv):
         return True
     return ("--m" in flags and flags["--m"] in ("-1", "0", "nan", "inf")
             or flags.get("--k-max") in ("1024", "1000000")
-            or flags.get("--threads") in ("-1", "0"))
+            or any(flags.get(name) in ("-1", "0")
+                   for name in ("--threads", "--t", "--k", "--frames"))
+            or flags.get("--seed") == "-1")
 
 
 @settings(max_examples=150)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from hspsim.groups import (
-    PSL2Group, Subgroup, SymmetricGroup, check_associativity,
-    conjugate_subgroup, cycle_notation, make_cyclic, make_dihedral,
-    make_direct_power, make_group, make_psl2, make_sl2, make_symmetric,
-    make_wreath_s2, order_two_subgroup, parse_cycles, sl2_to_psl2_map,
-    wreath_embedding,
+    PSL2Group, Subgroup, SymmetricGroup, check_associativity, cycle_notation,
+    make_cyclic, make_dihedral, make_direct_power, make_group, make_psl2,
+    make_sl2, make_symmetric, make_wreath_s2, order_two_subgroup,
+    parse_cycles, sl2_to_psl2_map, wreath_embedding,
 )
 
 # frozen, derived independently: (constructor args -> expected order)
@@ -23,6 +22,13 @@ def element_order(group, x):
         acc = group.compose(acc, x)
         k += 1
     return k
+
+
+def conjugate_subgroup(group, sub, g):
+    """g H g^{-1} as a Subgroup."""
+    conj = group.compose(group.compose(g, np.array(sub.elements)),
+                         group.inverse(g))
+    return Subgroup(group, conj.tolist())
 
 
 def test_symmetric_ids_follow_itertools_permutations():
