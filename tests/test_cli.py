@@ -54,8 +54,12 @@ def test_exit_usage_on_missing_family_param(capsys):
     (["--group", "wreath:6"], 64, "2 <= n <= 5"),
     (["--group", "psl2:17"], 64, "psl2 supported for q in"),
     (["--group", "nosuch:3"], 64, "nosuch"),
+    (["--group", "s3", "--t", "0"], 64,
+     "argument --t: must be at least 1, got 0"),
+    (["--group", "s3", "--t", "-1"], 64,
+     "argument --t: must be at least 1, got -1"),
 ], ids=["s7", "power-z101^3", "dihedral4-t9",
-        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch"])
+        "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch", "t0", "t-1"])
 def test_exit_codes(capsys, argv, code, text):
     rc, out, err = run_cli(capsys, ["simulate"] + argv)
     assert rc == code
