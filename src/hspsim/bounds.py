@@ -266,8 +266,8 @@ def wreath_params(n, eps=None):
         in_s = [(lam, d) for lam, d in
                 degrees_up_to(int(limit) + 1 if limit < fact else fact)
                 if 1.0 / d >= eps]
-    s_labels = [tag + partition_label(lam)
-                for tag in ("theta", "theta'") for lam, _ in in_s]
+    labels = [partition_label(lam) for lam, _ in in_s]
+    s_labels = [tag + lab for tag in ("theta", "theta'") for lab in labels]
     d_eps = 2 * sum(d ** 4 for _, d in in_s)
     sum_dchi = 2 * math.fsum(d ** 3 for _, d in in_s)
     return _finish(2 * fact ** 2, 2 * p + p * (p - 1) // 2, eps,

@@ -22,6 +22,7 @@ import csv
 import io
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -45,7 +46,19 @@ class UsageError(ValueError):
     """Missing, invalid or contradictory command-line arguments."""
 
 
+# argparse takes an argument that starts with "-" for an option unless it
+# matches this.  Its own pattern, ^-\d+$|^-\d*\.\d+$, misses the exponent
+# form, -inf and -nan, so "--epsilon -1e-3" failed with "expected one
+# argument" instead of reaching the flag's range check.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$"
+                             r"|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
     def error(self, message):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -312,27 +325,31 @@ def cmd_bound(args):
 def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
-    # The frame vectors alone take 16 |G|^k bytes.  Past the limit, a group
-    # without explicit irreps is refused as the numeric irreps would be, or
-    # else names the refused tuple from its class-sum table (same labels and
-    # degrees) without building them; explicit irreps are cheap, and
-    # require_sampling refuses after them.
-    try:
-        require(f"frame vectors of k={args.k} registers", bytes=16 *
-                simulate.frame_entries(G.order, args.k, args.frame_kind))
-    except ResourceCap:
-        if irrmod.explicit_construction(G) is None:
+    # Sampling is refused from a listing of irrep labels and degrees before
+    # any irrep is built: the explicit construction's, or, for a group
+    # without one whose frame vectors alone (16 |G|^k bytes) pass the limit,
+    # the class-sum table's (same labels and degrees), once the numeric
+    # irreps' own estimate has passed.  Otherwise the numeric irreps are
+    # built first and list themselves.
+    listing, irr = irrmod.explicit_degrees(G), None
+    if listing is None:
+        try:
+            require(f"frame vectors of k={args.k} registers", bytes=16 *
+                    simulate.frame_entries(G.order, args.k, args.frame_kind))
+        except ResourceCap:
             irrmod.require_numeric_irreps(G)
             table = best_character_table(G, seed=args.seed)
-            simulate.require_sampling(table.labels, table.degrees, args.k,
-                                      args.frame_kind, len(G.class_of(h)),
-                                      args.frames)
-            raise
-    irr = irrmod.irreps_for(G, seed=args.seed)
+            listing = table.labels, table.degrees
+        else:
+            irr = irrmod.irreps_for(G, seed=args.seed)
+            listing = [r.label for r in irr], [r.degree for r in irr]
     conjugates = len(G.class_of(h))
-    simulate.require_sampling([r.label for r in irr],
-                              [r.degree for r in irr], args.k,
-                              args.frame_kind, conjugates, args.frames)
+    # its bytes include the frame vectors, so frame vectors refused above
+    # are refused here too
+    simulate.require_sampling(*listing, args.k, args.frame_kind, conjugates,
+                              args.frames)
+    if irr is None:
+        irr = irrmod.irreps_for(G, seed=args.seed)
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
     per_seed = []
@@ -406,6 +423,10 @@ def _suite_facts(G, args):
     r = len(G.conjugacy_classes())
     require(f"facts suite over {r} irreps", work=G.order ** 3 + STEP_WORK * (
         r * r + sum(r ** (n + 1) for n in ns)))
+    listing = irrmod.explicit_degrees(G)
+    if listing is not None:  # the first check below, refused unbuilt
+        label, degree = max(zip(*listing), key=lambda e: e[1])
+        irrmod.require_hom_check(label, G.order, degree)
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
     # largest degree first, so an over-budget check is refused before the
@@ -442,6 +463,10 @@ def _suite_facts(G, args):
 
 def _suite_lemmas(G, args):
     h = resolve_h(G, args.h)
+    listing = irrmod.explicit_degrees(G)
+    if listing is not None:  # lemma_suite's first estimate, before building
+        simulate.require_sampling(*listing, args.k, args.frame_kind,
+                                  conjugates=len(G.class_of(h)))
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,

@@ -5,6 +5,7 @@ element id, so group averages become single einsum reductions.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -21,8 +22,11 @@ WREATH_IRREPS_MAX_N = 4
 # grow with the row width at every node of the search.
 PRUNE_MAX_N = 40
 # The all-pairs homomorphism check runs in blocks of rows whose two complex
-# tensors fit HOM_CHECK_BYTES (psl2:7 in one).
-HOM_CHECK_BYTES = 64 << 20
+# temporaries, the products and the gathered rho(xy), fit HOM_CHECK_BYTES.
+# At 64 MiB psl2:7's degree-8 check held both whole (2 x 28.9 MB) and its
+# facts run peaked 69 MB above an import-only process; in 4 MiB blocks it
+# peaks 18 MB above, and the check runs no slower.
+HOM_CHECK_BYTES = 4 << 20
 # A segment of the numeric decomposition is skipped as a repeated copy only
 # when its norm and its overlap with a built piece are this close to 1, a
 # hundred times inside the 1e-6 tests that the built pieces go through.
@@ -265,26 +269,19 @@ def irreps_symmetric(n):
     G = SymmetricGroup(n)
     gen_ids = [G.from_perm(tuple(range(k - 1)) + (k, k - 1) + tuple(range(k + 1, n)))
                for k in range(1, n)]
-    out = []
-    for lam in partitions(n):
-        tabs = standard_tableaux(lam)
-        gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
-        mats = _extend_over_group(G, gen_ids, gens, len(tabs))
-        out.append(Irrep(G, partition_label(lam), mats))
-    return out
+
+    def stacks():
+        for lam in partitions(n):
+            tabs = standard_tableaux(lam)
+            gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
+            yield _extend_over_group(G, gen_ids, gens, len(tabs))
+    return _labelled(G, stacks())
 
 
 def irreps_cyclic(n):
-    # n irreps of n complex entries, and as many again for their characters
-    # (bound --family group --group cyclic:5480 peaked at 951 MB)
-    require(f"irrep construction for the cyclic group of order {n}",
-            bytes=32 * n * n)
     G = CyclicGroup(n)
-    out = []
-    for j in range(n):
-        vals = np.exp(2j * np.pi * j * np.arange(n) / n)
-        out.append(Irrep(G, f"chi{j}", vals.reshape(n, 1, 1)))
-    return out
+    return _labelled(G, (np.exp(2j * np.pi * j * np.arange(n) / n)
+                         .reshape(n, 1, 1) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +298,19 @@ def irreps_wreath(n):
         raise ValueError("wreath irreps supported for "
                          f"2 <= n <= {WREATH_IRREPS_MAX_N}")
     W = WreathS2Group(n)
-    base = irreps_symmetric(n)
-    lams = partitions(n)
     P, S, swapped = W.unpack(np.arange(W.order))
     swapped = swapped == 1
 
-    out = []
-    for sign, tag in ((1.0, "theta"), (-1.0, "theta'")):
-        for lam, rho in zip(lams, base):
-            d = rho.degree  # the swap sends basis vector (i, j) to (j, i)
-            swap = np.eye(d * d)[:, np.arange(d * d).reshape(d, d).T.ravel()]
-            mats = kron_stack(rho.mats[P], rho.mats[S])
-            mats[swapped] = mats[swapped] @ (sign * swap)
-            out.append(Irrep(W, tag + partition_label(lam), mats))
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            ri, rj = base[i], base[j]
+    def stacks():
+        base = irreps_symmetric(n)
+        for sign in (1.0, -1.0):
+            for rho in base:
+                d = rho.degree  # the swap sends basis vector (i, j) to (j, i)
+                swap = np.eye(d * d)[:, np.arange(d * d).reshape(d, d).T.ravel()]
+                mats = kron_stack(rho.mats[P], rho.mats[S])
+                mats[swapped] = mats[swapped] @ (sign * swap)
+                yield mats
+        for ri, rj in itertools.combinations(base, 2):
             half = ri.degree * rj.degree
             A = kron_stack(ri.mats[P], rj.mats[S])
             B = kron_stack(ri.mats[S], rj.mats[P])
@@ -325,8 +319,21 @@ def irreps_wreath(n):
             mats[~swapped, half:, half:] = B[~swapped]
             mats[swapped, :half, half:] = A[swapped]
             mats[swapped, half:, :half] = B[swapped]
-            lab = "kappa" + partition_label(lams[i]) + "x" + partition_label(lams[j])
-            out.append(Irrep(W, lab, mats))
+            yield mats
+    return _labelled(W, stacks())
+
+
+def _labelled(group, stacks):
+    """Irreps of the matrix stacks a builder yields, labelled in order from
+    explicit_degrees(group).  The listing, and any estimate it runs, comes
+    before the first stack is built; a count or degree that differs from it
+    is an error, so the listing and the construction cannot drift apart."""
+    labels, degrees = explicit_degrees(group)
+    out = [Irrep(group, label, mats)
+           for label, mats in zip(labels, stacks, strict=True)]
+    if [r.degree for r in out] != degrees:
+        raise RuntimeError(f"explicit irreps of {group.kind} group of order "
+                           f"{group.order} differ from their listed degrees")
     return out
 
 
@@ -528,6 +535,37 @@ def character_key(degree, chi):
     return (degree, tuple((-round(z.real, 8), -round(z.imag, 8)) for z in chi))
 
 
+def explicit_degrees(group):
+    """(labels, degrees) of the group's explicit irreps, in the order their
+    construction builds them, or None when it has none.
+
+    No matrix is built, so a command runs its estimates on this listing
+    before irreps_for builds anything; the cyclic listing is refused as its
+    construction would be.  The builders take their labels from it.
+    """
+    if isinstance(group, CyclicGroup):
+        # n irreps of n complex entries, and as many again for their
+        # characters (bound --family group --group cyclic:5480 peaked at
+        # 951 MB)
+        require(f"irrep construction for the cyclic group of order "
+                f"{group.n}", bytes=32 * group.order ** 2)
+        return [f"chi{j}" for j in range(group.n)], [1] * group.n
+    if explicit_construction(group) is None:
+        return None
+    # S_n or S_n wr S_2: one S_n irrep per partition, descending lex
+    pairs = sorted(partition_degrees(group.n), reverse=True)
+    labels = [partition_label(lam) for lam, _ in pairs]
+    degrees = [d for _, d in pairs]
+    if isinstance(group, SymmetricGroup):
+        return labels, degrees
+    # theta and theta' per partition, then kappa per pair of partitions
+    kappas = list(itertools.combinations(zip(labels, degrees), 2))
+    return ([tag + a for tag in ("theta", "theta'") for a in labels]
+            + [f"kappa{a}x{b}" for (a, _), (b, _) in kappas],
+            [d * d for d in degrees] * 2
+            + [2 * da * db for (_, da), (_, db) in kappas])
+
+
 def explicit_construction(group):
     """The builder of a group's labelled explicit irreps, or None when it
     has none.
@@ -557,13 +595,19 @@ def irreps_for(group, seed=0):
 # ---------------------------------------------------------------------------
 # consistency helpers used by tests and the verify command
 
+def require_hom_check(label, order, degree):
+    """Refuse hom_unitarity_error on an irrep of this label and degree of a
+    group of this order, before the irrep is built."""
+    require(f"all-pairs homomorphism check of {label}",
+            work=order * order * degree ** 3)
+
+
 def hom_unitarity_error(rho):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity, over all
     |G|^2 pairs (vectorized in blocks of x), |G|^2 d^3 multiply-adds."""
     G, mats = rho.group, rho.mats
     N, d = G.order, rho.degree
-    require(f"all-pairs homomorphism check of {rho.label}",
-            work=N * N * d ** 3)
+    require_hom_check(rho.label, N, d)
     eye = np.eye(d)
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
     herr = 0.0

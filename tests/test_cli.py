@@ -311,6 +311,48 @@ def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
                    "needs 5.01e+09 multiply-adds (limit 5e+09)\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("verify --suite facts --group wreath:4",
+     "hspsim verify: resource cap: all-pairs homomorphism check of "
+     "kappa[3,1]x[2,1,1] needs 7.74e+09 multiply-adds (limit 5e+09)\n"),
+    ("simulate --group cyclic:5000 --k 2",
+     "hspsim simulate: resource cap: sampling k=2 registers over 5000 irreps "
+     "(2.5e+07 tuples; largest tuple chi0|chi0 has dimension 1) needs "
+     "2.6e+10 bytes (limit 8.81e+08)\n"),
+    ("verify --suite lemmas --group cyclic:5000 --k 2",
+     "hspsim verify: resource cap: sampling k=2 registers over 5000 irreps "
+     "(2.5e+07 tuples; largest tuple chi0|chi0 has dimension 1) needs "
+     "2.6e+10 bytes (limit 8.81e+08)\n"),
+], ids=["wreath4-facts", "cyclic5000-simulate", "cyclic5000-lemmas"])
+def test_refused_on_the_irrep_listing(capsys, monkeypatch, argv, err):
+    # refused on explicit_degrees' labels and degrees: the wreath:4 irreps
+    # (20 MB) and the cyclic:5000 ones (416 MB over about 2.8 s) were built
+    # only to be refused
+    def built(*args, **kwargs):
+        raise AssertionError("irreps built")
+
+    monkeypatch.setattr(cli.irrmod, "irreps_for", built)
+    assert run_cli(capsys, argv.split()) == (69, "", err)
+
+
+def test_facts_peak_memory_in_1gib():
+    # the homomorphism check takes its products in blocks of rows that fit
+    # HOM_CHECK_BYTES; psl2:7's degree-8 check in one block held the
+    # (168, 168, 8, 8) products and their gathered rho(xy) at once, and the
+    # run peaked 69 MB above an import-only child (16-18 MB in blocks)
+    def peak_mb(code):
+        proc = _under_1gib("-c", "import os, resource\n"
+                           "from hspsim.cli import main\n" + code + "\n"
+                           "print(resource.getrusage(resource.RUSAGE_SELF)"
+                           ".ru_maxrss)")
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+
+    facts = peak_mb("assert main(['verify', '--suite', 'facts', '--group', "
+                    "'psl2:7', '--out', os.devnull]) == 0")
+    assert facts - peak_mb("") <= 32
+
+
 def test_cyclic_facts_estimate_admits_854(monkeypatch):
     # cyclic:854 takes about 40 s, so the run stops where the irreps start
     class Admitted(Exception):
@@ -524,6 +566,10 @@ PAST_2_53 = "must be at most 2**53 in magnitude, got "
      "argument --epsilon: must be a finite number >= 0, got inf"),
     (["bound", "--family", "wreath", "--n", "3", "--threshold", "-0.5"],
      "argument --threshold: must be a finite number >= 0, got -0.5"),
+    (["bound", "--family", "wreath", "--n", "3", "--epsilon", "-1e-3"],
+     "argument --epsilon: must be a finite number >= 0, got -0.001"),
+    (["bound", "--family", "wreath", "--n", "3", "--epsilon", "-inf"],
+     "argument --epsilon: must be a finite number >= 0, got -inf"),
     (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "0"],
      "argument --m: must be at least 1, got 0"),
     (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", "-3"],
@@ -550,7 +596,8 @@ PAST_2_53 = "must be at most 2**53 in magnitude, got "
      f"argument --n: {PAST_2_53}{BIG}"),
     (["bound", "--family", "gl", "--n", "6", "--p", "2", "--m", f"-{BIG}"],
      f"argument --m: {PAST_2_53}-{BIG}"),
-], ids=["epsilon-1", "epsilon-nan", "epsilon-inf", "threshold-neg", "m0",
+], ids=["epsilon-1", "epsilon-nan", "epsilon-inf", "threshold-neg",
+        "epsilon-exponent", "epsilon-neg-inf", "m0",
         "m-3", "threads0", "threads-1", "simulate-k-big", "frames-2**53+1",
         "simulate-t-neg", "lemmas-k-2**53+1", "bound-t-big", "c-2**53+1",
         "power-n-neg", "gl-n-big", "gl-m-neg"])
@@ -615,7 +662,8 @@ def test_flag_ranges_are_declared_with_the_flag(capsys, command, name):
     # past its range a flag is refused by the parser, exit 64, before any
     # command runs; at the edge it is admitted.  Integer flags are first held
     # to |v| <= 2**53, past which a float no longer holds them exactly.
-    # Values go as --flag=value: argparse reads "-inf" alone as an option.
+    # A refused value goes both as --flag=value and as --flag value, where
+    # argparse must read a negative number ("-1e-300", "-inf") as a value.
     parser = _subparsers()[command]
     argv = [command]
     for a in parser._actions:
@@ -624,17 +672,19 @@ def test_flag_ranges_are_declared_with_the_flag(capsys, command, name):
     dest = _flags(parser)[name].dest
 
     def refused(value, message):
-        rc, out, err = run_cli(capsys, argv + [f"{name}={value}"])
-        assert (rc, out) == (64, "")
-        assert err == (f"hspsim {command}: error: argument {name}: "
-                       f"{message}\n")
+        for given in ([f"{name}={value}"], [name, value]):
+            rc, out, err = run_cli(capsys, argv + given)
+            assert (rc, out) == (64, ""), given
+            assert err == (f"hspsim {command}: error: argument {name}: "
+                           f"{message}\n")
 
     def admitted(value):
         args = cli.build_parser().parse_args(argv + [f"{name}={value}"])
         assert getattr(args, dest) == value
 
     if name in FLOAT_FLAGS[command]:
-        for value in ("-0.5", "-1e-300", "nan", "inf", "-inf"):
+        for value in ("-0.5", "-1e-300", "-2E+3", "-.5e-1", "nan", "-nan",
+                      "inf", "-inf", "-Infinity"):
             refused(value, f"must be a finite number >= 0, got {float(value)}")
         refused("x", "invalid float value: 'x'")
         admitted(0.0)

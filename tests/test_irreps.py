@@ -12,8 +12,9 @@ from hspsim.groups import (
     make_wreath_s2,
 )
 from hspsim.irreps import (
-    PRUNE_MAX_N, Irrep, canonical_sort, hook_length_degree, irreps_cyclic,
-    irreps_generic, irreps_symmetric, irreps_wreath, partition_degrees,
+    PRUNE_MAX_N, Irrep, canonical_sort, explicit_degrees, hook_length_degree,
+    irreps_cyclic, irreps_for, irreps_generic, irreps_symmetric,
+    irreps_wreath, partition_degrees,
     partition_label, partitions, schur_orthogonality_error,
     small_partition_degrees, standard_tableaux, hom_unitarity_error,
 )
@@ -164,6 +165,22 @@ def test_symmetric_irreps_sound(n):
         assert hom_unitarity_error(r) < 1e-9
         # YOR matrices are real orthogonal
         assert np.abs(r.mats.imag).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", [f"s{n}" for n in range(1, 6)]
+                         + [f"cyclic:{n}" for n in range(1, 13)]
+                         + [f"wreath:{n}" for n in range(2, 5)])
+def test_explicit_degrees_list_the_built_irreps(spec):
+    # the matrix-free listing names what irreps_for builds, in its order
+    G = make_group(spec)
+    labels, degrees = explicit_degrees(G)
+    assert list(zip(labels, degrees)) == [(r.label, r.degree)
+                                          for r in irreps_for(G)]
+
+
+@pytest.mark.parametrize("spec", ["psl2:5", "dihedral:4", "wreath:5"])
+def test_explicit_degrees_none_without_a_construction(spec):
+    assert explicit_degrees(make_group(spec)) is None
 
 
 def test_symmetric_characters_are_class_functions():
