@@ -40,6 +40,14 @@ def _haar_basis(d, rng):
     return Q * ph.conj()
 
 
+def frame_bases(kind):
+    """Orthonormal bases a frame of this kind stacks, of weight 1/bases."""
+    bases = {"basis": 1, "fused": 2}.get(kind)
+    if bases is None:
+        raise ValueError(f"unknown frame kind {kind!r}")
+    return bases
+
+
 def random_frame(d, seed, kind="basis"):
     """Haar-random frame on C^d.
 
@@ -48,11 +56,7 @@ def random_frame(d, seed, kind="basis"):
     """
     if d < 1:
         raise ValueError("dimension must be positive")
+    n = frame_bases(kind)
     rng = np.random.default_rng(seed)
-    if kind == "basis":
-        return Frame(_haar_basis(d, rng), np.ones(d))
-    if kind == "fused":
-        B1 = _haar_basis(d, rng)
-        B2 = _haar_basis(d, rng)
-        return Frame(np.concatenate([B1, B2], axis=1), np.full(2 * d, 0.5))
-    raise ValueError(f"unknown frame kind {kind!r}")
+    bases = [_haar_basis(d, rng) for _ in range(n)]
+    return Frame(np.concatenate(bases, axis=1), np.full(n * d, 1 / n))

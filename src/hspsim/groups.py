@@ -169,10 +169,13 @@ class FiniteGroup:
         return self._classes
 
     def class_of(self, x):
-        for c in self.conjugacy_classes():
-            if x in c:
-                return c
-        raise ValueError(f"element {x} out of range")
+        """Sorted ids of the class of x: one orbit g x g^-1, as in
+        conjugacy_classes, which finds every class."""
+        if not 0 <= x < self.order:
+            raise ValueError(f"element {x} out of range")
+        ids = np.arange(self.order)
+        return tuple(np.unique(self.compose(self.compose(ids, x),
+                                            self.inverse(ids))).tolist())
 
     def centralizer(self, x):
         ids = np.arange(self.order)
@@ -226,17 +229,6 @@ def order_two_subgroup(group, h):
     if h == group.identity or group.compose(h, h) != group.identity:
         raise ValueError("h must be an involution")
     return Subgroup(group, [group.identity, h])
-
-
-def check_associativity(group, samples=1000):
-    """Exhaustive on the table for order <= 200, else random sampled triples."""
-    if group.order <= 200:
-        t = group.table()
-        return bool(np.array_equal(t[t], t[:, t]))  # (xy)z and x(yz)
-    rng = np.random.default_rng(0)
-    x, y, z = rng.integers(0, group.order, (3, samples))
-    c = group.compose
-    return bool(np.array_equal(c(c(x, y), z), c(x, c(y, z))))
 
 
 # ---------------------------------------------------------------------------

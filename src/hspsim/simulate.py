@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .fourier import factor_stack, qft, rank_r
-from .frames import random_frame
+from .frames import frame_bases, random_frame
 from .groups import Subgroup, order_two_subgroup
 from .util import STEP_WORK, kron_apply, kron_stack, pairwise_sum, require
 
@@ -100,7 +100,7 @@ def frame_entries(order, k, kind="basis"):
     of a group of this order (m = D, or 2D fused; sum D^2 = |G|^k), known
     before any irrep is built; inf past the float range."""
     with np.errstate(over="ignore"):
-        return (2 if kind == "fused" else 1) * np.float64(order) ** k
+        return frame_bases(kind) * np.float64(order) ** k
 
 
 def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
@@ -110,8 +110,8 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     elements, before a frame is drawn.
 
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
-    81 MB above cyclic:100) and its frame vectors.  Drawing a frame and
-    each evaluation are steps.
+    81 MB above cyclic:100) and its frame vectors, held all at once by the
+    lemma suite only.  Drawing a frame and each evaluation are steps.
     """
     degrees = np.array(degrees, dtype=float)
     big = int(np.argmax(degrees))
@@ -166,7 +166,7 @@ def _store_plus_bases(irreps, c):
 
 
 class RegisterSpace:
-    """All k-tuples of irreps with a deterministic frame per tuple."""
+    """All k-tuples of irreps; frame(ti) draws tuple ti's frame anew."""
 
     def __init__(self, group, irreps, k, seed=0, kind="basis"):
         if k < 1:
@@ -184,9 +184,15 @@ class RegisterSpace:
                      for t in self.tuples]
         self.labels = ["|".join(self.irreps[i].label for i in t)
                        for t in self.tuples]
-        children = np.random.SeedSequence(seed).spawn(len(self.tuples))
-        self.frames = [random_frame(d, s, kind)
-                       for d, s in zip(self.dims, children)]
+        bases = frame_bases(kind)  # bases*D vectors of weight 1/bases
+        self.sizes = [bases * d for d in self.dims]
+        self.weight = 1 / bases
+        self.seeds = np.random.SeedSequence(seed).spawn(len(self.tuples))
+
+    def frame(self, ti):
+        """Tuple ti's frame, drawn from its own child seed: the same frame
+        on every call, and not kept."""
+        return random_frame(self.dims[ti], self.seeds[ti], self.kind)
 
     def plancherel(self, ti):
         """Probability of tuple ti under the uniform-state measurement."""
@@ -207,9 +213,9 @@ class RegisterSpace:
         d = self.dims[ti]
         return (2 ** self.k) * d * ranks[ti] / N ** self.k
 
-    def projected_forms(self, ti, c):
+    def projected_forms(self, ti, c, frame):
         """||(x)_i W_i(c)^dagger b||^2 = <b| (x)_i (I + rho_i(c))/2 |b> for
-        every frame vector b, W_i(c) the +1 eigenbases of plus_bases.
+        every vector b of frame (ti's), W_i(c) the +1 eigenbases of plus_bases.
 
         c is one involution, giving shape (m,), or a sequence of elements
         of its class, giving one row per element, shape (len(c), m).  The
@@ -225,7 +231,7 @@ class RegisterSpace:
             raise ValueError("class elements must share one class")
         pos = np.array([rows[x] for x in cs])
         Wh = [bases[i] for i in self.tuples[ti]]
-        V = self.frames[ti].vectors
+        V = frame.vectors
         vals = np.empty((len(cs), V.shape[1]))
         step = max(1, BLOCK_ENTRIES // V.size)
         if all(w.dtype == np.float64 for w in Wh):
@@ -239,25 +245,22 @@ class RegisterSpace:
 
 
 def reference_distribution(space):
-    """Joint outcome probabilities for the uniform (trivial-subgroup) state."""
-    out = []
-    for ti in range(len(space.tuples)):
-        f = space.frames[ti]
-        out.append(space.plancherel(ti) * f.weights / space.dims[ti])
-    return out
+    """Joint outcome probabilities for the uniform (trivial-subgroup) state;
+    no frame is drawn."""
+    return [np.full(m, space.plancherel(ti) * space.weight) / d
+            for ti, (d, m) in enumerate(zip(space.dims, space.sizes))]
 
 
 def tuple_distributions(space, ti, cs, ranks, forms=None):
     """Outcome probabilities of tuple ti for the coset states of
-    H^g = {e, c}, one row per class element c of cs; forms, if given, are
-    space.projected_forms(ti, cs)."""
+    H^g = {e, c}, one row per class element c of cs; forms, if not given,
+    are projected_forms(ti, cs) on a draw of the frame (none at rank 0)."""
     r = ranks[ti]
-    f = space.frames[ti]
     if r == 0:
-        return np.zeros((len(cs), f.size))
+        return np.zeros((len(cs), space.sizes[ti]))
     if forms is None:
-        forms = space.projected_forms(ti, cs)
-    return space.subgroup_prob(ti, ranks) * f.weights * forms / r
+        forms = space.projected_forms(ti, cs, space.frame(ti))
+    return space.subgroup_prob(ti, ranks) * space.weight * forms / r
 
 
 def coset_distribution(space, c, ranks=None):
@@ -449,6 +452,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
             f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
             * frame_entries(N, k, kind) * k * max(degrees))
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
+    frames = [space.frame(ti) for ti in range(len(space.tuples))]
     H = order_two_subgroup(group, h)
     ranks = space.tuple_ranks(H)
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
@@ -462,7 +466,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
                        size=min(LEMMA_SAMPLES, len(space.tuples)),
                        replace=False)
     for ti in picks:
-        f = space.frames[ti]
+        f = frames[ti]
         cols = rng.choice(f.size, size=min(LEMMA_SAMPLES, f.size),
                           replace=False)
         for bi in cols:
@@ -487,7 +491,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     screen_min, screen_size = np.inf, 0.0
     for ti in picks:
         tup = space.tuples[ti]
-        f = space.frames[ti]
+        f = frames[ti]
         stacks = {}
         for s in subsets:
             factors = [irreps[i] if pos in s else irreps[i].degree
@@ -535,7 +539,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     for s in subsets:
         contrib = []
         for ti in range(len(space.tuples)):
-            f = space.frames[ti]
+            f = frames[ti]
             step = max(1, BLOCK_ENTRIES // (N * space.dims[ti]))
             per_b = []
             for lo in range(0, f.size, step):
@@ -559,8 +563,8 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     ref = reference_distribution(space)
 
     def tuple_work(ti):
-        wd = space.frames[ti].weights / space.dims[ti]
-        forms = space.projected_forms(ti, cls)
+        wd = frames[ti].weights / space.dims[ti]
+        forms = space.projected_forms(ti, cls, frames[ti])
         X = forms - 0.5 ** k
         xsq = np.array([float(np.dot(wd, x)) for x in X ** 2])
         xabs = np.array([float(np.dot(wd, x)) for x in np.abs(X)])

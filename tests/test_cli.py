@@ -335,22 +335,52 @@ def test_refused_on_the_irrep_listing(capsys, monkeypatch, argv, err):
     assert run_cli(capsys, argv.split()) == (69, "", err)
 
 
+@pytest.mark.parametrize("argv", [
+    "simulate --group cyclic:5000 --k 2",
+    "verify --suite lemmas --group cyclic:5000 --k 2"])
+def test_class_size_is_one_orbit(capsys, monkeypatch, argv):
+    # require_sampling's conjugates is the size of h's class; finding all
+    # 5000 classes of cyclic:5000 for it took 1.0 s before the refusal
+    def searched(*args, **kwargs):
+        raise AssertionError("every class found")
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", searched)
+    err = (f"hspsim {argv.split()[0]}: resource cap: sampling k=2 registers "
+           "over 5000 irreps (2.5e+07 tuples; largest tuple chi0|chi0 has "
+           "dimension 1) needs 2.6e+10 bytes (limit 8.81e+08)\n")
+    assert run_cli(capsys, argv.split()) == (69, "", err)
+
+
+def peak_mb(code):
+    """Peak resident set (MB) of a 1 GiB child that imports hspsim.cli and
+    runs code; peak_mb("") is the import alone.  It reads VmHWM, which
+    starts afresh at exec: the child's ru_maxrss also counts the pages of
+    the test process it was forked from (210 MB under a 210 MB parent)."""
+    proc = _under_1gib("-c", "import os\n"
+                       "from hspsim.cli import main\n" + code + "\n"
+                       "print(next(line for line in open('/proc/self/status')"
+                       " if line.startswith('VmHWM:')).split()[1])")
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
 def test_facts_peak_memory_in_1gib():
     # the homomorphism check takes its products in blocks of rows that fit
     # HOM_CHECK_BYTES; psl2:7's degree-8 check in one block held the
     # (168, 168, 8, 8) products and their gathered rho(xy) at once, and the
     # run peaked 69 MB above an import-only child (16-18 MB in blocks)
-    def peak_mb(code):
-        proc = _under_1gib("-c", "import os, resource\n"
-                           "from hspsim.cli import main\n" + code + "\n"
-                           "print(resource.getrusage(resource.RUSAGE_SELF)"
-                           ".ru_maxrss)")
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
-
     facts = peak_mb("assert main(['verify', '--suite', 'facts', '--group', "
                     "'psl2:7', '--out', os.devnull]) == 0")
     assert facts - peak_mb("") <= 32
+
+
+def test_simulate_peak_memory_in_1gib():
+    # simulate draws each tuple's frame when it uses it; holding every
+    # frame of wreath:4 at k = 2 (16 * 1152^2 bytes, 21 MB) peaked 55 MB
+    # above an import-only child, and one frame at a time 40 MB
+    run = peak_mb("assert main(['simulate', '--group', 'wreath:4', '--k', "
+                  "'2', '--out', os.devnull]) == 0")
+    assert run - peak_mb("") <= 48
 
 
 def test_cyclic_facts_estimate_admits_854(monkeypatch):

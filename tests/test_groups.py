@@ -6,14 +6,25 @@ import numpy as np
 import pytest
 
 from hspsim.groups import (
-    PSL2Group, Subgroup, SymmetricGroup, check_associativity, cycle_notation,
-    make_cyclic, make_dihedral, make_direct_power, make_group, make_psl2,
-    make_sl2, make_symmetric, make_wreath_s2, order_two_subgroup,
-    parse_cycles, sl2_to_psl2_map, wreath_embedding,
+    PSL2Group, Subgroup, SymmetricGroup, cycle_notation, make_cyclic,
+    make_dihedral, make_direct_power, make_group, make_psl2, make_sl2,
+    make_symmetric, make_wreath_s2, order_two_subgroup, parse_cycles,
+    sl2_to_psl2_map, wreath_embedding,
 )
 
 # frozen, derived independently: (constructor args -> expected order)
 PSL_ORDERS = {4: 60, 5: 60, 7: 168, 8: 504, 9: 360, 11: 660, 13: 1092}
+
+
+def check_associativity(group, samples=1000):
+    """Exhaustive on the table for order <= 200, else random sampled triples."""
+    if group.order <= 200:
+        t = group.table()
+        return bool(np.array_equal(t[t], t[:, t]))  # (xy)z and x(yz)
+    rng = np.random.default_rng(0)
+    x, y, z = rng.integers(0, group.order, (3, samples))
+    c = group.compose
+    return bool(np.array_equal(c(c(x, y), z), c(x, c(y, z))))
 
 
 def element_order(group, x):

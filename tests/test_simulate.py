@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hspsim import cli, simulate, util
 from hspsim.fourier import factor_stack, qft
+from hspsim.frames import random_frame
 from hspsim.groups import (
     make_group,
     make_psl2,
@@ -124,13 +125,73 @@ def test_wreath3_tuple_probabilities_frozen():
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("spec", ["s3", "wreath:2", "psl2:5"])
+def test_frame_is_the_tuples_own_draw(spec, k, kind):
+    G = make_group(spec)
+    sp = RegisterSpace(G, irreps_for(G), k, seed=9, kind=kind)
+    seeds = np.random.SeedSequence(9).spawn(len(sp.tuples))
+    for ti, d in enumerate(sp.dims):
+        want = random_frame(d, seeds[ti], kind)
+        got = sp.frame(ti)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.size == sp.sizes[ti]
+        assert np.all(got.weights == sp.weight)
+
+
+def eager_avg_tv(space, h):
+    """avg_tv_over_conjugates with every frame drawn and held first, each
+    rank-0 tuple's row sized and weighted from its frame: the reference."""
+    frames = [space.frame(ti) for ti in range(len(space.tuples))]
+    cls = list(space.group.class_of(h))
+    ranks = space.tuple_ranks(order_two_subgroup(space.group, h))
+    rows = []
+    for ti, f in enumerate(frames):
+        ref = space.plancherel(ti) * f.weights / space.dims[ti]
+        dist = np.zeros((len(cls), f.size))
+        if ranks[ti]:
+            dist = (space.subgroup_prob(ti, ranks) * f.weights
+                    * space.projected_forms(ti, cls, f) / ranks[ti])
+        rows.append(np.sum(np.abs(dist - ref), axis=1))
+    l1s = util.pairwise_sum(rows).tolist()
+    avg_l1 = util.pairwise_sum(l1s) / len(cls)
+    return {
+        "per_conjugate": [{"element": space.group.pretty(c), "l1": v,
+                           "tv": 0.5 * v} for c, v in zip(cls, l1s)],
+        "avg_l1": avg_l1, "avg_tv": 0.5 * avg_l1, "max_tv": 0.5 * max(l1s),
+    }
+
+
+@pytest.mark.parametrize("k,kind", [(1, "basis"), (2, "fused")])
+def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
+    # wreath:3 has rank-0 tuples at both k; a space holds no frame, and the
+    # distances equal, bit for bit, those of a reference holding every frame
+    G, irr, h = wreath3()
+    drawn = []  # the seed of every draw
+
+    def counted(d, seed, frame_kind):
+        drawn.append(seed)
+        return random_frame(d, seed, frame_kind)
+
+    monkeypatch.setattr(simulate, "random_frame", counted)
+    sp = RegisterSpace(G, irr, k, seed=4, kind=kind)
+    assert drawn == []
+    ranks = sp.tuple_ranks(order_two_subgroup(G, h))
+    assert 0 in ranks
+    got = avg_tv_over_conjugates(sp, h)
+    assert drawn == [s for s, r in zip(sp.seeds, ranks) if r]
+    assert got == eager_avg_tv(sp, h)
+
+
 def conditional_distribution(space, ti, c, ranks):
     """Outcome probabilities within tuple ti, given tuple ti was observed."""
     r = ranks[ti]
-    f = space.frames[ti]
+    f = space.frame(ti)
     if r == 0:
         return np.zeros(f.size)
-    return f.weights * space.projected_forms(ti, c) / r
+    return f.weights * space.projected_forms(ti, c, f) / r
 
 
 @pytest.mark.parametrize("k,kind", [(1, "basis"), (2, "basis"), (1, "fused")])
@@ -166,7 +227,7 @@ def test_distribution_rows_structure():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 1, seed=0)
     rows = distribution_rows(sp, reference_distribution(sp))
-    assert len(rows) == sum(f.size for f in sp.frames)
+    assert len(rows) == sum(sp.frame(ti).size for ti in range(len(sp.tuples)))
     labels = {r[0] for r in rows}
     assert len(labels) == 9
     assert abs(sum(r[2] for r in rows) - 1) < 1e-10
@@ -191,8 +252,8 @@ def test_x_function_matches_forms():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 2, seed=3)
     ti = 40
-    vals = sp.projected_forms(ti, h)
-    f = sp.frames[ti]
+    f = sp.frame(ti)
+    vals = sp.projected_forms(ti, h, f)
     for bi in (0, 3):
         x = x_function(irr, sp.tuples[ti], f.vectors[:, bi], h)
         assert abs(x - (vals[bi] - 0.25)) < 1e-12
@@ -241,10 +302,11 @@ def test_projected_forms_match_dense_kron(spec, k):
         for ti, tup in enumerate(sp.tuples):
             K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
                              for i in tup])
-            V = sp.frames[ti].vectors
+            f = sp.frame(ti)
+            V = f.vectors
             want = np.einsum("im,ij,jm->m", V.conj(), K, V)
             assert np.max(np.abs(want.imag)) < 1e-12
-            got = sp.projected_forms(ti, c)
+            got = sp.projected_forms(ti, c, f)
             assert np.max(np.abs(got - want.real)) < 1e-12
             for bi in range(V.shape[1]):
                 x = x_function(irr, tup, V[:, bi], c)
@@ -289,7 +351,7 @@ def _oracle_rows(G, irr, c, k, space):
                                                for _ in (0, 1)] * 2)
         D = space.dims[ti]
         M = np.einsum(block, sub, list(range(k, 3 * k))).reshape(D, D)
-        f = space.frames[ti]
+        f = space.frame(ti)
         p = f.weights * np.einsum("im,ij,jm->m", f.vectors.conj(), M,
                                   f.vectors)
         assert np.max(np.abs(p.imag)) < 1e-12
@@ -359,7 +421,7 @@ def test_plus_bases_name_a_non_involution():
              if G.compose(x, x) != G.identity and x != G.identity)
     with pytest.raises(ValueError, match=re.escape(
             f"class element {G.pretty(c)} is not an involution")):
-        sp.projected_forms(0, c)
+        sp.projected_forms(0, c, sp.frame(0))
 
 
 def test_plus_bases_reject_a_broken_irrep():
@@ -402,10 +464,11 @@ def test_batched_forms_equal_per_element(spec, k, kind):
     cls = list(G.class_of(G.default_involution()))
     sp = RegisterSpace(G, irr, k, seed=13, kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 16)):
-        rows = sp.projected_forms(ti, cls)
-        assert rows.shape == (len(cls), sp.frames[ti].size)
+        f = sp.frame(ti)
+        rows = sp.projected_forms(ti, cls, f)
+        assert rows.shape == (len(cls), f.size)
         for row, c in zip(rows, cls):
-            assert np.array_equal(row, sp.projected_forms(ti, c))
+            assert np.array_equal(row, sp.projected_forms(ti, c, f))
 
 
 @pytest.mark.parametrize("kind", ["basis", "fused"])
@@ -416,7 +479,7 @@ def test_q_subset_block_equals_per_column(spec, k, kind):
     irr = irreps_for(G)
     sp = RegisterSpace(G, irr, k, seed=13, kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 8)):
-        V = sp.frames[ti].vectors
+        V = sp.frame(ti).vectors
         for s in _subsets(k):
             q = q_subset_values(irr, sp.tuples[ti], V, s)
             assert q.shape == (V.shape[1], G.order) and q.flags.c_contiguous
@@ -456,7 +519,8 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
 
     def results():
         sp = RegisterSpace(G, irr, 2, seed=3, kind="fused")
-        return ([sp.projected_forms(ti, cls) for ti in range(len(sp.tuples))],
+        return ([sp.projected_forms(ti, cls, sp.frame(ti))
+                 for ti in range(len(sp.tuples))],
                 avg_tv_over_conjugates(sp, h),
                 lemma_suite(G, irr, h, 2, 0.2, seed=3, kind="fused"))
 
@@ -471,7 +535,7 @@ def test_q_decomposition():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 2, seed=1)
     ti = 40
-    b = sp.frames[ti].vectors[:, 2]
+    b = sp.frame(ti).vectors[:, 2]
     Q = q_total_values(irr, sp.tuples[ti], b)
     S = sum(q_subset_values(irr, sp.tuples[ti], b, s)
             for r in (1, 2) for s in itertools.combinations(range(2), r))
@@ -522,7 +586,7 @@ def test_second_moment_terms_consistent():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 2, seed=4)
     ti = 31
-    b = sp.frames[ti].vectors[:, 1]
+    b = sp.frame(ti).vectors[:, 1]
     lhs, rhs = second_moment_check(G, irr, sp.tuples[ti], b, h)
     assert abs(lhs - rhs) < 1e-10
     terms = second_moment_terms(G, irr, sp.tuples[ti], b, h)
@@ -644,7 +708,7 @@ def test_isotypic_screen_matches_reference_einsum(spec, k):
     weights = scales[:, :, 0] * chis
     for ti, tup in enumerate(sp.tuples):
         stacks = _subset_stacks(G, irr, tup, subsets)
-        b = sp.frames[ti].vectors[:, 0]
+        b = sp.frame(ti).vectors[:, 0]
         W = np.outer(b, b)
         Ab = {s: stacks[s] @ b for s in subsets}
         for s1 in subsets:
@@ -665,12 +729,12 @@ def _isotypic_entry_reference(G, irr, h, k, seed, n_tuples=3, n_vectors=3):
     picks = rng.choice(len(sp.tuples), size=min(n_tuples, len(sp.tuples)),
                        replace=False)
     for ti in picks:
-        f = sp.frames[ti]
+        f = sp.frame(ti)
         rng.choice(f.size, size=min(n_vectors, f.size), replace=False)
     worst = (np.inf, None)
     subsets = _subsets(k)
     for ti in picks:
-        f = sp.frames[ti]
+        f = sp.frame(ti)
         stacks = _subset_stacks(G, irr, sp.tuples[ti], subsets)
         cols = rng.choice(f.size, size=min(n_vectors, f.size), replace=False)
         for bi in cols:
