@@ -327,10 +327,10 @@ def cmd_simulate(args):
     h = resolve_h(G, args.h)
     # Sampling is refused from a listing of irrep labels and degrees before
     # any irrep is built: the explicit construction's, or, for a group
-    # without one whose frame vectors alone (16 |G|^k bytes) pass the limit,
-    # the class-sum table's (same labels and degrees), once the numeric
-    # irreps' own estimate has passed.  Otherwise the numeric irreps are
-    # built first and list themselves.
+    # without one whose frame vectors of every tuple (16 |G|^k bytes) exceed
+    # the limit, the class-sum table's (same labels and degrees), once the
+    # numeric irreps' own estimate has passed.  Otherwise the numeric irreps
+    # are built first and list themselves.
     listing, irr = irrmod.explicit_degrees(G), None
     if listing is None:
         try:
@@ -344,8 +344,8 @@ def cmd_simulate(args):
             irr = irrmod.irreps_for(G, seed=args.seed)
             listing = [r.label for r in irr], [r.degree for r in irr]
     conjugates = len(G.class_of(h))
-    # its bytes include the frame vectors, so frame vectors refused above
-    # are refused here too
+    # it charges one tuple's frame, so a group listed from its table may
+    # pass here, and then builds its numeric irreps
     simulate.require_sampling(*listing, args.k, args.frame_kind, conjugates,
                               args.frames)
     if irr is None:
@@ -466,7 +466,8 @@ def _suite_lemmas(G, args):
     listing = irrmod.explicit_degrees(G)
     if listing is not None:  # lemma_suite's first estimate, before building
         simulate.require_sampling(*listing, args.k, args.frame_kind,
-                                  conjugates=len(G.class_of(h)))
+                                  conjugates=len(G.class_of(h)),
+                                  every_frame=True)
     irr = irrmod.irreps_for(G, seed=args.seed)
     checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,

@@ -12,6 +12,8 @@ def qft(group, irreps):
 
     Rows follow the order of `irreps`, (i, j) row-major inside each block.
     Unitary whenever the list is a complete set of inequivalent irreps.
+    Complex128 even for real irreps: its products then go through the same
+    complex BLAS calls, and give the same bits, on every family.
     """
     N = group.order
     if sum(r.degree ** 2 for r in irreps) != N:
@@ -20,7 +22,7 @@ def qft(group, irreps):
     for r in irreps:
         d = r.degree
         blocks.append(np.sqrt(d / N) * r.mats.reshape(N, d * d).T)
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate(blocks, axis=0, dtype=np.complex128)
 
 
 def subgroup_projector(rho, H):
@@ -56,15 +58,18 @@ def factor_stack(group, factors):
     """Stacked matrices of a tensor product of irreps and identity blocks.
 
     Each factor is an Irrep or an int (dimension of an identity block).
-    Returns shape (|G|, D, D) with D the product of factor dimensions.
+    Returns shape (|G|, D, D) with D the product of factor dimensions, in
+    float64 when every irrep factor is real and complex128 otherwise.
     """
     N = group.order
-    cur = np.ones((N, 1, 1), dtype=np.complex128)
+    dtype = np.result_type(np.float64, *(f.mats for f in factors
+                                         if isinstance(f, Irrep)))
+    cur = np.ones((N, 1, 1), dtype=dtype)
     for f in factors:
         if isinstance(f, Irrep):
             m = f.mats
         else:
-            m = np.broadcast_to(np.eye(int(f), dtype=np.complex128),
+            m = np.broadcast_to(np.eye(int(f), dtype=dtype),
                                 (N, int(f), int(f)))
         cur = kron_stack(cur, m)
     return cur

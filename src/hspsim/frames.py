@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Complex entries of one row block of the resolution-of-identity check, so
+# that the check holds no D x D matrix (1 MiB)
+CHECK_BLOCK_ENTRIES = 1 << 16
+
 
 class Frame:
     """Unit vectors (columns) with positive weights resolving the identity."""
@@ -12,14 +16,21 @@ class Frame:
         self.weights = np.ascontiguousarray(weights, dtype=float)
         if self.vectors.ndim != 2 or self.weights.shape != (self.vectors.shape[1],):
             raise ValueError("need (d, m) vectors and (m,) weights")
-        norms = np.linalg.norm(self.vectors, axis=0)
+        V = self.vectors
+        sq = np.einsum("ij,ij->j", V.view(np.float64), V.view(np.float64))
+        norms = np.sqrt(sq[0::2] + sq[1::2])  # (re, im) column pairs
         if np.abs(norms - 1.0).max() > 1e-12:
             raise ValueError("frame vectors must be unit norm")
         if (self.weights <= 0).any():
             raise ValueError("frame weights must be positive")
-        S = (self.vectors * self.weights) @ self.vectors.conj().T
-        if np.abs(S - np.eye(self.dim)).max() > 1e-9:
-            raise ValueError("frame does not resolve the identity")
+        # conj(S) = conj(V w) V^T: a block of its rows at a time, with V^T
+        # a view, so no copy of V and no D x D matrix is made
+        step = max(1, CHECK_BLOCK_ENTRIES // self.dim)
+        for lo in range(0, self.dim, step):
+            S = (V[lo:lo + step].conj() * self.weights) @ V.T
+            S[np.arange(len(S)), np.arange(lo, lo + len(S))] -= 1.0
+            if np.abs(S).max() > 1e-9:
+                raise ValueError("frame does not resolve the identity")
 
     @property
     def dim(self):
@@ -34,10 +45,18 @@ class Frame:
 
 
 def _haar_basis(d, rng):
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    """A Haar-random unitary: the QR of a complex Ginibre matrix, filled in
+    place, with its columns' phases fixed by R's diagonal in place."""
+    A = np.empty((d, d), dtype=np.complex128)
+    # one buffer for both draws, freed before the QR: a temporary per draw
+    # stayed resident (at D = 2000 the draw's peak rose 23 MB)
+    normals = np.empty((d, d))
+    for part in (A.real, A.imag):
+        part[...] = rng.standard_normal(out=normals)
+    del normals
     Q, R = np.linalg.qr(A)
-    ph = np.diag(R) / np.abs(np.diag(R))
-    return Q * ph.conj()
+    Q *= (np.diag(R) / np.abs(np.diag(R))).conj()
+    return Q
 
 
 def frame_bases(kind):
@@ -58,5 +77,9 @@ def random_frame(d, seed, kind="basis"):
         raise ValueError("dimension must be positive")
     n = frame_bases(kind)
     rng = np.random.default_rng(seed)
-    bases = [_haar_basis(d, rng) for _ in range(n)]
-    return Frame(np.concatenate(bases, axis=1), np.full(n * d, 1 / n))
+    if n == 1:
+        vectors = _haar_basis(d, rng)
+    else:  # the bases are dropped once copied
+        vectors = np.concatenate([_haar_basis(d, rng) for _ in range(n)],
+                                 axis=1)
+    return Frame(vectors, np.full(n * d, 1 / n))

@@ -1,7 +1,10 @@
 """Unitary irreducible representations of the supported groups.
 
-Matrices are stored stacked as shape (|G|, d, d) complex arrays indexed by
-element id, so group averages become single einsum reductions.
+Matrices are stored stacked as shape (|G|, d, d) arrays indexed by element
+id, so group averages become single einsum reductions.  Young's orthogonal
+form and the wreath construction built on it are real, and keep float64
+stacks, half the bytes of complex ones; roots of unity and the numeric
+decomposition keep complex128.
 """
 from __future__ import annotations
 
@@ -21,8 +24,9 @@ WREATH_IRREPS_MAX_N = 4
 # Largest n at which small_partition_degrees' subtree bound is checked to
 # grow with the row width at every node of the search.
 PRUNE_MAX_N = 40
-# The all-pairs homomorphism check runs in blocks of rows whose two complex
-# temporaries, the products and the gathered rho(xy), fit HOM_CHECK_BYTES.
+# The all-pairs homomorphism check runs in blocks of rows whose two
+# temporaries in the stack's dtype, the products and the gathered rho(xy),
+# fit HOM_CHECK_BYTES.
 # At 64 MiB psl2:7's degree-8 check held both whole (2 x 28.9 MB) and its
 # facts run peaked 69 MB above an import-only process; in 4 MiB blocks it
 # peaks 18 MB above, and the check runs no slower.
@@ -34,12 +38,15 @@ REPEAT_TOL = 1e-8
 
 
 class Irrep:
-    """One unitary representation: label plus stacked matrices."""
+    """One unitary representation: label plus stacked matrices, float64 or
+    complex128 as given."""
 
     def __init__(self, group, label, mats):
         self.group = group
         self.label = label
-        self.mats = np.ascontiguousarray(mats, dtype=np.complex128)
+        mats = np.asarray(mats)
+        self.mats = np.ascontiguousarray(
+            mats, dtype=np.result_type(mats, np.float64))
         if self.mats.shape[0] != group.order or self.mats.ndim != 3:
             raise ValueError("matrix stack must have shape (|G|, d, d)")
         self._char = None
@@ -50,8 +57,10 @@ class Irrep:
         return self.mats.shape[1]
 
     def character(self):
+        """The complex128 character, whatever the stack's dtype."""
         if self._char is None:
-            self._char = np.einsum("gii->g", self.mats)
+            self._char = np.einsum("gii->g", self.mats).astype(
+                np.complex128, copy=False)
         return self._char
 
     def conjugate(self):
@@ -239,8 +248,10 @@ def _yor_generator(lam, tableaux, k):
 
 
 def _extend_over_group(group, gen_ids, gen_mats, d):
-    """Fill mats for all elements by BFS over right multiplication."""
-    mats = np.zeros((group.order, d, d), dtype=np.complex128)
+    """Fill mats for all elements by BFS over right multiplication, in the
+    generators' dtype (float64 when there are none)."""
+    mats = np.zeros((group.order, d, d),
+                    dtype=np.result_type(np.float64, *gen_mats))
     known = np.zeros(group.order, dtype=bool)
     mats[group.identity] = np.eye(d)
     known[group.identity] = True
@@ -292,7 +303,8 @@ def irreps_wreath(n):
 
     For each partition two degree-d^2 irreps (swap acts as +/- the tensor
     swap); for each unordered pair of distinct partitions one induced irrep
-    of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).
+    of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).  The stacks take the
+    base irreps' dtype, float64 for Young's form.
     """
     if not 2 <= n <= WREATH_IRREPS_MAX_N:
         raise ValueError("wreath irreps supported for "
@@ -314,7 +326,7 @@ def irreps_wreath(n):
             half = ri.degree * rj.degree
             A = kron_stack(ri.mats[P], rj.mats[S])
             B = kron_stack(ri.mats[S], rj.mats[P])
-            mats = np.zeros((W.order, 2 * half, 2 * half), np.complex128)
+            mats = np.zeros((W.order, 2 * half, 2 * half), A.dtype)
             mats[~swapped, :half, :half] = A[~swapped]
             mats[~swapped, half:, half:] = B[~swapped]
             mats[swapped, :half, half:] = A[swapped]
@@ -612,7 +624,7 @@ def hom_unitarity_error(rho):
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
     herr = 0.0
     table = G.table()
-    step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * 16))
+    step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * mats.itemsize))
     for a in range(0, N, step):
         prod = np.matmul(mats[a:a + step, None], mats[None])
         prod -= mats[table[a:a + step]]
@@ -621,12 +633,15 @@ def hom_unitarity_error(rho):
 
 
 def schur_orthogonality_error(group, irreps):
-    """Max deviation of (d/|G|) sum_g r1(g)_ij conj(r2(g)_kl) from deltas."""
+    """Max deviation of (d/|G|) sum_g r1(g)_ij conj(r2(g)_kl) from deltas,
+    summed in complex128 whatever the stacks' dtype (einsum's float64 loop
+    sums in another order)."""
     N = group.order
     worst = 0.0
     for a, r1 in enumerate(irreps):
         for b, r2 in enumerate(irreps):
-            M = np.einsum("gij,gkl->ikjl", r1.mats, r2.mats.conj()) / N
+            M = np.einsum("gij,gkl->ikjl", r1.mats, r2.mats.conj(),
+                          dtype=np.complex128) / N
             if a == b:
                 d = r1.degree
                 expect = np.einsum("ik,jl->ikjl", np.eye(d), np.eye(d)) / d

@@ -103,15 +103,25 @@ def frame_entries(order, k, kind="basis"):
         return frame_bases(kind) * np.float64(order) ** k
 
 
+# Besides its frame, a draw holds at its peak up to 4.5 more D x D complex
+# matrices: the Ginibre matrix, and QR's copy, buffers and outputs (at
+# D = 2000 a draw's resident peak rose 5.0 (basis) and 6.5 (fused) times
+# 16 D^2)
+DRAW_MATRICES = 5
+
+
 def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
-                     frames=1):
+                     frames=1, every_frame=False):
     """Refuse `frames` register spaces of k registers over the irreps with
     these labels and degrees, each evaluated at `conjugates` class
     elements, before a frame is drawn.
 
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
-    81 MB above cyclic:100) and its frame vectors, held all at once by the
-    lemma suite only.  Drawing a frame and each evaluation are steps.
+    81 MB above cyclic:100).  A space draws one tuple's frame at a time and
+    drops it, so it is charged for the largest frame and its draw's
+    DRAW_MATRICES transients; the lemma suite holds every tuple's frame
+    (every_frame), 16 bytes per entry of frame_entries.  Drawing a frame
+    and each evaluation are steps.
     """
     degrees = np.array(degrees, dtype=float)
     big = int(np.argmax(degrees))
@@ -120,9 +130,12 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     vec = frame_entries(np.sum(degrees ** 2), k, kind)
     with np.errstate(over="ignore"):  # past the float range an estimate is inf
         n = np.float64(len(degrees)) ** k
+        dim = degrees[big] ** k
+        held = vec if every_frame else \
+            (frame_bases(kind) + DRAW_MATRICES) * dim * dim
         require(f"sampling k={k} registers over {len(degrees)} irreps "
                 f"({n:.4g} tuples; largest tuple {largest} has dimension "
-                f"{degrees[big] ** k:.4g})", bytes=1024 * n + 16 * vec,
+                f"{dim:.4g})", bytes=1024 * n + 16 * held,
                 work=frames * (STEP_WORK * n * (1 + conjugates)
                                + conjugates * vec * k * degrees[big]))
 
@@ -139,8 +152,9 @@ def plus_bases(irreps, c):
 
 
 def _store_plus_bases(irreps, c):
-    """One batched eigh per irrep over the class of c, real when rho is real
-    there; checked: rho(x) W = W, r eigenvalues at +1 and the rest at -1."""
+    """One batched eigh per irrep over the class of c, real when rho's stack
+    is float64 or real there; checked: rho(x) W = W, r eigenvalues at +1 and
+    the rest at -1."""
     group = irreps[0].group
     if group.compose(c, c) != group.identity:
         raise ValueError(f"class element {group.pretty(c)} is not an "
@@ -148,7 +162,8 @@ def _store_plus_bases(irreps, c):
     cls = group.class_of(c)
     rows = {x: i for i, x in enumerate(cls)}
     ranks = [round((r.degree + r.character()[c].real) / 2) for r in irreps]
-    real = [not np.any(r.mats[list(cls)].imag) for r in irreps]
+    real = [np.isrealobj(r.mats) or not np.any(r.mats[list(cls)].imag)
+            for r in irreps]
     require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
             "involutions", bytes=len(cls) * sum(r.degree * n * (
                 8 if re else 16) for r, n, re in zip(irreps, ranks, real)))
@@ -443,7 +458,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     cls = list(group.class_of(h))
     degrees = [r.degree for r in irreps]
     require_sampling([r.label for r in irreps], degrees, k, kind,
-                     conjugates=len(cls))
+                     conjugates=len(cls), every_frame=True)
     # the diagonal-overlap loop: per nonempty register subset and frame
     # vector of a D-dimensional tuple, a q_subset_values pass over the
     # group of at most D k d_max multiply-adds per element; the vectors go
@@ -639,7 +654,10 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
     for tup in itertools.combinations_with_replacement(range(len(irreps)), t):
         acc = functools.reduce(kron_stack, [stacks[i] for i in tup])
         M = acc.mean(axis=0) - np.eye(acc.shape[1])
-        tn = float(np.sum(np.abs(np.linalg.eigvalsh(M))))
+        # a complex Hermitian eigensolve on every family: LAPACK's real
+        # symmetric solver gives other bits
+        tn = float(np.sum(np.abs(np.linalg.eigvalsh(
+            M.astype(np.complex128, copy=False)))))
         orders = math.factorial(t) // math.prod(
             math.factorial(tup.count(i)) for i in set(tup))
         contrib.append(orders * acc.shape[1] * tn)

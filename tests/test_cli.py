@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hspsim import bounds, cli
+from hspsim import bounds, cli, simulate
 from hspsim import irreps as irrmod
 from hspsim.chartable import CharacterTable, best_character_table
 from hspsim.groups import FiniteGroup, make_group
@@ -91,8 +91,9 @@ def test_simulate_budget_needs_no_character_table(capsys, monkeypatch):
 
 
 def test_simulate_frame_vectors_refused_before_irreps(capsys, monkeypatch):
-    # psl2:13 at k = 3: the frame vectors alone, 16 |G|^3 bytes, pass the
-    # limit, so only the character table is built, to name the tuple
+    # psl2:13 at k = 3: the frame vectors of every tuple, 16 |G|^3 bytes,
+    # exceed the limit, so only the character table is built, to name the
+    # tuple; simulate holds one frame at a time, and is refused on its work
     def built(*args, **kwargs):
         raise AssertionError("irreps built")
 
@@ -105,8 +106,8 @@ def test_simulate_frame_vectors_refused_before_irreps(capsys, monkeypatch):
     assert out == ""
     assert err == ("hspsim simulate: resource cap: sampling k=3 registers "
                    "over 9 irreps (729 tuples; largest tuple rho7|rho7|rho7 "
-                   "has dimension 2744) needs 2.08e+10 bytes "
-                   "(limit 8.81e+08)\n")
+                   "has dimension 2744) needs 4.98e+12 multiply-adds "
+                   "(limit 5e+09)\n")
 
 
 def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
@@ -318,7 +319,7 @@ def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
     ("simulate --group cyclic:5000 --k 2",
      "hspsim simulate: resource cap: sampling k=2 registers over 5000 irreps "
      "(2.5e+07 tuples; largest tuple chi0|chi0 has dimension 1) needs "
-     "2.6e+10 bytes (limit 8.81e+08)\n"),
+     "2.56e+10 bytes (limit 8.81e+08)\n"),
     ("verify --suite lemmas --group cyclic:5000 --k 2",
      "hspsim verify: resource cap: sampling k=2 registers over 5000 irreps "
      "(2.5e+07 tuples; largest tuple chi0|chi0 has dimension 1) needs "
@@ -345,9 +346,11 @@ def test_class_size_is_one_orbit(capsys, monkeypatch, argv):
         raise AssertionError("every class found")
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", searched)
+    # simulate holds one frame at a time; the lemma suite every frame
+    need = "2.56e+10" if argv.startswith("simulate") else "2.6e+10"
     err = (f"hspsim {argv.split()[0]}: resource cap: sampling k=2 registers "
            "over 5000 irreps (2.5e+07 tuples; largest tuple chi0|chi0 has "
-           "dimension 1) needs 2.6e+10 bytes (limit 8.81e+08)\n")
+           f"dimension 1) needs {need} bytes (limit 8.81e+08)\n")
     assert run_cli(capsys, argv.split()) == (69, "", err)
 
 
@@ -377,10 +380,32 @@ def test_facts_peak_memory_in_1gib():
 def test_simulate_peak_memory_in_1gib():
     # simulate draws each tuple's frame when it uses it; holding every
     # frame of wreath:4 at k = 2 (16 * 1152^2 bytes, 21 MB) peaked 55 MB
-    # above an import-only child, and one frame at a time 40 MB
+    # above an import-only child, and one frame at a time 40 MB.  Its irreps
+    # in complex128 (20 MB) peaked there too; in float64 the run peaks 29 MB
+    # above the import.
     run = peak_mb("assert main(['simulate', '--group', 'wreath:4', '--k', "
                   "'2', '--out', os.devnull]) == 0")
-    assert run - peak_mb("") <= 48
+    assert run - peak_mb("") <= 33
+
+
+def test_simulate_charged_for_one_frame_in_1gib(capsys):
+    # sl2:7 (order 336, largest degree 8) with fused frames.  At k = 3 every
+    # tuple's frames are 32 |G|^3 = 1.2e9 bytes, which the lemma suite
+    # holds and is refused; simulate holds one frame, of D = 512, and runs.
+    # At k = 4 that one frame and its draw, 16 (2 + DRAW_MATRICES) 4096^2
+    # bytes, are refused.
+    table = best_character_table(make_group("sl2:7"))
+    with pytest.raises(ResourceCap, match="needs 1.22e"):
+        simulate.require_sampling(table.labels, table.degrees, 3, "fused",
+                                  every_frame=True)
+    proc = _cli_under_1gib("simulate", "--group", "sl2:7", "--k", "3",
+                           "--frame-kind", "fused", "--out", os.devnull)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(capsys, ["simulate", "--group", "sl2:7", "--k", "4",
+                            "--frame-kind", "fused"]) == (
+        69, "", "hspsim simulate: resource cap: sampling k=4 registers over "
+        "11 irreps (1.464e+04 tuples; largest tuple rho9|rho9|rho9|rho9 has "
+        "dimension 4096) needs 1.89e+09 bytes (limit 8.81e+08)\n")
 
 
 def test_cyclic_facts_estimate_admits_854(monkeypatch):

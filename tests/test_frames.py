@@ -1,7 +1,10 @@
 """Measurement frames: orthonormal bases and fused pairs of bases."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hspsim.frames as frames
 from hspsim.frames import Frame, random_frame
 
 
@@ -57,3 +60,55 @@ def test_dimension_one():
     assert f.size == 1
     assert abs(abs(f.vectors[0, 0]) - 1) < 1e-12
     assert completeness_error(f) < 1e-12
+
+
+def _reference_vectors(d, seed, bases):
+    """The draw written with temporaries: each basis the QR of a summed
+    Ginibre matrix, phases fixed by R's diagonal, the bases concatenated."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(bases):
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        Q, R = np.linalg.qr(A)
+        out.append(Q * (np.diag(R) / np.abs(np.diag(R))).conj())
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("kind, bases", [("basis", 1), ("fused", 2)])
+def test_draw_bit_identical_to_reference(kind, bases):
+    for d in (1, 2, 7, 36, 108):
+        seed = np.random.SeedSequence([d, bases])
+        got = random_frame(d, seed, kind).vectors
+        want = _reference_vectors(d, seed, bases)
+        assert got.tobytes() == want.tobytes(), d
+
+
+@pytest.mark.parametrize("kind, bound", [("basis", 4.5), ("fused", 5.5)])
+def test_draw_peak_memory(kind, bound):
+    # at D = 324 the draw's tracemalloc peak was 5.0 (basis) and 9.0
+    # (fused) times 16 D^2 when it summed the Ginibre matrix from
+    # temporaries, copied a single basis through np.concatenate and checked
+    # the frame with D x D products; now QR's own arrays set it, 4.07 and
+    # 5.07 times
+    d = 324
+    random_frame(8, 0, kind)
+    tracemalloc.start()
+    try:
+        random_frame(d, 3, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * d * d
+
+
+def test_identity_check_in_row_blocks(monkeypatch):
+    # three rows per block: an error in the last row is still caught
+    monkeypatch.setattr(frames, "CHECK_BLOCK_ENTRIES", 3 * 40)
+    v = np.eye(40, dtype=complex)
+    w = np.ones(40)
+    Frame(v, w)
+    w[-1] += 1e-10
+    Frame(v, w)
+    w[-1] += 1e-8
+    with pytest.raises(ValueError, match="resolve the identity"):
+        Frame(v, w)

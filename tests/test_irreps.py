@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 import hspsim.irreps as irrmod
 from hspsim.bounds import partition_number
 from hspsim.groups import (
-    make_cyclic, make_dihedral, make_group, make_psl2, make_symmetric,
-    make_wreath_s2,
+    SymmetricGroup, make_cyclic, make_dihedral, make_group, make_psl2,
+    make_symmetric, make_wreath_s2,
 )
 from hspsim.irreps import (
     PRUNE_MAX_N, Irrep, canonical_sort, explicit_degrees, hook_length_degree,
@@ -216,10 +216,41 @@ def test_wreath_irrep_count_n4():
     assert sum(r.degree ** 2 for r in reps) == make_wreath_s2(4).order
 
 
+def _symmetric_irreps_complex(n):
+    """Complex128 stacks of Young's orthogonal form for S_n: each element
+    reached by breadth-first search over the adjacent transpositions, its
+    matrix one complex product with a generator."""
+    G = make_symmetric(n)
+    gens = [G.from_perm(tuple(range(k - 1)) + (k, k - 1)
+                        + tuple(range(k + 1, n))) for k in range(1, n)]
+    out = []
+    for lam in partitions(n):
+        tabs = standard_tableaux(lam)
+        gen_mats = [irrmod._yor_generator(lam, tabs, k).astype(np.complex128)
+                    for k in range(1, n)]
+        mats = np.zeros((G.order, len(tabs), len(tabs)), dtype=np.complex128)
+        mats[G.identity] = np.eye(len(tabs))
+        frontier, seen = [G.identity], {G.identity}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, M in zip(gens, gen_mats):
+                    y = int(G.compose(x, g))
+                    if y not in seen:
+                        mats[y] = mats[x] @ M
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        out.append(mats)
+    return out
+
+
 def _wreath_irreps_per_element(n):
-    """Matrix stacks of irreps_wreath(n), one np.kron per group element."""
+    """Complex128 stacks of irreps_wreath(n), one np.kron per group element
+    over the complex S_n stacks."""
     W = make_wreath_s2(n)
-    base = irreps_symmetric(n)
+    base = [Irrep(make_symmetric(n), "", m)
+            for m in _symmetric_irreps_complex(n)]
     packed = [W.unpack(x) for x in range(W.order)]
     out = []
     for sign in (1.0, -1.0):
@@ -262,6 +293,27 @@ def test_wreath_irreps_bit_identical_to_per_element_kron(n):
     assert len(got) == len(want)
     for r, mats in zip(got, want):
         assert np.array_equal(r.mats, mats), r.label
+
+
+@pytest.mark.parametrize("spec", ["s1", "s2", "s3", "s4", "s5", "wreath:2",
+                                  "wreath:3", "wreath:4"])
+def test_explicit_real_irreps_are_float64_and_equal_complex_ones(spec):
+    # Young's form is real: its float64 stacks, and the wreath stacks built
+    # on them, hold the complex construction's values, bit for bit, in half
+    # the bytes; the characters stay complex128
+    G = make_group(spec)
+    got = irreps_for(G)
+    if isinstance(G, SymmetricGroup):
+        want = _symmetric_irreps_complex(G.n)
+    else:
+        want = _wreath_irreps_per_element(G.n)
+    assert len(got) == len(want)
+    for r, mats in zip(got, want):
+        assert r.mats.dtype == np.float64 and mats.dtype == np.complex128
+        assert np.array_equal(r.mats, mats), r.label
+        chi = r.character()
+        assert chi.dtype == np.complex128
+        assert np.array_equal(chi, np.einsum("gii->g", mats)), r.label
 
 
 def test_wreath_kappa_restriction():
@@ -423,6 +475,20 @@ def test_conjugate_irrep():
     assert c.label.endswith("*")
     assert c.conjugate().label == reps[1].label
     assert hom_unitarity_error(c) < 1e-12
+    real = irreps_symmetric(3)[1]
+    c = real.conjugate()
+    assert c.mats.dtype == np.float64 and c.label == "[2,1]*"
+    assert np.array_equal(c.mats, real.mats)
+    assert np.array_equal(c.character(), real.character())
+
+
+def test_irrep_keeps_its_dtype():
+    G = make_cyclic(2)
+    assert Irrep(G, "r", np.ones((2, 1, 1))).mats.dtype == np.float64
+    assert Irrep(G, "r", np.ones((2, 1, 1), int)).mats.dtype == np.float64
+    z = Irrep(G, "z", np.ones((2, 1, 1), np.complex128))
+    assert z.mats.dtype == np.complex128  # a zero imaginary part is kept
+    assert z.character().dtype == np.complex128
 
 
 def test_hom_check_in_row_blocks_matches_one_block(monkeypatch):

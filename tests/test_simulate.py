@@ -106,14 +106,20 @@ def test_roundtrip_order_cap():
 
 
 def test_register_budget_cap():
-    # psl2:13's degrees: the frame vectors hold 16 |G|^k bytes, 1.9e7 at
-    # k = 2 and 2.1e10 at k = 3, past MEMORY_LIMIT
+    # psl2:13's degrees.  Every tuple's frame vectors, which the lemma suite
+    # holds, are 16 |G|^k bytes: 1.9e7 at k = 2 and 2.1e10 at k = 3, past
+    # MEMORY_LIMIT.  A space holds the largest frame and its draw, 16 (1 +
+    # DRAW_MATRICES) D^2 bytes: 7.2e8 at D = 14^3 and 1.4e11 at D = 14^4.
     degs = [1, 7, 7, 12, 12, 12, 13, 14, 14]
     labels = [f"rho{i}" for i in range(len(degs))]
-    require_sampling(labels, degs, 2)
+    require_sampling(labels, degs, 2, every_frame=True)
     with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7 has "
                        r"dimension 2744\) needs 2.08e\+10 bytes"):
-        require_sampling(labels, degs, 3)
+        require_sampling(labels, degs, 3, every_frame=True)
+    require_sampling(labels, degs, 3)
+    with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7\|rho7 has "
+                       r"dimension 3.842e\+04\) needs 1.42e\+11 bytes"):
+        require_sampling(labels, degs, 4)
 
 
 def test_wreath3_tuple_probabilities_frozen():
