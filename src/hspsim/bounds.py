@@ -235,7 +235,7 @@ def wreath_params(n, eps=None):
     2 p + p (p-1) / 2 irreps, and the sum of their degrees is
     (sum d)^2 + sum d^2 = I(n)^2 + n!, with I(n) the involutions of S_n.
     Only S_eps needs single degrees: the d^2-dimensional irreps with
-    1/d >= eps, which irreps.small_partition_degrees finds without visiting
+    1/d >= eps, which irreps.partition_degrees finds without visiting
     the Young diagrams whose subtrees hold only larger degrees.  For the
     canonical eps = n^(-n/4) membership is the exact integer test
     d^4 <= n^n.
@@ -244,12 +244,12 @@ def wreath_params(n, eps=None):
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    from .irreps import partition_label, small_partition_degrees
+    from .irreps import partition_degrees, partition_label
     fact = math.factorial(n)
     p = partition_number(n)
 
     def degrees_up_to(max_degree):
-        degs, seen = small_partition_degrees(n, max_degree)
+        degs, seen = partition_degrees(n, max_degree)
         if seen != p:
             raise ValueError("the Young-diagram search fails its "
                              "completeness check")
@@ -379,9 +379,9 @@ def involution_count_note(q):
         literal = q * (q + 1) // 2
     note = None
     actual = None
-    from .groups import PSL2_SIZES, make_psl2
+    from .groups import PSL2_SIZES, PSL2Group
     if q in PSL2_SIZES:
-        actual = len(make_psl2(q).involutions())
+        actual = len(PSL2Group(q).involutions())
         if actual != formula:
             return actual, formula, (
                 f"FAIL: enumerated involution count {actual} != {formula}")

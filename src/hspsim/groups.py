@@ -535,34 +535,6 @@ class DirectPowerGroup(FiniteGroup):
 # ---------------------------------------------------------------------------
 # constructors
 
-def make_symmetric(n):
-    return SymmetricGroup(n)
-
-
-def make_cyclic(n):
-    return CyclicGroup(n)
-
-
-def make_dihedral(n):
-    return DihedralGroup(n)
-
-
-def make_wreath_s2(n):
-    return WreathS2Group(n)
-
-
-def make_psl2(q):
-    return PSL2Group(q)
-
-
-def make_sl2(q):
-    return SL2Group(q)
-
-
-def make_direct_power(group, n):
-    return DirectPowerGroup(group, n)
-
-
 def make_group(spec):
     """Build a group from a spec string.
 
@@ -580,32 +552,28 @@ def make_group(spec):
             n = int(exp)
         except ValueError:
             raise ValueError(f"bad power exponent in {spec!r}") from None
-        return make_direct_power(make_group(base_spec), n)
+        return DirectPowerGroup(make_group(base_spec), n)
     name, sep, param = spec.partition(":")
     name = name.lower()
     if not sep:
         if len(name) >= 2 and name[0] == "s" and name[1:].isdigit():
-            return make_symmetric(int(name[1:]))
+            return SymmetricGroup(int(name[1:]))
         if len(name) >= 2 and name[0] == "z" and name[1:].isdigit():
-            return make_cyclic(int(name[1:]))
+            return CyclicGroup(int(name[1:]))
         raise ValueError(f"unknown group spec {spec!r}")
     try:
         p = int(param)
     except ValueError:
         raise ValueError(f"bad parameter in group spec {spec!r}") from None
-    makers = {
-        "symmetric": make_symmetric,
-        "s": make_symmetric,
-        "cyclic": make_cyclic,
-        "z": make_cyclic,
-        "dihedral": make_dihedral,
-        "wreath": make_wreath_s2,
-        "psl2": make_psl2,
-        "sl2": make_sl2,
+    families = {
+        "symmetric": SymmetricGroup, "s": SymmetricGroup,
+        "cyclic": CyclicGroup, "z": CyclicGroup,
+        "dihedral": DihedralGroup, "wreath": WreathS2Group,
+        "psl2": PSL2Group, "sl2": SL2Group,
     }
-    if name not in makers:
+    if name not in families:
         raise ValueError(f"unknown group family {name!r} in spec {spec!r}")
-    return makers[name](p)
+    return families[name](p)
 
 
 def spec_of(group):

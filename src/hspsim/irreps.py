@@ -21,7 +21,7 @@ from .util import STEP_WORK, kron_stack, require
 # and the wreath construction built on it for S_n wr S_2.
 YOUNG_MAX_N = 5
 WREATH_IRREPS_MAX_N = 4
-# Largest n at which small_partition_degrees' subtree bound is checked to
+# Largest n at which partition_degrees' subtree bound is checked to
 # grow with the row width at every node of the search.
 PRUNE_MAX_N = 40
 # The all-pairs homomorphism check runs in blocks of rows whose two
@@ -77,41 +77,19 @@ def _conj_label(label):
 # ---------------------------------------------------------------------------
 # partitions and standard tableaux
 
-def partition_degrees(n):
-    """(partition, exact S_n irrep degree) for every partition of n.
+def partition_degrees(n, max_degree=None):
+    """(pairs, seen): (partition, exact S_n irrep degree) for the partitions
+    of n with degree at most max_degree (every one when None), in search
+    order, and the number of partitions the search accounts for: the
+    leaves it visits plus those of the subtrees it skips.
 
     Depth first, each diagram is built bottom-up, each new row on top of
     rows no longer than it.  A row on top changes no existing cell's arm
     (the cells to its right) or leg (the cells below it), so a row of k
     cells multiplies the hook product by its own k hooks k - j + height[j],
     height[j] being the number of rows already in column j.
-    """
-    fact = math.factorial(n)
-    if n == 0:
-        return [((), 1)]
-    out, height = [], [0] * n
 
-    def rec(rem, lo, hooks, rows):
-        # a top row of all rem cells closes a diagram (map stops at rem)
-        top = math.prod(map(operator.add, range(rem, 0, -1), height))
-        out.append(((rem,) + rows, fact // (hooks * top)))
-        for k in range(lo, rem // 2 + 1):  # leaves a top row of >= k cells
-            below = height[:k]
-            row = math.prod(map(operator.add, range(k, 0, -1), below))
-            height[:k] = map((1).__add__, below)
-            rec(rem - k, k, hooks * row, (k,) + rows)
-            height[:k] = below
-
-    rec(n, 1, 1, ())
-    return out
-
-
-def small_partition_degrees(n, max_degree):
-    """The pairs of partition_degrees(n) with degree at most max_degree, in
-    the same order, and the number of partitions of n the search accounts
-    for: the leaves it visits plus those of the subtrees it skips.
-
-    The same row-on-top search skips each child mu whose subtree holds no
+    Given max_degree, the search skips each child mu whose subtree holds no
     degree <= max_degree.  Say mu has width k, column heights h_c, and
     `left` cells still to place.  Every diagram under mu stacks
     j <= left // k rows of at least k cells each on top of mu.  Each top
@@ -125,28 +103,31 @@ def small_partition_degrees(n, max_degree):
     the loop.  The bound is compared in logs with a 1e-9 margin, which can
     only cost visits; the leaves keep their exact integer degrees.
     """
-    if not 0 <= n <= PRUNE_MAX_N:
+    prune = max_degree is not None
+    if prune and not 0 <= n <= PRUNE_MAX_N:
         raise ValueError(f"n must be in 0..{PRUNE_MAX_N}")
     if n == 0:
-        return [((), 1)] if max_degree >= 1 else [], 1
+        return [((), 1)] if not prune or max_degree >= 1 else [], 1
     fact = math.factorial(n)
-    floor = _log_degree_floor(n)
-    limit = math.log(max(max_degree, 1)) + 1e-9
-    at_least = _partition_counts(n)
+    if prune:
+        floor = _log_degree_floor(n)
+        limit = math.log(max(max_degree, 1)) + 1e-9
+        at_least = _partition_counts(n)
     out, height, seen = [], [0] * n, 0
 
     def rec(rem, lo, hooks, rows):
         nonlocal seen
+        # a top row of all rem cells closes a diagram (map stops at rem)
         top = math.prod(map(operator.add, range(rem, 0, -1), height))
         d = fact // (hooks * top)
         seen += 1
-        if d <= max_degree:
+        if not prune or d <= max_degree:
             out.append(((rem,) + rows, d))
-        for k in range(lo, rem // 2 + 1):
+        for k in range(lo, rem // 2 + 1):  # leaves a top row of >= k cells
             below = height[:k]
             row = math.prod(map(operator.add, range(k, 0, -1), below))
             height[:k] = map((1).__add__, below)
-            if floor(rem - k, hooks * row, height, k) > limit:
+            if prune and floor(rem - k, hooks * row, height, k) > limit:
                 # the skipped children k.. leave partitions of rem into at
                 # least two parts of at least k cells each
                 seen += at_least[rem][k] - 1
@@ -160,7 +141,7 @@ def small_partition_degrees(n, max_degree):
 
 
 def _log_degree_floor(n):
-    """The log of small_partition_degrees' lower bound on the degrees under
+    """The log of partition_degrees' lower bound on the degrees under
     a child, as a function of the cells `left` still to place, the child's
     hook product `hooks`, its column heights `height` and its width k."""
     lgam = [0.0] + [math.lgamma(m) for m in range(1, 3 * n)]
@@ -187,7 +168,7 @@ def _partition_counts(n):
 
 def partitions(n):
     """All partitions of n in descending lexicographic order."""
-    return sorted((lam for lam, _ in partition_degrees(n)), reverse=True)
+    return sorted((lam for lam, _ in partition_degrees(n)[0]), reverse=True)
 
 
 def partition_label(lam):
@@ -565,7 +546,7 @@ def explicit_degrees(group):
     if explicit_construction(group) is None:
         return None
     # S_n or S_n wr S_2: one S_n irrep per partition, descending lex
-    pairs = sorted(partition_degrees(group.n), reverse=True)
+    pairs = sorted(partition_degrees(group.n)[0], reverse=True)
     labels = [partition_label(lam) for lam, _ in pairs]
     degrees = [d for _, d in pairs]
     if isinstance(group, SymmetricGroup):

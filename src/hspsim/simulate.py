@@ -111,7 +111,7 @@ DRAW_MATRICES = 5
 
 
 def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
-                     frames=1, every_frame=False):
+                     frames=1):
     """Refuse `frames` register spaces of k registers over the irreps with
     these labels and degrees, each evaluated at `conjugates` class
     elements, before a frame is drawn.
@@ -119,9 +119,8 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
     81 MB above cyclic:100).  A space draws one tuple's frame at a time and
     drops it, so it is charged for the largest frame and its draw's
-    DRAW_MATRICES transients; the lemma suite holds every tuple's frame
-    (every_frame), 16 bytes per entry of frame_entries.  Drawing a frame
-    and each evaluation are steps.
+    DRAW_MATRICES transients.  Drawing a frame and each evaluation are
+    steps.
     """
     degrees = np.array(degrees, dtype=float)
     big = int(np.argmax(degrees))
@@ -131,8 +130,7 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     with np.errstate(over="ignore"):  # past the float range an estimate is inf
         n = np.float64(len(degrees)) ** k
         dim = degrees[big] ** k
-        held = vec if every_frame else \
-            (frame_bases(kind) + DRAW_MATRICES) * dim * dim
+        held = (frame_bases(kind) + DRAW_MATRICES) * dim * dim
         require(f"sampling k={k} registers over {len(degrees)} irreps "
                 f"({n:.4g} tuples; largest tuple {largest} has dimension "
                 f"{dim:.4g})", bytes=1024 * n + 16 * held,
@@ -440,10 +438,11 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     a small deterministic sample for the per-vector projector inequality
     and the second-moment identity. Returns one entry per check.
 
-    The projected forms of each tuple are computed once per (tuple, class
-    block), and serve both the X moments and the distance check, whose l1
-    terms come from the same forms.  The diagonal-overlap loop takes each
-    tuple's frame vectors in blocks of BLOCK_ENTRIES.
+    Each frame is drawn when it is used and dropped after: the sampled
+    checks draw their picked tuples', and one pass over every tuple draws
+    each frame once more for the diagonal-overlap terms, taken in blocks of
+    BLOCK_ENTRIES, and for the projected forms, computed once per tuple at
+    every conjugate, which serve both the X moments and the distance check.
 
     The isotypic check screens every case with the rank-one form
     y_tau = (d_tau/N) sum_g conj(chi_tau(g)) (A_g b)(B_g b)^T, batched over
@@ -458,7 +457,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     cls = list(group.class_of(h))
     degrees = [r.degree for r in irreps]
     require_sampling([r.label for r in irreps], degrees, k, kind,
-                     conjugates=len(cls), every_frame=True)
+                     conjugates=len(cls))
     # the diagonal-overlap loop: per nonempty register subset and frame
     # vector of a D-dimensional tuple, a q_subset_values pass over the
     # group of at most D k d_max multiply-adds per element; the vectors go
@@ -467,7 +466,6 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
             f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
             * frame_entries(N, k, kind) * k * max(degrees))
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
-    frames = [space.frame(ti) for ti in range(len(space.tuples))]
     H = order_two_subgroup(group, h)
     ranks = space.tuple_ranks(H)
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
@@ -481,7 +479,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
                        size=min(LEMMA_SAMPLES, len(space.tuples)),
                        replace=False)
     for ti in picks:
-        f = frames[ti]
+        f = space.frame(ti)
         cols = rng.choice(f.size, size=min(LEMMA_SAMPLES, f.size),
                           replace=False)
         for bi in cols:
@@ -506,7 +504,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     screen_min, screen_size = np.inf, 0.0
     for ti in picks:
         tup = space.tuples[ti]
-        f = frames[ti]
+        f = space.frame(ti)
         stacks = {}
         for s in subsets:
             factors = [irreps[i] if pos in s else irreps[i].degree
@@ -547,23 +545,37 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         "detail": f"tightest case {worst[1]}",
         "pass": bool(worst[0] >= -1e-9),
     })
+    del b, cases  # views of the last picked frame; the pass below holds one
 
-    # --- averaged diagonal-overlap bound, per nonempty register subset
-    rhs_mub = sum_d / N
-    worst = (np.inf, None)
-    for s in subsets:
-        contrib = []
-        for ti in range(len(space.tuples)):
-            f = frames[ti]
-            step = max(1, BLOCK_ENTRIES // (N * space.dims[ti]))
+    # --- one pass over the tuples, each frame drawn once: the averaged
+    # diagonal-overlap terms per nonempty register subset, and the X
+    # moments and per-conjugate distances from one set of forms
+    ref = reference_distribution(space)
+    overlap = {s: [] for s in subsets}
+    per_tuple = []
+    for ti in range(len(space.tuples)):
+        f = space.frame(ti)
+        step = max(1, BLOCK_ENTRIES // (N * space.dims[ti]))
+        for s in subsets:
             per_b = []
             for lo in range(0, f.size, step):
                 q = q_subset_values(irreps, space.tuples[ti],
                                     f.vectors[:, lo:lo + step], s)
                 per_b += (f.weights[lo:lo + step] / space.dims[ti]
                           * np.mean(np.abs(q) ** 2, axis=1)).tolist()
-            contrib.append(space.plancherel(ti) * pairwise_sum(per_b))
-        lhs = pairwise_sum(contrib)
+            overlap[s].append(space.plancherel(ti) * pairwise_sum(per_b))
+        wd = f.weights / space.dims[ti]
+        forms = space.projected_forms(ti, cls, f)
+        X = forms - 0.5 ** k
+        per_tuple.append((
+            np.array([float(np.dot(wd, x)) for x in X ** 2]),
+            np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
+            l1_rows(tuple_distributions(space, ti, cls, ranks, forms),
+                    ref[ti])))
+    rhs_mub = sum_d / N
+    worst = (np.inf, None)
+    for s in subsets:
+        lhs = pairwise_sum(overlap[s])
         if rhs_mub - lhs < worst[0]:
             worst = (rhs_mub - lhs, s, lhs)
     entries.append({
@@ -573,21 +585,6 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         "pass": bool(worst[0] >= -1e-9),
     })
 
-    # --- X second moment against delta1, and per-conjugate distances; the
-    # forms of each tuple at every conjugate are computed once, for both
-    ref = reference_distribution(space)
-
-    def tuple_work(ti):
-        wd = frames[ti].weights / space.dims[ti]
-        forms = space.projected_forms(ti, cls, frames[ti])
-        X = forms - 0.5 ** k
-        xsq = np.array([float(np.dot(wd, x)) for x in X ** 2])
-        xabs = np.array([float(np.dot(wd, x)) for x in np.abs(X)])
-        l1 = l1_rows(tuple_distributions(space, ti, cls, ranks, forms),
-                     ref[ti])
-        return xsq, xabs, l1
-
-    per_tuple = [tuple_work(ti) for ti in range(len(space.tuples))]
     planch = np.array([space.plancherel(ti)
                        for ti in range(len(space.tuples))])
     xsq_mat = np.array([t[0] for t in per_tuple])   # (tuple, conjugate)

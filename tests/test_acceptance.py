@@ -64,7 +64,7 @@ def test_criterion_02_facts_suite():
 
 def test_criterion_03_second_moment_identity():
     t0 = time.time()
-    W = groups.make_wreath_s2(3)
+    W = groups.WreathS2Group(3)
     irr = irrmod.irreps_for(W)
     h = W.swap_element()
     rng = np.random.default_rng(3)
@@ -86,7 +86,7 @@ def test_criterion_03_second_moment_identity():
 
 def test_criterion_04_distance_bound_soundness():
     t0 = time.time()
-    W = groups.make_wreath_s2(3)
+    W = groups.WreathS2Group(3)
     irr = irrmod.irreps_for(W)
     h = W.swap_element()
     bp = bounds.params_from_irreps(W, irr, h, 0.2)
@@ -123,7 +123,7 @@ def test_criterion_05_trace_norm_bound_strict():
 def test_criterion_06_psl_table_reproduction():
     t0 = time.time()
     for q in (5, 7, 8, 13):
-        G = groups.make_psl2(q)
+        G = groups.PSL2Group(q)
         tab = character_table_numeric(G)
         assert tab.sum_of_squared_degrees() == G.order
         assert tab.row_orthogonality_error() <= 1e-8
@@ -140,7 +140,7 @@ def test_criterion_06_psl_table_reproduction():
                       for _ in range(count))
         assert got == want, q
     # independent paths agree at q = 5
-    G5 = groups.make_psl2(5)
+    G5 = groups.PSL2Group(5)
     t_irr = CharacterTable.from_irreps(G5, irrmod.irreps_generic(G5))
     assert tables_match_up_to_rows(character_table_numeric(G5), t_irr)
     # the involution-count discrepancy surfaces as a WARN, never a failure
@@ -160,7 +160,7 @@ def test_criterion_07_corollary_arithmetic():
     assert abs(rep13["delta1"] - float(Fraction(1, 6) + Fraction(92, 1092))) \
         <= 1e-12
     # wreath: closed form equals the enumerated-irrep path exactly
-    W = groups.make_wreath_s2(3)
+    W = groups.WreathS2Group(3)
     h = W.swap_element()
     enum = bounds.params_from_irreps(W, irrmod.irreps_wreath(3), h,
                                      float(3) ** (-3 / 4))
@@ -170,7 +170,7 @@ def test_criterion_07_corollary_arithmetic():
     assert rep3["d_epsilon"] == enum.d_epsilon
     assert sorted(rep3["s_epsilon_labels"]) == sorted(enum.s_epsilon_labels)
     # direct power: both gates and the character dichotomy
-    S4 = groups.make_symmetric(4)
+    S4 = groups.SymmetricGroup(4)
     hs = S4.from_perm((1, 0, 2, 3))
     assert math.sqrt(24) > 2 * math.sqrt(5)  # the reported root gate
     power = bounds.direct_power_bound(S4, hs, 10)
@@ -210,8 +210,8 @@ def test_criterion_09_transfer_lemma():
     rep = simulate.transfer_subgroup_report(S6, mapping, W, W.swap_element())
     assert rep["pass"] and rep["max_spectral_diff"] <= 1e-9
     assert rep["index"] == 10
-    sl2 = groups.make_sl2(5)
-    psl2 = groups.make_psl2(5)
+    sl2 = groups.SL2Group(5)
+    psl2 = groups.PSL2Group(5)
     proj = groups.sl2_to_psl2_map(sl2, psl2)
     rep = simulate.transfer_quotient_report(sl2, proj, psl2,
                                             min(psl2.involutions()))

@@ -12,7 +12,7 @@ from hspsim.chartable import (CharacterTable, best_character_table,
 
 
 def wreath_swap(n):
-    W = groups.make_wreath_s2(n)
+    W = groups.WreathS2Group(n)
     return W, W.swap_element()
 
 
@@ -353,7 +353,7 @@ def test_binomial_tail_guards():
 # character dichotomy at an involution
 
 def test_gallagher_s4_transposition():
-    S4 = groups.make_symmetric(4)
+    S4 = groups.SymmetricGroup(4)
     h = S4.from_perm((1, 0, 2, 3))
     gal = bounds.gallagher_check(best_character_table(S4), h)
     assert gal["lambda_labels"] == ["[1,1,1,1]", "[4]"]
@@ -367,7 +367,7 @@ def test_gallagher_s4_transposition():
 
 
 def test_gallagher_s5_transposition():
-    S5 = groups.make_symmetric(5)
+    S5 = groups.SymmetricGroup(5)
     h = S5.from_perm((1, 0, 2, 3, 4))
     gal = bounds.gallagher_check(best_character_table(S5), h)
     assert gal["lambda"] == 2
@@ -380,7 +380,7 @@ def test_gallagher_s5_transposition():
 # direct powers
 
 def test_direct_power_s4_gates_and_report():
-    S4 = groups.make_symmetric(4)
+    S4 = groups.SymmetricGroup(4)
     h = S4.from_perm((1, 0, 2, 3))
     rep = bounds.direct_power_bound(S4, h, 10)
     assert rep["family"] == "direct-power"
@@ -395,7 +395,7 @@ def test_direct_power_s4_gates_and_report():
 
 
 def test_direct_power_inapplicable_gate():
-    Z2 = groups.make_cyclic(2)
+    Z2 = groups.CyclicGroup(2)
     with pytest.raises(bounds.CorollaryInapplicable):
         bounds.direct_power_bound(Z2, 1, 4)
 
@@ -446,7 +446,7 @@ def test_psl_degree_pattern_matches_enumerated_table():
     # the closed-form degree/character pattern agrees with the numeric
     # class-sum table for an actual involution
     for q in (5, 7, 8):
-        G = groups.make_psl2(q)
+        G = groups.PSL2Group(q)
         tab = best_character_table(G)
         h = min(G.involutions())
         ci = next(i for i, c in enumerate(tab.classes) if h in c)
@@ -496,12 +496,12 @@ def test_gl_bound_routes():
 # report schema and the link to simulation
 
 def _s4_power():
-    S4 = groups.make_symmetric(4)
+    S4 = groups.SymmetricGroup(4)
     return bounds.direct_power_bound(S4, S4.from_perm((1, 0, 2, 3)), 10)
 
 
 def _dihedral4_report():
-    G = groups.make_dihedral(4)
+    G = groups.DihedralGroup(4)
     bp = bounds.params_from_irreps(G, irreps.irreps_generic(G), G.n, 0.2)
     return bounds.group_report(G, G.n, bp)
 

@@ -5,7 +5,7 @@ from hspsim.chartable import (
     CharacterTable, character_table_numeric, tables_match_up_to_rows,
 )
 from hspsim.groups import (
-    make_cyclic, make_dihedral, make_psl2, make_symmetric, make_wreath_s2,
+    CyclicGroup, DihedralGroup, PSL2Group, SymmetricGroup, WreathS2Group,
 )
 from hspsim.irreps import irreps_generic, irreps_symmetric, irreps_wreath
 
@@ -21,7 +21,7 @@ S4_TABLE = np.array([
 
 
 def test_s4_class_order():
-    G = make_symmetric(4)
+    G = SymmetricGroup(4)
     sizes = [len(c) for c in G.conjugacy_classes()]
     assert sizes == [1, 3, 6, 6, 8]
     reps = [G.pretty(c[0]) for c in G.conjugacy_classes()]
@@ -30,18 +30,18 @@ def test_s4_class_order():
 
 
 def test_s4_table_frozen():
-    t = CharacterTable.from_irreps(make_symmetric(4), irreps_symmetric(4))
+    t = CharacterTable.from_irreps(SymmetricGroup(4), irreps_symmetric(4))
     assert np.abs(t.values - S4_TABLE).max() < 1e-9
     assert t.degrees == [1, 1, 2, 3, 3]
 
 
 @pytest.mark.parametrize("make,arg,use", [
-    (make_symmetric, 3, "sym"),
-    (make_symmetric, 4, "sym"),
-    (make_dihedral, 4, "gen"),
-    (make_cyclic, 6, "gen"),
-    (make_wreath_s2, 3, "wreath"),
-    (make_psl2, 5, "gen"),
+    (SymmetricGroup, 3, "sym"),
+    (SymmetricGroup, 4, "sym"),
+    (DihedralGroup, 4, "gen"),
+    (CyclicGroup, 6, "gen"),
+    (WreathS2Group, 3, "wreath"),
+    (PSL2Group, 5, "gen"),
 ])
 def test_numeric_matches_irrep_table(make, arg, use):
     G = make(arg)
@@ -58,13 +58,13 @@ def test_numeric_matches_irrep_table(make, arg, use):
 
 
 def test_numeric_table_psl2_13():
-    t = character_table_numeric(make_psl2(13))
+    t = character_table_numeric(PSL2Group(13))
     assert t.degrees == [1, 7, 7, 12, 12, 12, 13, 14, 14]
     assert t.sum_of_squared_degrees() == 1092
 
 
 def test_csv_export():
-    t = CharacterTable.from_irreps(make_symmetric(3), irreps_symmetric(3))
+    t = CharacterTable.from_irreps(SymmetricGroup(3), irreps_symmetric(3))
     lines = t.to_csv().splitlines()
     # labels containing commas get standard CSV quoting
     assert lines[0] == 'class_rep,class_size,[3],"[1,1,1]","[2,1]"'
@@ -76,13 +76,13 @@ def test_csv_export():
 
 
 def test_csv_quotes_matrix_reps():
-    t = character_table_numeric(make_psl2(5))
+    t = character_table_numeric(PSL2Group(5))
     line = t.to_csv().splitlines()[1]
     assert line.startswith('"[[1,0],[0,1]]",1,')
 
 
 def test_json_mirror():
-    t = CharacterTable.from_irreps(make_symmetric(3), irreps_symmetric(3))
+    t = CharacterTable.from_irreps(SymmetricGroup(3), irreps_symmetric(3))
     obj = t.to_json_obj()
     assert obj["labels"] == t.labels
     assert obj["degrees"] == [1, 1, 2]
@@ -91,6 +91,6 @@ def test_json_mirror():
 
 
 def test_tables_match_rejects_different():
-    t1 = CharacterTable.from_irreps(make_symmetric(3), irreps_symmetric(3))
-    t2 = character_table_numeric(make_cyclic(6))
+    t1 = CharacterTable.from_irreps(SymmetricGroup(3), irreps_symmetric(3))
+    t2 = character_table_numeric(CyclicGroup(6))
     assert not tables_match_up_to_rows(t1, t2)

@@ -323,7 +323,7 @@ def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
     ("verify --suite lemmas --group cyclic:5000 --k 2",
      "hspsim verify: resource cap: sampling k=2 registers over 5000 irreps "
      "(2.5e+07 tuples; largest tuple chi0|chi0 has dimension 1) needs "
-     "2.6e+10 bytes (limit 8.81e+08)\n"),
+     "2.56e+10 bytes (limit 8.81e+08)\n"),
 ], ids=["wreath4-facts", "cyclic5000-simulate", "cyclic5000-lemmas"])
 def test_refused_on_the_irrep_listing(capsys, monkeypatch, argv, err):
     # refused on explicit_degrees' labels and degrees: the wreath:4 irreps
@@ -346,11 +346,10 @@ def test_class_size_is_one_orbit(capsys, monkeypatch, argv):
         raise AssertionError("every class found")
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", searched)
-    # simulate holds one frame at a time; the lemma suite every frame
-    need = "2.56e+10" if argv.startswith("simulate") else "2.6e+10"
+    # simulate and the lemma suite each hold one frame at a time
     err = (f"hspsim {argv.split()[0]}: resource cap: sampling k=2 registers "
            "over 5000 irreps (2.5e+07 tuples; largest tuple chi0|chi0 has "
-           f"dimension 1) needs {need} bytes (limit 8.81e+08)\n")
+           "dimension 1) needs 2.56e+10 bytes (limit 8.81e+08)\n")
     assert run_cli(capsys, argv.split()) == (69, "", err)
 
 
@@ -390,14 +389,16 @@ def test_simulate_peak_memory_in_1gib():
 
 def test_simulate_charged_for_one_frame_in_1gib(capsys):
     # sl2:7 (order 336, largest degree 8) with fused frames.  At k = 3 every
-    # tuple's frames are 32 |G|^3 = 1.2e9 bytes, which the lemma suite
-    # holds and is refused; simulate holds one frame, of D = 512, and runs.
-    # At k = 4 that one frame and its draw, 16 (2 + DRAW_MATRICES) 4096^2
-    # bytes, are refused.
-    table = best_character_table(make_group("sl2:7"))
-    with pytest.raises(ResourceCap, match="needs 1.22e"):
-        simulate.require_sampling(table.labels, table.degrees, 3, "fused",
-                                  every_frame=True)
+    # tuple's frames are 32 |G|^3 = 1.2e9 bytes, but simulate holds one
+    # frame, of D = 512, and runs; the lemma suite, which also holds one,
+    # is refused on the work of its diagonal-overlap loop.  At k = 4 that
+    # one frame and its draw, 16 (2 + DRAW_MATRICES) 4096^2 bytes, are
+    # refused.
+    assert run_cli(capsys, ["verify", "--suite", "lemmas", "--group", "sl2:7",
+                            "--k", "3", "--frame-kind", "fused"]) == (
+        69, "", "hspsim verify: resource cap: diagonal-overlap loop over k=3 "
+        "registers of the sl2 group of order 336 needs 4.28e+12 "
+        "multiply-adds (limit 5e+09)\n")
     proc = _cli_under_1gib("simulate", "--group", "sl2:7", "--k", "3",
                            "--frame-kind", "fused", "--out", os.devnull)
     assert (proc.returncode, proc.stderr) == (0, "")

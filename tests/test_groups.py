@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from hspsim.groups import (
-    PSL2Group, Subgroup, SymmetricGroup, cycle_notation, make_cyclic,
-    make_dihedral, make_direct_power, make_group, make_psl2, make_sl2,
-    make_symmetric, make_wreath_s2, order_two_subgroup, parse_cycles,
-    sl2_to_psl2_map, wreath_embedding,
+    CyclicGroup, DihedralGroup, DirectPowerGroup, PSL2Group, SL2Group,
+    Subgroup, SymmetricGroup, WreathS2Group, cycle_notation, make_group,
+    order_two_subgroup, parse_cycles, sl2_to_psl2_map, wreath_embedding,
 )
 
 # frozen, derived independently: (constructor args -> expected order)
@@ -77,15 +76,15 @@ def test_cycle_notation_parse_roundtrip():
 
 
 @pytest.mark.parametrize("make,arg,order", [
-    (make_symmetric, 3, 6),
-    (make_symmetric, 4, 24),
-    (make_symmetric, 6, 720),
-    (make_cyclic, 6, 6),
-    (make_dihedral, 4, 8),
-    (make_wreath_s2, 2, 8),
-    (make_wreath_s2, 3, 72),
-    (make_psl2, 5, 60),
-    (make_sl2, 5, 120),
+    (SymmetricGroup, 3, 6),
+    (SymmetricGroup, 4, 24),
+    (SymmetricGroup, 6, 720),
+    (CyclicGroup, 6, 6),
+    (DihedralGroup, 4, 8),
+    (WreathS2Group, 2, 8),
+    (WreathS2Group, 3, 72),
+    (PSL2Group, 5, 60),
+    (SL2Group, 5, 120),
 ])
 def test_orders_identity_inverses(make, arg, order):
     G = make(arg)
@@ -99,14 +98,14 @@ def test_orders_identity_inverses(make, arg, order):
 
 
 @pytest.mark.parametrize("make,arg", [
-    (make_symmetric, 4),          # 24 <= 200: exhaustive
-    (make_dihedral, 4),
-    (make_cyclic, 12),
-    (make_wreath_s2, 2),
-    (make_psl2, 5),               # 60 <= 200: exhaustive
-    (make_psl2, 13),              # sampled
-    (make_wreath_s2, 4),          # sampled
-    (make_sl2, 9),                # sampled
+    (SymmetricGroup, 4),          # 24 <= 200: exhaustive
+    (DihedralGroup, 4),
+    (CyclicGroup, 12),
+    (WreathS2Group, 2),
+    (PSL2Group, 5),               # 60 <= 200: exhaustive
+    (PSL2Group, 13),              # sampled
+    (WreathS2Group, 4),          # sampled
+    (SL2Group, 9),                # sampled
 ])
 def test_associativity(make, arg):
     assert check_associativity(make(arg))
@@ -114,12 +113,12 @@ def test_associativity(make, arg):
 
 def test_psl_orders():
     for q, order in PSL_ORDERS.items():
-        assert make_psl2(q).order == order
+        assert PSL2Group(q).order == order
 
 
 @pytest.mark.parametrize("make,arg", [
-    (make_symmetric, 4), (make_dihedral, 4), (make_wreath_s2, 3),
-    (make_psl2, 5), (make_psl2, 7),
+    (SymmetricGroup, 4), (DihedralGroup, 4), (WreathS2Group, 3),
+    (PSL2Group, 5), (PSL2Group, 7),
 ])
 def test_class_size_times_centralizer(make, arg):
     G = make(arg)
@@ -131,24 +130,24 @@ def test_class_size_times_centralizer(make, arg):
 
 def test_involution_counts():
     # counts enumerated independently (S3: 3, S4: 9, D4: 5, PSL(2,5): 15)
-    assert len(make_symmetric(3).involutions()) == 3
-    assert len(make_symmetric(4).involutions()) == 9
-    assert len(make_dihedral(4).involutions()) == 5
-    P = make_psl2(5)
+    assert len(SymmetricGroup(3).involutions()) == 3
+    assert len(SymmetricGroup(4).involutions()) == 9
+    assert len(DihedralGroup(4).involutions()) == 5
+    P = PSL2Group(5)
     inv = P.involutions()
     assert len(inv) == 15
     assert len(P.class_of(inv[0])) == 15  # a single class
 
 
 def test_psl2_13_involution_class():
-    P = make_psl2(13)
+    P = PSL2Group(13)
     h = P.involutions()[0]
     assert len(P.class_of(h)) == 91
     assert P.centralizer(h).order == 12
 
 
 def test_psl2_pretty_is_matrix():
-    P = make_psl2(5)
+    P = PSL2Group(5)
     assert P.pretty(P.identity) == "[[1,0],[0,1]]"
     for x in range(P.order):
         a, b, c, d = P.matrix(x)
@@ -157,7 +156,7 @@ def test_psl2_pretty_is_matrix():
 
 
 def test_wreath_multiplication_rule():
-    W = make_wreath_s2(3)
+    W = WreathS2Group(3)
     S = W.base
     pi1 = S.from_perm((1, 0, 2))
     s1 = S.from_perm((0, 2, 1))
@@ -176,7 +175,7 @@ def test_wreath_multiplication_rule():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wreath_swap_class_shape(n):
-    W = make_wreath_s2(n)
+    W = WreathS2Group(n)
     cls = W.class_of(W.swap_element())
     assert len(cls) == math.factorial(n)
     for x in cls:
@@ -196,7 +195,7 @@ def test_wreath_embedding_homomorphism():
 
 
 def test_sl2_to_psl2_quotient_map():
-    SL, P = make_sl2(5), make_psl2(5)
+    SL, P = SL2Group(5), PSL2Group(5)
     mp = sl2_to_psl2_map(SL, P)
     assert SL.center().order == 2
     rnd = random.Random(5)
@@ -208,7 +207,7 @@ def test_sl2_to_psl2_quotient_map():
 
 
 def test_subgroup_validation():
-    S4 = make_symmetric(4)
+    S4 = SymmetricGroup(4)
     h = S4.from_perm(parse_cycles("(1 2)", 4))
     H = order_two_subgroup(S4, h)
     assert H.order == 2
@@ -222,15 +221,15 @@ def test_subgroup_validation():
 
 
 def test_subgroup_generated():
-    D4 = make_dihedral(4)
+    D4 = DihedralGroup(4)
     rot = Subgroup.generated(D4, [1])  # r
     assert rot.order == 4
     assert Subgroup.generated(D4, [1, D4.n]).order == 8
 
 
 def test_direct_power():
-    S3 = make_symmetric(3)
-    P = make_direct_power(S3, 2)
+    S3 = SymmetricGroup(3)
+    P = DirectPowerGroup(S3, 2)
     assert P.order == 36
     assert check_associativity(P, samples=300)
     x = P.pack((1, 4))
@@ -239,16 +238,16 @@ def test_direct_power():
     d = P.diagonal(S3.from_perm((1, 0, 2)))
     assert P.compose(d, d) == P.identity
     # power of 1 behaves like the base group
-    P1 = make_direct_power(S3, 1)
+    P1 = DirectPowerGroup(S3, 1)
     for a in range(6):
         for b in range(6):
             assert P1.compose(a, b) == S3.compose(a, b)
     with pytest.raises(ValueError):
-        make_direct_power(make_cyclic(101), 3)  # exceeds order cap
+        DirectPowerGroup(CyclicGroup(101), 3)  # exceeds order cap
 
 
 def test_cyclic_large_table_free():
-    G = make_cyclic(1_000_000)
+    G = CyclicGroup(1_000_000)
     assert G.compose(999_999, 2) == 1
     assert G.inverse(123) == 1_000_000 - 123
     with pytest.raises(ValueError):
@@ -256,7 +255,7 @@ def test_cyclic_large_table_free():
 
 
 def test_dihedral_relations():
-    D = make_dihedral(5)
+    D = DihedralGroup(5)
     r, s = 1, D.n
     assert element_order(D, r) == 5
     assert element_order(D, s) == 2
@@ -266,9 +265,9 @@ def test_dihedral_relations():
 
 
 def test_center():
-    assert make_symmetric(4).center().order == 1
-    assert make_dihedral(4).center().order == 2
-    assert make_sl2(5).center().order == 2
+    assert SymmetricGroup(4).center().order == 1
+    assert DihedralGroup(4).center().order == 2
+    assert SL2Group(5).center().order == 2
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def test_table_and_classes_match_definition(spec):
 
 
 def test_psl2_from_perm_refuses_non_members():
-    P = make_psl2(5)
+    P = PSL2Group(5)
     assert P.from_perm(P.perm(7)) == 7
     with pytest.raises(ValueError, match="not an element of psl2:5"):
         P.from_perm((1, 0, 2, 3, 4, 5))   # odd, so outside PSL(2,5) < A_6

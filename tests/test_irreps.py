@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 import hspsim.irreps as irrmod
 from hspsim.bounds import partition_number
 from hspsim.groups import (
-    SymmetricGroup, make_cyclic, make_dihedral, make_group, make_psl2,
-    make_symmetric, make_wreath_s2,
+    CyclicGroup, DihedralGroup, PSL2Group, SymmetricGroup, WreathS2Group,
+    make_group,
 )
 from hspsim.irreps import (
     PRUNE_MAX_N, Irrep, canonical_sort, explicit_degrees, hook_length_degree,
     irreps_cyclic, irreps_for, irreps_generic, irreps_symmetric,
-    irreps_wreath, partition_degrees,
-    partition_label, partitions, schur_orthogonality_error,
-    small_partition_degrees, standard_tableaux, hom_unitarity_error,
+    irreps_wreath, partition_degrees, partition_label, partitions,
+    schur_orthogonality_error, standard_tableaux, hom_unitarity_error,
 )
 
 # degrees frozen from the hook length formula, computed independently
@@ -66,9 +65,9 @@ def test_hook_degree_sums_count_involutions():
     for n in range(2, 26):
         inv.append(inv[n - 1] + (n - 1) * inv[n - 2])
     for n in range(26):
-        pairs = partition_degrees(n)
+        pairs, seen = partition_degrees(n)
         degs = dict(pairs)
-        assert len(degs) == len(pairs) == partition_number(n)
+        assert len(degs) == len(pairs) == seen == partition_number(n)
         assert all(sum(lam) == n and list(lam) == sorted(lam, reverse=True)
                    and 0 not in lam for lam in degs)
         assert degs == {lam: hook_length_degree(lam) for lam in partitions(n)}
@@ -79,7 +78,19 @@ def test_hook_degree_sums_count_involutions():
 
 @functools.cache
 def _degrees_of(n):
-    return partition_degrees(n)
+    return partition_degrees(n)[0]
+
+
+@functools.cache
+def _reference_degrees(n):
+    """Every partition of n, largest part first, each with its hook-length
+    degree: an enumeration independent of the row-on-top search."""
+    def parts(rem, mx):
+        if rem == 0:
+            return [()]
+        return [(k,) + rest for k in range(min(rem, mx), 0, -1)
+                for rest in parts(rem - k, k)]
+    return sorted((lam, hook_length_degree(lam)) for lam in parts(n, n))
 
 
 def test_degree_sums_over_the_whole_wreath_range():
@@ -95,23 +106,33 @@ def test_degree_sums_over_the_whole_wreath_range():
         assert sum(d * d for d in degs) == math.factorial(n), n
 
 
-def test_small_partition_degrees_equal_the_filtered_enumeration():
+def test_pruned_search_equals_the_reference_enumeration():
     # every cap from the trivial irreps alone to no pruning at all, with
-    # the wreath cutoff d^4 <= n^n between; the visited leaves and the
-    # skipped subtrees account for every partition
+    # the wreath cutoff d^4 <= n^n between: the pairs are those without a
+    # cap whose degree is at most the cap, in the same order, and the
+    # visited leaves and the skipped subtrees account for every partition.
+    # Up to n = 25, and past PRUNE_MAX_N, where no subtree bound is
+    # checked and only the search without a cap runs, the pairs are the
+    # reference's; test_degree_sums_over_the_whole_wreath_range checks the
+    # degree sums of the search without a cap in between.
     for n in range(PRUNE_MAX_N + 1):
+        full = _degrees_of(n)
+        if n <= 25:
+            assert sorted(full) == _reference_degrees(n), n
         for cap in (1, 2, 5, 10 ** 6, math.isqrt(math.isqrt(n ** n)),
                     10 ** 30):
-            got, seen = small_partition_degrees(n, cap)
-            assert got == [(lam, d) for lam, d in _degrees_of(n)
-                           if d <= cap], (n, cap)
+            got, seen = partition_degrees(n, cap)
+            assert got == [pair for pair in full if pair[1] <= cap], (n, cap)
             assert seen == partition_number(n), (n, cap)
     with pytest.raises(ValueError):
-        small_partition_degrees(PRUNE_MAX_N + 1, 1)
+        partition_degrees(PRUNE_MAX_N + 1, 1)
+    full, seen = partition_degrees(PRUNE_MAX_N + 1)
+    assert sorted(full) == _reference_degrees(PRUNE_MAX_N + 1)
+    assert seen == partition_number(PRUNE_MAX_N + 1)
 
 
 def test_subtree_floor_grows_with_the_row_width():
-    # small_partition_degrees ends a node's loop at its first skipped
+    # partition_degrees ends a node's loop at its first skipped
     # child, which is sound only if the bound never falls as k grows, at
     # every node for every n it admits; float rounding of equal bounds
     # may dip far less than the search's 1e-9 margin
@@ -157,7 +178,7 @@ def test_hook_degree_branching_rule(lam):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetric_irreps_sound(n):
-    G = make_symmetric(n)
+    G = SymmetricGroup(n)
     reps = irreps_symmetric(n)
     assert [r.label for r in reps] == [partition_label(p) for p in partitions(n)]
     assert sum(r.degree ** 2 for r in reps) == G.order
@@ -184,7 +205,7 @@ def test_explicit_degrees_none_without_a_construction(spec):
 
 
 def test_symmetric_characters_are_class_functions():
-    G = make_symmetric(4)
+    G = SymmetricGroup(4)
     for r in irreps_symmetric(4):
         chi = r.character()
         for cls in G.conjugacy_classes():
@@ -192,7 +213,7 @@ def test_symmetric_characters_are_class_functions():
 
 
 def test_wreath_irreps():
-    W = make_wreath_s2(3)
+    W = WreathS2Group(3)
     reps = irreps_wreath(3)
     # count 2 p(n) + C(p(n), 2) with p(3) = 3
     assert len(reps) == 9
@@ -213,14 +234,14 @@ def test_wreath_irrep_count_n4():
     reps = irreps_wreath(4)
     # p(4) = 5 partitions: 2*5 + C(5,2) = 20
     assert len(reps) == 20
-    assert sum(r.degree ** 2 for r in reps) == make_wreath_s2(4).order
+    assert sum(r.degree ** 2 for r in reps) == WreathS2Group(4).order
 
 
 def _symmetric_irreps_complex(n):
     """Complex128 stacks of Young's orthogonal form for S_n: each element
     reached by breadth-first search over the adjacent transpositions, its
     matrix one complex product with a generator."""
-    G = make_symmetric(n)
+    G = SymmetricGroup(n)
     gens = [G.from_perm(tuple(range(k - 1)) + (k, k - 1)
                         + tuple(range(k + 1, n))) for k in range(1, n)]
     out = []
@@ -248,8 +269,8 @@ def _symmetric_irreps_complex(n):
 def _wreath_irreps_per_element(n):
     """Complex128 stacks of irreps_wreath(n), one np.kron per group element
     over the complex S_n stacks."""
-    W = make_wreath_s2(n)
-    base = [Irrep(make_symmetric(n), "", m)
+    W = WreathS2Group(n)
+    base = [Irrep(SymmetricGroup(n), "", m)
             for m in _symmetric_irreps_complex(n)]
     packed = [W.unpack(x) for x in range(W.order)]
     out = []
@@ -319,7 +340,7 @@ def test_explicit_real_irreps_are_float64_and_equal_complex_ones(spec):
 def test_wreath_kappa_restriction():
     # restricted to b=0 elements, kappa splits as the two conjugate
     # tensor-product characters: chi(p,s,0) = xi(p)xj(s) + xi(s)xj(p)
-    W = make_wreath_s2(3)
+    W = WreathS2Group(3)
     base = irreps_symmetric(3)
     reps = irreps_wreath(3)
     kap = next(r for r in reps if r.label == "kappa[3]x[2,1]")
@@ -350,10 +371,10 @@ def test_cyclic_irreps_refused_past_byte_budget():
 
 
 @pytest.mark.parametrize("make,arg,degrees", [
-    (make_cyclic, 4, [1, 1, 1, 1]),
-    (make_symmetric, 3, [1, 1, 2]),
-    (make_dihedral, 4, [1, 1, 1, 1, 2]),
-    (make_psl2, 5, [1, 3, 3, 4, 5]),
+    (CyclicGroup, 4, [1, 1, 1, 1]),
+    (SymmetricGroup, 3, [1, 1, 2]),
+    (DihedralGroup, 4, [1, 1, 1, 1, 2]),
+    (PSL2Group, 5, [1, 3, 3, 4, 5]),
 ])
 def test_generic_decomposition(make, arg, degrees):
     G = make(arg)
@@ -443,24 +464,25 @@ def test_generic_builds_each_irrep_once(monkeypatch):
         return split(mats, *args, **kwargs)
 
     monkeypatch.setattr(irrmod, "_split_unitary_rep", counting)
-    reps = irreps_generic(make_psl2(7))
+    reps = irreps_generic(PSL2Group(7))
     assert sorted(calls) == sorted(r.degree for r in reps) == [1, 3, 3, 6, 7, 8]
 
 
 def test_generic_deterministic():
-    a = irreps_generic(make_dihedral(4), seed=0)
-    b = irreps_generic(make_dihedral(4), seed=0)
+    a = irreps_generic(DihedralGroup(4), seed=0)
+    b = irreps_generic(DihedralGroup(4), seed=0)
     for r1, r2 in zip(a, b):
         assert np.array_equal(r1.mats, r2.mats)
 
 
 def test_schur_orthogonality():
-    assert schur_orthogonality_error(make_symmetric(3), irreps_symmetric(3)) < 1e-8
-    assert schur_orthogonality_error(make_wreath_s2(3), irreps_wreath(3)) < 1e-8
+    assert schur_orthogonality_error(SymmetricGroup(3),
+                                     irreps_symmetric(3)) < 1e-8
+    assert schur_orthogonality_error(WreathS2Group(3), irreps_wreath(3)) < 1e-8
 
 
 def test_canonical_sort_trivial_first():
-    G = make_symmetric(3)
+    G = SymmetricGroup(3)
     reps = canonical_sort(G, irreps_symmetric(3))
     assert reps[0].degree == 1
     assert np.abs(reps[0].character() - 1).max() < 1e-12
@@ -483,7 +505,7 @@ def test_conjugate_irrep():
 
 
 def test_irrep_keeps_its_dtype():
-    G = make_cyclic(2)
+    G = CyclicGroup(2)
     assert Irrep(G, "r", np.ones((2, 1, 1))).mats.dtype == np.float64
     assert Irrep(G, "r", np.ones((2, 1, 1), int)).mats.dtype == np.float64
     z = Irrep(G, "z", np.ones((2, 1, 1), np.complex128))
@@ -512,6 +534,6 @@ def test_hom_check_refused_past_work_limit():
 
 
 def test_irrep_shape_validation():
-    G = make_cyclic(2)
+    G = CyclicGroup(2)
     with pytest.raises(ValueError):
         Irrep(G, "bad", np.zeros((3, 1, 1)))

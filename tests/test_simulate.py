@@ -4,6 +4,7 @@ import itertools
 import os
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hspsim.fourier import factor_stack, qft
 from hspsim.frames import random_frame
 from hspsim.groups import (
     make_group,
-    make_psl2,
-    make_sl2,
+    PSL2Group,
+    SL2Group,
     order_two_subgroup,
     sl2_to_psl2_map,
     wreath_embedding,
@@ -106,17 +107,16 @@ def test_roundtrip_order_cap():
 
 
 def test_register_budget_cap():
-    # psl2:13's degrees.  Every tuple's frame vectors, which the lemma suite
-    # holds, are 16 |G|^k bytes: 1.9e7 at k = 2 and 2.1e10 at k = 3, past
-    # MEMORY_LIMIT.  A space holds the largest frame and its draw, 16 (1 +
+    # psl2:13's degrees.  A space holds the largest frame and its draw, 16 (1 +
     # DRAW_MATRICES) D^2 bytes: 7.2e8 at D = 14^3 and 1.4e11 at D = 14^4.
+    # At k = 3 the lemma suite's 91 conjugates of the involution bring the
+    # evaluations to 5e12 multiply-adds.
     degs = [1, 7, 7, 12, 12, 12, 13, 14, 14]
     labels = [f"rho{i}" for i in range(len(degs))]
-    require_sampling(labels, degs, 2, every_frame=True)
-    with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7 has "
-                       r"dimension 2744\) needs 2.08e\+10 bytes"):
-        require_sampling(labels, degs, 3, every_frame=True)
     require_sampling(labels, degs, 3)
+    with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7 has "
+                       r"dimension 2744\) needs 4.98e\+12 multiply-adds"):
+        require_sampling(labels, degs, 3, conjugates=91)
     with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7\|rho7 has "
                        r"dimension 3.842e\+04\) needs 1.42e\+11 bytes"):
         require_sampling(labels, degs, 4)
@@ -189,6 +189,33 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
     got = avg_tv_over_conjugates(sp, h)
     assert drawn == [s for s, r in zip(sp.seeds, ranks) if r]
     assert got == eager_avg_tv(sp, h)
+
+
+@pytest.mark.parametrize("spec, k, kind", [("s3", 2, "basis"),
+                                           ("wreath:2", 2, "fused")])
+def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
+    # the lemma suite draws each frame when it uses it: the picked tuples'
+    # for the second-moment and isotypic checks, then every tuple's once.
+    # When it draws a frame, at most the one it replaces is still alive,
+    # whether as the Frame or as a view of its vectors' memory.
+    G = make_group(spec)
+    irr, h = irreps_for(G), G.default_involution()
+    drawn, alive = [], []
+
+    def tracked(d, seed, frame_kind):
+        alive.append(sum(ref() is not None for ref in drawn))
+        frame = random_frame(d, seed, frame_kind)
+        v = frame.vectors
+        drawn.append(weakref.ref(v if v.base is None else v.base))
+        return frame
+
+    monkeypatch.setattr(simulate, "random_frame", tracked)
+    want = lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind)
+    n_tuples = len(irr) ** k
+    assert len(drawn) == 2 * min(simulate.LEMMA_SAMPLES, n_tuples) + n_tuples
+    assert max(alive) == 1
+    monkeypatch.setattr(simulate, "random_frame", random_frame)
+    assert lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind) == want
 
 
 def conditional_distribution(space, ti, c, ranks):
@@ -863,7 +890,7 @@ def test_transfer_subgroup_wreath_into_s6():
 
 
 def test_transfer_quotient_sl2_to_psl2():
-    sl, psl = make_sl2(5), make_psl2(5)
+    sl, psl = SL2Group(5), PSL2Group(5)
     proj = sl2_to_psl2_map(sl, psl)
     h = psl.involutions()[0]
     rep = transfer_quotient_report(sl, proj, psl, h)
