@@ -6,7 +6,8 @@ import io
 
 import numpy as np
 
-from .irreps import canonical_sort, character_key, explicit_construction
+from .irreps import (canonical_sort, character_key, has_explicit_irreps,
+                     irreps_for)
 from .util import fmt_complex, require
 
 # class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
@@ -146,18 +147,17 @@ def character_table_numeric(group, seed=0):
 def best_character_table(group, seed=0):
     """Character table with the most informative labels available.
 
-    Groups with explicit irreps (see irreps.explicit_construction) get
+    Groups with explicit irreps (see irreps.has_explicit_irreps) get
     their labelled rows; the rest get the purely numeric class-sum table
     with rho<i> labels.
     """
-    build = explicit_construction(group)
-    if build is None:
+    if not has_explicit_irreps(group):
         return character_table_numeric(group, seed=seed)
     # about 170 bytes per |G|^2 entry at the peak: the irreps, characters,
     # sort keys and CSV text (chartable --group cyclic:2193 peaked at 806 MB)
     require(f"character table of the {group.kind} group of order "
             f"{group.order}", bytes=170 * group.order ** 2)
-    return CharacterTable.from_irreps(group, build())
+    return CharacterTable.from_irreps(group, irreps_for(group))
 
 
 def tables_match_up_to_rows(t1, t2):

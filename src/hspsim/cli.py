@@ -31,8 +31,8 @@ from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table, character_table_numeric
 from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
-from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
-                   pairwise_sum, require, timestamp)
+from .util import (MEMORY_LIMIT, STEP_WORK, ResourceCap, dumps_report,
+                   fmt_float, pairwise_sum, require, timestamp)
 
 EX_OK = 0
 EX_VERIFY_FAIL = 1
@@ -301,7 +301,7 @@ def cmd_bound(args):
         # r^3 class constants can be refused where the numeric irreps'
         # |G|^2 fit (power:z2^9, 512 classes), so those build the irreps.
         table = None
-        if irrmod.explicit_construction(G) is None:
+        if not irrmod.has_explicit_irreps(G):
             try:
                 table = character_table_numeric(G, seed=args.seed)
             except ResourceCap:
@@ -322,35 +322,37 @@ def cmd_bound(args):
 # ---------------------------------------------------------------------------
 # simulate
 
+def listed_irreps(G, seed, check, k=1, kind="basis"):
+    """G's irreps, built once check(labels, degrees) passes on a listing.
+
+    The listing is explicit_degrees', or for a group without explicit
+    irreps, its class-sum table's when 16 |G|^k bytes (every tuple's frame
+    vectors, never held at once) exceed the memory limit: a route test, run
+    once the numeric irreps' own estimate has passed, that charges nothing.
+    Else the numeric irreps are built first, and list themselves.
+    """
+    listing, irr = irrmod.explicit_degrees(G), None
+    if listing is None:
+        if 16 * simulate.frame_entries(G.order, k, kind) > MEMORY_LIMIT:
+            irrmod.require_numeric_irreps(G)
+            table = best_character_table(G, seed=seed)
+            listing = table.labels, table.degrees
+        else:
+            irr = irrmod.irreps_for(G, seed=seed)
+            listing = [r.label for r in irr], [r.degree for r in irr]
+    check(*listing)
+    return irr or irrmod.irreps_for(G, seed=seed)
+
+
 def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
-    # Sampling is refused from a listing of irrep labels and degrees before
-    # any irrep is built: the explicit construction's, or for a group
-    # without one, the class-sum table's (same labels and degrees) or the
-    # numeric irreps', which are built first and list themselves.  The
-    # route test between those two charges nothing: the table lists when
-    # 16 |G|^k bytes (all tuples' frame vectors, never held at once) exceed
-    # the memory limit, once the numeric irreps' own estimate has passed.
-    listing, irr = irrmod.explicit_degrees(G), None
-    if listing is None:
-        try:
-            require(f"route test at k={args.k}", bytes=16 *
-                    simulate.frame_entries(G.order, args.k, args.frame_kind))
-        except ResourceCap:
-            irrmod.require_numeric_irreps(G)
-            table = best_character_table(G, seed=args.seed)
-            listing = table.labels, table.degrees
-        else:
-            irr = irrmod.irreps_for(G, seed=args.seed)
-            listing = [r.label for r in irr], [r.degree for r in irr]
+    # h's class is found once listed: wreath:5's adds 6 MB to its refusal
+    irr = listed_irreps(
+        G, args.seed, lambda labels, degrees: simulate.require_sampling(
+            labels, degrees, args.k, args.frame_kind, len(G.class_of(h)),
+            args.frames), args.k, args.frame_kind)
     conjugates = len(G.class_of(h))
-    # it charges one tuple's frame, so a group listed from its table may
-    # pass here, and then builds its numeric irreps
-    simulate.require_sampling(*listing, args.k, args.frame_kind, conjugates,
-                              args.frames)
-    if irr is None:
-        irr = irrmod.irreps_for(G, seed=args.seed)
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
     per_seed = []
@@ -434,11 +436,11 @@ def _suite_facts(G, args):
     r = len(G.conjugacy_classes())
     require(f"facts suite over {r} irreps", work=G.order ** 3 + STEP_WORK * (
         r * r + sum(r ** (n + 1) for n in ns)))
-    listing = irrmod.explicit_degrees(G)
-    if listing is not None:  # the first check below, refused unbuilt
-        label, degree = max(zip(*listing), key=lambda e: e[1])
+
+    def check(labels, degrees):  # the first check below, refused unbuilt
+        label, degree = max(zip(labels, degrees), key=lambda e: e[1])
         irrmod.require_hom_check(label, G.order, degree)
-    irr = irrmod.irreps_for(G, seed=args.seed)
+    irr = listed_irreps(G, args.seed, check)
     checks = []
     # largest degree first, so an over-budget check is refused before the
     # multiplication table is built
@@ -469,11 +471,8 @@ def _suite_facts(G, args):
 
 def _suite_lemmas(G, args):
     h = resolve_h(G, args.h)
-    listing = irrmod.explicit_degrees(G)
-    if listing is not None:  # lemma_suite's first estimate, before building
-        simulate.require_sampling(*listing, args.k, args.frame_kind,
-                                  conjugates=len(G.class_of(h)))
-    irr = irrmod.irreps_for(G, seed=args.seed)
+    irr = listed_irreps(G, args.seed, lambda *listing: simulate.require_lemmas(
+        G, h, args.k, args.frame_kind, *listing), args.k, args.frame_kind)
     checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind)

@@ -528,6 +528,15 @@ def character_key(degree, chi):
     return (degree, tuple((-round(z.real, 8), -round(z.imag, 8)) for z in chi))
 
 
+def has_explicit_irreps(group):
+    """Whether irreps_for builds the group's irreps explicitly: every cyclic
+    group, S_n up to YOUNG_MAX_N, S_n wr S_2 up to WREATH_IRREPS_MAX_N."""
+    return (isinstance(group, CyclicGroup)
+            or isinstance(group, SymmetricGroup) and group.n <= YOUNG_MAX_N
+            or isinstance(group, WreathS2Group)
+            and group.n <= WREATH_IRREPS_MAX_N)
+
+
 def explicit_degrees(group):
     """(labels, degrees) of the group's explicit irreps, in the order their
     construction builds them, or None when it has none.
@@ -536,15 +545,14 @@ def explicit_degrees(group):
     before irreps_for builds anything; the cyclic listing is refused as its
     construction would be.  The builders take their labels from it.
     """
+    if not has_explicit_irreps(group):
+        return None
     if isinstance(group, CyclicGroup):
-        # n irreps of n complex entries, and as many again for their
-        # characters (bound --family group --group cyclic:5480 peaked at
-        # 951 MB)
+        # n irreps of n complex entries, and as many for their characters
+        # (bound --family group --group cyclic:5480 peaked at 951 MB)
         require(f"irrep construction for the cyclic group of order "
                 f"{group.n}", bytes=32 * group.order ** 2)
         return [f"chi{j}" for j in range(group.n)], [1] * group.n
-    if explicit_construction(group) is None:
-        return None
     # S_n or S_n wr S_2: one S_n irrep per partition, descending lex
     pairs = sorted(partition_degrees(group.n)[0], reverse=True)
     labels = [partition_label(lam) for lam, _ in pairs]
@@ -559,30 +567,14 @@ def explicit_degrees(group):
             + [2 * da * db for (_, da), (_, db) in kappas])
 
 
-def explicit_construction(group):
-    """The builder of a group's labelled explicit irreps, or None when it
-    has none.
-
-    Young's orthogonal form covers S_n up to YOUNG_MAX_N, roots of unity
-    every cyclic group, and the wreath construction S_n wr S_2 up to
-    WREATH_IRREPS_MAX_N.
-    """
-    if isinstance(group, CyclicGroup):
-        return lambda: irreps_cyclic(group.n)
-    if isinstance(group, SymmetricGroup) and group.n <= YOUNG_MAX_N:
-        return lambda: irreps_symmetric(group.n)
-    if isinstance(group, WreathS2Group) and group.n <= WREATH_IRREPS_MAX_N:
-        return lambda: irreps_wreath(group.n)
-    return None
-
-
 def irreps_for(group, seed=0):
-    """Complete unitary irreps: the explicit construction when there is one,
-    else the numeric regular-representation decomposition."""
-    build = explicit_construction(group)
-    if build is not None:
-        return build()
-    return irreps_generic(group, seed=seed)
+    """Complete unitary irreps: the explicit construction when there is
+    one, else the numeric regular-representation decomposition."""
+    if not has_explicit_irreps(group):
+        return irreps_generic(group, seed=seed)
+    build = {CyclicGroup: irreps_cyclic, SymmetricGroup: irreps_symmetric,
+             WreathS2Group: irreps_wreath}[type(group)]
+    return build(group.n)
 
 
 # ---------------------------------------------------------------------------

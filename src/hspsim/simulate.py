@@ -111,7 +111,7 @@ DRAW_MATRICES = 5
 
 
 def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
-                     frames=1):
+                     frames=1, steps=1):
     """Refuse `frames` register spaces of k registers over the irreps with
     these labels and degrees, each evaluated at `conjugates` class
     elements, before a frame is drawn.
@@ -119,8 +119,8 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
     81 MB above cyclic:100).  A space draws one tuple's frame at a time and
     drops it, so it is charged for the largest frame and its draw's
-    DRAW_MATRICES transients.  Drawing a frame and each evaluation are
-    steps.
+    DRAW_MATRICES transients.  A tuple costs `steps` loop steps (by default
+    one, its draw) and one per evaluation.
     """
     degrees = np.array(degrees, dtype=float)
     big = int(np.argmax(degrees))
@@ -134,8 +134,24 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
         require(f"sampling k={k} registers over {len(degrees)} irreps "
                 f"({n:.4g} tuples; largest tuple {largest} has dimension "
                 f"{dim:.4g})", bytes=1024 * n + 16 * held,
-                work=frames * (STEP_WORK * n * (1 + conjugates)
+                work=frames * (STEP_WORK * n * (steps + conjugates)
                                + conjugates * vec * k * degrees[big]))
+
+
+def require_lemmas(group, h, k, kind, labels, degrees):
+    """Refuse lemma_suite on irreps of group with these labels and degrees,
+    at the class of h, before any is built: a loop step per call its pass
+    makes for each tuple (the draw, 2^k - 1 q_subset_values blocks,
+    projected_forms and the l1 row) and two per conjugate (its X moments),
+    and the diagonal-overlap terms, per nonempty register subset and frame
+    vector of a D-dimensional tuple a q_subset_values pass of at most
+    D k d_max multiply-adds per element, in blocks of BLOCK_ENTRIES."""
+    c = len(group.class_of(h))
+    require_sampling(labels, degrees, k, kind, c, steps=2 ** k + 2 + c)
+    N = group.order
+    require(f"diagonal-overlap loop over k={k} registers of the "
+            f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
+            * frame_entries(N, k, kind) * k * max(degrees))
 
 
 def plus_bases(irreps, c):
@@ -455,16 +471,8 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     """
     N = group.order
     cls = list(group.class_of(h))
-    degrees = [r.degree for r in irreps]
-    require_sampling([r.label for r in irreps], degrees, k, kind,
-                     conjugates=len(cls))
-    # the diagonal-overlap loop: per nonempty register subset and frame
-    # vector of a D-dimensional tuple, a q_subset_values pass over the
-    # group of at most D k d_max multiply-adds per element; the vectors go
-    # in blocks of BLOCK_ENTRIES, so the loop holds no more than that
-    require(f"diagonal-overlap loop over k={k} registers of the "
-            f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
-            * frame_entries(N, k, kind) * k * max(degrees))
+    require_lemmas(group, h, k, kind, [r.label for r in irreps],
+                   [r.degree for r in irreps])
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
     H = order_two_subgroup(group, h)
     ranks = space.tuple_ranks(H)

@@ -101,7 +101,7 @@ def test_table_route_matches_numeric_irreps(spec):
     # class-sum table; every field, labels included, must be what the
     # numeric irreps give, at every involution class and cutoff
     G = groups.make_group(spec)
-    assert irreps.explicit_construction(G) is None
+    assert not irreps.has_explicit_irreps(G)
     irr = irreps.irreps_generic(G)
     table = character_table_numeric(G)
     for h in sorted({G.class_of(x)[0] for x in G.involutions()}):
@@ -152,7 +152,7 @@ def test_wreath_closed_form_matches_group_route(capsys, n):
     G = groups.make_group(f"wreath:{n}")
     assert len(G.conjugacy_classes()) == bp.n_irreps
     if n == 5:
-        assert irreps.explicit_construction(G) is None
+        assert not irreps.has_explicit_irreps(G)
         assert (rep["delta1"], bp.d_epsilon, bp.sum_d, bp.n_irreps,
                 len(bp.s_epsilon_labels)) == (33.0793036166, 6120, 796, 35, 14)
 

@@ -324,11 +324,17 @@ def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
      "hspsim verify: resource cap: sampling k=2 registers over 5000 irreps "
      "(2.5e+07 tuples; largest tuple chi0|chi0 has dimension 1) needs "
      "2.56e+10 bytes (limit 8.81e+08)\n"),
-], ids=["wreath4-facts", "cyclic5000-simulate", "cyclic5000-lemmas"])
+    ("verify --suite lemmas --group psl2:13 --k 3",
+     "hspsim verify: resource cap: sampling k=3 registers over 9 irreps "
+     "(729 tuples; largest tuple rho7|rho7|rho7 has dimension 2744) needs "
+     "4.98e+12 multiply-adds (limit 5e+09)\n"),
+], ids=["wreath4-facts", "cyclic5000-simulate", "cyclic5000-lemmas",
+        "psl2:13-lemmas"])
 def test_refused_on_the_irrep_listing(capsys, monkeypatch, argv, err):
-    # refused on explicit_degrees' labels and degrees: the wreath:4 irreps
-    # (20 MB) and the cyclic:5000 ones (416 MB over about 2.8 s) were built
-    # only to be refused
+    # refused on explicit_degrees' labels and degrees, or psl2:13's
+    # class-sum table's: the wreath:4 irreps (20 MB), the cyclic:5000 ones
+    # (416 MB over about 2.8 s) and psl2:13's numeric ones (about 3 s) were
+    # built only to be refused
     def built(*args, **kwargs):
         raise AssertionError("irreps built")
 
@@ -420,6 +426,54 @@ def test_cyclic_facts_estimate_admits_854(monkeypatch):
     monkeypatch.setattr(cli.irrmod, "irreps_for", admitted)
     with pytest.raises(Admitted):
         cli.main(["verify", "--suite", "facts", "--group", "cyclic:854"])
+
+
+def test_cyclic_lemmas_estimate_admits_456(capsys, monkeypatch):
+    # a loop step per call the pass over the tuples makes for each tuple:
+    # the draw, three q_subset_values blocks, projected_forms and the l1
+    # row, and two per conjugate.  cyclic:456 (207 936 tuples) ran in
+    # over a minute, so the run stops where the irreps start; cyclic:457
+    # has no involution.
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cli.irrmod, "irreps_for", admitted)
+    with pytest.raises(Admitted):
+        cli.main(["verify", "--suite", "lemmas", "--group", "cyclic:456",
+                  "--k", "2"])
+    assert run_cli(capsys, ["verify", "--suite", "lemmas", "--group",
+                            "cyclic:458", "--k", "2"]) == (
+        69, "", "hspsim verify: resource cap: sampling k=2 registers over "
+        "458 irreps (2.098e+05 tuples; largest tuple chi0|chi0 has "
+        "dimension 1) needs 5.03e+09 multiply-adds (limit 5e+09)\n")
+
+
+def test_dihedral_lemmas_charged_per_conjugate(capsys, monkeypatch):
+    # the two X moments take a step per conjugate, and the class of a
+    # reflection in dihedral:n, n odd, has n elements: dihedral:185 (8 836
+    # tuples) is charged 1.01e+10 multiply-adds, and the largest odd n
+    # admitted at k = 2 is 145.  The numeric irreps are built to list
+    # them; the run stops where the suite starts.
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cli.simulate, "lemma_suite", admitted)
+    with pytest.raises(Admitted):
+        cli.main(["verify", "--suite", "lemmas", "--group", "dihedral:145",
+                  "--k", "2"])
+    for n, tuples, work in ((147, 5625, "5.11e+09"), (185, 8836, "1.01e+10")):
+        assert run_cli(capsys, ["verify", "--suite", "lemmas", "--group",
+                                f"dihedral:{n}", "--k", "2"]) == (
+            69, "", "hspsim verify: resource cap: sampling k=2 registers "
+            f"over {n // 2 + 2} irreps ({tuples} tuples; largest tuple "
+            f"rho2|rho2 has dimension 4) needs {work} multiply-adds "
+            "(limit 5e+09)\n")
 
 
 def test_cyclic_5000_bound_passes_in_1gib():
