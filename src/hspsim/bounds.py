@@ -128,7 +128,7 @@ def _abs_at_involution(labels, chi):
 def params_from_irreps(group, irreps, h, eps):
     """BoundParams from explicit irreps and an involution."""
     labels = [r.label for r in irreps]
-    chi = [r.character()[h] for r in irreps]
+    chi = [r.character_at(h) for r in irreps]
     return bound_params(group.order, labels, [r.degree for r in irreps],
                         _abs_at_involution(labels, chi), eps)
 

@@ -323,13 +323,16 @@ def cmd_bound(args):
 # simulate
 
 def listed_irreps(G, seed, check, k=1, kind="basis"):
-    """G's irreps, built once check(labels, degrees) passes on a listing.
+    """G's irreps, built once check(labels, degrees) passes on a listing,
+    on the elements that check returns (the whole group when it returns
+    None).
 
     The listing is explicit_degrees', or for a group without explicit
     irreps, its class-sum table's when 16 |G|^k bytes (every tuple's frame
     vectors, never held at once) exceed the memory limit: a route test, run
     once the numeric irreps' own estimate has passed, that charges nothing.
-    Else the numeric irreps are built first, and list themselves.
+    Else the numeric irreps are built whole first, list themselves, and
+    keep the rows of those elements.
     """
     listing, irr = irrmod.explicit_degrees(G), None
     if listing is None:
@@ -340,18 +343,24 @@ def listed_irreps(G, seed, check, k=1, kind="basis"):
         else:
             irr = irrmod.irreps_for(G, seed=seed)
             listing = [r.label for r in irr], [r.degree for r in irr]
-    check(*listing)
-    return irr or irrmod.irreps_for(G, seed=seed)
+    elements = check(*listing)
+    if irr is None:
+        return irrmod.irreps_for(G, seed=seed, elements=elements)
+    return irrmod.on_elements(irr, elements)
 
 
 def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
-    # h's class is found once listed: wreath:5's adds 6 MB to its refusal
-    irr = listed_irreps(
-        G, args.seed, lambda labels, degrees: simulate.require_sampling(
-            labels, degrees, args.k, args.frame_kind, len(G.class_of(h)),
-            args.frames), args.k, args.frame_kind)
+
+    def check(labels, degrees):
+        # h's class is found once listed: wreath:5's adds 6 MB to its
+        # refusal.  Sampling reads the irreps at e and that class only.
+        cls = G.class_of(h)
+        simulate.require_sampling(labels, degrees, args.k, args.frame_kind,
+                                  len(cls), args.frames)
+        return [G.identity, *cls]
+    irr = listed_irreps(G, args.seed, check, args.k, args.frame_kind)
     conjugates = len(G.class_of(h))
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
@@ -390,7 +399,7 @@ def cmd_simulate(args):
         "avg_l1_below_delta2": bool(mean_avg_l1 <= d2),
     }
     if args.t is not None:
-        chi = [abs(r.character()[h]) for r in irr]
+        chi = [abs(r.character_at(h)) for r in irr]
         eta = bounds.char_eta(G.order, [r.degree for r in irr], chi)
         mixed = simulate.mixed_conjugate_trace_distance(G, irr, h, args.t)
         report["mixed_copies"] = {

@@ -27,7 +27,7 @@ def qft(group, irreps):
 
 def subgroup_projector(rho, H):
     """Average of rho over a subgroup; an orthogonal projector."""
-    return np.mean(rho.mats[list(H.elements)], axis=0)
+    return np.mean(rho.at(list(H.elements)), axis=0)
 
 
 def rank_r(rho, H):
@@ -36,8 +36,7 @@ def rank_r(rho, H):
     (1/|H|) sum_h chi(h) must be a near-integer, and must agree with the
     numerical rank of the projector before rounding.
     """
-    chi = rho.character()
-    s = complex(np.mean(chi[list(H.elements)]))
+    s = complex(np.mean(rho.character_at(list(H.elements))))
     if abs(s.imag) > 1e-6:
         raise ValueError(f"character average not real: {s}")
     val = s.real

@@ -1,10 +1,12 @@
 """Unitary irreducible representations of the supported groups.
 
 Matrices are stored stacked as shape (|G|, d, d) arrays indexed by element
-id, so group averages become single einsum reductions.  Young's orthogonal
-form and the wreath construction built on it are real, and keep float64
-stacks, half the bytes of complex ones; roots of unity and the numeric
-decomposition keep complex128.
+id, so group averages become single einsum reductions.  Given `elements`,
+each construction keeps only their rows, each bit for bit its whole
+stack's row: sampling reads rho at e and the class of h only.  Young's
+orthogonal form and the wreath construction built on it are real, and keep
+float64 stacks, half the bytes of complex ones; roots of unity and the
+numeric decomposition keep complex128.
 """
 from __future__ import annotations
 
@@ -39,32 +41,79 @@ REPEAT_TOL = 1e-8
 
 class Irrep:
     """One unitary representation: label plus stacked matrices, float64 or
-    complex128 as given."""
+    complex128 as given.
 
-    def __init__(self, group, label, mats):
+    A whole irrep holds rho(g) for every element g.  One built on some
+    elements only holds their rows, at `elements` (sorted distinct ids),
+    and is read through at() and character_at(); mats and character(),
+    which read every element, refuse it.
+    """
+
+    def __init__(self, group, label, mats, elements=None):
         self.group = group
         self.label = label
         mats = np.asarray(mats)
-        self.mats = np.ascontiguousarray(
+        self._mats = np.ascontiguousarray(
             mats, dtype=np.result_type(mats, np.float64))
-        if self.mats.shape[0] != group.order or self.mats.ndim != 3:
-            raise ValueError("matrix stack must have shape (|G|, d, d)")
+        if elements is not None and len(elements) == group.order:
+            elements = None  # built on every element: a whole irrep
+        self.elements = elements
+        rows = group.order if elements is None else len(elements)
+        if self._mats.shape[0] != rows or self._mats.ndim != 3:
+            raise ValueError("matrix stack must have shape (|G|, d, d), or "
+                             "one row per element it is built on")
         self._char = None
         self.plus_bases = {}  # filled and shared by simulate.plus_bases
 
     @property
     def degree(self):
-        return self.mats.shape[1]
+        return self._mats.shape[1]
+
+    @property
+    def mats(self):
+        """The (|G|, d, d) stack of a whole irrep."""
+        self._require_whole()
+        return self._mats
 
     def character(self):
-        """The complex128 character, whatever the stack's dtype."""
+        """The complex128 character of a whole irrep, whatever the stack's
+        dtype."""
+        self._require_whole()
+        return self._trace()
+
+    def at(self, xs):
+        """rho(x) for an element id x, or stacked for a sequence of them."""
+        return self._mats[self._rows(xs)]
+
+    def character_at(self, xs):
+        """chi(x) for an element id x, or an array for a sequence of them:
+        the entries of character() there."""
+        return self._trace()[self._rows(xs)]
+
+    def _trace(self):
         if self._char is None:
-            self._char = np.einsum("gii->g", self.mats).astype(
+            self._char = np.einsum("gii->g", self._mats).astype(
                 np.complex128, copy=False)
         return self._char
 
+    def _rows(self, xs):
+        if self.elements is None:
+            return np.asarray(xs)  # a tuple of ids indexes rows, not axes
+        pos = np.searchsorted(self.elements, xs)
+        if not np.array_equal(self.elements.take(pos, mode="clip"), xs):
+            raise ValueError(f"irrep {self.label} is not built on every "
+                             "element asked for")
+        return pos
+
+    def _require_whole(self):
+        if self.elements is not None:
+            raise ValueError(
+                f"irrep {self.label} is built on {len(self.elements)} of the "
+                f"{self.group.order} elements, and this reads all of them")
+
     def conjugate(self):
-        return Irrep(self.group, _conj_label(self.label), self.mats.conj())
+        return Irrep(self.group, _conj_label(self.label), self._mats.conj(),
+                     self.elements)
 
     def __repr__(self):
         return f"<irrep {self.label} degree={self.degree}>"
@@ -253,8 +302,9 @@ def _extend_over_group(group, gen_ids, gen_mats, d):
     return mats
 
 
-def irreps_symmetric(n):
-    """Young's orthogonal form; one irrep per partition, descending lex."""
+def irreps_symmetric(n, elements=None):
+    """Young's orthogonal form; one irrep per partition, descending lex.
+    Built on the whole group, then kept on `elements` when given."""
     if not 1 <= n <= YOUNG_MAX_N:
         raise ValueError("symmetric-group irreps supported for "
                          f"1 <= n <= {YOUNG_MAX_N}")
@@ -267,31 +317,37 @@ def irreps_symmetric(n):
             tabs = standard_tableaux(lam)
             gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
             yield _extend_over_group(G, gen_ids, gens, len(tabs))
-    return _labelled(G, stacks())
+    return on_elements(_labelled(G, stacks()), elements)
 
 
-def irreps_cyclic(n):
+def irreps_cyclic(n, elements=None):
+    """chi_j(x) = exp(2 pi i j x / n), evaluated at `elements` only when
+    given."""
     G = CyclicGroup(n)
-    return _labelled(G, (np.exp(2j * np.pi * j * np.arange(n) / n)
-                         .reshape(n, 1, 1) for j in range(n)))
+    ids = _element_ids(G, elements)
+    return _labelled(G, (np.exp(2j * np.pi * j * ids / n)
+                         .reshape(len(ids), 1, 1) for j in range(n)),
+                     ids)
 
 
 # ---------------------------------------------------------------------------
 # wreath-product irreps
 
-def irreps_wreath(n):
-    """All irreps of S_n wr S_2.
+def irreps_wreath(n, elements=None):
+    """All irreps of S_n wr S_2, evaluated at `elements` only when given.
 
     For each partition two degree-d^2 irreps (swap acts as +/- the tensor
     swap); for each unordered pair of distinct partitions one induced irrep
     of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).  The stacks take the
-    base irreps' dtype, float64 for Young's form.
+    base irreps' dtype, float64 for Young's form.  The S_n irreps are
+    built whole, and each element's row is made from its two base rows.
     """
     if not 2 <= n <= WREATH_IRREPS_MAX_N:
         raise ValueError("wreath irreps supported for "
                          f"2 <= n <= {WREATH_IRREPS_MAX_N}")
     W = WreathS2Group(n)
-    P, S, swapped = W.unpack(np.arange(W.order))
+    ids = _element_ids(W, elements)
+    P, S, swapped = W.unpack(ids)
     swapped = swapped == 1
 
     def stacks():
@@ -307,22 +363,42 @@ def irreps_wreath(n):
             half = ri.degree * rj.degree
             A = kron_stack(ri.mats[P], rj.mats[S])
             B = kron_stack(ri.mats[S], rj.mats[P])
-            mats = np.zeros((W.order, 2 * half, 2 * half), A.dtype)
+            mats = np.zeros((len(ids), 2 * half, 2 * half), A.dtype)
             mats[~swapped, :half, :half] = A[~swapped]
             mats[~swapped, half:, half:] = B[~swapped]
             mats[swapped, :half, half:] = A[swapped]
             mats[swapped, half:, :half] = B[swapped]
             yield mats
-    return _labelled(W, stacks())
+    return _labelled(W, stacks(), ids)
 
 
-def _labelled(group, stacks):
+def _element_ids(group, elements):
+    """The sorted distinct ids of elements, or of every element when None."""
+    if elements is None:
+        return np.arange(group.order)
+    ids = np.unique(np.asarray(elements, dtype=np.int64))
+    if not ids.size or ids[0] < 0 or ids[-1] >= group.order:
+        raise ValueError(f"elements must be ids in 0..{group.order - 1}")
+    return ids
+
+
+def on_elements(irreps, elements):
+    """The irreps kept on elements only, each row its whole stack's row;
+    the irreps themselves when elements is None."""
+    if elements is None:
+        return irreps
+    ids = _element_ids(irreps[0].group, elements)
+    return [Irrep(r.group, r.label, r.mats[ids], ids) for r in irreps]
+
+
+def _labelled(group, stacks, ids=None):
     """Irreps of the matrix stacks a builder yields, labelled in order from
-    explicit_degrees(group).  The listing, and any estimate it runs, comes
-    before the first stack is built; a count or degree that differs from it
-    is an error, so the listing and the construction cannot drift apart."""
+    explicit_degrees(group), one row per element of ids (every element when
+    None).  The listing, and any estimate it runs, comes before the first
+    stack is built; a count or degree that differs from it is an error, so
+    the listing and the construction cannot drift apart."""
     labels, degrees = explicit_degrees(group)
-    out = [Irrep(group, label, mats)
+    out = [Irrep(group, label, mats, ids)
            for label, mats in zip(labels, stacks, strict=True)]
     if [r.degree for r in out] != degrees:
         raise RuntimeError(f"explicit irreps of {group.kind} group of order "
@@ -428,14 +504,14 @@ def require_numeric_irreps(group):
     require(what, work=2 * N ** 3 + r * N * N + STEP_WORK * N * (r + 1))
 
 
-def irreps_generic(group, tol=1e-6, seed=0):
+def irreps_generic(group, tol=1e-6, seed=0, elements=None):
     """All irreps via numerical decomposition of the regular representation.
 
     A random Hermitian matrix is averaged into the commutant (an O(|G|^2)
     index trick), its eigenspaces are split off, and each block is reduced
     recursively until the character norm certifies irreducibility.  Retries
     with fresh randomness on a degenerate draw.  Result is canonically
-    sorted and labeled rho0, rho1, ...
+    sorted and labeled rho0, rho1, ..., and kept on `elements` when given.
     """
     require_numeric_irreps(group)
     N = group.order
@@ -455,7 +531,7 @@ def irreps_generic(group, tol=1e-6, seed=0):
             reps = canonical_sort(group, reps)
             for i, r in enumerate(reps):
                 r.label = f"rho{i}"
-            return reps
+            return on_elements(reps, elements)
         last_err = RuntimeError("sum of squared degrees mismatch")
     raise RuntimeError(f"regular representation failed to decompose: {last_err}")
 
@@ -567,14 +643,15 @@ def explicit_degrees(group):
             + [2 * da * db for (_, da), (_, db) in kappas])
 
 
-def irreps_for(group, seed=0):
+def irreps_for(group, seed=0, elements=None):
     """Complete unitary irreps: the explicit construction when there is
-    one, else the numeric regular-representation decomposition."""
+    one, else the numeric regular-representation decomposition; built on
+    `elements` only when given."""
     if not has_explicit_irreps(group):
-        return irreps_generic(group, seed=seed)
+        return irreps_generic(group, seed=seed, elements=elements)
     build = {CyclicGroup: irreps_cyclic, SymmetricGroup: irreps_symmetric,
              WreathS2Group: irreps_wreath}[type(group)]
-    return build(group.n)
+    return build(group.n, elements=elements)
 
 
 # ---------------------------------------------------------------------------

@@ -173,16 +173,15 @@ def _store_plus_bases(irreps, c):
     if group.compose(c, c) != group.identity:
         raise ValueError(f"class element {group.pretty(c)} is not an "
                          "involution")
-    cls = group.class_of(c)
+    cls = list(group.class_of(c))
     rows = {x: i for i, x in enumerate(cls)}
-    ranks = [round((r.degree + r.character()[c].real) / 2) for r in irreps]
-    real = [np.isrealobj(r.mats) or not np.any(r.mats[list(cls)].imag)
-            for r in irreps]
+    ranks = [round((r.degree + r.character_at(c).real) / 2) for r in irreps]
+    real = [not np.any(r.at(cls).imag) for r in irreps]
     require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
             "involutions", bytes=len(cls) * sum(r.degree * n * (
                 8 if re else 16) for r, n, re in zip(irreps, ranks, real)))
     for r, n, re in zip(irreps, ranks, real):
-        M = r.mats[list(cls)]
+        M = r.at(cls)
         lam, vec = np.linalg.eigh(M.real if re else M)
         W = vec[..., r.degree - n:]
         if (np.max(np.abs(np.abs(lam) - 1)) > BASIS_TOL
@@ -442,8 +441,10 @@ def _spectral_sets(irreps, h, eps):
 
 def _isotypic_screen(weights, a1, a2):
     """sum_ij |y_tau|^2 for every tau, y_tau = sum_g weights[tau, g]
-    a1[g] a2[g]^T (the rank-one form of the isotypic projection)."""
-    y = np.einsum("tg,gi,gj->tij", weights, a1, a2, optimize=True)
+    a1[g] a2[g]^T (the rank-one form of the isotypic projection), as one
+    batched matmul: the screen only picks the cases for the exact re-check,
+    so its summation order does not matter."""
+    y = (weights[:, :, None] * a1[None]).transpose(0, 2, 1) @ a2
     return np.sum(np.abs(y) ** 2, axis=(1, 2))
 
 
@@ -654,7 +655,7 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
                 bytes=32 * len(cls) * dmax * dmax,
                 work=STEP_WORK * np.float64(len(irreps)) ** t
                 + len(cls) * np.float64(N) ** t + np.sum(degrees ** 3) ** t)
-    stacks = [r.mats[cls] + np.eye(r.degree) for r in irreps]
+    stacks = [r.at(cls) + np.eye(r.degree) for r in irreps]
     contrib = []
     for tup in itertools.combinations_with_replacement(range(len(irreps)), t):
         acc = functools.reduce(kron_stack, [stacks[i] for i in tup])

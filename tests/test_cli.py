@@ -120,6 +120,31 @@ def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("spec, h", [("wreath:4", None), ("cyclic:12", None),
+                                     ("s4", "(1 2)(3 4)"), ("psl2:5", None)])
+def test_simulate_builds_irreps_on_e_and_the_class_of_h(capsys, monkeypatch,
+                                                        spec, h):
+    # explicit irreps evaluate only those rows; psl2:5's numeric ones are
+    # built whole, list themselves and keep them
+    spaces = []
+    space = simulate.RegisterSpace
+
+    def recorded(G, irreps, *args, **kwargs):
+        spaces.append((G, irreps))
+        return space(G, irreps, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "RegisterSpace", recorded)
+    argv = ["simulate", "--group", spec, "--k", "1", "--t", "2"]
+    rc, _, _ = run_cli(capsys, argv + (["--h", h] if h else []))
+    assert rc == 0
+    G, irreps = spaces[0]
+    x = cli.resolve_h(G, h)
+    kept = sorted([G.identity, *G.class_of(x)])
+    for r in irreps:
+        assert r.elements.tolist() == kept
+        assert r.at(r.elements).shape == (len(kept), r.degree, r.degree)
+
+
 def test_plus_bases_built_once_per_command(capsys, monkeypatch):
     # one eigh per irrep of wreath:3 at the swap class, however many frame
     # copies the command draws
@@ -139,19 +164,6 @@ def test_plus_bases_built_once_per_command(capsys, monkeypatch):
         assert rc == 0 and len(calls) == 9
 
 
-def test_lemmas_diagonal_overlap_refused_at_once(capsys):
-    # (2^3 - 1) 168^4 3 8 multiply-adds: refused before any frame is drawn
-    t0 = time.perf_counter()
-    rc, out, err = run_cli(capsys, ["verify", "--suite", "lemmas",
-                                    "--group", "psl2:7", "--k", "3"])
-    assert time.perf_counter() - t0 < 2
-    assert rc == 69
-    assert out == ""
-    assert err == ("hspsim verify: resource cap: diagonal-overlap loop over "
-                   "k=3 registers of the psl2 group of order 168 needs "
-                   "1.34e+11 multiply-adds (limit 5e+09)\n")
-
-
 def _under_1gib(*argv):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -164,6 +176,22 @@ def _under_1gib(*argv):
 
 def _cli_under_1gib(*argv):
     return _under_1gib("-m", "hspsim.cli", *argv)
+
+
+def test_lemmas_diagonal_overlap_refused_at_once():
+    # (2^3 - 1) 168^4 3 8 multiply-adds: refused before any frame is drawn.
+    # Run in a child with one BLAS thread: in this process the numeric
+    # irreps' 168 x 168 eigh took 2.3 s beside another CPU-bound process
+    t0 = time.perf_counter()
+    proc = _cli_under_1gib("verify", "--suite", "lemmas", "--group", "psl2:7",
+                           "--k", "3")
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 69
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "hspsim verify: resource cap: diagonal-overlap loop over k=3 "
+        "registers of the psl2 group of order 168 needs 1.34e+11 "
+        "multiply-adds (limit 5e+09)\n")
 
 
 def test_wreath4_facts_refused_before_allocating():

@@ -537,3 +537,73 @@ def test_irrep_shape_validation():
     G = CyclicGroup(2)
     with pytest.raises(ValueError):
         Irrep(G, "bad", np.zeros((3, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# irreps built on some elements only
+
+ROW_SPECS = ["cyclic:12", "wreath:2", "wreath:3", "wreath:4", "s4", "psl2:5",
+             "dihedral:4"]
+
+
+def _row_sets(G):
+    """e and the class of the default involution, as sampling builds them,
+    and ids drawn with repeats, unsorted, a third as many as the elements."""
+    h = G.default_involution()
+    drawn = np.random.default_rng(G.order).integers(G.order,
+                                                    size=G.order // 3)
+    return [[G.identity, *G.class_of(h)], drawn.tolist()]
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS)
+def test_row_built_irreps_equal_the_whole_rows(spec):
+    # cyclic and wreath irreps evaluate only these elements, the others are
+    # built whole and sliced; either way each row is the whole one's
+    G = make_group(spec)
+    whole = irreps_for(G)
+    for xs in _row_sets(G):
+        rows = irreps_for(G, elements=xs)
+        assert [r.label for r in rows] == [r.label for r in whole]
+        for w, r in zip(whole, rows):
+            assert r.elements.tolist() == sorted(set(xs))
+            assert r.at(r.elements).dtype == w.mats.dtype
+            assert np.array_equal(r.at(xs), w.mats[xs]), r.label
+            assert np.array_equal(r.character_at(xs), w.character()[xs])
+            assert np.array_equal(r.at(xs), w.at(xs))
+            assert np.array_equal(r.character_at(xs), w.character_at(xs))
+            x = xs[-1]
+            assert r.character_at(x) == w.character()[x]
+            assert np.array_equal(r.at(x), w.mats[x])
+            assert np.array_equal(r.at(tuple(xs)), w.at(tuple(xs)))
+
+
+def test_irrep_on_every_element_is_whole():
+    G = make_group("cyclic:2")
+    rows = irreps_for(G, elements=[1, 0, 1])
+    assert all(r.elements is None for r in rows)
+    assert np.array_equal(rows[1].mats, irreps_cyclic(2)[1].mats)
+
+
+def test_whole_group_readers_refuse_a_row_built_irrep():
+    from hspsim.chartable import CharacterTable
+    from hspsim.fourier import factor_stack, qft
+    from hspsim.simulate import lemma_suite
+    G = make_group("wreath:2")
+    h = G.default_involution()
+    rows = irreps_for(G, elements=[G.identity, *G.class_of(h)])
+    rho = rows[-1]
+    whole = "built on 3 of the 8 elements"
+    for read in (lambda: rho.mats, rho.character,
+                 lambda: hom_unitarity_error(rho),
+                 lambda: schur_orthogonality_error(G, rows),
+                 lambda: qft(G, rows), lambda: factor_stack(G, [rho, 2]),
+                 lambda: CharacterTable.from_irreps(G, rows),
+                 lambda: lemma_suite(G, rows, h, 1, 0.2)):
+        with pytest.raises(ValueError, match=whole):
+            read()
+    outside = next(x for x in range(G.order) if x not in rho.elements)
+    for read in (rho.at, rho.character_at):
+        with pytest.raises(ValueError, match="not built on every element"):
+            read([G.identity, outside])
+    with pytest.raises(ValueError, match="ids in 0..7"):
+        irreps_for(G, elements=[0, 8])
