@@ -323,16 +323,13 @@ def cmd_bound(args):
 # simulate
 
 def listed_irreps(G, seed, check, k=1, kind="basis"):
-    """G's irreps, built once check(labels, degrees) passes on a listing,
-    on the elements that check returns (the whole group when it returns
-    None).
+    """G's irreps, built once check(labels, degrees) passes on a listing.
 
     The listing is explicit_degrees', or for a group without explicit
     irreps, its class-sum table's when 16 |G|^k bytes (every tuple's frame
     vectors, never held at once) exceed the memory limit: a route test, run
     once the numeric irreps' own estimate has passed, that charges nothing.
-    Else the numeric irreps are built whole first, list themselves, and
-    keep the rows of those elements.
+    Else the numeric irreps are built first, and list themselves.
     """
     listing, irr = irrmod.explicit_degrees(G), None
     if listing is None:
@@ -343,24 +340,18 @@ def listed_irreps(G, seed, check, k=1, kind="basis"):
         else:
             irr = irrmod.irreps_for(G, seed=seed)
             listing = [r.label for r in irr], [r.degree for r in irr]
-    elements = check(*listing)
-    if irr is None:
-        return irrmod.irreps_for(G, seed=seed, elements=elements)
-    return irrmod.on_elements(irr, elements)
+    check(*listing)
+    return irr or irrmod.irreps_for(G, seed=seed)
 
 
 def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
-
-    def check(labels, degrees):
-        # h's class is found once listed: wreath:5's adds 6 MB to its
-        # refusal.  Sampling reads the irreps at e and that class only.
-        cls = G.class_of(h)
-        simulate.require_sampling(labels, degrees, args.k, args.frame_kind,
-                                  len(cls), args.frames)
-        return [G.identity, *cls]
-    irr = listed_irreps(G, args.seed, check, args.k, args.frame_kind)
+    # h's class is found once listed: wreath:5's adds 6 MB to its refusal
+    irr = listed_irreps(
+        G, args.seed, lambda labels, degrees: simulate.require_sampling(
+            labels, degrees, args.k, args.frame_kind, len(G.class_of(h)),
+            args.frames), args.k, args.frame_kind)
     conjugates = len(G.class_of(h))
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)

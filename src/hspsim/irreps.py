@@ -1,12 +1,12 @@
 """Unitary irreducible representations of the supported groups.
 
-Matrices are stored stacked as shape (|G|, d, d) arrays indexed by element
-id, so group averages become single einsum reductions.  Given `elements`,
-each construction keeps only their rows, each bit for bit its whole
-stack's row: sampling reads rho at e and the class of h only.  Young's
-orthogonal form and the wreath construction built on it are real, and keep
-float64 stacks, half the bytes of complex ones; roots of unity and the
-numeric decomposition keep complex128.
+An irrep's matrices are stacked as a (|G|, d, d) array indexed by element
+id, so group averages become single einsum reductions.  The cyclic and
+wreath constructions evaluate rows where they are read: sampling reads rho
+at e and the class of h only, and each row is bit for bit the whole
+stack's.  Young's orthogonal form and the wreath construction built on it
+are real, and keep float64 stacks, half the bytes of complex ones; roots
+of unity and the numeric decomposition keep complex128.
 """
 from __future__ import annotations
 
@@ -40,87 +40,79 @@ REPEAT_TOL = 1e-8
 
 
 class Irrep:
-    """One unitary representation: label plus stacked matrices, float64 or
-    complex128 as given.
+    """One unitary representation: a label and its matrices rho(g),
+    float64 or complex128 as given.
 
-    A whole irrep holds rho(g) for every element g.  One built on some
-    elements only holds their rows, at `elements` (sorted distinct ids),
-    and is read through at() and character_at(); mats and character(),
-    which read every element, refuse it.
+    A construction gives either the whole (|G|, d, d) stack, or a function
+    of an int id array that evaluates those rows, with the degree d.  at()
+    and character_at() evaluate only the elements asked for; mats and
+    character() evaluate every element once and keep the stack.  Rows of
+    another degree than d are an error (RuntimeError) when evaluated.
     """
 
-    def __init__(self, group, label, mats, elements=None):
+    def __init__(self, group, label, mats, degree=None):
         self.group = group
         self.label = label
-        mats = np.asarray(mats)
-        self._mats = np.ascontiguousarray(
-            mats, dtype=np.result_type(mats, np.float64))
-        if elements is not None and len(elements) == group.order:
-            elements = None  # built on every element: a whole irrep
-        self.elements = elements
-        rows = group.order if elements is None else len(elements)
-        if self._mats.shape[0] != rows or self._mats.ndim != 3:
-            raise ValueError("matrix stack must have shape (|G|, d, d), or "
-                             "one row per element it is built on")
+        self.degree = degree
+        if callable(mats):
+            self._rows_of, self._mats = mats, None
+        else:
+            self._rows_of, self._mats = None, self._stack(mats, group.order)
         self._char = None
         self.plus_bases = {}  # filled and shared by simulate.plus_bases
 
     @property
-    def degree(self):
-        return self._mats.shape[1]
-
-    @property
     def mats(self):
-        """The (|G|, d, d) stack of a whole irrep."""
-        self._require_whole()
+        """The (|G|, d, d) stack."""
+        if self._mats is None:
+            N = self.group.order
+            self._mats = self._stack(self._rows_of(np.arange(N)), N)
         return self._mats
 
     def character(self):
-        """The complex128 character of a whole irrep, whatever the stack's
-        dtype."""
-        self._require_whole()
-        return self._trace()
+        """The complex128 character, whatever the stack's dtype."""
+        if self._char is None:
+            self._char = _trace(self.mats)
+        return self._char
 
     def at(self, xs):
         """rho(x) for an element id x, or stacked for a sequence of them."""
-        return self._mats[self._rows(xs)]
+        xs = np.asarray(xs)  # a tuple of ids indexes rows, not axes
+        if self._mats is not None:
+            return self._mats[xs]
+        ids = np.arange(self.group.order)[xs]  # checked as the stack's rows
+        rows = self._stack(self._rows_of(ids.reshape(-1)), ids.size)
+        return rows.reshape(ids.shape + rows.shape[1:])
 
     def character_at(self, xs):
         """chi(x) for an element id x, or an array for a sequence of them:
         the entries of character() there."""
-        return self._trace()[self._rows(xs)]
+        return _trace(self.at(xs))
 
-    def _trace(self):
-        if self._char is None:
-            self._char = np.einsum("gii->g", self._mats).astype(
-                np.complex128, copy=False)
-        return self._char
-
-    def _rows(self, xs):
-        if self.elements is None:
-            return np.asarray(xs)  # a tuple of ids indexes rows, not axes
-        pos = np.searchsorted(self.elements, xs)
-        if not np.array_equal(self.elements.take(pos, mode="clip"), xs):
-            raise ValueError(f"irrep {self.label} is not built on every "
-                             "element asked for")
-        return pos
-
-    def _require_whole(self):
-        if self.elements is not None:
-            raise ValueError(
-                f"irrep {self.label} is built on {len(self.elements)} of the "
-                f"{self.group.order} elements, and this reads all of them")
-
-    def conjugate(self):
-        return Irrep(self.group, _conj_label(self.label), self._mats.conj(),
-                     self.elements)
+    def _stack(self, mats, rows):
+        """mats as a contiguous float64 or complex128 stack, checked to
+        hold `rows` matrices of the irrep's degree."""
+        mats = np.asarray(mats)
+        mats = np.ascontiguousarray(mats,
+                                    dtype=np.result_type(mats, np.float64))
+        if mats.ndim != 3 or mats.shape[0] != rows:
+            raise ValueError("matrix stack must have shape (|G|, d, d)")
+        if self.degree is None:
+            self.degree = mats.shape[1]
+        elif mats.shape[1:] != (self.degree, self.degree):
+            raise RuntimeError(
+                f"irrep {self.label} of the {self.group.kind} group of order "
+                f"{self.group.order} differs from its listed degree "
+                f"{self.degree}")
+        return mats
 
     def __repr__(self):
         return f"<irrep {self.label} degree={self.degree}>"
 
 
-def _conj_label(label):
-    return label[:-1] if label.endswith("*") else label + "*"
+def _trace(mats):
+    """The complex128 traces of a stack of matrices, or of one matrix."""
+    return np.einsum("...ii->...", mats).astype(np.complex128, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +294,8 @@ def _extend_over_group(group, gen_ids, gen_mats, d):
     return mats
 
 
-def irreps_symmetric(n, elements=None):
-    """Young's orthogonal form; one irrep per partition, descending lex.
-    Built on the whole group, then kept on `elements` when given."""
+def irreps_symmetric(n):
+    """Young's orthogonal form; one irrep per partition, descending lex."""
     if not 1 <= n <= YOUNG_MAX_N:
         raise ValueError("symmetric-group irreps supported for "
                          f"1 <= n <= {YOUNG_MAX_N}")
@@ -317,93 +308,81 @@ def irreps_symmetric(n, elements=None):
             tabs = standard_tableaux(lam)
             gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
             yield _extend_over_group(G, gen_ids, gens, len(tabs))
-    return on_elements(_labelled(G, stacks()), elements)
+    return _labelled(G, stacks())
 
 
-def irreps_cyclic(n, elements=None):
-    """chi_j(x) = exp(2 pi i j x / n), evaluated at `elements` only when
-    given."""
+def irreps_cyclic(n):
+    """chi_j(x) = exp(2 pi i j x / n), evaluated where it is read."""
     G = CyclicGroup(n)
-    ids = _element_ids(G, elements)
-    return _labelled(G, (np.exp(2j * np.pi * j * ids / n)
-                         .reshape(len(ids), 1, 1) for j in range(n)),
-                     ids)
+
+    def chi(j):
+        return lambda ids: np.exp(2j * np.pi * j * ids / n).reshape(-1, 1, 1)
+    return _labelled(G, (chi(j) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------
 # wreath-product irreps
 
-def irreps_wreath(n, elements=None):
-    """All irreps of S_n wr S_2, evaluated at `elements` only when given.
+def irreps_wreath(n):
+    """All irreps of S_n wr S_2, each evaluated where it is read.
 
     For each partition two degree-d^2 irreps (swap acts as +/- the tensor
     swap); for each unordered pair of distinct partitions one induced irrep
-    of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).  The stacks take the
-    base irreps' dtype, float64 for Young's form.  The S_n irreps are
-    built whole, and each element's row is made from its two base rows.
+    of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).  The S_n irreps are
+    built whole, and each element's row is made from its two base rows, in
+    their dtype, float64 for Young's form.
     """
     if not 2 <= n <= WREATH_IRREPS_MAX_N:
         raise ValueError("wreath irreps supported for "
                          f"2 <= n <= {WREATH_IRREPS_MAX_N}")
     W = WreathS2Group(n)
-    ids = _element_ids(W, elements)
-    P, S, swapped = W.unpack(ids)
-    swapped = swapped == 1
 
-    def stacks():
-        base = irreps_symmetric(n)
-        for sign in (1.0, -1.0):
-            for rho in base:
-                d = rho.degree  # the swap sends basis vector (i, j) to (j, i)
-                swap = np.eye(d * d)[:, np.arange(d * d).reshape(d, d).T.ravel()]
-                mats = kron_stack(rho.mats[P], rho.mats[S])
-                mats[swapped] = mats[swapped] @ (sign * swap)
-                yield mats
-        for ri, rj in itertools.combinations(base, 2):
-            half = ri.degree * rj.degree
-            A = kron_stack(ri.mats[P], rj.mats[S])
-            B = kron_stack(ri.mats[S], rj.mats[P])
+    def theta(m, sign):
+        d = m.shape[1]  # the swap sends basis vector (i, j) to (j, i)
+        swap = sign * np.eye(d * d)[:, np.arange(d * d).reshape(d, d).T.ravel()]
+
+        def rows(ids):
+            P, S, swapped = W.unpack(ids)
+            swapped = swapped == 1
+            mats = kron_stack(m[P], m[S])
+            mats[swapped] = mats[swapped] @ swap
+            return mats
+        return rows
+
+    def kappa(mi, mj):
+        half = mi.shape[1] * mj.shape[1]
+
+        def rows(ids):
+            P, S, swapped = W.unpack(ids)
+            swapped = swapped == 1
+            A = kron_stack(mi[P], mj[S])
+            B = kron_stack(mi[S], mj[P])
             mats = np.zeros((len(ids), 2 * half, 2 * half), A.dtype)
             mats[~swapped, :half, :half] = A[~swapped]
             mats[~swapped, half:, half:] = B[~swapped]
             mats[swapped, :half, half:] = A[swapped]
             mats[swapped, half:, :half] = B[swapped]
-            yield mats
-    return _labelled(W, stacks(), ids)
+            return mats
+        return rows
+
+    def row_functions():
+        base = [rho.mats for rho in irreps_symmetric(n)]
+        for sign in (1.0, -1.0):
+            yield from (theta(m, sign) for m in base)
+        yield from itertools.starmap(kappa, itertools.combinations(base, 2))
+    return _labelled(W, row_functions())
 
 
-def _element_ids(group, elements):
-    """The sorted distinct ids of elements, or of every element when None."""
-    if elements is None:
-        return np.arange(group.order)
-    ids = np.unique(np.asarray(elements, dtype=np.int64))
-    if not ids.size or ids[0] < 0 or ids[-1] >= group.order:
-        raise ValueError(f"elements must be ids in 0..{group.order - 1}")
-    return ids
-
-
-def on_elements(irreps, elements):
-    """The irreps kept on elements only, each row its whole stack's row;
-    the irreps themselves when elements is None."""
-    if elements is None:
-        return irreps
-    ids = _element_ids(irreps[0].group, elements)
-    return [Irrep(r.group, r.label, r.mats[ids], ids) for r in irreps]
-
-
-def _labelled(group, stacks, ids=None):
-    """Irreps of the matrix stacks a builder yields, labelled in order from
-    explicit_degrees(group), one row per element of ids (every element when
-    None).  The listing, and any estimate it runs, comes before the first
-    stack is built; a count or degree that differs from it is an error, so
-    the listing and the construction cannot drift apart."""
+def _labelled(group, builds):
+    """Irreps of the matrix stacks or row functions a builder yields,
+    labelled in order from explicit_degrees(group).  The listing, and any
+    estimate it runs, comes before the first stack or row is built; a count
+    that differs from it is an error, and so are rows of another degree
+    when they are evaluated, so the listing and the construction cannot
+    drift apart."""
     labels, degrees = explicit_degrees(group)
-    out = [Irrep(group, label, mats, ids)
-           for label, mats in zip(labels, stacks, strict=True)]
-    if [r.degree for r in out] != degrees:
-        raise RuntimeError(f"explicit irreps of {group.kind} group of order "
-                           f"{group.order} differ from their listed degrees")
-    return out
+    return [Irrep(group, label, mats, degree) for label, degree, mats
+            in zip(labels, degrees, builds, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +483,14 @@ def require_numeric_irreps(group):
     require(what, work=2 * N ** 3 + r * N * N + STEP_WORK * N * (r + 1))
 
 
-def irreps_generic(group, tol=1e-6, seed=0, elements=None):
+def irreps_generic(group, tol=1e-6, seed=0):
     """All irreps via numerical decomposition of the regular representation.
 
     A random Hermitian matrix is averaged into the commutant (an O(|G|^2)
     index trick), its eigenspaces are split off, and each block is reduced
     recursively until the character norm certifies irreducibility.  Retries
     with fresh randomness on a degenerate draw.  Result is canonically
-    sorted and labeled rho0, rho1, ..., and kept on `elements` when given.
+    sorted and labeled rho0, rho1, ...
     """
     require_numeric_irreps(group)
     N = group.order
@@ -531,7 +510,7 @@ def irreps_generic(group, tol=1e-6, seed=0, elements=None):
             reps = canonical_sort(group, reps)
             for i, r in enumerate(reps):
                 r.label = f"rho{i}"
-            return on_elements(reps, elements)
+            return reps
         last_err = RuntimeError("sum of squared degrees mismatch")
     raise RuntimeError(f"regular representation failed to decompose: {last_err}")
 
@@ -643,15 +622,14 @@ def explicit_degrees(group):
             + [2 * da * db for (_, da), (_, db) in kappas])
 
 
-def irreps_for(group, seed=0, elements=None):
+def irreps_for(group, seed=0):
     """Complete unitary irreps: the explicit construction when there is
-    one, else the numeric regular-representation decomposition; built on
-    `elements` only when given."""
+    one, else the numeric regular-representation decomposition."""
     if not has_explicit_irreps(group):
-        return irreps_generic(group, seed=seed, elements=elements)
+        return irreps_generic(group, seed=seed)
     build = {CyclicGroup: irreps_cyclic, SymmetricGroup: irreps_symmetric,
              WreathS2Group: irreps_wreath}[type(group)]
-    return build(group.n, elements=elements)
+    return build(group.n)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +645,9 @@ def require_hom_check(label, order, degree):
 def hom_unitarity_error(rho):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity, over all
     |G|^2 pairs (vectorized in blocks of x), |G|^2 d^3 multiply-adds."""
-    G, mats = rho.group, rho.mats
-    N, d = G.order, rho.degree
+    G, N, d = rho.group, rho.group.order, rho.degree
     require_hom_check(rho.label, N, d)
+    mats = rho.mats
     eye = np.eye(d)
     uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
     herr = 0.0

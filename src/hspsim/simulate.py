@@ -176,12 +176,12 @@ def _store_plus_bases(irreps, c):
     cls = list(group.class_of(c))
     rows = {x: i for i, x in enumerate(cls)}
     ranks = [round((r.degree + r.character_at(c).real) / 2) for r in irreps]
-    real = [not np.any(r.at(cls).imag) for r in irreps]
+    at_cls = [r.at(cls) for r in irreps]
+    real = [not np.any(M.imag) for M in at_cls]
     require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
             "involutions", bytes=len(cls) * sum(r.degree * n * (
                 8 if re else 16) for r, n, re in zip(irreps, ranks, real)))
-    for r, n, re in zip(irreps, ranks, real):
-        M = r.at(cls)
+    for r, M, n, re in zip(irreps, at_cls, ranks, real):
         lam, vec = np.linalg.eigh(M.real if re else M)
         W = vec[..., r.degree - n:]
         if (np.max(np.abs(np.abs(lam) - 1)) > BASIS_TOL

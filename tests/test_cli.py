@@ -124,25 +124,29 @@ def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
                                      ("s4", "(1 2)(3 4)"), ("psl2:5", None)])
 def test_simulate_builds_irreps_on_e_and_the_class_of_h(capsys, monkeypatch,
                                                         spec, h):
-    # explicit irreps evaluate only those rows; psl2:5's numeric ones are
-    # built whole, list themselves and keep them
-    spaces = []
-    space = simulate.RegisterSpace
+    # sampling and its bound read each irrep at e and the class of h only:
+    # no irrep's whole stack is read once sampling starts, and the cyclic
+    # and wreath irreps, which evaluate rows where they are read, never
+    # evaluate theirs.  psl2:5's numeric irreps read theirs to sort.
+    spaces, whole_reads = [], []
+    space, mats = simulate.RegisterSpace, irrmod.Irrep.mats
 
     def recorded(G, irreps, *args, **kwargs):
-        spaces.append((G, irreps))
+        spaces.append(irreps)
         return space(G, irreps, *args, **kwargs)
 
+    def read_whole(rho):
+        whole_reads.append((len(spaces), rho))
+        return mats.fget(rho)
+
     monkeypatch.setattr(simulate, "RegisterSpace", recorded)
+    monkeypatch.setattr(irrmod.Irrep, "mats", property(read_whole))
     argv = ["simulate", "--group", spec, "--k", "1", "--t", "2"]
     rc, _, _ = run_cli(capsys, argv + (["--h", h] if h else []))
-    assert rc == 0
-    G, irreps = spaces[0]
-    x = cli.resolve_h(G, h)
-    kept = sorted([G.identity, *G.class_of(x)])
-    for r in irreps:
-        assert r.elements.tolist() == kept
-        assert r.at(r.elements).shape == (len(kept), r.degree, r.degree)
+    assert rc == 0 and spaces
+    assert [rho for n, rho in whole_reads if n] == []
+    if spec.split(":")[0] in ("cyclic", "wreath"):
+        assert not any(rho is r for _, rho in whole_reads for r in spaces[0])
 
 
 def test_plus_bases_built_once_per_command(capsys, monkeypatch):
@@ -419,6 +423,15 @@ def test_simulate_peak_memory_in_1gib():
     run = peak_mb("assert main(['simulate', '--group', 'wreath:4', '--k', "
                   "'2', '--out', os.devnull]) == 0")
     assert run - peak_mb("") <= 33
+
+
+def test_bound_reads_cyclic_irreps_at_h_only_in_1gib():
+    # the closed-form bound reads each irrep at h only, and the cyclic
+    # irreps evaluate only that row: with the 5000 whole stacks and their
+    # characters built, the run peaked at about 800 MB
+    run = peak_mb("assert main(['bound', '--family', 'group', '--group', "
+                  "'cyclic:5000', '--out', os.devnull]) == 0")
+    assert run < 100
 
 
 def test_simulate_charged_for_one_frame_in_1gib(capsys):

@@ -490,20 +490,6 @@ def test_canonical_sort_trivial_first():
     assert [r.degree for r in reps] == sorted(r.degree for r in reps)
 
 
-def test_conjugate_irrep():
-    reps = irreps_cyclic(4)
-    c = reps[1].conjugate()
-    assert np.abs(c.mats - reps[1].mats.conj()).max() == 0
-    assert c.label.endswith("*")
-    assert c.conjugate().label == reps[1].label
-    assert hom_unitarity_error(c) < 1e-12
-    real = irreps_symmetric(3)[1]
-    c = real.conjugate()
-    assert c.mats.dtype == np.float64 and c.label == "[2,1]*"
-    assert np.array_equal(c.mats, real.mats)
-    assert np.array_equal(c.character(), real.character())
-
-
 def test_irrep_keeps_its_dtype():
     G = CyclicGroup(2)
     assert Irrep(G, "r", np.ones((2, 1, 1))).mats.dtype == np.float64
@@ -540,14 +526,14 @@ def test_irrep_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# irreps built on some elements only
+# rows evaluated where they are read
 
 ROW_SPECS = ["cyclic:12", "wreath:2", "wreath:3", "wreath:4", "s4", "psl2:5",
              "dihedral:4"]
 
 
 def _row_sets(G):
-    """e and the class of the default involution, as sampling builds them,
+    """e and the class of the default involution, as sampling reads them,
     and ids drawn with repeats, unsorted, a third as many as the elements."""
     h = G.default_involution()
     drawn = np.random.default_rng(G.order).integers(G.order,
@@ -557,53 +543,42 @@ def _row_sets(G):
 
 @pytest.mark.parametrize("spec", ROW_SPECS)
 def test_row_built_irreps_equal_the_whole_rows(spec):
-    # cyclic and wreath irreps evaluate only these elements, the others are
-    # built whole and sliced; either way each row is the whole one's
+    # cyclic and wreath irreps evaluate only the rows read, the others hold
+    # their whole stacks; either way each row is the whole stack's
     G = make_group(spec)
     whole = irreps_for(G)
     for xs in _row_sets(G):
-        rows = irreps_for(G, elements=xs)
-        assert [r.label for r in rows] == [r.label for r in whole]
-        for w, r in zip(whole, rows):
-            assert r.elements.tolist() == sorted(set(xs))
-            assert r.at(r.elements).dtype == w.mats.dtype
+        fresh = irreps_for(G)
+        assert [r.label for r in fresh] == [r.label for r in whole]
+        for w, r in zip(whole, fresh):
+            assert r.at(xs).dtype == w.mats.dtype
             assert np.array_equal(r.at(xs), w.mats[xs]), r.label
             assert np.array_equal(r.character_at(xs), w.character()[xs])
-            assert np.array_equal(r.at(xs), w.at(xs))
-            assert np.array_equal(r.character_at(xs), w.character_at(xs))
             x = xs[-1]
             assert r.character_at(x) == w.character()[x]
             assert np.array_equal(r.at(x), w.mats[x])
-            assert np.array_equal(r.at(tuple(xs)), w.at(tuple(xs)))
+            assert np.array_equal(r.at(tuple(xs)), w.mats[xs])
+            assert np.array_equal(r.character_at(tuple(xs)),
+                                  w.character()[xs])
+            with pytest.raises(IndexError):
+                r.at([G.identity, G.order])
 
 
-def test_irrep_on_every_element_is_whole():
-    G = make_group("cyclic:2")
-    rows = irreps_for(G, elements=[1, 0, 1])
-    assert all(r.elements is None for r in rows)
-    assert np.array_equal(rows[1].mats, irreps_cyclic(2)[1].mats)
-
-
-def test_whole_group_readers_refuse_a_row_built_irrep():
-    from hspsim.chartable import CharacterTable
-    from hspsim.fourier import factor_stack, qft
-    from hspsim.simulate import lemma_suite
-    G = make_group("wreath:2")
-    h = G.default_involution()
-    rows = irreps_for(G, elements=[G.identity, *G.class_of(h)])
-    rho = rows[-1]
-    whole = "built on 3 of the 8 elements"
-    for read in (lambda: rho.mats, rho.character,
-                 lambda: hom_unitarity_error(rho),
-                 lambda: schur_orthogonality_error(G, rows),
-                 lambda: qft(G, rows), lambda: factor_stack(G, [rho, 2]),
-                 lambda: CharacterTable.from_irreps(G, rows),
-                 lambda: lemma_suite(G, rows, h, 1, 0.2)):
-        with pytest.raises(ValueError, match=whole):
+@pytest.mark.parametrize("spec", ["cyclic:3", "wreath:2"])
+def test_rows_of_another_degree_than_listed_raise_when_read(monkeypatch,
+                                                            spec):
+    # the listing and the construction cannot drift apart: a row function
+    # whose rows are not of the listed degree raises on its first read
+    G = make_group(spec)
+    labels, degrees = explicit_degrees(G)
+    listed = irrmod.explicit_degrees  # wreath's S_n base irreps keep theirs
+    monkeypatch.setattr(irrmod, "explicit_degrees", lambda group: (
+        (labels, [d + 1 for d in degrees]) if type(group) is type(G)
+        else listed(group)))
+    rho = irreps_for(G)[-1]
+    assert rho.degree == degrees[-1] + 1
+    for read in (lambda: rho.at(G.identity), lambda: rho.character_at([0, 1]),
+                 lambda: rho.mats, rho.character):
+        with pytest.raises(RuntimeError, match="differs from its listed "
+                                               f"degree {rho.degree}"):
             read()
-    outside = next(x for x in range(G.order) if x not in rho.elements)
-    for read in (rho.at, rho.character_at):
-        with pytest.raises(ValueError, match="not built on every element"):
-            read([G.identity, outside])
-    with pytest.raises(ValueError, match="ids in 0..7"):
-        irreps_for(G, elements=[0, 8])

@@ -647,19 +647,19 @@ def test_avg_tv_same_from_cold_and_warm_bases_store():
 @pytest.mark.parametrize("spec", ["cyclic:12", "wreath:3", "psl2:5",
                                   "dihedral:4"])
 def test_sampling_bit_identical_on_row_built_irreps(spec, k):
-    # simulate builds its irreps on e and the class of h only; each reader
-    # it runs gives the whole irreps' bits
+    # sampling reads fresh irreps at e and the class of h only; each reader
+    # it runs gives the bits of irreps whose whole stacks were read first
     from hspsim.bounds import params_from_irreps
     G = make_group(spec)
     h = G.default_involution()
     whole = irreps_for(G)
-    rows = irreps_for(G, elements=[G.identity, *G.class_of(h)])
-    assert all(len(r.elements) == 1 + len(G.class_of(h)) for r in rows)
-    assert (avg_tv_over_conjugates(RegisterSpace(G, rows, k, seed=4), h)
+    assert all(r.mats.shape[0] == G.order for r in whole)
+    fresh = irreps_for(G)
+    assert (avg_tv_over_conjugates(RegisterSpace(G, fresh, k, seed=4), h)
             == avg_tv_over_conjugates(RegisterSpace(G, whole, k, seed=4), h))
-    assert (mixed_conjugate_trace_distance(G, rows, h, 2)
+    assert (mixed_conjugate_trace_distance(G, fresh, h, 2)
             == mixed_conjugate_trace_distance(G, whole, h, 2))
-    assert (params_from_irreps(G, rows, h, 0.2)
+    assert (params_from_irreps(G, fresh, h, 0.2)
             == params_from_irreps(G, whole, h, 0.2))
 
 
