@@ -6,10 +6,16 @@ import io
 
 import numpy as np
 
-from .irreps import (canonical_sort, character_key, has_explicit_irreps,
-                     irreps_for)
+from .irreps import canonical_order, has_explicit_irreps, irreps_for
 from .util import fmt_complex, require
 
+# Peak bytes per |G|^2 entry of an explicit table and its export text: the
+# VmHWM of chartable --group cyclic:N above the interpreter's 33 MB was 97
+# bytes per entry in csv (N = 1000, 1500, 2000) and 325 in json (N = 1000,
+# 1500), whose strings and text chunks are most of it.  Charged with 8 % and
+# 5 % margin, they admit cyclic:2896 and cyclic:1609; under a 1 GiB address
+# limit json ran at cyclic:1700 (949 MB) and failed at 1750.
+TABLE_ENTRY_BYTES = {"csv": 105, "json": 340}
 # class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
 # distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
 ROW_MATCH_TOL = 1e-8
@@ -31,11 +37,11 @@ class CharacterTable:
 
     @classmethod
     def from_irreps(cls, group, irreps):
-        irreps = canonical_sort(group, irreps)
         reps = [c[0] for c in group.conjugacy_classes()]
         values = np.array([r.character()[reps] for r in irreps])
-        return cls(group, [r.label for r in irreps],
-                   [r.degree for r in irreps], values)
+        order = canonical_order([r.degree for r in irreps], values)
+        return cls(group, [irreps[i].label for i in order],
+                   [irreps[i].degree for i in order], values[order])
 
     def column_of(self, x):
         """The column of the class holding x."""
@@ -134,29 +140,29 @@ def character_table_numeric(group, seed=0):
         if not ok:
             last = "eigenvector did not normalize to a character"
             continue
-        rows.sort(key=lambda t: character_key(*t))
+        degrees = np.array([d for d, _ in rows])
         values = np.array([chi for _, chi in rows])
+        order = canonical_order(degrees, values)
         tab = CharacterTable(G, [f"rho{i}" for i in range(r)],
-                             [d for d, _ in rows], values)
+                             degrees[order], values[order])
         if tab.row_orthogonality_error() < 1e-8 and tab.column_orthogonality_error() < 1e-8:
             return tab
         last = "orthogonality check failed"
     raise RuntimeError(f"class-sum character table failed: {last}")
 
 
-def best_character_table(group, seed=0):
+def best_character_table(group, seed=0, export="csv"):
     """Character table with the most informative labels available.
 
     Groups with explicit irreps (see irreps.has_explicit_irreps) get
-    their labelled rows; the rest get the purely numeric class-sum table
-    with rho<i> labels.
+    their labelled rows, refused past TABLE_ENTRY_BYTES[export] per entry;
+    the rest get the purely numeric class-sum table with rho<i> labels.
     """
     if not has_explicit_irreps(group):
         return character_table_numeric(group, seed=seed)
-    # about 170 bytes per |G|^2 entry at the peak: the irreps, characters,
-    # sort keys and CSV text (chartable --group cyclic:2193 peaked at 806 MB)
     require(f"character table of the {group.kind} group of order "
-            f"{group.order}", bytes=170 * group.order ** 2)
+            f"{group.order}",
+            bytes=TABLE_ENTRY_BYTES[export] * group.order ** 2)
     return CharacterTable.from_irreps(group, irreps_for(group))
 
 

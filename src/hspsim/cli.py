@@ -9,7 +9,12 @@ accepted and validated, and change nothing.
 
 Each flag's range is declared with it (IntFlag, finite_nonneg_float), so
 argparse refuses a value out of range, naming the flag, before any command
-runs; only the power family's --n limit, set by the base group, is not.
+runs.  Each bound family and verify suite reads only the flags that
+BOUND_FAMILIES or VERIFY_SUITES declare for it, with their defaults and the
+ranges that hold only there; any other flag of the subcommand, or a value
+out of such a range, is a usage error naming the family or suite, raised
+before anything is built.  Only the power family's --n limit, set by the
+base group, waits for the group.
 
 Exit codes: 0 success; 1 a verify check failed; 2 a family corollary does
 not apply to the given parameters; 64 usage or parse error (any other
@@ -24,6 +29,7 @@ import math
 import os
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,14 +127,14 @@ def build_parser():
                        default=fmt_default)
         p.add_argument("--out", help="output path (default stdout)")
 
-    b = sub.add_parser("bound", parents=[], help="closed-form bound report")
-    b.add_argument("--family", required=True,
-                   choices=["wreath", "psl2", "power", "gl", "group"])
+    # bound and verify flags default to None here: the family or suite that
+    # reads a flag gives its default (BOUND_FAMILIES, VERIFY_SUITES)
+    b = sub.add_parser("bound", help="closed-form bound report")
+    b.add_argument("--family", required=True, choices=list(BOUND_FAMILIES))
     b.add_argument("--n", type=IntFlag(), help="family size (wreath/power/gl)")
     b.add_argument("--q", type=IntFlag(), help="field size (psl2)")
     b.add_argument("--p", type=IntFlag(), help="characteristic (gl)")
-    b.add_argument("--m", type=IntFlag(lo=1), default=1,
-                   help="field extension (gl)")
+    b.add_argument("--m", type=IntFlag(lo=1), help="field extension (gl)")
     b.add_argument("--c", type=IntFlag(),
                    help="tail split parameter (power; default: search 2..16)")
     b.add_argument("--group", help="group spec (power base / group family)")
@@ -137,10 +143,9 @@ def build_parser():
     b.add_argument("--epsilon", type=finite_nonneg_float,
                    help="cutoff (default: canonical per family, else 0.2)")
     # 2^k passes the float range at k = 1024
-    b.add_argument("--k-max", dest="k_max", type=IntFlag(hi=1023), default=8)
-    b.add_argument("--t", type=IntFlag(lo=1), default=1,
-                   help="number of states")
-    b.add_argument("--threshold", type=finite_nonneg_float, default=1 / 3)
+    b.add_argument("--k-max", dest="k_max", type=IntFlag(hi=1023))
+    b.add_argument("--t", type=IntFlag(lo=1), help="number of states")
+    b.add_argument("--threshold", type=finite_nonneg_float)
     common(b)
 
     s = sub.add_parser("simulate", help="exact sampling distributions")
@@ -158,14 +163,13 @@ def build_parser():
     common(s)
 
     v = sub.add_parser("verify", help="named check suites")
-    v.add_argument("--suite", required=True,
-                   choices=["facts", "lemmas", "tables"])
+    v.add_argument("--suite", required=True, choices=list(VERIFY_SUITES))
     v.add_argument("--group", required=True)
     v.add_argument("--h")
-    v.add_argument("--k", type=IntFlag(lo=1), default=1)
+    v.add_argument("--k", type=IntFlag(lo=1))
     v.add_argument("--frame-kind", dest="frame_kind",
-                   choices=["basis", "fused"], default="basis")
-    v.add_argument("--epsilon", type=finite_nonneg_float, default=0.2)
+                   choices=["basis", "fused"])
+    v.add_argument("--epsilon", type=finite_nonneg_float)
     common(v)
 
     c = sub.add_parser("chartable", help="character table export")
@@ -184,6 +188,62 @@ def resolve_h(group, text):
     if x == group.identity or group.compose(x, x) != group.identity:
         raise UsageError(f"element {text!r} is not an involution")
     return x
+
+
+REQUIRED = object()  # the default of a flag its family or suite needs
+
+
+class Reads(NamedTuple):
+    """What one bound family or verify suite reads: its flags, as
+    {dest: default or REQUIRED}; the ranges that hold only there, as
+    {dest: an argparse type}; and run(args), which builds and reports."""
+    run: Callable
+    flags: dict
+    ranges: dict
+
+
+def positive(value):
+    """A family range: above 0."""
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def flag_names(dests, sep=", "):
+    return sep.join("--" + dest.replace("_", "-") for dest in dests)
+
+
+def declared(args, option, name, table):
+    """The runner of table[name], the entry that args' option names, with
+    the entry's defaults filled in.
+
+    A flag given that only other entries read, a required flag missing or
+    a value outside the entry's ranges is a UsageError naming the entry,
+    raised before anything is built.
+    """
+    where, reads = f"{option} {name}", table[name]
+    others = {d for entry in table.values() for d in entry.flags} \
+        - set(reads.flags)
+    refused = [dest for dest, value in vars(args).items()
+               if value is not None and dest in others]
+    if refused:
+        raise UsageError(f"{where} does not read {flag_names(refused)}" + (
+            f" (it reads {flag_names(reads.flags)})" if reads.flags else ""))
+    need = [dest for dest, default in reads.flags.items()
+            if default is REQUIRED]
+    if any(getattr(args, dest) is None for dest in need):
+        raise UsageError(f"{where} requires {flag_names(need, ' and ')}")
+    for dest, check in reads.ranges.items():
+        if getattr(args, dest) is not None:
+            try:
+                check(getattr(args, dest))
+            except argparse.ArgumentTypeError as e:
+                raise UsageError(
+                    f"{where}: argument {flag_names([dest])}: {e}")
+    for dest, default in reads.flags.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    return reads.run
 
 
 def check_threads_env():
@@ -258,62 +318,80 @@ def write_output(text, out):
 # ---------------------------------------------------------------------------
 # bound
 
-FAMILY_FLAGS = {"wreath": ("n",), "psl2": ("q",), "power": ("group", "n"),
-                "gl": ("n", "p"), "group": ("group",)}
+def _wreath(args):
+    return f"wreath:{args.n}", bounds.wreath_bound(
+        args.n, eps=args.epsilon, t=args.t, threshold=args.threshold,
+        k_max=args.k_max)
+
+
+def _psl2(args):
+    return f"psl2:{args.q}", bounds.psl_bound(
+        args.q, eps=args.epsilon, t=args.t, threshold=args.threshold,
+        k_max=args.k_max)
+
+
+def _power(args):
+    base = make_group(args.group)
+    h = resolve_h(base, args.h)
+    # the report holds |G|^n as a float; log rounds up at |G| = 2
+    n_max = int(math.log(sys.float_info.max, base.order))
+    n_max -= base.order ** n_max > sys.float_info.max
+    if args.n > n_max:
+        raise UsageError(f"argument --n: must be at most {n_max} for "
+                         f"{spec_of(base)}, got {args.n}")
+    return f"power:{spec_of(base)}^{args.n}", bounds.direct_power_bound(
+        base, h, args.n, c=args.c, t=args.t, threshold=args.threshold,
+        k_max=args.k_max)
+
+
+def _gl(args):
+    return (f"gl({args.n},{args.p}^{args.m})",
+            bounds.gl_bound(args.n, args.p, args.m))
+
+
+def _group(args):
+    G = make_group(args.group)
+    h = resolve_h(G, args.h)
+    # the bound reads only degrees and chi(h): without explicit irreps,
+    # the class-sum table holds them, and no irrep matrix is built.  Its
+    # r^3 class constants can be refused where the numeric irreps'
+    # |G|^2 fit (power:z2^9, 512 classes), so those build the irreps.
+    table = None
+    if not irrmod.has_explicit_irreps(G):
+        try:
+            table = character_table_numeric(G, seed=args.seed)
+        except ResourceCap:
+            pass
+    if table is not None:
+        bp = bounds.params_from_table(table, h, args.epsilon)
+    else:
+        bp = bounds.params_from_irreps(
+            G, irrmod.irreps_for(G, seed=args.seed), h, args.epsilon)
+    return spec_of(G), bounds.group_report(
+        G, h, bp, t=args.t, threshold=args.threshold, k_max=args.k_max)
+
+
+# the flags of bounds.family_report's k scan
+K_SCAN = {"t": 1, "threshold": bounds.DEFAULT_THRESHOLD,
+          "k_max": bounds.DEFAULT_K_MAX}
+BOUND_FAMILIES = {
+    "wreath": Reads(_wreath, {"n": REQUIRED, "epsilon": None, **K_SCAN},
+                    {"n": IntFlag(2, bounds.WREATH_MAX_N),
+                     "epsilon": positive}),
+    "psl2": Reads(_psl2, {"q": REQUIRED, "epsilon": None, **K_SCAN}, {}),
+    "power": Reads(_power, {"group": REQUIRED, "n": REQUIRED, "h": None,
+                            "c": None, **K_SCAN},
+                   {"n": IntFlag(lo=1), "c": IntFlag(lo=1)}),
+    "gl": Reads(_gl, {"n": REQUIRED, "p": REQUIRED, "m": 1},
+                {"n": IntFlag(lo=2)}),
+    "group": Reads(_group, {"group": REQUIRED, "h": None, "epsilon": 0.2,
+                            **K_SCAN}, {}),
+}
 
 
 def cmd_bound(args):
-    t = args.t
-    need = FAMILY_FLAGS[args.family]
-    if any(getattr(args, name) is None for name in need):
-        raise UsageError(f"--family {args.family} requires "
-                         + " and ".join(f"--{name}" for name in need))
-    if args.family == "wreath":
-        rep = bounds.wreath_bound(args.n, eps=args.epsilon, t=t,
-                                  threshold=args.threshold, k_max=args.k_max)
-        spec = f"wreath:{args.n}"
-    elif args.family == "psl2":
-        rep = bounds.psl_bound(args.q, eps=args.epsilon, t=t,
-                               threshold=args.threshold, k_max=args.k_max)
-        spec = f"psl2:{args.q}"
-    elif args.family == "power":
-        base = make_group(args.group)
-        h = resolve_h(base, args.h)
-        # the report holds |G|^n as a float; log rounds up at |G| = 2
-        n_max = int(math.log(sys.float_info.max, base.order))
-        n_max -= base.order ** n_max > sys.float_info.max
-        if args.n > n_max:
-            raise UsageError(f"argument --n: must be at most {n_max} for "
-                             f"{spec_of(base)}, got {args.n}")
-        rep = bounds.direct_power_bound(base, h, args.n, c=args.c, t=t,
-                                        threshold=args.threshold,
-                                        k_max=args.k_max)
-        spec = f"power:{spec_of(base)}^{args.n}"
-    elif args.family == "gl":
-        rep = bounds.gl_bound(args.n, args.p, args.m)
-        spec = f"gl({args.n},{args.p}^{args.m})"
-    else:  # generic group family
-        G = make_group(args.group)
-        h = resolve_h(G, args.h)
-        eps = args.epsilon if args.epsilon is not None else 0.2
-        # the bound reads only degrees and chi(h): without explicit irreps,
-        # the class-sum table holds them, and no irrep matrix is built.  Its
-        # r^3 class constants can be refused where the numeric irreps'
-        # |G|^2 fit (power:z2^9, 512 classes), so those build the irreps.
-        table = None
-        if not irrmod.has_explicit_irreps(G):
-            try:
-                table = character_table_numeric(G, seed=args.seed)
-            except ResourceCap:
-                pass
-        if table is not None:
-            bp = bounds.params_from_table(table, h, eps)
-        else:
-            bp = bounds.params_from_irreps(
-                G, irrmod.irreps_for(G, seed=args.seed), h, eps)
-        rep = bounds.group_report(G, h, bp, t=t, threshold=args.threshold,
-                                  k_max=args.k_max)
-        spec = spec_of(G)
+    spec, rep = declared(args, "--family", args.family,
+                         BOUND_FAMILIES)(args)
     report = {"header": make_header(args.seed, spec), **rep}
     write_output(render_report(report, args.format), args.out)
     return EX_OK
@@ -521,11 +599,18 @@ def _suite_tables(G, args):
     return checks
 
 
+VERIFY_SUITES = {
+    "facts": Reads(_suite_facts, {}, {}),
+    "lemmas": Reads(_suite_lemmas, {"h": None, "k": 1, "frame_kind": "basis",
+                                    "epsilon": 0.2}, {}),
+    "tables": Reads(_suite_tables, {}, {}),
+}
+
+
 def cmd_verify(args):
+    suite = declared(args, "--suite", args.suite, VERIFY_SUITES)
     G = make_group(args.group)
-    suites = {"facts": _suite_facts, "lemmas": _suite_lemmas,
-              "tables": _suite_tables}
-    checks = suites[args.suite](G, args)
+    checks = suite(G, args)
     n_fail = sum(1 for c in checks if c["status"] == "FAIL")
     report = {
         "header": make_header(args.seed, spec_of(G)),
@@ -544,7 +629,8 @@ def cmd_verify(args):
 
 def cmd_chartable(args):
     G = make_group(args.group)
-    table = best_character_table(G, seed=args.seed)
+    table = best_character_table(
+        G, seed=args.seed, export="json" if args.format == "json" else "csv")
     if args.format == "json":
         report = {"header": make_header(args.seed, spec_of(G)),
                   "table": table.to_json_obj()}

@@ -565,22 +565,23 @@ def _dedupe(pieces):
 # canonical ordering
 
 def canonical_sort(group, irreps):
-    """Sort by degree, then by character vector (descending lex).
-
-    Characters are compared at class representatives with classes ordered by
-    (size, smallest member); values are rounded so float noise cannot flip
-    the order.  Descending lex puts the trivial character first.
-    """
+    """The irreps in canonical_order of their characters at the class
+    representatives, with classes ordered by (size, smallest member)."""
     reps = [c[0] for c in group.conjugacy_classes()]
-    return sorted(irreps,
-                  key=lambda rho: character_key(rho.degree,
-                                                rho.character()[reps]))
+    order = canonical_order([rho.degree for rho in irreps],
+                            np.array([rho.character()[reps] for rho in irreps]))
+    return [irreps[i] for i in order]
 
 
-def character_key(degree, chi):
-    """Sort key of a character table row: the degree, then the values at the
-    class representatives, descending lex and rounded to 8 places."""
-    return (degree, tuple((-round(z.real, 8), -round(z.imag, 8)) for z in chi))
+def canonical_order(degrees, values):
+    """The row order of a character table: by degree, then by the values
+    (one row of class values each), descending lex with the real part
+    before the imaginary, so the trivial character comes first.  Values
+    are rounded to 8 places, so float noise cannot flip the order, and
+    ties keep their order.  np.lexsort compares its last key first."""
+    parts = np.stack([values.real, values.imag], axis=-1)
+    keys = -np.round(parts.reshape(len(values), -1), 8)
+    return np.lexsort((*keys.T[::-1], degrees))
 
 
 def has_explicit_irreps(group):

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import pytest
 
 from hspsim import bounds, cli, simulate
 from hspsim import irreps as irrmod
-from hspsim.chartable import CharacterTable, best_character_table
+from hspsim.chartable import (TABLE_ENTRY_BYTES, CharacterTable,
+                              best_character_table)
 from hspsim.groups import FiniteGroup, make_group
 from hspsim.util import MEMORY_LIMIT, STEP_WORK, WORK_LIMIT, ResourceCap
 
@@ -289,27 +291,36 @@ def test_z20000_chartable_refused_before_allocating():
 
 
 def test_cyclic_5000_chartable_refused_in_1gib():
-    # about 170 bytes per |G|^2 entry is 4.25 GB; before the cap it died with
-    # a traceback after about 60 s
+    # 105 bytes per |G|^2 entry in csv is 2.6 GB; before the cap it died
+    # with a traceback after about 60 s
     proc = _cli_under_1gib("chartable", "--group", "cyclic:5000")
     assert proc.returncode == 69, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
         "hspsim chartable: resource cap: character table of the cyclic "
-        "group of order 5000 needs 4.25e+09 bytes (limit 8.81e+08)\n")
+        "group of order 5000 needs 2.62e+09 bytes (limit 8.81e+08)\n")
 
 
 def test_explicit_table_cap_admits_cyclic_2000(monkeypatch):
-    # 170 bytes per entry (cyclic:2193 peaked at 806 MB); the cyclic:2276
-    # table takes about 90 s, so only the refused side runs here
-    assert 170 * 2276 ** 2 <= MEMORY_LIMIT < 170 * 2277 ** 2
+    # TABLE_ENTRY_BYTES admits cyclic:2896 in csv and cyclic:1609 in json,
+    # each measured to run in a 1 GiB child (22 s and 10 s, so only the
+    # refused side runs here); at 170 bytes per entry in every format,
+    # cyclic:2000 to 2276 were admitted in json and died with a MemoryError
+    for export, largest in (("csv", 2896), ("json", 1609)):
+        per_entry = TABLE_ENTRY_BYTES[export]
+        assert per_entry * largest ** 2 <= MEMORY_LIMIT \
+            < per_entry * (largest + 1) ** 2
 
     def built(n):
         raise AssertionError("irreps built")
 
     monkeypatch.setattr(irrmod, "irreps_cyclic", built)
-    with pytest.raises(ResourceCap, match="order 2277 needs 8.81e"):
-        best_character_table(make_group("cyclic:2277"))
+    with pytest.raises(ResourceCap, match="order 2897 needs 8.81e"):
+        best_character_table(make_group("cyclic:2897"))
+    with pytest.raises(ResourceCap, match="order 1610 needs 8.81e"):
+        best_character_table(make_group("cyclic:1610"), export="json")
+    assert cli.main(["chartable", "--group", "cyclic:1610",
+                     "--format", "json"]) == 69
 
 
 def test_dihedral_1000_chartable_refused_in_1gib():
@@ -862,10 +873,14 @@ def _args_attrs(node):
 
 def test_every_declared_flag_is_read():
     # a flag that changes nothing should not be accepted: each is read as
-    # args.<dest> by its command's handler (or a cli function it names,
-    # transitively), or by main itself
-    funcs = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
+    # args.<dest> by its command's handler (or a cli function or table it
+    # names, transitively), or by main itself; and each flag that a bound
+    # family or verify suite declares is read by that entry's runner
+    body = ast.parse(inspect.getsource(cli)).body
+    funcs = {node.name: node for node in body
              if isinstance(node, ast.FunctionDef)}
+    funcs.update({t.id: node for node in body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)})
 
     def reached(name, seen):
         seen.add(name)
@@ -875,13 +890,104 @@ def test_every_declared_flag_is_read():
                 reached(node.id, seen)
         return seen
 
+    def read_from(name):
+        return set().union(*map(_args_attrs, map(funcs.get,
+                                                 reached(name, set()))))
+
     unread = []
     for command, parser in _subparsers().items():
-        read = _args_attrs(funcs["main"]).union(
-            *(_args_attrs(funcs[f]) for f in reached(f"cmd_{command}", set())))
+        read = _args_attrs(funcs["main"]) | read_from(f"cmd_{command}")
         unread += [f"{command} {name}" for name, a in _flags(parser).items()
                    if a.dest not in read]
+    for table in (cli.BOUND_FAMILIES, cli.VERIFY_SUITES):
+        for name, reads in table.items():
+            read = read_from(reads.run.__name__)
+            unread += [f"{name} {dest}" for dest in reads.flags
+                       if dest not in read]
     assert unread == []
+
+
+# every subcommand reads these, whatever its family or suite
+COMMON_FLAGS = {"--seed", "--threads", "--format", "--out"}
+# a valid value for each flag a bound family or verify suite reads
+FLAG_VALUES = {"--n": "3", "--q": "5", "--p": "2", "--m": "1", "--c": "2",
+               "--group": "s4", "--h": "(1 2)", "--epsilon": "0.3",
+               "--k-max": "2", "--t": "1", "--threshold": "0.3", "--k": "1",
+               "--frame-kind": "basis"}
+ENTRIES = [(command, option, name, table)
+           for command, option, table in (
+               ("bound", "--family", cli.BOUND_FAMILIES),
+               ("verify", "--suite", cli.VERIFY_SUITES))
+           for name in table]
+
+
+@pytest.mark.parametrize("command, option, name, table", ENTRIES,
+                         ids=[f"{c} {n}" for c, _, n, _ in ENTRIES])
+def test_each_family_and_suite_refuses_the_flags_it_does_not_read(
+        capsys, monkeypatch, command, option, name, table):
+    # given with valid values, the flags the entry reads are accepted ...
+    reads = [cli.flag_names([dest]) for dest in table[name].flags]
+    argv = [command, option, name] + ["--group", "s4"] * (command == "verify")
+    argv += [x for flag in reads for x in (flag, FLAG_VALUES[flag])]
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    # ... and every other flag of the subcommand is refused, exit 64, each
+    # alone and all at once, before any group is built
+    unread = [flag for flag, a in _flags(_subparsers()[command]).items()
+              if flag not in COMMON_FLAGS | {option, *reads} and not a.required]
+    monkeypatch.setattr(cli, "make_group", None)
+    for given in [[flag] for flag in unread] + ([unread] if unread else []):
+        rc, out, err = run_cli(capsys, argv + [
+            x for flag in given for x in (flag, FLAG_VALUES[flag])])
+        assert (rc, out) == (64, "")
+        read = f" (it reads {', '.join(reads)})" if reads else ""
+        assert err == (f"hspsim {command}: error: {option} {name} does not "
+                       f"read {', '.join(given)}{read}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("bound --family gl --n 6 --p 2 --epsilon 5 --c 3 --h x",
+     "--family gl does not read --c, --h, --epsilon (it reads --n, --p, "
+     "--m)"),
+    ("bound --family power --group s4 --h '(1 2)' --n 10 --epsilon 0.3",
+     "--family power does not read --epsilon (it reads --group, --n, --h, "
+     "--c, --t, --threshold, --k-max)"),
+    ("verify --suite facts --group s3 --k 5 --epsilon 3",
+     "--suite facts does not read --k, --epsilon"),
+    ("bound --family power --group s4 --n 0",
+     "--family power: argument --n: must be at least 1, got 0"),
+    ("bound --family power --group s4 --n 3 --c 0",
+     "--family power: argument --c: must be at least 1, got 0"),
+    ("bound --family gl --n 1 --p 2",
+     "--family gl: argument --n: must be at least 2, got 1"),
+    ("bound --family wreath --n 1",
+     "--family wreath: argument --n: must be at least 2, got 1"),
+    ("bound --family wreath --n 41",
+     "--family wreath: argument --n: must be at most 40, got 41"),
+    ("bound --family wreath --n 3 --epsilon 0",
+     "--family wreath: argument --epsilon: must be > 0, got 0.0"),
+    ("bound --family power --n 3",
+     "--family power requires --group and --n"),
+], ids=["gl-ignored", "power-epsilon", "facts-ignored", "power-n0",
+        "power-c0", "gl-n1", "wreath-n1", "wreath-n41", "wreath-epsilon0",
+        "power-required"])
+def test_family_and_suite_refusals_name_the_entry(capsys, monkeypatch, argv,
+                                                  err):
+    # refused before any group is built
+    monkeypatch.setattr(cli, "make_group", None)
+    argv = shlex.split(argv)
+    rc, out, got = run_cli(capsys, argv)
+    assert (rc, out, got) == (64, "", f"hspsim {argv[0]}: error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "--family power --group s4 --h '(1 2)' --n 1", "--family power --group "
+    "s4 --h '(1 2)' --n 3 --c 1", "--family gl --n 2 --p 2",
+    "--family wreath --n 2", "--family wreath --n 40",
+    "--family wreath --n 3 --epsilon 1e-3"])
+def test_family_ranges_admit_their_edges(capsys, argv):
+    rc, _, err = run_cli(capsys, ["bound", *shlex.split(argv)])
+    assert rc == 0, err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

@@ -1,9 +1,10 @@
 """Property over the command-line grammar: every argument vector ends in a
 known exit code, and nothing is raised.
 
-Arguments are drawn from every subcommand and the flags its parser declares,
-small group specs (order at most 72) and malformed ones, and flag values
-from a fixed set of edge cases.
+Arguments are drawn from every subcommand and the flags its parser declares
+(for bound and verify, mostly those its family or suite reads, as cli's
+tables declare them), small group specs (order at most 72) and malformed
+ones, and flag values from a fixed set of edge cases.
 Exit codes: 0, 1 (a verify check failed), 2 (corollary inapplicable),
 64 (usage) and 69 (resource refusal).
 """
@@ -50,10 +51,23 @@ SUBPARSERS = next(a for a in cli.build_parser()._actions
 FLAGS = {command: sorted(a.option_strings[-1] for a in parser._actions
                          if a.option_strings[-1] not in UNDRAWN)
          for command, parser in SUBPARSERS.items()}
-# drawn nine times in ten: the flags a subcommand or a bound family needs
-LIKELY = {f"--{name}" for need in cli.FAMILY_FLAGS.values() for name in need}
-LIKELY |= {a.option_strings[-1] for parser in SUBPARSERS.values()
-           for a in parser._actions if a.required}
+# the flags a subcommand needs
+REQUIRED = {command: {a.option_strings[-1] for a in parser._actions
+                      if a.required}
+            for command, parser in SUBPARSERS.items()}
+
+
+def _table(option, table):
+    """(option, {entry: the flags it reads}, {entry: the flags it needs})
+    of a bound family or verify suite table of cli."""
+    return (option,
+            {name: {cli.flag_names([d]) for d in r.flags} for name, r in table.items()},
+            {name: {cli.flag_names([d]) for d, default in r.flags.items()
+                    if default is cli.REQUIRED} for name, r in table.items()})
+
+
+TABLES = {"bound": _table("--family", cli.BOUND_FAMILIES),
+          "verify": _table("--suite", cli.VERIFY_SUITES)}
 
 
 def test_every_pool_belongs_to_a_declared_flag():
@@ -68,12 +82,22 @@ def _pool(values):
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
-    likely = [n for n in FLAGS[command] if n in LIKELY]
-    names = [n for n in likely if draw(st.integers(0, 9))]
-    names += draw(st.lists(st.sampled_from([n for n in FLAGS[command]
-                                            if n not in LIKELY]),
+    argv, flags, likely = [command], FLAGS[command], REQUIRED[command]
+    if command in TABLES:
+        # the family or suite first, then mostly the flags it reads
+        option, reads, needs = TABLES[command]
+        entry = draw(st.sampled_from(sorted(reads)))
+        if draw(st.integers(0, 9)):
+            argv += [option, entry]
+        unread = set().union(*reads.values()) - reads[entry]
+        flags = [n for n in flags if n != option
+                 and (n not in unread or not draw(st.integers(0, 9)))]
+        likely = likely | needs[entry]
+    # drawn nine times in ten: the flags the subcommand or entry needs
+    names = [n for n in flags if n in likely and draw(st.integers(0, 9))]
+    names += draw(st.lists(st.sampled_from([n for n in flags
+                                            if n not in likely]),
                            unique=True, max_size=4))
-    argv = [command]
     for name in names:
         pool = POOLS[name]
         if pool is GROUPS:

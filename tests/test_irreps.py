@@ -12,7 +12,8 @@ from hspsim.groups import (
     make_group,
 )
 from hspsim.irreps import (
-    PRUNE_MAX_N, Irrep, canonical_sort, explicit_degrees, hook_length_degree,
+    PRUNE_MAX_N, Irrep, canonical_order, canonical_sort, explicit_degrees,
+    hook_length_degree,
     irreps_cyclic, irreps_for, irreps_generic, irreps_symmetric,
     irreps_wreath, partition_degrees, partition_label, partitions,
     schur_orthogonality_error, standard_tableaux, hom_unitarity_error,
@@ -488,6 +489,51 @@ def test_canonical_sort_trivial_first():
     assert np.abs(reps[0].character() - 1).max() < 1e-12
     # degree ascending
     assert [r.degree for r in reps] == sorted(r.degree for r in reps)
+
+
+def character_key(degree, chi):
+    """The row sort key canonical_order must reproduce: the degree, then
+    the values, descending lex and rounded to 8 places by numpy's round (a
+    numpy scalar's, not Python float's correctly rounded one)."""
+    return (degree, tuple((-round(z.real, 8), -round(z.imag, 8)) for z in chi))
+
+
+def _key_order(degrees, values):
+    return sorted(range(len(degrees)),
+                  key=lambda i: character_key(degrees[i], values[i]))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:6", "s5", "psl2:7",
+                                  "power:s3^2"])
+def test_canonical_order_is_the_tuple_key_order(spec):
+    G = make_group(spec)
+    irr = irreps_for(G)
+    reps = [c[0] for c in G.conjugacy_classes()]
+    # built rows come sorted; a shuffle makes the order do work
+    shuffle = np.random.default_rng(0).permutation(len(irr))
+    values = np.array([irr[i].character()[reps] for i in shuffle])
+    degrees = [irr[i].degree for i in shuffle]
+    assert canonical_order(degrees, values).tolist() \
+        == _key_order(degrees, values)
+
+
+def test_canonical_order_on_ties_signed_zeros_and_rounding_edges():
+    # values that round to +-0, that sit at the 8th decimal's rounding
+    # edge, or that differ only past it; rows repeat, so ties keep order
+    edges = np.array([0.0, -0.0, 1e-9, -1e-9, 5e-9, -5e-9, 4.9999999e-9,
+                      1.5e-8, -1.5e-8, 2.5e-8, 0.123456785, -0.123456785,
+                      0.123456775, 0.1234567850001, 1.0, -1.0, 1 + 5e-9,
+                      1 - 5e-9, 1 + 4e-9])
+    rng = np.random.default_rng(1)
+    values = np.empty((400, 3), dtype=np.complex128)
+    values.real = rng.choice(edges, values.shape)
+    values.imag = rng.choice(edges, values.shape)
+    degrees = rng.integers(1, 3, len(values))
+    values[7], degrees[7] = values[3], degrees[3]
+    keys = [character_key(d, chi) for d, chi in zip(degrees, values)]
+    assert len(set(keys)) < len(keys)
+    assert canonical_order(degrees, values).tolist() \
+        == _key_order(degrees, values)
 
 
 def test_irrep_keeps_its_dtype():
