@@ -507,7 +507,7 @@ def gallagher_check(table, h):
     }
 
 
-def direct_power_bound(group, h, n, c=None, t=1, threshold=DEFAULT_THRESHOLD,
+def direct_power_bound(group, h, n, t=1, threshold=DEFAULT_THRESHOLD,
                        k_max=DEFAULT_K_MAX):
     """Report for G^n with hidden subgroup generated by (h, ..., h).
 
@@ -541,7 +541,7 @@ def direct_power_bound(group, h, n, c=None, t=1, threshold=DEFAULT_THRESHOLD,
             sum_d=float(pow_sum_d), s_epsilon_labels=(), d_epsilon=d_eps,
             sum_dchi=d_eps, delta1=eps + d_eps * pow_sum_d / big_order)
 
-    c, tail, bp = max(map(split, range(2, 17) if c is None else [c]),
+    c, tail, bp = max(map(split, range(2, 17)),
                       key=lambda s: k_lower_bound(s[2], t, threshold))
     notes = [
         f"gallagher threshold {gal['threshold']} "

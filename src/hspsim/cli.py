@@ -135,8 +135,6 @@ def build_parser():
     b.add_argument("--q", type=IntFlag(), help="field size (psl2)")
     b.add_argument("--p", type=IntFlag(), help="characteristic (gl)")
     b.add_argument("--m", type=IntFlag(lo=1), help="field extension (gl)")
-    b.add_argument("--c", type=IntFlag(),
-                   help="tail split parameter (power; default: search 2..16)")
     b.add_argument("--group", help="group spec (power base / group family)")
     b.add_argument("--h", help="involution (cycle notation, 'id:<n>', or "
                    "family default)")
@@ -340,8 +338,7 @@ def _power(args):
         raise UsageError(f"argument --n: must be at most {n_max} for "
                          f"{spec_of(base)}, got {args.n}")
     return f"power:{spec_of(base)}^{args.n}", bounds.direct_power_bound(
-        base, h, args.n, c=args.c, t=args.t, threshold=args.threshold,
-        k_max=args.k_max)
+        base, h, args.n, t=args.t, threshold=args.threshold, k_max=args.k_max)
 
 
 def _gl(args):
@@ -380,8 +377,7 @@ BOUND_FAMILIES = {
                      "epsilon": positive}),
     "psl2": Reads(_psl2, {"q": REQUIRED, "epsilon": None, **K_SCAN}, {}),
     "power": Reads(_power, {"group": REQUIRED, "n": REQUIRED, "h": None,
-                            "c": None, **K_SCAN},
-                   {"n": IntFlag(lo=1), "c": IntFlag(lo=1)}),
+                            **K_SCAN}, {"n": IntFlag(lo=1)}),
     "gl": Reads(_gl, {"n": REQUIRED, "p": REQUIRED, "m": 1},
                 {"n": IntFlag(lo=2)}),
     "group": Reads(_group, {"group": REQUIRED, "h": None, "epsilon": 0.2,
@@ -403,23 +399,22 @@ def cmd_bound(args):
 def listed_irreps(G, seed, check, k=1, kind="basis"):
     """G's irreps, built once check(labels, degrees) passes on a listing.
 
-    The listing is explicit_degrees', or for a group without explicit
-    irreps, its class-sum table's when 16 |G|^k bytes (every tuple's frame
-    vectors, never held at once) exceed the memory limit: a route test, run
-    once the numeric irreps' own estimate has passed, that charges nothing.
-    Else the numeric irreps are built first, and list themselves.
+    Irreps that need no estimate of their own list themselves: the explicit
+    constructions, whose rows are evaluated where they are read, and the
+    numeric ones while 16 |G|^k bytes (every tuple's frame vectors, never
+    held at once) fit the memory limit.  Past it, once the numeric irreps'
+    own estimate has passed, the class-sum table lists them before they are
+    built: a route test that charges nothing.
     """
-    listing, irr = irrmod.explicit_degrees(G), None
-    if listing is None:
-        if 16 * simulate.frame_entries(G.order, k, kind) > MEMORY_LIMIT:
-            irrmod.require_numeric_irreps(G)
-            table = best_character_table(G, seed=seed)
-            listing = table.labels, table.degrees
-        else:
-            irr = irrmod.irreps_for(G, seed=seed)
-            listing = [r.label for r in irr], [r.degree for r in irr]
-    check(*listing)
-    return irr or irrmod.irreps_for(G, seed=seed)
+    if irrmod.has_explicit_irreps(G) or \
+            16 * simulate.frame_entries(G.order, k, kind) <= MEMORY_LIMIT:
+        irr = irrmod.irreps_for(G, seed=seed)
+        check([r.label for r in irr], [r.degree for r in irr])
+        return irr
+    irrmod.require_numeric_irreps(G)
+    table = best_character_table(G, seed=seed)
+    check(table.labels, table.degrees)
+    return irrmod.irreps_for(G, seed=seed)
 
 
 def cmd_simulate(args):

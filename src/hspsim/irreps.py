@@ -4,9 +4,11 @@ An irrep's matrices are stacked as a (|G|, d, d) array indexed by element
 id, so group averages become single einsum reductions.  The cyclic and
 wreath constructions evaluate rows where they are read: sampling reads rho
 at e and the class of h only, and each row is bit for bit the whole
-stack's.  Young's orthogonal form and the wreath construction built on it
-are real, and keep float64 stacks, half the bytes of complex ones; roots
-of unity and the numeric decomposition keep complex128.
+stack's.  Each construction gives its irreps their labels and degrees,
+and a command checks its estimates on those before it reads a row.
+Young's orthogonal form and the wreath construction built on it are real,
+and keep float64 stacks, half the bytes of complex ones; roots of unity
+and the numeric decomposition keep complex128.
 """
 from __future__ import annotations
 
@@ -207,11 +209,6 @@ def _partition_counts(n):
     return q
 
 
-def partitions(n):
-    """All partitions of n in descending lexicographic order."""
-    return sorted((lam for lam, _ in partition_degrees(n)[0]), reverse=True)
-
-
 def partition_label(lam):
     return "[" + ",".join(str(k) for k in lam) + "]"
 
@@ -303,21 +300,26 @@ def irreps_symmetric(n):
     gen_ids = [G.from_perm(tuple(range(k - 1)) + (k, k - 1) + tuple(range(k + 1, n)))
                for k in range(1, n)]
 
-    def stacks():
-        for lam in partitions(n):
-            tabs = standard_tableaux(lam)
-            gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
-            yield _extend_over_group(G, gen_ids, gens, len(tabs))
-    return _labelled(G, stacks())
+    out = []
+    for lam, _ in sorted(partition_degrees(n)[0], reverse=True):
+        tabs = standard_tableaux(lam)
+        gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
+        out.append(Irrep(G, partition_label(lam),
+                         _extend_over_group(G, gen_ids, gens, len(tabs))))
+    return out
 
 
 def irreps_cyclic(n):
     """chi_j(x) = exp(2 pi i j x / n), evaluated where it is read."""
+    # n irreps of n complex entries, and as many for their characters
+    # (bound --family group --group cyclic:5480 peaked at 951 MB)
+    require(f"irrep construction for the cyclic group of order {n}",
+            bytes=32 * n * n)
     G = CyclicGroup(n)
 
     def chi(j):
         return lambda ids: np.exp(2j * np.pi * j * ids / n).reshape(-1, 1, 1)
-    return _labelled(G, (chi(j) for j in range(n)))
+    return [Irrep(G, f"chi{j}", chi(j), 1) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +367,13 @@ def irreps_wreath(n):
             return mats
         return rows
 
-    def row_functions():
-        base = [rho.mats for rho in irreps_symmetric(n)]
-        for sign in (1.0, -1.0):
-            yield from (theta(m, sign) for m in base)
-        yield from itertools.starmap(kappa, itertools.combinations(base, 2))
-    return _labelled(W, row_functions())
-
-
-def _labelled(group, builds):
-    """Irreps of the matrix stacks or row functions a builder yields,
-    labelled in order from explicit_degrees(group).  The listing, and any
-    estimate it runs, comes before the first stack or row is built; a count
-    that differs from it is an error, and so are rows of another degree
-    when they are evaluated, so the listing and the construction cannot
-    drift apart."""
-    labels, degrees = explicit_degrees(group)
-    return [Irrep(group, label, mats, degree) for label, degree, mats
-            in zip(labels, degrees, builds, strict=True)]
+    base = irreps_symmetric(n)
+    out = [Irrep(W, tag + rho.label, theta(rho.mats, sign), rho.degree ** 2)
+           for tag, sign in (("theta", 1.0), ("theta'", -1.0))
+           for rho in base]
+    return out + [Irrep(W, f"kappa{a.label}x{b.label}", kappa(a.mats, b.mats),
+                        2 * a.degree * b.degree)
+                  for a, b in itertools.combinations(base, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -591,36 +582,6 @@ def has_explicit_irreps(group):
             or isinstance(group, SymmetricGroup) and group.n <= YOUNG_MAX_N
             or isinstance(group, WreathS2Group)
             and group.n <= WREATH_IRREPS_MAX_N)
-
-
-def explicit_degrees(group):
-    """(labels, degrees) of the group's explicit irreps, in the order their
-    construction builds them, or None when it has none.
-
-    No matrix is built, so a command runs its estimates on this listing
-    before irreps_for builds anything; the cyclic listing is refused as its
-    construction would be.  The builders take their labels from it.
-    """
-    if not has_explicit_irreps(group):
-        return None
-    if isinstance(group, CyclicGroup):
-        # n irreps of n complex entries, and as many for their characters
-        # (bound --family group --group cyclic:5480 peaked at 951 MB)
-        require(f"irrep construction for the cyclic group of order "
-                f"{group.n}", bytes=32 * group.order ** 2)
-        return [f"chi{j}" for j in range(group.n)], [1] * group.n
-    # S_n or S_n wr S_2: one S_n irrep per partition, descending lex
-    pairs = sorted(partition_degrees(group.n)[0], reverse=True)
-    labels = [partition_label(lam) for lam, _ in pairs]
-    degrees = [d for _, d in pairs]
-    if isinstance(group, SymmetricGroup):
-        return labels, degrees
-    # theta and theta' per partition, then kappa per pair of partitions
-    kappas = list(itertools.combinations(zip(labels, degrees), 2))
-    return ([tag + a for tag in ("theta", "theta'") for a in labels]
-            + [f"kappa{a}x{b}" for (a, _), (b, _) in kappas],
-            [d * d for d in degrees] * 2
-            + [2 * da * db for (_, da), (_, db) in kappas])
 
 
 def irreps_for(group, seed=0):

@@ -147,8 +147,8 @@ def _emit(obj, out, level):
 
 
 # Nothing in hspsim calls this: perfbench/spans.py hooks it by name
-# (POOL_TARGET) and reports it missing otherwise.  It goes with spans.py
-# (ROADMAP item 7).
+# (POOL_TARGET) and reports it missing otherwise.  It goes when spans.py
+# drops that hook (ROADMAP item 1).
 def parallel_map(fn, items, threads=1):
     """[fn(x) for x in items]; threads is accepted and ignored."""
     return [fn(x) for x in items]

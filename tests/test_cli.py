@@ -341,6 +341,22 @@ def test_class_constant_cap_admits_479_classes():
     assert 8 * 479 ** 3 <= MEMORY_LIMIT < 8 * 480 ** 3
 
 
+@pytest.mark.parametrize("spec", ["cyclic:12", "wreath:3"])
+def test_explicit_listing_evaluates_no_row(monkeypatch, spec):
+    # the check runs on the built irreps' labels and degrees, and no reader
+    # has evaluated a row of a cyclic or wreath irrep by then
+    def read(*args, **kwargs):
+        raise AssertionError("a row evaluated")
+
+    monkeypatch.setattr(irrmod.Irrep, "at", read)
+    monkeypatch.setattr(irrmod.Irrep, "character_at", read)
+    seen = []
+    irr = cli.listed_irreps(make_group(spec), 0, lambda *listing:
+                            seen.append(listing))
+    assert seen == [([r.label for r in irr], [r.degree for r in irr])]
+    assert all(r._mats is None and r._char is None for r in irr)
+
+
 def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
     def no_check(*args, **kwargs):
         raise AssertionError("irreps built or a check ran")
@@ -374,15 +390,21 @@ def test_cyclic_facts_refused_before_any_check(capsys, monkeypatch):
 ], ids=["wreath4-facts", "cyclic5000-simulate", "cyclic5000-lemmas",
         "psl2:13-lemmas"])
 def test_refused_on_the_irrep_listing(capsys, monkeypatch, argv, err):
-    # refused on explicit_degrees' labels and degrees, or psl2:13's
-    # class-sum table's: the wreath:4 irreps (20 MB), the cyclic:5000 ones
-    # (416 MB over about 2.8 s) and psl2:13's numeric ones (about 3 s) were
-    # built only to be refused
-    def built(*args, **kwargs):
-        raise AssertionError("irreps built")
+    # refused on the labels and degrees of the explicit irreps, whose rows
+    # are evaluated only where they are read, so a 1 GiB child peaks a few
+    # MB above an import-only one (1 MB for wreath:4, 3 MB for cyclic:5000);
+    # or on psl2:13's class-sum table, before its numeric irreps (about
+    # 3 s) are built
+    argv = argv.split()
+    if irrmod.has_explicit_irreps(make_group(argv[argv.index("--group") + 1])):
+        run = peak_mb(f"assert main({argv!r}) == 69")
+        assert run - peak_mb("") <= 6
+    else:
+        def built(*args, **kwargs):
+            raise AssertionError("irreps built")
 
-    monkeypatch.setattr(cli.irrmod, "irreps_for", built)
-    assert run_cli(capsys, argv.split()) == (69, "", err)
+        monkeypatch.setattr(cli.irrmod, "irreps_for", built)
+    assert run_cli(capsys, argv) == (69, "", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -468,14 +490,14 @@ def test_simulate_charged_for_one_frame_in_1gib(capsys):
 
 
 def test_cyclic_facts_estimate_admits_854(monkeypatch):
-    # cyclic:854 takes about 40 s, so the run stops where the irreps start
+    # cyclic:854 takes about 40 s, so the run stops where the checks start
     class Admitted(Exception):
         pass
 
     def admitted(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(cli.irrmod, "irreps_for", admitted)
+    monkeypatch.setattr(cli.irrmod, "hom_unitarity_error", admitted)
     with pytest.raises(Admitted):
         cli.main(["verify", "--suite", "facts", "--group", "cyclic:854"])
 
@@ -484,7 +506,7 @@ def test_cyclic_lemmas_estimate_admits_456(capsys, monkeypatch):
     # a loop step per call the pass over the tuples makes for each tuple:
     # the draw, three q_subset_values blocks, projected_forms and the l1
     # row, and two per conjugate.  cyclic:456 (207 936 tuples) ran in
-    # over a minute, so the run stops where the irreps start; cyclic:457
+    # over a minute, so the run stops where the suite starts; cyclic:457
     # has no involution.
     class Admitted(Exception):
         pass
@@ -492,7 +514,7 @@ def test_cyclic_lemmas_estimate_admits_456(capsys, monkeypatch):
     def admitted(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(cli.irrmod, "irreps_for", admitted)
+    monkeypatch.setattr(cli.simulate, "lemma_suite", admitted)
     with pytest.raises(Admitted):
         cli.main(["verify", "--suite", "lemmas", "--group", "cyclic:456",
                   "--k", "2"])
@@ -750,8 +772,6 @@ PAST_2_53 = "must be at most 2**53 in magnitude, got "
      f"argument --k: {PAST_2_53}{ABOVE_2_53}"),
     (["bound", "--family", "wreath", "--n", "3", "--t", BIG],
      f"argument --t: {PAST_2_53}{BIG}"),
-    (["bound", "--family", "power", "--group", "s4", "--n", "10", "--c",
-      ABOVE_2_53], f"argument --c: {PAST_2_53}{ABOVE_2_53}"),
     (["bound", "--family", "power", "--group", "s4", "--n", f"-{BIG}"],
      f"argument --n: {PAST_2_53}-{BIG}"),
     (["bound", "--family", "gl", "--n", BIG, "--p", "2"],
@@ -761,8 +781,8 @@ PAST_2_53 = "must be at most 2**53 in magnitude, got "
 ], ids=["epsilon-1", "epsilon-nan", "epsilon-inf", "threshold-neg",
         "epsilon-exponent", "epsilon-neg-inf", "m0",
         "m-3", "threads0", "threads-1", "simulate-k-big", "frames-2**53+1",
-        "simulate-t-neg", "lemmas-k-2**53+1", "bound-t-big", "c-2**53+1",
-        "power-n-neg", "gl-n-big", "gl-m-neg"])
+        "simulate-t-neg", "lemmas-k-2**53+1", "bound-t-big", "power-n-neg",
+        "gl-n-big", "gl-m-neg"])
 def test_out_of_domain_flags_are_usage_errors(capsys, argv, text):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 64
@@ -787,7 +807,7 @@ def _flags(parser):
 COMMON_INT_RANGES = {"--seed": (0, None), "--threads": (1, None)}
 INT_RANGES = {
     "bound": {"--n": (None, None), "--q": (None, None), "--p": (None, None),
-              "--m": (1, None), "--c": (None, None), "--k-max": (None, 1023),
+              "--m": (1, None), "--k-max": (None, 1023),
               "--t": (1, None), **COMMON_INT_RANGES},
     "simulate": {"--k": (1, None), "--frames": (1, None), "--t": (1, None),
                  **COMMON_INT_RANGES},
@@ -910,8 +930,7 @@ def test_every_declared_flag_is_read():
 # every subcommand reads these, whatever its family or suite
 COMMON_FLAGS = {"--seed", "--threads", "--format", "--out"}
 # a valid value for each flag a bound family or verify suite reads
-FLAG_VALUES = {"--n": "3", "--q": "5", "--p": "2", "--m": "1", "--c": "2",
-               "--group": "s4", "--h": "(1 2)", "--epsilon": "0.3",
+FLAG_VALUES = {"--n": "3", "--q": "5", "--p": "2", "--m": "1", "--group": "s4", "--h": "(1 2)", "--epsilon": "0.3",
                "--k-max": "2", "--t": "1", "--threshold": "0.3", "--k": "1",
                "--frame-kind": "basis"}
 ENTRIES = [(command, option, name, table)
@@ -946,18 +965,15 @@ def test_each_family_and_suite_refuses_the_flags_it_does_not_read(
 
 
 @pytest.mark.parametrize("argv, err", [
-    ("bound --family gl --n 6 --p 2 --epsilon 5 --c 3 --h x",
-     "--family gl does not read --c, --h, --epsilon (it reads --n, --p, "
-     "--m)"),
+    ("bound --family gl --n 6 --p 2 --epsilon 5 --h x",
+     "--family gl does not read --h, --epsilon (it reads --n, --p, --m)"),
     ("bound --family power --group s4 --h '(1 2)' --n 10 --epsilon 0.3",
      "--family power does not read --epsilon (it reads --group, --n, --h, "
-     "--c, --t, --threshold, --k-max)"),
+     "--t, --threshold, --k-max)"),
     ("verify --suite facts --group s3 --k 5 --epsilon 3",
      "--suite facts does not read --k, --epsilon"),
     ("bound --family power --group s4 --n 0",
      "--family power: argument --n: must be at least 1, got 0"),
-    ("bound --family power --group s4 --n 3 --c 0",
-     "--family power: argument --c: must be at least 1, got 0"),
     ("bound --family gl --n 1 --p 2",
      "--family gl: argument --n: must be at least 2, got 1"),
     ("bound --family wreath --n 1",
@@ -969,7 +985,7 @@ def test_each_family_and_suite_refuses_the_flags_it_does_not_read(
     ("bound --family power --n 3",
      "--family power requires --group and --n"),
 ], ids=["gl-ignored", "power-epsilon", "facts-ignored", "power-n0",
-        "power-c0", "gl-n1", "wreath-n1", "wreath-n41", "wreath-epsilon0",
+        "gl-n1", "wreath-n1", "wreath-n41", "wreath-epsilon0",
         "power-required"])
 def test_family_and_suite_refusals_name_the_entry(capsys, monkeypatch, argv,
                                                   err):
@@ -981,13 +997,24 @@ def test_family_and_suite_refusals_name_the_entry(capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    "--family power --group s4 --h '(1 2)' --n 1", "--family power --group "
-    "s4 --h '(1 2)' --n 3 --c 1", "--family gl --n 2 --p 2",
+    "--family power --group s4 --h '(1 2)' --n 1", "--family gl --n 2 --p 2",
     "--family wreath --n 2", "--family wreath --n 40",
     "--family wreath --n 3 --epsilon 1e-3"])
 def test_family_ranges_admit_their_edges(capsys, argv):
     rc, _, err = run_cli(capsys, ["bound", *shlex.split(argv)])
     assert rc == 0, err
+
+
+def test_power_split_is_scanned_not_given(capsys):
+    # the power family scans the split c over 2..16 and reports the best as
+    # params.c; no flag sets it
+    argv = ["bound", "--family", "power", "--group", "s4", "--n", "10"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert 2 <= json.loads(out)["params"]["c"] <= 16
+    rc, out, err = run_cli(capsys, argv + ["--c", "2"])
+    assert (rc, out) == (64, "")
+    assert err.endswith("error: unrecognized arguments: --c 2\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

@@ -37,7 +37,7 @@ POOLS = {
     "--suite": ["facts", "lemmas", "tables"],
     "--group": GROUPS,
     "--n": ["2", "5", "10"] + VALUES, "--q": ["5", "13"] + VALUES,
-    "--p": ["2", "3"] + VALUES, "--m": VALUES, "--c": VALUES,
+    "--p": ["2", "3"] + VALUES, "--m": VALUES,
     "--k-max": VALUES, "--t": VALUES, "--k": VALUES, "--frames": VALUES,
     "--epsilon": VALUES, "--threshold": VALUES, "--h": ELEMENTS,
     "--frame-kind": ["basis", "fused", "x"],

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -12,10 +13,10 @@ from hspsim.groups import (
     make_group,
 )
 from hspsim.irreps import (
-    PRUNE_MAX_N, Irrep, canonical_order, canonical_sort, explicit_degrees,
+    PRUNE_MAX_N, Irrep, canonical_order, canonical_sort, has_explicit_irreps,
     hook_length_degree,
     irreps_cyclic, irreps_for, irreps_generic, irreps_symmetric,
-    irreps_wreath, partition_degrees, partition_label, partitions,
+    irreps_wreath, partition_degrees, partition_label,
     schur_orthogonality_error, standard_tableaux, hom_unitarity_error,
 )
 
@@ -23,10 +24,19 @@ from hspsim.irreps import (
 SYM_DEGREES = {3: [1, 2, 1], 4: [1, 3, 2, 3, 1], 5: [1, 4, 5, 6, 5, 4, 1]}
 
 
+def partitions(n):
+    """Every partition of n in descending lex order, from the reference
+    enumeration below."""
+    return [lam for lam, _ in reversed(_reference_degrees(n))]
+
+
 def test_partitions_descending_lex():
+    # Young's form builds one irrep per partition, in descending lex order
+    assert [r.label for r in irreps_symmetric(4)] == [
+        "[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
     assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partition_label((2, 1)) == "[2,1]"
-    assert len(partitions(5)) == 7
+    assert len(partitions(5)) == len(irreps_symmetric(5)) == 7
 
 
 def test_hook_degrees_and_tableaux():
@@ -189,20 +199,39 @@ def test_symmetric_irreps_sound(n):
         assert np.abs(r.mats.imag).max() < 1e-12
 
 
+def _reference_listing(G):
+    """(label, degree) of G's explicit irreps, in their construction's
+    order, from the reference enumeration and the family rules alone."""
+    if isinstance(G, CyclicGroup):
+        return [(f"chi{j}", 1) for j in range(G.n)]
+    base = [(partition_label(lam), hook_length_degree(lam))
+            for lam in partitions(G.n)]
+    if isinstance(G, SymmetricGroup):
+        return base
+    # theta and theta' per partition, then kappa per pair of partitions
+    return ([(tag + a, d * d) for tag in ("theta", "theta'")
+             for a, d in base]
+            + [(f"kappa{a}x{b}", 2 * da * db)
+               for (a, da), (b, db) in itertools.combinations(base, 2)])
+
+
 @pytest.mark.parametrize("spec", [f"s{n}" for n in range(1, 6)]
                          + [f"cyclic:{n}" for n in range(1, 13)]
                          + [f"wreath:{n}" for n in range(2, 5)])
-def test_explicit_degrees_list_the_built_irreps(spec):
-    # the matrix-free listing names what irreps_for builds, in its order
+def test_explicit_irreps_keep_the_reference_listing(spec):
+    # each builder labels its irreps itself, in the order and with the
+    # degrees the family rules give; the identity row has that degree
     G = make_group(spec)
-    labels, degrees = explicit_degrees(G)
-    assert list(zip(labels, degrees)) == [(r.label, r.degree)
-                                          for r in irreps_for(G)]
+    assert has_explicit_irreps(G)
+    irr = irreps_for(G)
+    assert [(r.label, r.degree) for r in irr] == _reference_listing(G)
+    for r in irr:
+        assert np.array_equal(r.at(G.identity), np.eye(r.degree)), r.label
 
 
 @pytest.mark.parametrize("spec", ["psl2:5", "dihedral:4", "wreath:5"])
-def test_explicit_degrees_none_without_a_construction(spec):
-    assert explicit_degrees(make_group(spec)) is None
+def test_no_explicit_irreps_without_a_construction(spec):
+    assert not has_explicit_irreps(make_group(spec))
 
 
 def test_symmetric_characters_are_class_functions():
@@ -611,18 +640,12 @@ def test_row_built_irreps_equal_the_whole_rows(spec):
 
 
 @pytest.mark.parametrize("spec", ["cyclic:3", "wreath:2"])
-def test_rows_of_another_degree_than_listed_raise_when_read(monkeypatch,
-                                                            spec):
-    # the listing and the construction cannot drift apart: a row function
-    # whose rows are not of the listed degree raises on its first read
+def test_rows_of_another_degree_than_listed_raise_when_read(spec):
+    # a row function whose rows are not of the degree the irrep was given
+    # raises on its first read, through each of the four readers
     G = make_group(spec)
-    labels, degrees = explicit_degrees(G)
-    listed = irrmod.explicit_degrees  # wreath's S_n base irreps keep theirs
-    monkeypatch.setattr(irrmod, "explicit_degrees", lambda group: (
-        (labels, [d + 1 for d in degrees]) if type(group) is type(G)
-        else listed(group)))
-    rho = irreps_for(G)[-1]
-    assert rho.degree == degrees[-1] + 1
+    built = irreps_for(G)[-1]
+    rho = Irrep(G, built.label, built.at, built.degree + 1)
     for read in (lambda: rho.at(G.identity), lambda: rho.character_at([0, 1]),
                  lambda: rho.mats, rho.character):
         with pytest.raises(RuntimeError, match="differs from its listed "

@@ -346,9 +346,16 @@ def test_projected_forms_match_dense_kron(spec, k):
                 assert abs(x - (want[bi].real - 0.5 ** k)) < 1e-12
 
 
-# the groups whose irreps are real, conj(rho) = rho, with the largest k at
-# which |G|^k stays small enough for dense N^k x N^k matrices
-ORACLE_CASES = {"s3": 3, "wreath:2": 3, "s4": 2, "wreath:3": 1}
+# groups with the largest k at which |G|^k stays small enough for dense
+# N^k x N^k matrices: those whose irreps are real, conj(rho) = rho, and
+# cyclic:6, whose one-dimensional irreps agree with the oracle whether the
+# measured register holds rho or conj(rho)
+ORACLE_CASES = {"s3": 3, "wreath:2": 3, "s4": 2, "wreath:3": 1, "cyclic:6": 3}
+# groups with irreps that are not real on a class of involutions, where
+# fourier_blocks and qft put conj(rho)(H) in the measured register but
+# projected_forms measures (I + rho(c))/2
+CONJ_CASES = [("psl2:5", 1), ("dihedral:4", 1), ("dihedral:4", 2),
+              ("dihedral:5", 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,7 +401,11 @@ def _oracle_rows(G, irr, c, k, space):
 
 @pytest.mark.parametrize("spec, k", [(spec, k) for spec, kmax
                                      in ORACLE_CASES.items()
-                                     for k in range(1, kmax + 1)])
+                                     for k in range(1, kmax + 1)] + [
+    pytest.param(spec, k, marks=pytest.mark.xfail(strict=True, reason=(
+        "the sampling kernel measures (I + rho(c))/2 where the transform "
+        "puts conj(rho) in the register (the conj(rho) convention defect)")))
+    for spec, k in CONJ_CASES])
 def test_dense_oracle_reproduces_coset_distribution(spec, k):
     # every involution c of the group, every tuple and frame vector
     G, irr = _group_irreps(spec)
