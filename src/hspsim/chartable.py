@@ -16,9 +16,6 @@ from .util import fmt_complex, require
 # 5 % margin, they admit cyclic:2896 and cyclic:1609; under a 1 GiB address
 # limit json ran at cyclic:1700 (949 MB) and failed at 1750.
 TABLE_ENTRY_BYTES = {"csv": 105, "json": 340}
-# class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
-# distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
-ROW_MATCH_TOL = 1e-8
 
 
 class CharacterTable:
@@ -164,20 +161,3 @@ def best_character_table(group, seed=0, export="csv"):
             f"{group.order}",
             bytes=TABLE_ENTRY_BYTES[export] * group.order ** 2)
     return CharacterTable.from_irreps(group, irreps_for(group))
-
-
-def tables_match_up_to_rows(t1, t2):
-    """True when the two tables hold the same rows (same class order)."""
-    if t1.values.shape != t2.values.shape:
-        return False
-    used = set()
-    for row in t1.values:
-        hit = None
-        for j, other in enumerate(t2.values):
-            if j not in used and np.abs(row - other).max() < ROW_MATCH_TOL:
-                hit = j
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True

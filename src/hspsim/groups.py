@@ -584,7 +584,7 @@ def spec_of(group):
 
 
 # ---------------------------------------------------------------------------
-# morphisms used by the transfer checks
+# the embedding used by the subgroup transfer check
 
 def wreath_embedding(n):
     """Embed S_n wr S_2 into S_{2n}.
@@ -601,10 +601,3 @@ def wreath_embedding(n):
     img = np.hstack([W.base._rows[p], n + W.base._rows[s]])
     img[b == 1] = (img[b == 1] + n) % (2 * n)
     return W, S, S.from_perm(img)
-
-
-def sl2_to_psl2_map(sl2, psl2):
-    """The natural quotient map SL(2,q) -> PSL(2,q) as an id array."""
-    if sl2.q != psl2.q:
-        raise ValueError("field sizes differ")
-    return psl2.from_perm(_point_images(sl2.field, sl2._rows))

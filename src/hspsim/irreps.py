@@ -1,14 +1,14 @@
 """Unitary irreducible representations of the supported groups.
 
 An irrep's matrices are stacked as a (|G|, d, d) array indexed by element
-id, so group averages become single einsum reductions.  The cyclic and
-wreath constructions evaluate rows where they are read: sampling reads rho
-at e and the class of h only, and each row is bit for bit the whole
-stack's.  Each construction gives its irreps their labels and degrees,
-and a command checks its estimates on those before it reads a row.
-Young's orthogonal form and the wreath construction built on it are real,
-and keep float64 stacks, half the bytes of complex ones; roots of unity
-and the numeric decomposition keep complex128.
+id, so group averages become single einsum reductions.  The cyclic,
+symmetric and wreath constructions evaluate rows where they are read:
+sampling reads rho at e and the class of h only, and each row is bit for
+bit the whole stack's.  Each construction gives its irreps their labels
+and degrees, and a command checks its estimates on those before it reads
+a row.  Young's orthogonal form and the wreath construction built on it
+are real, and keep float64 stacks, half the bytes of complex ones; roots
+of unity and the numeric decomposition keep complex128.
 """
 from __future__ import annotations
 
@@ -266,47 +266,42 @@ def _yor_generator(lam, tableaux, k):
     return M
 
 
-def _extend_over_group(group, gen_ids, gen_mats, d):
-    """Fill mats for all elements by BFS over right multiplication, in the
-    generators' dtype (float64 when there are none)."""
-    mats = np.zeros((group.order, d, d),
-                    dtype=np.result_type(np.float64, *gen_mats))
-    known = np.zeros(group.order, dtype=bool)
-    mats[group.identity] = np.eye(d)
-    known[group.identity] = True
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        prods = group.compose(np.array(frontier)[:, None],
-                              np.array(gen_ids, dtype=np.int64))
-        for x, row in zip(frontier, prods.tolist()):
-            for y, gm in zip(row, gen_mats):
-                if not known[y]:
-                    mats[y] = mats[x] @ gm
-                    known[y] = True
-                    nxt.append(y)
-        frontier = nxt
-    if not known.all():
-        raise ValueError("generators do not generate the group")
-    return mats
-
-
 def irreps_symmetric(n):
-    """Young's orthogonal form; one irrep per partition, descending lex."""
+    """Young's orthogonal form; one irrep per partition, descending lex,
+    each evaluated where it is read.
+
+    rho(g) multiplies the _yor_generator matrices, left to right from the
+    identity, along g's lexicographically smallest reduced word: the first
+    descent k of g's image array p (p[k] > p[k+1]), then the word of p
+    with those two entries swapped.  A breadth-first search over right
+    multiplication by (1 2), (2 3), ... reaches g by this word first, so
+    each row is bit for bit that search's.
+    """
     if not 1 <= n <= YOUNG_MAX_N:
         raise ValueError("symmetric-group irreps supported for "
                          f"1 <= n <= {YOUNG_MAX_N}")
     G = SymmetricGroup(n)
-    gen_ids = [G.from_perm(tuple(range(k - 1)) + (k, k - 1) + tuple(range(k + 1, n)))
-               for k in range(1, n)]
 
-    out = []
-    for lam, _ in sorted(partition_degrees(n)[0], reverse=True):
+    def young(lam, d):
         tabs = standard_tableaux(lam)
         gens = [_yor_generator(lam, tabs, k) for k in range(1, n)]
-        out.append(Irrep(G, partition_label(lam),
-                         _extend_over_group(G, gen_ids, gens, len(tabs))))
-    return out
+
+        def rows(ids):
+            p = G._rows[ids]  # a fancy-indexed copy, peeled in place
+            mats = np.tile(np.eye(d), (len(ids), 1, 1))
+            while True:
+                descents = p[:, :-1] > p[:, 1:]
+                live = np.flatnonzero(descents.any(axis=1))
+                if not live.size:
+                    return mats
+                k = descents[live].argmax(axis=1)
+                for a in np.unique(k):
+                    at = live[k == a]
+                    mats[at] = mats[at] @ gens[a]
+                p[live, k], p[live, k + 1] = p[live, k + 1], p[live, k]
+        return rows
+    return [Irrep(G, partition_label(lam), young(lam, d), d)
+            for lam, d in sorted(partition_degrees(n)[0], reverse=True)]
 
 
 def irreps_cyclic(n):
@@ -330,9 +325,9 @@ def irreps_wreath(n):
 
     For each partition two degree-d^2 irreps (swap acts as +/- the tensor
     swap); for each unordered pair of distinct partitions one induced irrep
-    of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).  The S_n irreps are
-    built whole, and each element's row is made from its two base rows, in
-    their dtype, float64 for Young's form.
+    of degree 2 d_i d_j.  Count: 2 p(n) + C(p(n), 2).  The whole S_n
+    stacks are read when the irreps are built, and each element's row is
+    made from its two base rows, in their dtype, float64 for Young's form.
     """
     if not 2 <= n <= WREATH_IRREPS_MAX_N:
         raise ValueError("wreath irreps supported for "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fourier import factor_stack, qft, rank_r
 from .frames import frame_bases, random_frame
-from .groups import Subgroup, order_two_subgroup
+from .groups import order_two_subgroup
 from .util import STEP_WORK, kron_apply, kron_stack, pairwise_sum, require
 
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
@@ -695,39 +695,6 @@ def transfer_subgroup_report(big, mapping, small, h_small):
     return {
         "mode": "subgroup",
         "index": index,
-        "max_spectral_diff": diff,
-        "pass": bool(diff <= TRANSFER_TOL),
-    }
-
-
-def transfer_quotient_report(big, projection, small, h_small):
-    """Coset-state spectra under a quotient map big -> small.
-
-    The subgroup upstairs is the full preimage of {e, h}; the nonzero
-    spectra downstairs and upstairs coincide as multisets.
-    """
-    projection = np.asarray(projection)
-    targets = {small.identity, h_small}
-    pre = [x for x in range(big.order) if int(projection[x]) in targets]
-    H_big = Subgroup(big, pre)
-    ev_big = np.linalg.eigvalsh(coset_state(big, H_big))
-    ev_small = np.linalg.eigvalsh(
-        coset_state(small, order_two_subgroup(small, h_small)))
-    nz_big = np.sort(ev_big[ev_big > 1e-12])
-    nz_small = np.sort(ev_small[ev_small > 1e-12])
-    if len(nz_big) != len(nz_small):
-        return {
-            "mode": "quotient",
-            "nonzero_count": (len(nz_big), len(nz_small)),
-            "max_spectral_diff": float("inf"),
-            "pass": False,
-        }
-    diff = float(np.max(np.abs(nz_big - nz_small)))
-    return {
-        "mode": "quotient",
-        "preimage_order": len(pre),
-        "nonzero_count": len(nz_small),
-        "zero_counts": (big.order - len(nz_big), small.order - len(nz_small)),
         "max_spectral_diff": diff,
         "pass": bool(diff <= TRANSFER_TOL),
     }

@@ -1,0 +1,68 @@
+"""Helpers that only the tests read: a row-matching comparison of two
+character tables, the quotient map SL(2,q) -> PSL(2,q), and the transfer
+check of coset-state spectra under a quotient map."""
+import numpy as np
+
+from hspsim.groups import Subgroup, _point_images, order_two_subgroup
+from hspsim.simulate import TRANSFER_TOL, coset_state
+
+# class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
+# distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
+ROW_MATCH_TOL = 1e-8
+
+
+def tables_match_up_to_rows(t1, t2):
+    """True when the two tables hold the same rows (same class order)."""
+    if t1.values.shape != t2.values.shape:
+        return False
+    used = set()
+    for row in t1.values:
+        hit = None
+        for j, other in enumerate(t2.values):
+            if j not in used and np.abs(row - other).max() < ROW_MATCH_TOL:
+                hit = j
+                break
+        if hit is None:
+            return False
+        used.add(hit)
+    return True
+
+
+def sl2_to_psl2_map(sl2, psl2):
+    """The natural quotient map SL(2,q) -> PSL(2,q) as an id array."""
+    if sl2.q != psl2.q:
+        raise ValueError("field sizes differ")
+    return psl2.from_perm(_point_images(sl2.field, sl2._rows))
+
+
+def transfer_quotient_report(big, projection, small, h_small):
+    """Coset-state spectra under a quotient map big -> small.
+
+    The subgroup upstairs is the full preimage of {e, h}; the nonzero
+    spectra downstairs and upstairs coincide as multisets.
+    """
+    projection = np.asarray(projection)
+    targets = {small.identity, h_small}
+    pre = [x for x in range(big.order) if int(projection[x]) in targets]
+    H_big = Subgroup(big, pre)
+    ev_big = np.linalg.eigvalsh(coset_state(big, H_big))
+    ev_small = np.linalg.eigvalsh(
+        coset_state(small, order_two_subgroup(small, h_small)))
+    nz_big = np.sort(ev_big[ev_big > 1e-12])
+    nz_small = np.sort(ev_small[ev_small > 1e-12])
+    if len(nz_big) != len(nz_small):
+        return {
+            "mode": "quotient",
+            "nonzero_count": (len(nz_big), len(nz_small)),
+            "max_spectral_diff": float("inf"),
+            "pass": False,
+        }
+    diff = float(np.max(np.abs(nz_big - nz_small)))
+    return {
+        "mode": "quotient",
+        "preimage_order": len(pre),
+        "nonzero_count": len(nz_small),
+        "zero_counts": (big.order - len(nz_big), small.order - len(nz_small)),
+        "max_spectral_diff": diff,
+        "pass": bool(diff <= TRANSFER_TOL),
+    }

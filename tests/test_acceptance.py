@@ -14,8 +14,11 @@ import pytest
 
 from hspsim import bounds, fourier, groups, simulate
 from hspsim import irreps as irrmod
-from hspsim.chartable import CharacterTable, character_table_numeric, \
-    tables_match_up_to_rows
+from hspsim.chartable import CharacterTable, character_table_numeric
+
+from helpers import (
+    sl2_to_psl2_map, tables_match_up_to_rows, transfer_quotient_report,
+)
 
 GROUPS_UNDER_TEST = ["s3", "s4", "dihedral:4", "cyclic:6", "wreath:3", "psl2:5"]
 
@@ -212,9 +215,8 @@ def test_criterion_09_transfer_lemma():
     assert rep["index"] == 10
     sl2 = groups.SL2Group(5)
     psl2 = groups.PSL2Group(5)
-    proj = groups.sl2_to_psl2_map(sl2, psl2)
-    rep = simulate.transfer_quotient_report(sl2, proj, psl2,
-                                            min(psl2.involutions()))
+    proj = sl2_to_psl2_map(sl2, psl2)
+    rep = transfer_quotient_report(sl2, proj, psl2, min(psl2.involutions()))
     assert rep["pass"] and rep["max_spectral_diff"] <= 1e-9
     assert rep["preimage_order"] == 4
     _finish("9 transfer lemma", t0, 120)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hspsim.chartable import (
-    CharacterTable, character_table_numeric, tables_match_up_to_rows,
-)
+from hspsim.chartable import CharacterTable, character_table_numeric
 from hspsim.groups import (
     CyclicGroup, DihedralGroup, PSL2Group, SymmetricGroup, WreathS2Group,
 )
 from hspsim.irreps import irreps_generic, irreps_symmetric, irreps_wreath
+
+from helpers import tables_match_up_to_rows
 
 # the standard S4 table, rows in canonical order; classes ordered
 # (size, smallest member): e, (12)(34) x3, (12) x6, (1234) x6, (123) x8

@@ -123,13 +123,14 @@ def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, h", [("wreath:4", None), ("cyclic:12", None),
-                                     ("s4", "(1 2)(3 4)"), ("psl2:5", None)])
+                                     ("s4", "(1 2)(3 4)"), ("s5", None),
+                                     ("psl2:5", None)])
 def test_simulate_builds_irreps_on_e_and_the_class_of_h(capsys, monkeypatch,
                                                         spec, h):
     # sampling and its bound read each irrep at e and the class of h only:
-    # no irrep's whole stack is read once sampling starts, and the cyclic
-    # and wreath irreps, which evaluate rows where they are read, never
-    # evaluate theirs.  psl2:5's numeric irreps read theirs to sort.
+    # no irrep's whole stack is read once sampling starts, and the cyclic,
+    # symmetric and wreath irreps, which evaluate rows where they are read,
+    # never evaluate theirs.  psl2:5's numeric irreps read theirs to sort.
     spaces, whole_reads = [], []
     space, mats = simulate.RegisterSpace, irrmod.Irrep.mats
 
@@ -147,8 +148,9 @@ def test_simulate_builds_irreps_on_e_and_the_class_of_h(capsys, monkeypatch,
     rc, _, _ = run_cli(capsys, argv + (["--h", h] if h else []))
     assert rc == 0 and spaces
     assert [rho for n, rho in whole_reads if n] == []
-    if spec.split(":")[0] in ("cyclic", "wreath"):
+    if not spec.startswith("psl2"):
         assert not any(rho is r for _, rho in whole_reads for r in spaces[0])
+        assert all(r._mats is None for r in spaces[0])
 
 
 def test_plus_bases_built_once_per_command(capsys, monkeypatch):

@@ -8,8 +8,10 @@ import pytest
 from hspsim.groups import (
     CyclicGroup, DihedralGroup, DirectPowerGroup, PSL2Group, SL2Group,
     Subgroup, SymmetricGroup, WreathS2Group, cycle_notation, make_group,
-    order_two_subgroup, parse_cycles, sl2_to_psl2_map, wreath_embedding,
+    order_two_subgroup, parse_cycles, wreath_embedding,
 )
+
+from helpers import sl2_to_psl2_map
 
 # frozen, derived independently: (constructor args -> expected order)
 PSL_ORDERS = {4: 60, 5: 60, 7: 168, 8: 504, 9: 360, 11: 660, 13: 1092}

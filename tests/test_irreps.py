@@ -603,8 +603,8 @@ def test_irrep_shape_validation():
 # ---------------------------------------------------------------------------
 # rows evaluated where they are read
 
-ROW_SPECS = ["cyclic:12", "wreath:2", "wreath:3", "wreath:4", "s4", "psl2:5",
-             "dihedral:4"]
+ROW_SPECS = ["cyclic:12", "wreath:2", "wreath:3", "wreath:4", "s4", "s5",
+             "psl2:5", "dihedral:4"]
 
 
 def _row_sets(G):
@@ -618,8 +618,9 @@ def _row_sets(G):
 
 @pytest.mark.parametrize("spec", ROW_SPECS)
 def test_row_built_irreps_equal_the_whole_rows(spec):
-    # cyclic and wreath irreps evaluate only the rows read, the others hold
-    # their whole stacks; either way each row is the whole stack's
+    # cyclic, symmetric and wreath irreps evaluate only the rows read, the
+    # others hold their whole stacks; either way each row is the whole
+    # stack's
     G = make_group(spec)
     whole = irreps_for(G)
     for xs in _row_sets(G):
@@ -637,6 +638,22 @@ def test_row_built_irreps_equal_the_whole_rows(spec):
                                   w.character()[xs])
             with pytest.raises(IndexError):
                 r.at([G.identity, G.order])
+
+
+def test_young_rows_past_the_route_cap_are_a_homomorphism(monkeypatch):
+    # Young's form read by reduced words needs no group-wide stack, so S_7
+    # (5040 elements, degrees up to 35) is read at sampled rows only
+    monkeypatch.setattr(irrmod, "YOUNG_MAX_N", 7)
+    reps = irreps_symmetric(7)
+    assert len(reps) == 15
+    G = reps[0].group
+    xs, ys = np.random.default_rng(7).integers(G.order, size=(2, 50))
+    for r in reps:
+        X, Y = r.at(xs), r.at(ys)
+        assert np.abs(X @ Y - r.at(G.compose(xs, ys))).max() < 1e-12, r.label
+        eye = np.eye(r.degree)
+        assert np.abs(X @ X.transpose(0, 2, 1) - eye).max() < 1e-12, r.label
+    assert all(r._mats is None and r._char is None for r in reps)
 
 
 @pytest.mark.parametrize("spec", ["cyclic:3", "wreath:2"])

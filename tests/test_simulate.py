@@ -18,7 +18,6 @@ from hspsim.groups import (
     PSL2Group,
     SL2Group,
     order_two_subgroup,
-    sl2_to_psl2_map,
     wreath_embedding,
 )
 from hspsim.irreps import (
@@ -41,10 +40,11 @@ from hspsim.simulate import (
     reference_distribution,
     require_sampling,
     second_moment_check,
-    transfer_quotient_report,
     transfer_subgroup_report,
 )
 from hspsim.util import ResourceCap, kron_apply, kron_stack
+
+from helpers import sl2_to_psl2_map, transfer_quotient_report
 
 
 def wreath3():
