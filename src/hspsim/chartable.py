@@ -9,10 +9,11 @@ import numpy as np
 from .irreps import canonical_order, has_explicit_irreps, irreps_for
 from .util import fmt_complex, require
 
-# Peak bytes per |G|^2 entry of an explicit table and its export text: the
-# VmHWM of chartable --group cyclic:N above the interpreter's 33 MB was 97
-# bytes per entry in csv (N = 1000, 1500, 2000) and 325 in json (N = 1000,
-# 1500), whose strings and text chunks are most of it.  Charged with 8 % and
+# Peak bytes per entry of an explicit table and its export text, r^2 entries
+# for r irreps (r = |G| for cyclic groups): the VmHWM of chartable --group
+# cyclic:N above the interpreter's 33 MB was 97 bytes per entry in csv
+# (N = 1000, 1500, 2000) and 325 in json (N = 1000, 1500), whose strings
+# and text chunks are most of it.  Charged with 8 % and
 # 5 % margin, they admit cyclic:2896 and cyclic:1609; under a 1 GiB address
 # limit json ran at cyclic:1700 (949 MB) and failed at 1750.
 TABLE_ENTRY_BYTES = {"csv": 105, "json": 340}
@@ -35,7 +36,7 @@ class CharacterTable:
     @classmethod
     def from_irreps(cls, group, irreps):
         reps = [c[0] for c in group.conjugacy_classes()]
-        values = np.array([r.character()[reps] for r in irreps])
+        values = np.array([r.character_at(reps) for r in irreps])
         order = canonical_order([r.degree for r in irreps], values)
         return cls(group, [irreps[i].label for i in order],
                    [irreps[i].degree for i in order], values[order])
@@ -152,12 +153,13 @@ def best_character_table(group, seed=0, export="csv"):
     """Character table with the most informative labels available.
 
     Groups with explicit irreps (see irreps.has_explicit_irreps) get
-    their labelled rows, refused past TABLE_ENTRY_BYTES[export] per entry;
-    the rest get the purely numeric class-sum table with rho<i> labels.
+    their labelled rows, read at the class representatives only and
+    refused on the listing past TABLE_ENTRY_BYTES[export] per entry; the
+    rest get the purely numeric class-sum table with rho<i> labels.
     """
     if not has_explicit_irreps(group):
         return character_table_numeric(group, seed=seed)
+    irreps = irreps_for(group)
     require(f"character table of the {group.kind} group of order "
-            f"{group.order}",
-            bytes=TABLE_ENTRY_BYTES[export] * group.order ** 2)
-    return CharacterTable.from_irreps(group, irreps_for(group))
+            f"{group.order}", bytes=TABLE_ENTRY_BYTES[export] * len(irreps) ** 2)
+    return CharacterTable.from_irreps(group, irreps)

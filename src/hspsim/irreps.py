@@ -1,14 +1,17 @@
 """Unitary irreducible representations of the supported groups.
 
 An irrep's matrices are stacked as a (|G|, d, d) array indexed by element
-id, so group averages become single einsum reductions.  The cyclic,
-symmetric and wreath constructions evaluate rows where they are read:
-sampling reads rho at e and the class of h only, and each row is bit for
-bit the whole stack's.  Each construction gives its irreps their labels
-and degrees, and a command checks its estimates on those before it reads
-a row.  Young's orthogonal form and the wreath construction built on it
-are real, and keep float64 stacks, half the bytes of complex ones; roots
-of unity and the numeric decomposition keep complex128.
+id, so group averages become single einsum reductions.  Cyclic groups,
+every S_n the group layer admits and S_n wr S_2 up to WREATH_IRREPS_MAX_N
+have explicit constructions, the rest the numeric decomposition.  The
+explicit ones evaluate rows where they are read: sampling reads rho at e
+and the class of h only, a character table the class representatives, and
+each row is bit for bit the whole stack's.  Each construction gives its
+irreps their labels and degrees, and a command checks its estimates on
+those before it reads a row.  Young's orthogonal form and the wreath
+construction built on it are real, and keep float64 stacks, half the bytes
+of complex ones; roots of unity and the numeric decomposition keep
+complex128.
 """
 from __future__ import annotations
 
@@ -21,9 +24,8 @@ import numpy as np
 from .groups import CyclicGroup, SymmetricGroup, WreathS2Group
 from .util import STEP_WORK, kron_stack, require
 
-# Largest n with an explicit construction: Young's orthogonal form for S_n,
-# and the wreath construction built on it for S_n wr S_2.
-YOUNG_MAX_N = 5
+# Largest n with an explicit wreath construction, built on Young's
+# orthogonal form, which covers every S_n the group layer admits.
 WREATH_IRREPS_MAX_N = 4
 # Largest n at which partition_degrees' subtree bound is checked to
 # grow with the row width at every node of the search.
@@ -277,9 +279,6 @@ def irreps_symmetric(n):
     multiplication by (1 2), (2 3), ... reaches g by this word first, so
     each row is bit for bit that search's.
     """
-    if not 1 <= n <= YOUNG_MAX_N:
-        raise ValueError("symmetric-group irreps supported for "
-                         f"1 <= n <= {YOUNG_MAX_N}")
     G = SymmetricGroup(n)
 
     def young(lam, d):
@@ -454,10 +453,8 @@ def _split_segments(V, segs, char_of, build, tol, rng, out, depth):
 def require_numeric_irreps(group):
     """Refuse irreps_generic(group) before any of it is built."""
     N = group.order
-    stop = {SymmetricGroup: f"explicit irreps (Young's form) stop at n <= "
-                            f"{YOUNG_MAX_N}, and ",
-            WreathS2Group: f"explicit wreath irreps stop at n <= "
-                           f"{WREATH_IRREPS_MAX_N}, and "}.get(type(group), "")
+    stop = (f"explicit wreath irreps stop at n <= {WREATH_IRREPS_MAX_N}, and "
+            if isinstance(group, WreathS2Group) else "")
     what = f"{stop}numeric irrep construction for the {group.kind} group of " \
            f"order {N}"
     # eight dense |G| x |G| complex matrices (s6 to sl2:13 peaked 100-125
@@ -572,9 +569,8 @@ def canonical_order(degrees, values):
 
 def has_explicit_irreps(group):
     """Whether irreps_for builds the group's irreps explicitly: every cyclic
-    group, S_n up to YOUNG_MAX_N, S_n wr S_2 up to WREATH_IRREPS_MAX_N."""
-    return (isinstance(group, CyclicGroup)
-            or isinstance(group, SymmetricGroup) and group.n <= YOUNG_MAX_N
+    and symmetric group, S_n wr S_2 up to WREATH_IRREPS_MAX_N."""
+    return (isinstance(group, (CyclicGroup, SymmetricGroup))
             or isinstance(group, WreathS2Group)
             and group.n <= WREATH_IRREPS_MAX_N)
 

@@ -83,7 +83,7 @@ def test_wreath_params_matches_enumerated_path_exactly():
 NUMERIC_GROUPS = ["dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9",
                   "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11",
                   "sl2:5", "sl2:7", "power:s3^2", "power:s3^3", "power:z2^3",
-                  "s6"]
+                  "sl2:9"]
 
 
 def _route_epsilons(spec):

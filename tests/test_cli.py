@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hspsim import bounds, cli, simulate
+from hspsim import bounds, chartable, cli, simulate
 from hspsim import irreps as irrmod
 from hspsim.chartable import (TABLE_ENTRY_BYTES, CharacterTable,
                               best_character_table)
@@ -43,10 +43,10 @@ def test_exit_usage_on_missing_family_param(capsys):
 
 
 @pytest.mark.parametrize("argv, code, text", [
-    (["--group", "s7"], 69,
-     "explicit irreps (Young's form) stop at n <= 5, and numeric irrep "
-     "construction for the symmetric group of order 5040 needs 3.25e+09 "
-     "bytes (limit 8.81e+08)"),
+    (["--group", "wreath:5"], 69,
+     "explicit wreath irreps stop at n <= 4, and numeric irrep construction "
+     "for the wreath group of order 28800 needs 1.06e+11 bytes "
+     "(limit 8.81e+08)"),
     (["--group", "power:z101^3"], 69, "order 1030301 exceeds 1000000"),
     (["--group", "dihedral:4", "--t", "9"], 69,
      "t=9 mixed-state distance over 5 irreps needs 1.13e+10 multiply-adds "
@@ -60,7 +60,7 @@ def test_exit_usage_on_missing_family_param(capsys):
      "argument --t: must be at least 1, got 0"),
     (["--group", "s3", "--t", "-1"], 64,
      "argument --t: must be at least 1, got -1"),
-], ids=["s7", "power-z101^3", "dihedral4-t9",
+], ids=["wreath5", "power-z101^3", "dihedral4-t9",
         "psl2:13-k3", "s9", "wreath6", "psl2:17", "nosuch", "t0", "t-1"])
 def test_exit_codes(capsys, argv, code, text):
     rc, out, err = run_cli(capsys, ["simulate"] + argv)
@@ -224,9 +224,9 @@ def test_psl2_8_facts_pass_in_1gib():
     "simulate --group cyclic:1000 --k 2",
     "simulate --group cyclic:400 --k 3",
     "bound --family group --group cyclic:5700",
-    # the class-sum table's conjugacy-class search, 6.5e9 multiply-adds,
-    # then the numeric irreps' 2.08e11 bytes
-    "bound --family group --group s8",
+    # the class-sum table's conjugacy-class search, then the numeric
+    # irreps' 1.41e13 bytes
+    "bound --family group --group power:s4^4",
     "chartable --group power:z2^17",
     "bound --family psl2 --q 10000019",
     "bound --family gl --n 6 --p 9007199254740881",
@@ -241,6 +241,25 @@ def test_refused_at_once_in_1gib(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(
         f"hspsim {argv.split()[0]}: resource cap: ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("verify --suite facts --group s7",
+     "hspsim verify: resource cap: facts suite over 15 irreps needs "
+     "1.28e+11 multiply-adds (limit 5e+09)\n"),
+    ("verify --suite lemmas --group s8 --k 1",
+     "hspsim verify: resource cap: diagonal-overlap loop over k=1 registers "
+     "of the symmetric group of order 40320 needs 1.46e+11 multiply-adds "
+     "(limit 5e+09)\n"),
+    ("chartable --group s8",
+     "hspsim chartable: resource cap: conjugacy-class search of symmetric:8 "
+     "needs 6.5e+09 multiply-adds (limit 5e+09)\n"),
+], ids=["s7-facts", "s8-lemmas", "s8-chartable"])
+def test_young_whole_group_readers_refused_in_1gib(argv, err):
+    # Young's form lists S_7 and S_8 without reading a row; the readers of
+    # the whole group are refused on their own estimates
+    proc = _cli_under_1gib(*argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (69, "", err)
 
 
 def test_psl2_row_cap_admits_the_largest_q_in_1gib(capsys):
@@ -313,10 +332,12 @@ def test_explicit_table_cap_admits_cyclic_2000(monkeypatch):
         assert per_entry * largest ** 2 <= MEMORY_LIMIT \
             < per_entry * (largest + 1) ** 2
 
-    def built(n):
-        raise AssertionError("irreps built")
+    # refused on the listing of the built irreps, before any row is read
+    def read(*args, **kwargs):
+        raise AssertionError("a row evaluated")
 
-    monkeypatch.setattr(irrmod, "irreps_cyclic", built)
+    monkeypatch.setattr(irrmod.Irrep, "at", read)
+    monkeypatch.setattr(irrmod.Irrep, "character_at", read)
     with pytest.raises(ResourceCap, match="order 2897 needs 8.81e"):
         best_character_table(make_group("cyclic:2897"))
     with pytest.raises(ResourceCap, match="order 1610 needs 8.81e"):
@@ -449,6 +470,15 @@ def test_facts_peak_memory_in_1gib():
     assert facts - peak_mb("") <= 32
 
 
+@pytest.mark.parametrize("argv", ["simulate --group s8 --k 1",
+                                  "bound --family group --group s8"])
+def test_young_form_runs_s8_in_1gib(argv):
+    # Young's rows at e and the class of h only (66 and 43 MB measured);
+    # S_8's numeric irreps would need 2.08e11 bytes
+    assert peak_mb(f"assert main({argv.split()!r} + ['--out', os.devnull])"
+                   " == 0") < 100
+
+
 def test_simulate_peak_memory_in_1gib():
     # simulate draws each tuple's frame when it uses it; holding every
     # frame of wreath:4 at k = 2 (16 * 1152^2 bytes, 21 MB) peaked 55 MB
@@ -562,10 +592,12 @@ def test_cyclic_5000_bound_passes_in_1gib():
 
 @pytest.mark.parametrize("spec", ["s7", "wreath:5", "sl2:13"])
 def test_group_bound_reads_the_class_sum_table_in_1gib(spec):
-    # no explicit irreps, and the numeric irreps are refused (s7 3.3e9 bytes,
-    # wreath:5 1.06e11 bytes, sl2:13 2.1e10 multiply-adds); the bound reads
-    # the degrees and chi(h) off the class-sum table.  simulate still needs
-    # the irreps, so simulate --group s7 stays refused (test_exit_codes)
+    # no explicit irreps, and the numeric irreps are refused (wreath:5
+    # 1.06e11 bytes, sl2:13 2.1e10 multiply-adds); the bound reads the
+    # degrees and chi(h) off the class-sum table.  simulate still needs the
+    # irreps, so simulate --group wreath:5 stays refused (test_exit_codes).
+    # s7 has Young's form instead, read at h only; it stays as a 1 GiB run
+    # of a bound that reads no class-sum table
     proc = _cli_under_1gib("bound", "--family", "group", "--group", spec)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
@@ -583,6 +615,22 @@ def test_group_bound_builds_no_irreps_without_explicit_ones(capsys,
                                   "psl2:11"])
     assert rc == 0
     assert json.loads(out)["group_order"] == 660
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --group s6", "bound --family group --group s8",
+    "chartable --group s7", "verify --suite tables --group s6"])
+def test_symmetric_groups_build_no_numeric_irreps_or_table(capsys,
+                                                          monkeypatch, argv):
+    # Young's form is the one route for S_n at every n the group layer
+    # admits
+    def built(*args, **kwargs):
+        raise AssertionError("numeric irreps or class-sum table built")
+
+    monkeypatch.setattr(cli.irrmod, "irreps_generic", built)
+    monkeypatch.setattr(cli, "character_table_numeric", built)
+    monkeypatch.setattr(chartable, "character_table_numeric", built)
+    assert run_cli(capsys, argv.split())[0] == 0
 
 
 def test_group_bound_builds_irreps_when_the_table_is_refused(capsys,
@@ -603,12 +651,12 @@ def test_group_bound_builds_irreps_when_the_table_is_refused(capsys,
 
 
 @pytest.mark.parametrize("admitted, refused", [
-    # numeric irreps: s6 (7.7e8 multiply-adds) is built, s7 (3.3e9 bytes)
-    # is not
-    ("simulate --group s6", "simulate --group s7"),
+    # numeric irreps: sl2:9 (order 720) is built, sl2:13 (2.1e10
+    # multiply-adds) is not
+    ("simulate --group sl2:9", "simulate --group sl2:13"),
     # the t-copy mixed-state distance: (sum d^3)^t = 1126^t for psl2:7
     ("simulate --group psl2:7 --t 3", "simulate --group psl2:7 --t 4"),
-], ids=["s6-s7", "psl2:7-t3-t4"])
+], ids=["sl2:9-sl2:13", "psl2:7-t3-t4"])
 def test_estimate_boundary_in_1gib(capsys, admitted, refused):
     proc = _cli_under_1gib(*admitted.split())
     assert proc.returncode == 0, proc.stderr
