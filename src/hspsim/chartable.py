@@ -7,7 +7,7 @@ import io
 import numpy as np
 
 from .irreps import canonical_order, has_explicit_irreps, irreps_for
-from .util import fmt_complex, require
+from .util import fmt_complexes, require
 
 # Peak bytes per entry of an explicit table and its export text, r^2 entries
 # for r irreps (r = |G| for cyclic groups): the VmHWM of chartable --group
@@ -67,7 +67,7 @@ class CharacterTable:
         w.writerow(["class_rep", "class_size"] + self.labels)
         for j, (rep, size) in enumerate(zip(self.class_reps, self.class_sizes)):
             row = [self.group.pretty(rep), size]
-            row += [fmt_complex(v) for v in self.values[:, j]]
+            row += fmt_complexes(self.values[:, j])
             w.writerow(row)
         return buf.getvalue()
 
@@ -78,7 +78,7 @@ class CharacterTable:
             "class_sizes": list(self.class_sizes),
             "labels": list(self.labels),
             "degrees": list(self.degrees),
-            "values": [[fmt_complex(v) for v in row] for row in self.values],
+            "values": [fmt_complexes(row) for row in self.values],
         }
 
 

@@ -522,7 +522,8 @@ def _suite_facts(G, args):
     checks.append(_below("unitary homomorphism", err))
     err = irrmod.schur_orthogonality_error(G, irr)
     checks.append(_below("matrix-entry orthogonality", err))
-    err = max(r.degree * abs(sum(r.character()[g] for g in range(G.order))
+    # divided as a np.complex128: Python's complex division rounds otherwise
+    err = max(r.degree * abs(np.complex128(sum(r.character().tolist()))
                              / G.order) for r in irr[1:]) if len(irr) > 1 else 0.0
     checks.append(_below("nontrivial character mean zero", err))
     rng = np.random.default_rng(args.seed)

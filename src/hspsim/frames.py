@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Complex entries of one row block of the resolution-of-identity check, so
-# that the check holds no D x D matrix (1 MiB)
-CHECK_BLOCK_ENTRIES = 1 << 16
+from . import util
 
 
 class Frame:
@@ -25,7 +23,7 @@ class Frame:
             raise ValueError("frame weights must be positive")
         # conj(S) = conj(V w) V^T: a block of its rows at a time, with V^T
         # a view, so no copy of V and no D x D matrix is made
-        step = max(1, CHECK_BLOCK_ENTRIES // self.dim)
+        step = max(1, util.BLOCK_BYTES // (16 * self.dim))
         for lo in range(0, self.dim, step):
             S = (V[lo:lo + step].conj() * self.weights) @ V.T
             S[np.arange(len(S)), np.arange(lo, lo + len(S))] -= 1.0

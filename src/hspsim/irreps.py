@@ -21,6 +21,7 @@ import operator
 
 import numpy as np
 
+from . import util
 from .groups import CyclicGroup, SymmetricGroup, WreathS2Group
 from .util import STEP_WORK, kron_stack, require
 
@@ -30,13 +31,6 @@ WREATH_IRREPS_MAX_N = 4
 # Largest n at which partition_degrees' subtree bound is checked to
 # grow with the row width at every node of the search.
 PRUNE_MAX_N = 40
-# The all-pairs homomorphism check runs in blocks of rows whose two
-# temporaries in the stack's dtype, the products and the gathered rho(xy),
-# fit HOM_CHECK_BYTES.
-# At 64 MiB psl2:7's degree-8 check held both whole (2 x 28.9 MB) and its
-# facts run peaked 69 MB above an import-only process; in 4 MiB blocks it
-# peaks 18 MB above, and the check runs no slower.
-HOM_CHECK_BYTES = 4 << 20
 # A segment of the numeric decomposition is skipped as a repeated copy only
 # when its norm and its overlap with a built piece are this close to 1, a
 # hundred times inside the 1e-6 tests that the built pieces go through.
@@ -597,20 +591,20 @@ def require_hom_check(label, order, degree):
 
 def hom_unitarity_error(rho):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity, over all
-    |G|^2 pairs (vectorized in blocks of x), |G|^2 d^3 multiply-adds."""
+    |G|^2 pairs, |G|^2 d^3 multiply-adds, in blocks of x whose two
+    temporaries in the stack's dtype, the products and the gathered
+    rho(xy), fit util.BLOCK_BYTES."""
     G, N, d = rho.group, rho.group.order, rho.degree
     require_hom_check(rho.label, N, d)
-    mats = rho.mats
-    eye = np.eye(d)
-    uerr = max(float(np.abs(m.conj().T @ m - eye).max()) for m in mats)
-    herr = 0.0
-    table = G.table()
-    step = max(1, HOM_CHECK_BYTES // (2 * N * d * d * mats.itemsize))
+    mats, table, err = rho.mats, G.table(), 0.0
+    step = max(1, util.BLOCK_BYTES // (2 * N * d * d * mats.itemsize))
     for a in range(0, N, step):
-        prod = np.matmul(mats[a:a + step, None], mats[None])
+        blk = mats[a:a + step]
+        prod = np.matmul(blk[:, None], mats[None])
         prod -= mats[table[a:a + step]]
-        herr = max(herr, float(np.abs(prod).max()))
-    return max(uerr, herr)
+        unit = blk.conj().swapaxes(1, 2) @ blk - np.eye(d)
+        err = max(err, float(np.abs(prod).max()), float(np.abs(unit).max()))
+    return err
 
 
 def schur_orthogonality_error(group, irreps):

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from . import util
 from .fourier import factor_stack, qft, rank_r
 from .frames import frame_bases, random_frame
 from .groups import order_two_subgroup
@@ -27,8 +28,6 @@ from .util import STEP_WORK, kron_apply, kron_stack, pairwise_sum, require
 
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
 SCREEN_TOL = 1e-9
-# complex entries per batched block (1 MiB): batching moves no refusal
-BLOCK_ENTRIES = 1 << 16
 # rho(c) of an involution c: its eigenvalues' distance to +-1 and
 # |rho(c) W - W| (numeric psl2:11 irreps reach 4e-15)
 BASIS_TOL = 1e-9
@@ -145,7 +144,7 @@ def require_lemmas(group, h, k, kind, labels, degrees):
     projected_forms and the l1 row) and two per conjugate (its X moments),
     and the diagonal-overlap terms, per nonempty register subset and frame
     vector of a D-dimensional tuple a q_subset_values pass of at most
-    D k d_max multiply-adds per element, in blocks of BLOCK_ENTRIES."""
+    D k d_max multiply-adds per element, in blocks of util.BLOCK_BYTES."""
     c = len(group.class_of(h))
     require_sampling(labels, degrees, k, kind, c, steps=2 ** k + 2 + c)
     N = group.order
@@ -247,11 +246,11 @@ class RegisterSpace:
 
         c is one involution, giving shape (m,), or a sequence of elements
         of its class, giving one row per element, shape (len(c), m).  The
-        elements are taken in blocks of at most BLOCK_ENTRIES entries of
-        the frame; a block applies its stacked W^dagger with one Kronecker
-        apply, over the frame viewed as float64 (D, 2m) when every W of
-        the tuple is real.  Every row equals the single-element call bit
-        for bit, and is real and non-negative by construction.
+        elements are taken in blocks of as many frame copies as fit
+        util.BLOCK_BYTES; a block applies its stacked W^dagger with one
+        Kronecker apply, over the frame viewed as float64 (D, 2m) when
+        every W of the tuple is real.  Every row equals the single-element
+        call bit for bit, and is real and non-negative by construction.
         """
         cs = np.atleast_1d(c).tolist()
         rows, bases = plus_bases(self.irreps, cs[0])
@@ -261,7 +260,7 @@ class RegisterSpace:
         Wh = [bases[i] for i in self.tuples[ti]]
         V = frame.vectors
         vals = np.empty((len(cs), V.shape[1]))
-        step = max(1, BLOCK_ENTRIES // V.size)
+        step = max(1, util.BLOCK_BYTES // V.nbytes)
         if all(w.dtype == np.float64 for w in Wh):
             V = V.view(np.float64)
         for lo in range(0, len(cs), step):
@@ -458,7 +457,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     Each frame is drawn when it is used and dropped after: the sampled
     checks draw their picked tuples', and one pass over every tuple draws
     each frame once more for the diagonal-overlap terms, taken in blocks of
-    BLOCK_ENTRIES, and for the projected forms, computed once per tuple at
+    util.BLOCK_BYTES, and for the projected forms, computed once per tuple at
     every conjugate, which serve both the X moments and the distance check.
 
     The isotypic check screens every case with the rank-one form
@@ -564,7 +563,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     per_tuple = []
     for ti in range(len(space.tuples)):
         f = space.frame(ti)
-        step = max(1, BLOCK_ENTRIES // (N * space.dims[ti]))
+        step = max(1, util.BLOCK_BYTES // (16 * N * space.dims[ti]))
         for s in subsets:
             per_b = []
             for lo in range(0, f.size, step):

@@ -10,6 +10,7 @@ from hspsim.groups import (
 )
 from hspsim.irreps import (irreps_for, irreps_generic, irreps_symmetric,
                            irreps_wreath)
+from hspsim.util import fmt_complexes, fmt_float
 
 from helpers import tables_match_up_to_rows
 
@@ -77,6 +78,19 @@ def test_csv_export():
     assert len(lines) == 1 + len(t.classes)
     # 12-significant-digit complex rendering
     assert "1+0i" in lines[1]
+
+
+def test_bulk_format_matches_per_value_rule():
+    # fmt_float on each part, '+' before an imaginary part with no '-'
+    def one(z):
+        re, im = fmt_float(z.real), fmt_float(z.imag)
+        return f"{re}{'' if im.startswith('-') else '+'}{im}i"
+    parts = [0.0, -0.0, 1.0, -2.5e-17, 5e-324, -5e-324, 1e16, 1 / 3,
+             123456789012345.0, np.inf, -np.inf, np.nan, -np.nan]
+    z = np.array([complex(a, b) for a in parts for b in parts]
+                 + list(np.exp(2j * np.pi * np.arange(97) / 97)))
+    assert fmt_complexes(z) == [one(v) for v in z]
+    assert fmt_complexes(z[::-3]) == [one(v) for v in z[::-3]]
 
 
 def test_csv_quotes_matrix_reps():

@@ -462,7 +462,7 @@ def peak_mb(code):
 
 def test_facts_peak_memory_in_1gib():
     # the homomorphism check takes its products in blocks of rows that fit
-    # HOM_CHECK_BYTES; psl2:7's degree-8 check in one block held the
+    # util.BLOCK_BYTES; psl2:7's degree-8 check in one block held the
     # (168, 168, 8, 8) products and their gathered rho(xy) at once, and the
     # run peaked 69 MB above an import-only child (16-18 MB in blocks)
     facts = peak_mb("assert main(['verify', '--suite', 'facts', '--group', "

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import hspsim.frames as frames
+from hspsim import util
 from hspsim.frames import Frame, random_frame
 
 
@@ -102,8 +102,9 @@ def test_draw_peak_memory(kind, bound):
 
 
 def test_identity_check_in_row_blocks(monkeypatch):
-    # three rows per block: an error in the last row is still caught
-    monkeypatch.setattr(frames, "CHECK_BLOCK_ENTRIES", 3 * 40)
+    # three rows of 40 complex entries per block: an error in the last
+    # row is still caught
+    monkeypatch.setattr(util, "BLOCK_BYTES", 16 * 3 * 40)
     v = np.eye(40, dtype=complex)
     w = np.ones(40)
     Frame(v, w)

@@ -1,12 +1,14 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import hspsim.irreps as irrmod
+from hspsim import util
 from hspsim.bounds import partition_number
 from hspsim.groups import (
     CyclicGroup, DihedralGroup, PSL2Group, SymmetricGroup, WreathS2Group,
@@ -575,15 +577,47 @@ def test_irrep_keeps_its_dtype():
 
 
 def test_hom_check_in_row_blocks_matches_one_block(monkeypatch):
-    import hspsim.irreps as irrmod
     rho = irreps_symmetric(4)[1]
     whole = hom_unitarity_error(rho)
-    monkeypatch.setattr(irrmod, "HOM_CHECK_BYTES", 1)  # one row per block
+    monkeypatch.setattr(util, "BLOCK_BYTES", 1)  # one row per block
     assert hom_unitarity_error(rho) == whole
     last = rho.group.order - 1
     bad = Irrep(rho.group, "bad", rho.mats.copy())
     bad.mats[last] = bad.mats[last] @ np.diag([1, 1, -1])
     assert hom_unitarity_error(bad) > 0.5
+
+
+@pytest.mark.parametrize("spec", ["psl2:5", "s4", "wreath:3", "cyclic:6"])
+def test_hom_check_block_budget_changes_no_bit(monkeypatch, spec):
+    # 1 KiB blocks, the default, and one block holding the whole group,
+    # against both halves taken whole, the unitarity half element by element
+    G = make_group(spec)
+    irr = irreps_for(G)
+    default = [hom_unitarity_error(r) for r in irr]
+    for r, err in zip(irr, default):
+        m, eye = r.mats, np.eye(r.degree)
+        unit = max(float(np.abs(x.conj().T @ x - eye).max()) for x in m)
+        hom = np.abs(m[:, None] @ m[None] - m[G.table()]).max()
+        assert err == max(unit, float(hom))
+    for budget in (1 << 10, 1 << 62):
+        monkeypatch.setattr(util, "BLOCK_BYTES", budget)
+        assert [hom_unitarity_error(r) for r in irr] == default
+
+
+def test_hom_check_peak_within_two_blocks():
+    # the products and the gathered rho(xy) of one block of rows; the
+    # parent's 4 MiB blocks peaked at about 4 MB here
+    rho = max(irreps_for(make_group("psl2:7")), key=lambda r: r.degree)
+    assert rho.degree == 8
+    rho.group.table()
+    rho.mats
+    tracemalloc.start()
+    try:
+        hom_unitarity_error(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * util.BLOCK_BYTES + (1 << 19)
 
 
 def test_hom_check_refused_past_work_limit():

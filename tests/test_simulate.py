@@ -556,8 +556,8 @@ def test_distance_l1_equals_coset_distribution_l1(spec, k, eps, kind):
 
 @pytest.mark.parametrize("entries", [1, 2048])
 def test_block_size_changes_no_bit(monkeypatch, entries):
-    # 2048 entries leave a short last block of class elements (D = 16) and
-    # of frame vectors (D = 4, 8)
+    # blocks of 2048 complex entries leave a short last block of class
+    # elements (D = 16) and of frame vectors (D = 4, 8)
     G, irr, h = wreath3()
     cls = list(G.class_of(h))
 
@@ -569,7 +569,7 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
                 lemma_suite(G, irr, h, 2, 0.2, seed=3, kind="fused"))
 
     forms, tv, suite = results()
-    monkeypatch.setattr(simulate, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(util, "BLOCK_BYTES", 16 * entries)
     got_forms, got_tv, got_suite = results()
     assert all(np.array_equal(a, b) for a, b in zip(got_forms, forms))
     assert got_tv == tv and got_suite == suite
