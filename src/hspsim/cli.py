@@ -403,8 +403,9 @@ def listed_irreps(G, seed, check, k=1, kind="basis"):
     constructions, whose rows are evaluated where they are read, and the
     numeric ones while 16 |G|^k bytes (every tuple's frame vectors, never
     held at once) fit the memory limit.  Past it, once the numeric irreps'
-    own estimate has passed, the class-sum table lists them before they are
-    built: a route test that charges nothing.
+    own estimate and the r^k register tuples over the r classes have
+    passed, the class-sum table lists them before they are built: a route
+    test that charges nothing.
     """
     if irrmod.has_explicit_irreps(G) or \
             16 * simulate.frame_entries(G.order, k, kind) <= MEMORY_LIMIT:
@@ -412,6 +413,7 @@ def listed_irreps(G, seed, check, k=1, kind="basis"):
         check([r.label for r in irr], [r.degree for r in irr])
         return irr
     irrmod.require_numeric_irreps(G)
+    simulate.require_tuples(len(G.conjugacy_classes()), k)
     table = best_character_table(G, seed=seed)
     check(table.labels, table.degrees)
     return irrmod.irreps_for(G, seed=seed)

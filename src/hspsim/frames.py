@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import util
+
+# numpy 1.x names the square case's gufunc qr_r_raw_m
+_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
 
 
 class Frame:
@@ -22,11 +26,13 @@ class Frame:
         if (self.weights <= 0).any():
             raise ValueError("frame weights must be positive")
         # conj(S) = conj(V w) V^T: a block of its rows at a time, with V^T
-        # a view, so no copy of V and no D x D matrix is made
+        # a view, so no copy of V and no D x D matrix is made.  S is
+        # Hermitian, so a block is checked from its diagonal on: the
+        # columns left of it are an earlier block's rows, conjugated
         step = max(1, util.BLOCK_BYTES // (16 * self.dim))
         for lo in range(0, self.dim, step):
-            S = (V[lo:lo + step].conj() * self.weights) @ V.T
-            S[np.arange(len(S)), np.arange(lo, lo + len(S))] -= 1.0
+            S = (V[lo:lo + step].conj() * self.weights) @ V[lo:].T
+            S[np.arange(len(S)), np.arange(len(S))] -= 1.0
             if np.abs(S).max() > 1e-9:
                 raise ValueError("frame does not resolve the identity")
 
@@ -44,7 +50,9 @@ class Frame:
 
 def _haar_basis(d, rng):
     """A Haar-random unitary: the QR of a complex Ginibre matrix, filled in
-    place, with its columns' phases fixed by R's diagonal in place."""
+    place and factored in place, with its columns' phases fixed by R's
+    diagonal.  The two gufuncs np.linalg.qr calls (zgeqrf, then zungqr) run
+    on A itself, so neither its copy of A nor its triu(R) is made."""
     A = np.empty((d, d), dtype=np.complex128)
     # one buffer for both draws, freed before the QR: a temporary per draw
     # stayed resident (at D = 2000 the draw's peak rose 23 MB)
@@ -52,8 +60,11 @@ def _haar_basis(d, rng):
     for part in (A.real, A.imag):
         part[...] = rng.standard_normal(out=normals)
     del normals
-    Q, R = np.linalg.qr(A)
-    Q *= (np.diag(R) / np.abs(np.diag(R))).conj()
+    with np.errstate(all="ignore", invalid="raise"):  # LAPACK's error signal
+        tau = _qr_r_raw(A)  # A now holds R on and above its diagonal
+        Q = _umath_linalg.qr_reduced(A, tau)
+    r = A.diagonal()
+    Q *= (r / np.abs(r)).conj()
     return Q
 
 

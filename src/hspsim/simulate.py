@@ -102,11 +102,20 @@ def frame_entries(order, k, kind="basis"):
         return frame_bases(kind) * np.float64(order) ** k
 
 
-# Besides its frame, a draw holds at its peak up to 4.5 more D x D complex
-# matrices: the Ginibre matrix, and QR's copy, buffers and outputs (at
-# D = 2000 a draw's resident peak rose 5.0 (basis) and 6.5 (fused) times
-# 16 D^2)
-DRAW_MATRICES = 5
+# Besides its frame, a draw holds at its peak about 3.5 more D x D complex
+# matrices: the Ginibre matrix, factored in place, and QR's buffers and
+# output (at D = 1500 a draw's resident peak rose 4.06 (basis) and 5.54
+# (fused) times 16 D^2, 3.06 and 3.54 above the frame)
+DRAW_MATRICES = 4
+
+
+def require_tuples(r, k):
+    """Refuse k registers over r irreps on their r^k tuples alone, 1 KB and
+    a loop step each: the part of require_sampling that needs no degree."""
+    with np.errstate(over="ignore"):  # past the float range an estimate is inf
+        n = np.float64(r) ** k
+    require(f"sampling k={k} registers over {r} irreps ({n:.4g} tuples)",
+            bytes=1024 * n, work=STEP_WORK * n)
 
 
 def require_sampling(labels, degrees, k, kind="basis", conjugates=0,

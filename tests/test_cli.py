@@ -431,6 +431,23 @@ def test_refused_on_the_irrep_listing(capsys, monkeypatch, argv, err):
 
 
 @pytest.mark.parametrize("argv", [
+    "simulate --group power:z2^9 --k 3",
+    "verify --suite lemmas --group power:z2^9 --k 3"])
+def test_tuples_refused_before_the_class_sum_table(capsys, monkeypatch, argv):
+    # 512 classes, so 512^3 register tuples: they rule the input out, not
+    # the class constants (8 * 512^3 = 1.07e9 bytes) that would list them
+    def built(*args, **kwargs):
+        raise AssertionError("class-sum table or irreps built")
+
+    monkeypatch.setattr(cli, "best_character_table", built)
+    monkeypatch.setattr(cli.irrmod, "irreps_for", built)
+    err = (f"hspsim {argv.split()[0]}: resource cap: sampling k=3 registers "
+           "over 512 irreps (1.342e+08 tuples) needs 1.37e+11 bytes "
+           "(limit 8.81e+08)\n")
+    assert run_cli(capsys, argv.split()) == (69, "", err)
+
+
+@pytest.mark.parametrize("argv", [
     "simulate --group cyclic:5000 --k 2",
     "verify --suite lemmas --group cyclic:5000 --k 2"])
 def test_class_size_is_one_orbit(capsys, monkeypatch, argv):
@@ -518,7 +535,7 @@ def test_simulate_charged_for_one_frame_in_1gib(capsys):
                             "--frame-kind", "fused"]) == (
         69, "", "hspsim simulate: resource cap: sampling k=4 registers over "
         "11 irreps (1.464e+04 tuples; largest tuple rho9|rho9|rho9|rho9 has "
-        "dimension 4096) needs 1.89e+09 bytes (limit 8.81e+08)\n")
+        "dimension 4096) needs 1.63e+09 bytes (limit 8.81e+08)\n")
 
 
 def test_cyclic_facts_estimate_admits_854(monkeypatch):
