@@ -236,9 +236,11 @@ def wreath_params(n, eps=None):
     (sum d)^2 + sum d^2 = I(n)^2 + n!, with I(n) the involutions of S_n.
     Only S_eps needs single degrees: the d^2-dimensional irreps with
     1/d >= eps, which irreps.partition_degrees finds without visiting
-    the Young diagrams whose subtrees hold only larger degrees.  For the
+    the Young diagrams whose subtrees hold only larger degrees, nor the
+    tall ones, the conjugates of the wide ones it visits.  For the
     canonical eps = n^(-n/4) membership is the exact integer test
-    d^4 <= n^n.
+    d^4 <= n^n.  The base labels are sorted once: theta' then theta,
+    each in that order, is the sorted order of the S_eps labels.
     """
     if not 2 <= n <= WREATH_MAX_N:
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
@@ -266,8 +268,10 @@ def wreath_params(n, eps=None):
         in_s = [(lam, d) for lam, d in
                 degrees_up_to(int(limit) + 1 if limit < fact else fact)
                 if 1.0 / d >= eps]
-    labels = [partition_label(lam) for lam, _ in in_s]
-    s_labels = [tag + lab for tag in ("theta", "theta'") for lab in labels]
+    # every theta'[...] sorts before every theta[...] (' is below [), so
+    # the labels come out sorted, as _finish keeps them
+    labels = sorted([partition_label(lam) for lam, _ in in_s])
+    s_labels = [tag + lab for tag in ("theta'", "theta") for lab in labels]
     d_eps = 2 * sum(d ** 4 for _, d in in_s)
     sum_dchi = 2 * math.fsum(d ** 3 for _, d in in_s)
     return _finish(2 * fact ** 2, 2 * p + p * (p - 1) // 2, eps,

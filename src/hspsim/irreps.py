@@ -126,7 +126,17 @@ def partition_degrees(n, max_degree=None):
     rows no longer than it.  A row on top changes no existing cell's arm
     (the cells to its right) or leg (the cells below it), so a row of k
     cells multiplies the hook product by its own k hooks k - j + height[j],
-    height[j] being the number of rows already in column j.
+    height[j] being the number of rows already in column j.  Only the
+    occupied columns are multiplied one by one; the empty ones give a
+    factorial.
+
+    The search visits only the wide diagrams, whose first row is at least
+    their number of rows.  A diagram and its conjugate have the same hooks,
+    so the same degree (Frame, Robinson and Thrall, 1954), and each
+    strictly wide leaf is followed by its conjugate, height[c] + 1 for
+    the columns c of its top row.  A child all of whose diagrams are tall
+    ends the loop, as every later child's are; its subtree and theirs are
+    counted as skipped.
 
     Given max_degree, the search skips each child mu whose subtree holds no
     degree <= max_degree.  Say mu has width k, column heights h_c, and
@@ -140,7 +150,9 @@ def partition_degrees(n, max_degree=None):
     at j = left // k.  For n <= PRUNE_MAX_N this bound never falls as k
     grows at a node (tests/test_irreps.py), so the first skipped child ends
     the loop.  The bound is compared in logs with a 1e-9 margin, which can
-    only cost visits; the leaves keep their exact integer degrees.
+    only cost visits.  A leaf's degree is screened in logs with the same
+    margin before its exact integer division, so the pairs keep their
+    exact integer degrees.
     """
     prune = max_degree is not None
     if prune and not 0 <= n <= PRUNE_MAX_N:
@@ -148,49 +160,71 @@ def partition_degrees(n, max_degree=None):
     if n == 0:
         return [((), 1)] if not prune or max_degree >= 1 else [], 1
     fact = math.factorial(n)
+    facts = [math.factorial(m) for m in range(n + 1)]
+    at_least = _partition_counts(n)
     if prune:
         floor = _log_degree_floor(n)
         limit = math.log(max(max_degree, 1)) + 1e-9
-        at_least = _partition_counts(n)
+        log_fact = math.log(fact)
     out, height, seen = [], [0] * n, 0
 
-    def rec(rem, lo, hooks, rows):
+    def rec(rem, lo, hooks, rows, width):
         nonlocal seen
-        # a top row of all rem cells closes a diagram (map stops at rem)
-        top = math.prod(map(operator.add, range(rem, 0, -1), height))
-        d = fact // (hooks * top)
         seen += 1
-        if not prune or d <= max_degree:
-            out.append(((rem,) + rows, d))
-        for k in range(lo, rem // 2 + 1):  # leaves a top row of >= k cells
-            below = height[:k]
-            row = math.prod(map(operator.add, range(k, 0, -1), below))
-            height[:k] = map((1).__add__, below)
-            if prune and floor(rem - k, hooks * row, height, k) > limit:
-                # the skipped children k.. leave partitions of rem into at
-                # least two parts of at least k cells each
-                seen += at_least[rem][k] - 1
-                height[:k] = below
+        # a top row of all rem cells closes a diagram: hooks rem - c +
+        # height[c] over the width occupied columns, (rem - width)! over
+        # the empty ones
+        whole = hooks * facts[rem - width] * math.prod(
+            map(operator.add, range(rem, rem - width, -1), height))
+        # screened in logs (the margin only costs divisions), then exact
+        if not prune or log_fact - math.log(whole) <= limit:
+            d = fact // whole
+            if not prune or d <= max_degree:
+                out.append(((rem,) + rows, d))
+                if rem > len(rows) + 1:  # strictly wide: add the conjugate
+                    out.append((tuple(map((1).__add__, height[:rem])), d))
+        # child k's diagrams have a first row of at most rem - k cells and
+        # at least len(rows) + 2 rows; some are wide only up to `last`
+        k, last = lo, min(rem // 2, rem - len(rows) - 2)
+        while k <= last:
+            child = hooks * facts[k - width] * math.prod(
+                map(operator.add, range(k, k - width, -1), height))
+            if prune and floor(rem - k, child, height, k, width) > limit:
                 break
-            rec(rem - k, k, hooks * row, (k,) + rows)
+            below = height[:k]
+            height[:k] = map((1).__add__, below)
+            rec(rem - k, k, child, (k,) + rows, k)
             height[:k] = below
+            k += 1
+        # children k.. are not visited: each leaves a partition of rem into
+        # at least two parts of at least k cells, all tall (the conjugates
+        # of wide ones) or over max_degree
+        seen += at_least[rem][k] - 1
 
-    rec(n, 1, 1, ())
+    rec(n, 1, 1, (), 0)
     return out, seen
 
 
 def _log_degree_floor(n):
     """The log of partition_degrees' lower bound on the degrees under
     a child, as a function of the cells `left` still to place, the child's
-    hook product `hooks`, its column heights `height` and its width k."""
+    hook product `hooks`, its parent's column heights `height` (the
+    child's, less its top row), its width k and its parent's width."""
     lgam = [0.0] + [math.lgamma(m) for m in range(1, 3 * n)]
+    # rise[j][a] = log rising(a, j) for a < 2n, past every a + height + 1
+    rise = [[0.0] + [lgam[a + j] - lgam[a] for a in range(1, 2 * n)]
+            for j in range(n + 1)]
 
-    def floor(left, hooks, height, k):
+    def floor(left, hooks, height, k, width):
         j = left // k
-        total = lgam[n + 1] - lgam[left + 1] - math.log(hooks)
-        for c in range(k):  # log rising(a, j) - log rising(b, j)
-            a, b = k - c, k - c + height[c]
-            total += lgam[a + j] - lgam[a] - lgam[b + j] + lgam[b]
+        r = rise[j]
+        # the k - width columns the child's row opened have height 1, and
+        # prod_{a=1..k-width} rising(a, j) / rising(a + 1, j) telescopes
+        total = (lgam[n + 1] - lgam[left + 1] - math.log(hooks)
+                 + r[1] - r[k - width + 1])
+        # the occupied ones, one cell higher under the child's row
+        for a, h in zip(range(k, k - width, -1), height):
+            total += r[a] - r[a + h + 1]
         return total
     return floor
 
@@ -206,7 +240,7 @@ def _partition_counts(n):
 
 
 def partition_label(lam):
-    return "[" + ",".join(str(k) for k in lam) + "]"
+    return "[" + ",".join(map(str, lam)) + "]"
 
 
 def hook_length_degree(lam):
@@ -591,17 +625,22 @@ def require_hom_check(label, order, degree):
 
 def hom_unitarity_error(rho):
     """Max deviation from rho(xy) = rho(x)rho(y) and unitarity, over all
-    |G|^2 pairs, |G|^2 d^3 multiply-adds, in blocks of x whose two
+    |G|^2 pairs, |G|^2 d^3 multiply-adds, in blocks of y whose two
     temporaries in the stack's dtype, the products and the gathered
-    rho(xy), fit util.BLOCK_BYTES."""
+    rho(xy), fit util.BLOCK_BYTES.  A block's products are one BLAS
+    product: the stack read as one (|G| d, d) matrix, each rho(x) on top
+    of the next, times the block's rho(y) side by side, (d, block d), the
+    only matrices copied."""
     G, N, d = rho.group, rho.group.order, rho.degree
     require_hom_check(rho.label, N, d)
     mats, table, err = rho.mats, G.table(), 0.0
     step = max(1, util.BLOCK_BYTES // (2 * N * d * d * mats.itemsize))
     for a in range(0, N, step):
         blk = mats[a:a + step]
-        prod = np.matmul(blk[:, None], mats[None])
-        prod -= mats[table[a:a + step]]
+        # prod[x, i, y, j] = (rho(x) rho(y))[i, j] for the block's y
+        prod = (mats.reshape(N * d, d)
+                @ blk.transpose(1, 0, 2).reshape(d, -1)).reshape(N, d, -1, d)
+        prod -= mats[table[:, a:a + step]].transpose(0, 2, 1, 3)
         unit = blk.conj().swapaxes(1, 2) @ blk - np.eye(d)
         err = max(err, float(np.abs(prod).max()), float(np.abs(unit).max()))
     return err

@@ -299,14 +299,6 @@ def tuple_distributions(space, ti, cs, ranks, forms=None):
     return space.subgroup_prob(ti, ranks) * space.weight * forms / r
 
 
-def coset_distribution(space, c, ranks=None):
-    """Joint outcome probabilities for the coset state of H^g = {e, c}."""
-    if ranks is None:
-        ranks = space.tuple_ranks(order_two_subgroup(space.group, c))
-    return [tuple_distributions(space, ti, [c], ranks)[0]
-            for ti in range(len(space.tuples))]
-
-
 def l1_distance(dist_a, dist_b):
     """Full l1 sum over all (tuple, outcome) pairs."""
     per_tuple = [float(np.sum(np.abs(a - b)))

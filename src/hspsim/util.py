@@ -106,6 +106,8 @@ def dumps_report(obj):
 
     Floats are printed at 12 significant digits; dict insertion order is
     preserved.  Hand-rolled because json.dumps offers no float formatting.
+    A list or tuple of str only, such as a report's labels or a character
+    table's formatted rows, is written in one join.
     """
     out = []
     _emit(obj, out, 0)
@@ -129,6 +131,13 @@ def _emit(obj, out, level):
         if not len(obj):
             out.append("[]")
             return
+        if all(type(v) is str for v in obj):
+            plain = "".join(obj)  # escaped one by one only if one needs it
+            if "\\" in plain or '"' in plain:
+                obj = list(map(_escape, obj))
+            sep = '",\n' + pad + '"'
+            out.append("[\n" + pad + '"' + sep.join(obj) + '"\n' + end + "]")
+            return
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
@@ -146,8 +155,12 @@ def _emit(obj, out, level):
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append(f'"{fmt_complexes([obj])[0]}"')
     else:
-        text = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{text}"')
+        out.append('"' + _escape(str(obj)) + '"')
+
+
+def _escape(text):
+    """text with its backslashes and quotes escaped, for a JSON string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 # Nothing in hspsim calls this: perfbench/spans.py hooks it by name

@@ -1,10 +1,13 @@
 """Helpers that only the tests read: a row-matching comparison of two
-character tables, the quotient map SL(2,q) -> PSL(2,q), and the transfer
-check of coset-state spectra under a quotient map."""
+character tables, the quotient map SL(2,q) -> PSL(2,q), the transfer
+check of coset-state spectra under a quotient map, the outcome
+distribution of one coset state, and a per-item reference for
+util.dumps_report."""
 import numpy as np
 
+from hspsim import util
 from hspsim.groups import Subgroup, _point_images, order_two_subgroup
-from hspsim.simulate import TRANSFER_TOL, coset_state
+from hspsim.simulate import TRANSFER_TOL, coset_state, tuple_distributions
 
 # class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
 # distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
@@ -66,3 +69,32 @@ def transfer_quotient_report(big, projection, small, h_small):
         "max_spectral_diff": diff,
         "pass": bool(diff <= TRANSFER_TOL),
     }
+
+
+def coset_distribution(space, c, ranks=None):
+    """Joint outcome probabilities for the coset state of H^g = {e, c}."""
+    if ranks is None:
+        ranks = space.tuple_ranks(order_two_subgroup(space.group, c))
+    return [tuple_distributions(space, ti, [c], ranks)[0]
+            for ti in range(len(space.tuples))]
+
+
+def dumps_per_item(obj):
+    """util.dumps_report with every list and tuple written item by item,
+    each string quoted and escaped by itself, the other scalars by
+    util._emit."""
+    def emit(obj, level):
+        pad, end = "  " * (level + 1), "  " * level
+        if isinstance(obj, dict) and obj:
+            return "{\n" + ",\n".join(f'{pad}"{k}": {emit(v, level + 1)}'
+                                       for k, v in obj.items()) + f"\n{end}}}"
+        if isinstance(obj, (list, tuple)) and len(obj):
+            return "[\n" + ",\n".join(pad + emit(v, level + 1)
+                                       for v in obj) + f"\n{end}]"
+        if isinstance(obj, str):
+            text = obj.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{text}"'
+        out = []
+        util._emit(obj, out, level)
+        return "".join(out)
+    return emit(obj, 0) + "\n"

@@ -17,7 +17,10 @@ from hspsim import irreps as irrmod
 from hspsim.chartable import (TABLE_ENTRY_BYTES, CharacterTable,
                               best_character_table)
 from hspsim.groups import FiniteGroup, make_group
-from hspsim.util import MEMORY_LIMIT, STEP_WORK, WORK_LIMIT, ResourceCap
+from hspsim.util import (MEMORY_LIMIT, STEP_WORK, WORK_LIMIT, ResourceCap,
+                         dumps_report)
+
+from helpers import dumps_per_item
 
 TS = "1755820800"
 
@@ -1271,3 +1274,24 @@ def test_csv_and_text_formats(capsys):
                                        "--n", "3", "--format", "text"])
     assert rc == 0
     assert "group_order = 72" in out_text
+
+
+def test_string_lists_in_one_join_match_the_per_item_report():
+    # a list or tuple of str only is written in one join; any other list,
+    # the mixed one here, item by item
+    strs = ["rho1", 'say "hi"', "C:\\dir\\", '\\"', "rho1⊗rho0", "",
+            "theta'[2,1]"]
+    obj = {
+        "labels": strs,
+        "tuple": tuple(strs[::-1]),
+        "nested": [strs, [], ["x"], [[""], ["a", "b"]]],
+        "mixed": ["a", 1.5, "b", -0.0, None, True, 3],
+        "numpy": [np.str_("s"), "t"],
+        "one": [""],
+        "empty": [],
+    }
+    text = dumps_report(obj)
+    assert text == dumps_per_item(obj)
+    assert json.loads(text) == {
+        **obj, "tuple": list(obj["tuple"]),
+        "mixed": ["a", 1.5, "b", 0.0, None, True, 3]}

@@ -106,6 +106,14 @@ def _reference_degrees(n):
     return sorted((lam, hook_length_degree(lam)) for lam in parts(n, n))
 
 
+def _conjugate(lam):
+    """The conjugate partition: its column lengths."""
+    cols = [0] * (lam[0] if lam else 0)
+    for row in lam:
+        cols[:row] = map((1).__add__, cols[:row])
+    return tuple(cols)
+
+
 def test_degree_sums_over_the_whole_wreath_range():
     # sum_lam d_lam = I(n) and sum_lam d_lam^2 = n! for every n <= 40: the
     # completeness check wreath_params once made at run time, over all the
@@ -132,16 +140,30 @@ def test_pruned_search_equals_the_reference_enumeration():
         full = _degrees_of(n)
         if n <= 25:
             assert sorted(full) == _reference_degrees(n), n
+        conj = {lam: _conjugate(lam) for lam, _ in full}
         for cap in (1, 2, 5, 10 ** 6, math.isqrt(math.isqrt(n ** n)),
                     10 ** 30):
             got, seen = partition_degrees(n, cap)
             assert got == [pair for pair in full if pair[1] <= cap], (n, cap)
             assert seen == partition_number(n), (n, cap)
+            # closed under conjugation, with equal degrees
+            assert {(conj[lam], d) for lam, d in got} == set(got), (n, cap)
     with pytest.raises(ValueError):
         partition_degrees(PRUNE_MAX_N + 1, 1)
     full, seen = partition_degrees(PRUNE_MAX_N + 1)
     assert sorted(full) == _reference_degrees(PRUNE_MAX_N + 1)
     assert seen == partition_number(PRUNE_MAX_N + 1)
+
+
+def _log_floor_per_column(n, left, hooks, height, k):
+    """The log of partition_degrees' subtree bound, summed over all k
+    columns of the child by the formula in its docstring."""
+    j, lg = left // k, math.lgamma
+    total = lg(n + 1) - lg(left + 1) - math.log(hooks)
+    for c in range(k):  # log rising(a, j) - log rising(b, j)
+        a, b = k - c, k - c + height[c]
+        total += lg(a + j) - lg(a) - lg(b + j) + lg(b)
+    return total
 
 
 def test_subtree_floor_grows_with_the_row_width():
@@ -153,20 +175,22 @@ def test_subtree_floor_grows_with_the_row_width():
         floor = irrmod._log_degree_floor(n)
         height = [0] * n
 
-        def walk(rem, lo, hooks):
+        def walk(rem, lo, hooks, width):
             last = -math.inf
             for k in range(lo, rem // 2 + 1):
                 below = height[:k]
                 hooks_k = hooks * math.prod(k - c + below[c]
                                             for c in range(k))
+                bound = floor(rem - k, hooks_k, height, k, width)
                 height[:k] = [h + 1 for h in below]
-                bound = floor(rem - k, hooks_k, height, k)
                 assert bound >= last - 1e-12, (n, rem, k)
+                assert abs(bound - _log_floor_per_column(
+                    n, rem - k, hooks_k, height, k)) < 1e-9, (n, rem, k)
                 last = bound
-                walk(rem - k, k, hooks_k)
+                walk(rem - k, k, hooks_k, k)
                 height[:k] = below
 
-        walk(n, 1, 1)
+        walk(n, 1, 1, 0)
 
 
 @st.composite
@@ -602,6 +626,29 @@ def test_hom_check_block_budget_changes_no_bit(monkeypatch, spec):
     for budget in (1 << 10, 1 << 62):
         monkeypatch.setattr(util, "BLOCK_BYTES", budget)
         assert [hom_unitarity_error(r) for r in irr] == default
+
+
+@pytest.mark.parametrize("budget", [1, None])
+@pytest.mark.parametrize("spec", ["psl2:5", "s4"])
+def test_hom_check_flags_a_perturbed_or_scaled_row(monkeypatch, spec,
+                                                    budget):
+    # complex and real stacks, in blocks of one row and in the default
+    # blocks: a unitary rho(g) that breaks the homomorphism, and a scaled
+    # rho(e), whose unitarity error 2t + t^2 exceeds its homomorphism
+    # error t + t^2
+    if budget is not None:
+        monkeypatch.setattr(util, "BLOCK_BYTES", budget)
+    G = make_group(spec)
+    rho = max(irreps_for(G), key=lambda r: r.degree)
+    assert hom_unitarity_error(rho) < 1e-9
+    for g in (G.order // 2, G.order - 1):
+        bad = Irrep(G, "bad", rho.mats.copy())
+        bad.mats[g] = -bad.mats[g]
+        assert hom_unitarity_error(bad) > 0.5, g
+    t = 1e-3
+    scaled = Irrep(G, "scaled", rho.mats.copy())
+    scaled.mats[G.identity] *= 1 + t
+    assert abs(hom_unitarity_error(scaled) - (2 * t + t * t)) < 1e-12
 
 
 def test_hom_check_peak_within_two_blocks():

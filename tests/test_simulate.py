@@ -27,7 +27,6 @@ from hspsim.simulate import (
     RegisterSpace,
     _isotypic_screen,
     avg_tv_over_conjugates,
-    coset_distribution,
     coset_state,
     fourier_blocks,
     fourier_roundtrip_error,
@@ -44,7 +43,9 @@ from hspsim.simulate import (
 )
 from hspsim.util import ResourceCap, kron_apply, kron_stack
 
-from helpers import sl2_to_psl2_map, transfer_quotient_report
+from helpers import (
+    coset_distribution, sl2_to_psl2_map, transfer_quotient_report,
+)
 
 
 def wreath3():
