@@ -7,7 +7,7 @@ import io
 import numpy as np
 
 from .irreps import canonical_order, has_explicit_irreps, irreps_for
-from .util import fmt_complexes, require
+from .util import ResourceCap, fmt_complexes, require
 
 # Peak bytes per entry of an explicit table and its export text, r^2 entries
 # for r irreps (r = |G| for cyclic groups): the VmHWM of chartable --group
@@ -85,68 +85,73 @@ class CharacterTable:
 def character_table_numeric(group, seed=0):
     """Character table from the class-sum algebra, no irrep matrices.
 
-    The structure constants a_{ijk} (K_i K_j = sum_k a_{ijk} K_k) give
+    The class constants a_{ijk} (K_i K_j = sum_k a_{ijk} K_k) give
     matrices M_i = a[i,:,:] whose simultaneous eigenvectors are the central
-    characters |C_k| chi(g_k)/chi(1); a random real combination separates
-    them.  Rows come back canonically sorted.  Purely numeric - this is an
-    independent path from any irrep construction.
+    characters |C_k| chi(g_k)/chi(1) (Burnside; Dixon, Numer. Math. 10,
+    1967); a random real combination T = sum_i c_i M_i, one weighted
+    bincount per column and no r x r x r array, separates them.  Rows come
+    back canonically sorted.  Purely numeric - this is an independent path
+    from any irrep construction.  A table that fails its checks in every
+    draw is refused (ResourceCap).
     """
     G = group
     classes = G.conjugacy_classes()
     r = len(classes)
-    # the class constants are one r x r x r float64 array
-    require(f"class-constant array of the {G.kind} group of order "
-            f"{G.order} ({r} classes)", bytes=8 * r ** 3)
+    what = (f"class-sum character table of the {G.kind} group of order "
+            f"{G.order} ({r} classes)")
+    # T, eig's output, the table and its checks' products peaked 98 and 117
+    # bytes per r^2 (r = 900, and 1183 with a failed draw's table beside the
+    # next draw's arrays), with four group-length arrays; r bincounts over
+    # the group, and eig at 3 multiply-adds per r^3 (it took 1.7-4 ns per
+    # r^3 at r = 256-1024, a multiply-add of WORK_LIMIT about 1.2 ns)
+    require(what, bytes=128 * r * r + 32 * G.order,
+            work=r * G.order + 3 * r ** 3)
     cls_index = np.empty(G.order, dtype=np.int64)
     for i, c in enumerate(classes):
         cls_index[list(c)] = i
     reps = [c[0] for c in classes]
     sizes = np.array([len(c) for c in classes], dtype=float)
     ident_cls = int(cls_index[G.identity])
-
-    # a[i, j, k] counts the x in K_i with x^{-1} z_k in K_j
-    a = np.zeros((r, r, r))
     invs = G.inverse(np.arange(G.order))
-    for k, z in enumerate(reps):
-        pair = cls_index * r + cls_index[G.compose(invs, z)]
-        a[:, :, k] = np.bincount(pair, minlength=r * r).reshape(r, r)
 
     last = None
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
-        T = np.tensordot(rng.standard_normal(r), a, axes=1)
+        # T[j, k] = sum_i c_i a_{ijk}: each x of class i adds c_i at the
+        # class j of x^{-1} z_k
+        weights = rng.standard_normal(r)[cls_index]
+        T = np.empty((r, r))
+        for k, z in enumerate(reps):
+            T[:, k] = np.bincount(cls_index[G.compose(invs, z)],
+                                  weights=weights, minlength=r)
         w, V = np.linalg.eig(T)
+        del T
         # reject nearly repeated eigenvalues: eigenvectors would mix rows
-        ws = np.sort_complex(w)
-        if r > 1 and min(abs(ws[i + 1] - ws[i]) for i in range(r - 1)) < 1e-6:
+        if r > 1 and np.abs(np.diff(np.sort_complex(w))).min() < 1e-6:
             last = "degenerate eigenvalues"
             continue
-        rows = []
-        ok = True
-        for v in V.T:
-            if abs(v[ident_cls]) < 1e-12:
-                ok = False
-                break
-            u = v / v[ident_cls]
-            d2 = G.order / float(np.sum(np.abs(u) ** 2 / sizes))
-            d = np.sqrt(d2)
-            if abs(d - round(d)) > 1e-6:
-                ok = False
-                break
-            chi = np.round(d) * u / sizes
-            rows.append((int(round(d)), chi))
-        if not ok:
+        # column v scaled to v / v[e] holds |C_k| chi(g_k) / chi(1), and
+        # sum_k |chi(g_k)|^2 |C_k| = |G| fixes chi(1)
+        lead = V[ident_cls]
+        if np.abs(lead).min() < 1e-12:
             last = "eigenvector did not normalize to a character"
             continue
-        degrees = np.array([d for d, _ in rows])
-        values = np.array([chi for _, chi in rows])
+        V /= lead  # in place, as the rows below: r x r arrays are the peak
+        d = np.sqrt(G.order / np.sum(np.abs(V.T) ** 2 / sizes, axis=1))
+        if np.abs(d - np.round(d)).max() > 1e-6:
+            last = "eigenvector did not normalize to a character"
+            continue
+        values = V.T
+        values *= np.round(d)[:, None]
+        values /= sizes
+        degrees = np.round(d).astype(int)
         order = canonical_order(degrees, values)
         tab = CharacterTable(G, [f"rho{i}" for i in range(r)],
                              degrees[order], values[order])
         if tab.row_orthogonality_error() < 1e-8 and tab.column_orthogonality_error() < 1e-8:
             return tab
         last = "orthogonality check failed"
-    raise RuntimeError(f"class-sum character table failed: {last}")
+    raise ResourceCap(f"{what} failed its checks in 5 draws: {last}")
 
 
 def best_character_table(group, seed=0, export="csv"):

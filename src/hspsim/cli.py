@@ -18,7 +18,8 @@ base group, waits for the group.
 
 Exit codes: 0 success; 1 a verify check failed; 2 a family corollary does
 not apply to the given parameters; 64 usage or parse error (any other
-ValueError); 69 a ResourceCap, raised before the work is allocated.
+ValueError); 69 a ResourceCap, raised before the work is allocated, or on a
+class-sum character table that failed its checks in every draw.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table, character_table_numeric
 from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
-from .util import (MEMORY_LIMIT, STEP_WORK, ResourceCap, dumps_report,
-                   fmt_float, pairwise_sum, require, timestamp)
+from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
+                   pairwise_sum, require, timestamp)
 
 EX_OK = 0
 EX_VERIFY_FAIL = 1
@@ -350,20 +351,13 @@ def _group(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
     # the bound reads only degrees and chi(h): without explicit irreps,
-    # the class-sum table holds them, and no irrep matrix is built.  Its
-    # r^3 class constants can be refused where the numeric irreps'
-    # |G|^2 fit (power:z2^9, 512 classes), so those build the irreps.
-    table = None
-    if not irrmod.has_explicit_irreps(G):
-        try:
-            table = character_table_numeric(G, seed=args.seed)
-        except ResourceCap:
-            pass
-    if table is not None:
-        bp = bounds.params_from_table(table, h, args.epsilon)
-    else:
+    # the class-sum table holds them, and no irrep matrix is built
+    if irrmod.has_explicit_irreps(G):
         bp = bounds.params_from_irreps(
             G, irrmod.irreps_for(G, seed=args.seed), h, args.epsilon)
+    else:
+        bp = bounds.params_from_table(
+            character_table_numeric(G, seed=args.seed), h, args.epsilon)
     return spec_of(G), bounds.group_report(
         G, h, bp, t=args.t, threshold=args.threshold, k_max=args.k_max)
 
@@ -396,19 +390,16 @@ def cmd_bound(args):
 # ---------------------------------------------------------------------------
 # simulate
 
-def listed_irreps(G, seed, check, k=1, kind="basis"):
+def listed_irreps(G, seed, check, k=1):
     """G's irreps, built once check(labels, degrees) passes on a listing.
 
-    Irreps that need no estimate of their own list themselves: the explicit
-    constructions, whose rows are evaluated where they are read, and the
-    numeric ones while 16 |G|^k bytes (every tuple's frame vectors, never
-    held at once) fit the memory limit.  Past it, once the numeric irreps'
-    own estimate and the r^k register tuples over the r classes have
-    passed, the class-sum table lists them before they are built: a route
-    test that charges nothing.
+    The explicit constructions list themselves: their rows are evaluated
+    where they are read.  A group without them is listed by its class-sum
+    table, once the numeric irreps' own estimate and the r^k register
+    tuples over its r classes have passed, and the table is dropped before
+    the numeric irreps are built.
     """
-    if irrmod.has_explicit_irreps(G) or \
-            16 * simulate.frame_entries(G.order, k, kind) <= MEMORY_LIMIT:
+    if irrmod.has_explicit_irreps(G):
         irr = irrmod.irreps_for(G, seed=seed)
         check([r.label for r in irr], [r.degree for r in irr])
         return irr
@@ -416,6 +407,7 @@ def listed_irreps(G, seed, check, k=1, kind="basis"):
     simulate.require_tuples(len(G.conjugacy_classes()), k)
     table = best_character_table(G, seed=seed)
     check(table.labels, table.degrees)
+    del table  # one of the table and the irreps held at a time
     return irrmod.irreps_for(G, seed=seed)
 
 
@@ -426,7 +418,7 @@ def cmd_simulate(args):
     irr = listed_irreps(
         G, args.seed, lambda labels, degrees: simulate.require_sampling(
             labels, degrees, args.k, args.frame_kind, len(G.class_of(h)),
-            args.frames), args.k, args.frame_kind)
+            args.frames), args.k)
     conjugates = len(G.class_of(h))
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
@@ -548,7 +540,7 @@ def _suite_facts(G, args):
 def _suite_lemmas(G, args):
     h = resolve_h(G, args.h)
     irr = listed_irreps(G, args.seed, lambda *listing: simulate.require_lemmas(
-        G, h, args.k, args.frame_kind, *listing), args.k, args.frame_kind)
+        G, h, args.k, args.frame_kind, *listing), args.k)
     checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind)

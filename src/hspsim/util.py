@@ -13,8 +13,9 @@ TIMESTAMP_ENV = "HSPSIM_TIMESTAMP"
 
 # Each site that allocates or loops estimates, in place and before it
 # starts, what it will hold and do, and asks require().  Bytes beyond the
-# interpreter, numpy and OpenBLAS: under a 1 GiB RLIMIT_AS the class
-# constants of dihedral:952 (8 r^3 = 879 MB) fit, dihedral:954's do not.
+# interpreter, numpy and OpenBLAS: under a 1 GiB RLIMIT_AS a process that
+# has imported hspsim.cli maps 921 MiB more in one array, and 840 leave 81
+# of them to the small objects no estimate counts.
 MEMORY_LIMIT = 840 << 20
 # Multiply-adds: psl2:13's numeric irreps (2.8e9) take 3.3 s in BLAS, and
 # wreath:4's all-pairs homomorphism check (7.7e9, a minute) is refused.

@@ -1,13 +1,20 @@
-"""Helpers that only the tests read: a row-matching comparison of two
-character tables, the quotient map SL(2,q) -> PSL(2,q), the transfer
-check of coset-state spectra under a quotient map, the outcome
-distribution of one coset state, and a per-item reference for
-util.dumps_report."""
+"""Helpers that only the tests read: the test catalogue's groups without
+explicit irreps, a row-matching comparison of two character tables, the
+r x r x r reference for the class-sum combination, the quotient map
+SL(2,q) -> PSL(2,q), the transfer check of coset-state spectra under a
+quotient map, the outcome distribution of one coset state, and a
+per-item reference for util.dumps_report."""
 import numpy as np
 
 from hspsim import util
 from hspsim.groups import Subgroup, _point_images, order_two_subgroup
 from hspsim.simulate import TRANSFER_TOL, coset_state, tuple_distributions
+
+# the test catalogue's groups without explicit irreps, up to order 720
+NUMERIC_GROUPS = ["dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9",
+                  "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11",
+                  "sl2:5", "sl2:7", "power:s3^2", "power:s3^3", "power:z2^3",
+                  "sl2:9"]
 
 # class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
 # distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
@@ -29,6 +36,24 @@ def tables_match_up_to_rows(t1, t2):
             return False
         used.add(hit)
     return True
+
+
+def class_sum_combination(group, seed):
+    """The first draw's T = sum_i c_i M_i of chartable.character_table_numeric
+    at this seed, from the whole r x r x r array of class constants
+    a[i, j, k], the number of x in K_i with x^{-1} z_k in K_j."""
+    classes = group.conjugacy_classes()
+    r = len(classes)
+    cls_index = np.empty(group.order, dtype=np.int64)
+    for i, c in enumerate(classes):
+        cls_index[list(c)] = i
+    invs = group.inverse(np.arange(group.order))
+    a = np.zeros((r, r, r))
+    for k, c in enumerate(classes):
+        pair = cls_index * r + cls_index[group.compose(invs, c[0])]
+        a[:, :, k] = np.bincount(pair, minlength=r * r).reshape(r, r)
+    c = np.random.default_rng(seed).standard_normal(r)
+    return np.tensordot(c, a, axes=1)
 
 
 def sl2_to_psl2_map(sl2, psl2):

@@ -10,6 +10,8 @@ from hspsim import bounds, cli, groups, irreps, simulate
 from hspsim.chartable import (CharacterTable, best_character_table,
                               character_table_numeric)
 
+from helpers import NUMERIC_GROUPS
+
 
 def wreath_swap(n):
     W = groups.WreathS2Group(n)
@@ -78,12 +80,6 @@ def test_wreath_params_matches_enumerated_path_exactly():
 
 # ---------------------------------------------------------------------------
 # the group bound's two routes: numeric irreps and the class-sum table
-
-# the test catalogue's groups without explicit irreps, up to order 720
-NUMERIC_GROUPS = ["dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9",
-                  "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11",
-                  "sl2:5", "sl2:7", "power:s3^2", "power:s3^3", "power:z2^3",
-                  "sl2:9"]
 
 
 def _route_epsilons(spec):

@@ -12,7 +12,8 @@ from hspsim.irreps import (irreps_for, irreps_generic, irreps_symmetric,
                            irreps_wreath)
 from hspsim.util import fmt_complexes, fmt_float
 
-from helpers import tables_match_up_to_rows
+from helpers import (NUMERIC_GROUPS, class_sum_combination,
+                     tables_match_up_to_rows)
 
 # the standard S4 table, rows in canonical order; classes ordered
 # (size, smallest member): e, (12)(34) x3, (12) x6, (1234) x6, (123) x8
@@ -66,6 +67,36 @@ def test_numeric_table_psl2_13():
     t = character_table_numeric(PSL2Group(13))
     assert t.degrees == [1, 7, 7, 12, 12, 12, 13, 14, 14]
     assert t.sum_of_squared_degrees() == 1092
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("spec", NUMERIC_GROUPS + ["power:z2^6"])
+def test_class_sum_combination_matches_the_class_constants(monkeypatch, spec,
+                                                           seed):
+    # each column of T is one weighted bincount over the group; the whole
+    # r x r x r array of class constants is the reference
+    G = make_group(spec)
+    seen, eig = [], np.linalg.eig
+
+    def recorded(T):
+        seen.append(T.copy())
+        return eig(T)
+
+    monkeypatch.setattr(np.linalg, "eig", recorded)
+    character_table_numeric(G, seed=seed)
+    want = class_sum_combination(G, seed)
+    assert np.abs(seen[0] - want).max() <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec", NUMERIC_GROUPS)
+def test_class_sum_listing_is_the_numeric_irreps(spec):
+    # cli.listed_irreps checks a group without explicit irreps on its
+    # table's labels and degrees, and then builds its numeric irreps
+    G = make_group(spec)
+    table = character_table_numeric(G)
+    irr = irreps_generic(G)
+    assert table.labels == [r.label for r in irr]
+    assert table.degrees == [r.degree for r in irr]
 
 
 def test_csv_export():

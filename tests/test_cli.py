@@ -20,7 +20,7 @@ from hspsim.groups import FiniteGroup, make_group
 from hspsim.util import (MEMORY_LIMIT, STEP_WORK, WORK_LIMIT, ResourceCap,
                          dumps_report)
 
-from helpers import dumps_per_item
+from helpers import NUMERIC_GROUPS, dumps_per_item
 
 TS = "1755820800"
 
@@ -115,14 +115,31 @@ def test_simulate_frame_vectors_refused_before_irreps(capsys, monkeypatch):
                    "(limit 5e+09)\n")
 
 
-def test_simulate_admitted_builds_no_character_table(capsys, monkeypatch):
-    def built(*args, **kwargs):
-        raise AssertionError("character table built")
+@pytest.mark.parametrize("argv", [
+    "simulate --group dihedral:4 --k 3 --frame-kind fused",
+    "simulate --group psl2:7 --k 2"], ids=["dihedral:4", "psl2:7"])
+def test_numeric_group_listed_by_one_table_before_its_irreps(capsys,
+                                                             monkeypatch,
+                                                             argv):
+    # a group without explicit irreps is checked on its class-sum table's
+    # labels and degrees, and only then are its numeric irreps built
+    calls = []
 
-    monkeypatch.setattr(cli, "best_character_table", built)
-    rc, _, _ = run_cli(capsys, ["simulate", "--group", "dihedral:4",
-                                "--k", "3", "--frame-kind", "fused"])
-    assert rc == 0
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(chartable, "character_table_numeric", recorded(
+        "table", chartable.character_table_numeric))
+    monkeypatch.setattr(simulate, "require_sampling", recorded(
+        "check", simulate.require_sampling))
+    monkeypatch.setattr(cli.irrmod, "irreps_for", recorded(
+        "irreps", cli.irrmod.irreps_for))
+    assert run_cli(capsys, argv.split())[0] == 0
+    assert calls[:3] == ["table", "check", "irreps"]
+    assert calls.count("table") == calls.count("irreps") == 1
 
 
 @pytest.mark.parametrize("spec, h", [("wreath:4", None), ("cyclic:12", None),
@@ -349,22 +366,47 @@ def test_explicit_table_cap_admits_cyclic_2000(monkeypatch):
                      "--format", "json"]) == 69
 
 
-def test_dihedral_1000_chartable_refused_in_1gib():
-    # 503 classes: the r x r x r class constants are 1.02e9 bytes; before the
-    # cap it died with a MemoryError traceback
-    proc = _cli_under_1gib("chartable", "--group", "dihedral:1000")
+def test_dihedral_1000_chartable_in_1gib():
+    # 503 classes: the table holds r^2 floats, never the r x r x r class
+    # constants (1.02e9 bytes), and the run peaked 38 MB above an
+    # import-only child
+    run = peak_mb("assert main(['chartable', '--group', 'dihedral:1000', "
+                  "'--out', os.devnull]) == 0")
+    assert run - peak_mb("") <= 60
+
+
+def test_uncertified_class_sum_table_refused():
+    # dihedral:1700's tables miss the 1e-8 orthogonality checks in all five
+    # draws (column errors 1.3e-8 to 2e-8)
+    proc = _cli_under_1gib("chartable", "--group", "dihedral:1700")
     assert proc.returncode == 69, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "hspsim chartable: resource cap: class-constant array of the "
-        "dihedral group of order 2000 (503 classes) needs 1.02e+09 bytes "
-        "(limit 8.81e+08)\n")
+        "hspsim chartable: resource cap: class-sum character table of the "
+        "dihedral group of order 3400 (853 classes) failed its checks in 5 "
+        "draws: orthogonality check failed\n")
 
 
-def test_class_constant_cap_admits_479_classes():
-    # dihedral:952 (479 classes) ran in 1 GiB of address space and
-    # dihedral:954 (480 classes) did not
-    assert 8 * 479 ** 3 <= MEMORY_LIMIT < 8 * 480 ** 3
+def test_class_sum_table_refused_on_its_work(capsys):
+    # r |G| for the bincounts and 3 r^3 for eig: dihedral:2365 (1184
+    # classes, 4.98e9) is admitted and dihedral:2366 is the first refused
+    G = make_group("dihedral:2365")
+    r = len(G.conjugacy_classes())
+    assert r * G.order + 3 * r ** 3 <= WORK_LIMIT
+    assert run_cli(capsys, ["chartable", "--group", "dihedral:2366"]) == (
+        69, "", "hspsim chartable: resource cap: class-sum character table "
+        "of the dihedral group of order 4732 (1186 classes) needs 5.01e+09 "
+        "multiply-adds (limit 5e+09)\n")
+
+
+def test_memory_limit_fits_under_1gib():
+    # MEMORY_LIMIT counts bytes beyond the interpreter, numpy and OpenBLAS:
+    # a child that has imported hspsim.cli under a 1 GiB address-space limit
+    # still maps that many bytes more
+    proc = _under_1gib("-c", "import numpy as np, hspsim.cli\n"
+                       "from hspsim.util import MEMORY_LIMIT\n"
+                       "np.empty(MEMORY_LIMIT, np.uint8)")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("spec", ["cyclic:12", "wreath:3"])
@@ -653,21 +695,24 @@ def test_symmetric_groups_build_no_numeric_irreps_or_table(capsys,
     assert run_cli(capsys, argv.split())[0] == 0
 
 
-def test_group_bound_builds_irreps_when_the_table_is_refused(capsys,
-                                                             monkeypatch):
-    # the class constants are r^3 and the numeric irreps |G|^2, so an abelian
-    # group such as power:z2^9 (512 classes, about 10 s) fits only the
-    # irreps; dihedral:6 stands in for it here
-    assert 8 * 512 ** 3 > MEMORY_LIMIT
-    argv = ["bound", "--family", "group", "--group", "dihedral:6"]
-    rc, want, _ = run_cli(capsys, argv)
+@pytest.mark.parametrize("spec", NUMERIC_GROUPS)
+def test_group_bound_reads_numeric_groups_off_the_table(capsys, monkeypatch,
+                                                        spec):
+    # no irrep is built, and the report is the one the numeric irreps give
+    argv = ["bound", "--family", "group", "--group", spec]
+
+    def built(*args, **kwargs):
+        raise AssertionError("irreps built")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.irrmod, "irreps_for", built)
+        m.setattr(cli.irrmod, "irreps_generic", built)
+        rc, got, _ = run_cli(capsys, argv)
     assert rc == 0
-
-    def refused(group, seed=0):
-        raise ResourceCap("class constants refused")
-
-    monkeypatch.setattr(cli, "character_table_numeric", refused)
-    assert run_cli(capsys, argv) == (0, want, "")
+    irr = irrmod.irreps_generic(make_group(spec))
+    monkeypatch.setattr(bounds, "params_from_table", lambda table, h, eps:
+                        bounds.params_from_irreps(table.group, irr, h, eps))
+    assert run_cli(capsys, argv) == (0, got, "")
 
 
 @pytest.mark.parametrize("admitted, refused", [
