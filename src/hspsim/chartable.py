@@ -9,13 +9,14 @@ import numpy as np
 from .irreps import canonical_order, has_explicit_irreps, irreps_for
 from .util import ResourceCap, fmt_complexes, require
 
-# Peak bytes per entry of an explicit table and its export text, r^2 entries
-# for r irreps (r = |G| for cyclic groups): the VmHWM of chartable --group
-# cyclic:N above the interpreter's 33 MB was 97 bytes per entry in csv
-# (N = 1000, 1500, 2000) and 325 in json (N = 1000, 1500), whose strings
-# and text chunks are most of it.  Charged with 8 % and
-# 5 % margin, they admit cyclic:2896 and cyclic:1609; under a 1 GiB address
-# limit json ran at cyclic:1700 (949 MB) and failed at 1750.
+# Peak bytes per entry of a table and its export text, r^2 entries for r
+# classes, charged on both routes and measured on explicit tables (r = |G|
+# for cyclic groups): the VmHWM of chartable --group cyclic:N above the
+# interpreter's 33 MB was 97 bytes per entry in csv (N = 1000, 1500, 2000)
+# and 325 in json (N = 1000, 1500), whose strings and text chunks are most
+# of it.  Charged with 8 % and 5 % margin, they admit cyclic:2896 and
+# cyclic:1609; under a 1 GiB address limit json ran at cyclic:1700 (949 MB)
+# and failed at 1750.
 TABLE_ENTRY_BYTES = {"csv": 105, "json": 340}
 
 
@@ -158,13 +159,15 @@ def best_character_table(group, seed=0, export="csv"):
     """Character table with the most informative labels available.
 
     Groups with explicit irreps (see irreps.has_explicit_irreps) get
-    their labelled rows, read at the class representatives only and
-    refused on the listing past TABLE_ENTRY_BYTES[export] per entry; the
-    rest get the purely numeric class-sum table with rho<i> labels.
+    their labelled rows, read at the class representatives only; the rest
+    get the purely numeric class-sum table with rho<i> labels.  Either is
+    refused past TABLE_ENTRY_BYTES[export] per entry before it is built,
+    on the irrep listing or on the class count.
     """
-    if not has_explicit_irreps(group):
-        return character_table_numeric(group, seed=seed)
-    irreps = irreps_for(group)
+    explicit = has_explicit_irreps(group)
+    rows = irreps_for(group) if explicit else group.conjugacy_classes()
     require(f"character table of the {group.kind} group of order "
-            f"{group.order}", bytes=TABLE_ENTRY_BYTES[export] * len(irreps) ** 2)
-    return CharacterTable.from_irreps(group, irreps)
+            f"{group.order}", bytes=TABLE_ENTRY_BYTES[export] * len(rows) ** 2)
+    if explicit:
+        return CharacterTable.from_irreps(group, rows)
+    return character_table_numeric(group, seed=seed)

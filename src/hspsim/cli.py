@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table, character_table_numeric
-from .groups import PSL2Group, make_group, order_two_subgroup, spec_of
+from .groups import PSL2Group, make_group, spec_of
 from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
                    pairwise_sum, require, timestamp)
 
@@ -545,8 +545,7 @@ def _suite_lemmas(G, args):
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind)
     try:  # reported first, run once the suite has passed its estimates
-        err = simulate.fourier_roundtrip_error(G, order_two_subgroup(G, h),
-                                               irr)
+        err = simulate.fourier_roundtrip_error(G, h, irr)
         checks.append(_below("transform diagonalizes the hidden-subgroup "
                              "state", err, ROUNDTRIP_TOL))
     except ResourceCap:  # too large to run; the suite stands without it

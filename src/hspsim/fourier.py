@@ -1,8 +1,9 @@
-"""Group Fourier transform, subgroup averages, and isotypic projectors."""
+"""Group Fourier transform, hidden-subgroup ranks, and isotypic projectors."""
 from __future__ import annotations
 
 import numpy as np
 
+from .groups import involution
 from .irreps import Irrep
 from .util import kron_stack
 
@@ -25,25 +26,22 @@ def qft(group, irreps):
     return np.concatenate(blocks, axis=0, dtype=np.complex128)
 
 
-def subgroup_projector(rho, H):
-    """Average of rho over a subgroup; an orthogonal projector."""
-    return np.mean(rho.at(list(H.elements)), axis=0)
+def rank_r(rho, h):
+    """Rank of rho's average over the hidden subgroup {e, h}, via the
+    character sum; h must be an involution.
 
-
-def rank_r(rho, H):
-    """Rank of the subgroup average, via the character sum.
-
-    (1/|H|) sum_h chi(h) must be a near-integer, and must agree with the
-    numerical rank of the projector before rounding.
+    (1/2)(chi(e) + chi(h)) must be a near-integer, and must agree with the
+    numerical rank of the projector (1/2)(rho(e) + rho(h)) before rounding.
     """
-    s = complex(np.mean(rho.character_at(list(H.elements))))
+    hs = involution(rho.group, h)
+    s = complex(np.mean(rho.character_at(hs)))
     if abs(s.imag) > 1e-6:
         raise ValueError(f"character average not real: {s}")
     val = s.real
     r = round(val)
     if abs(val - r) > 1e-6:
         raise ValueError(f"character average {val} is not integral")
-    P = subgroup_projector(rho, H)
+    P = np.mean(rho.at(hs), axis=0)
     numeric = int(np.sum(np.linalg.eigvalsh((P + P.conj().T) / 2) > 0.5))
     if numeric != r:
         raise ValueError(f"character rank {r} != numerical rank {numeric}")

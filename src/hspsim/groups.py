@@ -2,9 +2,8 @@
 
 Each family gives one composition rule and one inverse rule acting on
 integer arrays of ids with numpy broadcasting (a Python int is a 0-d
-array).  Multiplication tables, inverses, conjugacy classes, involutions,
-centralizers and the center all derive from those two rules with array
-operations.
+array).  Multiplication tables, inverses, conjugacy classes and
+involutions all derive from those two rules with array operations.
 
 Permutations are 0-based image arrays and compose left-to-right:
 (x then y)(i) = y(x(i)).  That is the unique order under which the
@@ -177,58 +176,18 @@ class FiniteGroup:
         return tuple(np.unique(self.compose(self.compose(ids, x),
                                             self.inverse(ids))).tolist())
 
-    def centralizer(self, x):
-        ids = np.arange(self.order)
-        return Subgroup(self, ids[self.compose(ids, x)
-                                  == self.compose(x, ids)].tolist())
-
-    def center(self):
-        """The elements whose conjugacy class is a single element."""
-        return Subgroup(self, [c[0] for c in self.conjugacy_classes()
-                               if len(c) == 1])
-
     def involutions(self):
         ids = np.arange(self.order)
         return np.flatnonzero((self.compose(ids, ids) == self.identity)
                               & (ids != self.identity)).tolist()
 
 
-class Subgroup:
-    """A validated subgroup given by its sorted element ids."""
-
-    def __init__(self, group, elements):
-        self.group = group
-        self.elements = tuple(sorted(set(elements)))
-        self.order = len(self.elements)
-        els = np.array(self.elements, dtype=np.int64)
-        if group.identity not in self.elements:
-            raise ValueError("subgroup must contain the identity")
-        if not np.isin(group.inverse(els), els).all():
-            raise ValueError("subgroup not closed under inverse")
-        if not np.isin(group.compose(els[:, None], els), els).all():
-            raise ValueError("subgroup not closed under product")
-        if group.order % self.order:
-            raise ValueError("subgroup order must divide the group order")
-
-    def __repr__(self):
-        return f"<subgroup order={self.order} of {self.group!r}>"
-
-    @classmethod
-    def generated(cls, group, gens):
-        """Close {e} under right multiplication by the generators."""
-        gens = np.asarray(gens, dtype=np.int64)
-        els = np.array([group.identity])
-        while True:
-            grown = np.union1d(els, group.compose(els[:, None], gens))
-            if len(grown) == len(els):
-                return cls(group, els.tolist())
-            els = grown
-
-
-def order_two_subgroup(group, h):
+def involution(group, h):
+    """The sorted ids of the hidden subgroup {e, h}; h must be an
+    involution."""
     if h == group.identity or group.compose(h, h) != group.identity:
         raise ValueError("h must be an involution")
-    return Subgroup(group, [group.identity, h])
+    return sorted((group.identity, h))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import util
 from .fourier import factor_stack, qft, rank_r
 from .frames import frame_bases, random_frame
-from .groups import order_two_subgroup
+from .groups import involution
 from .util import STEP_WORK, kron_apply, kron_stack, pairwise_sum, require
 
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
@@ -42,24 +42,25 @@ TRANSFER_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # coset states and their Fourier form
 
-def coset_state(group, H):
-    """Density matrix (1/|G|) [y, z in the same left coset of H]."""
+def coset_state(group, h):
+    """Density matrix (1/|G|) [y, z in the same left coset of {e, h}]."""
+    hs = involution(group, h)
     N = group.order
     require(f"coset state of the {group.kind} group of order {N}",
             bytes=9 * N * N)  # a boolean and a float64 N x N matrix
     ids = np.arange(N)  # y is labelled by min(yH), the same on its coset
-    coset = np.min([group.compose(ids, h) for h in H.elements], axis=0)
+    coset = np.min([group.compose(ids, x) for x in hs], axis=0)
     return np.equal.outer(coset, coset) / N
 
 
-def fourier_blocks(group, H, irreps):
+def fourier_blocks(group, h, irreps):
     """Per-irrep weighted blocks of the Fourier-transformed coset state.
 
-    The block for rho is (|H| d/|G|) conj(rho)(H), carried with
-    multiplicity d; its trace is the probability of observing rho.
+    The block for rho is (d/|G|) (conj(rho)(e) + conj(rho)(h)), carried
+    with multiplicity d; its trace is the probability of observing rho.
     """
     N = group.order
-    hs = list(H.elements)
+    hs = involution(group, h)
     out = []
     for r in irreps:
         P = np.mean(r.mats[hs].conj(), axis=0)
@@ -71,7 +72,7 @@ def fourier_blocks(group, H, irreps):
     return out
 
 
-def fourier_roundtrip_error(group, H, irreps):
+def fourier_roundtrip_error(group, h, irreps):
     """Max deviation between F sigma F^dag and the block expansion."""
     N = group.order
     # F, sigma, F sigma, both sides and their difference: six N x N
@@ -79,11 +80,11 @@ def fourier_roundtrip_error(group, H, irreps):
     require(f"round-trip check on the {group.kind} group of order {N}",
             bytes=96 * N * N, work=2 * N ** 3)
     F = qft(group, irreps)
-    sigma = coset_state(group, H)
+    sigma = coset_state(group, h)
     lhs = F @ sigma @ F.conj().T
     rhs = np.zeros((N, N), dtype=np.complex128)
     pos = 0
-    for entry in fourier_blocks(group, H, irreps):
+    for entry in fourier_blocks(group, h, irreps):
         d = entry["multiplicity"]
         for i in range(d):
             rhs[pos:pos + d, pos:pos + d] = entry["block"] / d
@@ -238,9 +239,9 @@ class RegisterSpace:
             p *= self.degrees[i] ** 2 / N
         return p
 
-    def tuple_ranks(self, H):
-        """Per-tuple product of subgroup-average ranks (0 kills the tuple)."""
-        per_irrep = [rank_r(r, H) for r in self.irreps]
+    def tuple_ranks(self, h):
+        """Per-tuple product of rank_r(rho, h) (0 kills the tuple)."""
+        per_irrep = [rank_r(r, h) for r in self.irreps]
         return [int(np.prod([per_irrep[i] for i in t])) for t in self.tuples]
 
     def subgroup_prob(self, ti, ranks):
@@ -321,8 +322,7 @@ def avg_tv_over_conjugates(space, h):
     the tuples in tuple order, as l1_distance does.
     """
     group = space.group
-    H = order_two_subgroup(group, h)
-    ranks = space.tuple_ranks(H)  # ranks are conjugation-invariant
+    ranks = space.tuple_ranks(h)  # ranks are conjugation-invariant
     ref = reference_distribution(space)
     cls = list(group.class_of(h))
 
@@ -475,8 +475,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     require_lemmas(group, h, k, kind, [r.label for r in irreps],
                    [r.degree for r in irreps])
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
-    H = order_two_subgroup(group, h)
-    ranks = space.tuple_ranks(H)
+    ranks = space.tuple_ranks(h)
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
     delta1 = eps + sum_d * sum_dchi / N
     entries = []
@@ -687,9 +686,8 @@ def transfer_subgroup_report(big, mapping, small, h_small):
     if rem:
         raise ValueError("small group order does not divide big group order")
     ev_big = np.sort(np.linalg.eigvalsh(
-        coset_state(big, order_two_subgroup(big, int(mapping[h_small])))))
-    ev_small = np.sort(np.linalg.eigvalsh(
-        coset_state(small, order_two_subgroup(small, h_small))))
+        coset_state(big, int(mapping[h_small]))))
+    ev_small = np.sort(np.linalg.eigvalsh(coset_state(small, h_small)))
     expected = np.sort(np.repeat(ev_small, index) / index)
     diff = float(np.max(np.abs(ev_big - expected)))
     return {

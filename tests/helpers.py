@@ -2,12 +2,12 @@
 explicit irreps, a row-matching comparison of two character tables, the
 r x r x r reference for the class-sum combination, the quotient map
 SL(2,q) -> PSL(2,q), the transfer check of coset-state spectra under a
-quotient map, the outcome distribution of one coset state, and a
-per-item reference for util.dumps_report."""
+quotient map, the outcome distribution of one coset state, an element of
+order three, and a per-item reference for util.dumps_report."""
 import numpy as np
 
 from hspsim import util
-from hspsim.groups import Subgroup, _point_images, order_two_subgroup
+from hspsim.groups import _point_images
 from hspsim.simulate import TRANSFER_TOL, coset_state, tuple_distributions
 
 # the test catalogue's groups without explicit irreps, up to order 720
@@ -66,16 +66,18 @@ def sl2_to_psl2_map(sl2, psl2):
 def transfer_quotient_report(big, projection, small, h_small):
     """Coset-state spectra under a quotient map big -> small.
 
-    The subgroup upstairs is the full preimage of {e, h}; the nonzero
-    spectra downstairs and upstairs coincide as multisets.
+    The subgroup upstairs is the full preimage of {e, h}, of order four
+    under SL(2,q) -> PSL(2,q), so its coset state is built here, as
+    simulate.coset_state builds that of {e, h}; the nonzero spectra
+    downstairs and upstairs coincide as multisets.
     """
     projection = np.asarray(projection)
     targets = {small.identity, h_small}
     pre = [x for x in range(big.order) if int(projection[x]) in targets]
-    H_big = Subgroup(big, pre)
-    ev_big = np.linalg.eigvalsh(coset_state(big, H_big))
-    ev_small = np.linalg.eigvalsh(
-        coset_state(small, order_two_subgroup(small, h_small)))
+    ids = np.arange(big.order)  # y is labelled by min(yH)
+    coset = np.min([big.compose(ids, x) for x in pre], axis=0)
+    ev_big = np.linalg.eigvalsh(np.equal.outer(coset, coset) / big.order)
+    ev_small = np.linalg.eigvalsh(coset_state(small, h_small))
     nz_big = np.sort(ev_big[ev_big > 1e-12])
     nz_small = np.sort(ev_small[ev_small > 1e-12])
     if len(nz_big) != len(nz_small):
@@ -99,9 +101,16 @@ def transfer_quotient_report(big, projection, small, h_small):
 def coset_distribution(space, c, ranks=None):
     """Joint outcome probabilities for the coset state of H^g = {e, c}."""
     if ranks is None:
-        ranks = space.tuple_ranks(order_two_subgroup(space.group, c))
+        ranks = space.tuple_ranks(c)
     return [tuple_distributions(space, ti, [c], ranks)[0]
             for ti in range(len(space.tuples))]
+
+
+def order_three_element(group):
+    """The smallest id x with x^3 = e != x: a non-involution to refuse."""
+    e = group.identity
+    return next(x for x in range(group.order)
+                if group.compose(group.compose(x, x), x) == e != x)
 
 
 def dumps_per_item(obj):

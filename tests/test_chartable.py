@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hspsim import chartable
+from hspsim import chartable, util
 from hspsim.chartable import (CharacterTable, best_character_table,
                               character_table_numeric)
 from hspsim.groups import (
@@ -10,7 +12,7 @@ from hspsim.groups import (
 )
 from hspsim.irreps import (irreps_for, irreps_generic, irreps_symmetric,
                            irreps_wreath)
-from hspsim.util import fmt_complexes, fmt_float
+from hspsim.util import ResourceCap, fmt_complexes, fmt_float
 
 from helpers import (NUMERIC_GROUPS, class_sum_combination,
                      tables_match_up_to_rows)
@@ -171,3 +173,25 @@ def test_explicit_table_reads_only_the_class_representatives(monkeypatch,
     t = best_character_table(make_group(spec))
     assert len(listed) == len(t.labels)
     assert all(r._mats is None and r._char is None for r in listed)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:6", "psl2:7", "power:z2^3"])
+def test_numeric_table_export_charged_before_the_table(monkeypatch, spec):
+    # TABLE_ENTRY_BYTES[export] per entry, r^2 entries for r classes, as
+    # on the explicit route, before the class-sum table is formed
+    G = make_group(spec)
+    r = len(G.conjugacy_classes())
+    need = chartable.TABLE_ENTRY_BYTES["json"] * r * r
+    built = []
+    monkeypatch.setattr(chartable, "character_table_numeric",
+                        lambda group, seed=0: built.append(group))
+    monkeypatch.setattr(util, "MEMORY_LIMIT", need - 1)
+    text = (f"character table of the {G.kind} group of order {G.order} "
+            f"needs {need:.3g} bytes")
+    with pytest.raises(ResourceCap, match="^" + re.escape(text)):
+        best_character_table(G, export="json")
+    assert built == []
+    best_character_table(G, export="csv")  # 105 bytes per entry fit
+    monkeypatch.setattr(util, "MEMORY_LIMIT", need)
+    best_character_table(G, export="json")
+    assert built == [G, G]

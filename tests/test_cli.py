@@ -737,20 +737,19 @@ def test_estimate_boundary_in_1gib(capsys, admitted, refused):
     # 32 n^2 bytes of cyclic irreps and their characters
     ("[r.character() for r in irreps_for(make_group('cyclic:{n}'))]", 5246),
     # the n x n coset state and its boolean mask
-    ("G = make_group('cyclic:{n}'); "
-     "coset_state(G, order_two_subgroup(G, {n} // 2))", 9892),
+    ("G = make_group('cyclic:{n}'); coset_state(G, {n} // 2)", 9892),
     # 2 n^3 multiply-adds of the Fourier round trip
     ("G = make_group('cyclic:{n}'); fourier_roundtrip_error("
-     "G, order_two_subgroup(G, {n} // 2), irreps_for(G))", 1356),
+     "G, {n} // 2, irreps_for(G))", 1356),
 ], ids=["table", "cyclic_irreps", "coset_state", "roundtrip"])
 def test_library_estimate_boundary_in_1gib(code, n):
-    head = ("from hspsim.groups import make_group, order_two_subgroup\n"
+    head = ("from hspsim.groups import make_group\n"
             "from hspsim.irreps import irreps_for\n"
             "from hspsim.simulate import coset_state, "
             "fourier_roundtrip_error\n")
     proc = _under_1gib("-c", head + code.format(n=n))
     assert proc.returncode == 0, proc.stderr
-    step = 2 if "order_two" in code else 1  # the next order with an involution
+    step = 2 if "// 2" in code else 1  # the next order with an involution
     with pytest.raises(ResourceCap):  # in process: nothing is allocated
         exec(head + code.format(n=n + step), {})
 

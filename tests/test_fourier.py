@@ -1,4 +1,4 @@
-"""Fourier matrix, subgroup averages, isotypic projectors, and identities."""
+"""Fourier matrix, hidden-subgroup ranks, isotypic projectors, and identities."""
 import numpy as np
 import pytest
 
@@ -11,12 +11,8 @@ from hspsim.fourier import (
     factor_stack,
     qft,
     rank_r,
-    subgroup_projector,
 )
-from hspsim.groups import (
-    make_group,
-    order_two_subgroup,
-)
+from hspsim.groups import make_group
 from hspsim.irreps import irreps_cyclic, irreps_generic, irreps_symmetric, irreps_wreath
 
 
@@ -97,13 +93,12 @@ def test_subgroup_projector_and_rank_s3():
     G = make_group("s3")
     irr = irreps_symmetric(3)
     h = G.involutions()[0]
-    H = order_two_subgroup(G, h)
     # rank (d + chi(h))/2: trivial 1, sign 0, standard (2 + 0)/2 = 1
     expected = {"[3]": 1, "[1,1,1]": 0, "[2,1]": 1}
     for r in irr:
-        P = subgroup_projector(r, H)
+        P = np.mean(r.at(sorted((G.identity, h))), axis=0)
         assert np.max(np.abs(P @ P - P)) < 1e-12, "subgroup average not idempotent"
-        assert rank_r(r, H) == expected[r.label]
+        assert rank_r(r, h) == expected[r.label]
         assert abs(np.trace(P).real - expected[r.label]) < 1e-10
 
 
@@ -111,10 +106,9 @@ def test_rank_r_involution_formula():
     G = make_group("wreath:3")
     irr = irreps_wreath(3)
     h = G.swap_element()
-    H = order_two_subgroup(G, h)
     for r in irr:
         chi_h = r.character()[h].real
-        assert rank_r(r, H) == round((r.degree + chi_h) / 2)
+        assert rank_r(r, h) == round((r.degree + chi_h) / 2)
 
 
 def test_factor_stack_mixed_identity():

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hspsim import cli, simulate, util
-from hspsim.fourier import factor_stack, qft
+from hspsim.fourier import factor_stack, qft, rank_r
 from hspsim.frames import random_frame
 from hspsim.groups import (
     make_group,
     PSL2Group,
     SL2Group,
-    order_two_subgroup,
     wreath_embedding,
 )
 from hspsim.irreps import (
@@ -44,7 +43,8 @@ from hspsim.simulate import (
 from hspsim.util import ResourceCap, kron_apply, kron_stack
 
 from helpers import (
-    coset_distribution, sl2_to_psl2_map, transfer_quotient_report,
+    coset_distribution, order_three_element, sl2_to_psl2_map,
+    transfer_quotient_report,
 )
 
 
@@ -56,7 +56,7 @@ def wreath3():
 def test_coset_state_shape_and_spectrum():
     G = make_group("s3")
     h = G.involutions()[0]
-    sigma = coset_state(G, order_two_subgroup(G, h))
+    sigma = coset_state(G, h)
     assert abs(np.trace(sigma) - 1) < 1e-12
     # sigma * (|G|/|H|) is a rank-[G:H] projector
     P = sigma * 3
@@ -70,15 +70,14 @@ def test_coset_state_order_cap():
     # 9 |G|^2 bytes: cyclic:9892 is the largest even order admitted
     G = make_group("cyclic:9894")
     with pytest.raises(ResourceCap, match="needs 8.81e"):
-        coset_state(G, order_two_subgroup(G, 4947))
+        coset_state(G, 4947)
 
 
 def test_fourier_blocks_trace_is_tuple_probability():
     G, irr, h = wreath3()
-    H = order_two_subgroup(G, h)
-    blocks = fourier_blocks(G, H, irr)
+    blocks = fourier_blocks(G, h, irr)
     sp = RegisterSpace(G, irr, 1, seed=0)
-    ranks = sp.tuple_ranks(H)
+    ranks = sp.tuple_ranks(h)
     total = 0.0
     for ti, entry in enumerate(blocks):
         tr = float(np.trace(entry["block"]).real)
@@ -97,14 +96,14 @@ def test_fourier_roundtrip(spec):
     else:
         irr = irreps_generic(G, seed=0)
     h = G.involutions()[0]
-    assert fourier_roundtrip_error(G, order_two_subgroup(G, h), irr) < 1e-9
+    assert fourier_roundtrip_error(G, h, irr) < 1e-9
 
 
 def test_roundtrip_order_cap():
     # 2 |G|^3 multiply-adds, refused before the (here empty) irreps are read
     G = make_group("cyclic:1358")
     with pytest.raises(ResourceCap, match="multiply-adds"):
-        fourier_roundtrip_error(G, order_two_subgroup(G, 679), [])
+        fourier_roundtrip_error(G, 679, [])
 
 
 def test_register_budget_cap():
@@ -126,7 +125,7 @@ def test_register_budget_cap():
 def test_wreath3_tuple_probabilities_frozen():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 1, seed=7)
-    ranks = sp.tuple_ranks(order_two_subgroup(G, h))
+    ranks = sp.tuple_ranks(h)
     got = sorted(sp.subgroup_prob(ti, ranks) for ti in range(9))
     want = sorted([1 / 36, 1 / 36, 0, 0, 1 / 18, 1 / 3, 1 / 9, 2 / 9, 2 / 9])
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
@@ -153,7 +152,7 @@ def eager_avg_tv(space, h):
     rank-0 tuple's row sized and weighted from its frame: the reference."""
     frames = [space.frame(ti) for ti in range(len(space.tuples))]
     cls = list(space.group.class_of(h))
-    ranks = space.tuple_ranks(order_two_subgroup(space.group, h))
+    ranks = space.tuple_ranks(h)
     rows = []
     for ti, f in enumerate(frames):
         ref = space.plancherel(ti) * f.weights / space.dims[ti]
@@ -185,7 +184,7 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
     monkeypatch.setattr(simulate, "random_frame", counted)
     sp = RegisterSpace(G, irr, k, seed=4, kind=kind)
     assert drawn == []
-    ranks = sp.tuple_ranks(order_two_subgroup(G, h))
+    ranks = sp.tuple_ranks(h)
     assert 0 in ranks
     got = avg_tv_over_conjugates(sp, h)
     assert drawn == [s for s, r in zip(sp.seeds, ranks) if r]
@@ -234,8 +233,7 @@ def test_distributions_normalized(k, kind):
     sp = RegisterSpace(G, irr, k, seed=5, kind=kind)
     ref = reference_distribution(sp)
     assert abs(sum(float(v.sum()) for v in ref) - 1) < 1e-10
-    H = order_two_subgroup(G, h)
-    ranks = sp.tuple_ranks(H)
+    ranks = sp.tuple_ranks(h)
     dist = coset_distribution(sp, h, ranks)
     assert abs(sum(float(v.sum()) for v in dist) - 1) < 1e-10
     assert all(float(v.min()) >= -1e-12 for v in dist)
@@ -372,7 +370,7 @@ def _oracle_rows(G, irr, c, k, space):
     registers traced out, measured on the tuple's frame."""
     N = G.order
     F = qft(G, irr)
-    sigma = coset_state(G, order_two_subgroup(G, c))
+    sigma = coset_state(G, c)
     Fk, Sk = F, sigma
     for _ in range(k - 1):
         Fk, Sk = np.kron(Fk, F), np.kron(Sk, sigma)
@@ -544,7 +542,7 @@ def test_distance_l1_equals_coset_distribution_l1(spec, k, eps, kind):
     h = G.default_involution()
     cls = list(G.class_of(h))
     sp = RegisterSpace(G, irr, k, seed=0, kind=kind)
-    ranks = sp.tuple_ranks(order_two_subgroup(G, h))
+    ranks = sp.tuple_ranks(h)
     ref = reference_distribution(sp)
     want = [l1_distance(coset_distribution(sp, c, ranks), ref) for c in cls]
     res = avg_tv_over_conjugates(sp, h)
@@ -856,7 +854,7 @@ def _dense_mixture_distance(G, h, t):
     cls = list(G.class_of(h))
     acc = np.zeros((N ** t, N ** t))
     for c in cls:
-        sigma = coset_state(G, order_two_subgroup(G, c))
+        sigma = coset_state(G, c)
         M = sigma
         for _ in range(t - 1):
             M = np.kron(M, sigma)
@@ -911,6 +909,48 @@ def test_mixed_distance_caps(monkeypatch):
     G4 = make_group("dihedral:4")  # 5^9 tuples
     with pytest.raises(ResourceCap, match="t=9"):
         mixed_conjugate_trace_distance(G4, irreps_for(G4), 4, 9)
+
+
+@pytest.mark.parametrize("bad", ["identity", "order 3"])
+def test_every_reader_of_h_refuses_a_non_involution(bad):
+    # each function that takes the hidden involution h checks it through
+    # groups.involution, as the order-two subgroup it replaces did
+    G, irr, _ = wreath3()
+    x = G.identity if bad == "identity" else order_three_element(G)
+    space = RegisterSpace(G, irr, 1, seed=0)
+    W, S6, emb = wreath_embedding(3)
+    calls = {
+        "coset_state": lambda: coset_state(G, x),
+        "fourier_blocks": lambda: fourier_blocks(G, x, irr),
+        "fourier_roundtrip_error": lambda: fourier_roundtrip_error(G, x, irr),
+        "rank_r": lambda: rank_r(irr[0], x),
+        "tuple_ranks": lambda: space.tuple_ranks(x),
+        "avg_tv_over_conjugates": lambda: avg_tv_over_conjugates(space, x),
+        "lemma_suite": lambda: lemma_suite(G, irr, x, 1, 0.2),
+        "transfer_subgroup_report":
+            lambda: transfer_subgroup_report(S6, emb, W, x),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as e:
+            assert str(e) == "h must be an involution", name
+        else:
+            raise AssertionError(f"{name} accepted the {bad} as h")
+
+
+def test_lemma_verify_refuses_a_non_involution(capsys, monkeypatch):
+    # refused on --h, and by the library past it: the lemma suite and the
+    # round trip both read h
+    argv = ["verify", "--suite", "lemmas", "--group", "wreath:3", "--h"]
+    G = make_group("wreath:3")
+    x = order_three_element(G)
+    assert cli.main(argv + [f"id:{x}"]) == 64
+    assert "is not an involution" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "resolve_h", lambda group, text: x)
+    assert cli.main(argv + [f"id:{x}"]) == 64
+    assert capsys.readouterr().err == ("hspsim verify: error: h must be an "
+                                       "involution\n")
 
 
 def test_transfer_subgroup_wreath_into_s6():
