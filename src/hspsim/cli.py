@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table, character_table_numeric
-from .groups import PSL2Group, make_group, spec_of
+from .groups import PSL2Group, involution, make_group, spec_of
 from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
                    pairwise_sum, require, timestamp)
 
@@ -184,8 +184,7 @@ def resolve_h(group, text):
     if text is None:
         return group.default_involution()
     x = group.parse_element(text)
-    if x == group.identity or group.compose(x, x) != group.identity:
-        raise UsageError(f"element {text!r} is not an involution")
+    involution(group, x)
     return x
 
 
@@ -516,9 +515,8 @@ def _suite_facts(G, args):
     checks.append(_below("unitary homomorphism", err))
     err = irrmod.schur_orthogonality_error(G, irr)
     checks.append(_below("matrix-entry orthogonality", err))
-    # divided as a np.complex128: Python's complex division rounds otherwise
-    err = max(r.degree * abs(np.complex128(sum(r.character().tolist()))
-                             / G.order) for r in irr[1:]) if len(irr) > 1 else 0.0
+    err = max((r.degree * abs(r.character().mean()) for r in irr[1:]),
+              default=0.0)
     checks.append(_below("nontrivial character mean zero", err))
     rng = np.random.default_rng(args.seed)
     worst = 0.0

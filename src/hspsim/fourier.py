@@ -13,8 +13,8 @@ def qft(group, irreps):
 
     Rows follow the order of `irreps`, (i, j) row-major inside each block.
     Unitary whenever the list is a complete set of inequivalent irreps.
-    Complex128 even for real irreps: its products then go through the same
-    complex BLAS calls, and give the same bits, on every family.
+    In the irreps' own dtype: real when every stack is real, as Young's
+    form and the wreath construction are, and complex otherwise.
     """
     N = group.order
     if sum(r.degree ** 2 for r in irreps) != N:
@@ -23,7 +23,7 @@ def qft(group, irreps):
     for r in irreps:
         d = r.degree
         blocks.append(np.sqrt(d / N) * r.mats.reshape(N, d * d).T)
-    return np.concatenate(blocks, axis=0, dtype=np.complex128)
+    return np.concatenate(blocks, axis=0)
 
 
 def rank_r(rho, h):

@@ -8,9 +8,9 @@ involutions all derive from those two rules with array operations.
 Permutations are 0-based image arrays and compose left-to-right:
 (x then y)(i) = y(x(i)).  That is the unique order under which the
 two-block wreath multiplication rule and the embedding into S_{2n}
-agree.  Matrix groups (SL2/PSL2) multiply in matrix order instead; the
-projective-line action is arranged to match, and the two conventions
-never mix inside one group.
+(which the tests build) agree.  Matrix groups (SL2/PSL2) multiply in
+matrix order instead; the projective-line action is arranged to match,
+and the two conventions never mix inside one group.
 """
 from __future__ import annotations
 
@@ -186,7 +186,7 @@ def involution(group, h):
     """The sorted ids of the hidden subgroup {e, h}; h must be an
     involution."""
     if h == group.identity or group.compose(h, h) != group.identity:
-        raise ValueError("h must be an involution")
+        raise ValueError(f"h = {group.pretty(h)} is not an involution")
     return sorted((group.identity, h))
 
 
@@ -540,23 +540,3 @@ def spec_of(group):
     if group.kind == "power":
         return f"power:{spec_of(group.base)}^{group.n}"
     return f"{group.kind}:{group.params[0]}"
-
-
-# ---------------------------------------------------------------------------
-# the embedding used by the subgroup transfer check
-
-def wreath_embedding(n):
-    """Embed S_n wr S_2 into S_{2n}.
-
-    Returns (wreath, s2n, mapping) where mapping[x] is the image id.
-    (pi,sigma,0) sends i -> pi(i), n+i -> n+sigma(i); (pi,sigma,1) sends
-    i -> n+pi(i), n+i -> sigma(i).
-    """
-    W = WreathS2Group(n)
-    if n > 4:
-        raise ValueError("embedding target S_{2n} needs 2n <= 8")
-    S = SymmetricGroup(2 * n)
-    p, s, b = W.unpack(np.arange(W.order))
-    img = np.hstack([W.base._rows[p], n + W.base._rows[s]])
-    img[b == 1] = (img[b == 1] + n) % (2 * n)
-    return W, S, S.from_perm(img)

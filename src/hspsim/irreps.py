@@ -648,14 +648,12 @@ def hom_unitarity_error(rho):
 
 def schur_orthogonality_error(group, irreps):
     """Max deviation of (d/|G|) sum_g r1(g)_ij conj(r2(g)_kl) from deltas,
-    summed in complex128 whatever the stacks' dtype (einsum's float64 loop
-    sums in another order)."""
+    summed in the dtype of the two stacks: float64 for two real ones."""
     N = group.order
     worst = 0.0
     for a, r1 in enumerate(irreps):
         for b, r2 in enumerate(irreps):
-            M = np.einsum("gij,gkl->ikjl", r1.mats, r2.mats.conj(),
-                          dtype=np.complex128) / N
+            M = np.einsum("gij,gkl->ikjl", r1.mats, r2.mats.conj()) / N
             if a == b:
                 d = r1.degree
                 expect = np.einsum("ik,jl->ikjl", np.eye(d), np.eye(d)) / d

@@ -34,9 +34,6 @@ BASIS_TOL = 1e-9
 # tuples, and frame vectors per tuple, that the lemma suite's second-moment
 # and isotypic checks sample: each case is a sum over the group
 LEMMA_SAMPLES = 3
-# the transfer checks' eigvalsh spectra agree to 4e-17 (wreath:3 into s6,
-# sl2:5 onto psl2:5); a wrong multiplicity moves an eigenvalue by |H|/|G|
-TRANSFER_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def fourier_roundtrip_error(group, h, irreps):
     F = qft(group, irreps)
     sigma = coset_state(group, h)
     lhs = F @ sigma @ F.conj().T
-    rhs = np.zeros((N, N), dtype=np.complex128)
+    rhs = np.zeros((N, N), dtype=lhs.dtype)
     pos = 0
     for entry in fourier_blocks(group, h, irreps):
         d = entry["multiplicity"]
@@ -154,13 +151,22 @@ def require_lemmas(group, h, k, kind, labels, degrees):
     projected_forms and the l1 row) and two per conjugate (its X moments),
     and the diagonal-overlap terms, per nonempty register subset and frame
     vector of a D-dimensional tuple a q_subset_values pass of at most
-    D k d_max multiply-adds per element, in blocks of util.BLOCK_BYTES."""
+    D k d_max multiply-adds per element, in blocks of util.BLOCK_BYTES.
+
+    What the pass holds next to its tuples: every irrep's whole stack
+    (N^2 entries in all) and character, which it reads and keeps, the
+    r x N character weights and the isotypic screen's (r, N, D) product,
+    D the largest tuple's dimension, 16 bytes an entry (cyclic:3700 at
+    k=1 peaked 841 MB above cyclic:10, against an estimate of 880 MB)."""
     c = len(group.class_of(h))
     require_sampling(labels, degrees, k, kind, c, steps=2 ** k + 2 + c)
-    N = group.order
+    N, r, dmax = group.order, len(degrees), max(degrees)
     require(f"diagonal-overlap loop over k={k} registers of the "
             f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
-            * frame_entries(N, k, kind) * k * max(degrees))
+            * frame_entries(N, k, kind) * k * dmax)
+    require(f"lemma suite's stacks, characters and isotypic screen over {r} "
+            f"irreps of the {group.kind} group of order {N}",
+            bytes=1024 * r ** k + 16 * N * (N + r * (2 + dmax ** k)))
 
 
 def plus_bases(irreps, c):
@@ -179,9 +185,7 @@ def _store_plus_bases(irreps, c):
     is float64 or real there; checked: rho(x) W = W, r eigenvalues at +1 and
     the rest at -1."""
     group = irreps[0].group
-    if group.compose(c, c) != group.identity:
-        raise ValueError(f"class element {group.pretty(c)} is not an "
-                         "involution")
+    involution(group, c)
     cls = list(group.class_of(c))
     rows = {x: i for i, x in enumerate(cls)}
     ranks = [round((r.degree + r.character_at(c).real) / 2) for r in irreps]
@@ -300,16 +304,9 @@ def tuple_distributions(space, ti, cs, ranks, forms=None):
     return space.subgroup_prob(ti, ranks) * space.weight * forms / r
 
 
-def l1_distance(dist_a, dist_b):
-    """Full l1 sum over all (tuple, outcome) pairs."""
-    per_tuple = [float(np.sum(np.abs(a - b)))
-                 for a, b in zip(dist_a, dist_b)]
-    return pairwise_sum(per_tuple)
-
-
 def l1_rows(rows, ref):
-    """The per-tuple term of l1_distance for each row of a tuple's
-    distributions against its reference outcomes, bit for bit."""
+    """The l1 distance of each row of a tuple's distributions from its
+    reference outcomes: that tuple's term of the full l1 sum."""
     return np.sum(np.abs(rows - ref), axis=1)
 
 
@@ -318,8 +315,8 @@ def avg_tv_over_conjugates(space, h):
 
     The average over the conjugacy class of h equals the average over a
     uniformly random conjugating element.  Each tuple gives its l1 terms
-    at every conjugate at once; each conjugate's l1 sums its terms over
-    the tuples in tuple order, as l1_distance does.
+    at every conjugate at once; each conjugate's full l1 sum over all
+    (tuple, outcome) pairs adds its terms pairwise in tuple order.
     """
     group = space.group
     ranks = space.tuple_ranks(h)  # ranks are conjugation-invariant
@@ -507,8 +504,11 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     worst = (np.inf, None)
     subsets = [s for r in range(1, k + 1)
                for s in itertools.combinations(range(k), r)]
-    weights = np.array([(tau.degree / N) * tau.character().conj()
-                        for tau in irreps])
+    # one r x N array, filled in place: a list of rows would be freed
+    # into the heap and stay resident under the screen's product
+    weights = np.array([tau.character() for tau in irreps])
+    np.conjugate(weights, out=weights)
+    weights *= np.array([tau.degree / N for tau in irreps])[:, None]
     screen_min, screen_size = np.inf, 0.0
     for ti in picks:
         tup = space.tuples[ti]
@@ -659,40 +659,8 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
     for tup in itertools.combinations_with_replacement(range(len(irreps)), t):
         acc = functools.reduce(kron_stack, [stacks[i] for i in tup])
         M = acc.mean(axis=0) - np.eye(acc.shape[1])
-        # a complex Hermitian eigensolve on every family: LAPACK's real
-        # symmetric solver gives other bits
-        tn = float(np.sum(np.abs(np.linalg.eigvalsh(
-            M.astype(np.complex128, copy=False)))))
+        tn = float(np.sum(np.abs(np.linalg.eigvalsh(M))))
         orders = math.factorial(t) // math.prod(
             math.factorial(tup.count(i)) for i in set(tup))
         contrib.append(orders * acc.shape[1] * tn)
     return pairwise_sum(contrib) / N ** t
-
-
-# ---------------------------------------------------------------------------
-# transfer checks between related groups
-
-def transfer_subgroup_report(big, mapping, small, h_small):
-    """Coset-state spectra under an embedding small -> big.
-
-    The nonzero spectrum of the big-group coset state is the small one
-    repeated [big:small] times and scaled by 1/[big:small]; the zero
-    multiplicities agree too, so full sorted spectra are compared.
-    """
-    mapping = np.asarray(mapping)
-    if int(mapping[small.identity]) != big.identity:
-        raise ValueError("embedding does not send identity to identity")
-    index, rem = divmod(big.order, small.order)
-    if rem:
-        raise ValueError("small group order does not divide big group order")
-    ev_big = np.sort(np.linalg.eigvalsh(
-        coset_state(big, int(mapping[h_small]))))
-    ev_small = np.sort(np.linalg.eigvalsh(coset_state(small, h_small)))
-    expected = np.sort(np.repeat(ev_small, index) / index)
-    diff = float(np.max(np.abs(ev_big - expected)))
-    return {
-        "mode": "subgroup",
-        "index": index,
-        "max_spectral_diff": diff,
-        "pass": bool(diff <= TRANSFER_TOL),
-    }

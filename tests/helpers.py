@@ -1,14 +1,17 @@
 """Helpers that only the tests read: the test catalogue's groups without
 explicit irreps, a row-matching comparison of two character tables, the
 r x r x r reference for the class-sum combination, the quotient map
-SL(2,q) -> PSL(2,q), the transfer check of coset-state spectra under a
-quotient map, the outcome distribution of one coset state, an element of
-order three, and a per-item reference for util.dumps_report."""
+SL(2,q) -> PSL(2,q), the embedding of S_n wr S_2 into S_2n, the transfer
+checks of coset-state spectra under an embedding and under a quotient map,
+the outcome distribution of one coset state and the full l1 distance of
+two, an element of order three, and a per-item reference for
+util.dumps_report."""
 import numpy as np
 
 from hspsim import util
-from hspsim.groups import _point_images
-from hspsim.simulate import TRANSFER_TOL, coset_state, tuple_distributions
+from hspsim.groups import SymmetricGroup, WreathS2Group, _point_images
+from hspsim.simulate import coset_state, tuple_distributions
+from hspsim.util import pairwise_sum
 
 # the test catalogue's groups without explicit irreps, up to order 720
 NUMERIC_GROUPS = ["dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9",
@@ -19,6 +22,9 @@ NUMERIC_GROUPS = ["dihedral:4", "dihedral:5", "dihedral:6", "dihedral:9",
 # class-sum and irrep-built tables agree to 6e-14 entrywise (psl2:5); two
 # distinct rows are orthogonal, so they differ by sqrt(2) or more somewhere
 ROW_MATCH_TOL = 1e-8
+# the transfer checks' eigvalsh spectra agree to 4e-17 (wreath:3 into s6,
+# sl2:5 onto psl2:5); a wrong multiplicity moves an eigenvalue by |H|/|G|
+TRANSFER_TOL = 1e-9
 
 
 def tables_match_up_to_rows(t1, t2):
@@ -63,6 +69,49 @@ def sl2_to_psl2_map(sl2, psl2):
     return psl2.from_perm(_point_images(sl2.field, sl2._rows))
 
 
+def wreath_embedding(n):
+    """Embed S_n wr S_2 into S_{2n}.
+
+    Returns (wreath, s2n, mapping) where mapping[x] is the image id.
+    (pi,sigma,0) sends i -> pi(i), n+i -> n+sigma(i); (pi,sigma,1) sends
+    i -> n+pi(i), n+i -> sigma(i).
+    """
+    W = WreathS2Group(n)
+    if n > 4:
+        raise ValueError("embedding target S_{2n} needs 2n <= 8")
+    S = SymmetricGroup(2 * n)
+    p, s, b = W.unpack(np.arange(W.order))
+    img = np.hstack([W.base._rows[p], n + W.base._rows[s]])
+    img[b == 1] = (img[b == 1] + n) % (2 * n)
+    return W, S, S.from_perm(img)
+
+
+def transfer_subgroup_report(big, mapping, small, h_small):
+    """Coset-state spectra under an embedding small -> big.
+
+    The nonzero spectrum of the big-group coset state is the small one
+    repeated [big:small] times and scaled by 1/[big:small]; the zero
+    multiplicities agree too, so full sorted spectra are compared.
+    """
+    mapping = np.asarray(mapping)
+    if int(mapping[small.identity]) != big.identity:
+        raise ValueError("embedding does not send identity to identity")
+    index, rem = divmod(big.order, small.order)
+    if rem:
+        raise ValueError("small group order does not divide big group order")
+    ev_big = np.sort(np.linalg.eigvalsh(
+        coset_state(big, int(mapping[h_small]))))
+    ev_small = np.sort(np.linalg.eigvalsh(coset_state(small, h_small)))
+    expected = np.sort(np.repeat(ev_small, index) / index)
+    diff = float(np.max(np.abs(ev_big - expected)))
+    return {
+        "mode": "subgroup",
+        "index": index,
+        "max_spectral_diff": diff,
+        "pass": bool(diff <= TRANSFER_TOL),
+    }
+
+
 def transfer_quotient_report(big, projection, small, h_small):
     """Coset-state spectra under a quotient map big -> small.
 
@@ -104,6 +153,13 @@ def coset_distribution(space, c, ranks=None):
         ranks = space.tuple_ranks(c)
     return [tuple_distributions(space, ti, [c], ranks)[0]
             for ti in range(len(space.tuples))]
+
+
+def l1_distance(dist_a, dist_b):
+    """Full l1 sum over all (tuple, outcome) pairs."""
+    per_tuple = [float(np.sum(np.abs(a - b)))
+                 for a, b in zip(dist_a, dist_b)]
+    return pairwise_sum(per_tuple)
 
 
 def order_three_element(group):

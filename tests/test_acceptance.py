@@ -18,6 +18,7 @@ from hspsim.chartable import CharacterTable, character_table_numeric
 
 from helpers import (
     sl2_to_psl2_map, tables_match_up_to_rows, transfer_quotient_report,
+    transfer_subgroup_report, wreath_embedding,
 )
 
 GROUPS_UNDER_TEST = ["s3", "s4", "dihedral:4", "cyclic:6", "wreath:3", "psl2:5"]
@@ -209,8 +210,8 @@ def test_criterion_08_binomial_tail():
 
 def test_criterion_09_transfer_lemma():
     t0 = time.time()
-    W, S6, mapping = groups.wreath_embedding(3)
-    rep = simulate.transfer_subgroup_report(S6, mapping, W, W.swap_element())
+    W, S6, mapping = wreath_embedding(3)
+    rep = transfer_subgroup_report(S6, mapping, W, W.swap_element())
     assert rep["pass"] and rep["max_spectral_diff"] <= 1e-9
     assert rep["index"] == 10
     sl2 = groups.SL2Group(5)

@@ -232,6 +232,31 @@ def test_wreath4_facts_refused_before_allocating():
     assert "homomorphism check of kappa" in proc.stderr
 
 
+def test_cyclic_lemma_charge_boundary_in_1gib():
+    # the lemma pass keeps every irrep's stack and character and holds the
+    # r x |G| weights and the isotypic screen's product, 64 bytes per
+    # r |G| on cyclic groups; before this charge cyclic:4000 passed every
+    # estimate and died with a MemoryError
+    def admitted(n):
+        try:
+            simulate.require_lemmas(make_group(f"cyclic:{n}"), n // 2, 1,
+                                    "basis", [f"chi{j}" for j in range(n)],
+                                    [1] * n)
+        except ResourceCap:
+            return False
+        return True
+    assert admitted(3700) and not admitted(3702)  # cyclic:3701 has no h
+    argv = ["verify", "--suite", "lemmas", "--k", "1", "--group"]
+    proc = _cli_under_1gib(*argv, "cyclic:4000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (69, "", (
+        "hspsim verify: resource cap: lemma suite's stacks, characters and "
+        "isotypic screen over 4000 irreps of the cyclic group of order 4000 "
+        "needs 1.03e+09 bytes (limit 8.81e+08)\n"))
+    proc = _cli_under_1gib(*argv, "cyclic:3700")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_fail"] == 0
+
+
 def test_psl2_8_facts_pass_in_1gib():
     # d = 9 over 504 elements: 1.85e8 multiply-adds, checked in row blocks
     # (as one tensor the check peaked near 1.2 GB)
@@ -772,7 +797,7 @@ def test_exit_usage_on_non_involution(capsys):
     rc, _, err = run_cli(capsys, ["simulate", "--group", "s3",
                                   "--h", "(1 2 3)"])
     assert rc == 64
-    assert "not an involution" in err
+    assert err == "hspsim simulate: error: h = (1 2 3) is not an involution\n"
 
 
 def test_exit_usage_when_no_involution_exists(capsys):

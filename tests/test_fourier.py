@@ -79,6 +79,9 @@ def test_qft_unitary(spec):
         irr = irreps_generic(G, seed=0)
     F = qft(G, irr)
     assert F.shape == (G.order, G.order)
+    assert F.dtype == np.result_type(*(r.mats for r in irr))
+    if spec != "dihedral:4":  # Young's form and the wreath irreps are real
+        assert F.dtype == np.float64
     assert unitary_error(F) < 1e-9
     assert len(qft_row_labels(irr)) == G.order
 

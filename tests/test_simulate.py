@@ -17,10 +17,10 @@ from hspsim.groups import (
     make_group,
     PSL2Group,
     SL2Group,
-    wreath_embedding,
 )
 from hspsim.irreps import (
     Irrep, irreps_for, irreps_generic, irreps_symmetric, irreps_wreath,
+    schur_orthogonality_error,
 )
 from hspsim.simulate import (
     RegisterSpace,
@@ -29,7 +29,6 @@ from hspsim.simulate import (
     coset_state,
     fourier_blocks,
     fourier_roundtrip_error,
-    l1_distance,
     lemma_suite,
     mixed_conjugate_trace_distance,
     plus_bases,
@@ -38,13 +37,12 @@ from hspsim.simulate import (
     reference_distribution,
     require_sampling,
     second_moment_check,
-    transfer_subgroup_report,
 )
 from hspsim.util import ResourceCap, kron_apply, kron_stack
 
 from helpers import (
-    coset_distribution, order_three_element, sl2_to_psl2_map,
-    transfer_quotient_report,
+    coset_distribution, l1_distance, order_three_element, sl2_to_psl2_map,
+    transfer_quotient_report, transfer_subgroup_report, wreath_embedding,
 )
 
 
@@ -458,13 +456,15 @@ def test_plus_bases_are_checked_involution_eigenbases():
 
 
 def test_plus_bases_name_a_non_involution():
+    # the identity too, which squares to the identity
     G, irr, _ = wreath3()
     sp = RegisterSpace(G, irr, 1)
     c = next(x for x in range(G.order)
              if G.compose(x, x) != G.identity and x != G.identity)
-    with pytest.raises(ValueError, match=re.escape(
-            f"class element {G.pretty(c)} is not an involution")):
-        sp.projected_forms(0, c, sp.frame(0))
+    for x in (c, G.identity):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"h = {G.pretty(x)} is not an involution") + "$"):
+            sp.projected_forms(0, x, sp.frame(0))
 
 
 def test_plus_bases_reject_a_broken_irrep():
@@ -911,6 +911,27 @@ def test_mixed_distance_caps(monkeypatch):
         mixed_conjugate_trace_distance(G4, irreps_for(G4), 4, 9)
 
 
+@pytest.mark.parametrize("spec", ["s3", "s4", "s5", "wreath:2", "wreath:3",
+                                  "wreath:4"])
+def test_real_checks_match_their_complex_reference(spec):
+    # the checks compute in the float64 of Young's form and the wreath
+    # irreps; the same sums on the stacks cast to complex128 are the
+    # reference (the Schur sums as one BLAS product over every pair)
+    G = make_group(spec)
+    N, h, irr = G.order, G.default_involution(), irreps_for(G)
+    assert all(r.mats.dtype == np.float64 for r in irr)
+    cx = [Irrep(G, r.label, r.mats.astype(np.complex128)) for r in irr]
+    A = np.concatenate([r.mats.reshape(N, -1) for r in cx], axis=1)
+    delta = np.concatenate([np.full(r.degree ** 2, 1 / r.degree) for r in cx])
+    schur = float(np.abs(A.T @ A.conj() / N - np.diag(delta)).max())
+    assert abs(schur_orthogonality_error(G, irr) - schur) < 1e-12
+    assert abs(fourier_roundtrip_error(G, h, irr)
+               - fourier_roundtrip_error(G, h, cx)) < 1e-12
+    for t in (1, 2) if spec == "wreath:4" else (1, 2, 3):  # t=3 is refused
+        assert abs(mixed_conjugate_trace_distance(G, irr, h, t)
+                   - mixed_conjugate_trace_distance(G, cx, h, t)) < 1e-12
+
+
 @pytest.mark.parametrize("bad", ["identity", "order 3"])
 def test_every_reader_of_h_refuses_a_non_involution(bad):
     # each function that takes the hidden involution h checks it through
@@ -931,10 +952,14 @@ def test_every_reader_of_h_refuses_a_non_involution(bad):
             lambda: transfer_subgroup_report(S6, emb, W, x),
     }
     for name, call in calls.items():
+        # the transfer check reads h at its image in S_6
+        y = int(emb[x]) if name == "transfer_subgroup_report" else x
+        group = S6 if name == "transfer_subgroup_report" else G
         try:
             call()
         except ValueError as e:
-            assert str(e) == "h must be an involution", name
+            assert str(e) == f"h = {group.pretty(y)} is not an involution", \
+                name
         else:
             raise AssertionError(f"{name} accepted the {bad} as h")
 
@@ -945,12 +970,12 @@ def test_lemma_verify_refuses_a_non_involution(capsys, monkeypatch):
     argv = ["verify", "--suite", "lemmas", "--group", "wreath:3", "--h"]
     G = make_group("wreath:3")
     x = order_three_element(G)
+    want = f"hspsim verify: error: h = {G.pretty(x)} is not an involution\n"
     assert cli.main(argv + [f"id:{x}"]) == 64
-    assert "is not an involution" in capsys.readouterr().err
+    assert capsys.readouterr().err == want
     monkeypatch.setattr(cli, "resolve_h", lambda group, text: x)
     assert cli.main(argv + [f"id:{x}"]) == 64
-    assert capsys.readouterr().err == ("hspsim verify: error: h must be an "
-                                       "involution\n")
+    assert capsys.readouterr().err == want
 
 
 def test_transfer_subgroup_wreath_into_s6():
