@@ -38,8 +38,8 @@ from . import __version__, bounds, simulate
 from . import irreps as irrmod
 from .chartable import best_character_table, character_table_numeric
 from .groups import PSL2Group, involution, make_group, spec_of
-from .util import (STEP_WORK, ResourceCap, dumps_report, fmt_float,
-                   pairwise_sum, require, timestamp)
+from .util import (STEP_WORK, ResourceCap, check_entry, dumps_report,
+                   fmt_float, pairwise_sum, require, timestamp)
 
 EX_OK = 0
 EX_VERIFY_FAIL = 1
@@ -260,6 +260,19 @@ def check_threads_env():
                          f"integer of at least 1, got {env!r}")
 
 
+def check_before_work(args):
+    """Refuse, before the command runs, an --out in a missing directory and
+    a timestamp variable that util.timestamp cannot read."""
+    where = os.path.dirname(args.out or "")
+    if where and not os.path.isdir(where):
+        raise UsageError(
+            f"argument --out: directory {where!r} does not exist")
+    try:
+        timestamp()
+    except ValueError as e:
+        raise UsageError(e) from None
+
+
 def make_header(seed, group_spec):
     return {
         "tool_version": __version__,
@@ -477,21 +490,9 @@ IDENTITY_TOL = 1e-8  # sums over the group; psl2:11's table errs by 6e-13
 ROUNDTRIP_TOL = 1e-9  # two N x N unitary products; cyclic:300 errs by 5e-16
 
 
-def _check(name, ok, lhs=None, rhs=None, detail=None, warn=False):
-    status = "PASS" if ok else ("WARN" if warn else "FAIL")
-    entry = {"check": name, "status": status}
-    if lhs is not None:
-        entry["lhs"] = lhs
-    if rhs is not None:
-        entry["rhs"] = rhs
-    if detail:
-        entry["detail"] = detail
-    return entry
-
-
 def _below(name, err, tol=IDENTITY_TOL):
     """The check that a float error err of an exact identity is below tol."""
-    return _check(name, err < tol, lhs=err, rhs=tol)
+    return check_entry(name, err < tol, lhs=err, rhs=tol)
 
 
 def _suite_facts(G, args):
@@ -539,33 +540,27 @@ def _suite_lemmas(G, args):
     h = resolve_h(G, args.h)
     irr = listed_irreps(G, args.seed, lambda *listing: simulate.require_lemmas(
         G, h, args.k, args.frame_kind, *listing), args.k)
-    checks = []
     suite = simulate.lemma_suite(G, irr, h, args.k, args.epsilon,
                                  seed=args.seed, kind=args.frame_kind)
+    name = "transform diagonalizes the hidden-subgroup state"
     try:  # reported first, run once the suite has passed its estimates
-        err = simulate.fourier_roundtrip_error(G, h, irr)
-        checks.append(_below("transform diagonalizes the hidden-subgroup "
-                             "state", err, ROUNDTRIP_TOL))
-    except ResourceCap:  # too large to run; the suite stands without it
-        pass
-    for entry in suite:  # pass None marks an informational WARN
-        checks.append(_check(entry["check"], bool(entry["pass"]),
-                             lhs=entry["lhs"], rhs=entry["rhs"],
-                             detail=entry.get("detail"),
-                             warn=entry["pass"] is None))
-    return checks
+        first = _below(name, simulate.fourier_roundtrip_error(G, h, irr),
+                       ROUNDTRIP_TOL)
+    except ResourceCap as e:  # too large to run: a WARN, and the suite stands
+        first = check_entry(name, None, detail=f"not run: {e}")
+    return [first, *suite]
 
 
 def _suite_tables(G, args):
     table = best_character_table(G, seed=args.seed)
     checks = []
     ssq = table.sum_of_squared_degrees()
-    checks.append(_check("squared degrees sum to group order",
-                         ssq == G.order, lhs=ssq, rhs=G.order))
+    checks.append(check_entry("squared degrees sum to group order",
+                              ssq == G.order, lhs=ssq, rhs=G.order))
     nclasses = len(table.classes)
-    checks.append(_check("one irrep per conjugacy class",
-                         len(table.labels) == nclasses,
-                         lhs=len(table.labels), rhs=nclasses))
+    checks.append(check_entry("one irrep per conjugacy class",
+                              len(table.labels) == nclasses,
+                              lhs=len(table.labels), rhs=nclasses))
     err = table.row_orthogonality_error()
     checks.append(_below("row orthogonality", err))
     err = table.column_orthogonality_error()
@@ -575,14 +570,15 @@ def _suite_tables(G, args):
         want = sorted(d for _, d, count, _ in bounds.psl_rows(q)
                       for _ in range(count))
         got = sorted(table.degrees)
-        checks.append(_check("degree pattern matches the closed form",
-                             got == want, lhs=str(got), rhs=str(want)))
+        checks.append(check_entry("degree pattern matches the closed form",
+                                  got == want, lhs=str(got), rhs=str(want)))
         actual, formula, note = bounds.involution_count_note(q)
-        checks.append(_check("involution count", not note,
-                             lhs=actual, rhs=formula, detail=note, warn=True))
+        checks.append(check_entry("involution count", None if note else True,
+                                  lhs=actual, rhs=formula, detail=note))
     else:
         n_inv = len(G.involutions())
-        checks.append(_check("involution count recorded", True, lhs=n_inv))
+        checks.append(check_entry("involution count recorded", True,
+                                  lhs=n_inv))
     return checks
 
 
@@ -645,6 +641,7 @@ def main(argv=None):
     try:
         if args.threads is None:
             check_threads_env()
+        check_before_work(args)
         return handlers[args.command](args)
     except bounds.CorollaryInapplicable as e:
         label, code, err = "corollary inapplicable", EX_INAPPLICABLE, e

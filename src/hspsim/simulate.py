@@ -24,7 +24,8 @@ from . import util
 from .fourier import factor_stack, qft, rank_r
 from .frames import frame_bases, random_frame
 from .groups import involution
-from .util import STEP_WORK, kron_apply, kron_stack, pairwise_sum, require
+from .util import (STEP_WORK, check_entry, kron_apply, kron_stack,
+                   pairwise_sum, require)
 
 # the rank-one screen differs from the exact einsum by ~1e-15; far below this
 SCREEN_TOL = 1e-9
@@ -450,7 +451,12 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
 
     Exact expectations over tuples, frame outcomes, and group elements;
     a small deterministic sample for the per-vector projector inequality
-    and the second-moment identity. Returns one entry per check.
+    and the second-moment identity. Returns one util.check_entry per check,
+    {check, status, lhs, rhs, detail}; the distance check is a WARN with
+    no lhs or rhs when its hypothesis 2 k eps < 1 fails.  Each detail names
+    the check's tightest case, found by one max (the second moment's error)
+    or min (the others' slack rhs - lhs) over its cases in enumeration
+    order, so the first of tied cases is named.
 
     Each frame is drawn when it is used and dropped after: the sampled
     checks draw their picked tuples', and one pass over every tuple draws
@@ -460,12 +466,12 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
 
     The isotypic check screens every case with the rank-one form
     y_tau = (d_tau/N) sum_g conj(chi_tau(g)) (A_g b)(B_g b)^T, batched over
-    tau, then re-evaluates the exact 4-operand einsum, in enumeration order
-    with a strict '<', for each case whose screened slack is within
-    2 SCREEN_TOL (1 + s) of the running screened minimum, s the largest
-    |rhs| or screened lhs so far. Many cases tie exactly, and float noise
-    in the screen would pick which one is named; the re-check makes the
-    reported case and numbers the exact argmin's.
+    tau, then re-evaluates the exact 4-operand einsum for each case whose
+    screened slack is within 2 SCREEN_TOL (1 + s) of the running screened
+    minimum, s the largest |rhs| or screened lhs so far, and takes the min
+    over those. Many cases tie exactly, and float noise in the screen would
+    pick which one is named; the re-check makes the reported case and
+    numbers the exact argmin's.
     """
     N = group.order
     cls = list(group.class_of(h))
@@ -479,7 +485,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     rng = np.random.default_rng(seed + 987654321)
 
     # --- second-moment identity on sampled (tuple, vector) pairs
-    worst = (-1.0, None)  # below any error, so the first case is named
+    errors = []  # (|lhs - rhs|, tuple label), in enumeration order
     picks = rng.choice(len(space.tuples),
                        size=min(LEMMA_SAMPLES, len(space.tuples)),
                        replace=False)
@@ -490,18 +496,14 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         for bi in cols:
             lhs, rhs = second_moment_check(group, irreps, space.tuples[ti],
                                            f.vectors[:, bi], h)
-            err = abs(lhs - rhs)
-            if err > worst[0]:
-                worst = (err, space.labels[ti])
-    entries.append({
-        "check": "second-moment identity",
-        "lhs": worst[0], "rhs": 1e-8, "slack": 1e-8 - worst[0],
-        "detail": f"worst |class-avg - fourier| at tuple {worst[1]}",
-        "pass": bool(worst[0] <= 1e-8),
-    })
+            errors.append((abs(lhs - rhs), space.labels[ti]))
+    err, label = max(errors, key=lambda e: e[0])
+    entries.append(check_entry(
+        "second-moment identity", err <= 1e-8, lhs=err, rhs=1e-8,
+        detail=f"worst |class-avg - fourier| at tuple {label}"))
 
     # --- isotypic-projector bound on sampled (tuple, vector) pairs
-    worst = (np.inf, None)
+    exact = []  # (slack, case, lhs, rhs) of each re-checked case, in order
     subsets = [s for r in range(1, k + 1)
                for s in itertools.combinations(range(k), r)]
     # one r x N array, filled in place: a list of rows would be freed
@@ -544,15 +546,12 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
                 "g,gik,kl,gjl->ij", tau.character().conj(), stacks[s1], W,
                 stacks[s2])
             lhs = float(np.sum(np.abs(y) ** 2))
-            if rhs - lhs < worst[0]:
-                worst = (rhs - lhs, (space.labels[ti], s1, s2, tau.label),
-                         lhs, rhs)
-    entries.append({
-        "check": "isotypic projection bound",
-        "lhs": worst[2], "rhs": worst[3], "slack": worst[0],
-        "detail": f"tightest case {worst[1]}",
-        "pass": bool(worst[0] >= -1e-9),
-    })
+            exact.append((rhs - lhs, (space.labels[ti], s1, s2, tau.label),
+                          lhs, rhs))
+    slack, case, lhs, rhs = min(exact, key=lambda e: e[0])
+    entries.append(check_entry(
+        "isotypic projection bound", slack >= -1e-9, lhs=lhs, rhs=rhs,
+        detail=f"tightest case {case}"))
     del b, cases  # views of the last picked frame; the pass below holds one
 
     # --- one pass over the tuples, each frame drawn once: the averaged
@@ -580,54 +579,36 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
             np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
             l1_rows(tuple_distributions(space, ti, cls, ranks, forms),
                     ref[ti])))
-    rhs_mub = sum_d / N
-    worst = (np.inf, None)
-    for s in subsets:
-        lhs = pairwise_sum(overlap[s])
-        if rhs_mub - lhs < worst[0]:
-            worst = (rhs_mub - lhs, s, lhs)
-    entries.append({
-        "check": "diagonal overlap bound",
-        "lhs": worst[2], "rhs": rhs_mub, "slack": worst[0],
-        "detail": f"tightest register subset {worst[1]}",
-        "pass": bool(worst[0] >= -1e-9),
-    })
+    rhs = sum_d / N
+    lhs, s = min(((pairwise_sum(overlap[s]), s) for s in subsets),
+                 key=lambda e: rhs - e[0])
+    entries.append(check_entry(
+        "diagonal overlap bound", rhs - lhs >= -1e-9, lhs=lhs, rhs=rhs,
+        detail=f"tightest register subset {s}"))
 
     planch = np.array([space.plancherel(ti)
                        for ti in range(len(space.tuples))])
     xsq_mat = np.array([t[0] for t in per_tuple])   # (tuple, conjugate)
     xabs_mat = np.array([t[1] for t in per_tuple])
     lhs_delta1 = float(np.mean(planch @ xsq_mat))
-    entries.append({
-        "check": "x second moment below delta1",
-        "lhs": lhs_delta1, "rhs": delta1, "slack": delta1 - lhs_delta1,
-        "detail": f"S_eps={s_labels}, D_eps={d_eps}",
-        "pass": bool(lhs_delta1 < delta1 + 1e-12),
-    })
+    entries.append(check_entry(
+        "x second moment below delta1", lhs_delta1 < delta1 + 1e-12,
+        lhs=lhs_delta1, rhs=delta1, detail=f"S_eps={s_labels}, D_eps={d_eps}"))
 
     if 2 * k * eps >= 1:
-        entries.append({
-            "check": "distance against x first moment",
-            "lhs": None, "rhs": None, "slack": None,
-            "detail": f"hypothesis 2*k*eps < 1 fails (2*{k}*{eps} >= 1)",
-            "pass": None,
-        })
+        entries.append(check_entry(
+            "distance against x first moment", None,
+            detail=f"hypothesis 2*k*eps < 1 fails (2*{k}*{eps} >= 1)"))
     else:
         mu = planch @ xabs_mat                      # per-conjugate first moment
         l1s = pairwise_sum([t[2] for t in per_tuple]).tolist()
-        worst = (np.inf, None)
-        for ci, c in enumerate(cls):
-            lhs = l1s[ci]
-            rhs = (2 ** k * (1 + 2 * k * eps) * float(mu[ci])
-                   + 3 * k * eps + 3 * k * d_eps / N)
-            if rhs - lhs < worst[0]:
-                worst = (rhs - lhs, group.pretty(c), lhs, rhs)
-        entries.append({
-            "check": "distance against x first moment",
-            "lhs": worst[2], "rhs": worst[3], "slack": worst[0],
-            "detail": f"tightest conjugate {worst[1]}",
-            "pass": bool(worst[0] >= -1e-9),
-        })
+        lhs, rhs, c = min(
+            ((l1, 2 ** k * (1 + 2 * k * eps) * float(m)
+              + 3 * k * eps + 3 * k * d_eps / N, c)
+             for l1, m, c in zip(l1s, mu, cls)), key=lambda e: e[1] - e[0])
+        entries.append(check_entry(
+            "distance against x first moment", rhs - lhs >= -1e-9, lhs=lhs,
+            rhs=rhs, detail=f"tightest conjugate {group.pretty(c)}"))
     return entries
 
 

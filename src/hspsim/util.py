@@ -1,5 +1,5 @@
-"""Shared helpers: deterministic reductions, Kronecker products, number
-formatting, and the resource policy."""
+"""Shared helpers: verify check entries, deterministic reductions, Kronecker
+products, number formatting, and the resource policy."""
 from __future__ import annotations
 
 import datetime
@@ -41,6 +41,15 @@ def require(what, bytes=0, work=0):
         if need > limit:
             raise ResourceCap(f"{what} needs {need:.3g} {unit} "
                               f"(limit {limit:.3g})")
+
+
+def check_entry(name, ok, lhs=None, rhs=None, detail=None):
+    """One verify check: {check, status, lhs, rhs, detail}, status PASS if
+    ok, FAIL if not, WARN if ok is None; lhs, rhs and detail only if given."""
+    given = {"lhs": lhs, "rhs": rhs, "detail": detail}
+    return {"check": name,
+            "status": "WARN" if ok is None else "PASS" if ok else "FAIL",
+            **{key: value for key, value in given.items() if value is not None}}
 
 
 def pairwise_sum(values):
@@ -173,8 +182,18 @@ def parallel_map(fn, items, threads=1):
 
 
 def timestamp():
-    """UTC ISO timestamp; frozen by SOURCE_DATE_EPOCH / HSPSIM_TIMESTAMP."""
-    raw = os.environ.get(TIMESTAMP_ENV) or os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(raw) if raw and raw.strip() else int(time.time())
-    return datetime.datetime.fromtimestamp(t, datetime.timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ")
+    """UTC ISO timestamp; frozen by HSPSIM_TIMESTAMP, else SOURCE_DATE_EPOCH.
+
+    A frozen value that is not whole seconds since 1970 of a date in years
+    1 to 9999 is a ValueError that names its variable."""
+    name = TIMESTAMP_ENV if os.environ.get(TIMESTAMP_ENV) \
+        else "SOURCE_DATE_EPOCH"
+    raw = os.environ.get(name, "")
+    try:
+        t = int(raw) if raw.strip() else int(time.time())
+        when = datetime.datetime.fromtimestamp(t, datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"environment variable {name}: must be whole "
+                         "seconds since 1970 of a date in years 1 to 9999, "
+                         f"got {raw!r}") from None
+    return when.strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -1297,6 +1297,80 @@ def test_verify_tables_psl5_warn_not_fail(capsys):
     assert "10" in warns[0]["detail"]
 
 
+@pytest.mark.parametrize("argv, n_warn", [
+    *[(f"--suite {suite} --group {spec}",
+       int(suite == "tables" and spec == "psl2:5"))  # the involution count
+      for suite in ("facts", "tables", "lemmas") for spec in ("s4", "psl2:5")],
+    ("--suite lemmas --group dihedral:4 --k 2 --epsilon 0.3", 1)])
+def test_every_verify_entry_has_one_shape(capsys, argv, n_warn):
+    rc, out, _ = run_cli(capsys, ["verify", *argv.split()])
+    rep = json.loads(out)
+    statuses = [c["status"] for c in rep["checks"]]
+    for c in rep["checks"]:
+        assert {"check", "status"} <= set(c) <= {
+            "check", "status", "lhs", "rhs", "detail"}, c
+    assert set(statuses) <= {"PASS", "WARN", "FAIL"}
+    assert [rep["n_pass"], rep["n_warn"], rep["n_fail"]] == [
+        statuses.count(s) for s in ("PASS", "WARN", "FAIL")]
+    assert (rc, rep["n_warn"], rep["n_fail"]) == (0, n_warn, 0)
+
+
+def test_refused_roundtrip_is_reported_as_a_warn(capsys):
+    # cyclic:1400's round trip needs 5.49e9 multiply-adds; the rest runs
+    rc, out, _ = run_cli(capsys, ["verify", "--suite", "lemmas",
+                                  "--group", "cyclic:1400", "--k", "1"])
+    rep = json.loads(out)
+    assert (rc, len(rep["checks"]), rep["n_warn"], rep["n_fail"]) == (
+        0, 6, 1, 0)
+    assert rep["checks"][0] == {
+        "check": "transform diagonalizes the hidden-subgroup state",
+        "status": "WARN",
+        "detail": "not run: round-trip check on the cyclic group of order "
+                  "1400 needs 5.49e+09 multiply-adds (limit 5e+09)"}
+
+
+def _no_group(spec):
+    raise AssertionError(f"built {spec} before the arguments were checked")
+
+
+def test_out_into_a_missing_directory_is_refused_before_work(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "make_group", _no_group)
+    missing = tmp_path / "missing"
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "facts", "--group",
+                                    "s3", "--out", str(missing / "x.json")])
+    assert (rc, out) == (64, "")
+    assert err == ("hspsim verify: error: argument --out: directory "
+                   f"{str(missing)!r} does not exist\n")
+    assert not missing.exists()
+
+
+def test_out_to_dev_null_and_a_bare_name_are_valid(capsys, monkeypatch,
+                                                   tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for out in (os.devnull, "x.json"):
+        assert run_cli(capsys, ["verify", "--suite", "facts", "--group",
+                                "s3", "--out", out]) == (0, "", "")
+    assert json.loads((tmp_path / "x.json").read_text())["n_fail"] == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("HSPSIM_TIMESTAMP", "abc"),
+    ("HSPSIM_TIMESTAMP", "99999999999999999"),
+    ("SOURCE_DATE_EPOCH", "1e5")])
+def test_bad_timestamp_variable_is_refused_before_work(capsys, monkeypatch,
+                                                       name, value):
+    monkeypatch.delenv("HSPSIM_TIMESTAMP")
+    monkeypatch.setenv(name, value)
+    monkeypatch.setattr(cli, "make_group", _no_group)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "facts",
+                                    "--group", "s3"])
+    assert (rc, out) == (64, "")
+    assert err == (f"hspsim verify: error: environment variable {name}: "
+                   "must be whole seconds since 1970 of a date in years 1 "
+                   f"to 9999, got {value!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # chartable
 

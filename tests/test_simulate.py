@@ -38,7 +38,7 @@ from hspsim.simulate import (
     require_sampling,
     second_moment_check,
 )
-from hspsim.util import ResourceCap, kron_apply, kron_stack
+from hspsim.util import ResourceCap, check_entry, kron_apply, kron_stack
 
 from helpers import (
     coset_distribution, l1_distance, order_three_element, sl2_to_psl2_map,
@@ -725,7 +725,7 @@ def test_lemma_suite_wreath3(k):
         "distance against x first moment",
     ]
     for e in out:
-        assert e["pass"] is True, e
+        assert e["status"] == "PASS", e
     d1 = [e for e in out if e["check"] == "x second moment below delta1"][0]
     assert abs(d1["rhs"] - 6.311111111111111) < 1e-12
 
@@ -736,11 +736,11 @@ def test_lemma_suite_hypothesis_not_met():
     h = G.involutions()[0]
     out = lemma_suite(G, irr, h, k=2, eps=0.3, seed=0)  # 2*2*0.3 >= 1
     tail = out[-1]
-    assert tail["check"] == "distance against x first moment"
-    assert tail["pass"] is None
-    assert "hypothesis" in tail["detail"]
+    assert tail == check_entry(
+        "distance against x first moment", None,
+        detail="hypothesis 2*k*eps < 1 fails (2*2*0.3 >= 1)")
     for e in out[:-1]:
-        assert e["pass"] is True
+        assert e["status"] == "PASS"
 
 
 def _subsets(k):
@@ -818,12 +818,9 @@ def _isotypic_entry_reference(G, irr, h, k, seed, n_tuples=3, n_vectors=3):
                             worst = (rhs - lhs,
                                      (sp.labels[ti], s1, s2, tau.label),
                                      lhs, rhs)
-    return {
-        "check": "isotypic projection bound",
-        "lhs": worst[2], "rhs": worst[3], "slack": worst[0],
-        "detail": f"tightest case {worst[1]}",
-        "pass": bool(worst[0] >= -1e-9),
-    }
+    return check_entry("isotypic projection bound", worst[0] >= -1e-9,
+                       lhs=worst[2], rhs=worst[3],
+                       detail=f"tightest case {worst[1]}")
 
 
 @pytest.mark.parametrize("spec, k, seed", [("dihedral:4", 3, 0),
