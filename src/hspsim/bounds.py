@@ -12,10 +12,10 @@ The central quantities, for a group G with involution h and cutoff eps:
   sqrt(t delta2(k)) >= threshold; the largest k violating this is a lower
   bound on the entanglement needed.
 
-All arithmetic uses the float canonical path: character data is rounded
-to 9 decimals on entry and summed with math.fsum, which is exactly rounded,
-so the order of the terms, and with it the construction route, cannot
-change the result.
+Every family gives its spectrum as rows (label, degree, count, |chi(h)|)
+of exact integers, chi_at_involution reading a computed chi(h) as one, and
+their sums are exact, each rounded once to a float: neither the order of
+the rows nor the construction route can change the result.
 """
 from __future__ import annotations
 
@@ -28,9 +28,9 @@ from .util import STEP_WORK, fmt_float, require
 WREATH_MAX_N = 40
 DEFAULT_THRESHOLD = 1.0 / 3.0
 DEFAULT_K_MAX = 8
-# bytes per S_eps label at the peak of a psl2 report: 400 measured on
-# --format text, the largest format (260 on json); psl2:8469239, the largest
-# q admitted (2117312 labels), peaks at 907 MiB of address space
+# bytes per S_eps label at a report's peak, charged by _finish: 400 measured
+# on psl2's --format text, the largest format (260 on json); psl2:8469239,
+# the largest q admitted (2117312 labels), peaks at 907 MiB of address space
 PSL_LABEL_BYTES = 416
 
 
@@ -78,66 +78,66 @@ class BoundParams:
     delta1: float
 
 
-def _finish(group_order, n_irreps, eps, sum_d, s_labels, d_eps, sum_dchi):
-    delta1 = eps + sum_d * sum_dchi / group_order
+# chi(h) is an integer within the class-sum table's own test on degrees
+# (power:z2^9's table at seed 1 is 1.03e-9 off), and real (8e-13 seen)
+CHI_INTEGER_TOL = 1e-6
+CHI_IMAG_TOL = 1e-8
+
+
+def chi_at_involution(label, value):
+    """chi(h) of the irrep `label` as an int, from its computed value at an
+    involution h; a value that is not real or not an integer is refused."""
+    value = complex(value)
+    if abs(value.imag) > CHI_IMAG_TOL:
+        raise ValueError(f"character of {label} not real at h")
+    chi = round(value.real)
+    if abs(value.real - chi) > CHI_INTEGER_TOL:
+        raise ValueError(f"character of {label} not an integer at h: "
+                         f"{value.real!r}")
+    return chi
+
+
+def _finish(group_order, n_irreps, sum_d, eps, s_rows):
+    """BoundParams from the S_eps rows, each label charged PSL_LABEL_BYTES
+    first, a row of count c > 1 labelled label.0 .. label.(c-1)."""
+    n_labels = sum(count for _, _, count, _ in s_rows)
+    require(f"S_eps labels of a group of order {group_order} "
+            f"({n_labels} labels)", bytes=PSL_LABEL_BYTES * n_labels)
+    labels = [lab for lab, _, count, _ in s_rows if count == 1] + [
+        f"{lab}.{i}" for lab, _, count, _ in s_rows if count > 1
+        for i in range(count)]
+    sum_dchi = float(sum(count * d * c for _, d, count, c in s_rows))
     return BoundParams(
-        group_order=int(group_order),
-        n_irreps=int(n_irreps),
-        epsilon=float(eps),
-        sum_d=int(sum_d),
-        s_epsilon_labels=tuple(sorted(s_labels)),
-        d_epsilon=int(d_eps),
-        sum_dchi=float(sum_dchi),
-        delta1=float(delta1),
-    )
+        group_order=group_order, n_irreps=n_irreps, epsilon=eps, sum_d=sum_d,
+        s_epsilon_labels=tuple(sorted(labels)),
+        d_epsilon=sum(count * d * d for _, d, count, _ in s_rows),
+        sum_dchi=sum_dchi, delta1=eps + sum_d * sum_dchi / group_order)
 
 
-def bound_params(group_order, labels, degrees, chi_abs, eps):
-    """BoundParams from per-irrep data (labels, degrees, |chi(h)|)."""
-    if len(labels) != len(degrees) or len(labels) != len(chi_abs):
-        raise ValueError("labels, degrees, chi_abs must have equal length")
-    degrees = [int(d) for d in degrees]
-    if sum(d * d for d in degrees) != group_order:
+def bound_params(group_order, rows, eps):
+    """BoundParams from (label, degree, count, |chi(h)|) rows whose
+    squared degrees, counted, sum to the group order; S_eps holds the rows
+    with |chi(h)|/d >= eps."""
+    if sum(count * d * d for _, d, count, _ in rows) != group_order:
         raise ValueError("sum of squared degrees does not match group order")
     eps = float(eps)
-    s_labels = []
-    d_eps = 0
-    dchi = []
-    chi_abs = [round(float(c), 9) for c in chi_abs]
-    for lab, d, c in zip(labels, degrees, chi_abs):
-        if c < -1e-12:
-            raise ValueError(f"negative |chi| for {lab}")
-        if c / d >= eps:
-            s_labels.append(lab)
-            d_eps += d * d
-            dchi.append(d * c)
-    return _finish(group_order, len(labels), eps, sum(degrees),
-                   s_labels, d_eps, math.fsum(dchi))
-
-
-def _abs_at_involution(labels, chi):
-    """|chi(h)| per irrep; the characters of an involution are real."""
-    chi_abs = []
-    for lab, v in zip(labels, chi):
-        if abs(v.imag) > 1e-8:
-            raise ValueError(f"character of {lab} not real at h")
-        chi_abs.append(abs(v.real))
-    return chi_abs
+    return _finish(group_order, sum(count for _, _, count, _ in rows),
+                   sum(count * d for _, d, count, _ in rows), eps,
+                   [row for row in rows if row[3] / row[1] >= eps])
 
 
 def params_from_irreps(group, irreps, h, eps):
     """BoundParams from explicit irreps and an involution."""
-    labels = [r.label for r in irreps]
-    chi = [r.character_at(h) for r in irreps]
-    return bound_params(group.order, labels, [r.degree for r in irreps],
-                        _abs_at_involution(labels, chi), eps)
+    return bound_params(group.order, [(r.label, r.degree, 1, abs(
+        chi_at_involution(r.label, r.character_at(h)))) for r in irreps], eps)
 
 
 def params_from_table(table, h, eps):
     """BoundParams from a character table's column at the class of h."""
     chi = table.values[:, table.column_of(h)]
-    return bound_params(table.group.order, table.labels, table.degrees,
-                        _abs_at_involution(table.labels, chi), eps)
+    return bound_params(table.group.order, [(lab, d, 1, abs(
+        chi_at_involution(lab, v))) for lab, d, v in
+        zip(table.labels, table.degrees, chi)], eps)
 
 
 def hypothesis_ok(params, k):
@@ -163,8 +163,7 @@ def k_lower_bound(params, t=1, threshold=DEFAULT_THRESHOLD):
 
 def char_eta(group_order, degrees, chi_abs):
     """eta = (1/|G|) sum_rho d_rho |chi_rho(h)| over all irreps."""
-    return math.fsum(d * abs(float(c))
-                     for d, c in zip(degrees, chi_abs)) / group_order
+    return sum(d * abs(c) for d, c in zip(degrees, chi_abs)) / group_order
 
 
 def trace_norm_bound(eta, t):
@@ -239,8 +238,7 @@ def wreath_params(n, eps=None):
     the Young diagrams whose subtrees hold only larger degrees, nor the
     tall ones, the conjugates of the wide ones it visits.  For the
     canonical eps = n^(-n/4) membership is the exact integer test
-    d^4 <= n^n.  The base labels are sorted once: theta' then theta,
-    each in that order, is the sorted order of the S_eps labels.
+    d^4 <= n^n.
     """
     if not 2 <= n <= WREATH_MAX_N:
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
@@ -269,14 +267,13 @@ def wreath_params(n, eps=None):
                 degrees_up_to(int(limit) + 1 if limit < fact else fact)
                 if 1.0 / d >= eps]
     # every theta'[...] sorts before every theta[...] (' is below [), so
-    # the labels come out sorted, as _finish keeps them
-    labels = sorted([partition_label(lam) for lam, _ in in_s])
-    s_labels = [tag + lab for tag in ("theta'", "theta") for lab in labels]
-    d_eps = 2 * sum(d ** 4 for _, d in in_s)
-    sum_dchi = 2 * math.fsum(d ** 3 for _, d in in_s)
-    return _finish(2 * fact ** 2, 2 * p + p * (p - 1) // 2, eps,
-                   symmetric_involution_count(n) ** 2 + fact, s_labels,
-                   d_eps, sum_dchi)
+    # the rows come in the sorted order of their labels, which _finish keeps
+    degree = {partition_label(lam): d for lam, d in in_s}
+    labels = sorted(degree)
+    return _finish(2 * fact ** 2, 2 * p + p * (p - 1) // 2,
+                   symmetric_involution_count(n) ** 2 + fact, eps,
+                   [(tag + lab, degree[lab] ** 2, 1, degree[lab])
+                    for tag in ("theta'", "theta") for lab in labels])
 
 
 def wreath_bound(n, eps=None, t=1, threshold=DEFAULT_THRESHOLD,
@@ -343,31 +340,14 @@ def psl_rows(q):
 
 
 def psl_params(q, eps=None):
-    """BoundParams for PSL(2, q) at an involution, from the degree pattern:
-    each psl_rows class is summed by its count, and only the S_eps
-    members get labels."""
-    rows = psl_rows(q)
+    """BoundParams for PSL(2, q) at an involution, from the psl_rows
+    classes, each summed by its count."""
     if _is_prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
     order = q * (q * q - 1) if q % 2 == 0 else q * (q * q - 1) // 2
-    if sum(count * d * d for _, d, count, _ in rows) != order:
-        raise ValueError("sum of squared degrees does not match group order")
     if eps is None:
         eps = Fraction(1, q - 1) if q % 2 == 0 else Fraction(2, q - 1)
-    eps = float(eps)
-    s_rows = [(lab, d, count, c) for lab, d, count, c in rows
-              if c / d >= eps]
-    n_labels = sum(count for _, _, count, _ in s_rows)
-    require(f"S_eps labels of PSL(2, {q}) ({n_labels} labels)",
-            bytes=PSL_LABEL_BYTES * n_labels)
-    s_labels = [lab if count == 1 else f"{lab}.{i}"
-                for lab, _, count, _ in s_rows for i in range(count)]
-    # the d |chi| are integers, so their exact sum, rounded once, is what
-    # math.fsum gives over the irreps one by one
-    return _finish(order, sum(count for _, _, count, _ in rows), eps,
-                   sum(count * d for _, d, count, _ in rows), s_labels,
-                   sum(count * d * d for _, d, count, _ in s_rows),
-                   float(sum(count * d * c for _, d, count, c in s_rows)))
+    return bound_params(order, psl_rows(q), eps)
 
 
 def involution_count_note(q):
@@ -477,8 +457,8 @@ def binomial_tail(alpha, beta, n, c):
 
 
 def gallagher_check(table, h):
-    """Character dichotomy at an involution: |chi| = d, or ratio below
-    1 - 2|C(h)|/|G|.
+    """Character dichotomy at an involution: |chi| = d, or a ratio |chi|/d
+    of at most 1 - 2|C(h)|/|G|.
 
     Returns the labels with |chi(h)| = d, the squared-degree mass lambda,
     the threshold, and all ratios; raises if any irrep violates both sides.
@@ -491,14 +471,12 @@ def gallagher_check(table, h):
     lam = 0
     ratios = {}
     for lab, d, v in zip(table.labels, table.degrees, table.values[:, ci]):
-        a = abs(v)
+        a = abs(chi_at_involution(lab, v))
         ratios[lab] = float(a / d)
-        if abs(a - d) <= 1e-8 * d:
+        if a == d:
             lam_labels.append(lab)
             lam += d * d
-        elif a / d < float(threshold) + 1e-8:
-            pass
-        else:
+        elif Fraction(a, d) > threshold:
             raise ValueError(
                 f"character dichotomy fails for {lab}: |chi|/d = {a / d}, "
                 f"threshold {float(threshold)}")

@@ -261,12 +261,21 @@ def check_threads_env():
 
 
 def check_before_work(args):
-    """Refuse, before the command runs, an --out in a missing directory and
-    a timestamp variable that util.timestamp cannot read."""
+    """Refuse, before the command runs, an --out that cannot be written
+    and a timestamp variable that util.timestamp cannot read.  --out is
+    opened to append, which leaves a file as it was; one made is removed."""
     where = os.path.dirname(args.out or "")
     if where and not os.path.isdir(where):
-        raise UsageError(
-            f"argument --out: directory {where!r} does not exist")
+        raise UsageError(f"argument --out: directory {where!r} does not exist")
+    if args.out:
+        made = not os.path.lexists(args.out)
+        try:
+            open(args.out, "a").close()
+        except OSError as e:  # a directory, or no file can be made there
+            raise UsageError(f"argument --out: cannot write {args.out!r}: "
+                             f"{e.strerror}") from None
+        if made:
+            os.remove(args.out)
     try:
         timestamp()
     except ValueError as e:
@@ -403,22 +412,24 @@ def cmd_bound(args):
 # simulate
 
 def listed_irreps(G, seed, check, k=1):
-    """G's irreps, built once check(labels, degrees) passes on a listing.
+    """G's irreps, built once check(labels, degrees, itemsizes) passes on a
+    listing, itemsizes the bytes of an entry of each irrep's stack.
 
     The explicit constructions list themselves: their rows are evaluated
-    where they are read.  A group without them is listed by its class-sum
-    table, once the numeric irreps' own estimate and the r^k register
-    tuples over its r classes have passed, and the table is dropped before
-    the numeric irreps are built.
+    where they are read, in the dtype each declares.  A group without them
+    is listed by its class-sum table, once the numeric irreps' own estimate
+    and the r^k register tuples over its r classes have passed, and the
+    table is dropped before the numeric irreps, all complex128, are built.
     """
     if irrmod.has_explicit_irreps(G):
         irr = irrmod.irreps_for(G, seed=seed)
-        check([r.label for r in irr], [r.degree for r in irr])
+        check([r.label for r in irr], [r.degree for r in irr],
+              [r.dtype.itemsize for r in irr])
         return irr
     irrmod.require_numeric_irreps(G)
     simulate.require_tuples(len(G.conjugacy_classes()), k)
     table = best_character_table(G, seed=seed)
-    check(table.labels, table.degrees)
+    check(table.labels, table.degrees, [16] * len(table.labels))
     del table  # one of the table and the irreps held at a time
     return irrmod.irreps_for(G, seed=seed)
 
@@ -426,11 +437,15 @@ def listed_irreps(G, seed, check, k=1):
 def cmd_simulate(args):
     G = make_group(args.group)
     h = resolve_h(G, args.h)
-    # h's class is found once listed: wreath:5's adds 6 MB to its refusal
-    irr = listed_irreps(
-        G, args.seed, lambda labels, degrees: simulate.require_sampling(
-            labels, degrees, args.k, args.frame_kind, len(G.class_of(h)),
-            args.frames), args.k)
+
+    def check(labels, degrees, _):
+        # h's class is found once listed: wreath:5's adds 6 MB to its refusal
+        c = len(G.class_of(h))
+        simulate.require_sampling(labels, degrees, args.k, args.frame_kind,
+                                  c, args.frames)
+        if args.t is not None:
+            simulate.require_mixed(G.order, degrees, c, args.t)
+    irr = listed_irreps(G, args.seed, check, args.k)
     conjugates = len(G.class_of(h))
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
@@ -469,8 +484,8 @@ def cmd_simulate(args):
         "avg_l1_below_delta2": bool(mean_avg_l1 <= d2),
     }
     if args.t is not None:
-        chi = [abs(r.character_at(h)) for r in irr]
-        eta = bounds.char_eta(G.order, [r.degree for r in irr], chi)
+        eta = bounds.char_eta(G.order, [r.degree for r in irr], [
+            bounds.chi_at_involution(r.label, r.character_at(h)) for r in irr])
         mixed = simulate.mixed_conjugate_trace_distance(G, irr, h, args.t)
         report["mixed_copies"] = {
             "t": args.t,
@@ -504,7 +519,7 @@ def _suite_facts(G, args):
     require(f"facts suite over {r} irreps", work=G.order ** 3 + STEP_WORK * (
         r * r + sum(r ** (n + 1) for n in ns)))
 
-    def check(labels, degrees):  # the first check below, refused unbuilt
+    def check(labels, degrees, _):  # the first check below, refused unbuilt
         label, degree = max(zip(labels, degrees), key=lambda e: e[1])
         irrmod.require_hom_check(label, G.order, degree)
     irr = listed_irreps(G, args.seed, check)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import chi_at_involution
 from .groups import involution
 from .irreps import Irrep
 from .util import kron_stack
@@ -27,25 +28,16 @@ def qft(group, irreps):
 
 
 def rank_r(rho, h):
-    """Rank of rho's average over the hidden subgroup {e, h}, via the
-    character sum; h must be an involution.
-
-    (1/2)(chi(e) + chi(h)) must be a near-integer, and must agree with the
-    numerical rank of the projector (1/2)(rho(e) + rho(h)) before rounding.
-    """
+    """Rank (d + chi(h))/2 of rho's average over the hidden subgroup
+    {e, h}, h an involution, checked against the numerical rank of the
+    projector (1/2)(rho(e) + rho(h))."""
     hs = involution(rho.group, h)
-    s = complex(np.mean(rho.character_at(hs)))
-    if abs(s.imag) > 1e-6:
-        raise ValueError(f"character average not real: {s}")
-    val = s.real
-    r = round(val)
-    if abs(val - r) > 1e-6:
-        raise ValueError(f"character average {val} is not integral")
+    r = (rho.degree + chi_at_involution(rho.label, rho.character_at(h))) // 2
     P = np.mean(rho.at(hs), axis=0)
     numeric = int(np.sum(np.linalg.eigvalsh((P + P.conj().T) / 2) > 0.5))
     if numeric != r:
         raise ValueError(f"character rank {r} != numerical rank {numeric}")
-    return int(r)
+    return r
 
 
 # ---------------------------------------------------------------------------

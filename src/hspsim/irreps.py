@@ -42,16 +42,18 @@ class Irrep:
     float64 or complex128 as given.
 
     A construction gives either the whole (|G|, d, d) stack, or a function
-    of an int id array that evaluates those rows, with the degree d.  at()
-    and character_at() evaluate only the elements asked for; mats and
-    character() evaluate every element once and keep the stack.  Rows of
-    another degree than d are an error (RuntimeError) when evaluated.
+    of an int id array that evaluates those rows, with the degree d and
+    the dtype.  at() and character_at() evaluate only the elements asked
+    for; mats and character() evaluate every element once and keep the
+    stack.  Rows of another degree than d, or of another dtype, are an
+    error (RuntimeError) when evaluated.
     """
 
-    def __init__(self, group, label, mats, degree=None):
+    def __init__(self, group, label, mats, degree=None, dtype=None):
         self.group = group
         self.label = label
         self.degree = degree
+        self.dtype = None if dtype is None else np.dtype(dtype)
         if callable(mats):
             self._rows_of, self._mats = mats, None
         else:
@@ -95,13 +97,14 @@ class Irrep:
                                     dtype=np.result_type(mats, np.float64))
         if mats.ndim != 3 or mats.shape[0] != rows:
             raise ValueError("matrix stack must have shape (|G|, d, d)")
-        if self.degree is None:
-            self.degree = mats.shape[1]
-        elif mats.shape[1:] != (self.degree, self.degree):
+        if self.degree is None:  # a whole stack, which names both
+            self.degree, self.dtype = mats.shape[1], mats.dtype
+        if mats.shape[1:] != (self.degree, self.degree) or \
+                mats.dtype != self.dtype:
             raise RuntimeError(
                 f"irrep {self.label} of the {self.group.kind} group of order "
                 f"{self.group.order} differs from its listed degree "
-                f"{self.degree}")
+                f"{self.degree} or dtype {self.dtype}")
         return mats
 
     def __repr__(self):
@@ -327,7 +330,7 @@ def irreps_symmetric(n):
                     mats[at] = mats[at] @ gens[a]
                 p[live, k], p[live, k + 1] = p[live, k + 1], p[live, k]
         return rows
-    return [Irrep(G, partition_label(lam), young(lam, d), d)
+    return [Irrep(G, partition_label(lam), young(lam, d), d, np.float64)
             for lam, d in sorted(partition_degrees(n)[0], reverse=True)]
 
 
@@ -341,7 +344,7 @@ def irreps_cyclic(n):
 
     def chi(j):
         return lambda ids: np.exp(2j * np.pi * j * ids / n).reshape(-1, 1, 1)
-    return [Irrep(G, f"chi{j}", chi(j), 1) for j in range(n)]
+    return [Irrep(G, f"chi{j}", chi(j), 1, np.complex128) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +393,12 @@ def irreps_wreath(n):
         return rows
 
     base = irreps_symmetric(n)
-    out = [Irrep(W, tag + rho.label, theta(rho.mats, sign), rho.degree ** 2)
+    out = [Irrep(W, tag + rho.label, theta(rho.mats, sign), rho.degree ** 2,
+                 rho.dtype)
            for tag, sign in (("theta", 1.0), ("theta'", -1.0))
            for rho in base]
     return out + [Irrep(W, f"kappa{a.label}x{b.label}", kappa(a.mats, b.mats),
-                        2 * a.degree * b.degree)
+                        2 * a.degree * b.degree, a.dtype)
                   for a, b in itertools.combinations(base, 2)]
 
 

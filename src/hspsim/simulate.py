@@ -145,7 +145,7 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
                                + conjugates * vec * k * degrees[big]))
 
 
-def require_lemmas(group, h, k, kind, labels, degrees):
+def require_lemmas(group, h, k, kind, labels, degrees, itemsizes):
     """Refuse lemma_suite on irreps of group with these labels and degrees,
     at the class of h, before any is built: a loop step per call its pass
     makes for each tuple (the draw, 2^k - 1 q_subset_values blocks,
@@ -154,20 +154,23 @@ def require_lemmas(group, h, k, kind, labels, degrees):
     vector of a D-dimensional tuple a q_subset_values pass of at most
     D k d_max multiply-adds per element, in blocks of util.BLOCK_BYTES.
 
-    What the pass holds next to its tuples: every irrep's whole stack
-    (N^2 entries in all) and character, which it reads and keeps, the
-    r x N character weights and the isotypic screen's (r, N, D) product,
-    D the largest tuple's dimension, 16 bytes an entry (cyclic:3700 at
-    k=1 peaked 841 MB above cyclic:10, against an estimate of 880 MB)."""
+    What the pass holds next to its tuples: each irrep's whole stack, read
+    and kept, at its itemsize, a picked tuple's 2^k - 1 factor stacks of
+    N D^2 entries, D the largest tuple's dimension, and at 16 bytes the
+    characters, the r x N weights and the isotypic screen's (r, N, D)
+    product (k=1 peaks above cyclic:10: cyclic:3700 841 MB against 880 MB,
+    s7, in float64, 251 MB against 297 MB)."""
     c = len(group.class_of(h))
     require_sampling(labels, degrees, k, kind, c, steps=2 ** k + 2 + c)
     N, r, dmax = group.order, len(degrees), max(degrees)
     require(f"diagonal-overlap loop over k={k} registers of the "
             f"{group.kind} group of order {N}", work=(2 ** k - 1) * N
             * frame_entries(N, k, kind) * k * dmax)
+    stacks = N * (sum(size * d * d for size, d in zip(itemsizes, degrees))
+                  + (2 ** k - 1) * max(itemsizes) * dmax ** (2 * k))
     require(f"lemma suite's stacks, characters and isotypic screen over {r} "
             f"irreps of the {group.kind} group of order {N}",
-            bytes=1024 * r ** k + 16 * N * (N + r * (2 + dmax ** k)))
+            bytes=1024 * r ** k + stacks + 16 * N * r * (2 + dmax ** k))
 
 
 def plus_bases(irreps, c):
@@ -476,7 +479,8 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     N = group.order
     cls = list(group.class_of(h))
     require_lemmas(group, h, k, kind, [r.label for r in irreps],
-                   [r.degree for r in irreps])
+                   [r.degree for r in irreps],
+                   [r.dtype.itemsize for r in irreps])
     space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
     ranks = space.tuple_ranks(h)
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
@@ -615,6 +619,20 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
 # ---------------------------------------------------------------------------
 # multi-copy mixture of conjugate coset states
 
+def require_mixed(order, degrees, conjugates, t):
+    """Refuse mixed_conjugate_trace_distance on a listing: per tuple a loop
+    step, conjugates D^2 for the Kronecker stack (sum D^2 = |G|^t) and D^3
+    for eigvalsh; the largest stack and its last product."""
+    degrees = np.array(degrees, dtype=float)
+    with np.errstate(over="ignore"):  # past the float range an estimate is inf
+        dmax = degrees.max() ** t
+        require(f"t={t} mixed-state distance over {len(degrees)} irreps",
+                bytes=32 * conjugates * dmax * dmax,
+                work=STEP_WORK * np.float64(len(degrees)) ** t
+                + conjugates * np.float64(order) ** t
+                + np.sum(degrees ** 3) ** t)
+
+
 def mixed_conjugate_trace_distance(group, irreps, h, t):
     """Trace distance between the conjugate-averaged t-fold coset state
     and the t-fold uniform state.
@@ -626,15 +644,7 @@ def mixed_conjugate_trace_distance(group, irreps, h, t):
     """
     N = group.order
     cls = list(group.class_of(h))
-    # per tuple: a loop step, |cls| D^2 for the Kronecker stack (sum D^2 =
-    # |G|^t) and D^3 for eigvalsh; the largest stack and its last product
-    degrees = np.array([r.degree for r in irreps], dtype=float)
-    with np.errstate(over="ignore"):  # past the float range an estimate is inf
-        dmax = degrees.max() ** t
-        require(f"t={t} mixed-state distance over {len(irreps)} irreps",
-                bytes=32 * len(cls) * dmax * dmax,
-                work=STEP_WORK * np.float64(len(irreps)) ** t
-                + len(cls) * np.float64(N) ** t + np.sum(degrees ** 3) ** t)
+    require_mixed(N, [r.degree for r in irreps], len(cls), t)
     stacks = [r.at(cls) + np.eye(r.degree) for r in irreps]
     contrib = []
     for tup in itertools.combinations_with_replacement(range(len(irreps)), t):

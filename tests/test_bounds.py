@@ -1,7 +1,9 @@
 import functools
+import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +51,7 @@ def test_partition_numbers():
 
 def test_bound_params_completeness_guard():
     with pytest.raises(ValueError):
-        bounds.bound_params(10, ["a", "b"], [1, 2], [1.0, 0.0], 0.2)
+        bounds.bound_params(10, [("a", 1, 1, 1), ("b", 2, 1, 0)], 0.2)
 
 
 def test_wreath3_frozen_delta_values():
@@ -182,7 +184,7 @@ def _wreath_params_reference(n, eps):
         in_s = [(lam, d) for lam, d in degs if 1.0 / d >= eps]
     labels = [tag + irreps.partition_label(lam)
               for tag in ("theta", "theta'") for lam, _ in in_s]
-    sum_dchi = math.fsum(2 * d ** 3 for _, d in in_s)
+    sum_dchi = float(sum(2 * d ** 3 for _, d in in_s))
     return bounds.BoundParams(
         group_order=order, n_irreps=2 * len(degs) + math.comb(len(degs), 2),
         epsilon=eps, sum_d=sum_d, s_epsilon_labels=tuple(sorted(labels)),
@@ -427,33 +429,59 @@ def test_psl_params_match_one_row_per_irrep():
     # one labelled row per irrep, at the default cutoff and at the ties
     # 2/(q +- 1), 1/q and 1/(q - 1)
     for q in (*groups.PSL2_SIZES, 25, 27, 49, 121, 125, 1024, 4093):
-        rows = [(lab if count == 1 else f"{lab}.{i}", d, c)
+        rows = [(lab if count == 1 else f"{lab}.{i}", d, 1, c)
                 for lab, d, count, c in bounds.psl_rows(q)
                 for i in range(count)]
-        labels, degrees, chi = map(list, zip(*rows))
-        order = sum(d * d for d in degrees)
+        order = sum(d * d for _, d, _, _ in rows)
         default = 1 / (q - 1) if q % 2 == 0 else 2 / (q - 1)
         for eps in (None, 0.5, 1e-3, 2 / (q + 1), 2 / (q - 1), 1 / q,
                     1 / (q - 1)):
             assert bounds.psl_params(q, eps) == bounds.bound_params(
-                order, labels, degrees, chi,
-                default if eps is None else eps), (q, eps)
+                order, rows, default if eps is None else eps), (q, eps)
 
 
 def test_psl_degree_pattern_matches_enumerated_table():
-    # the closed-form degree/character pattern agrees with the numeric
-    # class-sum table for an actual involution
-    for q in (5, 7, 8):
+    # the (degree, |chi(h)|) multiset of psl_rows, one per irrep, is what
+    # psl2:q's class-sum table holds, read exactly, in an involution's
+    # column, at every q the group layer builds
+    for q in groups.PSL2_SIZES:
         G = groups.PSL2Group(q)
-        tab = best_character_table(G)
-        h = min(G.involutions())
-        ci = next(i for i, c in enumerate(tab.classes) if h in c)
-        got = sorted((d, round(abs(v), 6))
-                     for d, v in zip(tab.degrees, tab.values[:, ci]))
-        want = sorted((d, float(c))
-                      for lab, d, count, c in bounds.psl_rows(q)
+        tab = character_table_numeric(G)
+        ci = tab.column_of(G.default_involution())
+        got = sorted((d, abs(bounds.chi_at_involution(lab, v))) for lab, d, v
+                     in zip(tab.labels, tab.degrees, tab.values[:, ci]))
+        want = sorted((d, c) for lab, d, count, c in bounds.psl_rows(q)
                       for _ in range(count))
-        assert got == want
+        assert got == want, q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wreath_rows_match_the_built_irreps(n):
+    # two (d^2, d) rows per S_n degree d and one (2 d d', 0) per pair of
+    # partitions: the spectrum wreath_params reads, against the built
+    # irreps at the swap
+    W, h = wreath_swap(n)
+    got = sorted((r.degree, abs(bounds.chi_at_involution(
+        r.label, r.character_at(h)))) for r in irreps.irreps_wreath(n))
+    degs = [d for _, d in irreps.partition_degrees(n)[0]]
+    assert got == sorted([(d * d, d) for d in degs] * 2 + [
+        (2 * a * b, 0) for a, b in itertools.combinations(degs, 2)])
+
+
+@pytest.mark.parametrize("value, chi", [
+    (3, 3), (-1.0, -1), (2 + 1e-9, 2), (-2 - 1e-9 + 1e-12j, -2)])
+def test_chi_at_involution_reads_an_int(value, chi):
+    read = bounds.chi_at_involution("rho", value)
+    assert read == chi and type(read) is int
+
+
+@pytest.mark.parametrize("value, text", [
+    (2.4, "character of rho not an integer at h: 2.4"),
+    (-0.6, "character of rho not an integer at h: -0.6"),
+    (2 + 1e-6j, "character of rho not real at h")])
+def test_chi_at_involution_refuses_a_non_integer(value, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        bounds.chi_at_involution("rho", value)
 
 
 def test_psl_involution_count_notes():

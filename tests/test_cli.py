@@ -1,5 +1,6 @@
 import argparse
 import ast
+import functools
 import inspect
 import json
 import os
@@ -93,6 +94,21 @@ def test_simulate_budget_needs_no_character_table(capsys, monkeypatch):
                        "irreps stop at n <= 4, and numeric irrep "
                        "construction for the wreath group of order 28800 "
                        "needs 1.06e+11 bytes (limit 8.81e+08)\n")
+
+
+def test_simulate_mixed_copies_refused_before_irreps(capsys, monkeypatch):
+    # the t-copy mixed-state estimate needs only the listed degrees and the
+    # class of h, so psl2:13 at t = 3 is refused on its class-sum table;
+    # it once built the numeric irreps and sampled for 2.2 s first
+    def built(*args, **kwargs):
+        raise AssertionError("irreps built")
+
+    monkeypatch.setattr(cli.irrmod, "irreps_for", built)
+    rc, out, err = run_cli(capsys, ["simulate", "--group", "psl2:13",
+                                    "--k", "1", "--t", "3"])
+    assert (rc, out) == (69, "")
+    assert err == ("hspsim simulate: resource cap: t=3 mixed-state distance "
+                   "over 9 irreps needs 2.19e+10 bytes (limit 8.81e+08)\n")
 
 
 def test_simulate_frame_vectors_refused_before_irreps(capsys, monkeypatch):
@@ -241,7 +257,7 @@ def test_cyclic_lemma_charge_boundary_in_1gib():
         try:
             simulate.require_lemmas(make_group(f"cyclic:{n}"), n // 2, 1,
                                     "basis", [f"chi{j}" for j in range(n)],
-                                    [1] * n)
+                                    [1] * n, [16] * n)
         except ResourceCap:
             return False
         return True
@@ -255,6 +271,56 @@ def test_cyclic_lemma_charge_boundary_in_1gib():
     proc = _cli_under_1gib(*argv, "cyclic:3700")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_fail"] == 0
+
+
+def _lemma_charge(monkeypatch, spec, itemsize=None):
+    """The bytes require_lemmas charges at k = 1 on spec's explicit irreps,
+    each at its own item size, or at itemsize when given."""
+    G = make_group(spec)
+    irr = irrmod.irreps_for(G)
+    charged = []
+    monkeypatch.setattr(simulate, "require",
+                        lambda what, bytes=0, work=0: charged.append(bytes))
+    simulate.require_lemmas(G, G.default_involution(), 1, "basis",
+                            [r.label for r in irr], [r.degree for r in irr],
+                            [itemsize or r.dtype.itemsize for r in irr])
+    return sum(charged)
+
+
+def test_float64_stacks_are_charged_half_of_complex(monkeypatch):
+    # Young's form is float64: its irreps' stacks, N^2 entries, and a
+    # tuple's factor stack, N 35^2, cost 8 bytes an entry, not 16
+    real = _lemma_charge(monkeypatch, "s7")
+    assert _lemma_charge(monkeypatch, "s7", 16) - real \
+        == 8 * 5040 * (5040 + 35 ** 2)
+    assert _lemma_charge(monkeypatch, "cyclic:12") \
+        == _lemma_charge(monkeypatch, "cyclic:12", 16)
+
+
+@functools.cache
+def _lemma_peak(spec):
+    """VmHWM, in bytes, of a child that ran verify --suite lemmas --k 1."""
+    proc = _under_1gib("-c", (
+        "import contextlib, io\n"
+        "from hspsim import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify', '--suite', 'lemmas', '--group', "
+        f"{spec!r}, '--k', '1'])\n"
+        "print(rc, open('/proc/self/status').read())"))
+    rc, status = proc.stdout.split(" ", 1)
+    assert rc == "0", proc.stderr
+    line = next(x for x in status.splitlines() if x.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+
+@pytest.mark.parametrize("spec", ["s7", "cyclic:2000"])
+def test_lemma_charge_covers_the_measured_peak(monkeypatch, spec):
+    # the peak above a cyclic:10 run, against what require_lemmas charges
+    # (float64 s7: 251 MB against 297 MB; complex cyclic:2000: 259 MB
+    # against 260 MB); the round trip is refused on both, so the lemma
+    # pass makes the peak
+    peak = _lemma_peak(spec) - _lemma_peak("cyclic:10")
+    assert 0 < peak <= _lemma_charge(monkeypatch, spec)
 
 
 def test_psl2_8_facts_pass_in_1gib():
@@ -325,8 +391,9 @@ def test_psl2_row_cap_admits_the_largest_q_in_1gib(capsys):
                                     "8469271"])
     assert (rc, out) == (69, "")
     assert err == (
-        "hspsim bound: resource cap: S_eps labels of PSL(2, 8469271) (2117320 "
-        "labels) needs 8.81e+08 bytes (limit 8.81e+08)\n")
+        "hspsim bound: resource cap: S_eps labels of a group of order "
+        "303744269577609960120 (2117320 labels) needs 8.81e+08 bytes (limit "
+        "8.81e+08)\n")
     rc, out, _ = run_cli(capsys, ["bound", "--family", "psl2", "--q",
                                   "1000000009"])
     assert rc == 0 and json.loads(out)["s_epsilon_labels"] == ["trivial"]
@@ -436,8 +503,8 @@ def test_memory_limit_fits_under_1gib():
 
 @pytest.mark.parametrize("spec", ["cyclic:12", "wreath:3"])
 def test_explicit_listing_evaluates_no_row(monkeypatch, spec):
-    # the check runs on the built irreps' labels and degrees, and no reader
-    # has evaluated a row of a cyclic or wreath irrep by then
+    # the check runs on the built irreps' labels, degrees and item sizes,
+    # and no reader has evaluated a row of a cyclic or wreath irrep by then
     def read(*args, **kwargs):
         raise AssertionError("a row evaluated")
 
@@ -446,7 +513,8 @@ def test_explicit_listing_evaluates_no_row(monkeypatch, spec):
     seen = []
     irr = cli.listed_irreps(make_group(spec), 0, lambda *listing:
                             seen.append(listing))
-    assert seen == [([r.label for r in irr], [r.degree for r in irr])]
+    assert seen == [([r.label for r in irr], [r.degree for r in irr],
+                     [16 if spec == "cyclic:12" else 8] * len(irr))]
     assert all(r._mats is None and r._char is None for r in irr)
 
 
@@ -1352,6 +1420,31 @@ def test_out_to_dev_null_and_a_bare_name_are_valid(capsys, monkeypatch,
         assert run_cli(capsys, ["verify", "--suite", "facts", "--group",
                                 "s3", "--out", out]) == (0, "", "")
     assert json.loads((tmp_path / "x.json").read_text())["n_fail"] == 0
+
+
+def test_out_that_is_a_directory_is_refused_before_work(capsys, monkeypatch,
+                                                      tmp_path):
+    monkeypatch.setattr(cli, "make_group", _no_group)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "facts", "--group",
+                                    "s3", "--out", str(tmp_path)])
+    assert (rc, out) == (64, "")
+    assert err == ("hspsim verify: error: argument --out: cannot write "
+                   f"{str(tmp_path)!r}: Is a directory\n")
+
+
+def test_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
+    # --out is checked by opening it to append: a file already there keeps
+    # its bytes, and one the check made is gone again, when the run is
+    # refused after the check
+    kept, made = tmp_path / "kept.json", tmp_path / "made.json"
+    kept.write_text("earlier report\n")
+    for out in (kept, made):
+        rc, stdout, err = run_cli(capsys, ["simulate", "--group", "wreath:5",
+                                           "--out", str(out)])
+        assert (rc, stdout) == (69, "")
+        assert err.startswith("hspsim simulate: resource cap: ")
+    assert kept.read_text() == "earlier report\n"
+    assert not made.exists()
 
 
 @pytest.mark.parametrize("name, value", [
