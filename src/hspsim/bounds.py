@@ -99,17 +99,20 @@ def chi_at_involution(label, value):
 
 def _finish(group_order, n_irreps, sum_d, eps, s_rows):
     """BoundParams from the S_eps rows, each label charged PSL_LABEL_BYTES
-    first, a row of count c > 1 labelled label.0 .. label.(c-1)."""
+    first, a row of count c > 1 labelled label.0 .. label.(c-1).  It holds
+    the rows it is given and one list of their labels, sorted in place:
+    rows in label order, as wreath_params gives them, are one run."""
     n_labels = sum(count for _, _, count, _ in s_rows)
     require(f"S_eps labels of a group of order {group_order} "
             f"({n_labels} labels)", bytes=PSL_LABEL_BYTES * n_labels)
     labels = [lab for lab, _, count, _ in s_rows if count == 1] + [
         f"{lab}.{i}" for lab, _, count, _ in s_rows if count > 1
         for i in range(count)]
+    labels.sort()  # in place; rows sorted by label are one run
     sum_dchi = float(sum(count * d * c for _, d, count, c in s_rows))
     return BoundParams(
         group_order=group_order, n_irreps=n_irreps, epsilon=eps, sum_d=sum_d,
-        s_epsilon_labels=tuple(sorted(labels)),
+        s_epsilon_labels=tuple(labels),
         d_epsilon=sum(count * d * d for _, d, count, _ in s_rows),
         sum_dchi=sum_dchi, delta1=eps + sum_d * sum_dchi / group_order)
 
@@ -239,21 +242,26 @@ def wreath_params(n, eps=None):
     tall ones, the conjugates of the wide ones it visits.  For the
     canonical eps = n^(-n/4) membership is the exact integer test
     d^4 <= n^n.
+
+    The search hands over each member as its label and exact degree, and
+    these pairs are all this holds of S_n: sorted once, each becomes its
+    theta' row in place, and the theta rows follow, no partition tuple,
+    label dict or second sorted copy beside them.
     """
     if not 2 <= n <= WREATH_MAX_N:
         raise ValueError(f"n must be in 2..{WREATH_MAX_N}")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    from .irreps import partition_degrees, partition_label
+    from .irreps import partition_degrees
     fact = math.factorial(n)
     p = partition_number(n)
 
     def degrees_up_to(max_degree):
-        degs, seen = partition_degrees(n, max_degree)
+        pairs, seen = partition_degrees(n, max_degree)
         if seen != p:
             raise ValueError("the Young-diagram search fails its "
                              "completeness check")
-        return degs
+        return pairs
 
     if eps is None:
         eps = float(n) ** (-n / 4)
@@ -263,17 +271,18 @@ def wreath_params(n, eps=None):
         # 1.0 / d >= eps puts d within float rounding of 1 / eps; no degree
         # exceeds n!
         limit = 1.0 / eps * (1 + 1e-9)
-        in_s = [(lam, d) for lam, d in
+        in_s = [(lab, d) for lab, d in
                 degrees_up_to(int(limit) + 1 if limit < fact else fact)
                 if 1.0 / d >= eps]
-    # every theta'[...] sorts before every theta[...] (' is below [), so
-    # the rows come in the sorted order of their labels, which _finish keeps
-    degree = {partition_label(lam): d for lam, d in in_s}
-    labels = sorted(degree)
+    # each pair becomes its theta' row in place, freeing the pair, and the
+    # theta rows follow; every theta'[...] sorts before every theta[...]
+    # (' is below [), so the rows are in label order, one run for _finish
+    in_s.sort()
+    for i, (lab, d) in enumerate(in_s):
+        in_s[i] = ("theta'" + lab, d * d, 1, d)
+    in_s += [("theta" + lab[6:], dd, 1, d) for lab, dd, _, d in in_s]
     return _finish(2 * fact ** 2, 2 * p + p * (p - 1) // 2,
-                   symmetric_involution_count(n) ** 2 + fact, eps,
-                   [(tag + lab, degree[lab] ** 2, 1, degree[lab])
-                    for tag in ("theta'", "theta") for lab in labels])
+                   symmetric_involution_count(n) ** 2 + fact, eps, in_s)
 
 
 def wreath_bound(n, eps=None, t=1, threshold=DEFAULT_THRESHOLD,

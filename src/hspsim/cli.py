@@ -403,8 +403,10 @@ BOUND_FAMILIES = {
 def cmd_bound(args):
     spec, rep = declared(args, "--family", args.family,
                          BOUND_FAMILIES)(args)
-    report = {"header": make_header(args.seed, spec), **rep}
-    write_output(render_report(report, args.format), args.out)
+    text = render_report({"header": make_header(args.seed, spec), **rep},
+                         args.format)
+    del rep  # its S_eps labels are not held while the text is written
+    write_output(text, args.out)
     return EX_OK
 
 

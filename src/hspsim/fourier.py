@@ -6,7 +6,7 @@ import numpy as np
 from .bounds import chi_at_involution
 from .groups import involution
 from .irreps import Irrep
-from .util import kron_stack
+from .util import kron_stack, require
 
 
 def qft(group, irreps):
@@ -20,6 +20,10 @@ def qft(group, irreps):
     N = group.order
     if sum(r.degree ** 2 for r in irreps) != N:
         raise ValueError("irrep list is not complete: sum d^2 != |G|")
+    # the stacks, read and kept, their scaled blocks and the matrix: N^2
+    # entries each, complex at most
+    require(f"Fourier matrix of the {group.kind} group of order {N}",
+            bytes=48 * N * N)
     blocks = []
     for r in irreps:
         d = r.degree

@@ -31,6 +31,10 @@ WREATH_IRREPS_MAX_N = 4
 # Largest n at which partition_degrees' subtree bound is checked to
 # grow with the row width at every node of the search.
 PRUNE_MAX_N = 40
+# Bytes of a listed cyclic irrep besides its label's characters: the Irrep,
+# its row function, and the row a bound reads beside it (bound --family
+# group --group cyclic:400000 peaked 714 bytes per irrep above cyclic:2)
+CYCLIC_IRREP_BYTES = 736
 # A segment of the numeric decomposition is skipped as a repeated copy only
 # when its norm and its overlap with a built piece are this close to 1, a
 # hundred times inside the 1e-6 tests that the built pieces go through.
@@ -80,7 +84,7 @@ class Irrep:
         xs = np.asarray(xs)  # a tuple of ids indexes rows, not axes
         if self._mats is not None:
             return self._mats[xs]
-        ids = np.arange(self.group.order)[xs]  # checked as the stack's rows
+        ids = _row_ids(xs, self.group.order)
         rows = self._stack(self._rows_of(ids.reshape(-1)), ids.size)
         return rows.reshape(ids.shape + rows.shape[1:])
 
@@ -111,6 +115,22 @@ class Irrep:
         return f"<irrep {self.label} degree={self.degree}>"
 
 
+def _row_ids(xs, rows):
+    """The int ids xs as rows of a stack of `rows` matrices would take them:
+    a negative id counts from the end, and an id out of range or not an
+    int is an IndexError, in time of the ids read, not of the stack."""
+    if not xs.size:
+        return xs.astype(np.intp)
+    if xs.dtype.kind not in "iu":
+        raise IndexError(f"element ids must be ints, not {xs.dtype}")
+    ids = xs.astype(np.intp, copy=False)
+    lo, hi = ids.min(), ids.max()
+    if lo < -rows or hi >= rows:
+        raise IndexError(f"index {hi if hi >= rows else lo} is out of bounds "
+                         f"for axis 0 with size {rows}")
+    return ids % rows if lo < 0 else ids
+
+
 def _trace(mats):
     """The complex128 traces of a stack of matrices, or of one matrix."""
     return np.einsum("...ii->...", mats).astype(np.complex128, copy=False)
@@ -120,10 +140,12 @@ def _trace(mats):
 # partitions and standard tableaux
 
 def partition_degrees(n, max_degree=None):
-    """(pairs, seen): (partition, exact S_n irrep degree) for the partitions
-    of n with degree at most max_degree (every one when None), in search
+    """(pairs, seen): (label, exact S_n irrep degree) for the partitions of
+    n with degree at most max_degree (every one when None), in search
     order, and the number of partitions the search accounts for: the
-    leaves it visits plus those of the subtrees it skips.
+    leaves it visits plus those of the subtrees it skips.  The pairs are
+    all the search holds: each label, partition_label's string, is built
+    as its diagram is found, and no partition tuple is made.
 
     Depth first, each diagram is built bottom-up, each new row on top of
     rows no longer than it.  A row on top changes no existing cell's arm
@@ -131,7 +153,7 @@ def partition_degrees(n, max_degree=None):
     cells multiplies the hook product by its own k hooks k - j + height[j],
     height[j] being the number of rows already in column j.  Only the
     occupied columns are multiplied one by one; the empty ones give a
-    factorial.
+    factorial.  The rows below are carried as their label's tail.
 
     The search visits only the wide diagrams, whose first row is at least
     their number of rows.  A diagram and its conjugate have the same hooks,
@@ -161,7 +183,7 @@ def partition_degrees(n, max_degree=None):
     if prune and not 0 <= n <= PRUNE_MAX_N:
         raise ValueError(f"n must be in 0..{PRUNE_MAX_N}")
     if n == 0:
-        return [((), 1)] if not prune or max_degree >= 1 else [], 1
+        return [("[]", 1)] if not prune or max_degree >= 1 else [], 1
     fact = math.factorial(n)
     facts = [math.factorial(m) for m in range(n + 1)]
     at_least = _partition_counts(n)
@@ -171,7 +193,8 @@ def partition_degrees(n, max_degree=None):
         log_fact = math.log(fact)
     out, height, seen = [], [0] * n, 0
 
-    def rec(rem, lo, hooks, rows, width):
+    def rec(rem, lo, hooks, tail, rows, width):
+        # tail is the label of the `rows` rows below, less its "[<top row>"
         nonlocal seen
         seen += 1
         # a top row of all rem cells closes a diagram: hooks rem - c +
@@ -183,12 +206,13 @@ def partition_degrees(n, max_degree=None):
         if not prune or log_fact - math.log(whole) <= limit:
             d = fact // whole
             if not prune or d <= max_degree:
-                out.append(((rem,) + rows, d))
-                if rem > len(rows) + 1:  # strictly wide: add the conjugate
-                    out.append((tuple(map((1).__add__, height[:rem])), d))
+                out.append((f"[{rem}{tail}", d))
+                if rem > rows + 1:  # strictly wide: add the conjugate
+                    out.append((partition_label(
+                        map((1).__add__, height[:rem])), d))
         # child k's diagrams have a first row of at most rem - k cells and
-        # at least len(rows) + 2 rows; some are wide only up to `last`
-        k, last = lo, min(rem // 2, rem - len(rows) - 2)
+        # at least rows + 2 rows; some are wide only up to `last`
+        k, last = lo, min(rem // 2, rem - rows - 2)
         while k <= last:
             child = hooks * facts[k - width] * math.prod(
                 map(operator.add, range(k, k - width, -1), height))
@@ -196,7 +220,7 @@ def partition_degrees(n, max_degree=None):
                 break
             below = height[:k]
             height[:k] = map((1).__add__, below)
-            rec(rem - k, k, child, (k,) + rows, k)
+            rec(rem - k, k, child, f",{k}{tail}", rows + 1, k)
             height[:k] = below
             k += 1
         # children k.. are not visited: each leaves a partition of rem into
@@ -204,7 +228,8 @@ def partition_degrees(n, max_degree=None):
         # of wide ones) or over max_degree
         seen += at_least[rem][k] - 1
 
-    rec(n, 1, 1, (), 0)
+    rec(n, 1, 1, "]", 0, 0)
+    del rec  # rec's closure holds rec: free the cycle, and `out` with it
     return out, seen
 
 
@@ -243,7 +268,14 @@ def _partition_counts(n):
 
 
 def partition_label(lam):
+    """The label of a partition given by its rows, any iterable of ints:
+    "[4,2,1]" for (4, 2, 1)."""
     return "[" + ",".join(map(str, lam)) + "]"
+
+
+def partition_of(label):
+    """The partition tuple of a partition_label string."""
+    return tuple(map(int, label[1:-1].split(","))) if label != "[]" else ()
 
 
 def hook_length_degree(lam):
@@ -331,15 +363,17 @@ def irreps_symmetric(n):
                 p[live, k], p[live, k + 1] = p[live, k + 1], p[live, k]
         return rows
     return [Irrep(G, partition_label(lam), young(lam, d), d, np.float64)
-            for lam, d in sorted(partition_degrees(n)[0], reverse=True)]
+            for lam, d in sorted(((partition_of(lab), d) for lab, d in
+                                  partition_degrees(n)[0]), reverse=True)]
 
 
 def irreps_cyclic(n):
-    """chi_j(x) = exp(2 pi i j x / n), evaluated where it is read."""
-    # n irreps of n complex entries, and as many for their characters
-    # (bound --family group --group cyclic:5480 peaked at 951 MB)
-    require(f"irrep construction for the cyclic group of order {n}",
-            bytes=32 * n * n)
+    """chi_j(x) = exp(2 pi i j x / n), evaluated where it is read.
+
+    The listing is charged for what it holds, CYCLIC_IRREP_BYTES and a
+    label per irrep; a reader of the whole stacks charges for them."""
+    require(f"irrep listing of the cyclic group of order {n}",
+            bytes=n * (CYCLIC_IRREP_BYTES + len(f"chi{n}")))
     G = CyclicGroup(n)
 
     def chi(j):

@@ -124,7 +124,9 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     elements, before a frame is drawn.
 
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
-    81 MB above cyclic:100).  A space draws one tuple's frame at a time and
+    81 MB above cyclic:100), and so does an irrep, listed and with its +1
+    eigenbasis (cyclic:50000 at k=1 peaked 1.97 KB per irrep and tuple
+    above cyclic:2).  A space draws one tuple's frame at a time and
     drops it, so it is charged for the largest frame and its draw's
     DRAW_MATRICES transients.  A tuple costs `steps` loop steps (by default
     one, its draw) and one per evaluation.
@@ -140,7 +142,7 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
         held = (frame_bases(kind) + DRAW_MATRICES) * dim * dim
         require(f"sampling k={k} registers over {len(degrees)} irreps "
                 f"({n:.4g} tuples; largest tuple {largest} has dimension "
-                f"{dim:.4g})", bytes=1024 * n + 16 * held,
+                f"{dim:.4g})", bytes=1024 * (n + len(degrees)) + 16 * held,
                 work=frames * (STEP_WORK * n * (steps + conjugates)
                                + conjugates * vec * k * degrees[big]))
 
@@ -233,6 +235,7 @@ class RegisterSpace:
         self.sizes = [bases * d for d in self.dims]
         self.weight = 1 / bases
         self.seeds = np.random.SeedSequence(seed).spawn(len(self.tuples))
+        self._plus = {}  # plus_bases per class element, read once a space
 
     def frame(self, ti):
         """Tuple ti's frame, drawn from its own child seed: the same frame
@@ -271,7 +274,9 @@ class RegisterSpace:
         call bit for bit, and is real and non-negative by construction.
         """
         cs = np.atleast_1d(c).tolist()
-        rows, bases = plus_bases(self.irreps, cs[0])
+        if cs[0] not in self._plus:  # not a scan of every irrep per tuple
+            self._plus[cs[0]] = plus_bases(self.irreps, cs[0])
+        rows, bases = self._plus[cs[0]]
         if not set(cs) <= rows.keys():
             raise ValueError("class elements must share one class")
         pos = np.array([rows[x] for x in cs])

@@ -121,7 +121,8 @@ def dumps_report(obj):
     """
     out = []
     _emit(obj, out, 0)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(obj, out, level):
@@ -142,11 +143,11 @@ def _emit(obj, out, level):
             out.append("[]")
             return
         if all(type(v) is str for v in obj):
-            plain = "".join(obj)  # escaped one by one only if one needs it
-            if "\\" in plain or '"' in plain:
+            # escaped one by one only if one needs it
+            if any("\\" in v or '"' in v for v in obj):
                 obj = list(map(_escape, obj))
             sep = '",\n' + pad + '"'
-            out.append("[\n" + pad + '"' + sep.join(obj) + '"\n' + end + "]")
+            out += ("[\n" + pad + '"', sep.join(obj), '"\n' + end + "]")
             return
         out.append("[\n")
         for i, v in enumerate(obj):

@@ -194,8 +194,9 @@ def _wreath_params_reference(n, eps):
 
 def test_wreath_params_independent_of_the_degree_enumeration():
     # the closed forms and the pruned search give what summing and
-    # filtering every partition's hook-length degree gives
-    for n in [*range(2, 33), 40]:
+    # filtering every partition's hook-length degree gives, at every n
+    # the family admits
+    for n in range(2, bounds.WREATH_MAX_N + 1):
         for eps in (None, 0.2, 1e-3):
             assert bounds.wreath_params(n, eps) == \
                 _wreath_params_reference(n, eps), (n, eps)

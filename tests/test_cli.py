@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ def test_psl2_8_facts_pass_in_1gib():
 @pytest.mark.parametrize("argv", [
     "simulate --group cyclic:1000 --k 2",
     "simulate --group cyclic:400 --k 3",
-    "bound --family group --group cyclic:5700",
+    "verify --suite lemmas --group cyclic:5700 --k 1",
     # the class-sum table's conjugacy-class search, then the numeric
     # irreps' 1.41e13 bytes
     "bound --family group --group power:s4^4",
@@ -738,11 +739,85 @@ def test_dihedral_lemmas_charged_per_conjugate(capsys, monkeypatch):
 
 
 def test_cyclic_5000_bound_passes_in_1gib():
-    # admitted by the cyclic byte estimate (cyclic:5480 was the largest that
-    # ran in 1 GiB before it; 5000 keeps a margin below the limit)
+    # the bound reads one row per irrep (cyclic:5480 was the largest that
+    # ran in 1 GiB when the listing was charged for every whole stack)
     proc = _cli_under_1gib("bound", "--family", "group", "--group",
                            "cyclic:5000")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cyclic_5300_bound_passes_in_1gib():
+    # charged 32 n^2 bytes for whole stacks that no bound builds, it exited
+    # 69 ("needs 8.99e+08 bytes"); the listing is charged for what it holds
+    proc = _cli_under_1gib("bound", "--family", "group", "--group",
+                           "cyclic:5300")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["group_order"] == 5300
+
+
+def test_cyclic_listing_charge_admits_every_cyclic_order(capsys, monkeypatch):
+    # CYCLIC_IRREP_BYTES and a label per irrep: 746 MB for the largest
+    # order the group layer admits, 10^6, whose bound ran in a 1 GiB child
+    # (713 MiB, 20 s), so the listing refuses no cyclic group; the run
+    # stops where the group is built
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
+    monkeypatch.setattr(irrmod, "CyclicGroup", admitted)
+    with pytest.raises(Admitted):
+        irrmod.irreps_cyclic(10 ** 6)
+    assert run_cli(capsys, ["bound", "--family", "group", "--group",
+                            "cyclic:1000001"])[0] == 64
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("verify --suite facts --group cyclic:5300",
+     "facts suite over 5300 irreps needs 3.17e+11 multiply-adds "
+     "(limit 5e+09)"),
+    ("verify --suite lemmas --group cyclic:5300 --k 1",
+     "lemma suite's stacks, characters and isotypic screen over 5300 irreps "
+     "of the cyclic group of order 5300 needs 1.8e+09 bytes "
+     "(limit 8.81e+08)"),
+    ("verify --suite tables --group cyclic:5300",
+     "character table of the cyclic group of order 5300 needs 2.95e+09 "
+     "bytes (limit 8.81e+08)"),
+    ("chartable --group cyclic:5300",
+     "character table of the cyclic group of order 5300 needs 2.95e+09 "
+     "bytes (limit 8.81e+08)"),
+    ("simulate --group cyclic:5300 --k 1 --t 3",
+     "t=3 mixed-state distance over 5300 irreps needs 4.47e+14 "
+     "multiply-adds (limit 5e+09)"),
+], ids=["facts", "lemmas", "tables", "chartable", "mixed"])
+def test_cyclic_whole_stack_readers_refused_in_1gib(capsys, argv, err):
+    # the listing that the bound reads is admitted, and each reader of
+    # whole stacks is refused on its own estimate before it reads one: a
+    # 1 GiB child peaks a few MB above an import-only one
+    argv = argv.split()
+    assert peak_mb(f"assert main({argv!r}) == 69") - peak_mb("") <= 6
+    assert run_cli(capsys, argv) == (
+        69, "", f"hspsim {argv[0]}: resource cap: {err}\n")
+
+
+def test_wreath_40_bound_peak_traced(capsys):
+    # the search hands each S_eps member to wreath_params as its label and
+    # exact degree, and the report's labels are dropped before the text is
+    # written: 1.33 MB traced, where partition tuples, a label dict and a
+    # second sort peaked at 2.44 MB
+    cli.main(["bound", "--family", "wreath", "--n", "3"])  # first-call state
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = cli.main(["bound", "--family", "wreath", "--n", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)["s_epsilon_labels"]) \
+        == 5494
+    assert peak < 1.6e6
 
 
 @pytest.mark.parametrize("spec", ["s7", "wreath:5", "sl2:13"])
@@ -827,8 +902,8 @@ def test_estimate_boundary_in_1gib(capsys, admitted, refused):
 @pytest.mark.parametrize("code, n", [
     # 4 n^2 bytes of int32 ids plus one row block of temporaries
     ("make_group('cyclic:{n}').table()", 14322),
-    # 32 n^2 bytes of cyclic irreps and their characters
-    ("[r.character() for r in irreps_for(make_group('cyclic:{n}'))]", 5246),
+    # 48 n^2 bytes: qft's cyclic stacks, their scaled blocks and the matrix
+    ("G = make_group('cyclic:{n}'); qft(G, irreps_for(G))", 4283),
     # the n x n coset state and its boolean mask
     ("G = make_group('cyclic:{n}'); coset_state(G, {n} // 2)", 9892),
     # 2 n^3 multiply-adds of the Fourier round trip
@@ -836,7 +911,8 @@ def test_estimate_boundary_in_1gib(capsys, admitted, refused):
      "G, {n} // 2, irreps_for(G))", 1356),
 ], ids=["table", "cyclic_irreps", "coset_state", "roundtrip"])
 def test_library_estimate_boundary_in_1gib(code, n):
-    head = ("from hspsim.groups import make_group\n"
+    head = ("from hspsim.fourier import qft\n"
+            "from hspsim.groups import make_group\n"
             "from hspsim.irreps import irreps_for\n"
             "from hspsim.simulate import coset_state, "
             "fourier_roundtrip_error\n")

@@ -18,7 +18,7 @@ from hspsim.irreps import (
     PRUNE_MAX_N, Irrep, canonical_order, canonical_sort, has_explicit_irreps,
     hook_length_degree,
     irreps_cyclic, irreps_for, irreps_generic, irreps_symmetric,
-    irreps_wreath, partition_degrees, partition_label,
+    irreps_wreath, partition_degrees, partition_label, partition_of,
     schur_orthogonality_error, standard_tableaux, hom_unitarity_error,
 )
 
@@ -38,6 +38,8 @@ def test_partitions_descending_lex():
         "[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
     assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partition_label((2, 1)) == "[2,1]"
+    for lam in ((2, 1), (10, 2), (1,), ()):
+        assert partition_of(partition_label(lam)) == lam
     assert len(partitions(5)) == len(irreps_symmetric(5)) == 7
 
 
@@ -70,16 +72,18 @@ def test_hook_degree_of_empty_partition():
 
 
 def test_hook_degree_sums_count_involutions():
-    # partition_degrees gives every partition of n once, with its
-    # hook-length degree; sum_lam d_lam is the number of involutions (with
-    # the identity) of S_n, I(n) = I(n-1) + (n-1) I(n-2), and
-    # sum_lam d_lam^2 = n!
+    # partition_degrees gives every partition of n once, by its label,
+    # with its hook-length degree; sum_lam d_lam is the number of
+    # involutions (with the identity) of S_n, I(n) = I(n-1) + (n-1) I(n-2),
+    # and sum_lam d_lam^2 = n!
     inv = [1, 1]
     for n in range(2, 26):
         inv.append(inv[n - 1] + (n - 1) * inv[n - 2])
     for n in range(26):
         pairs, seen = partition_degrees(n)
-        degs = dict(pairs)
+        degs = {partition_of(lab): d for lab, d in pairs}
+        assert [partition_label(lam) for lam in degs] == \
+            [lab for lab, _ in pairs]
         assert len(degs) == len(pairs) == seen == partition_number(n)
         assert all(sum(lam) == n and list(lam) == sorted(lam, reverse=True)
                    and 0 not in lam for lam in degs)
@@ -104,6 +108,12 @@ def _reference_degrees(n):
         return [(k,) + rest for k in range(min(rem, mx), 0, -1)
                 for rest in parts(rem - k, k)]
     return sorted((lam, hook_length_degree(lam)) for lam in parts(n, n))
+
+
+def _labelled(pairs):
+    """(partition, degree) pairs as partition_degrees gives them, sorted:
+    (label, degree)."""
+    return sorted((partition_label(lam), d) for lam, d in pairs)
 
 
 def _conjugate(lam):
@@ -139,19 +149,20 @@ def test_pruned_search_equals_the_reference_enumeration():
     for n in range(PRUNE_MAX_N + 1):
         full = _degrees_of(n)
         if n <= 25:
-            assert sorted(full) == _reference_degrees(n), n
-        conj = {lam: _conjugate(lam) for lam, _ in full}
+            assert sorted(full) == _labelled(_reference_degrees(n)), n
+        conj = {lab: partition_label(_conjugate(partition_of(lab)))
+                for lab, _ in full}
         for cap in (1, 2, 5, 10 ** 6, math.isqrt(math.isqrt(n ** n)),
                     10 ** 30):
             got, seen = partition_degrees(n, cap)
             assert got == [pair for pair in full if pair[1] <= cap], (n, cap)
             assert seen == partition_number(n), (n, cap)
             # closed under conjugation, with equal degrees
-            assert {(conj[lam], d) for lam, d in got} == set(got), (n, cap)
+            assert {(conj[lab], d) for lab, d in got} == set(got), (n, cap)
     with pytest.raises(ValueError):
         partition_degrees(PRUNE_MAX_N + 1, 1)
     full, seen = partition_degrees(PRUNE_MAX_N + 1)
-    assert sorted(full) == _reference_degrees(PRUNE_MAX_N + 1)
+    assert sorted(full) == _labelled(_reference_degrees(PRUNE_MAX_N + 1))
     assert seen == partition_number(PRUNE_MAX_N + 1)
 
 
@@ -419,10 +430,13 @@ def test_cyclic_irreps():
 
 def test_cyclic_irreps_refused_past_byte_budget():
     from hspsim.util import MEMORY_LIMIT, ResourceCap
-    # the irreps and their characters, 32 n^2 bytes
-    n = math.isqrt(MEMORY_LIMIT // 32)
-    assert n == 5246  # bound --family group --group cyclic:5000 passes
-    with pytest.raises(ResourceCap, match="bytes"):
+    # what the listing holds, CYCLIC_IRREP_BYTES and a label per irrep,
+    # refused before the group is built
+    n = 1180702
+    assert n * (irrmod.CYCLIC_IRREP_BYTES + len(f"chi{n}")) <= MEMORY_LIMIT
+    with pytest.raises(ResourceCap, match=(
+            r"^irrep listing of the cyclic group of order 1180703 needs "
+            r"8.81e\+08 bytes \(limit 8.81e\+08\)$")):
         irreps_cyclic(n + 1)
 
 
@@ -719,6 +733,26 @@ def test_row_built_irreps_equal_the_whole_rows(spec):
                                   w.character()[xs])
             with pytest.raises(IndexError):
                 r.at([G.identity, G.order])
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "s4", "wreath:2"])
+def test_row_ids_are_checked_as_the_stack_would(spec):
+    # rows evaluated where they are read take their ids as the whole stack
+    # does, in time of the ids read: a negative id counts from the end, an
+    # id out of range or not an int is an IndexError
+    G = make_group(spec)
+    N = G.order
+    for w, r in zip(irreps_for(G), irreps_for(G)):
+        assert r._mats is None
+        for xs in (-1, [0, -N, N - 1], np.array([[1, -2], [3, 0]])):
+            assert np.array_equal(r.at(xs), w.mats[xs]), (r.label, xs)
+        assert r.at([]).shape == (0, r.degree, r.degree)
+        for xs in (N, -N - 1, [0, N], np.array([0.0])):
+            with pytest.raises(IndexError):
+                w.mats[xs]
+            with pytest.raises(IndexError):
+                r.at(xs)
+        assert r._mats is None
 
 
 def test_young_rows_of_s7_are_a_homomorphism():

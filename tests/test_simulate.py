@@ -120,6 +120,19 @@ def test_register_budget_cap():
         require_sampling(labels, degs, 4)
 
 
+def test_sampling_charges_each_irrep_beside_its_tuples():
+    # an irrep holds about 1 KB beside its tuples, its listing and +1
+    # eigenbasis: at k = 1 the largest cyclic group admitted is
+    # cyclic:430078, which ran in a 1 GiB child (894 MiB, 84 s)
+    def listing(n):
+        return ["chi0"] * n, [1] * n
+
+    require_sampling(*listing(430078), 1, conjugates=1)
+    with pytest.raises(ResourceCap, match=r"\(4.301e\+05 tuples; largest "
+                       r"tuple chi0 has dimension 1\) needs 8.81e\+08 bytes"):
+        require_sampling(*listing(430080), 1, conjugates=1)
+
+
 def test_wreath3_tuple_probabilities_frozen():
     G, irr, h = wreath3()
     sp = RegisterSpace(G, irr, 1, seed=7)
