@@ -1,13 +1,15 @@
 """Weighted measurement frames: sum_b a_b |b><b| = I."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import lapack_lite
 
 from . import util
 
-# numpy 1.x names the square case's gufunc qr_r_raw_m
-_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
+UNIT_NORM_TOL = 1e-12  # a QR column misses unit norm by a few ulps
+IDENTITY_TOL = 1e-9  # S - I rounds by at worst D ulps, 1e-12 at D = 4096
 
 
 class Frame:
@@ -21,19 +23,20 @@ class Frame:
         V = self.vectors
         sq = np.einsum("ij,ij->j", V.view(np.float64), V.view(np.float64))
         norms = np.sqrt(sq[0::2] + sq[1::2])  # (re, im) column pairs
-        if np.abs(norms - 1.0).max() > 1e-12:
+        if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
             raise ValueError("frame vectors must be unit norm")
         if (self.weights <= 0).any():
             raise ValueError("frame weights must be positive")
-        # conj(S) = conj(V w) V^T: a block of its rows at a time, with V^T
-        # a view, so no copy of V and no D x D matrix is made.  S is
-        # Hermitian, so a block is checked from its diagonal on: the
-        # columns left of it are an earlier block's rows, conjugated
-        step = max(1, util.BLOCK_BYTES // (16 * self.dim))
+        # conj(S) = conj(V w) V^T: a block of its rows at a time, conjugated
+        # and scaled in place, with V^T a view, so no copy of V and no D x D
+        # matrix is made.  S is Hermitian, so a block is checked from its
+        # diagonal on: the columns left of it are an earlier block's rows
+        step = max(1, util.BLOCK_BYTES // (16 * self.size))
         for lo in range(0, self.dim, step):
-            S = (V[lo:lo + step].conj() * self.weights) @ V[lo:].T
+            S = V[lo:lo + step].conj()
+            S = np.multiply(S, self.weights, out=S) @ V[lo:].T
             S[np.arange(len(S)), np.arange(len(S))] -= 1.0
-            if np.abs(S).max() > 1e-9:
+            if np.abs(S).max() > IDENTITY_TOL:
                 raise ValueError("frame does not resolve the identity")
 
     @property
@@ -48,24 +51,39 @@ class Frame:
         return f"<frame dim={self.dim} size={self.size}>"
 
 
-def _haar_basis(d, rng):
-    """A Haar-random unitary: the QR of a complex Ginibre matrix, filled in
-    place and factored in place, with its columns' phases fixed by R's
-    diagonal.  The two gufuncs np.linalg.qr calls (zgeqrf, then zungqr) run
-    on A itself, so neither its copy of A nor its triu(R) is made."""
-    A = np.empty((d, d), dtype=np.complex128)
-    # one buffer for both draws, freed before the QR: a temporary per draw
-    # stayed resident (at D = 2000 the draw's peak rose 23 MB)
-    normals = np.empty((d, d))
-    for part in (A.real, A.imag):
-        part[...] = rng.standard_normal(out=normals)
-    del normals
-    with np.errstate(all="ignore", invalid="raise"):  # LAPACK's error signal
-        tau = _qr_r_raw(A)  # A now holds R on and above its diagonal
-        Q = _umath_linalg.qr_reduced(A, tau)
-    r = A.diagonal()
-    Q *= (r / np.abs(r)).conj()
-    return Q
+@functools.lru_cache(maxsize=64)
+def _work_size(d):
+    """zgeqrf's and zungqr's workspace on d x d, by size query (lwork -1)."""
+    w = np.empty(2, np.complex128)  # a query reads no matrix entry
+    lapack_lite.zgeqrf(d, d, w, d, w, w[:1], -1, 0)
+    lapack_lite.zungqr(d, d, d, w, d, w, w[1:], -1, 0)
+    return int(w.real.max())
+
+
+def _haar_basis(rng, out, lo):
+    """Write a Haar unitary Q, the QR of a complex Ginibre matrix A with R's
+    diagonal phases fixed, into columns lo..lo+d of the C-order (d, m) array
+    out.  A's normals, in np.linalg.qr's order, fill them as A^T a
+    BLOCK_BYTES block at a time: LAPACK reads that as A (column-major, lda
+    m), zgeqrf and zungqr factor it in place, and tiles transpose Q^T."""
+    d, m = out.shape
+    Q = out[:, lo:lo + d]
+    rows = max(1, util.BLOCK_BYTES // (8 * d))
+    for part in (Q.real.T, Q.imag.T):
+        for i in range(0, d, rows):
+            part[i:i + rows] = rng.standard_normal((min(rows, d - i), d))
+    work = np.empty(_work_size(d), np.complex128)
+    args = (out.reshape(-1)[lo:], m, np.empty(d, complex), work, len(work), 0)
+    info = lapack_lite.zgeqrf(d, d, *args)["info"]
+    r = Q.diagonal().copy()  # R's diagonal
+    if info or (info := lapack_lite.zungqr(d, d, d, *args)["info"]):
+        raise np.linalg.LinAlgError(f"QR argument {-info} is illegal")
+    Q *= (r / np.abs(r)).conj()[:, None]  # Q^T's rows are Q's columns
+    s = int((util.BLOCK_BYTES // 16) ** 0.5)  # tiles of at most BLOCK_BYTES
+    for i in range(0, d, s):
+        for j in range(i, d, s):
+            I, J = slice(i, i + s), slice(j, j + s)
+            Q[I, J], Q[J, I] = Q[J, I].T.copy(), Q[I, J].T.copy()
 
 
 def frame_bases(kind):
@@ -77,7 +95,7 @@ def frame_bases(kind):
 
 
 def random_frame(d, seed, kind="basis"):
-    """Haar-random frame on C^d.
+    """Haar-random frame on C^d, each basis drawn into its own columns.
 
     kind='basis': one random orthonormal basis, unit weights.
     kind='fused': two stacked random bases, weights 1/2.
@@ -86,9 +104,7 @@ def random_frame(d, seed, kind="basis"):
         raise ValueError("dimension must be positive")
     n = frame_bases(kind)
     rng = np.random.default_rng(seed)
-    if n == 1:
-        vectors = _haar_basis(d, rng)
-    else:  # the bases are dropped once copied
-        vectors = np.concatenate([_haar_basis(d, rng) for _ in range(n)],
-                                 axis=1)
+    vectors = np.empty((d, n * d), dtype=np.complex128)
+    for lo in range(0, n * d, d):
+        _haar_basis(rng, vectors, lo)
     return Frame(vectors, np.full(n * d, 1 / n))

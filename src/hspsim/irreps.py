@@ -357,7 +357,8 @@ def irreps_symmetric(n):
                 if not live.size:
                     return mats
                 k = descents[live].argmax(axis=1)
-                for a in np.unique(k):
+                # np.unique(k), without np.unique's numpy.ma import
+                for a in np.flatnonzero(np.bincount(k)):
                     at = live[k == a]
                     mats[at] = mats[at] @ gens[a]
                 p[live, k], p[live, k + 1] = p[live, k + 1], p[live, k]

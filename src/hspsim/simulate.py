@@ -101,11 +101,10 @@ def frame_entries(order, k, kind="basis"):
         return frame_bases(kind) * np.float64(order) ** k
 
 
-# Besides its frame, a draw holds at its peak about 3.5 more D x D complex
-# matrices: the Ginibre matrix, factored in place, and QR's buffers and
-# output (at D = 1500 a draw's resident peak rose 4.06 (basis) and 5.54
-# (fused) times 16 D^2, 3.06 and 3.54 above the frame)
-DRAW_MATRICES = 4
+# Besides its frame, which LAPACK factors in place, a draw holds two blocks
+# and its workspace: at D = 1000 its resident peak rose 1.30 (basis) and
+# 2.30 (fused) times 16 D^2, 0.30 above the frame, and 0.17 at D = 1500
+DRAW_MATRICES = 2
 
 
 def require_tuples(r, k):

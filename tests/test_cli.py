@@ -18,7 +18,8 @@ from hspsim import bounds, chartable, cli, simulate
 from hspsim import irreps as irrmod
 from hspsim.chartable import (TABLE_ENTRY_BYTES, CharacterTable,
                               best_character_table)
-from hspsim.groups import FiniteGroup, make_group
+from hspsim.frames import frame_bases
+from hspsim.groups import CyclicGroup, FiniteGroup, make_group
 from hspsim.util import (MEMORY_LIMIT, STEP_WORK, WORK_LIMIT, ResourceCap,
                          dumps_report)
 
@@ -674,7 +675,7 @@ def test_simulate_charged_for_one_frame_in_1gib(capsys):
                             "--frame-kind", "fused"]) == (
         69, "", "hspsim simulate: resource cap: sampling k=4 registers over "
         "11 irreps (1.464e+04 tuples; largest tuple rho9|rho9|rho9|rho9 has "
-        "dimension 4096) needs 1.63e+09 bytes (limit 8.81e+08)\n")
+        "dimension 4096) needs 1.09e+09 bytes (limit 8.81e+08)\n")
 
 
 def test_cyclic_facts_estimate_admits_854(monkeypatch):
@@ -799,6 +800,46 @@ def test_cyclic_whole_stack_readers_refused_in_1gib(capsys, argv, err):
     assert peak_mb(f"assert main({argv!r}) == 69") - peak_mb("") <= 6
     assert run_cli(capsys, argv) == (
         69, "", f"hspsim {argv[0]}: resource cap: {err}\n")
+
+
+def test_cyclic_facts_refusal_composes_nothing(capsys, monkeypatch):
+    # a cyclic group's classes are its |G| singletons: the refusal spent
+    # 1.0 s searching cyclic:5300's 5300 orbits before its work charge
+    def composed(*args):
+        raise AssertionError("an element was composed")
+
+    monkeypatch.setattr(CyclicGroup, "_compose", composed)
+    assert run_cli(capsys, ["verify", "--suite", "facts", "--group",
+                            "cyclic:5300"]) == (
+        69, "", "hspsim verify: resource cap: facts suite over 5300 irreps "
+        "needs 3.17e+11 multiply-adds (limit 5e+09)\n")
+
+
+def test_commands_never_import_numpy_ma():
+    # np.unique's first call imports numpy.ma, +0.75 MB resident and about
+    # 11 ms; finding classes and the symmetric irreps' rows do without it
+    proc = _under_1gib("-c", "import os, sys\n"
+                       "from hspsim.cli import main\n"
+                       "for argv in ('simulate --group wreath:4 --k 2',\n"
+                       "             'verify --suite facts --group psl2:7',\n"
+                       "             'bound --family group --group psl2:11'):\n"
+                       "    assert main([*argv.split(), '--out', os.devnull])"
+                       " == 0, argv\n"
+                       "assert 'numpy.ma' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+def test_draw_peak_in_1gib(kind):
+    # LAPACK factors each basis in place in the frame's own columns: at
+    # D = 1000 a child's VmHWM rose 26.7 MiB (basis) and 41.5 MiB (fused)
+    # above an import-only one, its frame and 11 MiB, where np.linalg.qr's
+    # copies of A made the draw alone rise 4.11 and 5.11 times 16 D^2
+    d, bases = 1000, frame_bases(kind)
+    rise = peak_mb(f"from hspsim.frames import random_frame\n"
+                   f"random_frame({d}, 0, {kind!r})") - peak_mb("")
+    assert rise <= 16 * (bases + simulate.DRAW_MATRICES) * d * d / 2 ** 20
+    assert rise <= 16 * (bases + 1) * d * d / 2 ** 20
 
 
 def test_wreath_40_bound_peak_traced(capsys):

@@ -74,23 +74,41 @@ def _reference_vectors(d, seed, bases):
     return np.concatenate(out, axis=1)
 
 
-@pytest.mark.parametrize("kind, bases", [("basis", 1), ("fused", 2)])
-def test_draw_bit_identical_to_reference(kind, bases):
-    for d in (1, 2, 7, 36, 108, 324):
+def _assert_draw_matches_reference(kind, bases, orders):
+    for d in orders:
         seed = np.random.SeedSequence([d, bases])
         got = random_frame(d, seed, kind).vectors
         want = _reference_vectors(d, seed, bases)
         assert got.tobytes() == want.tobytes(), d
 
 
-@pytest.mark.parametrize("kind, bound", [("basis", 3.0), ("fused", 5.0)])
+@pytest.mark.parametrize("kind, bases", [("basis", 1), ("fused", 2)])
+def test_draw_bit_identical_to_reference(kind, bases):
+    # the transpose exchanges s x s tiles of util.BLOCK_BYTES (s = 256):
+    # orders just below, at and above one tile and two
+    s = int((util.BLOCK_BYTES // 16) ** 0.5)
+    _assert_draw_matches_reference(kind, bases, (
+        1, 2, 7, 36, 108, 324, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1))
+
+
+@pytest.mark.parametrize("kind, bases", [("basis", 1), ("fused", 2)])
+def test_draw_bit_identical_in_small_blocks(monkeypatch, kind, bases):
+    # 3 x 3 transpose tiles and blocks of down to one row of normals: ragged
+    # last tiles and blocks at orders small enough to run by the dozen
+    monkeypatch.setattr(util, "BLOCK_BYTES", 16 * 9)
+    _assert_draw_matches_reference(kind, bases, range(1, 20))
+
+
+@pytest.mark.parametrize("kind, bound", [("basis", 2.5), ("fused", 3.5)])
 def test_draw_peak_memory(kind, bound):
     # at D = 324 the draw's tracemalloc peak was 5.0 (basis) and 9.0
     # (fused) times 16 D^2 when it summed the Ginibre matrix from
     # temporaries, copied a single basis through np.concatenate and checked
     # the frame with D x D products, and 4.07 and 5.07 times while
-    # np.linalg.qr copied A and formed triu(R); factored in place, 2.46
-    # and 4.59 times
+    # np.linalg.qr copied A and formed triu(R).  LAPACK now factors each
+    # basis in the frame's own columns, on a workspace that tracemalloc
+    # sees: 2.35 and 3.35 times, the frame and 2.2 MiB (two transpose tiles
+    # of BLOCK_BYTES and the workspace)
     d = 324
     random_frame(8, 0, kind)
     tracemalloc.start()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hspsim.groups import (
-    CyclicGroup, DihedralGroup, DirectPowerGroup, PSL2Group, SL2Group,
-    SymmetricGroup, WreathS2Group, cycle_notation, involution, make_group,
-    parse_cycles,
+    CyclicGroup, DihedralGroup, DirectPowerGroup, FiniteGroup, PSL2Group,
+    SL2Group, SymmetricGroup, WreathS2Group, cycle_notation, involution,
+    make_group, parse_cycles,
 )
 
 from helpers import order_three_element, sl2_to_psl2_map, wreath_embedding
@@ -438,3 +438,15 @@ def test_class_search_estimate_boundary(monkeypatch):
     monkeypatch.setattr(DihedralGroup, "_compose", composed)
     with pytest.raises(ResourceCap, match="search of dihedral:17678 needs"):
         make_group("dihedral:17678").conjugacy_classes()
+
+
+def test_cyclic_classes_are_the_searched_singletons():
+    # CyclicGroup lists its |G| singleton classes with no orbit search
+    for n in range(1, 41):
+        G = CyclicGroup(n)
+        assert G.conjugacy_classes() == \
+            FiniteGroup.conjugacy_classes(CyclicGroup(n))
+        assert [G.class_of(x) for x in range(n)] == \
+            [FiniteGroup.class_of(G, x) for x in range(n)]
+        with pytest.raises(ValueError, match="out of range"):
+            G.class_of(n)

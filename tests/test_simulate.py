@@ -106,7 +106,7 @@ def test_roundtrip_order_cap():
 
 def test_register_budget_cap():
     # psl2:13's degrees.  A space holds the largest frame and its draw, 16 (1 +
-    # DRAW_MATRICES) D^2 bytes: 6.0e8 at D = 14^3 and 1.2e11 at D = 14^4.
+    # DRAW_MATRICES) D^2 bytes: 3.6e8 at D = 14^3 and 7.1e10 at D = 14^4.
     # At k = 3 the lemma suite's 91 conjugates of the involution bring the
     # evaluations to 5e12 multiply-adds.
     degs = [1, 7, 7, 12, 12, 12, 13, 14, 14]
@@ -116,7 +116,7 @@ def test_register_budget_cap():
                        r"dimension 2744\) needs 4.98e\+12 multiply-adds"):
         require_sampling(labels, degs, 3, conjugates=91)
     with pytest.raises(ResourceCap, match=r"rho7\|rho7\|rho7\|rho7 has "
-                       r"dimension 3.842e\+04\) needs 1.18e\+11 bytes"):
+                       r"dimension 3.842e\+04\) needs 7.08e\+10 bytes"):
         require_sampling(labels, degs, 4)
 
 
