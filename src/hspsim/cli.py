@@ -437,6 +437,8 @@ def listed_irreps(G, seed, check, k=1):
 
 
 def cmd_simulate(args):
+    """Distances over the class of h on --frames child seeds of --seed, all
+    drawn in one RegisterSpace, which builds the +1 eigenbases once."""
     G = make_group(args.group)
     h = resolve_h(G, args.h)
 
@@ -451,11 +453,10 @@ def cmd_simulate(args):
     conjugates = len(G.class_of(h))
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
+    space = simulate.RegisterSpace(G, irr, args.k, kind=args.frame_kind)
     per_seed = []
     for i in range(args.frames):
-        space = simulate.RegisterSpace(G, irr, args.k, seed=int(children[i]),
-                                       kind=args.frame_kind)
-        res = simulate.avg_tv_over_conjugates(space, h)
+        res = simulate.avg_tv_over_conjugates(space, h, int(children[i]))
         per_seed.append({
             "frame_index": i,
             "avg_l1": res["avg_l1"],

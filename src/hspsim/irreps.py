@@ -63,7 +63,6 @@ class Irrep:
         else:
             self._rows_of, self._mats = None, self._stack(mats, group.order)
         self._char = None
-        self.plus_bases = {}  # filled and shared by simulate.plus_bases
 
     @property
     def mats(self):

@@ -35,6 +35,14 @@ BASIS_TOL = 1e-9
 # tuples, and frame vectors per tuple, that the lemma suite's second-moment
 # and isotypic checks sample: each case is a sum over the group
 LEMMA_SAMPLES = 3
+# imaginary part of a value real in exact arithmetic: float noise is ~1e-15
+REAL_TOL = 1e-8
+# second-moment |class-avg - fourier|, averages of O(1) terms; its rhs
+MOMENT_TOL = 1e-8
+# how far an inequality's lhs may pass its rhs by float rounding alone
+SLACK_TOL = 1e-9
+# the strict x second moment < delta1: both sides are O(1) sums
+DELTA1_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +126,13 @@ def require_tuples(r, k):
 
 def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
                      frames=1, steps=1):
-    """Refuse `frames` register spaces of k registers over the irreps with
-    these labels and degrees, each evaluated at `conjugates` class
-    elements, before a frame is drawn.
+    """Refuse a register space of k registers over the irreps with these
+    labels and degrees, sampled on `frames` frame seeds, each evaluated at
+    `conjugates` class elements, before a frame is drawn.
 
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
     81 MB above cyclic:100), and so does an irrep, listed and with its +1
-    eigenbasis (cyclic:50000 at k=1 peaked 1.97 KB per irrep and tuple
+    eigenbasis (cyclic:50000 at k=1 peaked 1.19 KB per irrep and tuple
     above cyclic:2).  A space draws one tuple's frame at a time and
     drops it, so it is charged for the largest frame and its draw's
     DRAW_MATRICES transients.  A tuple costs `steps` loop steps (by default
@@ -177,28 +185,20 @@ def require_lemmas(group, h, k, kind, labels, degrees, itemsizes):
 def plus_bases(irreps, c):
     """({class element: row}, [W^dagger per irrep]): W (|class|, d, r) holds
     orthonormal bases of the +1 eigenspaces of rho(x) over the class of the
-    involution c, r = (d + chi(c))/2.  Built once per irrep and class and
-    kept on the irrep (Irrep.plus_bases), so all tuples and spaces share it."""
-    todo = [r for r in irreps if c not in r.plus_bases]
-    if todo:
-        _store_plus_bases(todo, c)
-    return irreps[0].plus_bases[c][0], [r.plus_bases[c][1] for r in irreps]
-
-
-def _store_plus_bases(irreps, c):
-    """One batched eigh per irrep over the class of c, real when rho's stack
-    is float64 or real there; checked: rho(x) W = W, r eigenvalues at +1 and
-    the rest at -1."""
+    involution c, r = (d + chi(c))/2, from one batched eigh per irrep, real
+    when rho's stack is float64 or real there; checked: rho(x) W = W, r
+    eigenvalues at +1 and the rest at -1.  Not kept: RegisterSpace.bases
+    holds them for its command."""
     group = irreps[0].group
     involution(group, c)
     cls = list(group.class_of(c))
-    rows = {x: i for i, x in enumerate(cls)}
     ranks = [round((r.degree + r.character_at(c).real) / 2) for r in irreps]
     at_cls = [r.at(cls) for r in irreps]
     real = [not np.any(M.imag) for M in at_cls]
     require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
             "involutions", bytes=len(cls) * sum(r.degree * n * (
                 8 if re else 16) for r, n, re in zip(irreps, ranks, real)))
+    bases = []
     for r, M, n, re in zip(irreps, at_cls, ranks, real):
         lam, vec = np.linalg.eigh(M.real if re else M)
         W = vec[..., r.degree - n:]
@@ -207,14 +207,16 @@ def _store_plus_bases(irreps, c):
                 or np.max(np.abs(M @ W - W), initial=0) > BASIS_TOL):
             raise ValueError(f"{r.label} at the class of {group.pretty(c)} "
                              f"has no rank-{n} +1 eigenspace")
-        Wh = np.ascontiguousarray(W.swapaxes(1, 2).conj())
-        r.plus_bases.update(dict.fromkeys(cls, (rows, Wh)))
+        bases.append(np.ascontiguousarray(W.swapaxes(1, 2).conj()))
+    return {x: i for i, x in enumerate(cls)}, bases
 
 
 class RegisterSpace:
-    """All k-tuples of irreps; frame(ti) draws tuple ti's frame anew."""
+    """All k-tuples of irreps, a command's one owner of per-tuple sampling
+    state: frames seeded when drawn, so one space serves every frame seed,
+    and +1 eigenbases built once per class, held for each of its elements."""
 
-    def __init__(self, group, irreps, k, seed=0, kind="basis"):
+    def __init__(self, group, irreps, k, kind="basis"):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.irreps = list(irreps)
@@ -224,22 +226,23 @@ class RegisterSpace:
         self.group = group
         self.k = k
         self.kind = kind
-        self.seed = seed
         self.tuples = list(itertools.product(range(len(irreps)), repeat=k))
         self.dims = [int(np.prod([self.degrees[i] for i in t]))
                      for t in self.tuples]
-        self.labels = ["|".join(self.irreps[i].label for i in t)
-                       for t in self.tuples]
         bases = frame_bases(kind)  # bases*D vectors of weight 1/bases
         self.sizes = [bases * d for d in self.dims]
         self.weight = 1 / bases
-        self.seeds = np.random.SeedSequence(seed).spawn(len(self.tuples))
-        self._plus = {}  # plus_bases per class element, read once a space
+        self._plus = {}  # plus_bases, held for each element of its class
 
-    def frame(self, ti):
-        """Tuple ti's frame, drawn from its own child seed: the same frame
-        on every call, and not kept."""
-        return random_frame(self.dims[ti], self.seeds[ti], self.kind)
+    def label(self, ti):
+        """Tuple ti's irrep labels, joined by '|'."""
+        return "|".join(self.irreps[i].label for i in self.tuples[ti])
+
+    def frame(self, ti, seed):
+        """Tuple ti's frame, drawn from child ti of seed, bit for bit
+        SeedSequence(seed).spawn(n)[ti], and not kept."""
+        return random_frame(self.dims[ti], np.random.SeedSequence(
+            seed, spawn_key=(ti,)), self.kind)
 
     def plancherel(self, ti):
         """Probability of tuple ti under the uniform-state measurement."""
@@ -274,7 +277,8 @@ class RegisterSpace:
         """
         cs = np.atleast_1d(c).tolist()
         if cs[0] not in self._plus:  # not a scan of every irrep per tuple
-            self._plus[cs[0]] = plus_bases(self.irreps, cs[0])
+            found = plus_bases(self.irreps, cs[0])
+            self._plus.update(dict.fromkeys(found[0], found))
         rows, bases = self._plus[cs[0]]
         if not set(cs) <= rows.keys():
             raise ValueError("class elements must share one class")
@@ -294,51 +298,49 @@ class RegisterSpace:
 
 
 def reference_distribution(space):
-    """Joint outcome probabilities for the uniform (trivial-subgroup) state;
-    no frame is drawn."""
-    return [np.full(m, space.plancherel(ti) * space.weight) / d
-            for ti, (d, m) in enumerate(zip(space.dims, space.sizes))]
+    """Per tuple, the probability of each of its outcomes under the uniform
+    (trivial-subgroup) state, the same for all of them; no frame is drawn."""
+    return [space.plancherel(ti) * space.weight / d
+            for ti, d in enumerate(space.dims)]
 
 
-def tuple_distributions(space, ti, cs, ranks, forms=None):
+def tuple_distributions(space, ti, cs, ranks, seed, forms=None):
     """Outcome probabilities of tuple ti for the coset states of
     H^g = {e, c}, one row per class element c of cs; forms, if not given,
-    are projected_forms(ti, cs) on a draw of the frame (none at rank 0)."""
+    are projected_forms(ti, cs) on frame(ti, seed) (none drawn at rank 0)."""
     r = ranks[ti]
     if r == 0:
         return np.zeros((len(cs), space.sizes[ti]))
     if forms is None:
-        forms = space.projected_forms(ti, cs, space.frame(ti))
+        forms = space.projected_forms(ti, cs, space.frame(ti, seed))
     return space.subgroup_prob(ti, ranks) * space.weight * forms / r
 
 
 def l1_rows(rows, ref):
     """The l1 distance of each row of a tuple's distributions from its
-    reference outcomes: that tuple's term of the full l1 sum."""
+    reference outcome probability: that tuple's term of the full l1 sum."""
     return np.sum(np.abs(rows - ref), axis=1)
 
 
-def avg_tv_over_conjugates(space, h):
-    """Distances to the uniform-state distribution, per conjugate and mean.
+def avg_tv_over_conjugates(space, h, seed):
+    """Distances to the uniform-state distribution on the frames of seed:
+    the full l1 sum at each element of the class of h, and their mean.
 
     The average over the conjugacy class of h equals the average over a
     uniformly random conjugating element.  Each tuple gives its l1 terms
     at every conjugate at once; each conjugate's full l1 sum over all
     (tuple, outcome) pairs adds its terms pairwise in tuple order.
     """
-    group = space.group
     ranks = space.tuple_ranks(h)  # ranks are conjugation-invariant
     ref = reference_distribution(space)
-    cls = list(group.class_of(h))
+    cls = list(space.group.class_of(h))
 
-    rows = [l1_rows(tuple_distributions(space, ti, cls, ranks), ref[ti])
+    rows = [l1_rows(tuple_distributions(space, ti, cls, ranks, seed), ref[ti])
             for ti in range(len(space.tuples))]
     l1s = pairwise_sum(rows).tolist()
-    per_conj = [{"element": group.pretty(c), "l1": v, "tv": 0.5 * v}
-                for c, v in zip(cls, l1s)]
     avg_l1 = pairwise_sum(l1s) / len(cls)
     return {
-        "per_conjugate": per_conj,
+        "l1": l1s,
         "avg_l1": avg_l1,
         "avg_tv": 0.5 * avg_l1,
         "max_tv": 0.5 * max(l1s),
@@ -406,7 +408,7 @@ def second_moment_check(group, irreps, tup, b, h):
     cls = list(group.class_of(h))
     Q = q_total_values(irreps, tup, b)
     Qc = Q[cls]
-    if np.max(np.abs(Qc.imag)) > 1e-8:
+    if np.max(np.abs(Qc.imag)) > REAL_TOL:
         raise ValueError("Q is not real on the conjugacy class")
     X = Qc.real / 2 ** k
     lhs = float(np.mean(X ** 2))
@@ -417,7 +419,7 @@ def second_moment_check(group, irreps, tup, b, h):
         chi_h = chi[h]
         rhs += chi_h * np.mean(chi.conj() * Q2)
     rhs /= 4 ** k
-    if abs(rhs.imag) > 1e-8:
+    if abs(rhs.imag) > REAL_TOL:
         raise ValueError("Fourier side of the identity is not real")
     return lhs, float(rhs.real)
 
@@ -433,7 +435,7 @@ def _spectral_sets(irreps, h, eps):
     sum_d = 0
     for tau in irreps:
         chi_h = tau.character()[h]
-        if abs(chi_h.imag) > 1e-8:
+        if abs(chi_h.imag) > REAL_TOL:
             raise ValueError(f"character of {tau.label} not real at h")
         a = abs(chi_h.real)
         sum_d += tau.degree
@@ -465,9 +467,9 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     or min (the others' slack rhs - lhs) over its cases in enumeration
     order, so the first of tied cases is named.
 
-    Each frame is drawn when it is used and dropped after: the sampled
-    checks draw their picked tuples', and one pass over every tuple draws
-    each frame once more for the diagonal-overlap terms, taken in blocks of
+    Each frame is drawn when it is used and dropped after: each picked
+    tuple's once for the sampled checks, whose vectors are chosen first,
+    then every tuple's once for the diagonal-overlap terms, in blocks of
     util.BLOCK_BYTES, and for the projected forms, computed once per tuple at
     every conjugate, which serve both the X moments and the distance check.
 
@@ -485,32 +487,22 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     require_lemmas(group, h, k, kind, [r.label for r in irreps],
                    [r.degree for r in irreps],
                    [r.dtype.itemsize for r in irreps])
-    space = RegisterSpace(group, irreps, k, seed=seed, kind=kind)
+    space = RegisterSpace(group, irreps, k, kind=kind)
     ranks = space.tuple_ranks(h)
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
     delta1 = eps + sum_d * sum_dchi / N
     entries = []
     rng = np.random.default_rng(seed + 987654321)
 
-    # --- second-moment identity on sampled (tuple, vector) pairs
-    errors = []  # (|lhs - rhs|, tuple label), in enumeration order
+    # --- the second-moment identity and the isotypic-projector bound on
+    # sampled (tuple, vector) pairs: the picks, then each check's vectors
     picks = rng.choice(len(space.tuples),
                        size=min(LEMMA_SAMPLES, len(space.tuples)),
                        replace=False)
-    for ti in picks:
-        f = space.frame(ti)
-        cols = rng.choice(f.size, size=min(LEMMA_SAMPLES, f.size),
-                          replace=False)
-        for bi in cols:
-            lhs, rhs = second_moment_check(group, irreps, space.tuples[ti],
-                                           f.vectors[:, bi], h)
-            errors.append((abs(lhs - rhs), space.labels[ti]))
-    err, label = max(errors, key=lambda e: e[0])
-    entries.append(check_entry(
-        "second-moment identity", err <= 1e-8, lhs=err, rhs=1e-8,
-        detail=f"worst |class-avg - fourier| at tuple {label}"))
-
-    # --- isotypic-projector bound on sampled (tuple, vector) pairs
+    cols = [[rng.choice(space.sizes[ti],
+                        size=min(LEMMA_SAMPLES, space.sizes[ti]),
+                        replace=False) for ti in picks] for _ in range(2)]
+    errors = []  # (|lhs - rhs|, tuple label), in enumeration order
     exact = []  # (slack, case, lhs, rhs) of each re-checked case, in order
     subsets = [s for r in range(1, k + 1)
                for s in itertools.combinations(range(k), r)]
@@ -520,18 +512,20 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     np.conjugate(weights, out=weights)
     weights *= np.array([tau.degree / N for tau in irreps])[:, None]
     screen_min, screen_size = np.inf, 0.0
-    for ti in picks:
+    for ti, moment_cols, iso_cols in zip(picks, *cols):
         tup = space.tuples[ti]
-        f = space.frame(ti)
+        f = space.frame(ti, seed)
+        for bi in moment_cols:
+            lhs, rhs = second_moment_check(group, irreps, tup,
+                                           f.vectors[:, bi], h)
+            errors.append((abs(lhs - rhs), space.label(ti)))
         stacks = {}
         for s in subsets:
             factors = [irreps[i] if pos in s else irreps[i].degree
                        for pos, i in enumerate(tup)]
             stacks[s] = factor_stack(group, factors)
-        cols = rng.choice(f.size, size=min(LEMMA_SAMPLES, f.size),
-                          replace=False)
         cases = []  # (screened slack, rhs, b, s1, s2, tau), enumeration order
-        for bi in cols:
+        for bi in iso_cols:
             b = f.vectors[:, bi]
             qmean = {s: float(np.mean(np.abs(
                 np.einsum("i,gij,j->g", b.conj(), stacks[s], b)) ** 2))
@@ -554,11 +548,15 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
                 "g,gik,kl,gjl->ij", tau.character().conj(), stacks[s1], W,
                 stacks[s2])
             lhs = float(np.sum(np.abs(y) ** 2))
-            exact.append((rhs - lhs, (space.labels[ti], s1, s2, tau.label),
+            exact.append((rhs - lhs, (space.label(ti), s1, s2, tau.label),
                           lhs, rhs))
+    err, label = max(errors, key=lambda e: e[0])
+    entries.append(check_entry(
+        "second-moment identity", err <= MOMENT_TOL, lhs=err, rhs=MOMENT_TOL,
+        detail=f"worst |class-avg - fourier| at tuple {label}"))
     slack, case, lhs, rhs = min(exact, key=lambda e: e[0])
     entries.append(check_entry(
-        "isotypic projection bound", slack >= -1e-9, lhs=lhs, rhs=rhs,
+        "isotypic projection bound", slack >= -SLACK_TOL, lhs=lhs, rhs=rhs,
         detail=f"tightest case {case}"))
     del b, cases  # views of the last picked frame; the pass below holds one
 
@@ -569,7 +567,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     overlap = {s: [] for s in subsets}
     per_tuple = []
     for ti in range(len(space.tuples)):
-        f = space.frame(ti)
+        f = space.frame(ti, seed)
         step = max(1, util.BLOCK_BYTES // (16 * N * space.dims[ti]))
         for s in subsets:
             per_b = []
@@ -585,13 +583,13 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         per_tuple.append((
             np.array([float(np.dot(wd, x)) for x in X ** 2]),
             np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
-            l1_rows(tuple_distributions(space, ti, cls, ranks, forms),
+            l1_rows(tuple_distributions(space, ti, cls, ranks, seed, forms),
                     ref[ti])))
     rhs = sum_d / N
     lhs, s = min(((pairwise_sum(overlap[s]), s) for s in subsets),
                  key=lambda e: rhs - e[0])
     entries.append(check_entry(
-        "diagonal overlap bound", rhs - lhs >= -1e-9, lhs=lhs, rhs=rhs,
+        "diagonal overlap bound", rhs - lhs >= -SLACK_TOL, lhs=lhs, rhs=rhs,
         detail=f"tightest register subset {s}"))
 
     planch = np.array([space.plancherel(ti)
@@ -600,7 +598,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     xabs_mat = np.array([t[1] for t in per_tuple])
     lhs_delta1 = float(np.mean(planch @ xsq_mat))
     entries.append(check_entry(
-        "x second moment below delta1", lhs_delta1 < delta1 + 1e-12,
+        "x second moment below delta1", lhs_delta1 < delta1 + DELTA1_TOL,
         lhs=lhs_delta1, rhs=delta1, detail=f"S_eps={s_labels}, D_eps={d_eps}"))
 
     if 2 * k * eps >= 1:
@@ -615,8 +613,8 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
               + 3 * k * eps + 3 * k * d_eps / N, c)
              for l1, m, c in zip(l1s, mu, cls)), key=lambda e: e[1] - e[0])
         entries.append(check_entry(
-            "distance against x first moment", rhs - lhs >= -1e-9, lhs=lhs,
-            rhs=rhs, detail=f"tightest conjugate {group.pretty(c)}"))
+            "distance against x first moment", rhs - lhs >= -SLACK_TOL,
+            lhs=lhs, rhs=rhs, detail=f"tightest conjugate {group.pretty(c)}"))
     return entries
 
 

@@ -114,10 +114,11 @@ def fmt_complexes(values):
 def dumps_report(obj):
     """Serialize nested dict/list/scalars to JSON text, indented by two.
 
-    Floats are printed at 12 significant digits; dict insertion order is
-    preserved.  Hand-rolled because json.dumps offers no float formatting.
-    A list or tuple of str only, such as a report's labels or a character
-    table's formatted rows, is written in one join.
+    Floats are printed at 12 significant digits, a non-finite one as the
+    string "inf", "-inf" or "nan" (JSON has no literal for it); dict
+    insertion order is preserved.  Hand-rolled because json.dumps offers
+    no float formatting.  A list or tuple of str only, such as a report's
+    labels or a character table's formatted rows, is written in one join.
     """
     out = []
     _emit(obj, out, 0)
@@ -162,7 +163,8 @@ def _emit(obj, out, level):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(obj))
+        text = fmt_float(obj)
+        out.append(text if np.isfinite(obj) else f'"{text}"')
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append(f'"{fmt_complexes([obj])[0]}"')
     else:

@@ -147,11 +147,12 @@ def transfer_quotient_report(big, projection, small, h_small):
     }
 
 
-def coset_distribution(space, c, ranks=None):
-    """Joint outcome probabilities for the coset state of H^g = {e, c}."""
+def coset_distribution(space, c, seed, ranks=None):
+    """Joint outcome probabilities for the coset state of H^g = {e, c}, on
+    the frames of seed."""
     if ranks is None:
         ranks = space.tuple_ranks(c)
-    return [tuple_distributions(space, ti, [c], ranks)[0]
+    return [tuple_distributions(space, ti, [c], ranks, seed)[0]
             for ti in range(len(space.tuples))]
 
 

@@ -210,6 +210,37 @@ def test_plus_bases_built_once_per_command(capsys, monkeypatch):
         assert rc == 0 and len(calls) == 9
 
 
+def test_simulate_builds_one_register_space(capsys, monkeypatch):
+    # every frame seed of the command is drawn in one space
+    spaces = []
+    space = simulate.RegisterSpace
+
+    def recorded(*args, **kwargs):
+        spaces.append(space(*args, **kwargs))
+        return spaces[-1]
+
+    monkeypatch.setattr(simulate, "RegisterSpace", recorded)
+    rc, _, _ = run_cli(capsys, ["simulate", "--group", "wreath:3", "--k",
+                                "2", "--frames", "5"])
+    assert rc == 0 and len(spaces) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "wreath:3", "--k", "2", "--frame-kind", "fused"],
+    ["--group", "psl2:5", "--k", "1", "--seed", "7"]])
+def test_per_seed_entries_do_not_depend_on_frames(capsys, argv):
+    # frame seed i is child i of --seed whatever --frames is
+    runs = {}
+    for frames in (1, 2, 3):
+        rc, out, _ = run_cli(capsys, ["simulate", *argv, "--frames",
+                                      str(frames)])
+        assert rc == 0
+        runs[frames] = json.loads(out)["per_seed"]
+    assert len(runs[3]) == 3
+    assert runs[3][:1] == runs[1] and runs[3][:2] == runs[2]
+    assert runs[3][1] != runs[3][0]
+
+
 def _under_1gib(*argv):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -10,6 +10,7 @@ Exit codes: 0, 1 (a verify check failed), 2 (corollary inapplicable),
 """
 import argparse
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -142,3 +143,21 @@ def test_every_argv_ends_in_a_known_exit_code(argv):
         assert "nan" not in out.getvalue()
     if _out_of_domain(argv):
         assert code == 64, err.getvalue()
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=60)
+@given(argvs())
+@example(["bound", "--family", "group", "--group", "s5", "--k-max", "1023"])
+def test_every_json_report_is_strict_json(argv):
+    # inf, -inf and nan are written as strings, so a strict reader takes
+    # every report; the last --format wins
+    argv = argv + ["--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_not_json)

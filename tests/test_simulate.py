@@ -74,7 +74,7 @@ def test_coset_state_order_cap():
 def test_fourier_blocks_trace_is_tuple_probability():
     G, irr, h = wreath3()
     blocks = fourier_blocks(G, h, irr)
-    sp = RegisterSpace(G, irr, 1, seed=0)
+    sp = RegisterSpace(G, irr, 1)
     ranks = sp.tuple_ranks(h)
     total = 0.0
     for ti, entry in enumerate(blocks):
@@ -135,7 +135,7 @@ def test_sampling_charges_each_irrep_beside_its_tuples():
 
 def test_wreath3_tuple_probabilities_frozen():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1, seed=7)
+    sp = RegisterSpace(G, irr, 1)
     ranks = sp.tuple_ranks(h)
     got = sorted(sp.subgroup_prob(ti, ranks) for ti in range(9))
     want = sorted([1 / 36, 1 / 36, 0, 0, 1 / 18, 1 / 3, 1 / 9, 2 / 9, 2 / 9])
@@ -147,21 +147,36 @@ def test_wreath3_tuple_probabilities_frozen():
 @pytest.mark.parametrize("spec", ["s3", "wreath:2", "psl2:5"])
 def test_frame_is_the_tuples_own_draw(spec, k, kind):
     G = make_group(spec)
-    sp = RegisterSpace(G, irreps_for(G), k, seed=9, kind=kind)
+    sp = RegisterSpace(G, irreps_for(G), k, kind=kind)
     seeds = np.random.SeedSequence(9).spawn(len(sp.tuples))
     for ti, d in enumerate(sp.dims):
         want = random_frame(d, seeds[ti], kind)
-        got = sp.frame(ti)
+        got = sp.frame(ti, 9)
         assert np.array_equal(got.vectors, want.vectors)
         assert np.array_equal(got.weights, want.weights)
         assert got.size == sp.sizes[ti]
         assert np.all(got.weights == sp.weight)
 
 
-def eager_avg_tv(space, h):
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+def test_frame_seeded_when_drawn_is_the_spawned_child(kind):
+    # one space serves every seed: frame(ti, seed) is bit for bit the draw
+    # from SeedSequence(seed).spawn(n)[ti], for every tuple of s4 at k = 2
+    G = make_group("s4")
+    sp = RegisterSpace(G, irreps_for(G), 2, kind=kind)
+    for seed in (3, 2 ** 32 - 1):
+        seeds = np.random.SeedSequence(seed).spawn(len(sp.tuples))
+        for ti, d in enumerate(sp.dims):
+            want = random_frame(d, seeds[ti], kind)
+            got = sp.frame(ti, seed)
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.weights, want.weights)
+
+
+def eager_avg_tv(space, h, seed):
     """avg_tv_over_conjugates with every frame drawn and held first, each
     rank-0 tuple's row sized and weighted from its frame: the reference."""
-    frames = [space.frame(ti) for ti in range(len(space.tuples))]
+    frames = [space.frame(ti, seed) for ti in range(len(space.tuples))]
     cls = list(space.group.class_of(h))
     ranks = space.tuple_ranks(h)
     rows = []
@@ -175,8 +190,7 @@ def eager_avg_tv(space, h):
     l1s = util.pairwise_sum(rows).tolist()
     avg_l1 = util.pairwise_sum(l1s) / len(cls)
     return {
-        "per_conjugate": [{"element": space.group.pretty(c), "l1": v,
-                           "tv": 0.5 * v} for c, v in zip(cls, l1s)],
+        "l1": l1s,
         "avg_l1": avg_l1, "avg_tv": 0.5 * avg_l1, "max_tv": 0.5 * max(l1s),
     }
 
@@ -193,20 +207,22 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
         return random_frame(d, seed, frame_kind)
 
     monkeypatch.setattr(simulate, "random_frame", counted)
-    sp = RegisterSpace(G, irr, k, seed=4, kind=kind)
+    sp = RegisterSpace(G, irr, k, kind=kind)
     assert drawn == []
     ranks = sp.tuple_ranks(h)
     assert 0 in ranks
-    got = avg_tv_over_conjugates(sp, h)
-    assert drawn == [s for s, r in zip(sp.seeds, ranks) if r]
-    assert got == eager_avg_tv(sp, h)
+    got = avg_tv_over_conjugates(sp, h, 4)
+    assert [(s.entropy, s.spawn_key) for s in drawn] == [
+        (4, (ti,)) for ti, r in enumerate(ranks) if r]
+    assert got == eager_avg_tv(sp, h, 4)
 
 
 @pytest.mark.parametrize("spec, k, kind", [("s3", 2, "basis"),
                                            ("wreath:2", 2, "fused")])
 def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
-    # the lemma suite draws each frame when it uses it: the picked tuples'
-    # for the second-moment and isotypic checks, then every tuple's once.
+    # the lemma suite draws each frame when it uses it: each picked
+    # tuple's once for the second-moment and isotypic checks, then every
+    # tuple's once.
     # When it draws a frame, at most the one it replaces is still alive,
     # whether as the Frame or as a view of its vectors' memory.
     G = make_group(spec)
@@ -223,16 +239,16 @@ def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
     monkeypatch.setattr(simulate, "random_frame", tracked)
     want = lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind)
     n_tuples = len(irr) ** k
-    assert len(drawn) == 2 * min(simulate.LEMMA_SAMPLES, n_tuples) + n_tuples
+    assert len(drawn) == min(simulate.LEMMA_SAMPLES, n_tuples) + n_tuples
     assert max(alive) == 1
     monkeypatch.setattr(simulate, "random_frame", random_frame)
     assert lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind) == want
 
 
-def conditional_distribution(space, ti, c, ranks):
+def conditional_distribution(space, ti, c, ranks, seed):
     """Outcome probabilities within tuple ti, given tuple ti was observed."""
     r = ranks[ti]
-    f = space.frame(ti)
+    f = space.frame(ti, seed)
     if r == 0:
         return np.zeros(f.size)
     return f.weights * space.projected_forms(ti, c, f) / r
@@ -241,15 +257,15 @@ def conditional_distribution(space, ti, c, ranks):
 @pytest.mark.parametrize("k,kind", [(1, "basis"), (2, "basis"), (1, "fused")])
 def test_distributions_normalized(k, kind):
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, k, seed=5, kind=kind)
+    sp = RegisterSpace(G, irr, k, kind=kind)
     ref = reference_distribution(sp)
-    assert abs(sum(float(v.sum()) for v in ref) - 1) < 1e-10
+    assert abs(sum(p * m for p, m in zip(ref, sp.sizes)) - 1) < 1e-10
     ranks = sp.tuple_ranks(h)
-    dist = coset_distribution(sp, h, ranks)
+    dist = coset_distribution(sp, h, 5, ranks)
     assert abs(sum(float(v.sum()) for v in dist) - 1) < 1e-10
     assert all(float(v.min()) >= -1e-12 for v in dist)
     for ti in range(len(sp.tuples)):
-        cond = conditional_distribution(sp, ti, h, ranks)
+        cond = conditional_distribution(sp, ti, h, ranks, 5)
         if ranks[ti] > 0:
             assert abs(float(cond.sum()) - 1) < 1e-10
         else:
@@ -260,7 +276,7 @@ def distribution_rows(space, dist):
     """(label, outcome index, probability) rows of a joint distribution."""
     rows = []
     for ti, vec in enumerate(dist):
-        lab = space.labels[ti]
+        lab = space.label(ti)
         for bi, p in enumerate(vec):
             rows.append((lab, bi, float(p)))
     return rows
@@ -268,9 +284,11 @@ def distribution_rows(space, dist):
 
 def test_distribution_rows_structure():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1, seed=0)
-    rows = distribution_rows(sp, reference_distribution(sp))
-    assert len(rows) == sum(sp.frame(ti).size for ti in range(len(sp.tuples)))
+    sp = RegisterSpace(G, irr, 1)
+    rows = distribution_rows(sp, [np.full(m, p) for p, m in
+                                  zip(reference_distribution(sp), sp.sizes)])
+    assert len(rows) == sum(sp.frame(ti, 0).size
+                            for ti in range(len(sp.tuples)))
     labels = {r[0] for r in rows}
     assert len(labels) == 9
     assert abs(sum(r[2] for r in rows) - 1) < 1e-10
@@ -293,9 +311,9 @@ def x_function(irreps, tup, b, c):
 
 def test_x_function_matches_forms():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 2, seed=3)
+    sp = RegisterSpace(G, irr, 2)
     ti = 40
-    f = sp.frame(ti)
+    f = sp.frame(ti, 3)
     vals = sp.projected_forms(ti, h, f)
     for bi in (0, 3):
         x = x_function(irr, sp.tuples[ti], f.vectors[:, bi], h)
@@ -340,12 +358,12 @@ def test_projected_forms_match_dense_kron(spec, k):
     # the dense D x D product of the register factors, as an oracle
     G = make_group(spec)
     irr = irreps_for(G)
-    sp = RegisterSpace(G, irr, k, seed=11)
+    sp = RegisterSpace(G, irr, k)
     for c in G.class_of(G.default_involution()):
         for ti, tup in enumerate(sp.tuples):
             K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
                              for i in tup])
-            f = sp.frame(ti)
+            f = sp.frame(ti, 11)
             V = f.vectors
             want = np.einsum("im,ij,jm->m", V.conj(), K, V)
             assert np.max(np.abs(want.imag)) < 1e-12
@@ -374,11 +392,11 @@ def _group_irreps(spec):
     return G, irreps_for(G)
 
 
-def _oracle_rows(G, irr, c, k, space):
+def _oracle_rows(G, irr, c, k, space, seed):
     """Outcome probabilities per (tuple, frame vector) from dense matrix
     algebra: qft^(x)k sigma_H^(x)k qft^(x)k^dagger for H = {e, c},
     restricted to each tuple's block, with the multiplicity (row-index)
-    registers traced out, measured on the tuple's frame."""
+    registers traced out, measured on the tuple's frame of seed."""
     N = G.order
     F = qft(G, irr)
     sigma = coset_state(G, c)
@@ -401,7 +419,7 @@ def _oracle_rows(G, irr, c, k, space):
                                                for _ in (0, 1)] * 2)
         D = space.dims[ti]
         M = np.einsum(block, sub, list(range(k, 3 * k))).reshape(D, D)
-        f = space.frame(ti)
+        f = space.frame(ti, seed)
         p = f.weights * np.einsum("im,ij,jm->m", f.vectors.conj(), M,
                                   f.vectors)
         assert np.max(np.abs(p.imag)) < 1e-12
@@ -419,12 +437,12 @@ def _oracle_rows(G, irr, c, k, space):
 def test_dense_oracle_reproduces_coset_distribution(spec, k):
     # every involution c of the group, every tuple and frame vector
     G, irr = _group_irreps(spec)
-    spaces = [RegisterSpace(G, irr, k, seed=17, kind=kind)
+    spaces = [RegisterSpace(G, irr, k, kind=kind)
               for kind in ("basis", "fused")]
     for c in G.involutions():
         for sp in spaces:
-            want = _oracle_rows(G, irr, c, k, sp)
-            got = coset_distribution(sp, c)
+            want = _oracle_rows(G, irr, c, k, sp, 17)
+            got = coset_distribution(sp, c, 17)
             for ti in range(len(sp.tuples)):
                 assert np.max(np.abs(got[ti] - want[ti])) < 1e-12
 
@@ -438,18 +456,18 @@ def test_outcome_rows_are_distributions(spec, k, seed, kind, pick):
     # and outcome, at every conjugate of a drawn involution
     G, irr = _group_irreps(spec)
     k = min(k, ORACLE_CASES[spec])
-    sp = RegisterSpace(G, irr, k, seed=seed, kind=kind)
+    sp = RegisterSpace(G, irr, k, kind=kind)
     invs = G.involutions()
     h = invs[pick % len(invs)]
     for c in G.class_of(h):
-        dist = coset_distribution(sp, c)
+        dist = coset_distribution(sp, c, seed)
         assert all(float(row.min()) >= 0.0 for row in dist)
         assert abs(sum(float(row.sum()) for row in dist) - 1) < 1e-10
 
 
 def test_plus_bases_are_checked_involution_eigenbases():
     # W^dagger W = I_r, rho(x) W = W and r = (d + chi(x))/2, real on real
-    # irreps; a second call returns the same stored arrays
+    # irreps; a space holds them, the same arrays for every class element
     for spec in ("wreath:3", "psl2:5"):
         G, irr = _group_irreps(spec)
         h = G.default_involution()
@@ -464,8 +482,11 @@ def test_plus_bases_are_checked_involution_eigenbases():
             assert np.max(np.abs(Wh @ W - np.eye(n)), initial=0) < 1e-12
             assert np.max(np.abs(r.mats[list(cls)] @ W - W),
                           initial=0) < 1e-12
-        again = plus_bases(irr, cls[-1])[1]
-        assert all(a is b for a, b in zip(again, bases))
+        sp = RegisterSpace(G, irr, 1)
+        sp.projected_forms(0, h, sp.frame(0, 0))
+        held = sp._plus[h][1]
+        assert all(np.array_equal(a, b) for a, b in zip(held, bases))
+        assert all(a is b for a, b in zip(sp._plus[cls[-1]][1], held))
 
 
 def test_plus_bases_name_a_non_involution():
@@ -477,7 +498,7 @@ def test_plus_bases_name_a_non_involution():
     for x in (c, G.identity):
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"h = {G.pretty(x)} is not an involution") + "$"):
-            sp.projected_forms(0, x, sp.frame(0))
+            sp.projected_forms(0, x, sp.frame(0, 0))
 
 
 def test_plus_bases_reject_a_broken_irrep():
@@ -489,8 +510,7 @@ def test_plus_bases_reject_a_broken_irrep():
 
 
 def test_plus_bases_memory_refusal(monkeypatch):
-    # sum_i |class| d_i r_i entries of 8 bytes (real) or 16 bytes (complex);
-    # fresh irreps, so nothing is stored yet
+    # sum_i |class| d_i r_i entries of 8 bytes (real) or 16 bytes (complex)
     cases = [(spec, make_group(spec)) for spec in ("wreath:3", "psl2:5")]
     for spec, G, irr in [(spec, G, irreps_for(G)) for spec, G in cases]:
         h = G.default_involution()
@@ -518,9 +538,9 @@ def test_batched_forms_equal_per_element(spec, k, kind):
     G = make_group(spec)
     irr = irreps_for(G)
     cls = list(G.class_of(G.default_involution()))
-    sp = RegisterSpace(G, irr, k, seed=13, kind=kind)
+    sp = RegisterSpace(G, irr, k, kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 16)):
-        f = sp.frame(ti)
+        f = sp.frame(ti, 13)
         rows = sp.projected_forms(ti, cls, f)
         assert rows.shape == (len(cls), f.size)
         for row, c in zip(rows, cls):
@@ -533,9 +553,9 @@ def test_batched_forms_equal_per_element(spec, k, kind):
 def test_q_subset_block_equals_per_column(spec, k, kind):
     G = make_group(spec)
     irr = irreps_for(G)
-    sp = RegisterSpace(G, irr, k, seed=13, kind=kind)
+    sp = RegisterSpace(G, irr, k, kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 8)):
-        V = sp.frame(ti).vectors
+        V = sp.frame(ti, 13).vectors
         for s in _subsets(k):
             q = q_subset_values(irr, sp.tuples[ti], V, s)
             assert q.shape == (V.shape[1], G.order) and q.flags.c_contiguous
@@ -554,12 +574,13 @@ def test_distance_l1_equals_coset_distribution_l1(spec, k, eps, kind):
     irr = irreps_for(G)
     h = G.default_involution()
     cls = list(G.class_of(h))
-    sp = RegisterSpace(G, irr, k, seed=0, kind=kind)
+    sp = RegisterSpace(G, irr, k, kind=kind)
     ranks = sp.tuple_ranks(h)
     ref = reference_distribution(sp)
-    want = [l1_distance(coset_distribution(sp, c, ranks), ref) for c in cls]
-    res = avg_tv_over_conjugates(sp, h)
-    assert [e["l1"] for e in res["per_conjugate"]] == want
+    want = [l1_distance(coset_distribution(sp, c, 0, ranks), ref)
+            for c in cls]
+    res = avg_tv_over_conjugates(sp, h, 0)
+    assert res["l1"] == want
     out = lemma_suite(G, irr, h, k, eps, seed=0, kind=kind)
     got = next(e for e in out if e["check"] == "distance against x first moment")
     ci = [f"tightest conjugate {G.pretty(c)}" for c in cls].index(got["detail"])
@@ -574,10 +595,10 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
     cls = list(G.class_of(h))
 
     def results():
-        sp = RegisterSpace(G, irr, 2, seed=3, kind="fused")
-        return ([sp.projected_forms(ti, cls, sp.frame(ti))
+        sp = RegisterSpace(G, irr, 2, kind="fused")
+        return ([sp.projected_forms(ti, cls, sp.frame(ti, 3))
                  for ti in range(len(sp.tuples))],
-                avg_tv_over_conjugates(sp, h),
+                avg_tv_over_conjugates(sp, h, 3),
                 lemma_suite(G, irr, h, 2, 0.2, seed=3, kind="fused"))
 
     forms, tv, suite = results()
@@ -589,9 +610,9 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
 
 def test_q_decomposition():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 2, seed=1)
+    sp = RegisterSpace(G, irr, 2)
     ti = 40
-    b = sp.frame(ti).vectors[:, 2]
+    b = sp.frame(ti, 1).vectors[:, 2]
     Q = q_total_values(irr, sp.tuples[ti], b)
     S = sum(q_subset_values(irr, sp.tuples[ti], b, s)
             for r in (1, 2) for s in itertools.combinations(range(2), r))
@@ -640,9 +661,9 @@ def second_moment_terms(group, irreps, tup, b, h):
 
 def test_second_moment_terms_consistent():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 2, seed=4)
+    sp = RegisterSpace(G, irr, 2)
     ti = 31
-    b = sp.frame(ti).vectors[:, 1]
+    b = sp.frame(ti, 4).vectors[:, 1]
     lhs, rhs = second_moment_check(G, irr, sp.tuples[ti], b, h)
     assert abs(lhs - rhs) < 1e-10
     terms = second_moment_terms(G, irr, sp.tuples[ti], b, h)
@@ -654,15 +675,16 @@ def test_second_moment_terms_consistent():
 
 
 def test_avg_tv_same_from_cold_and_warm_bases_store():
-    # the first space fills the irreps' shared plus_bases store, the second
-    # reads it back
+    # the first call fills the space's plus_bases store, for every element
+    # of the class, the second reads it back
     G, irr, h = wreath3()
-    assert not any(r.plus_bases for r in irr)
-    a = avg_tv_over_conjugates(RegisterSpace(G, irr, 1, seed=11), h)
-    assert all(r.plus_bases for r in irr)
-    b = avg_tv_over_conjugates(RegisterSpace(G, irr, 1, seed=11), h)
+    sp = RegisterSpace(G, irr, 1)
+    assert not sp._plus
+    a = avg_tv_over_conjugates(sp, h, 11)
+    assert set(sp._plus) == set(G.class_of(h))
+    b = avg_tv_over_conjugates(sp, h, 11)
     assert a == b
-    assert len(a["per_conjugate"]) == 6
+    assert len(a["l1"]) == 6
     assert 0 < a["avg_tv"] <= 1
 
 
@@ -678,8 +700,8 @@ def test_sampling_bit_identical_on_row_built_irreps(spec, k):
     whole = irreps_for(G)
     assert all(r.mats.shape[0] == G.order for r in whole)
     fresh = irreps_for(G)
-    assert (avg_tv_over_conjugates(RegisterSpace(G, fresh, k, seed=4), h)
-            == avg_tv_over_conjugates(RegisterSpace(G, whole, k, seed=4), h))
+    assert (avg_tv_over_conjugates(RegisterSpace(G, fresh, k), h, 4)
+            == avg_tv_over_conjugates(RegisterSpace(G, whole, k), h, 4))
     assert (mixed_conjugate_trace_distance(G, fresh, h, 2)
             == mixed_conjugate_trace_distance(G, whole, h, 2))
     assert (params_from_irreps(G, fresh, h, 0.2)
@@ -719,9 +741,9 @@ def total_variation(dist_a, dist_b):
 
 def test_tv_is_half_l1():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1, seed=2)
+    sp = RegisterSpace(G, irr, 1)
     ref = reference_distribution(sp)
-    dist = coset_distribution(sp, h)
+    dist = coset_distribution(sp, h, 2)
     assert total_variation(dist, ref) == 0.5 * l1_distance(dist, ref)
     assert total_variation(ref, ref) == 0.0
 
@@ -777,14 +799,14 @@ def test_isotypic_screen_matches_reference_einsum(spec, k):
     G = make_group(spec)
     irr = irreps_for(G)
     N = G.order
-    sp = RegisterSpace(G, irr, k, seed=5)
+    sp = RegisterSpace(G, irr, k)
     subsets = _subsets(k)
     chis = np.array([tau.character().conj() for tau in irr])
     scales = np.array([tau.degree / N for tau in irr])[:, None, None]
     weights = scales[:, :, 0] * chis
     for ti, tup in enumerate(sp.tuples):
         stacks = _subset_stacks(G, irr, tup, subsets)
-        b = sp.frame(ti).vectors[:, 0]
+        b = sp.frame(ti, 5).vectors[:, 0]
         W = np.outer(b, b)
         Ab = {s: stacks[s] @ b for s in subsets}
         for s1 in subsets:
@@ -798,19 +820,20 @@ def test_isotypic_screen_matches_reference_einsum(spec, k):
 
 def _isotypic_entry_reference(G, irr, h, k, seed, n_tuples=3, n_vectors=3):
     """The isotypic check as one exact 4-operand einsum per case, with the
-    sampling draws of lemma_suite (the second-moment check draws first)."""
+    sampling draws of lemma_suite (the second-moment check's vectors are
+    chosen first)."""
     N = G.order
-    sp = RegisterSpace(G, irr, k, seed=seed)
+    sp = RegisterSpace(G, irr, k)
     rng = np.random.default_rng(seed + 987654321)
     picks = rng.choice(len(sp.tuples), size=min(n_tuples, len(sp.tuples)),
                        replace=False)
     for ti in picks:
-        f = sp.frame(ti)
+        f = sp.frame(ti, seed)
         rng.choice(f.size, size=min(n_vectors, f.size), replace=False)
     worst = (np.inf, None)
     subsets = _subsets(k)
     for ti in picks:
-        f = sp.frame(ti)
+        f = sp.frame(ti, seed)
         stacks = _subset_stacks(G, irr, sp.tuples[ti], subsets)
         cols = rng.choice(f.size, size=min(n_vectors, f.size), replace=False)
         for bi in cols:
@@ -829,7 +852,7 @@ def _isotypic_entry_reference(G, irr, h, k, seed, n_tuples=3, n_vectors=3):
                         rhs = (tau.degree ** 2 / 2) * (qmean[s1] + qmean[s2])
                         if rhs - lhs < worst[0]:
                             worst = (rhs - lhs,
-                                     (sp.labels[ti], s1, s2, tau.label),
+                                     (sp.label(ti), s1, s2, tau.label),
                                      lhs, rhs)
     return check_entry("isotypic projection bound", worst[0] >= -1e-9,
                        lhs=worst[2], rhs=worst[3],
@@ -948,7 +971,7 @@ def test_every_reader_of_h_refuses_a_non_involution(bad):
     # groups.involution, as the order-two subgroup it replaces did
     G, irr, _ = wreath3()
     x = G.identity if bad == "identity" else order_three_element(G)
-    space = RegisterSpace(G, irr, 1, seed=0)
+    space = RegisterSpace(G, irr, 1)
     W, S6, emb = wreath_embedding(3)
     calls = {
         "coset_state": lambda: coset_state(G, x),
@@ -956,7 +979,7 @@ def test_every_reader_of_h_refuses_a_non_involution(bad):
         "fourier_roundtrip_error": lambda: fourier_roundtrip_error(G, x, irr),
         "rank_r": lambda: rank_r(irr[0], x),
         "tuple_ranks": lambda: space.tuple_ranks(x),
-        "avg_tv_over_conjugates": lambda: avg_tv_over_conjugates(space, x),
+        "avg_tv_over_conjugates": lambda: avg_tv_over_conjugates(space, x, 0),
         "lemma_suite": lambda: lemma_suite(G, irr, x, 1, 0.2),
         "transfer_subgroup_report":
             lambda: transfer_subgroup_report(S6, emb, W, x),
