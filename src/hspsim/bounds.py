@@ -82,6 +82,7 @@ class BoundParams:
 # (power:z2^9's table at seed 1 is 1.03e-9 off), and real (8e-13 seen)
 CHI_INTEGER_TOL = 1e-6
 CHI_IMAG_TOL = 1e-8
+DEGREE_LIMIT_SLACK = 1e-9  # the listing passes float rounding of 1 / eps
 
 
 def chi_at_involution(label, value):
@@ -270,7 +271,7 @@ def wreath_params(n, eps=None):
         eps = float(eps)
         # 1.0 / d >= eps puts d within float rounding of 1 / eps; no degree
         # exceeds n!
-        limit = 1.0 / eps * (1 + 1e-9)
+        limit = 1.0 / eps * (1 + DEGREE_LIMIT_SLACK)
         in_s = [(lab, d) for lab, d in
                 degrees_up_to(int(limit) + 1 if limit < fact else fact)
                 if 1.0 / d >= eps]

@@ -18,6 +18,10 @@ from .util import ResourceCap, fmt_complexes, require
 # cyclic:1609; under a 1 GiB address limit json ran at cyclic:1700 (949 MB)
 # and failed at 1750.
 TABLE_ENTRY_BYTES = {"csv": 105, "json": 340}
+EIGEN_GAP_TOL = 1e-6  # closer eigenvalues of T could mix two rows: redraw
+LEAD_TOL = 1e-12  # an identity-class entry this small would scale noise
+DEGREE_TOL = 1e-6  # degrees are integers up to an r-term sum's rounding
+ORTHOGONALITY_TOL = 1e-8  # r-term sums of entries at most a degree in size
 
 
 class CharacterTable:
@@ -128,18 +132,18 @@ def character_table_numeric(group, seed=0):
         w, V = np.linalg.eig(T)
         del T
         # reject nearly repeated eigenvalues: eigenvectors would mix rows
-        if r > 1 and np.abs(np.diff(np.sort_complex(w))).min() < 1e-6:
+        if r > 1 and np.abs(np.diff(np.sort_complex(w))).min() < EIGEN_GAP_TOL:
             last = "degenerate eigenvalues"
             continue
         # column v scaled to v / v[e] holds |C_k| chi(g_k) / chi(1), and
         # sum_k |chi(g_k)|^2 |C_k| = |G| fixes chi(1)
         lead = V[ident_cls]
-        if np.abs(lead).min() < 1e-12:
+        if np.abs(lead).min() < LEAD_TOL:
             last = "eigenvector did not normalize to a character"
             continue
         V /= lead  # in place, as the rows below: r x r arrays are the peak
         d = np.sqrt(G.order / np.sum(np.abs(V.T) ** 2 / sizes, axis=1))
-        if np.abs(d - np.round(d)).max() > 1e-6:
+        if np.abs(d - np.round(d)).max() > DEGREE_TOL:
             last = "eigenvector did not normalize to a character"
             continue
         values = V.T
@@ -149,7 +153,8 @@ def character_table_numeric(group, seed=0):
         order = canonical_order(degrees, values)
         tab = CharacterTable(G, [f"rho{i}" for i in range(r)],
                              degrees[order], values[order])
-        if tab.row_orthogonality_error() < 1e-8 and tab.column_orthogonality_error() < 1e-8:
+        if tab.row_orthogonality_error() < ORTHOGONALITY_TOL and \
+                tab.column_orthogonality_error() < ORTHOGONALITY_TOL:
             return tab
         last = "orthogonality check failed"
     raise ResourceCap(f"{what} failed its checks in 5 draws: {last}")

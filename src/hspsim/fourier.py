@@ -5,7 +5,7 @@ import numpy as np
 
 from .bounds import chi_at_involution
 from .groups import involution
-from .irreps import Irrep
+from .irreps import CHAR_INNER_TOL, Irrep
 from .util import kron_stack, require
 
 
@@ -80,7 +80,8 @@ def clebsch_gordan_multiplicity(group, factors, tau):
     """Multiplicity of tau inside the tensor product of the factors."""
     chi = factor_character(group, factors)
     m = complex(np.vdot(tau.character(), chi)) / group.order
-    if abs(m.imag) > 1e-6 or abs(m.real - round(m.real)) > 1e-6:
+    if abs(m.imag) > CHAR_INNER_TOL or \
+            abs(m.real - round(m.real)) > CHAR_INNER_TOL:
         raise ValueError(f"multiplicity {m} is not a near-integer")
     return int(round(m.real))
 

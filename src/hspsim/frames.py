@@ -13,39 +13,50 @@ IDENTITY_TOL = 1e-9  # S - I rounds by at worst D ulps, 1e-12 at D = 4096
 
 
 class Frame:
-    """Unit vectors (columns) with positive weights resolving the identity."""
+    """Unit vectors (columns) with positive weights resolving the identity:
+    (d, m) vectors, or a stack (n, d, m) of frames sharing their weights."""
 
     def __init__(self, vectors, weights):
         self.vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
         self.weights = np.ascontiguousarray(weights, dtype=float)
-        if self.vectors.ndim != 2 or self.weights.shape != (self.vectors.shape[1],):
-            raise ValueError("need (d, m) vectors and (m,) weights")
+        if self.vectors.ndim not in (2, 3) or \
+                self.weights.shape != self.vectors.shape[-1:]:
+            raise ValueError("need (d, m) or (n, d, m) vectors, (m,) weights")
         V = self.vectors
-        sq = np.einsum("ij,ij->j", V.view(np.float64), V.view(np.float64))
-        norms = np.sqrt(sq[0::2] + sq[1::2])  # (re, im) column pairs
+        F = V.view(np.float64)
+        sq = np.einsum("...ij,...ij->...j", F, F)
+        norms = np.sqrt(sq[..., 0::2] + sq[..., 1::2])  # (re, im) pairs
         if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
             raise ValueError("frame vectors must be unit norm")
         if (self.weights <= 0).any():
             raise ValueError("frame weights must be positive")
-        # conj(S) = conj(V w) V^T: a block of its rows at a time, conjugated
-        # and scaled in place, with V^T a view, so no copy of V and no D x D
-        # matrix is made.  S is Hermitian, so a block is checked from its
+        # conj(S) = conj(V w) V^T: a block of its rows (of every frame of a
+        # stack) at a time, conjugated and scaled in place, with V^T a view,
+        # so V is not copied.  S is Hermitian, so a block is checked from its
         # diagonal on: the columns left of it are an earlier block's rows
         step = max(1, util.BLOCK_BYTES // (16 * self.size))
         for lo in range(0, self.dim, step):
-            S = V[lo:lo + step].conj()
-            S = np.multiply(S, self.weights, out=S) @ V[lo:].T
-            S[np.arange(len(S)), np.arange(len(S))] -= 1.0
+            S = V[..., lo:lo + step, :].conj()
+            S = np.multiply(S, self.weights, out=S) @ V[..., lo:, :].swapaxes(
+                -1, -2)
+            i = np.arange(S.shape[-2])
+            S[..., i, i] -= 1.0
             if np.abs(S).max() > IDENTITY_TOL:
                 raise ValueError("frame does not resolve the identity")
 
     @property
     def dim(self):
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def size(self):
-        return self.vectors.shape[1]
+        return self.vectors.size // self.dim  # of every frame of a stack
+
+    def __getitem__(self, j):
+        """Frame j of a stack, checked with it; its vectors are a view."""
+        frame = object.__new__(Frame)
+        frame.vectors, frame.weights = self.vectors[j], self.weights
+        return frame
 
     def __repr__(self):
         return f"<frame dim={self.dim} size={self.size}>"
@@ -81,8 +92,10 @@ def _haar_basis(rng, out, lo):
     Q *= (r / np.abs(r)).conj()[:, None]  # Q^T's rows are Q's columns
     s = int((util.BLOCK_BYTES // 16) ** 0.5)  # tiles of at most BLOCK_BYTES
     for i in range(0, d, s):
-        for j in range(i, d, s):
-            I, J = slice(i, i + s), slice(j, j + s)
+        I = slice(i, i + s)
+        Q[I, I] = Q[I, I].T.copy()  # a diagonal tile is its own pair
+        for j in range(i + s, d, s):
+            J = slice(j, j + s)
             Q[I, J], Q[J, I] = Q[J, I].T.copy(), Q[I, J].T.copy()
 
 
@@ -95,7 +108,8 @@ def frame_bases(kind):
 
 
 def random_frame(d, seed, kind="basis"):
-    """Haar-random frame on C^d, each basis drawn into its own columns.
+    """Haar-random frame on C^d, each basis drawn into its own columns, or
+    for a list of seeds a stack of each seed's frame, checked as a stack.
 
     kind='basis': one random orthonormal basis, unit weights.
     kind='fused': two stacked random bases, weights 1/2.
@@ -103,8 +117,11 @@ def random_frame(d, seed, kind="basis"):
     if d < 1:
         raise ValueError("dimension must be positive")
     n = frame_bases(kind)
-    rng = np.random.default_rng(seed)
-    vectors = np.empty((d, n * d), dtype=np.complex128)
-    for lo in range(0, n * d, d):
-        _haar_basis(rng, vectors, lo)
-    return Frame(vectors, np.full(n * d, 1 / n))
+    seeds = seed if isinstance(seed, list) else [seed]
+    vectors = np.empty((len(seeds), d, n * d), dtype=np.complex128)
+    for out, s in zip(vectors, seeds):
+        rng = np.random.default_rng(s)
+        for lo in range(0, n * d, d):
+            _haar_basis(rng, out, lo)
+    return Frame(vectors if seeds is seed else vectors[0],
+                 np.full(n * d, 1 / n))

@@ -39,6 +39,9 @@ CYCLIC_IRREP_BYTES = 736
 # when its norm and its overlap with a built piece are this close to 1, a
 # hundred times inside the 1e-6 tests that the built pieces go through.
 REPEAT_TOL = 1e-8
+CHAR_INNER_TOL = 1e-6  # <chi, psi> / |G| is an integer up to |G| roundings
+LOG_MARGIN = 1e-9  # partition_degrees compares logs: it only costs visits
+SPLIT_TOL = 1e-6  # commutant eigenvalues this close share one eigenspace
 
 
 class Irrep:
@@ -188,7 +191,7 @@ def partition_degrees(n, max_degree=None):
     at_least = _partition_counts(n)
     if prune:
         floor = _log_degree_floor(n)
-        limit = math.log(max(max_degree, 1)) + 1e-9
+        limit = math.log(max(max_degree, 1)) + LOG_MARGIN
         log_fact = math.log(fact)
     out, height, seen = [], [0] * n, 0
 
@@ -479,7 +482,7 @@ def _split_unitary_rep(mats, tol, rng, out, depth=0):
     """Recursively split a unitary rep (stacked matrices) into irreducibles,
     appending them to out (a _Pieces)."""
     m = mats.shape[1]
-    if m == 1 or abs(_char_norm(mats) - 1.0) < 1e-6:
+    if m == 1 or abs(_char_norm(mats) - 1.0) < CHAR_INNER_TOL:
         out.append(mats)
         return
     if depth > 12:
@@ -532,7 +535,7 @@ def require_numeric_irreps(group):
     require(what, work=2 * N ** 3 + r * N * N + STEP_WORK * N * (r + 1))
 
 
-def irreps_generic(group, tol=1e-6, seed=0):
+def irreps_generic(group, tol=SPLIT_TOL, seed=0):
     """All irreps via numerical decomposition of the regular representation.
 
     A random Hermitian matrix is averaged into the commutant (an O(|G|^2)
@@ -603,8 +606,8 @@ def _dedupe(pieces):
     kept, chars = [], []
     for p in pieces:
         chi = np.einsum("gii->g", p)
-        if not any(abs(np.vdot(c, chi).real / p.shape[0] - 1.0) < 1e-6
-                   for c in chars):
+        if not any(abs(np.vdot(c, chi).real / p.shape[0] - 1.0)
+                   < CHAR_INNER_TOL for c in chars):
             kept.append(p)
             chars.append(chi)
     return kept

@@ -133,8 +133,9 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
     A tuple holds about 1 KB of Python objects (cyclic:300 at k=2 peaked
     81 MB above cyclic:100), and so does an irrep, listed and with its +1
     eigenbasis (cyclic:50000 at k=1 peaked 1.19 KB per irrep and tuple
-    above cyclic:2).  A space draws one tuple's frame at a time and
-    drops it, so it is charged for the largest frame and its draw's
+    above cyclic:2).  A space draws the frames of a batch of one shape in
+    one stack, of several frames only within util.BLOCK_BYTES, and drops
+    it for the next, so it is charged for the largest frame and its draw's
     DRAW_MATRICES transients.  A tuple costs `steps` loop steps (by default
     one, its draw) and one per evaluation.
     """
@@ -157,11 +158,11 @@ def require_sampling(labels, degrees, k, kind="basis", conjugates=0,
 def require_lemmas(group, h, k, kind, labels, degrees, itemsizes):
     """Refuse lemma_suite on irreps of group with these labels and degrees,
     at the class of h, before any is built: a loop step per call its pass
-    makes for each tuple (the draw, 2^k - 1 q_subset_values blocks,
-    projected_forms and the l1 row) and two per conjugate (its X moments),
-    and the diagonal-overlap terms, per nonempty register subset and frame
-    vector of a D-dimensional tuple a q_subset_values pass of at most
-    D k d_max multiply-adds per element, in blocks of util.BLOCK_BYTES.
+    made for each tuple before batches shared them (the draw, 2^k - 1
+    q-value blocks, projected_forms and the l1 row) and two per conjugate
+    (its X moments), and the diagonal-overlap terms, per nonempty register
+    subset and frame vector of a D-dimensional tuple a q-value pass of at
+    most D k d_max multiply-adds per element, in blocks of BLOCK_BYTES.
 
     What the pass holds next to its tuples: each irrep's whole stack, read
     and kept, at its itemsize, a picked tuple's 2^k - 1 factor stacks of
@@ -214,7 +215,8 @@ def plus_bases(irreps, c):
 class RegisterSpace:
     """All k-tuples of irreps, a command's one owner of per-tuple sampling
     state: frames seeded when drawn, so one space serves every frame seed,
-    and +1 eigenbases built once per class, held for each of its elements."""
+    alone or stacked by shape, and +1 eigenbases built once per class, held
+    for each of its elements."""
 
     def __init__(self, group, irreps, k, kind="basis"):
         if k < 1:
@@ -227,7 +229,7 @@ class RegisterSpace:
         self.k = k
         self.kind = kind
         self.tuples = list(itertools.product(range(len(irreps)), repeat=k))
-        self.dims = [int(np.prod([self.degrees[i] for i in t]))
+        self.dims = [math.prod(self.degrees[i] for i in t)
                      for t in self.tuples]
         bases = frame_bases(kind)  # bases*D vectors of weight 1/bases
         self.sizes = [bases * d for d in self.dims]
@@ -241,8 +243,28 @@ class RegisterSpace:
     def frame(self, ti, seed):
         """Tuple ti's frame, drawn from child ti of seed, bit for bit
         SeedSequence(seed).spawn(n)[ti], and not kept."""
-        return random_frame(self.dims[ti], np.random.SeedSequence(
-            seed, spawn_key=(ti,)), self.kind)
+        return next(self.draws([ti], seed))[1][0]
+
+    def draws(self, tis, seed, rows=1):
+        """(batch, stack of each tuple's frame(ti, seed)) for the tuples tis
+        in batches of one shape, their irreps' degrees and dtypes, in order
+        of each shape's first tuple: as many as keep `rows` copies of their
+        frames, and their seeds (445 bytes, counted as 1 KB), within
+        util.BLOCK_BYTES, else one.  The grouping holds 16 bytes a tuple."""
+        keys, tis = {}, np.asarray(tis, dtype=np.int64)
+        shape = np.fromiter((keys.setdefault(tuple(
+            (self.degrees[i], self.irreps[i].dtype) for i in self.tuples[ti]),
+            len(keys)) for ti in tis), dtype=np.int64, count=len(tis))
+        ends = np.cumsum(np.bincount(shape)).tolist()
+        tis = tis[np.argsort(shape, kind="stable")]
+        for lo, hi in zip([0] + ends, ends):
+            each = 16 * rows * self.dims[tis[lo]] * self.sizes[tis[lo]]
+            step = max(1, util.BLOCK_BYTES // max(each, 1024))
+            for at in range(lo, hi, step):
+                batch = tis[at:min(at + step, hi)].tolist()
+                yield batch, random_frame(self.dims[batch[0]], [
+                    np.random.SeedSequence(seed, spawn_key=(ti,))
+                    for ti in batch], self.kind)
 
     def plancherel(self, ti):
         """Probability of tuple ti under the uniform-state measurement."""
@@ -255,7 +277,7 @@ class RegisterSpace:
     def tuple_ranks(self, h):
         """Per-tuple product of rank_r(rho, h) (0 kills the tuple)."""
         per_irrep = [rank_r(r, h) for r in self.irreps]
-        return [int(np.prod([per_irrep[i] for i in t])) for t in self.tuples]
+        return [int(math.prod(per_irrep[i] for i in t)) for t in self.tuples]
 
     def subgroup_prob(self, ti, ranks):
         """|H|^k d r / |G|^k for H of order two."""
@@ -275,14 +297,16 @@ class RegisterSpace:
         every W of the tuple is real.  Every row equals the single-element
         call bit for bit, and is real and non-negative by construction.
         """
-        cs = np.atleast_1d(c).tolist()
+        one = np.asarray(c)
+        cs = one.reshape(-1).tolist()
         if cs[0] not in self._plus:  # not a scan of every irrep per tuple
             found = plus_bases(self.irreps, cs[0])
             self._plus.update(dict.fromkeys(found[0], found))
         rows, bases = self._plus[cs[0]]
         if not set(cs) <= rows.keys():
             raise ValueError("class elements must share one class")
-        pos = np.array([rows[x] for x in cs])
+        pos = [rows[x] for x in cs]
+        whole = pos == list(range(len(rows)))  # the class in its own order
         Wh = [bases[i] for i in self.tuples[ti]]
         V = frame.vectors
         vals = np.empty((len(cs), V.shape[1]))
@@ -290,11 +314,12 @@ class RegisterSpace:
         if all(w.dtype == np.float64 for w in Wh):
             V = V.view(np.float64)
         for lo in range(0, len(cs), step):
-            Y = kron_apply([w[pos[lo:lo + step]] for w in Wh], V)
+            at = slice(lo, lo + step) if whole else pos[lo:lo + step]
+            Y = kron_apply([w[at] for w in Wh], V)
             Y = Y.view(np.float64)  # (re, im) pairs on either path
             sq = np.einsum("cim,cim->cm", Y, Y)
             vals[lo:lo + step] = sq[:, 0::2] + sq[:, 1::2]
-        return vals if np.ndim(c) else vals[0]
+        return vals if one.ndim else vals[0]
 
 
 def reference_distribution(space):
@@ -319,7 +344,7 @@ def tuple_distributions(space, ti, cs, ranks, seed, forms=None):
 def l1_rows(rows, ref):
     """The l1 distance of each row of a tuple's distributions from its
     reference outcome probability: that tuple's term of the full l1 sum."""
-    return np.sum(np.abs(rows - ref), axis=1)
+    return np.abs(rows - ref).sum(axis=1)
 
 
 def avg_tv_over_conjugates(space, h, seed):
@@ -335,8 +360,14 @@ def avg_tv_over_conjugates(space, h, seed):
     ref = reference_distribution(space)
     cls = list(space.group.class_of(h))
 
+    rows = [None] * len(ranks)
+    for batch, frames in space.draws(np.flatnonzero(ranks), seed):
+        for ti, f in zip(batch, frames):
+            rows[ti] = space.projected_forms(ti, cls, f)
+            rows[ti] = l1_rows(tuple_distributions(space, ti, cls, ranks,
+                                                   seed, rows[ti]), ref[ti])
     rows = [l1_rows(tuple_distributions(space, ti, cls, ranks, seed), ref[ti])
-            for ti in range(len(space.tuples))]
+            if row is None else row for ti, row in enumerate(rows)]  # rank 0
     l1s = pairwise_sum(rows).tolist()
     avg_l1 = pairwise_sum(l1s) / len(cls)
     return {
@@ -350,30 +381,37 @@ def avg_tv_over_conjugates(space, h, seed):
 # ---------------------------------------------------------------------------
 # the X deviation and its second moment
 
-def _quadforms_all(stacks, dims, b):
-    """<b| (x)_i A_i(g) |b> for all g; axis i uses stacks[i] or identity.
+def _quadforms(stacks, b, subsets):
+    """Yield (s, q_s), s in subsets (sorted tuples), in lexicographic order:
+    q_s[t, j, g] = <b_tj| (x)_{i in s} stacks[i][t, g] |b_tj> (identity off
+    s) for tuple t's stacks (T, N, d_i, d_i) and columns of b (T, D, m).
+    Each apply extends its prefix's by one einsum, depth first, so at most
+    k are alive, and q_s is bit for bit its own einsum chain from b."""
+    k = len(stacks)
+    T, N = stacks[0].shape[:2]
+    m = b.shape[-1]
+    bt = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(
+        T, m, *(S.shape[-1] for S in stacks))
+    lead, axes = [k + 3, k + 2], list(range(1, k + 1))  # tuples, vectors
+    chain = [np.broadcast_to(bt[:, :, None], (T, m, N, *bt.shape[2:]))]
+    for s in sorted({s[:n] for s in subsets for n in range(1, len(s) + 1)}):
+        del chain[len(s):]  # chain[n] is the apply of s[:n]
+        i = s[-1]
+        out = [k + 1 if a == i + 1 else a for a in axes]
+        chain.append(np.einsum(stacks[i], [k + 3, 0, k + 1, i + 1], chain[-1],
+                               lead + [0] + axes, lead + [0] + out))
+        if s in subsets:
+            yield s, np.ascontiguousarray(np.einsum(
+                chain[-1], lead + [0] + axes, bt.conj(), lead + axes,
+                lead + [0]))
 
-    b is one vector (D,), giving shape (N,), or a block (D, m) of them,
-    giving one contiguous row per column, shape (m, N).
-    """
-    k = len(dims)
-    N = next(s.shape[0] for s in stacks.values())
+
+def _tuple_values(stacks, b, subset):
+    """q of one subset on one tuple's stacks (N, d_i, d_i), (N,) or (m, N)."""
     b = np.asarray(b, dtype=np.complex128)
-    lead = b.shape[1:]
-    bt = np.ascontiguousarray(b.T).reshape(*lead, *dims)
-    blk = [k + 2] * len(lead)  # the block axis, outermost
-    cur = np.broadcast_to(np.expand_dims(bt, len(lead)), (*lead, N, *dims))
-    axes = [a + 1 for a in range(k)]
-    for i, S in sorted(stacks.items()):
-        op_axes = [0, k + 1, i + 1]
-        out_axes = [0] + [(k + 1 if a == i else a + 1) for a in range(k)]
-        cur = np.einsum(S, op_axes, cur, blk + [0] + axes, blk + out_axes)
-    return np.ascontiguousarray(
-        np.einsum(cur, blk + [0] + axes, bt.conj(), blk + axes, blk + [0]))
-
-
-def _tuple_mats(irreps, tup):
-    return [irreps[i].mats for i in tup]
+    ((_, q),) = _quadforms([S[None] for S in stacks],
+                           b.reshape(1, len(b), -1), [subset])
+    return q[0] if b.ndim == 2 else q[0, 0]
 
 
 def q_subset_values(irreps, tup, b, subset):
@@ -382,20 +420,16 @@ def q_subset_values(irreps, tup, b, subset):
     b is a vector (D,) or a block (D, m) of frame vectors; a block gives
     one row per vector, each equal to its single-vector call bit for bit.
     """
-    mats = _tuple_mats(irreps, tup)
-    dims = tuple(m.shape[1] for m in mats)
-    stacks = {i: mats[i] for i in subset}
-    if not stacks:
+    subset = tuple(sorted(set(subset)))
+    if not subset:
         raise ValueError("subset must be nonempty")
-    return _quadforms_all(stacks, dims, b)
+    return _tuple_values([irreps[i].mats for i in tup], b, subset)
 
 
 def q_total_values(irreps, tup, b):
     """Q(g) = <b| (x)_i (I + rho_i(g)) |b> - 1 for all g."""
-    mats = _tuple_mats(irreps, tup)
-    dims = tuple(m.shape[1] for m in mats)
-    stacks = {i: m + np.eye(m.shape[1]) for i, m in enumerate(mats)}
-    return _quadforms_all(stacks, dims, b) - 1.0
+    stacks = [r.mats + np.eye(r.degree) for r in (irreps[i] for i in tup)]
+    return _tuple_values(stacks, b, tuple(range(len(tup)))) - 1.0
 
 
 def second_moment_check(group, irreps, tup, b, h):
@@ -469,9 +503,11 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
 
     Each frame is drawn when it is used and dropped after: each picked
     tuple's once for the sampled checks, whose vectors are chosen first,
-    then every tuple's once for the diagonal-overlap terms, in blocks of
-    util.BLOCK_BYTES, and for the projected forms, computed once per tuple at
-    every conjugate, which serve both the X moments and the distance check.
+    then every tuple's once, stacked by shape (RegisterSpace.draws at |G|
+    copies), for the diagonal-overlap terms, one _quadforms chain over the
+    subsets per stack, and for the projected forms, computed once per tuple
+    at every conjugate, which serve both the X moments and the distance
+    check.  Results are kept at each tuple's index, summed in tuple order.
 
     The isotypic check screens every case with the rank-one form
     y_tau = (d_tau/N) sum_g conj(chi_tau(g)) (A_g b)(B_g b)^T, batched over
@@ -558,33 +594,39 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     entries.append(check_entry(
         "isotypic projection bound", slack >= -SLACK_TOL, lhs=lhs, rhs=rhs,
         detail=f"tightest case {case}"))
-    del b, cases  # views of the last picked frame; the pass below holds one
+    del f, b, cases  # the last picked frame and views of it
 
     # --- one pass over the tuples, each frame drawn once: the averaged
     # diagonal-overlap terms per nonempty register subset, and the X
     # moments and per-conjugate distances from one set of forms
     ref = reference_distribution(space)
-    overlap = {s: [] for s in subsets}
-    per_tuple = []
-    for ti in range(len(space.tuples)):
-        f = space.frame(ti, seed)
-        step = max(1, util.BLOCK_BYTES // (16 * N * space.dims[ti]))
-        for s in subsets:
-            per_b = []
-            for lo in range(0, f.size, step):
-                q = q_subset_values(irreps, space.tuples[ti],
-                                    f.vectors[:, lo:lo + step], s)
-                per_b += (f.weights[lo:lo + step] / space.dims[ti]
-                          * np.mean(np.abs(q) ** 2, axis=1)).tolist()
-            overlap[s].append(space.plancherel(ti) * pairwise_sum(per_b))
-        wd = f.weights / space.dims[ti]
-        forms = space.projected_forms(ti, cls, f)
-        X = forms - 0.5 ** k
-        per_tuple.append((
-            np.array([float(np.dot(wd, x)) for x in X ** 2]),
-            np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
-            l1_rows(tuple_distributions(space, ti, cls, ranks, seed, forms),
-                    ref[ti])))
+    n = len(space.tuples)
+    planch = [space.plancherel(ti) for ti in range(n)]
+    overlap = {s: [None] * n for s in subsets}
+    per_tuple = [None] * n
+    for batch, frames in space.draws(range(n), seed, N):
+        mats = [[irreps[space.tuples[ti][i]].mats for ti in batch]
+                for i in range(k)]
+        stacks = [np.stack(m) if len(m) > 1 else m[0][None] for m in mats]
+        wd = frames.weights / space.dims[batch[0]]
+        step = max(1, util.BLOCK_BYTES // (16 * N * space.dims[batch[0]]))
+        per_b = {s: [] for s in subsets}  # vector blocks, for a batch of one
+        for lo in range(0, wd.size, step):
+            for s, q in _quadforms(stacks, frames.vectors[..., lo:lo + step],
+                                   subsets):
+                per_b[s].append(wd[lo:lo + step]
+                                * np.mean(np.abs(q) ** 2, axis=2))
+        per_b = {s: np.hstack(v).tolist() for s, v in per_b.items()}
+        for j, (ti, f) in enumerate(zip(batch, frames)):
+            for s in subsets:
+                overlap[s][ti] = planch[ti] * pairwise_sum(per_b[s][j])
+            forms = space.projected_forms(ti, cls, f)
+            X = forms - 0.5 ** k
+            per_tuple[ti] = (
+                np.array([float(np.dot(wd, x)) for x in X ** 2]),
+                np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
+                l1_rows(tuple_distributions(space, ti, cls, ranks, seed,
+                                            forms), ref[ti]))
     rhs = sum_d / N
     lhs, s = min(((pairwise_sum(overlap[s]), s) for s in subsets),
                  key=lambda e: rhs - e[0])
@@ -592,8 +634,7 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         "diagonal overlap bound", rhs - lhs >= -SLACK_TOL, lhs=lhs, rhs=rhs,
         detail=f"tightest register subset {s}"))
 
-    planch = np.array([space.plancherel(ti)
-                       for ti in range(len(space.tuples))])
+    planch = np.array(planch)
     xsq_mat = np.array([t[0] for t in per_tuple])   # (tuple, conjugate)
     xabs_mat = np.array([t[1] for t in per_tuple])
     lhs_delta1 = float(np.mean(planch @ xsq_mat))

@@ -84,12 +84,13 @@ def kron_apply(blocks, V):
     result is then the c products, shape (c, prod r_i, *V.shape[1:]), each
     made of the same gemm calls as its unstacked product."""
     lead = np.shape(blocks[0])[:-2]
-    cur = np.broadcast_to(V, lead + np.shape(V))
+    cur = np.reshape(V, (1,) * len(lead) + np.shape(V))  # matmul broadcasts
     post = np.size(V)
     pre = 1
     for A in blocks:
         post //= A.shape[-1]
-        cur = A[..., None, :, :] @ cur.reshape(*lead, pre, A.shape[-1], post)
+        cur = A[..., None, :, :] @ cur.reshape(
+            *cur.shape[:len(lead)], pre, A.shape[-1], post)
         pre *= A.shape[-2]
     return cur.reshape(lead + (pre,) + np.shape(V)[1:])
 

@@ -4,8 +4,9 @@ r x r x r reference for the class-sum combination, the quotient map
 SL(2,q) -> PSL(2,q), the embedding of S_n wr S_2 into S_2n, the transfer
 checks of coset-state spectra under an embedding and under a quotient map,
 the outcome distribution of one coset state and the full l1 distance of
-two, an element of order three, and a per-item reference for
-util.dumps_report."""
+two, an element of order three, a per-item reference for
+util.dumps_report, and the one-subset q-value kernel that the chained one
+replaced."""
 import numpy as np
 
 from hspsim import util
@@ -189,3 +190,27 @@ def dumps_per_item(obj):
         util._emit(obj, out, level)
         return "".join(out)
     return emit(obj, 0) + "\n"
+
+
+def quadforms_per_subset(stacks, dims, b):
+    """<b| (x)_i A_i(g) |b> for all g, axis i using stacks[i] or the
+    identity, from b alone: one subset's own einsum chain, the kernel of
+    q_subset_values before the subsets of a tuple shared their prefixes.
+
+    b is one vector (D,), giving shape (N,), or a block (D, m) of them,
+    giving one contiguous row per column, shape (m, N).
+    """
+    k = len(dims)
+    N = next(s.shape[0] for s in stacks.values())
+    b = np.asarray(b, dtype=np.complex128)
+    lead = b.shape[1:]
+    bt = np.ascontiguousarray(b.T).reshape(*lead, *dims)
+    blk = [k + 2] * len(lead)  # the block axis, outermost
+    cur = np.broadcast_to(np.expand_dims(bt, len(lead)), (*lead, N, *dims))
+    axes = [a + 1 for a in range(k)]
+    for i, S in sorted(stacks.items()):
+        op_axes = [0, k + 1, i + 1]
+        out_axes = [0] + [(k + 1 if a == i else a + 1) for a in range(k)]
+        cur = np.einsum(S, op_axes, cur, blk + [0] + axes, blk + out_axes)
+    return np.ascontiguousarray(
+        np.einsum(cur, blk + [0] + axes, bt.conj(), blk + axes, blk + [0]))

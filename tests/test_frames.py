@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hspsim import util
-from hspsim.frames import Frame, random_frame
+from hspsim.frames import Frame, frame_bases, random_frame
 
 
 def completeness_error(frame):
@@ -146,3 +146,36 @@ def test_identity_check_sees_each_pair_once(monkeypatch, rows, i, j):
     v[:, j] /= np.linalg.norm(v[:, j])
     with pytest.raises(ValueError, match="resolve the identity"):
         Frame(v, np.ones(40))
+
+
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+def test_stacked_draws_are_each_seeds_own(kind):
+    # a list of seeds gives one checked stack whose frame j is bit for bit
+    # the draw from seed j alone, at every order up to 36
+    for d in range(1, 37):
+        seeds = [np.random.SeedSequence(d, spawn_key=(j,)) for j in range(3)]
+        stack = random_frame(d, seeds, kind)
+        assert stack.vectors.shape == (3, d, frame_bases(kind) * d)
+        assert stack.size == 3 * frame_bases(kind) * d
+        for j, seed in enumerate(seeds):
+            one = random_frame(d, seed, kind)
+            assert stack[j].vectors.tobytes() == one.vectors.tobytes()
+            assert np.array_equal(stack[j].weights, one.weights)
+            assert stack[j].size == one.size
+
+
+@pytest.mark.parametrize("broken, match", [
+    (lambda v: v.__imul__(1 + 1e-9), "unit norm"),
+    (lambda v: v.__setitem__((slice(None), 1), v[:, 0]), "resolve"),
+])
+@pytest.mark.parametrize("slot", [0, 2])
+def test_stack_with_one_broken_slot_is_refused(broken, match, slot):
+    # every frame of a stack passes the same checks as a frame alone
+    v = random_frame(4, [np.random.SeedSequence(5, spawn_key=(j,))
+                         for j in range(3)]).vectors.copy()
+    Frame(v, np.ones(4))
+    broken(v[slot])
+    with pytest.raises(ValueError, match=match):
+        Frame(v, np.ones(4))
+    with pytest.raises(ValueError, match=match):
+        Frame(v[slot], np.ones(4))

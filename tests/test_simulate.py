@@ -41,8 +41,9 @@ from hspsim.simulate import (
 from hspsim.util import ResourceCap, check_entry, kron_apply, kron_stack
 
 from helpers import (
-    coset_distribution, l1_distance, order_three_element, sl2_to_psl2_map,
-    transfer_quotient_report, transfer_subgroup_report, wreath_embedding,
+    coset_distribution, l1_distance, order_three_element,
+    quadforms_per_subset, sl2_to_psl2_map, transfer_quotient_report,
+    transfer_subgroup_report, wreath_embedding,
 )
 
 
@@ -203,7 +204,7 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
     drawn = []  # the seed of every draw
 
     def counted(d, seed, frame_kind):
-        drawn.append(seed)
+        drawn.extend(seed if isinstance(seed, list) else [seed])
         return random_frame(d, seed, frame_kind)
 
     monkeypatch.setattr(simulate, "random_frame", counted)
@@ -212,7 +213,8 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
     ranks = sp.tuple_ranks(h)
     assert 0 in ranks
     got = avg_tv_over_conjugates(sp, h, 4)
-    assert [(s.entropy, s.spawn_key) for s in drawn] == [
+    # drawn in stacks of one shape, so not in tuple order
+    assert sorted((s.entropy, s.spawn_key) for s in drawn) == [
         (4, (ti,)) for ti, r in enumerate(ranks) if r]
     assert got == eager_avg_tv(sp, h, 4)
 
@@ -222,27 +224,39 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
 def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
     # the lemma suite draws each frame when it uses it: each picked
     # tuple's once for the second-moment and isotypic checks, then every
-    # tuple's once.
-    # When it draws a frame, at most the one it replaces is still alive,
-    # whether as the Frame or as a view of its vectors' memory.
+    # tuple's once, in stacks of one shape.
+    # When it draws, the frames drawn before and still alive, whether as a
+    # Frame or as a view of its vectors' memory, hold at most the larger of
+    # one frame and util.BLOCK_BYTES.  A block of one complex entry makes
+    # every stack one frame, none smaller than a block, so two alive fail
     G = make_group(spec)
     irr, h = irreps_for(G), G.default_involution()
-    drawn, alive = [], []
-
-    def tracked(d, seed, frame_kind):
-        alive.append(sum(ref() is not None for ref in drawn))
-        frame = random_frame(d, seed, frame_kind)
-        v = frame.vectors
-        drawn.append(weakref.ref(v if v.base is None else v.base))
-        return frame
-
-    monkeypatch.setattr(simulate, "random_frame", tracked)
     want = lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind)
-    n_tuples = len(irr) ** k
-    assert len(drawn) == min(simulate.LEMMA_SAMPLES, n_tuples) + n_tuples
-    assert max(alive) == 1
-    monkeypatch.setattr(simulate, "random_frame", random_frame)
-    assert lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind) == want
+    sp = RegisterSpace(G, irr, k, kind=kind)
+    picks = np.random.default_rng(2 + 987654321).choice(
+        len(sp.tuples), size=min(simulate.LEMMA_SAMPLES, len(sp.tuples)),
+        replace=False)
+    for block in (util.BLOCK_BYTES, 16):
+        monkeypatch.setattr(util, "BLOCK_BYTES", block)
+        drawn, vectors, held = [], [], []
+
+        def tracked(d, seed, frame_kind):
+            live = [v for v in (ref() for ref in drawn) if v is not None]
+            frame = random_frame(d, seed, frame_kind)
+            one = max([v.nbytes // (len(v) if v.ndim == 3 else 1)
+                       for v in live], default=0)
+            held.append((sum(v.nbytes for v in live), max(one, block)))
+            v = frame.vectors
+            drawn.append(weakref.ref(v if v.base is None else v.base))
+            vectors.append(frame.size)
+            return frame
+
+        monkeypatch.setattr(simulate, "random_frame", tracked)
+        assert lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind) == want
+        assert sum(vectors) == (sum(sp.sizes[ti] for ti in picks)
+                                + sum(sp.sizes))
+        assert all(live <= bound for live, bound in held)
+        assert max(live for live, _ in held) > 0
 
 
 def conditional_distribution(space, ti, c, ranks, seed):
@@ -562,6 +576,61 @@ def test_q_subset_block_equals_per_column(spec, k, kind):
             for j in range(V.shape[1]):
                 assert np.array_equal(
                     q[j], q_subset_values(irr, sp.tuples[ti], V[:, j], s))
+
+
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+@pytest.mark.parametrize("spec", ["s4", "wreath:3"])
+def test_stacked_frames_are_each_tuples_own_draw(spec, kind):
+    # the passes draw a batch's tuples in one stack: each is bit for bit
+    # frame(ti, seed), a batch is one shape, and a stack of more than one
+    # frame fits util.BLOCK_BYTES
+    G = make_group(spec)
+    sp = RegisterSpace(G, irreps_for(G), 2, kind=kind)
+    seen = []
+    for batch, stack in sp.draws(range(len(sp.tuples)), 7):
+        assert len({tuple(sp.degrees[i] for i in sp.tuples[ti])
+                    for ti in batch}) == 1
+        assert len(batch) == 1 or stack.vectors.nbytes <= util.BLOCK_BYTES
+        for j, ti in enumerate(batch):
+            one = sp.frame(ti, 7)
+            assert stack[j].vectors.tobytes() == one.vectors.tobytes()
+            assert np.array_equal(stack[j].weights, one.weights)
+        seen += batch
+    assert sorted(seen) == list(range(len(sp.tuples)))
+
+
+@pytest.mark.parametrize("kind", ["basis", "fused"])
+@pytest.mark.parametrize("spec, k", [("wreath:3", 2), ("dihedral:4", 3),
+                                     ("psl2:5", 2)])
+def test_chained_kernel_equals_per_subset_reference(spec, k, kind):
+    # on the lemma pass's stacked batches, each subset's q of each tuple,
+    # which extends its prefix's apply, is bit for bit its own einsum chain
+    # from b; so are q_subset_values and q_total_values (on the I + rho
+    # stacks, less 1)
+    G = make_group(spec)
+    irr = irreps_for(G)
+    sp = RegisterSpace(G, irr, k, kind=kind)
+    subsets = _subsets(k)
+    for batch, stack in sp.draws(range(len(sp.tuples)), 5, G.order):
+        stacks = [np.stack([irr[sp.tuples[ti][i]].mats for ti in batch])
+                  for i in range(k)]
+        got = dict(simulate._quadforms(stacks, stack.vectors, subsets))
+        assert list(got) == sorted(subsets)  # depth first
+        for j, ti in enumerate(batch):
+            mats = [irr[i].mats for i in sp.tuples[ti]]
+            dims = tuple(m.shape[1] for m in mats)
+            V = stack[j].vectors
+            for s in subsets:
+                want = quadforms_per_subset({i: mats[i] for i in s}, dims, V)
+                assert np.array_equal(got[s][j], want)
+                assert np.array_equal(
+                    q_subset_values(irr, sp.tuples[ti], V, s), want)
+            b = V[:, -1]
+            want = quadforms_per_subset(
+                {i: m + np.eye(m.shape[1]) for i, m in enumerate(mats)},
+                dims, b) - 1.0
+            assert np.array_equal(q_total_values(irr, sp.tuples[ti], b),
+                                  want)
 
 
 @pytest.mark.parametrize("spec, k, eps, kind", [
