@@ -1,6 +1,8 @@
 """Group Fourier transform, hidden-subgroup ranks, and isotypic projectors."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bounds import chi_at_involution
@@ -57,15 +59,10 @@ def factor_stack(group, factors):
     N = group.order
     dtype = np.result_type(np.float64, *(f.mats for f in factors
                                          if isinstance(f, Irrep)))
-    cur = np.ones((N, 1, 1), dtype=dtype)
-    for f in factors:
-        if isinstance(f, Irrep):
-            m = f.mats
-        else:
-            m = np.broadcast_to(np.eye(int(f), dtype=dtype),
-                                (N, int(f), int(f)))
-        cur = kron_stack(cur, m)
-    return cur
+    return functools.reduce(kron_stack, [
+        f.mats if isinstance(f, Irrep) else np.broadcast_to(
+            np.eye(int(f), dtype=dtype), (N, int(f), int(f)))
+        for f in factors], np.ones((N, 1, 1), dtype=dtype))
 
 
 def factor_character(group, factors):

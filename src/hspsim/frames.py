@@ -107,9 +107,9 @@ def frame_bases(kind):
     return bases
 
 
-def random_frame(d, seed, kind="basis"):
-    """Haar-random frame on C^d, each basis drawn into its own columns, or
-    for a list of seeds a stack of each seed's frame, checked as a stack.
+def random_frame(d, seeds, kind="basis"):
+    """Stack of Haar-random frames on C^d, one per seed of the list seeds,
+    each basis drawn into its own columns, checked as a stack.
 
     kind='basis': one random orthonormal basis, unit weights.
     kind='fused': two stacked random bases, weights 1/2.
@@ -117,11 +117,9 @@ def random_frame(d, seed, kind="basis"):
     if d < 1:
         raise ValueError("dimension must be positive")
     n = frame_bases(kind)
-    seeds = seed if isinstance(seed, list) else [seed]
     vectors = np.empty((len(seeds), d, n * d), dtype=np.complex128)
     for out, s in zip(vectors, seeds):
         rng = np.random.default_rng(s)
         for lo in range(0, n * d, d):
             _haar_basis(rng, out, lo)
-    return Frame(vectors if seeds is seed else vectors[0],
-                 np.full(n * d, 1 / n))
+    return Frame(vectors, np.full(n * d, 1 / n))

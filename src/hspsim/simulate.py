@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from . import util
+from .bounds import chi_at_involution
 from .fourier import factor_stack, qft, rank_r
 from .frames import frame_bases, random_frame
 from .groups import involution
@@ -184,16 +185,17 @@ def require_lemmas(group, h, k, kind, labels, degrees, itemsizes):
 
 
 def plus_bases(irreps, c):
-    """({class element: row}, [W^dagger per irrep]): W (|class|, d, r) holds
-    orthonormal bases of the +1 eigenspaces of rho(x) over the class of the
-    involution c, r = (d + chi(c))/2, from one batched eigh per irrep, real
-    when rho's stack is float64 or real there; checked: rho(x) W = W, r
-    eigenvalues at +1 and the rest at -1.  Not kept: RegisterSpace.bases
-    holds them for its command."""
+    """(class_of(c), [W^dagger per irrep]): W (|class|, d, r) holds
+    orthonormal bases of the +1 eigenspaces of rho(x) at each x of the class
+    of the involution c, r = (d + chi_at_involution(chi(c)))/2, from one
+    batched eigh per irrep, real when rho's stack is float64 or real there;
+    checked: rho(x) W = W, r eigenvalues at +1 and the rest at -1.  Not
+    kept: a RegisterSpace holds them for its command."""
     group = irreps[0].group
     involution(group, c)
-    cls = list(group.class_of(c))
-    ranks = [round((r.degree + r.character_at(c).real) / 2) for r in irreps]
+    cls = group.class_of(c)
+    ranks = [(r.degree + chi_at_involution(r.label, r.character_at(c))) // 2
+             for r in irreps]
     at_cls = [r.at(cls) for r in irreps]
     real = [not np.any(M.imag) for M in at_cls]
     require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
@@ -209,7 +211,7 @@ def plus_bases(irreps, c):
             raise ValueError(f"{r.label} at the class of {group.pretty(c)} "
                              f"has no rank-{n} +1 eigenspace")
         bases.append(np.ascontiguousarray(W.swapaxes(1, 2).conj()))
-    return {x: i for i, x in enumerate(cls)}, bases
+    return cls, bases
 
 
 class RegisterSpace:
@@ -234,7 +236,7 @@ class RegisterSpace:
         bases = frame_bases(kind)  # bases*D vectors of weight 1/bases
         self.sizes = [bases * d for d in self.dims]
         self.weight = 1 / bases
-        self._plus = {}  # plus_bases, held for each element of its class
+        self._plus = {}  # plus_bases' bases, held at each element of a class
 
     def label(self, ti):
         """Tuple ti's irrep labels, joined by '|'."""
@@ -285,41 +287,33 @@ class RegisterSpace:
         d = self.dims[ti]
         return (2 ** self.k) * d * ranks[ti] / N ** self.k
 
-    def projected_forms(self, ti, c, frame):
+    def projected_forms(self, ti, h, frame):
         """||(x)_i W_i(c)^dagger b||^2 = <b| (x)_i (I + rho_i(c))/2 |b> for
-        every vector b of frame (ti's), W_i(c) the +1 eigenbases of plus_bases.
+        every vector b of frame (ti's), one row per element c of the class
+        of the involution h in class_of order, shape (|class|, m); W_i(c)
+        are the +1 eigenbases of plus_bases, built at a class's first call.
 
-        c is one involution, giving shape (m,), or a sequence of elements
-        of its class, giving one row per element, shape (len(c), m).  The
-        elements are taken in blocks of as many frame copies as fit
+        The rows are taken in blocks of as many frame copies as fit
         util.BLOCK_BYTES; a block applies its stacked W^dagger with one
         Kronecker apply, over the frame viewed as float64 (D, 2m) when
-        every W of the tuple is real.  Every row equals the single-element
-        call bit for bit, and is real and non-negative by construction.
+        every W of the tuple is real.  Each row is real and non-negative by
+        construction, and the same bits at any block size.
         """
-        one = np.asarray(c)
-        cs = one.reshape(-1).tolist()
-        if cs[0] not in self._plus:  # not a scan of every irrep per tuple
-            found = plus_bases(self.irreps, cs[0])
-            self._plus.update(dict.fromkeys(found[0], found))
-        rows, bases = self._plus[cs[0]]
-        if not set(cs) <= rows.keys():
-            raise ValueError("class elements must share one class")
-        pos = [rows[x] for x in cs]
-        whole = pos == list(range(len(rows)))  # the class in its own order
-        Wh = [bases[i] for i in self.tuples[ti]]
+        if h not in self._plus:  # not a scan of every irrep per tuple
+            cls, bases = plus_bases(self.irreps, h)
+            self._plus.update(dict.fromkeys(cls, bases))
+        Wh = [self._plus[h][i] for i in self.tuples[ti]]
         V = frame.vectors
-        vals = np.empty((len(cs), V.shape[1]))
+        vals = np.empty((len(Wh[0]), V.shape[1]))
         step = max(1, util.BLOCK_BYTES // V.nbytes)
         if all(w.dtype == np.float64 for w in Wh):
             V = V.view(np.float64)
-        for lo in range(0, len(cs), step):
-            at = slice(lo, lo + step) if whole else pos[lo:lo + step]
-            Y = kron_apply([w[at] for w in Wh], V)
+        for lo in range(0, len(vals), step):
+            Y = kron_apply([w[lo:lo + step] for w in Wh], V)
             Y = Y.view(np.float64)  # (re, im) pairs on either path
             sq = np.einsum("cim,cim->cm", Y, Y)
             vals[lo:lo + step] = sq[:, 0::2] + sq[:, 1::2]
-        return vals if one.ndim else vals[0]
+        return vals
 
 
 def reference_distribution(space):
@@ -329,15 +323,13 @@ def reference_distribution(space):
             for ti, d in enumerate(space.dims)]
 
 
-def tuple_distributions(space, ti, cs, ranks, seed, forms=None):
+def tuple_distributions(space, ti, ranks, forms):
     """Outcome probabilities of tuple ti for the coset states of
-    H^g = {e, c}, one row per class element c of cs; forms, if not given,
-    are projected_forms(ti, cs) on frame(ti, seed) (none drawn at rank 0)."""
+    H^g = {e, c}, one row per class element c, from its projected forms
+    there: all zeros at rank 0."""
     r = ranks[ti]
     if r == 0:
-        return np.zeros((len(cs), space.sizes[ti]))
-    if forms is None:
-        forms = space.projected_forms(ti, cs, space.frame(ti, seed))
+        return np.zeros(forms.shape)
     return space.subgroup_prob(ti, ranks) * space.weight * forms / r
 
 
@@ -358,18 +350,16 @@ def avg_tv_over_conjugates(space, h, seed):
     """
     ranks = space.tuple_ranks(h)  # ranks are conjugation-invariant
     ref = reference_distribution(space)
-    cls = list(space.group.class_of(h))
+    n = len(space.group.class_of(h))
 
-    rows = [None] * len(ranks)
+    rows = [None if r else l1_rows(np.zeros((n, m)), ref[ti])  # no frame
+            for ti, (r, m) in enumerate(zip(ranks, space.sizes))]
     for batch, frames in space.draws(np.flatnonzero(ranks), seed):
         for ti, f in zip(batch, frames):
-            rows[ti] = space.projected_forms(ti, cls, f)
-            rows[ti] = l1_rows(tuple_distributions(space, ti, cls, ranks,
-                                                   seed, rows[ti]), ref[ti])
-    rows = [l1_rows(tuple_distributions(space, ti, cls, ranks, seed), ref[ti])
-            if row is None else row for ti, row in enumerate(rows)]  # rank 0
+            rows[ti] = l1_rows(tuple_distributions(
+                space, ti, ranks, space.projected_forms(ti, h, f)), ref[ti])
     l1s = pairwise_sum(rows).tolist()
-    avg_l1 = pairwise_sum(l1s) / len(cls)
+    avg_l1 = pairwise_sum(l1s) / n
     return {
         "l1": l1s,
         "avg_l1": avg_l1,
@@ -620,13 +610,12 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         for j, (ti, f) in enumerate(zip(batch, frames)):
             for s in subsets:
                 overlap[s][ti] = planch[ti] * pairwise_sum(per_b[s][j])
-            forms = space.projected_forms(ti, cls, f)
+            forms = space.projected_forms(ti, h, f)
             X = forms - 0.5 ** k
             per_tuple[ti] = (
                 np.array([float(np.dot(wd, x)) for x in X ** 2]),
                 np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
-                l1_rows(tuple_distributions(space, ti, cls, ranks, seed,
-                                            forms), ref[ti]))
+                l1_rows(tuple_distributions(space, ti, ranks, forms), ref[ti]))
     rhs = sum_d / N
     lhs, s = min(((pairwise_sum(overlap[s]), s) for s in subsets),
                  key=lambda e: rhs - e[0])

@@ -153,8 +153,9 @@ def coset_distribution(space, c, seed, ranks=None):
     the frames of seed."""
     if ranks is None:
         ranks = space.tuple_ranks(c)
-    return [tuple_distributions(space, ti, [c], ranks, seed)[0]
-            for ti in range(len(space.tuples))]
+    row = space.group.class_of(c).index(c)
+    return [tuple_distributions(space, ti, ranks, space.projected_forms(
+        ti, c, space.frame(ti, seed)))[row] for ti in range(len(space.tuples))]
 
 
 def l1_distance(dist_a, dist_b):

@@ -868,7 +868,7 @@ def test_draw_peak_in_1gib(kind):
     # copies of A made the draw alone rise 4.11 and 5.11 times 16 D^2
     d, bases = 1000, frame_bases(kind)
     rise = peak_mb(f"from hspsim.frames import random_frame\n"
-                   f"random_frame({d}, 0, {kind!r})") - peak_mb("")
+                   f"random_frame({d}, [0], {kind!r})") - peak_mb("")
     assert rise <= 16 * (bases + simulate.DRAW_MATRICES) * d * d / 2 ** 20
     assert rise <= 16 * (bases + 1) * d * d / 2 ** 20
 

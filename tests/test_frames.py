@@ -14,7 +14,7 @@ def completeness_error(frame):
 
 
 def test_basis_frame():
-    f = random_frame(5, seed=1, kind="basis")
+    f = random_frame(5, [1], "basis")[0]
     assert f.dim == 5 and f.size == 5
     assert np.allclose(f.weights, 1.0)
     norms = np.linalg.norm(f.vectors, axis=0)
@@ -23,7 +23,7 @@ def test_basis_frame():
 
 
 def test_fused_frame():
-    f = random_frame(4, seed=2, kind="fused")
+    f = random_frame(4, [2], "fused")[0]
     assert f.dim == 4 and f.size == 8
     assert np.allclose(f.weights, 0.5)
     norms = np.linalg.norm(f.vectors, axis=0)
@@ -32,10 +32,10 @@ def test_fused_frame():
 
 
 def test_frame_deterministic():
-    a = random_frame(6, seed=9, kind="fused")
-    b = random_frame(6, seed=9, kind="fused")
+    a = random_frame(6, [9], "fused")[0]
+    b = random_frame(6, [9], "fused")[0]
     assert np.array_equal(a.vectors, b.vectors)
-    c = random_frame(6, seed=10, kind="fused")
+    c = random_frame(6, [10], "fused")[0]
     assert not np.allclose(a.vectors, c.vectors)
 
 
@@ -52,11 +52,11 @@ def test_frame_validation():
 
 def test_unknown_kind():
     with pytest.raises(ValueError):
-        random_frame(3, seed=0, kind="mystery")
+        random_frame(3, [0], "mystery")
 
 
 def test_dimension_one():
-    f = random_frame(1, seed=0, kind="basis")
+    f = random_frame(1, [0], "basis")[0]
     assert f.size == 1
     assert abs(abs(f.vectors[0, 0]) - 1) < 1e-12
     assert completeness_error(f) < 1e-12
@@ -77,7 +77,7 @@ def _reference_vectors(d, seed, bases):
 def _assert_draw_matches_reference(kind, bases, orders):
     for d in orders:
         seed = np.random.SeedSequence([d, bases])
-        got = random_frame(d, seed, kind).vectors
+        got = random_frame(d, [seed], kind).vectors[0]
         want = _reference_vectors(d, seed, bases)
         assert got.tobytes() == want.tobytes(), d
 
@@ -110,10 +110,10 @@ def test_draw_peak_memory(kind, bound):
     # sees: 2.35 and 3.35 times, the frame and 2.2 MiB (two transpose tiles
     # of BLOCK_BYTES and the workspace)
     d = 324
-    random_frame(8, 0, kind)
+    random_frame(8, [0], kind)
     tracemalloc.start()
     try:
-        random_frame(d, 3, kind)
+        random_frame(d, [3], kind)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,7 +158,7 @@ def test_stacked_draws_are_each_seeds_own(kind):
         assert stack.vectors.shape == (3, d, frame_bases(kind) * d)
         assert stack.size == 3 * frame_bases(kind) * d
         for j, seed in enumerate(seeds):
-            one = random_frame(d, seed, kind)
+            one = random_frame(d, [seed], kind)[0]
             assert stack[j].vectors.tobytes() == one.vectors.tobytes()
             assert np.array_equal(stack[j].weights, one.weights)
             assert stack[j].size == one.size

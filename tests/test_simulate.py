@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hspsim import cli, simulate, util
+from hspsim import bounds, cli, simulate, util
 from hspsim.fourier import factor_stack, qft, rank_r
 from hspsim.frames import random_frame
 from hspsim.groups import (
@@ -151,7 +151,7 @@ def test_frame_is_the_tuples_own_draw(spec, k, kind):
     sp = RegisterSpace(G, irreps_for(G), k, kind=kind)
     seeds = np.random.SeedSequence(9).spawn(len(sp.tuples))
     for ti, d in enumerate(sp.dims):
-        want = random_frame(d, seeds[ti], kind)
+        want = random_frame(d, [seeds[ti]], kind)[0]
         got = sp.frame(ti, 9)
         assert np.array_equal(got.vectors, want.vectors)
         assert np.array_equal(got.weights, want.weights)
@@ -168,7 +168,7 @@ def test_frame_seeded_when_drawn_is_the_spawned_child(kind):
     for seed in (3, 2 ** 32 - 1):
         seeds = np.random.SeedSequence(seed).spawn(len(sp.tuples))
         for ti, d in enumerate(sp.dims):
-            want = random_frame(d, seeds[ti], kind)
+            want = random_frame(d, [seeds[ti]], kind)[0]
             got = sp.frame(ti, seed)
             assert np.array_equal(got.vectors, want.vectors)
             assert np.array_equal(got.weights, want.weights)
@@ -186,7 +186,7 @@ def eager_avg_tv(space, h, seed):
         dist = np.zeros((len(cls), f.size))
         if ranks[ti]:
             dist = (space.subgroup_prob(ti, ranks) * f.weights
-                    * space.projected_forms(ti, cls, f) / ranks[ti])
+                    * space.projected_forms(ti, h, f) / ranks[ti])
         rows.append(np.sum(np.abs(dist - ref), axis=1))
     l1s = util.pairwise_sum(rows).tolist()
     avg_l1 = util.pairwise_sum(l1s) / len(cls)
@@ -203,9 +203,9 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
     G, irr, h = wreath3()
     drawn = []  # the seed of every draw
 
-    def counted(d, seed, frame_kind):
-        drawn.extend(seed if isinstance(seed, list) else [seed])
-        return random_frame(d, seed, frame_kind)
+    def counted(d, seeds, frame_kind):
+        drawn.extend(seeds)
+        return random_frame(d, seeds, frame_kind)
 
     monkeypatch.setattr(simulate, "random_frame", counted)
     sp = RegisterSpace(G, irr, k, kind=kind)
@@ -240,11 +240,10 @@ def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
         monkeypatch.setattr(util, "BLOCK_BYTES", block)
         drawn, vectors, held = [], [], []
 
-        def tracked(d, seed, frame_kind):
+        def tracked(d, seeds, frame_kind):
             live = [v for v in (ref() for ref in drawn) if v is not None]
-            frame = random_frame(d, seed, frame_kind)
-            one = max([v.nbytes // (len(v) if v.ndim == 3 else 1)
-                       for v in live], default=0)
+            frame = random_frame(d, seeds, frame_kind)
+            one = max([v.nbytes // len(v) for v in live], default=0)
             held.append((sum(v.nbytes for v in live), max(one, block)))
             v = frame.vectors
             drawn.append(weakref.ref(v if v.base is None else v.base))
@@ -265,7 +264,8 @@ def conditional_distribution(space, ti, c, ranks, seed):
     f = space.frame(ti, seed)
     if r == 0:
         return np.zeros(f.size)
-    return f.weights * space.projected_forms(ti, c, f) / r
+    forms = space.projected_forms(ti, c, f)
+    return f.weights * forms[space.group.class_of(c).index(c)] / r
 
 
 @pytest.mark.parametrize("k,kind", [(1, "basis"), (2, "basis"), (1, "fused")])
@@ -328,7 +328,7 @@ def test_x_function_matches_forms():
     sp = RegisterSpace(G, irr, 2)
     ti = 40
     f = sp.frame(ti, 3)
-    vals = sp.projected_forms(ti, h, f)
+    vals = sp.projected_forms(ti, h, f)[G.class_of(h).index(h)]
     for bi in (0, 3):
         x = x_function(irr, sp.tuples[ti], f.vectors[:, bi], h)
         assert abs(x - (vals[bi] - 0.25)) < 1e-12
@@ -373,15 +373,15 @@ def test_projected_forms_match_dense_kron(spec, k):
     G = make_group(spec)
     irr = irreps_for(G)
     sp = RegisterSpace(G, irr, k)
-    for c in G.class_of(G.default_involution()):
-        for ti, tup in enumerate(sp.tuples):
+    h = G.default_involution()
+    for ti, tup in enumerate(sp.tuples):
+        f = sp.frame(ti, 11)
+        V = f.vectors
+        for c, got in zip(G.class_of(h), sp.projected_forms(ti, h, f)):
             K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
                              for i in tup])
-            f = sp.frame(ti, 11)
-            V = f.vectors
             want = np.einsum("im,ij,jm->m", V.conj(), K, V)
             assert np.max(np.abs(want.imag)) < 1e-12
-            got = sp.projected_forms(ti, c, f)
             assert np.max(np.abs(got - want.real)) < 1e-12
             for bi in range(V.shape[1]):
                 x = x_function(irr, tup, V[:, bi], c)
@@ -485,9 +485,8 @@ def test_plus_bases_are_checked_involution_eigenbases():
     for spec in ("wreath:3", "psl2:5"):
         G, irr = _group_irreps(spec)
         h = G.default_involution()
-        rows, bases = plus_bases(irr, h)
-        cls = G.class_of(h)
-        assert rows == {x: i for i, x in enumerate(cls)}
+        cls, bases = plus_bases(irr, h)
+        assert cls == G.class_of(h)
         for r, Wh in zip(irr, bases):
             n = round((r.degree + r.character()[h].real) / 2)
             assert Wh.shape == (len(cls), n, r.degree)
@@ -498,9 +497,9 @@ def test_plus_bases_are_checked_involution_eigenbases():
                           initial=0) < 1e-12
         sp = RegisterSpace(G, irr, 1)
         sp.projected_forms(0, h, sp.frame(0, 0))
-        held = sp._plus[h][1]
+        held = sp._plus[h]
         assert all(np.array_equal(a, b) for a, b in zip(held, bases))
-        assert all(a is b for a, b in zip(sp._plus[cls[-1]][1], held))
+        assert sp._plus[cls[-1]] is held
 
 
 def test_plus_bases_name_a_non_involution():
@@ -516,9 +515,19 @@ def test_plus_bases_name_a_non_involution():
 
 
 def test_plus_bases_reject_a_broken_irrep():
-    # eigenvalues 1 + 1e-6 are past BASIS_TOL: no basis is stored
+    # chi(h) (1 + 1e-6) is past bounds.CHI_INTEGER_TOL: its rank is no
+    # integer, and no basis is stored
     G, irr, h = wreath3()
     bad = [Irrep(G, r.label, r.mats * (1 + 1e-6)) for r in irr]
+    with pytest.raises(ValueError, match="not an integer at h"):
+        plus_bases(bad, h)
+
+
+def test_plus_bases_reject_a_broken_eigenspace():
+    # chi(h) (1 + 1e-7) passes bounds.CHI_INTEGER_TOL, but eigenvalues
+    # 1 + 1e-7 are past BASIS_TOL: no basis is stored
+    G, irr, h = wreath3()
+    bad = [Irrep(G, r.label, r.mats * (1 + 1e-7)) for r in irr]
     with pytest.raises(ValueError, match="has no rank-"):
         plus_bases(bad, h)
 
@@ -549,16 +558,23 @@ BATCH_SPECS = ("s3", "dihedral:4", "cyclic:6", "psl2:5", "wreath:2")
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("spec", BATCH_SPECS)
 def test_batched_forms_equal_per_element(spec, k, kind):
+    # each row of the whole class's forms is the dense projector's form at
+    # that row's element
     G = make_group(spec)
     irr = irreps_for(G)
-    cls = list(G.class_of(G.default_involution()))
+    h = G.default_involution()
+    cls = G.class_of(h)
     sp = RegisterSpace(G, irr, k, kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 16)):
         f = sp.frame(ti, 13)
-        rows = sp.projected_forms(ti, cls, f)
+        V = f.vectors
+        rows = sp.projected_forms(ti, h, f)
         assert rows.shape == (len(cls), f.size)
         for row, c in zip(rows, cls):
-            assert np.array_equal(row, sp.projected_forms(ti, c, f))
+            K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
+                             for i in sp.tuples[ti]])
+            want = np.einsum("im,ij,jm->m", V.conj(), K, V)
+            assert np.max(np.abs(row - want.real)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["basis", "fused"])
@@ -661,11 +677,10 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
     # blocks of 2048 complex entries leave a short last block of class
     # elements (D = 16) and of frame vectors (D = 4, 8)
     G, irr, h = wreath3()
-    cls = list(G.class_of(h))
 
     def results():
         sp = RegisterSpace(G, irr, 2, kind="fused")
-        return ([sp.projected_forms(ti, cls, sp.frame(ti, 3))
+        return ([sp.projected_forms(ti, h, sp.frame(ti, 3))
                  for ti in range(len(sp.tuples))],
                 avg_tv_over_conjugates(sp, h, 3),
                 lemma_suite(G, irr, h, 2, 0.2, seed=3, kind="fused"))
@@ -996,6 +1011,30 @@ def test_mixed_distance_multisets_equal_ordered_tuples(spec, t):
     h = G.default_involution()
     got = mixed_conjugate_trace_distance(G, irr, h, t)
     assert abs(got - _mixed_over_ordered_tuples(G, irr, h, t)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["s3", "s4", "dihedral:5", "psl2:5",
+                                  "cyclic:6", "wreath:3"])
+def test_mixed_distance_from_the_character_table(spec):
+    # by Schur's lemma a class average of rho is a I, a = chi(h)/d.  So at
+    # t = 1 the distance is (1/|G|) sum d |chi(h)|, bounds.char_eta.  At
+    # t = 2 the block of (i, j) is (a_i + a_j) I + sum_sigma a_sigma P_sigma,
+    # P_sigma the sigma-isotypic projector of rho_i (x) rho_j, of rank
+    # m_sigma d_sigma with m_sigma = <chi_i chi_j, chi_sigma>
+    G, irr = _group_irreps(spec)
+    h = G.default_involution()
+    N = G.order
+    chi = np.array([r.character() for r in irr])
+    d = np.array([r.degree for r in irr])
+    a = chi[:, h].real / d
+    eta = bounds.char_eta(N, d, np.abs(chi[:, h]))
+    assert abs(mixed_conjugate_trace_distance(G, irr, h, 1) - eta) < 1e-12
+    m = np.einsum("ig,jg,sg->ijs", chi, chi, chi.conj()) / N
+    assert np.max(np.abs(m - np.round(m.real))) < 1e-9
+    gaps = np.abs(a[:, None, None] + a[None, :, None] + a[None, None, :])
+    want = np.einsum("i,j,ijs,s,ijs->", d, d, np.round(m.real), d,
+                     gaps) / N ** 2
+    assert abs(mixed_conjugate_trace_distance(G, irr, h, 2) - want) < 1e-12
 
 
 def test_mixed_distance_caps(monkeypatch):
