@@ -438,7 +438,7 @@ def listed_irreps(G, seed, check, k=1):
 
 def cmd_simulate(args):
     """Distances over the class of h on --frames child seeds of --seed, all
-    drawn in one RegisterSpace, which builds the +1 eigenbases once."""
+    drawn in one RegisterSpace at h, which builds the +1 eigenbases once."""
     G = make_group(args.group)
     h = resolve_h(G, args.h)
 
@@ -450,13 +450,12 @@ def cmd_simulate(args):
         if args.t is not None:
             simulate.require_mixed(G.order, degrees, c, args.t)
     irr = listed_irreps(G, args.seed, check, args.k)
-    conjugates = len(G.class_of(h))
 
     children = np.random.SeedSequence(args.seed).generate_state(args.frames)
-    space = simulate.RegisterSpace(G, irr, args.k, kind=args.frame_kind)
+    space = simulate.RegisterSpace(G, irr, args.k, h, kind=args.frame_kind)
     per_seed = []
     for i in range(args.frames):
-        res = simulate.avg_tv_over_conjugates(space, h, int(children[i]))
+        res = simulate.avg_tv_over_conjugates(space, int(children[i]))
         per_seed.append({
             "frame_index": i,
             "avg_l1": res["avg_l1"],
@@ -475,7 +474,7 @@ def cmd_simulate(args):
         "k": args.k,
         "frame_kind": args.frame_kind,
         "frames": args.frames,
-        "conjugates": conjugates,
+        "conjugates": len(space.cls),
         "per_seed": per_seed,
         "mean_avg_l1": mean_avg_l1,
         "mean_avg_tv": mean_avg_tv,

@@ -13,15 +13,15 @@ IDENTITY_TOL = 1e-9  # S - I rounds by at worst D ulps, 1e-12 at D = 4096
 
 
 class Frame:
-    """Unit vectors (columns) with positive weights resolving the identity:
-    (d, m) vectors, or a stack (n, d, m) of frames sharing their weights."""
+    """A stack (n, d, m) of frames sharing their weights, each of unit
+    vectors (columns) with positive weights resolving the identity."""
 
     def __init__(self, vectors, weights):
         self.vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
         self.weights = np.ascontiguousarray(weights, dtype=float)
-        if self.vectors.ndim not in (2, 3) or \
+        if self.vectors.ndim != 3 or \
                 self.weights.shape != self.vectors.shape[-1:]:
-            raise ValueError("need (d, m) or (n, d, m) vectors, (m,) weights")
+            raise ValueError("need (n, d, m) vectors, (m,) weights")
         V = self.vectors
         F = V.view(np.float64)
         sq = np.einsum("...ij,...ij->...j", F, F)

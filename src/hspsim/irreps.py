@@ -541,8 +541,9 @@ def irreps_generic(group, tol=SPLIT_TOL, seed=0):
     A random Hermitian matrix is averaged into the commutant (an O(|G|^2)
     index trick), its eigenspaces are split off, and each block is reduced
     recursively until the character norm certifies irreducibility.  Retries
-    with fresh randomness on a degenerate draw.  Result is canonically
-    sorted and labeled rho0, rho1, ...
+    with fresh randomness on a degenerate draw, or when the squared degrees
+    do not sum to |G|, as a repeated copy past _Pieces.is_repeat would make
+    them.  Result is canonically sorted and labeled rho0, rho1, ...
     """
     require_numeric_irreps(group)
     N = group.order
@@ -556,9 +557,8 @@ def irreps_generic(group, tol=SPLIT_TOL, seed=0):
         except RuntimeError as err:
             last_err = err
             continue
-        distinct = _dedupe(pieces)
-        if sum(p.shape[1] ** 2 for p in distinct) == N:
-            reps = [Irrep(group, "", p) for p in distinct]
+        if sum(p.shape[1] ** 2 for p in pieces) == N:
+            reps = [Irrep(group, "", p) for p in pieces]
             reps = canonical_sort(group, reps)
             for i, r in enumerate(reps):
                 r.label = f"rho{i}"
@@ -600,17 +600,6 @@ def _decompose_regular(group, table, invs, tol, rng):
         V, segs, lambda U: np.einsum("kai,ai->k", U[at_reps], U.conj()),
         build, tol, rng, out, 0)
     return out
-
-
-def _dedupe(pieces):
-    kept, chars = [], []
-    for p in pieces:
-        chi = np.einsum("gii->g", p)
-        if not any(abs(np.vdot(c, chi).real / p.shape[0] - 1.0)
-                   < CHAR_INNER_TOL for c in chars):
-            kept.append(p)
-            chars.append(chi)
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from . import util
-from .bounds import chi_at_involution
 from .fourier import factor_stack, qft, rank_r
 from .frames import frame_bases, random_frame
 from .groups import involution
@@ -187,15 +186,13 @@ def require_lemmas(group, h, k, kind, labels, degrees, itemsizes):
 def plus_bases(irreps, c):
     """(class_of(c), [W^dagger per irrep]): W (|class|, d, r) holds
     orthonormal bases of the +1 eigenspaces of rho(x) at each x of the class
-    of the involution c, r = (d + chi_at_involution(chi(c)))/2, from one
-    batched eigh per irrep, real when rho's stack is float64 or real there;
-    checked: rho(x) W = W, r eigenvalues at +1 and the rest at -1.  Not
-    kept: a RegisterSpace holds them for its command."""
+    of the involution c, r = rank_r(rho, c), from one batched eigh per
+    irrep, real when rho's stack is float64 or real there; checked:
+    rho(x) W = W, r eigenvalues at +1 and the rest at -1.  Not kept: a
+    RegisterSpace builds them once, for its command."""
+    ranks = [rank_r(r, c) for r in irreps]
     group = irreps[0].group
-    involution(group, c)
     cls = group.class_of(c)
-    ranks = [(r.degree + chi_at_involution(r.label, r.character_at(c))) // 2
-             for r in irreps]
     at_cls = [r.at(cls) for r in irreps]
     real = [not np.any(M.imag) for M in at_cls]
     require(f"+1 eigenbases of {len(irreps)} irreps at {len(cls)} "
@@ -215,12 +212,14 @@ def plus_bases(irreps, c):
 
 
 class RegisterSpace:
-    """All k-tuples of irreps, a command's one owner of per-tuple sampling
-    state: frames seeded when drawn, so one space serves every frame seed,
-    alone or stacked by shape, and +1 eigenbases built once per class, held
-    for each of its elements."""
+    """All k-tuples of irreps, sampled on the coset states of the conjugates
+    of {e, h}: a command's one owner of per-tuple sampling state.  The +1
+    eigenbases at the class of h (cls, bases), each tuple's rank and its
+    reference outcome probability are built once; frames are seeded when
+    drawn, so one space serves every frame seed, alone or stacked by
+    shape."""
 
-    def __init__(self, group, irreps, k, kind="basis"):
+    def __init__(self, group, irreps, k, h, kind="basis"):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.irreps = list(irreps)
@@ -236,7 +235,13 @@ class RegisterSpace:
         bases = frame_bases(kind)  # bases*D vectors of weight 1/bases
         self.sizes = [bases * d for d in self.dims]
         self.weight = 1 / bases
-        self._plus = {}  # plus_bases' bases, held at each element of a class
+        self.cls, self.bases = plus_bases(self.irreps, h)
+        # per tuple: the product of its irreps' ranks (0 kills the tuple),
+        # and each outcome's probability under the uniform state
+        self.ranks = [math.prod(self.bases[i].shape[1] for i in t)
+                      for t in self.tuples]
+        self.ref = [self.plancherel(ti) * self.weight / d
+                    for ti, d in enumerate(self.dims)]
 
     def label(self, ti):
         """Tuple ti's irrep labels, joined by '|'."""
@@ -276,22 +281,16 @@ class RegisterSpace:
             p *= self.degrees[i] ** 2 / N
         return p
 
-    def tuple_ranks(self, h):
-        """Per-tuple product of rank_r(rho, h) (0 kills the tuple)."""
-        per_irrep = [rank_r(r, h) for r in self.irreps]
-        return [int(math.prod(per_irrep[i] for i in t)) for t in self.tuples]
-
-    def subgroup_prob(self, ti, ranks):
+    def subgroup_prob(self, ti):
         """|H|^k d r / |G|^k for H of order two."""
         N = self.group.order
         d = self.dims[ti]
-        return (2 ** self.k) * d * ranks[ti] / N ** self.k
+        return (2 ** self.k) * d * self.ranks[ti] / N ** self.k
 
-    def projected_forms(self, ti, h, frame):
+    def projected_forms(self, ti, frame):
         """||(x)_i W_i(c)^dagger b||^2 = <b| (x)_i (I + rho_i(c))/2 |b> for
-        every vector b of frame (ti's), one row per element c of the class
-        of the involution h in class_of order, shape (|class|, m); W_i(c)
-        are the +1 eigenbases of plus_bases, built at a class's first call.
+        every vector b of frame (ti's), one row per element c of cls, shape
+        (|cls|, m); W_i(c) are the space's +1 eigenbases.
 
         The rows are taken in blocks of as many frame copies as fit
         util.BLOCK_BYTES; a block applies its stacked W^dagger with one
@@ -299,10 +298,7 @@ class RegisterSpace:
         every W of the tuple is real.  Each row is real and non-negative by
         construction, and the same bits at any block size.
         """
-        if h not in self._plus:  # not a scan of every irrep per tuple
-            cls, bases = plus_bases(self.irreps, h)
-            self._plus.update(dict.fromkeys(cls, bases))
-        Wh = [self._plus[h][i] for i in self.tuples[ti]]
+        Wh = [self.bases[i] for i in self.tuples[ti]]
         V = frame.vectors
         vals = np.empty((len(Wh[0]), V.shape[1]))
         step = max(1, util.BLOCK_BYTES // V.nbytes)
@@ -316,21 +312,14 @@ class RegisterSpace:
         return vals
 
 
-def reference_distribution(space):
-    """Per tuple, the probability of each of its outcomes under the uniform
-    (trivial-subgroup) state, the same for all of them; no frame is drawn."""
-    return [space.plancherel(ti) * space.weight / d
-            for ti, d in enumerate(space.dims)]
-
-
-def tuple_distributions(space, ti, ranks, forms):
+def tuple_distributions(space, ti, forms):
     """Outcome probabilities of tuple ti for the coset states of
     H^g = {e, c}, one row per class element c, from its projected forms
     there: all zeros at rank 0."""
-    r = ranks[ti]
+    r = space.ranks[ti]
     if r == 0:
         return np.zeros(forms.shape)
-    return space.subgroup_prob(ti, ranks) * space.weight * forms / r
+    return space.subgroup_prob(ti) * space.weight * forms / r
 
 
 def l1_rows(rows, ref):
@@ -339,25 +328,22 @@ def l1_rows(rows, ref):
     return np.abs(rows - ref).sum(axis=1)
 
 
-def avg_tv_over_conjugates(space, h, seed):
+def avg_tv_over_conjugates(space, seed):
     """Distances to the uniform-state distribution on the frames of seed:
-    the full l1 sum at each element of the class of h, and their mean.
+    the full l1 sum at each element of the space's class, and their mean.
 
     The average over the conjugacy class of h equals the average over a
     uniformly random conjugating element.  Each tuple gives its l1 terms
     at every conjugate at once; each conjugate's full l1 sum over all
     (tuple, outcome) pairs adds its terms pairwise in tuple order.
     """
-    ranks = space.tuple_ranks(h)  # ranks are conjugation-invariant
-    ref = reference_distribution(space)
-    n = len(space.group.class_of(h))
-
-    rows = [None if r else l1_rows(np.zeros((n, m)), ref[ti])  # no frame
-            for ti, (r, m) in enumerate(zip(ranks, space.sizes))]
-    for batch, frames in space.draws(np.flatnonzero(ranks), seed):
+    n = len(space.cls)
+    rows = [None if r else l1_rows(np.zeros((n, m)), ref)  # no frame
+            for r, m, ref in zip(space.ranks, space.sizes, space.ref)]
+    for batch, frames in space.draws(np.flatnonzero(space.ranks), seed):
         for ti, f in zip(batch, frames):
             rows[ti] = l1_rows(tuple_distributions(
-                space, ti, ranks, space.projected_forms(ti, h, f)), ref[ti])
+                space, ti, space.projected_forms(ti, f)), space.ref[ti])
     l1s = pairwise_sum(rows).tolist()
     avg_l1 = pairwise_sum(l1s) / n
     return {
@@ -509,12 +495,10 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     numbers the exact argmin's.
     """
     N = group.order
-    cls = list(group.class_of(h))
     require_lemmas(group, h, k, kind, [r.label for r in irreps],
                    [r.degree for r in irreps],
                    [r.dtype.itemsize for r in irreps])
-    space = RegisterSpace(group, irreps, k, kind=kind)
-    ranks = space.tuple_ranks(h)
+    space = RegisterSpace(group, irreps, k, h, kind=kind)
     s_labels, d_eps, sum_dchi, sum_d = _spectral_sets(irreps, h, eps)
     delta1 = eps + sum_d * sum_dchi / N
     entries = []
@@ -589,7 +573,6 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
     # --- one pass over the tuples, each frame drawn once: the averaged
     # diagonal-overlap terms per nonempty register subset, and the X
     # moments and per-conjugate distances from one set of forms
-    ref = reference_distribution(space)
     n = len(space.tuples)
     planch = [space.plancherel(ti) for ti in range(n)]
     overlap = {s: [None] * n for s in subsets}
@@ -610,12 +593,12 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         for j, (ti, f) in enumerate(zip(batch, frames)):
             for s in subsets:
                 overlap[s][ti] = planch[ti] * pairwise_sum(per_b[s][j])
-            forms = space.projected_forms(ti, h, f)
+            forms = space.projected_forms(ti, f)
             X = forms - 0.5 ** k
             per_tuple[ti] = (
                 np.array([float(np.dot(wd, x)) for x in X ** 2]),
                 np.array([float(np.dot(wd, x)) for x in np.abs(X)]),
-                l1_rows(tuple_distributions(space, ti, ranks, forms), ref[ti]))
+                l1_rows(tuple_distributions(space, ti, forms), space.ref[ti]))
     rhs = sum_d / N
     lhs, s = min(((pairwise_sum(overlap[s]), s) for s in subsets),
                  key=lambda e: rhs - e[0])
@@ -641,7 +624,8 @@ def lemma_suite(group, irreps, h, k, eps, seed=0, kind="basis"):
         lhs, rhs, c = min(
             ((l1, 2 ** k * (1 + 2 * k * eps) * float(m)
               + 3 * k * eps + 3 * k * d_eps / N, c)
-             for l1, m, c in zip(l1s, mu, cls)), key=lambda e: e[1] - e[0])
+             for l1, m, c in zip(l1s, mu, space.cls)),
+            key=lambda e: e[1] - e[0])
         entries.append(check_entry(
             "distance against x first moment", rhs - lhs >= -SLACK_TOL,
             lhs=lhs, rhs=rhs, detail=f"tightest conjugate {group.pretty(c)}"))

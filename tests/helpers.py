@@ -148,14 +148,12 @@ def transfer_quotient_report(big, projection, small, h_small):
     }
 
 
-def coset_distribution(space, c, seed, ranks=None):
-    """Joint outcome probabilities for the coset state of H^g = {e, c}, on
-    the frames of seed."""
-    if ranks is None:
-        ranks = space.tuple_ranks(c)
-    row = space.group.class_of(c).index(c)
-    return [tuple_distributions(space, ti, ranks, space.projected_forms(
-        ti, c, space.frame(ti, seed)))[row] for ti in range(len(space.tuples))]
+def coset_distribution(space, c, seed):
+    """Joint outcome probabilities for the coset state of H^g = {e, c}, c in
+    the space's class, on the frames of seed."""
+    row = space.cls.index(c)
+    return [tuple_distributions(space, ti, space.projected_forms(
+        ti, space.frame(ti, seed)))[row] for ti in range(len(space.tuples))]
 
 
 def l1_distance(dist_a, dist_b):

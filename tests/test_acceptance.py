@@ -74,7 +74,7 @@ def test_criterion_03_second_moment_identity():
     rng = np.random.default_rng(3)
     checked = 0
     for k in (1, 2):
-        space = simulate.RegisterSpace(W, irr, k)
+        space = simulate.RegisterSpace(W, irr, k, h)
         for ti, tup in enumerate(space.tuples):
             dim = space.dims[ti]
             if dim > 16:
@@ -97,9 +97,9 @@ def test_criterion_04_distance_bound_soundness():
     for k in (1, 2):
         d2 = bounds.delta2(bp, k)
         for kind in ("basis", "fused"):
-            space = simulate.RegisterSpace(W, irr, k, kind=kind)
+            space = simulate.RegisterSpace(W, irr, k, h, kind=kind)
             for seed in range(50):
-                res = simulate.avg_tv_over_conjugates(space, h, seed)
+                res = simulate.avg_tv_over_conjugates(space, seed)
                 assert res["avg_l1"] <= d2, (k, kind, seed)
                 assert res["max_tv"] <= math.sqrt(d2), (k, kind, seed)
     _finish("4 distance bound soundness", t0, 600)

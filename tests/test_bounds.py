@@ -565,6 +565,6 @@ def test_delta2_dominates_simulated_distance():
     irr = irreps.irreps_wreath(3)
     bp = bounds.params_from_irreps(W, irr, h, 0.2)
     for k in (1, 2):
-        space = simulate.RegisterSpace(W, irr, k)
-        res = simulate.avg_tv_over_conjugates(space, h, 5)
+        space = simulate.RegisterSpace(W, irr, k, h)
+        res = simulate.avg_tv_over_conjugates(space, 5)
         assert res["avg_l1"] <= bounds.delta2(bp, k)

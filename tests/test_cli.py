@@ -210,6 +210,22 @@ def test_plus_bases_built_once_per_command(capsys, monkeypatch):
         assert rc == 0 and len(calls) == 9
 
 
+def test_rank_r_runs_once_per_irrep(capsys, monkeypatch):
+    # the space reads each of wreath:3's 9 irreps' ranks once, with its
+    # bases, however many frame seeds the command draws
+    calls = []
+    rank_r = simulate.rank_r
+
+    def counted(rho, h):
+        calls.append(rho.label)
+        return rank_r(rho, h)
+
+    monkeypatch.setattr(simulate, "rank_r", counted)
+    rc, _, _ = run_cli(capsys, ["simulate", "--group", "wreath:3", "--k", "2",
+                                "--frames", "5", "--frame-kind", "fused"])
+    assert rc == 0 and len(calls) == 9
+
+
 def test_simulate_builds_one_register_space(capsys, monkeypatch):
     # every frame seed of the command is drawn in one space
     spaces = []

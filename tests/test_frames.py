@@ -40,14 +40,17 @@ def test_frame_deterministic():
 
 
 def test_frame_validation():
-    v = np.eye(3, dtype=complex)
+    # one-frame stacks; a single (d, m) frame is not a stack
+    v = np.eye(3, dtype=complex)[None]
     Frame(v, np.ones(3))  # fine
     with pytest.raises(ValueError):
         Frame(2 * v, np.ones(3))  # not unit norm
     with pytest.raises(ValueError):
         Frame(v, np.array([1.0, 1.0, -1.0]))  # negative weight
     with pytest.raises(ValueError):
-        Frame(v[:, :2], np.ones(2))  # incomplete
+        Frame(v[..., :2], np.ones(2))  # incomplete
+    with pytest.raises(ValueError, match="need"):
+        Frame(v[0], np.ones(3))
 
 
 def test_unknown_kind():
@@ -124,7 +127,7 @@ def test_identity_check_in_row_blocks(monkeypatch):
     # three rows of 40 complex entries per block: an error in the last
     # row is still caught
     monkeypatch.setattr(util, "BLOCK_BYTES", 16 * 3 * 40)
-    v = np.eye(40, dtype=complex)
+    v = np.eye(40, dtype=complex)[None]
     w = np.ones(40)
     Frame(v, w)
     w[-1] += 1e-10
@@ -145,7 +148,7 @@ def test_identity_check_sees_each_pair_once(monkeypatch, rows, i, j):
     v[i, j] = 1e-6
     v[:, j] /= np.linalg.norm(v[:, j])
     with pytest.raises(ValueError, match="resolve the identity"):
-        Frame(v, np.ones(40))
+        Frame(v[None], np.ones(40))
 
 
 @pytest.mark.parametrize("kind", ["basis", "fused"])
@@ -178,4 +181,4 @@ def test_stack_with_one_broken_slot_is_refused(broken, match, slot):
     with pytest.raises(ValueError, match=match):
         Frame(v, np.ones(4))
     with pytest.raises(ValueError, match=match):
-        Frame(v[slot], np.ones(4))
+        Frame(v[slot][None], np.ones(4))

@@ -481,7 +481,8 @@ def _split_old(mats, tol, rng, depth=0):
 
 
 def _decompose_old(group, table, invs, tol, rng):
-    """_decompose_regular building every eigenspace segment."""
+    """_decompose_regular building every eigenspace segment, and keeping the
+    first piece of each character."""
     N = group.order
     A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     M = (A + A.conj().T) / 2
@@ -503,7 +504,14 @@ def _decompose_old(group, table, invs, tol, rng):
         for g in range(N):
             sub[g] = Uh @ U[table[invs[g], :], :]
         out.extend(_split_old(sub, tol, rng))
-    return out
+    kept, chars = [], []
+    for p in out:
+        chi = np.einsum("gii->g", p)
+        if not any(abs(np.vdot(c, chi).real / N - 1.0) < irrmod.CHAR_INNER_TOL
+                   for c in chars):
+            kept.append(p)
+            chars.append(chi)
+    return kept
 
 
 @pytest.mark.parametrize("spec, tol", [

@@ -34,7 +34,6 @@ from hspsim.simulate import (
     plus_bases,
     q_subset_values,
     q_total_values,
-    reference_distribution,
     require_sampling,
     second_moment_check,
 )
@@ -75,12 +74,11 @@ def test_coset_state_order_cap():
 def test_fourier_blocks_trace_is_tuple_probability():
     G, irr, h = wreath3()
     blocks = fourier_blocks(G, h, irr)
-    sp = RegisterSpace(G, irr, 1)
-    ranks = sp.tuple_ranks(h)
+    sp = RegisterSpace(G, irr, 1, h)
     total = 0.0
     for ti, entry in enumerate(blocks):
         tr = float(np.trace(entry["block"]).real)
-        assert abs(tr - sp.subgroup_prob(ti, ranks)) < 1e-12
+        assert abs(tr - sp.subgroup_prob(ti)) < 1e-12
         total += tr
     assert abs(total - 1) < 1e-12
 
@@ -136,9 +134,8 @@ def test_sampling_charges_each_irrep_beside_its_tuples():
 
 def test_wreath3_tuple_probabilities_frozen():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1)
-    ranks = sp.tuple_ranks(h)
-    got = sorted(sp.subgroup_prob(ti, ranks) for ti in range(9))
+    sp = RegisterSpace(G, irr, 1, h)
+    got = sorted(sp.subgroup_prob(ti) for ti in range(9))
     want = sorted([1 / 36, 1 / 36, 0, 0, 1 / 18, 1 / 3, 1 / 9, 2 / 9, 2 / 9])
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
@@ -148,7 +145,7 @@ def test_wreath3_tuple_probabilities_frozen():
 @pytest.mark.parametrize("spec", ["s3", "wreath:2", "psl2:5"])
 def test_frame_is_the_tuples_own_draw(spec, k, kind):
     G = make_group(spec)
-    sp = RegisterSpace(G, irreps_for(G), k, kind=kind)
+    sp = RegisterSpace(G, irreps_for(G), k, G.default_involution(), kind=kind)
     seeds = np.random.SeedSequence(9).spawn(len(sp.tuples))
     for ti, d in enumerate(sp.dims):
         want = random_frame(d, [seeds[ti]], kind)[0]
@@ -164,7 +161,7 @@ def test_frame_seeded_when_drawn_is_the_spawned_child(kind):
     # one space serves every seed: frame(ti, seed) is bit for bit the draw
     # from SeedSequence(seed).spawn(n)[ti], for every tuple of s4 at k = 2
     G = make_group("s4")
-    sp = RegisterSpace(G, irreps_for(G), 2, kind=kind)
+    sp = RegisterSpace(G, irreps_for(G), 2, G.default_involution(), kind=kind)
     for seed in (3, 2 ** 32 - 1):
         seeds = np.random.SeedSequence(seed).spawn(len(sp.tuples))
         for ti, d in enumerate(sp.dims):
@@ -174,19 +171,18 @@ def test_frame_seeded_when_drawn_is_the_spawned_child(kind):
             assert np.array_equal(got.weights, want.weights)
 
 
-def eager_avg_tv(space, h, seed):
+def eager_avg_tv(space, seed):
     """avg_tv_over_conjugates with every frame drawn and held first, each
     rank-0 tuple's row sized and weighted from its frame: the reference."""
     frames = [space.frame(ti, seed) for ti in range(len(space.tuples))]
-    cls = list(space.group.class_of(h))
-    ranks = space.tuple_ranks(h)
+    cls, ranks = space.cls, space.ranks
     rows = []
     for ti, f in enumerate(frames):
         ref = space.plancherel(ti) * f.weights / space.dims[ti]
         dist = np.zeros((len(cls), f.size))
         if ranks[ti]:
-            dist = (space.subgroup_prob(ti, ranks) * f.weights
-                    * space.projected_forms(ti, h, f) / ranks[ti])
+            dist = (space.subgroup_prob(ti) * f.weights
+                    * space.projected_forms(ti, f) / ranks[ti])
         rows.append(np.sum(np.abs(dist - ref), axis=1))
     l1s = util.pairwise_sum(rows).tolist()
     avg_l1 = util.pairwise_sum(l1s) / len(cls)
@@ -208,15 +204,15 @@ def test_avg_tv_draws_each_used_frame_once(monkeypatch, k, kind):
         return random_frame(d, seeds, frame_kind)
 
     monkeypatch.setattr(simulate, "random_frame", counted)
-    sp = RegisterSpace(G, irr, k, kind=kind)
+    sp = RegisterSpace(G, irr, k, h, kind=kind)
     assert drawn == []
-    ranks = sp.tuple_ranks(h)
+    ranks = sp.ranks
     assert 0 in ranks
-    got = avg_tv_over_conjugates(sp, h, 4)
+    got = avg_tv_over_conjugates(sp, 4)
     # drawn in stacks of one shape, so not in tuple order
     assert sorted((s.entropy, s.spawn_key) for s in drawn) == [
         (4, (ti,)) for ti, r in enumerate(ranks) if r]
-    assert got == eager_avg_tv(sp, h, 4)
+    assert got == eager_avg_tv(sp, 4)
 
 
 @pytest.mark.parametrize("spec, k, kind", [("s3", 2, "basis"),
@@ -232,7 +228,7 @@ def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
     G = make_group(spec)
     irr, h = irreps_for(G), G.default_involution()
     want = lemma_suite(G, irr, h, k, 0.1, seed=2, kind=kind)
-    sp = RegisterSpace(G, irr, k, kind=kind)
+    sp = RegisterSpace(G, irr, k, h, kind=kind)
     picks = np.random.default_rng(2 + 987654321).choice(
         len(sp.tuples), size=min(simulate.LEMMA_SAMPLES, len(sp.tuples)),
         replace=False)
@@ -258,29 +254,26 @@ def test_lemma_suite_holds_one_frame_at_a_time(monkeypatch, spec, k, kind):
         assert max(live for live, _ in held) > 0
 
 
-def conditional_distribution(space, ti, c, ranks, seed):
+def conditional_distribution(space, ti, c, seed):
     """Outcome probabilities within tuple ti, given tuple ti was observed."""
-    r = ranks[ti]
+    r = space.ranks[ti]
     f = space.frame(ti, seed)
     if r == 0:
         return np.zeros(f.size)
-    forms = space.projected_forms(ti, c, f)
-    return f.weights * forms[space.group.class_of(c).index(c)] / r
+    return f.weights * space.projected_forms(ti, f)[space.cls.index(c)] / r
 
 
 @pytest.mark.parametrize("k,kind", [(1, "basis"), (2, "basis"), (1, "fused")])
 def test_distributions_normalized(k, kind):
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, k, kind=kind)
-    ref = reference_distribution(sp)
-    assert abs(sum(p * m for p, m in zip(ref, sp.sizes)) - 1) < 1e-10
-    ranks = sp.tuple_ranks(h)
-    dist = coset_distribution(sp, h, 5, ranks)
+    sp = RegisterSpace(G, irr, k, h, kind=kind)
+    assert abs(sum(p * m for p, m in zip(sp.ref, sp.sizes)) - 1) < 1e-10
+    dist = coset_distribution(sp, h, 5)
     assert abs(sum(float(v.sum()) for v in dist) - 1) < 1e-10
     assert all(float(v.min()) >= -1e-12 for v in dist)
     for ti in range(len(sp.tuples)):
-        cond = conditional_distribution(sp, ti, h, ranks, 5)
-        if ranks[ti] > 0:
+        cond = conditional_distribution(sp, ti, h, 5)
+        if sp.ranks[ti] > 0:
             assert abs(float(cond.sum()) - 1) < 1e-10
         else:
             assert float(np.abs(cond).sum()) == 0.0
@@ -298,9 +291,9 @@ def distribution_rows(space, dist):
 
 def test_distribution_rows_structure():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1)
+    sp = RegisterSpace(G, irr, 1, h)
     rows = distribution_rows(sp, [np.full(m, p) for p, m in
-                                  zip(reference_distribution(sp), sp.sizes)])
+                                  zip(sp.ref, sp.sizes)])
     assert len(rows) == sum(sp.frame(ti, 0).size
                             for ti in range(len(sp.tuples)))
     labels = {r[0] for r in rows}
@@ -325,10 +318,10 @@ def x_function(irreps, tup, b, c):
 
 def test_x_function_matches_forms():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 2)
+    sp = RegisterSpace(G, irr, 2, h)
     ti = 40
     f = sp.frame(ti, 3)
-    vals = sp.projected_forms(ti, h, f)[G.class_of(h).index(h)]
+    vals = sp.projected_forms(ti, f)[sp.cls.index(h)]
     for bi in (0, 3):
         x = x_function(irr, sp.tuples[ti], f.vectors[:, bi], h)
         assert abs(x - (vals[bi] - 0.25)) < 1e-12
@@ -372,12 +365,11 @@ def test_projected_forms_match_dense_kron(spec, k):
     # the dense D x D product of the register factors, as an oracle
     G = make_group(spec)
     irr = irreps_for(G)
-    sp = RegisterSpace(G, irr, k)
-    h = G.default_involution()
+    sp = RegisterSpace(G, irr, k, G.default_involution())
     for ti, tup in enumerate(sp.tuples):
         f = sp.frame(ti, 11)
         V = f.vectors
-        for c, got in zip(G.class_of(h), sp.projected_forms(ti, h, f)):
+        for c, got in zip(sp.cls, sp.projected_forms(ti, f)):
             K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
                              for i in tup])
             want = np.einsum("im,ij,jm->m", V.conj(), K, V)
@@ -449,12 +441,12 @@ def _oracle_rows(G, irr, c, k, space, seed):
         "puts conj(rho) in the register (the conj(rho) convention defect)")))
     for spec, k in CONJ_CASES])
 def test_dense_oracle_reproduces_coset_distribution(spec, k):
-    # every involution c of the group, every tuple and frame vector
+    # every involution c of the group, every tuple and frame vector, on a
+    # space sampled at c
     G, irr = _group_irreps(spec)
-    spaces = [RegisterSpace(G, irr, k, kind=kind)
-              for kind in ("basis", "fused")]
     for c in G.involutions():
-        for sp in spaces:
+        for kind in ("basis", "fused"):
+            sp = RegisterSpace(G, irr, k, c, kind=kind)
             want = _oracle_rows(G, irr, c, k, sp, 17)
             got = coset_distribution(sp, c, 17)
             for ti in range(len(sp.tuples)):
@@ -470,10 +462,9 @@ def test_outcome_rows_are_distributions(spec, k, seed, kind, pick):
     # and outcome, at every conjugate of a drawn involution
     G, irr = _group_irreps(spec)
     k = min(k, ORACLE_CASES[spec])
-    sp = RegisterSpace(G, irr, k, kind=kind)
     invs = G.involutions()
-    h = invs[pick % len(invs)]
-    for c in G.class_of(h):
+    sp = RegisterSpace(G, irr, k, invs[pick % len(invs)], kind=kind)
+    for c in sp.cls:
         dist = coset_distribution(sp, c, seed)
         assert all(float(row.min()) >= 0.0 for row in dist)
         assert abs(sum(float(row.sum()) for row in dist) - 1) < 1e-10
@@ -481,7 +472,7 @@ def test_outcome_rows_are_distributions(spec, k, seed, kind, pick):
 
 def test_plus_bases_are_checked_involution_eigenbases():
     # W^dagger W = I_r, rho(x) W = W and r = (d + chi(x))/2, real on real
-    # irreps; a space holds them, the same arrays for every class element
+    # irreps; a space at h builds the same arrays, and its ranks from them
     for spec in ("wreath:3", "psl2:5"):
         G, irr = _group_irreps(spec)
         h = G.default_involution()
@@ -495,23 +486,21 @@ def test_plus_bases_are_checked_involution_eigenbases():
             assert np.max(np.abs(Wh @ W - np.eye(n)), initial=0) < 1e-12
             assert np.max(np.abs(r.mats[list(cls)] @ W - W),
                           initial=0) < 1e-12
-        sp = RegisterSpace(G, irr, 1)
-        sp.projected_forms(0, h, sp.frame(0, 0))
-        held = sp._plus[h]
-        assert all(np.array_equal(a, b) for a, b in zip(held, bases))
-        assert sp._plus[cls[-1]] is held
+        sp = RegisterSpace(G, irr, 1, h)
+        assert sp.cls == cls and len(sp.bases) == len(bases)
+        assert all(np.array_equal(a, b) for a, b in zip(sp.bases, bases))
+        assert sp.ranks == [rank_r(r, h) for r in irr]
 
 
 def test_plus_bases_name_a_non_involution():
     # the identity too, which squares to the identity
     G, irr, _ = wreath3()
-    sp = RegisterSpace(G, irr, 1)
     c = next(x for x in range(G.order)
              if G.compose(x, x) != G.identity and x != G.identity)
     for x in (c, G.identity):
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"h = {G.pretty(x)} is not an involution") + "$"):
-            sp.projected_forms(0, x, sp.frame(0, 0))
+            plus_bases(irr, x)
 
 
 def test_plus_bases_reject_a_broken_irrep():
@@ -564,11 +553,11 @@ def test_batched_forms_equal_per_element(spec, k, kind):
     irr = irreps_for(G)
     h = G.default_involution()
     cls = G.class_of(h)
-    sp = RegisterSpace(G, irr, k, kind=kind)
+    sp = RegisterSpace(G, irr, k, h, kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 16)):
         f = sp.frame(ti, 13)
         V = f.vectors
-        rows = sp.projected_forms(ti, h, f)
+        rows = sp.projected_forms(ti, f)
         assert rows.shape == (len(cls), f.size)
         for row, c in zip(rows, cls):
             K = _dense_kron([(np.eye(irr[i].degree) + irr[i].mats[c]) / 2
@@ -583,7 +572,7 @@ def test_batched_forms_equal_per_element(spec, k, kind):
 def test_q_subset_block_equals_per_column(spec, k, kind):
     G = make_group(spec)
     irr = irreps_for(G)
-    sp = RegisterSpace(G, irr, k, kind=kind)
+    sp = RegisterSpace(G, irr, k, G.default_involution(), kind=kind)
     for ti in range(0, len(sp.tuples), max(1, len(sp.tuples) // 8)):
         V = sp.frame(ti, 13).vectors
         for s in _subsets(k):
@@ -601,7 +590,7 @@ def test_stacked_frames_are_each_tuples_own_draw(spec, kind):
     # frame(ti, seed), a batch is one shape, and a stack of more than one
     # frame fits util.BLOCK_BYTES
     G = make_group(spec)
-    sp = RegisterSpace(G, irreps_for(G), 2, kind=kind)
+    sp = RegisterSpace(G, irreps_for(G), 2, G.default_involution(), kind=kind)
     seen = []
     for batch, stack in sp.draws(range(len(sp.tuples)), 7):
         assert len({tuple(sp.degrees[i] for i in sp.tuples[ti])
@@ -625,7 +614,7 @@ def test_chained_kernel_equals_per_subset_reference(spec, k, kind):
     # stacks, less 1)
     G = make_group(spec)
     irr = irreps_for(G)
-    sp = RegisterSpace(G, irr, k, kind=kind)
+    sp = RegisterSpace(G, irr, k, G.default_involution(), kind=kind)
     subsets = _subsets(k)
     for batch, stack in sp.draws(range(len(sp.tuples)), 5, G.order):
         stacks = [np.stack([irr[sp.tuples[ti][i]].mats for ti in batch])
@@ -659,12 +648,9 @@ def test_distance_l1_equals_coset_distribution_l1(spec, k, eps, kind):
     irr = irreps_for(G)
     h = G.default_involution()
     cls = list(G.class_of(h))
-    sp = RegisterSpace(G, irr, k, kind=kind)
-    ranks = sp.tuple_ranks(h)
-    ref = reference_distribution(sp)
-    want = [l1_distance(coset_distribution(sp, c, 0, ranks), ref)
-            for c in cls]
-    res = avg_tv_over_conjugates(sp, h, 0)
+    sp = RegisterSpace(G, irr, k, h, kind=kind)
+    want = [l1_distance(coset_distribution(sp, c, 0), sp.ref) for c in cls]
+    res = avg_tv_over_conjugates(sp, 0)
     assert res["l1"] == want
     out = lemma_suite(G, irr, h, k, eps, seed=0, kind=kind)
     got = next(e for e in out if e["check"] == "distance against x first moment")
@@ -679,10 +665,10 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
     G, irr, h = wreath3()
 
     def results():
-        sp = RegisterSpace(G, irr, 2, kind="fused")
-        return ([sp.projected_forms(ti, h, sp.frame(ti, 3))
+        sp = RegisterSpace(G, irr, 2, h, kind="fused")
+        return ([sp.projected_forms(ti, sp.frame(ti, 3))
                  for ti in range(len(sp.tuples))],
-                avg_tv_over_conjugates(sp, h, 3),
+                avg_tv_over_conjugates(sp, 3),
                 lemma_suite(G, irr, h, 2, 0.2, seed=3, kind="fused"))
 
     forms, tv, suite = results()
@@ -694,7 +680,7 @@ def test_block_size_changes_no_bit(monkeypatch, entries):
 
 def test_q_decomposition():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 2)
+    sp = RegisterSpace(G, irr, 2, h)
     ti = 40
     b = sp.frame(ti, 1).vectors[:, 2]
     Q = q_total_values(irr, sp.tuples[ti], b)
@@ -745,7 +731,7 @@ def second_moment_terms(group, irreps, tup, b, h):
 
 def test_second_moment_terms_consistent():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 2)
+    sp = RegisterSpace(G, irr, 2, h)
     ti = 31
     b = sp.frame(ti, 4).vectors[:, 1]
     lhs, rhs = second_moment_check(G, irr, sp.tuples[ti], b, h)
@@ -758,15 +744,16 @@ def test_second_moment_terms_consistent():
     assert abs(total - lhs) < 1e-10
 
 
-def test_avg_tv_same_from_cold_and_warm_bases_store():
-    # the first call fills the space's plus_bases store, for every element
-    # of the class, the second reads it back
+def test_avg_tv_reads_the_bases_built_with_the_space():
+    # the space builds the +1 eigenbases at every element of the class of
+    # h, and each call reads them: a second call gives the same distances
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1)
-    assert not sp._plus
-    a = avg_tv_over_conjugates(sp, h, 11)
-    assert set(sp._plus) == set(G.class_of(h))
-    b = avg_tv_over_conjugates(sp, h, 11)
+    sp = RegisterSpace(G, irr, 1, h)
+    assert sp.cls == G.class_of(h)
+    bases = [W.copy() for W in sp.bases]
+    a = avg_tv_over_conjugates(sp, 11)
+    assert all(np.array_equal(x, y) for x, y in zip(sp.bases, bases))
+    b = avg_tv_over_conjugates(sp, 11)
     assert a == b
     assert len(a["l1"]) == 6
     assert 0 < a["avg_tv"] <= 1
@@ -784,8 +771,8 @@ def test_sampling_bit_identical_on_row_built_irreps(spec, k):
     whole = irreps_for(G)
     assert all(r.mats.shape[0] == G.order for r in whole)
     fresh = irreps_for(G)
-    assert (avg_tv_over_conjugates(RegisterSpace(G, fresh, k), h, 4)
-            == avg_tv_over_conjugates(RegisterSpace(G, whole, k), h, 4))
+    assert (avg_tv_over_conjugates(RegisterSpace(G, fresh, k, h), 4)
+            == avg_tv_over_conjugates(RegisterSpace(G, whole, k, h), 4))
     assert (mixed_conjugate_trace_distance(G, fresh, h, 2)
             == mixed_conjugate_trace_distance(G, whole, h, 2))
     assert (params_from_irreps(G, fresh, h, 0.2)
@@ -825,8 +812,8 @@ def total_variation(dist_a, dist_b):
 
 def test_tv_is_half_l1():
     G, irr, h = wreath3()
-    sp = RegisterSpace(G, irr, 1)
-    ref = reference_distribution(sp)
+    sp = RegisterSpace(G, irr, 1, h)
+    ref = sp.ref
     dist = coset_distribution(sp, h, 2)
     assert total_variation(dist, ref) == 0.5 * l1_distance(dist, ref)
     assert total_variation(ref, ref) == 0.0
@@ -883,7 +870,7 @@ def test_isotypic_screen_matches_reference_einsum(spec, k):
     G = make_group(spec)
     irr = irreps_for(G)
     N = G.order
-    sp = RegisterSpace(G, irr, k)
+    sp = RegisterSpace(G, irr, k, G.default_involution())
     subsets = _subsets(k)
     chis = np.array([tau.character().conj() for tau in irr])
     scales = np.array([tau.degree / N for tau in irr])[:, None, None]
@@ -907,7 +894,7 @@ def _isotypic_entry_reference(G, irr, h, k, seed, n_tuples=3, n_vectors=3):
     sampling draws of lemma_suite (the second-moment check's vectors are
     chosen first)."""
     N = G.order
-    sp = RegisterSpace(G, irr, k)
+    sp = RegisterSpace(G, irr, k, h)
     rng = np.random.default_rng(seed + 987654321)
     picks = rng.choice(len(sp.tuples), size=min(n_tuples, len(sp.tuples)),
                        replace=False)
@@ -1079,15 +1066,14 @@ def test_every_reader_of_h_refuses_a_non_involution(bad):
     # groups.involution, as the order-two subgroup it replaces did
     G, irr, _ = wreath3()
     x = G.identity if bad == "identity" else order_three_element(G)
-    space = RegisterSpace(G, irr, 1)
     W, S6, emb = wreath_embedding(3)
     calls = {
         "coset_state": lambda: coset_state(G, x),
         "fourier_blocks": lambda: fourier_blocks(G, x, irr),
         "fourier_roundtrip_error": lambda: fourier_roundtrip_error(G, x, irr),
         "rank_r": lambda: rank_r(irr[0], x),
-        "tuple_ranks": lambda: space.tuple_ranks(x),
-        "avg_tv_over_conjugates": lambda: avg_tv_over_conjugates(space, x, 0),
+        "plus_bases": lambda: plus_bases(irr, x),
+        "RegisterSpace": lambda: RegisterSpace(G, irr, 1, x),
         "lemma_suite": lambda: lemma_suite(G, irr, x, 1, 0.2),
         "transfer_subgroup_report":
             lambda: transfer_subgroup_report(S6, emb, W, x),
